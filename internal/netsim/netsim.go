@@ -142,11 +142,10 @@ func (d *delivery) run() {
 // data path is exactly what it was); on a sharded engine each cluster gets
 // its own, touched only from the cluster's LP thread, and reads merge them.
 type netShard struct {
-	e         *sim.Engine
-	stats     Stats
-	pool      []*delivery   // free list of delivery records
-	wanPool   []*wanTransit // free list of two-stage WAN forwarding records
-	framePool []*frame      // free list of coalesced-frame records
+	e        *sim.Engine
+	stats    Stats
+	pool     []*delivery // free list of delivery records
+	wirePool []*wireUnit // free list of WAN wire-unit records (transport.go)
 }
 
 // linkClass is a resolved wide-area link class: the declared parameters with
@@ -189,7 +188,7 @@ type Network struct {
 	adj       [][]adjLink
 	agg       [][]classAgg
 	nclusters int
-	xp        *xport // gateway transport layer (nil = off = plain per-message path)
+	xp        *xport // gateway transport layer (nil = off: every message is its own wire unit)
 	sharded   bool
 	sh        []*netShard // cluster → shard (all one shard when unsharded)
 	merged    Stats       // scratch for Stats() snapshots when sharded
@@ -199,8 +198,9 @@ type Network struct {
 	// All-pairs routed latency floor between clusters (cluster a → cluster
 	// b: min over paths of Σ per-hop class latency + software overhead +
 	// gateway cost). Computed once when sharded (it derives the engine's
-	// lookahead matrix) or when a link-fault policy installs (loss
-	// tombstones travel at the floor); nil otherwise. Read-only once built.
+	// lookahead matrix) or when a fault policy installs on a transport-active
+	// network (loss tombstones travel at the floor); nil otherwise. Read-only
+	// once built.
 	routeFloor [][]time.Duration
 
 	// Link fault domains (routefault.go). linkFault is non-nil only when the
@@ -321,9 +321,12 @@ func (n *Network) SetFaultPolicy(p FaultPolicy) {
 		if n.hold == nil {
 			n.hold = make([]map[int32]*holdQ, n.nclusters)
 		}
-		// Loss tombstones (loseFrameSeq) travel at the routed latency
-		// floor; build the table now, on the setup thread — the drop paths
-		// run on LP threads and must only read it.
+	}
+	if p != nil && n.xp != nil {
+		// Any fault can lose a sequenced unit mid-route (a crashed
+		// intermediate gateway needs no link cut), and its tombstone travels
+		// at the routed latency floor (lose). Build the table now, on the
+		// setup thread — the loss paths run on LP threads and only read it.
 		n.routeFloors()
 	}
 }
@@ -676,6 +679,16 @@ func (n *Network) ResetStats() {
 			n.agg[c][k] = classAgg{}
 		}
 	}
+	// Per-pipe counters reset with the rest; free and arrive are link state
+	// (traffic still queued or in flight) and stay.
+	for c := range n.adj {
+		for i := range n.adj[c] {
+			pipes := n.adj[c][i].pipes
+			for k := range pipes {
+				pipes[k] = pipe{free: pipes[k].free, arrive: pipes[k].arrive}
+			}
+		}
+	}
 	n.merged = Stats{}
 }
 
@@ -702,7 +715,7 @@ func (n *Network) deliver(m Msg) {
 // deliverAt schedules delivery of m at absolute virtual time at, reusing a
 // pooled delivery record instead of allocating a per-message closure. Every
 // caller already executes on the destination cluster's LP (local traffic
-// stays on one LP; WAN traffic crossed over in remoteGW), so the schedule
+// stays on one LP; WAN traffic crossed over in transmitOn), so the schedule
 // is a local At and the record cycles through a single shard's free list.
 func (n *Network) deliverAt(at time.Duration, m Msg) {
 	sh := n.sh[n.clusterOf[m.To]]
@@ -769,185 +782,9 @@ func (n *Network) sendLAN(m Msg) {
 	n.deliverAt(end+n.lanDelay, m)
 }
 
-// wanTransit is a recyclable WAN forwarding record. Like the delivery
-// record, its stage closures are bound once when the record is created and
-// records are pooled, so steady intercluster traffic schedules its gateway
-// hops without allocating per message. On a multi-hop route the same record
-// re-enters stage fn1 at every intermediate gateway, advancing cur.
-type wanTransit struct {
-	n      *Network
-	m      Msg
-	cs, cd int
-	cur    int           // cluster whose gateway forwards next (route position)
-	extra  time.Duration // fault-injected reorder delay, added to arrival
-	dup    bool          // this transit is an injected duplicate copy
-	fn1    func()        // bound to (*wanTransit).forward once
-	fn2    func()        // bound to (*wanTransit).remoteGW once
-	fn3    func()        // bound to (*wanTransit).enqueue once (transport layer)
-}
-
-// releaseTo returns the record to sh's pool with its fault state cleared.
-// The shard is the one whose LP is executing the release (the source cluster
-// in faulted, the destination cluster in remoteGW), so records migrate
-// between cluster pools but each pool is touched by a single LP thread.
-func (t *wanTransit) releaseTo(sh *netShard) {
-	t.m = Msg{} // drop the payload reference while pooled
-	t.extra = 0
-	t.dup = false
-	sh.wanPool = append(sh.wanPool, t)
-}
-
-// faulted applies the installed fault policy at the local gateway. It
-// reports true when the message was consumed (lost to a crashed gateway or
-// dropped by the policy), in which case the record has been released.
-func (t *wanTransit) faulted(now time.Duration) bool {
-	n := t.n
-	sh := n.sh[t.cs]
-	if n.fault.GatewayDown(now, t.cs, t.m) {
-		// The local gateway is crashed: the message never reaches the WAN.
-		t.releaseTo(sh)
-		return true
-	}
-	act, delay := n.fault.WANTransit(now, t.cs, t.cd, t.m)
-	switch act {
-	case FaultDrop:
-		t.releaseTo(sh)
-		return true
-	case FaultDuplicate:
-		// Schedule a second transit of the same message. It enters the
-		// pipe right behind this copy and is marked dup so the policy is
-		// not consulted again (no duplicate cascades).
-		d := n.getTransit(sh)
-		d.m, d.cs, d.cd, d.cur, d.dup = t.m, t.cs, t.cd, t.cs, true
-		sh.e.At(now, d.fn1)
-	}
-	t.extra = delay
-	return false
-}
-
-// forward is stage 2 of a WAN send: a gateway's forwarding stage, then the
-// next WAN link on the route (a FIFO resource per directed link). On the
-// implicit full mesh this runs exactly once, at the source cluster's gateway
-// (the classic localGW stage); on a declared link graph the record hops
-// store-and-forward through every intermediate gateway, re-entering this
-// stage on each owning cluster's LP.
-func (t *wanTransit) forward() {
-	n := t.n
-	sh := n.sh[t.cur]
-	now := sh.e.Now()
-	if n.fault != nil {
-		if t.cur != t.cs || t.dup {
-			// Intermediate gateways (and duplicate copies at the source)
-			// consult only gateway liveness: drop/duplicate verdicts apply
-			// once, where the message enters the WAN, so faults cannot
-			// cascade along a route.
-			if n.fault.GatewayDown(now, t.cur, t.m) {
-				t.releaseTo(sh)
-				return
-			}
-		} else if t.faulted(now) {
-			return
-		}
-	}
-	if n.linkFault != nil {
-		next, ok := n.routeOrHold(sh, now, t.cur, t.cd, holdItem{t: t, at: now})
-		if !ok {
-			return // parked in a hold queue (or dropped on overflow)
-		}
-		t.transmitOn(sh, now, next)
-		return
-	}
-	t.transmitOn(sh, now, n.nextHop(t.cur, t.cd))
-}
-
-// transmitOn runs the gateway forwarding stage and puts the message on the
-// pipe toward next (the caller's routing choice), then schedules the
-// cross-LP hop.
-func (t *wanTransit) transmitOn(sh *netShard, now time.Duration, next int) {
-	n := t.n
-	if n.par.GatewayCost > 0 {
-		// The gateway's protocol stack forwards one message at a time.
-		gw := n.nodes[n.gateways[t.cur]]
-		if gw.gwFree < now {
-			gw.gwFree = now
-		}
-		gw.gwFree += n.par.GatewayCost
-		now = gw.gwFree
-	}
-	// Plain (unframed) messages always use stream 0: orca's ordering and ARQ
-	// layers rely on FIFO per directed channel, which striping would break.
-	l := n.linkFor(t.cur, next)
-	p := &l.pipes[0]
-	wait := p.free - now
-	if wait < 0 {
-		wait = 0
-	}
-	if wait > p.maxWait {
-		p.maxWait = wait
-	}
-	start := now + wait
-	// Sample WAN quality at the instant transmission actually begins:
-	// a message queued behind earlier traffic departs at p.free, and a
-	// time-varying profile (congestion wave) must apply there, not at
-	// the instant the message joined the queue.
-	lat, bw := n.wanQuality(start, &n.classes[l.class])
-	xmit := bwTime(t.m.Size, bw)
-	depart := start + xmit
-	p.free = depart
-	p.busy += xmit
-	p.bytes += int64(t.m.Size)
-	p.msgs++
-	n.aggFor(t.cur, int(l.class)).observe(wait, xmit, int64(t.m.Size), 1, false)
-	// The cross-LP hop: arrival is depart+lat+wanDelay with depart >= now and
-	// lat at least the link's class latency (sharded profiles and policies
-	// may only stretch it — latency scales below 1 are rejected per sample),
-	// so the delta is always >= the lookahead — the min class latency plus
-	// software overhead — and the schedule is legal in any window. On a
-	// plain engine AtShard is exactly At.
-	at := depart + lat + n.wanDelay
-	if at < p.arrive {
-		at = p.arrive
-	}
-	p.arrive = at
-	if next == t.cd {
-		sh.e.AtShard(n.sh[t.cd].e, at+t.extra, t.fn2)
-		return
-	}
-	t.cur = next
-	sh.e.AtShard(n.sh[next].e, at, t.fn1)
-}
-
-// remoteGW is stage 3: remote gateway forwarding, then Fast Ethernet to the
-// destination node (skipped when the destination is the gateway). The record
-// recycles itself here; delivery continues through a pooled delivery record.
-func (t *wanTransit) remoteGW() {
-	n, m, cd := t.n, t.m, t.cd
-	sh := n.sh[cd]
-	t.releaseTo(sh)
-	if n.fault != nil && n.fault.GatewayDown(sh.e.Now(), cd, m) {
-		// The remote gateway is crashed: the message crossed the WAN but is
-		// lost at the receiving side. Duplicates are subject to this too.
-		return
-	}
-	if n.isGW[m.To] {
-		n.deliver(m)
-		return
-	}
-	now := sh.e.Now()
-	gwRemote := n.nodes[n.gateways[cd]]
-	if n.par.GatewayCost > 0 {
-		if gwRemote.gwFree < now {
-			gwRemote.gwFree = now
-		}
-		gwRemote.gwFree += n.par.GatewayCost
-		now = gwRemote.gwFree
-	}
-	end := serialize(&gwRemote.nicFree, now, m.Size, n.par.FEBandwidth)
-	n.deliverAt(end+n.feDelay, m)
-}
-
-// sendWAN routes an intercluster message through both gateways and the WAN
-// pipe for the directed cluster pair.
+// sendWAN starts an intercluster message on its way: node → local gateway
+// over Fast Ethernet, then the wire-unit pipeline (transport.go) carries it
+// gateway to gateway and on to the destination node.
 func (n *Network) sendWAN(m Msg) {
 	sh := n.sh[n.clusterOf[m.From]]
 	sh.stats.count(scopeInter, m.Kind, m.Size)
@@ -955,42 +792,19 @@ func (n *Network) sendWAN(m Msg) {
 
 	// Leg 1: node → local gateway over Fast Ethernet (skipped when the
 	// sender is the gateway itself, e.g. forwarded protocol traffic).
-	var atLocalGW time.Duration
-	if n.isGW[m.From] {
-		atLocalGW = now
-	} else {
+	atLocalGW := now
+	if !n.isGW[m.From] {
 		src := n.nodes[m.From]
 		end := serialize(&src.nicFree, now, m.Size, n.par.FEBandwidth)
 		atLocalGW = end + n.feDelay
 	}
 
-	t := n.getTransit(sh)
-	t.m = m
-	t.cs, t.cd = n.clusterOf[m.From], n.clusterOf[m.To]
-	t.cur = t.cs
-	if n.xp != nil {
-		// Transport layer on: the message joins its directed pair's egress
-		// queue at the local gateway instead of transmitting on its own.
-		sh.e.At(atLocalGW, t.fn3)
-		return
-	}
-	sh.e.At(atLocalGW, t.fn1) // same cluster: sender and its gateway share an LP
-}
-
-// getTransit pops a pooled wanTransit record from sh (or creates one with
-// its stage closures bound). Fault state is cleared at release, so a pooled
-// record is ready to reuse as-is.
-func (n *Network) getTransit(sh *netShard) *wanTransit {
-	if k := len(sh.wanPool); k > 0 {
-		t := sh.wanPool[k-1]
-		sh.wanPool = sh.wanPool[:k-1]
-		return t
-	}
-	t := &wanTransit{n: n}
-	t.fn1 = t.forward
-	t.fn2 = t.remoteGW
-	t.fn3 = t.enqueue
-	return t
+	u := n.getUnit(sh)
+	u.cs, u.cd = n.clusterOf[m.From], n.clusterOf[m.To]
+	u.cur = u.cs
+	u.msgs = append(u.msgs, m)
+	u.bytes = m.Size
+	sh.e.At(atLocalGW, u.fn) // same cluster: sender and its gateway share an LP
 }
 
 // wanQuality evaluates the latency and bandwidth of one link class in effect

@@ -29,19 +29,20 @@ const (
 	holdQueueCap  = 512                    // wire units per (gateway, destination)
 )
 
-// routeOrHold picks the next hop for a wire unit leaving cluster cur toward
-// cd, or parks it. A non-empty hold queue for the destination means earlier
+// routeOrHold picks the next hop for a wire unit leaving cluster u.cur toward
+// u.cd, or parks it. A non-empty hold queue for the destination means earlier
 // traffic is still parked, so the unit queues behind it even if the route
 // just healed (FIFO per channel is the ordering contract the upper layers
 // rely on); the healed queue drains wholesale at the next retry tick.
-func (n *Network) routeOrHold(sh *netShard, now time.Duration, cur, cd int, it holdItem) (next int, ok bool) {
+func (n *Network) routeOrHold(sh *netShard, now time.Duration, u *wireUnit) (next int, ok bool) {
+	cur, cd := u.cur, u.cd
 	if q := n.hold[cur][int32(cd)]; q != nil && len(q.items) > 0 {
-		q.push(now, it)
+		q.push(now, u)
 		return 0, false
 	}
 	next, ok = n.routeNext(sh, now, cur, cd)
 	if !ok {
-		n.holdFor(cur, cd).push(now, it)
+		n.holdFor(cur, cd).push(now, u)
 		return 0, false
 	}
 	return next, true
@@ -80,11 +81,10 @@ func (n *Network) routeNext(sh *netShard, now time.Duration, cur, cd int) (int, 
 	return next, true
 }
 
-// holdItem is one parked wire unit: exactly one of t (plain message transit)
-// or f (coalesced frame) is set. at is the parking instant, for the timeout.
+// holdItem is one parked wire unit; at is the parking instant, for the
+// timeout.
 type holdItem struct {
-	t  *wanTransit
-	f  *frame
+	u  *wireUnit
 	at time.Duration
 }
 
@@ -121,14 +121,14 @@ func (n *Network) holdFor(cur, cd int) *holdQ {
 // push parks one wire unit, arming the retry timer when the queue was idle.
 // A full queue drops the newcomer immediately — bounding gateway memory
 // beats preserving traffic the sender will retransmit anyway.
-func (q *holdQ) push(now time.Duration, it holdItem) {
+func (q *holdQ) push(now time.Duration, u *wireUnit) {
 	sh := q.n.sh[q.cur]
 	if len(q.items) >= holdQueueCap {
-		q.n.dropHeld(sh, now, it)
+		q.n.dropHeld(sh, now, u)
 		return
 	}
 	sh.stats.heldMsgs++
-	q.items = append(q.items, it)
+	q.items = append(q.items, holdItem{u, now})
 	if !q.pending {
 		q.pending = true
 		q.backoff = holdRetryBase
@@ -145,7 +145,7 @@ func (q *holdQ) retry() {
 	now := sh.e.Now()
 	aged := 0
 	for aged < len(q.items) && now-q.items[aged].at >= holdTimeout {
-		q.n.dropHeld(sh, now, q.items[aged])
+		q.n.dropHeld(sh, now, q.items[aged].u)
 		aged++
 	}
 	if aged > 0 {
@@ -184,46 +184,17 @@ func (q *holdQ) drain(sh *netShard, now time.Duration) bool {
 			q.items = q.items[:kept]
 			return false
 		}
-		it := q.items[i]
+		u := q.items[i].u
 		q.items[i] = holdItem{}
-		if it.t != nil {
-			it.t.transmitOn(sh, now, next)
-		} else {
-			q.n.transmitFrame(it.f, now, next)
-		}
+		q.n.transmitOn(sh, u, now, next)
 	}
 	q.items = q.items[:0]
 	return true
 }
 
-// dropHeld gives up on one wire unit: plain transits are released silently
-// (the loss is ARQ's to detect), frames additionally deliver a sequence
-// tombstone so the remote reassembler never wedges behind the gap.
-func (n *Network) dropHeld(sh *netShard, now time.Duration, it holdItem) {
+// dropHeld gives up on one parked wire unit (timeout or overflow): a counted
+// verdict, then the common loss path.
+func (n *Network) dropHeld(sh *netShard, now time.Duration, u *wireUnit) {
 	sh.stats.holdDrops++
-	if it.f != nil {
-		n.loseFrameSeq(sh, now, it.f)
-		return
-	}
-	it.t.releaseTo(sh)
-}
-
-// loseFrameSeq releases a frame whose payload is lost mid-route and
-// schedules its sequence tombstone at the destination's reassembler, the
-// routed latency floor from the loss site to the destination away — the
-// earliest a loss could become known remotely, and by construction ≥ the
-// LP pair's lookahead floor, so the cross-LP schedule is legal in any
-// window. (A single link's latency would undercut the end-to-end floor on
-// multi-hop routes.) Without the tombstone, frames arriving over an
-// alternate path (or after heal) would wait forever on the lost sequence
-// number. routeFloor is non-nil whenever link faults are installed
-// (SetFaultPolicy builds it).
-func (n *Network) loseFrameSeq(sh *netShard, now time.Duration, f *frame) {
-	cs, cd, seq := f.cs, f.cd, f.seq
-	at := now + n.routeFloor[f.cur][cd]
-	dst := n.sh[cd]
-	sh.e.AtShard(dst.e, at, func() {
-		n.ingressFor(cs, cd).consumeLost(dst.e.Now(), seq)
-	})
-	f.release(sh)
+	n.lose(sh, now, u)
 }

@@ -11,7 +11,7 @@ import (
 // ringTestNet builds a 4-root ring backbone (one class, 1000us / 1 MB/s),
 // two compute nodes per cluster. Nodes 2c and 2c+1 belong to cluster c;
 // gateways are 8+c.
-func ringTestNet(t testing.TB) (*sim.Engine, *Network) {
+func ringTestNet(t testing.TB, par cluster.Params) (*sim.Engine, *Network) {
 	t.Helper()
 	b := cluster.NewBuilder()
 	bb := b.Class("backbone", 1000*time.Microsecond, 1e6, 0)
@@ -21,7 +21,7 @@ func ringTestNet(t testing.TB) (*sim.Engine, *Network) {
 		t.Fatal(err)
 	}
 	e := sim.NewEngine()
-	return e, New(e, topo, testParams())
+	return e, New(e, topo, par)
 }
 
 // downPair returns a LinkDown closure failing one directed pair for
@@ -37,7 +37,7 @@ func downPair(from, to int, start, dur time.Duration) func(time.Duration, int, i
 // instead of blackholing — and the path scan turns the route around at the
 // source, so no hop ever bounces back toward the cut.
 func TestRingRerouteSecondDirection(t *testing.T) {
-	e, n := ringTestNet(t)
+	e, n := ringTestNet(t, testParams())
 	n.SetFaultPolicy(&testPolicy{linkDown: downPair(0, 1, 0, time.Hour)})
 	n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 1000})
 	at := recvTime(t, e, n, 2)
@@ -83,10 +83,10 @@ func TestMeshDetourOneIntermediate(t *testing.T) {
 	}
 }
 
-// TestHoldQueueDrainsFIFOOnHeal: a two-root backbone has no alternate
-// path, so traffic parks at the gateway during the cut and drains in send
-// order once the link heals.
-func TestHoldQueueDrainsFIFOOnHeal(t *testing.T) {
+// twoRootNet builds a two-root backbone (1000us / 1 MB/s), two compute
+// nodes per cluster: the one WAN link has no alternate path.
+func twoRootNet(t testing.TB, par cluster.Params) (*sim.Engine, *Network) {
+	t.Helper()
 	b := cluster.NewBuilder()
 	bb := b.Class("backbone", 1000*time.Microsecond, 1e6, 0)
 	b.Roots(2, cluster.Mesh, bb, 2)
@@ -95,28 +95,124 @@ func TestHoldQueueDrainsFIFOOnHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := sim.NewEngine()
-	n := New(e, topo, testParams())
-	n.SetFaultPolicy(&testPolicy{linkDown: downPair(0, 1, 0, 5*time.Millisecond)})
-	var order []int
-	var last time.Duration
-	n.SetHandler(2, func(m Msg) {
-		order = append(order, m.Payload.(int))
-		last = e.Now()
-	})
-	n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 1000, Payload: 1})
-	n.Send(Msg{From: 1, To: 2, Kind: KindData, Size: 1000, Payload: 2})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	return e, New(e, topo, par)
+}
+
+// holdKinds runs the hold-queue tests over both kinds of wire unit: plain
+// one-message units and coalesced frames park in the same queue through the
+// same code. unitsFor reports how many wire units k same-instant 600-byte
+// messages from one cluster become.
+var holdKinds = []struct {
+	name     string
+	par      func() cluster.Params
+	unitsFor func(k int) int64
+}{
+	{"plain", testParams, func(k int) int64 { return int64(k) }},
+	{"framed", func() cluster.Params {
+		par := testParams()
+		par.CoalesceWindow = 100 * time.Microsecond
+		par.MaxFrameBytes = 1000 // two 600-byte messages seal a frame
+		return par
+	}, func(k int) int64 { return int64((k + 1) / 2) }},
+}
+
+// TestHeldUnitsDrainFIFOOnHeal: with no alternate path (a declared two-root
+// backbone, or a two-cluster implicit mesh with no third cluster to detour
+// through), traffic parks at the gateway during the cut and drains in send
+// order once the link heals — frames additionally reassembling in sequence
+// order behind the cut.
+func TestHeldUnitsDrainFIFOOnHeal(t *testing.T) {
+	for _, kind := range holdKinds {
+		for _, platform := range []string{"declared", "mesh"} {
+			t.Run(kind.name+"/"+platform, func(t *testing.T) {
+				e, n := twoRootNet(t, kind.par())
+				if platform == "mesh" {
+					e, n = buildWith(2, 2, kind.par())
+				}
+				n.SetFaultPolicy(&testPolicy{linkDown: downPair(0, 1, 0, 5*time.Millisecond)})
+				var order []int
+				var first time.Duration = -1
+				n.SetHandler(2, func(m Msg) {
+					if first < 0 {
+						first = e.Now()
+					}
+					order = append(order, m.Payload.(int))
+				})
+				// Two senders interleaved, so FIFO is across the cluster's
+				// traffic, not just per sending node.
+				const k = 4
+				for i := 0; i < k; i++ {
+					n.Send(Msg{From: cluster.NodeID(i % 2), To: 2, Kind: KindData, Size: 600, Payload: i})
+				}
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if len(order) != k {
+					t.Fatalf("delivered %d messages, want %d", len(order), k)
+				}
+				for i, v := range order {
+					if v != i {
+						t.Fatalf("deliveries %v, want in-order 0..%d (FIFO drain)", order, k-1)
+					}
+				}
+				if first < 5*time.Millisecond {
+					t.Fatalf("delivery at %v, before the link healed", first)
+				}
+				s := n.Stats()
+				if s.HeldMsgs() != kind.unitsFor(k) || s.HoldDrops() != 0 {
+					t.Fatalf("held=%d drops=%d, want %d held, 0 dropped", s.HeldMsgs(), s.HoldDrops(), kind.unitsFor(k))
+				}
+			})
+		}
 	}
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("deliveries %v, want [1 2] (FIFO drain)", order)
-	}
-	if last < 5*time.Millisecond {
-		t.Fatalf("delivery at %v, before the link healed", last)
-	}
-	s := n.Stats()
-	if s.HeldMsgs() != 2 || s.HoldDrops() != 0 {
-		t.Fatalf("held=%d drops=%d, want 2 held, 0 dropped", s.HeldMsgs(), s.HoldDrops())
+}
+
+// TestHoldQueueOverflowDropsNewcomers: a full hold queue drops the arriving
+// unit with a counted verdict and keeps what it already holds; after heal
+// exactly the held units deliver, still in order, and — framed — reassembly
+// is not wedged by the dropped units (they never consumed a sequence number
+// the receiver waits on without a tombstone).
+func TestHoldQueueOverflowDropsNewcomers(t *testing.T) {
+	for _, kind := range holdKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			e, n := twoRootNet(t, kind.par())
+			n.SetFaultPolicy(&testPolicy{linkDown: downPair(0, 1, 0, 5*time.Millisecond)})
+			var order []int
+			n.SetHandler(2, func(m Msg) { order = append(order, m.Payload.(int)) })
+			// Sends originate at the gateway (node 4) so every message reaches
+			// the egress stage at t=0, before the first retry tick.
+			const over = 6
+			k := 2 * (holdQueueCap + over) // even: whole frames on the framed path
+			for i := 0; i < k; i++ {
+				n.Send(Msg{From: 4, To: 2, Kind: KindData, Size: 600, Payload: i})
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			units := kind.unitsFor(k)
+			s := n.Stats()
+			if s.HeldMsgs() != holdQueueCap || s.HoldDrops() != units-holdQueueCap {
+				t.Fatalf("held=%d drops=%d, want %d held, %d dropped", s.HeldMsgs(), s.HoldDrops(), holdQueueCap, units-holdQueueCap)
+			}
+			want := int(int64(k) * holdQueueCap / units) // messages inside the held units
+			if len(order) != want {
+				t.Fatalf("delivered %d messages, want %d (the held units)", len(order), want)
+			}
+			for i, v := range order {
+				if v != i {
+					t.Fatalf("delivery %d is message %d: held units left out of order", i, v)
+				}
+			}
+			// The link is up again: later traffic is neither held nor stuck
+			// behind the dropped units' sequence numbers.
+			n.Send(Msg{From: 4, To: 2, Kind: KindData, Size: 600, Payload: k})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(order) != want+1 || order[want] != k {
+				t.Fatalf("post-heal message not delivered (got %d deliveries)", len(order))
+			}
+		})
 	}
 }
 
@@ -125,15 +221,7 @@ func TestHoldQueueDrainsFIFOOnHeal(t *testing.T) {
 // the network gives up so ARQ owns recovery, and the run terminates instead
 // of retrying forever.
 func TestHoldTimeoutDropsUnderPermanentPartition(t *testing.T) {
-	b := cluster.NewBuilder()
-	bb := b.Class("backbone", 1000*time.Microsecond, 1e6, 0)
-	b.Roots(2, cluster.Mesh, bb, 2)
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := sim.NewEngine()
-	n := New(e, topo, testParams())
+	e, n := twoRootNet(t, testParams())
 	n.SetFaultPolicy(&testPolicy{linkDown: func(at time.Duration, f, tt int) bool {
 		return f == 0 && tt == 1
 	}})
@@ -177,36 +265,6 @@ func TestUplinkCutHoldsSubtreeTraffic(t *testing.T) {
 	}
 }
 
-// TestFramesHeldAndReassembledAfterHeal: coalesced frames park in the hold
-// queue like plain messages and reassemble in sequence order after heal.
-func TestFramesHeldAndReassembledAfterHeal(t *testing.T) {
-	par := testParams()
-	par.CoalesceWindow = 100 * time.Microsecond
-	par.MaxFrameBytes = 1000
-	e, n := buildWith(2, 2, par)
-	n.SetFaultPolicy(&testPolicy{linkDown: downPair(0, 1, 0, 5*time.Millisecond)})
-	var got []int
-	n.SetHandler(2, func(m Msg) { got = append(got, m.Payload.(int)) })
-	for i := 0; i < 4; i++ {
-		n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 600, Payload: i})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("delivered %d messages, want 4", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("deliveries %v, want in-order 0..3", got)
-		}
-	}
-	s := n.Stats()
-	if s.HeldMsgs() == 0 {
-		t.Fatalf("no frames were held across the cut (held=%d)", s.HeldMsgs())
-	}
-}
-
 // TestDuplicateNotReinspectedOnMultiHopRoute is the regression test for the
 // duplicate contract on store-and-forward routes: the duplicated copy must
 // be exempt from further WANTransit verdicts at every intermediate gateway,
@@ -232,5 +290,54 @@ func TestDuplicateNotReinspectedOnMultiHopRoute(t *testing.T) {
 	}
 	if got := n.Inbox(6).Len(); got != 2 {
 		t.Fatalf("delivered %d copies, want exactly 2", got)
+	}
+}
+
+// TestRerouteBackThroughSourceGateway: a cut discovered mid-route reverses a
+// ring route, carrying the wire unit back through its own source gateway. A
+// frame was ruled on when it was sealed and must not be ruled on again — a
+// second drop verdict would lose its sequence number without a tombstone and
+// wedge every later frame of the pair. A plain message standing at its source
+// gateway is ruled on again; chaos-run results depend on that surviving
+// difference, so it is written down here.
+func TestRerouteBackThroughSourceGateway(t *testing.T) {
+	for _, kind := range holdKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			e, n := ringTestNet(t, kind.par())
+			// The unit leaves cluster 0 toward 1 well before 1ms and reaches
+			// cluster 1 after it: 1→2 is down by then, so the route turns
+			// round, 1→0→3→2.
+			inspections := 0
+			n.SetFaultPolicy(&testPolicy{
+				linkDown: downPair(1, 2, time.Millisecond, time.Hour),
+				transit: func(time.Duration, int, int, Msg) (FaultAction, time.Duration) {
+					inspections++
+					return FaultDeliver, 0
+				},
+			})
+			n.Send(Msg{From: 0, To: 4, Kind: KindData, Size: 600})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := n.Inbox(4).Len(); got != 1 {
+				t.Fatalf("delivered %d, want 1", got)
+			}
+			var viaSource int64
+			for _, r := range n.PipeReports() {
+				if r.From == 0 && r.To == 3 {
+					viaSource = r.Msgs
+				}
+			}
+			if viaSource != 1 {
+				t.Fatalf("route did not return through the source gateway: %+v", n.PipeReports())
+			}
+			want := 1
+			if !n.TransportActive() {
+				want = 2
+			}
+			if inspections != want {
+				t.Fatalf("WANTransit consulted %d times, want %d", inspections, want)
+			}
+		})
 	}
 }

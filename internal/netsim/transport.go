@@ -1,26 +1,359 @@
-// Gateway transport optimization layer: MPWide-style frame coalescing and
-// multipath striping on the wide-area path.
+// The wide-area path: one pipeline of wire units, gateway to gateway.
 //
-// When enabled (any of cluster.Params.MaxFrameBytes, CoalesceWindow or
-// WANStreams > 1 is set, and the topology has more than one cluster), WAN
-// messages no longer cross the wide-area pipe one at a time. Instead each
-// directed cluster pair keeps an egress queue at the local gateway: messages
-// bound for the same destination cluster accumulate into a frame, which is
-// flushed when its payload reaches MaxFrameBytes or when a CoalesceWindow
+// Everything that crosses a WAN link is a wireUnit — a pooled record holding
+// one or more application messages, a route position and a byte count. With
+// the gateway transport layer off, every intercluster message is its own
+// unit: one message, stream 0, no sequence number. A unit leaves its source
+// gateway through the fault verdict (admit), is routed or held (transmit),
+// pays the gateway forwarding slot and the FIFO pipe of the next link
+// (transmitOn), re-enters forward at every intermediate gateway of a
+// multi-hop route, and at the destination gateway is unpacked onto Fast
+// Ethernet (arrive, unpack). A unit lost on the way goes through lose. Every
+// scheduled hop is the unit's one event closure, step, which picks the stage
+// from where the unit stands.
+//
+// The transport layer (MPWide-style frame coalescing and multipath striping)
+// changes only how units are built and consumed. When enabled (any of
+// cluster.Params.MaxFrameBytes, CoalesceWindow or WANStreams > 1 is set, and
+// the topology has more than one cluster), each directed cluster pair keeps
+// an egress queue at the local gateway: messages bound for the same
+// destination cluster accumulate into one unit — a frame — which is sealed
+// when its payload reaches MaxFrameBytes or when a CoalesceWindow
 // virtual-time timer (armed when the first message arrives) fires. The frame
 // pays one WAN serialization and one receive-side software overhead, however
 // many messages it carries — the transparent runtime-level counterpart of the
-// paper's application-level message combining.
-//
-// Frames are striped round-robin over WANStreams parallel pipes per directed
-// pair (each with the full WANLatency/WANBandwidth) and carry a sequence
-// number; the remote gateway reassembles them in order, holding early frames
-// until the gap fills. Zero-valued parameters disable the whole layer, and
-// the plain per-message path (localGW/remoteGW in netsim.go) is untouched,
-// so disabled runs are byte-identical to a build without this file.
+// paper's application-level message combining. Frames are striped round-robin
+// over WANStreams parallel pipes per directed pair (each with the full
+// WANLatency/WANBandwidth) and carry a sequence number; the remote gateway's
+// ingress queue reassembles them in order, holding early frames until the gap
+// fills. egressQ and ingressQ are the only framed-specific code: an
+// unsequenced unit skips both.
 package netsim
 
 import "time"
+
+// noSeq is the sequence number of a unit that is not part of a reassembled
+// stream: an unframed message.
+const noSeq = -1
+
+// wireUnit is the recyclable WAN transmission record. Its event closure is
+// bound once when the record is created and records are pooled per netShard,
+// so steady intercluster traffic — framed or not — schedules its gateway hops
+// without allocating. A frame's format is the concatenation of its messages'
+// payloads: header cost is modelled by the per-unit software overhead, not
+// extra bytes.
+type wireUnit struct {
+	n      *Network
+	cs, cd int
+	cur    int           // cluster whose gateway handles the unit next (route position)
+	seq    int64         // reassembly sequence number; noSeq when unsequenced
+	stream int           // striping stream, reduced modulo each link's pipe count
+	bytes  int           // summed message sizes: what the wire serializes
+	extra  time.Duration // fault-injected reorder delay, added to the final arrival
+	dup    bool          // an injected duplicate copy: exempt from further verdicts
+	msgs   []Msg         // starts out backed by one, so a single message never allocates
+	one    [1]Msg
+	fn     func() // bound to (*wireUnit).step once
+}
+
+// getUnit pops a pooled record from sh (or creates one with its event
+// closure bound). Records are released on whichever cluster's shard consumes
+// them, so they migrate between pools, but each pool is touched by a single
+// LP thread. State is cleared at release: a pooled record is ready as-is.
+func (n *Network) getUnit(sh *netShard) *wireUnit {
+	if k := len(sh.wirePool); k > 0 {
+		u := sh.wirePool[k-1]
+		sh.wirePool = sh.wirePool[:k-1]
+		return u
+	}
+	u := &wireUnit{n: n, seq: noSeq}
+	u.msgs = u.one[:0]
+	u.fn = u.step
+	return u
+}
+
+// step is the unit's one scheduled entry point, on the LP of the cluster it
+// has reached; which stage runs follows from where the unit stands.
+func (u *wireUnit) step() {
+	switch {
+	case u.cur == u.cd:
+		u.arrive()
+	case u.seq == noSeq && u.n.xp != nil:
+		u.enqueue() // transport layer on: a lone message is on its way into a frame
+	default:
+		u.forward()
+	}
+}
+
+// release returns the unit to sh's pool — the shard of the LP executing the
+// release. Message slots are zeroed so pooled records hold no payload
+// references.
+func (u *wireUnit) release(sh *netShard) {
+	clear(u.msgs)
+	u.msgs = u.msgs[:0]
+	u.seq, u.stream, u.bytes, u.extra, u.dup = noSeq, 0, 0, 0, false
+	sh.wirePool = append(sh.wirePool, u)
+}
+
+// faultMsg is the message fault policies rule on: the application message
+// itself for an unsequenced unit, and for a frame a synthetic
+// gateway-to-gateway KindFrame message of the summed size — the frame is the
+// wire unit, so faults rule on whole frames.
+func (u *wireUnit) faultMsg() Msg {
+	if u.seq == noSeq {
+		return u.msgs[0]
+	}
+	return Msg{
+		From: u.n.gateways[u.cs],
+		To:   u.n.gateways[u.cd],
+		Kind: KindFrame,
+		Size: u.bytes,
+	}
+}
+
+// admit applies the fault policy where a unit enters the WAN, at its source
+// gateway. ok is false when the unit was consumed (crashed gateway or drop
+// verdict) and has been released. A duplicate verdict returns the second
+// copy, marked dup so no later stage consults the policy's verdicts for it
+// again (duplication cannot cascade along a route); the caller decides how
+// the copy follows the original onto the wire.
+func (n *Network) admit(sh *netShard, now time.Duration, u *wireUnit) (dup *wireUnit, ok bool) {
+	wire := u.faultMsg()
+	if n.fault.GatewayDown(now, u.cs, wire) {
+		// The local gateway is crashed: the unit never reaches the WAN.
+		u.release(sh)
+		return nil, false
+	}
+	act, delay := n.fault.WANTransit(now, u.cs, u.cd, wire)
+	switch act {
+	case FaultDrop:
+		u.release(sh)
+		return nil, false
+	case FaultDuplicate:
+		dup = n.getUnit(sh)
+		dup.cs, dup.cd, dup.cur, dup.dup = u.cs, u.cd, u.cs, true
+		dup.seq, dup.stream = u.seq, u.stream
+		dup.msgs = append(dup.msgs, u.msgs...)
+		dup.bytes = u.bytes
+	}
+	u.extra = delay
+	return dup, true
+}
+
+// forward is a gateway's forwarding stage, on the owning cluster's LP. An
+// unframed unit enters here at its source gateway (frames enter the wire from
+// egressQ.flush); on a multi-hop route every unit re-enters here at each
+// intermediate gateway, store-and-forward.
+func (u *wireUnit) forward() {
+	n := u.n
+	sh := n.sh[u.cur]
+	now := sh.e.Now()
+	if n.fault != nil {
+		if u.cur == u.cs && u.seq == noSeq && !u.dup {
+			// An unframed unit at its source gateway is entering the WAN.
+			// (So is one that a reversed reroute carries back through it:
+			// chaos-run results depend on its being ruled on again. A frame
+			// was admitted in flush and is never ruled on twice — a second
+			// drop would lose its sequence number without a tombstone.)
+			dup, ok := n.admit(sh, now, u)
+			if !ok {
+				return
+			}
+			if dup != nil {
+				// An unframed duplicate re-enters this stage as its own event
+				// at the same instant, behind everything already scheduled.
+				sh.e.At(now, dup.fn)
+			}
+		} else if n.fault.GatewayDown(now, u.cur, u.faultMsg()) {
+			// Intermediate gateways (and duplicate copies at the source)
+			// consult only gateway liveness: drop/duplicate verdicts apply
+			// once, where the unit enters the WAN.
+			n.lose(sh, now, u)
+			return
+		}
+	}
+	n.transmit(u, now)
+}
+
+// transmit sends the unit over the next link of its route, or parks it in a
+// hold queue when link failures leave no route (routefault.go).
+func (n *Network) transmit(u *wireUnit, now time.Duration) {
+	sh := n.sh[u.cur]
+	if n.linkFault == nil {
+		n.transmitOn(sh, u, now, n.nextHop(u.cur, u.cd))
+	} else if next, ok := n.routeOrHold(sh, now, u); ok {
+		n.transmitOn(sh, u, now, next)
+	} // else parked (or dropped on overflow)
+}
+
+// gatewaySlot reserves cluster c's gateway protocol stack, which forwards
+// one wire unit at a time, and returns the instant the slot ends. A frame
+// takes one slot however many messages it packs: coalescing relieves the
+// gateways along with the WAN link.
+func (n *Network) gatewaySlot(c int, now time.Duration) time.Duration {
+	if n.par.GatewayCost <= 0 {
+		return now
+	}
+	gw := n.nodes[n.gateways[c]]
+	if gw.gwFree < now {
+		gw.gwFree = now
+	}
+	gw.gwFree += n.par.GatewayCost
+	return gw.gwFree
+}
+
+// transmitOn runs the gateway forwarding slot and puts the unit on the pipe
+// toward next (the caller's routing choice), then schedules the cross-LP hop:
+// to the destination cluster's arrive stage, or to the next intermediate
+// gateway's forward stage. Stats' frame counters are charged once, at the
+// source hop; the per-pipe and per-class aggregates meter every hop
+// (wire-level accounting), and their frame columns count sequenced units only.
+func (n *Network) transmitOn(sh *netShard, u *wireUnit, now time.Duration, next int) {
+	now = n.gatewaySlot(u.cur, now)
+	l := n.linkFor(u.cur, next)
+	// Unsequenced units carry stream 0, so plain messages never stripe:
+	// orca's ordering and ARQ layers rely on FIFO per directed channel, which
+	// only reassembly by sequence number can restore across streams.
+	p := &l.pipes[u.stream%len(l.pipes)]
+	wait := p.free - now
+	if wait < 0 {
+		wait = 0
+	}
+	if wait > p.maxWait {
+		p.maxWait = wait
+	}
+	start := now + wait
+	// Sample WAN quality at the instant transmission actually begins: a unit
+	// queued behind earlier traffic departs at p.free, and a time-varying
+	// profile (congestion wave) must apply there, not at the instant the
+	// unit joined the queue.
+	lat, bw := n.wanQuality(start, &n.classes[l.class])
+	xmit := bwTime(u.bytes, bw)
+	depart := start + xmit
+	p.free = depart
+	p.busy += xmit
+	p.bytes += int64(u.bytes)
+	p.msgs += int64(len(u.msgs))
+	framed := u.seq != noSeq
+	if framed {
+		p.frames++
+		if u.cur == u.cs {
+			sh.stats.frames.Msgs++
+			sh.stats.frames.Bytes += int64(u.bytes)
+			sh.stats.framedMsgs += int64(len(u.msgs))
+		}
+	}
+	n.aggFor(u.cur, int(l.class)).observe(wait, xmit, int64(u.bytes), int64(len(u.msgs)), framed)
+	// The cross-LP hop: arrival is depart+lat+wanDelay with depart >= now and
+	// lat at least the link's class latency (sharded profiles and policies
+	// may only stretch it — latency scales below 1 are rejected per sample),
+	// so the delta is always >= the lookahead New configures — coalescing
+	// delays when a frame departs, never how far ahead its arrival is
+	// scheduled. On a plain engine AtShard is exactly At.
+	at := depart + lat + n.wanDelay
+	// FIFO clamp: a latency drop between two transmissions must not let this
+	// unit overtake earlier traffic on the same pipe (the fault reorder delay
+	// stays outside the clamp).
+	if at < p.arrive {
+		at = p.arrive
+	}
+	p.arrive = at
+	u.cur = next
+	if next == u.cd {
+		at += u.extra
+	}
+	sh.e.AtShard(n.sh[next].e, at, u.fn)
+}
+
+// arrive runs on the destination cluster's LP when a unit has crossed its
+// last WAN link. An unsequenced unit unpacks at once. Sequenced units are
+// consumed strictly in order: the next expected frame is unpacked immediately
+// (plus any consecutive frames held behind it), an early frame is held, and a
+// stale sequence number is a duplicate copy to discard.
+func (u *wireUnit) arrive() {
+	n := u.n
+	sh := n.sh[u.cd]
+	now := sh.e.Now()
+	if n.fault != nil && n.fault.GatewayDown(now, u.cd, u.faultMsg()) {
+		// The remote gateway is crashed: the unit crossed the WAN but is lost
+		// at the receiving side. Duplicates are subject to this too.
+		n.lose(sh, now, u)
+		return
+	}
+	if u.seq == noSeq {
+		u.unpack(now)
+		u.release(sh)
+		return
+	}
+	iq := n.ingressFor(u.cs, u.cd)
+	switch {
+	case u.seq < iq.next:
+		u.release(sh) // duplicate of an already-consumed frame
+	case u.seq == iq.next:
+		iq.next++
+		u.unpack(now)
+		u.release(sh)
+		iq.drain(now)
+	default:
+		if _, dup := iq.held[u.seq]; dup {
+			u.release(sh) // duplicate of a frame already waiting in the gap
+			return
+		}
+		if iq.held == nil {
+			iq.held = make(map[int64]*wireUnit)
+		}
+		iq.held[u.seq] = u
+	}
+}
+
+// unpack forwards the unit's messages onward from the destination gateway:
+// a message addressed to the gateway itself is consumed on the spot; the rest
+// share one forwarding slot — charged once the unit has something to forward
+// — then serialize one by one onto Fast Ethernet toward their nodes.
+func (u *wireUnit) unpack(now time.Duration) {
+	n := u.n
+	gw := n.nodes[n.gateways[u.cd]]
+	slotted := false
+	for _, m := range u.msgs {
+		if n.isGW[m.To] {
+			n.deliver(m)
+			continue
+		}
+		if !slotted {
+			now = n.gatewaySlot(u.cd, now)
+			slotted = true
+		}
+		end := serialize(&gw.nicFree, now, m.Size, n.par.FEBandwidth)
+		n.deliverAt(end+n.feDelay, m)
+	}
+}
+
+// lose gives up on a unit whose payload is gone: a crashed gateway on its
+// route, a hold-queue timeout or overflow. An unsequenced unit just vanishes
+// (the loss is ARQ's to detect). A sequenced one must still consume its
+// number at the destination's reassembler, or frames arriving over an
+// alternate path (or after heal) would wait forever behind the gap: lost at
+// the destination gateway the tombstone lands at once; lost mid-route it is
+// scheduled the routed latency floor from the loss site away — the earliest a
+// loss could become known remotely, and by construction >= the LP pair's
+// lookahead floor, so the cross-LP schedule is legal in any window. (A single
+// link's latency would undercut the end-to-end floor on multi-hop routes.)
+// routeFloor is non-nil whenever a sequenced unit can be lost (SetFaultPolicy
+// builds it).
+func (n *Network) lose(sh *netShard, now time.Duration, u *wireUnit) {
+	cs, cd, seq := u.cs, u.cd, u.seq
+	switch {
+	case seq == noSeq: // no reassembler waits on it
+	case u.cur == cd:
+		n.ingressFor(cs, cd).consumeLost(now, seq)
+	default:
+		dst := n.sh[cd]
+		sh.e.AtShard(dst.e, now+n.routeFloor[u.cur][cd], func() {
+			n.ingressFor(cs, cd).consumeLost(dst.e.Now(), seq)
+		})
+	}
+	u.release(sh)
+}
 
 // xport holds the transport layer's per-directed-cluster-pair state,
 // sparsely: queues materialize on first use, keyed by the far cluster, so a
@@ -38,6 +371,10 @@ func newXport(n *Network) *xport {
 		ingress: make([]map[int32]*ingressQ, n.nclusters),
 	}
 }
+
+// TransportActive reports whether the gateway transport optimization layer
+// (frame coalescing / striping) is running in this network.
+func (n *Network) TransportActive() bool { return n.xp != nil }
 
 // egressFor returns cluster cs's coalescing queue toward cd, creating it on
 // first use (on cs's LP).
@@ -60,8 +397,8 @@ func (n *Network) egressFor(cs, cd int) *egressQ {
 }
 
 // ingressFor returns cluster cd's reassembly queue for frames from cs,
-// creating it on first use (always on cd's LP: frame arrivals run there,
-// and mid-route loss tombstones are scheduled onto it via loseFrameSeq).
+// creating it on first use (always on cd's LP: arrivals run there, and
+// mid-route loss tombstones are scheduled onto it by lose).
 func (n *Network) ingressFor(cs, cd int) *ingressQ {
 	m := n.xp.ingress[cd]
 	if m == nil {
@@ -76,13 +413,23 @@ func (n *Network) ingressFor(cs, cd int) *ingressQ {
 	return iq
 }
 
+// enqueue replaces forward as the source-gateway stage when the transport
+// layer is on: the message has crossed Fast Ethernet to its local gateway and
+// joins the egress queue of its directed cluster pair.
+func (u *wireUnit) enqueue() {
+	n := u.n
+	sh := n.sh[u.cs]
+	m, cs, cd := u.msgs[0], u.cs, u.cd
+	u.release(sh)
+	n.egressFor(cs, cd).add(sh.e.Now(), m)
+}
+
 // egressQ is the coalescing queue of one directed cluster pair, living at the
 // source cluster's gateway.
 type egressQ struct {
 	n        *Network
 	cs, cd   int
-	msgs     []Msg
-	bytes    int
+	u        *wireUnit     // frame under construction (nil between frames)
 	deadline time.Duration // flush instant of the frame being built
 	seq      int64         // next frame sequence number
 	stream   int           // next round-robin stream index
@@ -97,13 +444,21 @@ type egressQ struct {
 // time (the timer runs after every already-scheduled event of that instant).
 func (eg *egressQ) add(now time.Duration, m Msg) {
 	n := eg.n
-	if len(eg.msgs) == 0 {
+	u := eg.u
+	if u == nil {
+		sh := n.sh[eg.cs]
+		u = n.getUnit(sh)
+		u.cs, u.cd, u.cur = eg.cs, eg.cd, eg.cs
+		// The pair's next number and stream, committed (advanced) only when
+		// flush gets the frame past the fault verdict and onto the wire.
+		u.seq, u.stream = eg.seq, eg.stream
+		eg.u = u
 		eg.deadline = now + n.par.CoalesceWindow
-		n.sh[eg.cs].e.At(eg.deadline, eg.flushFn)
+		sh.e.At(eg.deadline, eg.flushFn)
 	}
-	eg.msgs = append(eg.msgs, m)
-	eg.bytes += m.Size
-	if n.par.MaxFrameBytes > 0 && eg.bytes >= n.par.MaxFrameBytes {
+	u.msgs = append(u.msgs, m)
+	u.bytes += m.Size
+	if n.par.MaxFrameBytes > 0 && u.bytes >= n.par.MaxFrameBytes {
 		eg.flush(now)
 	}
 }
@@ -113,281 +468,48 @@ func (eg *egressQ) add(now time.Duration, m Msg) {
 // or holds a younger frame with a later deadline; both make the timer stale.
 func (eg *egressQ) timerFlush() {
 	now := eg.n.sh[eg.cs].e.Now()
-	if len(eg.msgs) == 0 || now < eg.deadline {
+	if eg.u == nil || now < eg.deadline {
 		return
 	}
 	eg.flush(now)
 }
 
-// flush seals the accumulated messages into a frame and transmits it. The
-// fault verdict comes first — sequence numbers are assigned only to frames
-// that actually enter a pipe, so a frame lost at the local gateway leaves no
-// gap for the remote reassembler to wait on.
+// flush seals the frame under construction and transmits it. The fault
+// verdict comes first — a sequence number is consumed only by a frame that
+// actually enters a pipe, so a frame lost at the local gateway leaves no gap
+// for the remote reassembler to wait on.
 func (eg *egressQ) flush(now time.Duration) {
 	n := eg.n
-	sh := n.sh[eg.cs]
-	f := n.getFrame(sh)
-	f.cs, f.cd = eg.cs, eg.cd
-	f.cur = eg.cs
-	f.msgs, eg.msgs = eg.msgs, f.msgs
-	f.bytes, eg.bytes = eg.bytes, 0
-
-	var dup *frame
+	u := eg.u
+	eg.u = nil
+	var dup *wireUnit
 	if n.fault != nil {
-		wire := f.wireMsg()
-		if n.fault.GatewayDown(now, f.cs, wire) {
-			// The local gateway is crashed: the whole frame is lost.
-			f.release(sh)
+		var ok bool
+		if dup, ok = n.admit(n.sh[eg.cs], now, u); !ok {
 			return
 		}
-		act, delay := n.fault.WANTransit(now, f.cs, f.cd, wire)
-		switch act {
-		case FaultDrop:
-			f.release(sh)
-			return
-		case FaultDuplicate:
-			// The duplicate copy shares the original's sequence number and
-			// stream, entering the pipe right behind it; reassembly later
-			// discards whichever copy arrives second.
-			dup = n.getFrame(sh)
-			dup.cs, dup.cd = f.cs, f.cd
-			dup.cur = f.cs
-			dup.msgs = append(dup.msgs, f.msgs...)
-			dup.bytes = f.bytes
-		}
-		f.extra = delay
 	}
-	f.seq = eg.seq
 	eg.seq++
-	f.stream = eg.stream
 	eg.stream++
 	if eg.stream >= eg.mod {
 		eg.stream = 0
 	}
-	n.transmit(f, now)
+	n.transmit(u, now)
 	if dup != nil {
-		dup.seq, dup.stream = f.seq, f.stream
+		// A frame's duplicate (same sequence number, same stream) enters the
+		// pipe right behind the original, in the same event; reassembly later
+		// discards whichever copy arrives second.
 		n.transmit(dup, now)
-	}
-}
-
-// transmit sends one frame over the next link of its route: gateway
-// forwarding cost, FIFO pipe serialization, then the cross-LP hop — to the
-// destination cluster on a mesh, to the next intermediate gateway on a
-// multi-hop platform. The schedule delta is depart+lat+wanDelay >= the min
-// class latency + SoftwareOverhead (profiles and faults are rejected when
-// sharded), i.e. exactly the lookahead New configures — coalescing delays
-// when a frame departs, never how far ahead its arrival is scheduled.
-// Frame/message counters in Stats are charged once, at the source hop; the
-// per-pipe and per-class aggregates meter every hop (wire-level accounting).
-func (n *Network) transmit(f *frame, now time.Duration) {
-	sh := n.sh[f.cur]
-	if n.linkFault != nil {
-		next, ok := n.routeOrHold(sh, now, f.cur, f.cd, holdItem{f: f, at: now})
-		if !ok {
-			return // parked in a hold queue (or dropped on overflow)
-		}
-		n.transmitFrame(f, now, next)
-		return
-	}
-	n.transmitFrame(f, now, n.nextHop(f.cur, f.cd))
-}
-
-// transmitFrame runs the gateway forwarding stage and puts the frame on the
-// pipe toward next (the caller's routing choice), then schedules the
-// cross-LP hop.
-func (n *Network) transmitFrame(f *frame, now time.Duration, next int) {
-	sh := n.sh[f.cur]
-	if n.par.GatewayCost > 0 {
-		// One forwarding slot per frame, not per packed message: packing
-		// relieves the gateway's protocol stack along with the WAN link.
-		gw := n.nodes[n.gateways[f.cur]]
-		if gw.gwFree < now {
-			gw.gwFree = now
-		}
-		gw.gwFree += n.par.GatewayCost
-		now = gw.gwFree
-	}
-	l := n.linkFor(f.cur, next)
-	p := &l.pipes[f.stream%len(l.pipes)]
-	wait := p.free - now
-	if wait < 0 {
-		wait = 0
-	}
-	if wait > p.maxWait {
-		p.maxWait = wait
-	}
-	start := now + wait
-	lat, bw := n.wanQuality(start, &n.classes[l.class])
-	xmit := bwTime(f.bytes, bw)
-	depart := start + xmit
-	p.free = depart
-	p.busy += xmit
-	p.bytes += int64(f.bytes)
-	p.msgs += int64(len(f.msgs))
-	p.frames++
-	if f.cur == f.cs {
-		sh.stats.frames.Msgs++
-		sh.stats.frames.Bytes += int64(f.bytes)
-		sh.stats.framedMsgs += int64(len(f.msgs))
-	}
-	n.aggFor(f.cur, int(l.class)).observe(wait, xmit, int64(f.bytes), int64(len(f.msgs)), true)
-	// FIFO clamp: a latency drop mid-profile must not let this frame overtake
-	// earlier traffic on the same stream (fault reorder delay stays outside).
-	at := depart + lat + n.wanDelay
-	if at < p.arrive {
-		at = p.arrive
-	}
-	p.arrive = at
-	if next == f.cd {
-		sh.e.AtShard(n.sh[f.cd].e, at+f.extra, f.fnArrive)
-		return
-	}
-	f.cur = next
-	sh.e.AtShard(n.sh[next].e, at, f.fnHop)
-}
-
-// frame is a recyclable coalesced WAN transmission unit. Like the delivery
-// and wanTransit records, its arrival closure is bound once and records are
-// pooled per netShard, so steady framed traffic allocates nothing. The frame
-// format is the concatenation of its messages' payloads: header cost is
-// modelled by the per-frame software overhead, not extra bytes.
-type frame struct {
-	n        *Network
-	cs, cd   int
-	cur      int // cluster whose gateway transmits next (route position)
-	seq      int64
-	stream   int
-	bytes    int
-	extra    time.Duration // fault-injected reorder delay, added to arrival
-	msgs     []Msg
-	fnArrive func() // bound to (*frame).arrive once
-	fnHop    func() // bound to (*frame).hop once
-}
-
-// wireMsg synthesizes the gateway-to-gateway message handed to fault
-// policies: the frame is the wire unit, so faults rule on whole frames.
-func (f *frame) wireMsg() Msg {
-	return Msg{
-		From: f.n.gateways[f.cs],
-		To:   f.n.gateways[f.cd],
-		Kind: KindFrame,
-		Size: f.bytes,
-	}
-}
-
-// release returns the frame to sh's pool. Message slots are zeroed so pooled
-// frames hold no payload references.
-func (f *frame) release(sh *netShard) {
-	for i := range f.msgs {
-		f.msgs[i] = Msg{}
-	}
-	f.msgs = f.msgs[:0]
-	f.bytes = 0
-	f.extra = 0
-	sh.framePool = append(sh.framePool, f)
-}
-
-// getFrame pops a pooled frame record from sh (or creates one with its
-// arrival closure bound). Like wanTransit records, frames are released on the
-// destination cluster's shard and so migrate between pools, but each pool is
-// touched by a single LP thread.
-func (n *Network) getFrame(sh *netShard) *frame {
-	if k := len(sh.framePool); k > 0 {
-		f := sh.framePool[k-1]
-		sh.framePool = sh.framePool[:k-1]
-		return f
-	}
-	f := &frame{n: n}
-	f.fnArrive = f.arrive
-	f.fnHop = f.hop
-	return f
-}
-
-// hop retransmits a multi-hop frame from an intermediate gateway (on that
-// cluster's LP). Only gateway liveness is consulted mid-route — drop and
-// duplicate verdicts applied once at the source — and a frame lost here
-// schedules its sequence tombstone at the destination's reassembler
-// (loseFrameSeq: one link latency later, on cd's own LP, so the resync is
-// shard-safe) so reassembly never wedges behind the loss.
-func (f *frame) hop() {
-	n := f.n
-	sh := n.sh[f.cur]
-	now := sh.e.Now()
-	if n.fault != nil && n.fault.GatewayDown(now, f.cur, f.wireMsg()) {
-		n.loseFrameSeq(sh, now, f)
-		return
-	}
-	n.transmit(f, now)
-}
-
-// arrive runs on the destination cluster's LP when a frame crosses the WAN.
-// Frames are consumed strictly in sequence order: the next expected frame is
-// unpacked immediately (plus any consecutive frames held behind it), an
-// early frame is held, and a stale sequence number is a duplicate copy to
-// discard. A crashed remote gateway loses the frame's payload but still
-// consumes its sequence number, so reassembly never wedges behind a loss.
-func (f *frame) arrive() {
-	n := f.n
-	sh := n.sh[f.cd]
-	now := sh.e.Now()
-	iq := n.ingressFor(f.cs, f.cd)
-	if n.fault != nil && n.fault.GatewayDown(now, f.cd, f.wireMsg()) {
-		iq.consumeLost(now, f.seq)
-		f.release(sh)
-		return
-	}
-	switch {
-	case f.seq < iq.next:
-		f.release(sh) // duplicate of an already-consumed frame
-	case f.seq == iq.next:
-		iq.next++
-		f.unpack(now)
-		f.release(sh)
-		iq.drain(now)
-	default:
-		if _, dup := iq.held[f.seq]; dup {
-			f.release(sh) // duplicate of a frame already waiting in the gap
-			return
-		}
-		if iq.held == nil {
-			iq.held = make(map[int64]*frame)
-		}
-		iq.held[f.seq] = f
-	}
-}
-
-// unpack forwards the frame's messages onward: one gateway forwarding slot
-// for the whole frame, then per-message Fast Ethernet serialization to each
-// destination node (gateway-destined messages deliver directly, as on the
-// per-message path).
-func (f *frame) unpack(now time.Duration) {
-	n := f.n
-	gw := n.nodes[n.gateways[f.cd]]
-	if n.par.GatewayCost > 0 {
-		if gw.gwFree < now {
-			gw.gwFree = now
-		}
-		gw.gwFree += n.par.GatewayCost
-		now = gw.gwFree
-	}
-	for _, m := range f.msgs {
-		if n.isGW[m.To] {
-			n.deliver(m)
-			continue
-		}
-		end := serialize(&gw.nicFree, now, m.Size, n.par.FEBandwidth)
-		n.deliverAt(end+n.feDelay, m)
 	}
 }
 
 // ingressQ reassembles one directed pair's frames in sequence order at the
 // destination gateway. held maps sequence number → early frame; a nil entry
-// is the tombstone of a frame lost to a remote gateway crash (payload gone,
-// sequence number still consumed).
+// is the tombstone of a lost frame (payload gone, sequence number still
+// consumed).
 type ingressQ struct {
 	next int64
-	held map[int64]*frame
+	held map[int64]*wireUnit
 }
 
 // consumeLost advances the sequence past a frame whose payload was lost
@@ -406,7 +528,7 @@ func (iq *ingressQ) consumeLost(now time.Duration, seq int64) {
 			return
 		}
 		if iq.held == nil {
-			iq.held = make(map[int64]*frame)
+			iq.held = make(map[int64]*wireUnit)
 		}
 		iq.held[seq] = nil
 	}
@@ -417,30 +539,15 @@ func (iq *ingressQ) consumeLost(now time.Duration, seq int64) {
 // overtake the gap filler); tombstones just advance the sequence.
 func (iq *ingressQ) drain(now time.Duration) {
 	for {
-		f, ok := iq.held[iq.next]
+		u, ok := iq.held[iq.next]
 		if !ok {
 			return
 		}
 		delete(iq.held, iq.next)
 		iq.next++
-		if f != nil {
-			f.unpack(now)
-			f.release(f.n.sh[f.cd])
+		if u != nil {
+			u.unpack(now)
+			u.release(u.n.sh[u.cd])
 		}
 	}
 }
-
-// enqueue is the transport-layer stage 2 of a WAN send (replacing localGW):
-// the message has crossed Fast Ethernet to its local gateway and joins the
-// egress queue of its directed cluster pair.
-func (t *wanTransit) enqueue() {
-	n := t.n
-	sh := n.sh[t.cs]
-	m, cs, cd := t.m, t.cs, t.cd
-	t.releaseTo(sh)
-	n.egressFor(cs, cd).add(sh.e.Now(), m)
-}
-
-// TransportActive reports whether the gateway transport optimization layer
-// (frame coalescing / striping) is running in this network.
-func (n *Network) TransportActive() bool { return n.xp != nil }

@@ -202,7 +202,7 @@ func transportWorkload(t *testing.T, shards int) (time.Duration, uint64, string,
 		c := c
 		for i := 0; i < 3; i++ {
 			src := cluster.NodeID(c*3 + i)
-			dst := cluster.NodeID(((c*3+i)+3) % 6) // cross-cluster partner
+			dst := cluster.NodeID(((c*3 + i) + 3) % 6) // cross-cluster partner
 			for k := 0; k < 5; k++ {
 				size := 100 + 37*int(src) + 211*k
 				at := time.Duration(k) * 300 * time.Microsecond
@@ -552,24 +552,50 @@ func TestResetStatsSharded(t *testing.T) {
 	if got := n.Stats().TotalInter().Msgs; got != 2 {
 		t.Fatalf("snapshot reset unexpectedly reached shard counters (inter msgs %d)", got)
 	}
+	if len(n.PipeReports()) != 2 || len(n.ClassReports()) != 1 {
+		t.Fatalf("reports before reset: pipes %+v classes %+v", n.PipeReports(), n.ClassReports())
+	}
 	n.ResetStats()
 	if got := n.Stats().TotalInter(); got.Msgs != 0 || got.Bytes != 0 {
 		t.Fatalf("ResetStats left counters %+v", got)
 	}
+	if p, c := n.PipeReports(), n.ClassReports(); len(p) != 0 || len(c) != 0 {
+		t.Fatalf("ResetStats left reports: pipes %+v classes %+v", p, c)
+	}
 }
 
-// TestResetStatsUnsharded: the same call is the reset API on a plain engine.
+// TestResetStatsUnsharded: the same call is the reset API on a plain engine,
+// and it reaches every report — Stats, the per-class aggregates and the
+// per-pipe counters — while leaving link state alone: the reset lands while
+// the first message still occupies the pipe (100 bytes from 61us to 161us),
+// and a message entering at 100us must still queue behind it.
 func TestResetStatsUnsharded(t *testing.T) {
 	e, n := build(2, 2)
 	n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 100})
+	e.At(100*time.Microsecond, func() {
+		if n.Stats().TotalInter().Msgs != 1 {
+			t.Error("traffic not metered")
+		}
+		if len(n.PipeReports()) != 1 || len(n.ClassReports()) != 1 {
+			t.Errorf("reports before reset: pipes %+v classes %+v", n.PipeReports(), n.ClassReports())
+		}
+		n.ResetStats()
+		if got := n.Stats().TotalInter(); got.Msgs != 0 {
+			t.Errorf("ResetStats left counters %+v", got)
+		}
+		if p, c := n.PipeReports(), n.ClassReports(); len(p) != 0 || len(c) != 0 {
+			t.Errorf("ResetStats left reports: pipes %+v classes %+v", p, c)
+		}
+		n.Send(Msg{From: 4, To: 2, Kind: KindData, Size: 100}) // from the gateway: no FE leg
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n.Stats().TotalInter().Msgs != 1 {
-		t.Fatal("traffic not metered")
+	want := PipeReport{From: 0, To: 1, Msgs: 1, Bytes: 100, Busy: 100 * time.Microsecond, MaxQueueing: 61 * time.Microsecond}
+	if p := n.PipeReports(); len(p) != 1 || p[0] != want {
+		t.Fatalf("post-reset pipe reports %+v, want only the new message, queued behind the old: %+v", p, want)
 	}
-	n.ResetStats()
-	if got := n.Stats().TotalInter(); got.Msgs != 0 {
-		t.Fatalf("ResetStats left counters %+v", got)
+	if got := n.Inbox(2).Len(); got != 2 {
+		t.Fatalf("delivered %d, want 2", got)
 	}
 }
