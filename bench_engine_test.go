@@ -114,28 +114,44 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 	}
 }
 
-// benchEndToEnd runs one full application configuration per iteration and
-// reports virtual sim-seconds per wall-clock second — the headline metric
-// for how large a platform/problem the simulator can model in real time.
-func benchEndToEnd(b *testing.B, appName string, clusters, perCluster int) {
+// benchSpec describes the original variant of a named application on the
+// harness parameter set; callers adjust Transport and Shards.
+func benchSpec(b *testing.B, appName string, topo cluster.Topology) harness.RunSpec {
 	b.Helper()
-	b.ReportAllocs()
 	app, err := harness.AppByName(appName)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return harness.RunSpec{App: app, Topo: topo, Params: harness.Params}
+}
+
+// benchRuns executes the spec once per iteration (uncached) and reports
+// virtual sim-seconds per wall-clock second — the headline metric for how
+// large a platform/problem the simulator can model in real time. observe,
+// when non-nil, sees every run's result.
+func benchRuns(b *testing.B, spec harness.RunSpec, observe func(harness.Result)) {
+	b.Helper()
+	b.ReportAllocs()
 	var simSecs float64
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		m, err := harness.RunOne(app, clusters, perCluster, false)
+		res, err := harness.Exec(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		simSecs += m.Seconds()
+		if observe != nil {
+			observe(res)
+		}
+		simSecs += res.Seconds()
 	}
 	if wall := time.Since(start).Seconds(); wall > 0 {
 		b.ReportMetric(simSecs/wall, "simsec/wallsec")
 	}
+}
+
+// benchEndToEnd runs one full application configuration per iteration.
+func benchEndToEnd(b *testing.B, appName string, clusters, perCluster int) {
+	benchRuns(b, benchSpec(b, appName, cluster.DAS(clusters, perCluster)), nil)
 }
 
 // The eight end-to-end benchmarks run every application of the paper's
@@ -172,24 +188,19 @@ func BenchmarkEndToEndACP(b *testing.B) { benchEndToEnd(b, "ACP", 2, 8) }
 // simulator-side cost of framing (fewer, larger wire events) next to the
 // simulated benefit.
 func benchEndToEndT(b *testing.B, appName string, clusters, perCluster int) {
+	spec := benchSpec(b, appName, cluster.DAS(clusters, perCluster))
+	spec.Transport = harness.DefaultTransport
+	benchRuns(b, spec, nil)
+}
+
+// tiered64 loads the checked-in 64-cluster tiered topology.
+func tiered64(b *testing.B) cluster.Topology {
 	b.Helper()
-	b.ReportAllocs()
-	app, err := harness.AppByName(appName)
+	topo, err := cluster.LoadTopology("examples/topologies/tiered64.json")
 	if err != nil {
 		b.Fatal(err)
 	}
-	var simSecs float64
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		m, err := harness.RunOneT(app, clusters, perCluster, false, harness.DefaultTransport)
-		if err != nil {
-			b.Fatal(err)
-		}
-		simSecs += m.Seconds()
-	}
-	if wall := time.Since(start).Seconds(); wall > 0 {
-		b.ReportMetric(simSecs/wall, "simsec/wallsec")
-	}
+	return topo
 }
 
 // benchEndToEndGrid runs one application per iteration on the checked-in
@@ -197,28 +208,7 @@ func benchEndToEndT(b *testing.B, appName string, clusters, perCluster int) {
 // grid-scale smoke for sparse adjacency, multi-hop store-and-forward
 // routing, and per-link-class metering, end to end through the harness.
 func benchEndToEndGrid(b *testing.B, appName string) {
-	b.Helper()
-	b.ReportAllocs()
-	topo, err := cluster.LoadTopology("examples/topologies/tiered64.json")
-	if err != nil {
-		b.Fatal(err)
-	}
-	app, err := harness.AppByName(appName)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var simSecs float64
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		m, err := harness.RunTopoOne(app, topo, false, harness.Transport{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		simSecs += m.Seconds()
-	}
-	if wall := time.Since(start).Seconds(); wall > 0 {
-		b.ReportMetric(simSecs/wall, "simsec/wallsec")
-	}
+	benchRuns(b, benchSpec(b, appName, tiered64(b)), nil)
 }
 
 // BenchmarkEndToEndGridASP is the broadcast-heavy ASP across 64 tiered
@@ -246,38 +236,9 @@ func BenchmarkEndToEndASPTransport(b *testing.B) { benchEndToEndT(b, "ASP", 2, 8
 // GOMAXPROCS (or the machine) at 1 the sharded engine serializes its LPs
 // and only the window-synchronization overhead shows.
 func benchEngineMode(b *testing.B, appName string, clusters, perCluster, shards int) {
-	b.Helper()
-	b.ReportAllocs()
-	app, err := harness.AppByName(appName)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var simSecs float64
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		var seqr orca.Sequencer
-		if app.Sequencer != nil {
-			seqr = app.Sequencer(false)
-		}
-		sys := core.NewSystem(core.Config{
-			Topology:  cluster.DAS(clusters, perCluster),
-			Params:    harness.Params,
-			Sequencer: seqr,
-			Shards:    shards,
-		})
-		verify := app.Build(sys, false)
-		m, err := sys.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := verify(); err != nil {
-			b.Fatal(err)
-		}
-		simSecs += m.Seconds()
-	}
-	if wall := time.Since(start).Seconds(); wall > 0 {
-		b.ReportMetric(simSecs/wall, "simsec/wallsec")
-	}
+	spec := benchSpec(b, appName, cluster.DAS(clusters, perCluster))
+	spec.Shards = shards
+	benchRuns(b, spec, nil)
 }
 
 // The engine-mode pairs below benchmark shardable applications on a
@@ -401,46 +362,15 @@ func BenchmarkShardedWindowSync(b *testing.B) {
 // matrix: the fixed baseline entry in BENCH_engine.json holds the scalar
 // lookahead engine's numbers (145,060 windows per run, every one a fence).
 func BenchmarkShardedGridASP(b *testing.B) {
-	b.ReportAllocs()
-	topo, err := cluster.LoadTopology("examples/topologies/tiered64.json")
-	if err != nil {
-		b.Fatal(err)
-	}
-	app, err := harness.AppByName("ASP")
-	if err != nil {
-		b.Fatal(err)
-	}
+	spec := benchSpec(b, "ASP", tiered64(b))
+	spec.Shards = 4
 	var windows, fences uint64
-	var simSecs float64
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		var seqr orca.Sequencer
-		if app.Sequencer != nil {
-			seqr = app.Sequencer(false)
-		}
-		sys := core.NewSystem(core.Config{
-			Topology:  topo,
-			Params:    harness.Params,
-			Sequencer: seqr,
-			Shards:    4,
-		})
-		verify := app.Build(sys, false)
-		m, err := sys.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := verify(); err != nil {
-			b.Fatal(err)
-		}
-		for _, st := range sys.ShardStats() {
+	benchRuns(b, spec, func(res harness.Result) {
+		for _, st := range res.LPs {
 			windows += st.Windows
 			fences += st.Windows - st.Chained
 		}
-		simSecs += m.Seconds()
-	}
-	if wall := time.Since(start).Seconds(); wall > 0 {
-		b.ReportMetric(simSecs/wall, "simsec/wallsec")
-	}
+	})
 	b.ReportMetric(float64(windows)/float64(b.N), "windows/op")
 	b.ReportMetric(float64(fences)/float64(b.N), "fences/op")
 }

@@ -30,7 +30,8 @@ func benchExperiment(b *testing.B, id string) *harness.Report {
 	}
 	var rep *harness.Report
 	for i := 0; i < b.N; i++ {
-		rep, err = exp.Run()
+		// A fresh session per iteration: nothing is served from a cache.
+		rep, err = exp.Run(&harness.Session{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -35,9 +36,8 @@ import (
 
 	"albatross/internal/cluster"
 	"albatross/internal/core"
+	"albatross/internal/faults"
 	"albatross/internal/harness"
-	"albatross/internal/netsim"
-	"albatross/internal/orca"
 	"albatross/internal/plot"
 	"albatross/internal/trace"
 )
@@ -62,16 +62,17 @@ func main() {
 		appsFlag     = flag.String("apps", "ASP", "with -topo: comma-separated application names, or 'all'")
 	)
 	flag.Parse()
-	harness.SetParallelism(*parallelFlag)
-	harness.SetShards(*shardsFlag)
 	// The transport flags run every experiment on the coalescing/striping
 	// runtime (the "transport" experiment sweeps it explicitly either way).
-	tr := harness.Transport{
-		MaxFrameBytes:  *coalesceFlag,
-		CoalesceWindow: *windowFlag,
-		WANStreams:     *streamsFlag,
+	s := &harness.Session{
+		Workers: *parallelFlag,
+		Shards:  *shardsFlag,
+		Transport: harness.Transport{
+			MaxFrameBytes:  *coalesceFlag,
+			CoalesceWindow: *windowFlag,
+			WANStreams:     *streamsFlag,
+		},
 	}
-	harness.SetTransport(tr)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -113,30 +114,26 @@ func main() {
 		return
 	}
 	if *timelineFlag != "" {
-		if err := showTimeline(*timelineFlag); err != nil {
+		if err := showTimeline(s, *timelineFlag); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *chaosFlag {
-		if err := runChaos(*quickFlag, *csvFlag, *topoFlag); err != nil {
+		if err := runChaos(s, *quickFlag, *csvFlag, *topoFlag); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if *shardsFlag > 1 {
-			printShardUsage()
-		}
+		printShardUsage(s)
 		return
 	}
 	if *topoFlag != "" {
-		if err := runTopo(os.Stdout, *topoFlag, *appsFlag, *csvFlag, tr); err != nil {
+		if err := runTopo(os.Stdout, s, *topoFlag, *appsFlag, *csvFlag); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if *shardsFlag > 1 {
-			printShardUsage()
-		}
+		printShardUsage(s)
 		return
 	}
 
@@ -156,7 +153,7 @@ func main() {
 
 	for _, e := range selected {
 		start := time.Now()
-		rep, err := e.Run()
+		rep, err := e.Run(s)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			os.Exit(1)
@@ -165,24 +162,14 @@ func main() {
 		if *plotFlag && rep.Figure != nil {
 			fmt.Print(plot.Render(rep.Figure, 64, 24))
 		}
-		if *csvFlag != "" {
-			path := filepath.Join(*csvFlag, e.ID+".csv")
-			if err := os.MkdirAll(*csvFlag, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(path, []byte(rep.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("(csv written to %s)\n", path)
+		if err := writeCSV(os.Stdout, *csvFlag, e.ID, rep); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 		fmt.Printf("(%s took %.1fs wall clock; all results verified against sequential references)\n\n",
 			e.ID, time.Since(start).Seconds())
 	}
-	if *shardsFlag > 1 {
-		printShardUsage()
-	}
+	printShardUsage(s)
 }
 
 // printShardUsage renders the per-LP window counters every sharded run
@@ -193,8 +180,8 @@ func main() {
 // run's wall clock. High fence shares or narrow windows are the sharded
 // engine's overhead made visible — the results themselves are
 // byte-identical either way.
-func printShardUsage() {
-	report := harness.ShardUsageReport()
+func printShardUsage(s *harness.Session) {
+	report := s.ShardUsageReport()
 	if report == nil {
 		return
 	}
@@ -216,54 +203,57 @@ func printShardUsage() {
 	fmt.Println()
 }
 
+// writeCSV writes the report's data as <dir>/<id>.csv and says so on out; an
+// empty dir (no -csv flag) does nothing.
+func writeCSV(out io.Writer, dir, id string, rep *harness.Report) error {
+	if dir == "" {
+		return nil
+	}
+	path := filepath.Join(dir, id+".csv")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, []byte(rep.CSV()), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "(csv written to %s)\n", path)
+	return nil
+}
+
 // runChaos renders the fault-injection degradation sweep, then a chaos
 // timeline of one representative run so the injected faults (distinct glyph
 // ramp) can be read against the traffic they perturb. With a topology file
 // it instead runs the grid-scale sweep — loss x outage x backbone
 // partition over all eight applications — and skips the timeline (the
 // availability and recovery tables carry the story there).
-func runChaos(quick bool, csvDir, topoPath string) error {
+func runChaos(s *harness.Session, quick bool, csvDir, topoPath string) error {
 	start := time.Now()
 	if topoPath != "" {
 		topo, err := cluster.LoadTopology(topoPath)
 		if err != nil {
 			return err
 		}
-		rep, err := harness.GridChaosReport(filepath.Base(topoPath), topo, quick)
+		rep, err := harness.GridChaosReport(s, filepath.Base(topoPath), topo, quick)
 		if err != nil {
 			return err
 		}
 		fmt.Print(rep.Render())
-		if csvDir != "" {
-			path := filepath.Join(csvDir, "chaos.csv")
-			if err := os.MkdirAll(csvDir, 0o755); err != nil {
-				return err
-			}
-			if err := os.WriteFile(path, []byte(rep.CSV()), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("(csv written to %s)\n", path)
+		if err := writeCSV(os.Stdout, csvDir, "chaos", rep); err != nil {
+			return err
 		}
 		fmt.Printf("(grid chaos took %.1fs wall clock; all completed runs verified against sequential references)\n",
 			time.Since(start).Seconds())
 		return nil
 	}
-	rep, err := harness.ChaosReport(quick)
+	rep, err := harness.ChaosReport(s, quick)
 	if err != nil {
 		return err
 	}
 	fmt.Print(rep.Render())
-	if csvDir != "" {
-		path := filepath.Join(csvDir, "chaos.csv")
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, []byte(rep.CSV()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("(csv written to %s)\n", path)
+	if err := writeCSV(os.Stdout, csvDir, "chaos", rep); err != nil {
+		return err
 	}
-	tl, err := harness.ChaosTimeline("SOR", false, harness.ChaosSpec{
+	tl, err := harness.ChaosTimeline(s, "SOR", false, harness.ChaosSpec{
 		Loss: 0.01, Outage: 2 * time.Second,
 	}, 72)
 	if err != nil {
@@ -279,38 +269,20 @@ func runChaos(quick bool, csvDir, topoPath string) error {
 // showTimeline runs one application on the 4x15 platform in both variants,
 // tapping every message into a time-bucketed timeline, and prints the
 // communication shape of the run (bursts, phases, saturation plateaus).
-func showTimeline(appName string) error {
+func showTimeline(s *harness.Session, appName string) error {
 	app, err := harness.AppByName(appName)
 	if err != nil {
 		return err
 	}
+	// A traced run is the one place readable mailbox names are worth
+	// their formatting cost.
+	debugNames := func(sys *core.System, _ *faults.Injector) { sys.RTS.SetDebugNames(true) }
 	for _, optimized := range []bool{false, true} {
-		var seqr orca.Sequencer
-		if app.Sequencer != nil {
-			seqr = app.Sequencer(optimized)
-		}
-		sys := core.NewSystem(core.Config{
-			Topology:  cluster.DAS(4, 15),
-			Params:    cluster.DASParams(),
-			Sequencer: seqr,
-		})
+		spec := s.Spec(app, cluster.DAS(4, 15), optimized)
+		spec.Shards = 0
 		tl := trace.New(time.Millisecond)
-		// A traced run is the one place readable mailbox names are worth
-		// their formatting cost.
-		sys.RTS.SetDebugNames(true)
-		sys.Net.SetTap(func(at time.Duration, m netsim.Msg, inter bool) {
-			scope := "intra"
-			if inter {
-				scope = "inter"
-			}
-			tl.Add(at, scope+"/"+m.Kind.String(), 1)
-		})
-		verify := app.Build(sys, optimized)
-		m, err := sys.Run()
+		m, err := harness.Exec(spec, debugNames, harness.TimelineHook(tl))
 		if err != nil {
-			return err
-		}
-		if err := verify(); err != nil {
 			return err
 		}
 		variant := "original"

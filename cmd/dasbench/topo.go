@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -15,7 +13,7 @@ import (
 // runTopo loads a declarative topology configuration, runs the selected
 // applications on it (both variants, honoring -shards and the transport
 // flags), and renders the summary plus per-link-class statistics tables.
-func runTopo(out io.Writer, path, appsCSV, csvDir string, tr harness.Transport) error {
+func runTopo(out io.Writer, s *harness.Session, path, appsCSV, csvDir string) error {
 	topo, err := cluster.LoadTopology(path)
 	if err != nil {
 		return err
@@ -33,20 +31,13 @@ func runTopo(out io.Writer, path, appsCSV, csvDir string, tr harness.Transport) 
 		}
 	}
 	start := time.Now()
-	rep, err := harness.TopoReport(topo, apps, tr)
+	rep, err := harness.TopoReport(s, topo, apps)
 	if err != nil {
 		return err
 	}
 	fmt.Fprint(out, rep.Render())
-	if csvDir != "" {
-		p := filepath.Join(csvDir, "topo.csv")
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		if err := os.WriteFile(p, []byte(rep.CSV()), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(csv written to %s)\n", p)
+	if err := writeCSV(out, csvDir, "topo", rep); err != nil {
+		return err
 	}
 	fmt.Fprintf(out, "(topo took %.1fs wall clock; all results verified against sequential references)\n",
 		time.Since(start).Seconds())

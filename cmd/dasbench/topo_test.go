@@ -17,8 +17,8 @@ func TestRunTopoExample(t *testing.T) {
 		t.Skip("64-cluster end-to-end run is long in -short mode")
 	}
 	var b strings.Builder
-	err := runTopo(&b, filepath.Join("..", "..", "examples", "topologies", "tiered64.json"),
-		"ASP", "", harness.Transport{})
+	err := runTopo(&b, &harness.Session{}, filepath.Join("..", "..", "examples", "topologies", "tiered64.json"),
+		"ASP", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,18 +34,18 @@ func TestRunTopoExample(t *testing.T) {
 // configuration, and an unknown application name.
 func TestRunTopoErrors(t *testing.T) {
 	var b strings.Builder
-	if err := runTopo(&b, filepath.Join(t.TempDir(), "absent.json"), "SOR", "", harness.Transport{}); err == nil {
+	if err := runTopo(&b, &harness.Session{}, filepath.Join(t.TempDir(), "absent.json"), "SOR", ""); err == nil {
 		t.Error("missing topology file accepted")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte(`{"classes": []}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runTopo(&b, bad, "SOR", "", harness.Transport{}); err == nil {
+	if err := runTopo(&b, &harness.Session{}, bad, "SOR", ""); err == nil {
 		t.Error("malformed topology accepted")
 	}
 	good := filepath.Join("..", "..", "examples", "topologies", "tiered64.json")
-	if err := runTopo(&b, good, "NoSuchApp", "", harness.Transport{}); err == nil {
+	if err := runTopo(&b, &harness.Session{}, good, "NoSuchApp", ""); err == nil {
 		t.Error("unknown application accepted")
 	} else if !strings.Contains(err.Error(), "NoSuchApp") {
 		t.Errorf("error should name the application: %v", err)

@@ -39,7 +39,6 @@ func main() {
 		CoalesceWindow: *windowFlag,
 		WANStreams:     *streamsFlag,
 	}
-	harness.SetTransport(tr)
 
 	var apps []harness.AppSpec
 	if *appFlag == "all" {
@@ -70,16 +69,12 @@ func main() {
 	fmt.Printf(" %12s\n", "time (s)")
 	for _, app := range apps {
 		for _, optimized := range []bool{false, true} {
-			var m core.Metrics
-			var err error
-			if *topoFlag != "" {
-				m, err = harness.RunTopoOne(app, topo, optimized, tr)
-			} else {
-				m, err = harness.RunOne(app, *clustersFlag, *nodesFlag, optimized)
-			}
+			res, err := harness.Exec(harness.RunSpec{App: app, Topo: topo, Optimized: optimized,
+				Params: harness.Params, Transport: tr})
 			if err != nil {
 				log.Fatal(err)
 			}
+			m := res.Metrics
 			variant := "original"
 			if optimized {
 				variant = "optimized"

@@ -22,7 +22,7 @@ func main() {
 	sweep := flag.Bool("sweep", true, "also print message-size sweeps")
 	flag.Parse()
 
-	rep, err := harness.Table1()
+	rep, err := harness.Table1(&harness.Session{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,47 +18,51 @@ import (
 	"albatross/internal/orca"
 )
 
-// smallBuilder wires an application with a deliberately small problem so
+// smallApps wires every application with a deliberately small problem so
 // the whole-suite integration matrix stays fast.
-type smallBuilder struct {
-	name string
-	seq  func(optimized bool) orca.Sequencer
-	mk   func(sys *core.System, optimized bool) func() error
-}
-
-func smallApps() []smallBuilder {
-	return []smallBuilder{
-		{name: "water", mk: func(sys *core.System, opt bool) func() error {
+func smallApps() []harness.AppSpec {
+	return []harness.AppSpec{
+		{Name: "water", Build: func(sys *core.System, opt bool) func() error {
 			return water.Build(sys, water.Config{N: 48, Iters: 2, Seed: 3, PairCost: 2 * time.Microsecond, DT: 1e-4}, opt)
 		}},
-		{name: "tsp", mk: func(sys *core.System, opt bool) func() error {
+		{Name: "tsp", Build: func(sys *core.System, opt bool) func() error {
 			return tsp.Build(sys, tsp.Config{NCities: 10, Seed: 5, JobDepth: 2, NodeCost: 2 * time.Microsecond}, opt)
 		}},
-		{name: "asp",
-			seq: func(opt bool) orca.Sequencer { return asp.Sequencer(opt) },
-			mk: func(sys *core.System, opt bool) func() error {
+		{Name: "asp",
+			Sequencer: func(opt bool) orca.Sequencer { return asp.Sequencer(opt) },
+			Build: func(sys *core.System, opt bool) func() error {
 				return asp.Build(sys, asp.Config{N: 40, Seed: 7, OpCost: time.Microsecond})
 			}},
-		{name: "atpg", mk: func(sys *core.System, opt bool) func() error {
+		{Name: "atpg", Build: func(sys *core.System, opt bool) func() error {
 			return atpg.Build(sys, atpg.Config{Inputs: 12, Gates: 60, Tries: 8, Seed: 7, GateCost: 200 * time.Nanosecond}, opt)
 		}},
-		{name: "ida", mk: func(sys *core.System, opt bool) func() error {
+		{Name: "ida", Build: func(sys *core.System, opt bool) func() error {
 			return ida.Build(sys, ida.Config{Walk: 16, Seed: 4, Jobs: 32, ExpandCost: time.Microsecond}, opt)
 		}},
-		{name: "ra", mk: func(sys *core.System, opt bool) func() error {
+		{Name: "ra", Build: func(sys *core.System, opt bool) func() error {
 			return ra.Build(sys, ra.Config{N: 2500, Succ: 3, Span: 150, TermPct: 6, Seed: 21,
 				ApplyCost: time.Microsecond, SendCost: 10 * time.Microsecond,
 				NodeBatch: 8, FlushEach: 300 * time.Microsecond}, opt)
 		}},
-		{name: "acp", mk: func(sys *core.System, opt bool) func() error {
+		{Name: "acp", Build: func(sys *core.System, opt bool) func() error {
 			return acp.Build(sys, acp.Config{Vars: 50, Domain: 12, Degree: 6, Tightness: 65, Seed: 13,
 				CheckCost: 500 * time.Nanosecond}, opt)
 		}},
-		{name: "sor", mk: func(sys *core.System, opt bool) func() error {
+		{Name: "sor", Build: func(sys *core.System, opt bool) func() error {
 			return sor.Build(sys, sor.Config{NX: 24, NY: 16, Omega: 1.7, Eps: 1e-4, MaxIters: 3000,
 				CellCost: time.Microsecond, SkipMod: 3}, opt)
 		}},
 	}
+}
+
+// run executes and verifies one small application variant.
+func run(t *testing.T, app harness.AppSpec, topo cluster.Topology, optimized bool, par cluster.Params) harness.Result {
+	t.Helper()
+	res, err := harness.Exec(harness.RunSpec{App: app, Topo: topo, Optimized: optimized, Params: par})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestEveryAppEveryShapeEveryVariant is the full integration matrix: all
@@ -68,25 +72,10 @@ func TestEveryAppEveryShapeEveryVariant(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {1, 6}, {2, 3}, {3, 2}, {4, 2}}
 	for _, app := range smallApps() {
 		app := app
-		t.Run(app.name, func(t *testing.T) {
+		t.Run(app.Name, func(t *testing.T) {
 			for _, sh := range shapes {
 				for _, opt := range []bool{false, true} {
-					var seqr orca.Sequencer
-					if app.seq != nil {
-						seqr = app.seq(opt)
-					}
-					sys := core.NewSystem(core.Config{
-						Topology:  cluster.DAS(sh[0], sh[1]),
-						Params:    cluster.DASParams(),
-						Sequencer: seqr,
-					})
-					verify := app.mk(sys, opt)
-					if _, err := sys.Run(); err != nil {
-						t.Fatalf("%dx%d opt=%v: %v", sh[0], sh[1], opt, err)
-					}
-					if err := verify(); err != nil {
-						t.Fatalf("%dx%d opt=%v: %v", sh[0], sh[1], opt, err)
-					}
+					run(t, app, cluster.DAS(sh[0], sh[1]), opt, cluster.DASParams())
 				}
 			}
 		})
@@ -98,23 +87,9 @@ func TestEveryAppEveryShapeEveryVariant(t *testing.T) {
 func TestDeterministicReplayAcrossApps(t *testing.T) {
 	for _, app := range smallApps() {
 		app := app
-		t.Run(app.name, func(t *testing.T) {
-			run := func() core.Metrics {
-				sys := core.NewSystem(core.Config{
-					Topology: cluster.DAS(2, 3),
-					Params:   cluster.DASParams(),
-				})
-				verify := app.mk(sys, true)
-				m, err := sys.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := verify(); err != nil {
-					t.Fatal(err)
-				}
-				return m
-			}
-			a, b := run(), run()
+		t.Run(app.Name, func(t *testing.T) {
+			a := run(t, app, cluster.DAS(2, 3), true, cluster.DASParams())
+			b := run(t, app, cluster.DAS(2, 3), true, cluster.DASParams())
 			if a.Elapsed != b.Elapsed {
 				t.Fatalf("elapsed differs across replays: %v vs %v", a.Elapsed, b.Elapsed)
 			}
@@ -130,31 +105,16 @@ func TestDeterministicReplayAcrossApps(t *testing.T) {
 // check of the whole stack).
 func TestSlowerNetworksNeverHelp(t *testing.T) {
 	for _, app := range smallApps() {
-		if app.name == "acp" || app.name == "sor" {
+		if app.Name == "acp" || app.Name == "sor" {
 			// Convergence-path algorithms may legitimately take a different
 			// number of iterations under different timing; skip the strict
 			// monotonicity check for them.
 			continue
 		}
 		app := app
-		t.Run(app.name, func(t *testing.T) {
-			run := func(par cluster.Params) time.Duration {
-				var seqr orca.Sequencer
-				if app.seq != nil {
-					seqr = app.seq(false)
-				}
-				sys := core.NewSystem(core.Config{Topology: cluster.DAS(4, 2), Params: par, Sequencer: seqr})
-				verify := app.mk(sys, false)
-				if _, err := sys.Run(); err != nil {
-					t.Fatal(err)
-				}
-				if err := verify(); err != nil {
-					t.Fatal(err)
-				}
-				return sys.Engine.Now()
-			}
-			das := run(cluster.DASParams())
-			slow := run(cluster.SlowWANParams())
+		t.Run(app.Name, func(t *testing.T) {
+			das := run(t, app, cluster.DAS(4, 2), false, cluster.DASParams()).Elapsed
+			slow := run(t, app, cluster.DAS(4, 2), false, cluster.SlowWANParams()).Elapsed
 			if slow < das {
 				t.Fatalf("slower WAN finished faster: %v vs %v", slow, das)
 			}

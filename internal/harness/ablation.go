@@ -18,19 +18,24 @@ import (
 // parts, quantifying what each individual technique of the paper's Table 3
 // contributes. They run on the 4x15 platform of Figure 15.
 
-const ablClusters, ablPerCluster = 4, 15
-
-func ablSystem(seqr orca.Sequencer) *core.System {
-	return core.NewSystem(core.Config{
-		Topology:  cluster.DAS(ablClusters, ablPerCluster),
-		Params:    cluster.DASParams(),
-		Sequencer: seqr,
-	})
+// ablate runs one ablation variant — a one-off application whose Build
+// ignores the optimized flag — on the 4x15 platform. It is uncached: several
+// variants report through variables their Build captures.
+func (s *Session) ablate(name string, seq orca.Sequencer, build func(sys *core.System) func() error) (Result, error) {
+	app := AppSpec{
+		Name:      name,
+		Shardable: true,
+		Build:     func(sys *core.System, _ bool) func() error { return build(sys) },
+	}
+	if seq != nil {
+		app.Sequencer = func(bool) orca.Sequencer { return seq }
+	}
+	return s.Exec(s.Spec(app, cluster.DAS(4, 15), false))
 }
 
 // AblationWater separates cluster caching (reads) from cluster reduction
 // (write-backs) in the Water optimization.
-func AblationWater() (*Report, error) {
+func AblationWater(s *Session) (*Report, error) {
 	cfg := water.Default()
 	t := &Table{
 		ID:      "abl-water",
@@ -51,14 +56,11 @@ func AblationWater() (*Report, error) {
 	for i, v := range variants {
 		i, v := i, v
 		tasks[i] = func() error {
-			sys := ablSystem(nil)
-			verify := water.BuildVariant(sys, cfg, v.opts)
-			m, err := sys.Run()
+			m, err := s.ablate("abl-water "+v.name, nil, func(sys *core.System) func() error {
+				return water.BuildVariant(sys, cfg, v.opts)
+			})
 			if err != nil {
-				return fmt.Errorf("abl-water %s: %w", v.name, err)
-			}
-			if err := verify(); err != nil {
-				return fmt.Errorf("abl-water %s: %w", v.name, err)
+				return err
 			}
 			inter := m.Net.TotalInter()
 			rows[i] = []string{v.name,
@@ -68,7 +70,7 @@ func AblationWater() (*Report, error) {
 			return nil
 		}
 	}
-	if err := scheduler().Do(tasks...); err != nil {
+	if err := s.do(tasks...); err != nil {
 		return nil, err
 	}
 	t.Rows = rows
@@ -77,7 +79,7 @@ func AblationWater() (*Report, error) {
 
 // AblationSOR sweeps the chaotic-relaxation skip factor: the tradeoff
 // between intercluster communication and convergence speed (Section 4.8).
-func AblationSOR() (*Report, error) {
+func AblationSOR(s *Session) (*Report, error) {
 	cfg := sor.Default()
 	t := &Table{
 		ID:      "abl-sor",
@@ -105,13 +107,12 @@ func AblationSOR() (*Report, error) {
 		tasks[i] = func() error {
 			c := cfg
 			c.SkipMod = v.skipMod
-			sys := ablSystem(nil)
-			verify, iters := sor.BuildWithStats(sys, c, v.optimized)
-			m, err := sys.Run()
+			var iters *int
+			m, err := s.ablate("abl-sor "+v.name, nil, func(sys *core.System) (verify func() error) {
+				verify, iters = sor.BuildWithStats(sys, c, v.optimized)
+				return verify
+			})
 			if err != nil {
-				return err
-			}
-			if err := verify(); err != nil {
 				return err
 			}
 			rows[i] = []string{v.name,
@@ -121,7 +122,7 @@ func AblationSOR() (*Report, error) {
 			return nil
 		}
 	}
-	if err := scheduler().Do(tasks...); err != nil {
+	if err := s.do(tasks...); err != nil {
 		return nil, err
 	}
 	t.Rows = rows
@@ -131,7 +132,7 @@ func AblationSOR() (*Report, error) {
 
 // AblationRA sweeps the two combining levels of RA: the sender-side batch
 // factor and cluster-level combining.
-func AblationRA() (*Report, error) {
+func AblationRA(s *Session) (*Report, error) {
 	t := &Table{
 		ID:      "abl-ra",
 		Title:   "RA on 4x15: node-level batching x cluster-level combining",
@@ -154,14 +155,10 @@ func AblationRA() (*Report, error) {
 		tasks[i] = func() error {
 			cfg := ra.Default()
 			cfg.NodeBatch = c.batch
-			sys := ablSystem(nil)
-			verify := ra.Build(sys, cfg, c.comb)
-			m, err := sys.Run()
+			m, err := s.ablate(fmt.Sprintf("abl-ra batch=%d comb=%v", c.batch, c.comb), nil,
+				func(sys *core.System) func() error { return ra.Build(sys, cfg, c.comb) })
 			if err != nil {
-				return fmt.Errorf("abl-ra batch=%d comb=%v: %w", c.batch, c.comb, err)
-			}
-			if err := verify(); err != nil {
-				return fmt.Errorf("abl-ra batch=%d comb=%v: %w", c.batch, c.comb, err)
+				return err
 			}
 			inter := m.Net.TotalInter()
 			rows[i] = []string{
@@ -173,7 +170,7 @@ func AblationRA() (*Report, error) {
 			return nil
 		}
 	}
-	if err := scheduler().Do(tasks...); err != nil {
+	if err := s.do(tasks...); err != nil {
 		return nil, err
 	}
 	t.Rows = rows
@@ -181,7 +178,7 @@ func AblationRA() (*Report, error) {
 }
 
 // AblationIDA separates the two stealing refinements.
-func AblationIDA() (*Report, error) {
+func AblationIDA(s *Session) (*Report, error) {
 	cfg := ida.Default()
 	t := &Table{
 		ID:      "abl-ida",
@@ -202,14 +199,11 @@ func AblationIDA() (*Report, error) {
 	for i, v := range variants {
 		i, v := i, v
 		tasks[i] = func() error {
-			sys := ablSystem(nil)
-			verify := ida.BuildPolicy(sys, cfg, v.pol)
-			m, err := sys.Run()
+			m, err := s.ablate("abl-ida "+v.name, nil, func(sys *core.System) func() error {
+				return ida.BuildPolicy(sys, cfg, v.pol)
+			})
 			if err != nil {
-				return fmt.Errorf("abl-ida %s: %w", v.name, err)
-			}
-			if err := verify(); err != nil {
-				return fmt.Errorf("abl-ida %s: %w", v.name, err)
+				return err
 			}
 			rows[i] = []string{v.name,
 				fmt.Sprintf("%.3f", m.Seconds()),
@@ -217,7 +211,7 @@ func AblationIDA() (*Report, error) {
 			return nil
 		}
 	}
-	if err := scheduler().Do(tasks...); err != nil {
+	if err := s.do(tasks...); err != nil {
 		return nil, err
 	}
 	t.Rows = rows
@@ -227,7 +221,7 @@ func AblationIDA() (*Report, error) {
 
 // AblationSequencer compares the three ordering protocols on an ASP-like
 // broadcast-burst workload (one sender at a time, bursts of row updates).
-func AblationSequencer() (*Report, error) {
+func AblationSequencer(s *Session) (*Report, error) {
 	t := &Table{
 		ID:      "abl-seq",
 		Title:   "Sequencer protocols on 4x15, ASP-like broadcast bursts",
@@ -247,32 +241,35 @@ func AblationSequencer() (*Report, error) {
 	for i, v := range variants {
 		i, v := i, v
 		tasks[i] = func() error {
-			sys := ablSystem(v.mk())
-			obj := sys.RTS.NewReplicated("rows", func(cluster.NodeID) any { return new(int) })
-			sys.SpawnWorkers("sender", func(w *core.Worker) {
-				for burst := 0; burst < bursts; burst++ {
-					// Spread the senders over the whole machine (and thus over
-					// all clusters), like ASP's row ownership.
-					if burst*w.NProcs()/bursts != w.Rank() {
-						continue
+			m, err := s.ablate("abl-seq "+v.name, v.mk(), func(sys *core.System) func() error {
+				obj := sys.RTS.NewReplicated("rows", func(cluster.NodeID) any { return new(int) })
+				sys.SpawnWorkers("sender", func(w *core.Worker) {
+					for burst := 0; burst < bursts; burst++ {
+						// Spread the senders over the whole machine (and thus over
+						// all clusters), like ASP's row ownership.
+						if burst*w.NProcs()/bursts != w.Rank() {
+							continue
+						}
+						for *(obj.Replica(w.Node).(*int)) < burst*burstLen {
+							w.P.Sleep(100 * time.Microsecond)
+						}
+						for i := 0; i < burstLen; i++ {
+							w.Invoke(obj, orca.Op{Name: "row", ArgBytes: rowBytes,
+								Apply: func(s any) any { *(s.(*int))++; return nil }})
+						}
 					}
-					for *(obj.Replica(w.Node).(*int)) < burst*burstLen {
-						w.P.Sleep(100 * time.Microsecond)
+				})
+				return func() error {
+					for i := 0; i < sys.Topo.Compute(); i++ {
+						if got := *(obj.Replica(cluster.NodeID(i)).(*int)); got != bursts*burstLen {
+							return fmt.Errorf("replica %d saw %d updates", i, got)
+						}
 					}
-					for i := 0; i < burstLen; i++ {
-						w.Invoke(obj, orca.Op{Name: "row", ArgBytes: rowBytes,
-							Apply: func(s any) any { *(s.(*int))++; return nil }})
-					}
+					return nil
 				}
 			})
-			m, err := sys.Run()
 			if err != nil {
-				return fmt.Errorf("abl-seq %s: %w", v.name, err)
-			}
-			for i := 0; i < sys.Topo.Compute(); i++ {
-				if got := *(obj.Replica(cluster.NodeID(i)).(*int)); got != bursts*burstLen {
-					return fmt.Errorf("abl-seq %s: replica %d saw %d updates", v.name, i, got)
-				}
+				return err
 			}
 			per := m.Elapsed / (bursts * burstLen)
 			rows[i] = []string{v.name,
@@ -282,7 +279,7 @@ func AblationSequencer() (*Report, error) {
 			return nil
 		}
 	}
-	if err := scheduler().Do(tasks...); err != nil {
+	if err := s.do(tasks...); err != nil {
 		return nil, err
 	}
 	t.Rows = rows
@@ -292,7 +289,7 @@ func AblationSequencer() (*Report, error) {
 // AblationTSP sweeps the job-generation depth: the grain-size tradeoff the
 // paper discusses ("Too coarse a grain causes load imbalance"; too fine a
 // grain raises queue traffic).
-func AblationTSP() (*Report, error) {
+func AblationTSP(s *Session) (*Report, error) {
 	t := &Table{
 		ID:      "abl-tsp",
 		Title:   "TSP on 4x15: job grain (generation depth) x queue scheme",
@@ -307,21 +304,17 @@ func AblationTSP() (*Report, error) {
 			tasks = append(tasks, func() error {
 				cfg := tsp.Default()
 				cfg.JobDepth = depth
-				sys := ablSystem(nil)
-				verify := tsp.Build(sys, cfg, optimized)
-				m, err := sys.Run()
+				m, err := s.ablate(fmt.Sprintf("abl-tsp depth=%d opt=%v", depth, optimized), nil,
+					func(sys *core.System) func() error { return tsp.Build(sys, cfg, optimized) })
 				if err != nil {
-					return fmt.Errorf("abl-tsp depth=%d: %w", depth, err)
-				}
-				if err := verify(); err != nil {
-					return fmt.Errorf("abl-tsp depth=%d: %w", depth, err)
+					return err
 				}
 				times[di][vi] = m.Seconds()
 				return nil
 			})
 		}
 	}
-	if err := scheduler().Do(tasks...); err != nil {
+	if err := s.do(tasks...); err != nil {
 		return nil, err
 	}
 	for di, depth := range depths {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"albatross/internal/cluster"
 )
 
 // TestChaosAllAppsComplete is the acceptance run: under 1% WAN message loss
@@ -13,11 +15,8 @@ func TestChaosAllAppsComplete(t *testing.T) {
 	spec := ChaosSpec{Loss: 0.01, Outage: 2 * time.Second}
 	for _, app := range Apps {
 		for _, opt := range []bool{false, true} {
-			res, err := ChaosRun(app, 4, 4, opt, spec)
-			if err != nil {
-				t.Fatalf("%s opt=%v: %v", app.Name, opt, err)
-			}
-			if res.Metrics.Elapsed <= 0 {
+			res := mustExec(t, (&Session{}).chaosRun(app, cluster.DAS(4, 4), opt, spec))
+			if res.Elapsed <= 0 {
 				t.Fatalf("%s opt=%v: no virtual time elapsed", app.Name, opt)
 			}
 			if res.Faults.Drops == 0 && res.Faults.CrashDrops == 0 {
@@ -40,12 +39,9 @@ func TestChaosDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := ChaosSpec{Loss: 0.02, Outage: 500 * time.Millisecond}
-	var first ChaosResult
+	var first Result
 	for i := 0; i < 3; i++ {
-		res, err := ChaosRun(app, 3, 3, false, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustExec(t, (&Session{}).chaosRun(app, cluster.DAS(3, 3), false, spec))
 		if i == 0 {
 			first = res
 			if res.Faults.Drops == 0 {
@@ -53,8 +49,11 @@ func TestChaosDeterminism(t *testing.T) {
 			}
 			continue
 		}
-		if res.Metrics.Elapsed != first.Metrics.Elapsed {
-			t.Fatalf("run %d elapsed %v, run 0 %v", i, res.Metrics.Elapsed, first.Metrics.Elapsed)
+		if res.Elapsed != first.Elapsed {
+			t.Fatalf("run %d elapsed %v, run 0 %v", i, res.Elapsed, first.Elapsed)
+		}
+		if res.Dispatched != first.Dispatched {
+			t.Fatalf("run %d dispatched %d events, run 0 %d", i, res.Dispatched, first.Dispatched)
 		}
 		if res.Rel != first.Rel {
 			t.Fatalf("run %d rel stats %+v, run 0 %+v", i, res.Rel, first.Rel)
@@ -72,10 +71,7 @@ func TestChaosBaselineIsFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ChaosRun(app, 2, 2, false, ChaosSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustExec(t, (&Session{}).chaosRun(app, cluster.DAS(2, 2), false, ChaosSpec{}))
 	if res.Faults.Drops != 0 || res.Faults.Duplicates != 0 || res.Faults.Reorders != 0 ||
 		res.Faults.OutageDrops != 0 || res.Faults.CrashDrops != 0 {
 		t.Fatalf("fault-free baseline injected faults: %+v", res.Faults)
@@ -93,7 +89,7 @@ func TestChaosReportQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
-	rep, err := ChaosReport(true)
+	rep, err := ChaosReport(&Session{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // 4x15 platform under the topology-oblivious and the cluster-aware
 // strategy — the generalization of the paper's techniques that later MPI
 // libraries (MagPIe, Open MPI) adopted.
-func Collectives() (*Report, error) {
+func Collectives(s *Session) (*Report, error) {
 	t := &Table{
 		ID:      "coll",
 		Title:   "Collective operations on 4x15: flat binomial vs cluster-aware",
@@ -79,7 +79,7 @@ func Collectives() (*Report, error) {
 			})
 		}
 	}
-	if err := scheduler().Do(tasks...); err != nil {
+	if err := s.do(tasks...); err != nil {
 		return nil, err
 	}
 	for oi, o := range ops {

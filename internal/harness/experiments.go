@@ -18,41 +18,54 @@ var FigureCPUs = []int{8, 16, 32, 60}
 var FigureClusters = []int{1, 2, 4}
 
 // SpeedupFigure measures one application variant over the paper's grid.
-// The grid's runs execute concurrently through the scheduler; the series
-// are then rendered sequentially from the memoized results.
-func SpeedupFigure(id string, app AppSpec, optimized bool) (*Report, error) {
-	variant := "original"
-	if optimized {
-		variant = "optimized"
+// The grid's runs execute concurrently on the session's worker pool; the
+// series are then rendered sequentially from the memoized results.
+func SpeedupFigure(s *Session, id, appName string, optimized bool) (*Report, error) {
+	app, err := AppByName(appName)
+	if err != nil {
+		return nil, err
 	}
-	cfgs := []RunConfig{{app, 1, 1, optimized}}
+	grid := func(c, cpus int) RunSpec { return s.Spec(app, cluster.DAS(c, cpus/c), optimized) }
+	var specs []RunSpec
 	for _, c := range FigureClusters {
 		for _, cpus := range FigureCPUs {
 			if cpus%c == 0 {
-				cfgs = append(cfgs, RunConfig{app, c, cpus / c, optimized})
+				specs = append(specs, withBaseline(grid(c, cpus))...)
 			}
 		}
 	}
-	Prefetch(cfgs)
-	fig := &Figure{ID: id, Title: fmt.Sprintf("Speedup of %s %s", variant, app.Name), MaxX: 64, MaxY: 64}
+	s.Prefetch(specs)
+	fig := &Figure{ID: id, Title: figureTitle(appName, optimized), MaxX: 64, MaxY: 64}
 	for _, c := range FigureClusters {
-		s := Series{Label: fmt.Sprintf("%d Cluster(s)", c)}
+		ser := Series{Label: fmt.Sprintf("%d Cluster(s)", c)}
 		if c == 1 {
-			s.Points = append(s.Points, Point{CPUs: 1, Speedup: 1})
+			ser.Points = append(ser.Points, Point{CPUs: 1, Speedup: 1})
 		}
 		for _, cpus := range FigureCPUs {
 			if cpus%c != 0 {
 				continue
 			}
-			sp, err := Speedup(app, c, cpus/c, optimized)
+			sp, err := s.Speedup(grid(c, cpus))
 			if err != nil {
 				return nil, err
 			}
-			s.Points = append(s.Points, Point{CPUs: cpus, Speedup: sp})
+			ser.Points = append(ser.Points, Point{CPUs: cpus, Speedup: sp})
 		}
-		fig.Series = append(fig.Series, s)
+		fig.Series = append(fig.Series, ser)
 	}
 	return &Report{ID: id, Title: fig.Title, Figure: fig}, nil
+}
+
+func figureTitle(appName string, optimized bool) string {
+	return fmt.Sprintf("Speedup of %s %s", variantName(optimized), appName)
+}
+
+// variantName is how reports label the two programs of an application.
+func variantName(optimized bool) string {
+	if optimized {
+		return "optimized"
+	}
+	return "original"
 }
 
 // figSpec maps the paper's figure numbers onto app variants.
@@ -76,23 +89,26 @@ var speedupFigures = []figSpec{
 // Table1 reproduces the paper's low-level Orca primitive measurements:
 // null-RPC and replicated-update latency plus stream bandwidth, over the
 // LAN and over the WAN.
-func Table1() (*Report, error) {
+func Table1(s *Session) (*Report, error) {
 	t := &Table{
 		ID:      "table1",
 		Title:   "Application-to-application performance of the low-level primitives",
 		Headers: []string{"Benchmark", "LAN latency", "WAN latency", "LAN bandwidth", "WAN bandwidth"},
 	}
+	das := func(clusters, perCluster int) *core.System {
+		return core.NewSystem(core.Config{Topology: cluster.DAS(clusters, perCluster), Params: Params})
+	}
 	// The six microbenchmarks are independent simulations; run them
 	// concurrently and assemble the rows afterwards.
 	var lanRPC, wanRPC, lanB, wanB time.Duration
 	var lanBW, wanBW float64
-	err := scheduler().Do(
-		func() error { lanRPC = measureRPCLatency(1); return nil },
-		func() error { wanRPC = measureRPCLatency(2); return nil },
-		func() error { lanB = measureBcastLatency(1); return nil },
-		func() error { wanB = measureBcastLatency(2); return nil },
-		func() error { lanBW = measureBandwidth(1); return nil },
-		func() error { wanBW = measureBandwidth(2); return nil },
+	err := s.do(
+		func() (err error) { lanRPC, err = measureRPCLatency(das(1, 2)); return },
+		func() (err error) { wanRPC, err = measureRPCLatency(das(2, 2)); return },
+		func() (err error) { lanB, err = measureBcastLatency(das(1, 60)); return },
+		func() (err error) { wanB, err = measureBcastLatency(das(2, 30)); return },
+		func() (err error) { lanBW, err = measureBandwidth(das(1, 2)); return },
+		func() (err error) { wanBW, err = measureBandwidth(das(2, 2)); return },
 	)
 	if err != nil {
 		return nil, err
@@ -114,17 +130,22 @@ func fmtUS(d time.Duration) string {
 
 func fmtMbit(bps float64) string { return fmt.Sprintf("%.2f Mbit/s", bps*8/1e6) }
 
-// measureRPCLatency times a null remote invocation; with two clusters the
-// owner is in the other cluster, so the call crosses the WAN twice.
-func measureRPCLatency(clusters int) time.Duration {
-	sys := core.NewSystem(core.Config{Topology: cluster.DAS(clusters, 2), Params: Params})
+// farNode is the peer the point-to-point microbenchmarks talk to from node
+// 0: its LAN neighbor on one cluster, the first node of the other cluster on
+// two — so the exchange crosses the WAN.
+func farNode(sys *core.System) cluster.NodeID {
+	if sys.Topo.Clusters == 2 {
+		return sys.Topo.Node(1, 0)
+	}
+	return 1
+}
+
+// measureRPCLatency times a null remote invocation on an object owned by
+// node 0; on two clusters the call crosses the WAN twice.
+func measureRPCLatency(sys *core.System) (time.Duration, error) {
 	obj := sys.RTS.NewObject("null", 0, struct{}{})
 	var rtt time.Duration
-	caller := cluster.NodeID(1)
-	if clusters == 2 {
-		caller = 2
-	}
-	sys.SpawnAt(caller, "caller", func(w *core.Worker) {
+	sys.SpawnAt(farNode(sys), "caller", func(w *core.Worker) {
 		const reps = 10
 		start := w.P.Now()
 		for i := 0; i < reps; i++ {
@@ -133,19 +154,17 @@ func measureRPCLatency(clusters int) time.Duration {
 		rtt = (w.P.Now() - start) / reps
 	})
 	if _, err := sys.Run(); err != nil {
-		panic(err)
+		return 0, fmt.Errorf("table1 rpc latency on %s: %w", sys.Topo, err)
 	}
-	return rtt
+	return rtt, nil
 }
 
-// measureBcastLatency times a null replicated update on a 60-replica object
-// (paper Table 1's replicated-object benchmark).
-func measureBcastLatency(clusters int) time.Duration {
-	sys := core.NewSystem(core.Config{Topology: cluster.DAS(clusters, 60/clusters), Params: Params})
+// measureBcastLatency times a null replicated update on an object replicated
+// on every node (paper Table 1's 60-replica benchmark).
+func measureBcastLatency(sys *core.System) (time.Duration, error) {
 	obj := sys.RTS.NewReplicated("null", func(cluster.NodeID) any { return struct{}{} })
 	var lat time.Duration
-	writer := cluster.NodeID(1)
-	sys.SpawnAt(writer, "writer", func(w *core.Worker) {
+	sys.SpawnAt(1, "writer", func(w *core.Worker) {
 		const reps = 10
 		start := w.P.Now()
 		for i := 0; i < reps; i++ {
@@ -154,19 +173,15 @@ func measureBcastLatency(clusters int) time.Duration {
 		lat = (w.P.Now() - start) / reps
 	})
 	if _, err := sys.Run(); err != nil {
-		panic(err)
+		return 0, fmt.Errorf("table1 bcast latency on %s: %w", sys.Topo, err)
 	}
-	return lat
+	return lat, nil
 }
 
-// measureBandwidth streams 100 KB messages point-to-point (across the WAN
-// when clusters == 2) and reports achieved bytes/second.
-func measureBandwidth(clusters int) float64 {
-	sys := core.NewSystem(core.Config{Topology: cluster.DAS(clusters, 2), Params: Params})
-	dst := cluster.NodeID(1)
-	if clusters == 2 {
-		dst = 2
-	}
+// measureBandwidth streams 100 KB messages point-to-point from node 0
+// (across the WAN on two clusters) and reports achieved bytes/second.
+func measureBandwidth(sys *core.System) (float64, error) {
+	dst := farNode(sys)
 	const chunk = 100 * 1024
 	const nmsg = 20
 	var elapsed time.Duration
@@ -185,31 +200,32 @@ func measureBandwidth(clusters int) float64 {
 		elapsed = w.P.Now()
 	})
 	if _, err := sys.Run(); err != nil {
-		panic(err)
+		return 0, fmt.Errorf("table1 bandwidth on %s: %w", sys.Topo, err)
 	}
-	return float64(nmsg*chunk) / elapsed.Seconds()
+	return float64(nmsg*chunk) / elapsed.Seconds(), nil
 }
 
 // Table2 reproduces the application characteristics on 64 processors of a
 // single cluster: point-to-point operations and broadcasts per second,
 // their payload volume, and the 64-CPU speedup.
-func Table2() (*Report, error) {
+func Table2(s *Session) (*Report, error) {
 	t := &Table{
 		ID:      "table2",
 		Title:   "Application characteristics on 64 processors, one cluster",
 		Headers: []string{"program", "# RPC/s", "kbytes/s", "# bcast/s", "kbytes/s", "speedup"},
 	}
-	var cfgs []RunConfig
+	var specs []RunSpec
 	for _, app := range Apps {
-		cfgs = append(cfgs, RunConfig{app, 1, 64, false}, RunConfig{app, 1, 1, false})
+		specs = append(specs, withBaseline(s.Spec(app, cluster.DAS(1, 64), false))...)
 	}
-	Prefetch(cfgs)
+	s.Prefetch(specs)
 	for _, app := range Apps {
-		m, err := Run(app, 1, 64, false)
+		spec := s.Spec(app, cluster.DAS(1, 64), false)
+		m, err := s.Run(spec)
 		if err != nil {
 			return nil, err
 		}
-		t1, err := Run(app, 1, 1, false)
+		t1, err := s.Run(baseline(spec))
 		if err != nil {
 			return nil, err
 		}
@@ -230,7 +246,7 @@ func Table2() (*Report, error) {
 
 // trafficTable builds the paper's intercluster traffic accounting (Tables 4
 // and 5): P=64 over C=4 clusters, per application.
-func trafficTable(id string, optimized bool) (*Report, error) {
+func trafficTable(s *Session, id string, optimized bool) (*Report, error) {
 	when := "Before"
 	if optimized {
 		when = "After"
@@ -240,14 +256,14 @@ func trafficTable(id string, optimized bool) (*Report, error) {
 		Title:   fmt.Sprintf("Intercluster Traffic %s Optimization (P=64, C=4)", when),
 		Headers: []string{"Application", "# RPC", "RPC kbyte", "# bcast", "bcast kbyte"},
 	}
-	var cfgs []RunConfig
+	var specs []RunSpec
 	for _, app := range Apps {
 		if optimized && app.Name == "ACP" {
 			continue // mirrors the skip in the render loop below
 		}
-		cfgs = append(cfgs, RunConfig{app, 4, 16, optimized})
+		specs = append(specs, s.Spec(app, cluster.DAS(4, 16), optimized))
 	}
-	Prefetch(cfgs)
+	s.Prefetch(specs)
 	for _, app := range Apps {
 		if optimized && app.Name == "ACP" {
 			// The paper implemented no ACP optimization; its Table 5 row
@@ -256,7 +272,7 @@ func trafficTable(id string, optimized bool) (*Report, error) {
 			t.Rows = append(t.Rows, []string{"ACP'", "-", "-", "-", "-"})
 			continue
 		}
-		m, err := Run(app, 4, 16, optimized)
+		m, err := s.Run(s.Spec(app, cluster.DAS(4, 16), optimized))
 		if err != nil {
 			return nil, err
 		}
@@ -280,23 +296,23 @@ func trafficTable(id string, optimized bool) (*Report, error) {
 }
 
 // barTable runs the bar-chart summaries (Figures 15 and 16) as tables.
-func barTable(id string, shapes []barShape) (*Report, error) {
+func barTable(s *Session, id string, shapes []barShape) (*Report, error) {
 	headers := []string{"App"}
-	for _, s := range shapes {
-		headers = append(headers, s.label)
+	for _, sh := range shapes {
+		headers = append(headers, sh.label)
 	}
 	t := &Table{ID: id, Title: barTitle(id), Headers: headers}
-	var cfgs []RunConfig
+	var specs []RunSpec
 	for _, app := range Apps {
-		for _, s := range shapes {
-			cfgs = append(cfgs, speedupConfigs(app, s.clusters, s.perCluster, s.optimized)...)
+		for _, sh := range shapes {
+			specs = append(specs, withBaseline(sh.spec(s, app))...)
 		}
 	}
-	Prefetch(cfgs)
+	s.Prefetch(specs)
 	for _, app := range Apps {
 		row := []string{app.Name}
-		for _, s := range shapes {
-			sp, err := Speedup(app, s.clusters, s.perCluster, s.optimized)
+		for _, sh := range shapes {
+			sp, err := s.Speedup(sh.spec(s, app))
 			if err != nil {
 				return nil, err
 			}
@@ -312,6 +328,10 @@ type barShape struct {
 	clusters   int
 	perCluster int
 	optimized  bool
+}
+
+func (sh barShape) spec(s *Session, app AppSpec) RunSpec {
+	return s.Spec(app, cluster.DAS(sh.clusters, sh.perCluster), sh.optimized)
 }
 
 func barTitle(id string) string {
@@ -339,67 +359,52 @@ var fig16Shapes = []barShape{
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func() (*Report, error)
+	Run   func(*Session) (*Report, error)
 }
 
-// Experiments enumerates every table and figure of the paper's evaluation.
+// Experiments enumerates every table and figure of the paper's evaluation,
+// then the ablation and sensitivity studies that go beyond its published
+// artifacts (its stated future work). An unknown application name surfaces
+// as an error from that experiment's Run, not a panic here.
 func Experiments() []Experiment {
-	var out []Experiment
-	out = append(out, Experiment{"table1", "Low-level Orca primitive performance", Table1})
-	out = append(out, Experiment{"table2", "Application characteristics (64 CPUs, 1 cluster)", Table2})
+	out := []Experiment{
+		{"table1", "Low-level Orca primitive performance", Table1},
+		{"table2", "Application characteristics (64 CPUs, 1 cluster)", Table2},
+	}
 	for _, fs := range speedupFigures {
 		fs := fs
-		app, err := AppByName(fs.app)
-		if err != nil {
-			panic(err)
-		}
-		variant := "original"
-		if fs.optimized {
-			variant = "optimized"
-		}
-		out = append(out, Experiment{fs.id,
-			fmt.Sprintf("Speedup of %s %s", variant, fs.app),
-			func() (*Report, error) { return SpeedupFigure(fs.id, app, fs.optimized) }})
+		out = append(out, Experiment{fs.id, figureTitle(fs.app, fs.optimized),
+			func(s *Session) (*Report, error) { return SpeedupFigure(s, fs.id, fs.app, fs.optimized) }})
 	}
-	out = append(out, Experiment{"fig15", barTitle("fig15"),
-		func() (*Report, error) { return barTable("fig15", fig15Shapes) }})
-	out = append(out, Experiment{"fig16", barTitle("fig16"),
-		func() (*Report, error) { return barTable("fig16", fig16Shapes) }})
-	out = append(out, Experiment{"table4", "Intercluster traffic before optimization",
-		func() (*Report, error) { return trafficTable("table4", false) }})
-	out = append(out, Experiment{"table5", "Intercluster traffic after optimization",
-		func() (*Report, error) { return trafficTable("table5", true) }})
-	out = append(out, extendedExperiments()...)
-	return out
-}
-
-// extendedExperiments are the ablation and sensitivity studies that go
-// beyond the paper's published artifacts (its stated future work).
-func extendedExperiments() []Experiment {
-	exps := []Experiment{
-		{"abl-water", "Ablation: Water cache vs reduction", AblationWater},
-		{"abl-sor", "Ablation: SOR exchange skipping vs convergence", AblationSOR},
-		{"abl-ra", "Ablation: RA combining levels", AblationRA},
-		{"abl-ida", "Ablation: IDA* stealing policies", AblationIDA},
-		{"abl-seq", "Ablation: sequencer protocols", AblationSequencer},
-		{"abl-tsp", "Ablation: TSP job grain", AblationTSP},
-		{"sens-atpg", "Sensitivity: ATPG on slow networks (paper 4.4)", SensitivityATPG},
-		{"real-das", "Extension: the full irregular DAS of Figure 17", RealDAS},
-		{"coll", "Extension: cluster-aware collective operations", Collectives},
-		{"sens-clusters", "Sensitivity: cluster count at 48 CPUs", SensitivityClusters},
-		{"sens-size", "Sensitivity: ASP problem size (grain)", SensitivitySize},
-		{"sens-congestion", "Sensitivity: congestion waves and loaded gateways", SensitivityCongestion},
-		{"transport", "Extension: gateway frame coalescing + striping (orig / app-opt / transport-opt)", TransportReport},
-	}
+	out = append(out,
+		Experiment{"fig15", barTitle("fig15"),
+			func(s *Session) (*Report, error) { return barTable(s, "fig15", fig15Shapes) }},
+		Experiment{"fig16", barTitle("fig16"),
+			func(s *Session) (*Report, error) { return barTable(s, "fig16", fig16Shapes) }},
+		Experiment{"table4", "Intercluster traffic before optimization",
+			func(s *Session) (*Report, error) { return trafficTable(s, "table4", false) }},
+		Experiment{"table5", "Intercluster traffic after optimization",
+			func(s *Session) (*Report, error) { return trafficTable(s, "table5", true) }},
+		Experiment{"abl-water", "Ablation: Water cache vs reduction", AblationWater},
+		Experiment{"abl-sor", "Ablation: SOR exchange skipping vs convergence", AblationSOR},
+		Experiment{"abl-ra", "Ablation: RA combining levels", AblationRA},
+		Experiment{"abl-ida", "Ablation: IDA* stealing policies", AblationIDA},
+		Experiment{"abl-seq", "Ablation: sequencer protocols", AblationSequencer},
+		Experiment{"abl-tsp", "Ablation: TSP job grain", AblationTSP},
+		Experiment{"sens-atpg", "Sensitivity: ATPG on slow networks (paper 4.4)", SensitivityATPG},
+		Experiment{"real-das", "Extension: the full irregular DAS of Figure 17", RealDAS},
+		Experiment{"coll", "Extension: cluster-aware collective operations", Collectives},
+		Experiment{"sens-clusters", "Sensitivity: cluster count at 48 CPUs", SensitivityClusters},
+		Experiment{"sens-size", "Sensitivity: ASP problem size (grain)", SensitivitySize},
+		Experiment{"sens-congestion", "Sensitivity: congestion waves and loaded gateways", SensitivityCongestion},
+		Experiment{"transport", "Extension: gateway frame coalescing + striping (orig / app-opt / transport-opt)", TransportReport},
+	)
 	for _, name := range []string{"Water", "SOR", "RA"} {
 		name := name
-		exps = append(exps, Experiment{
-			"sens-" + name,
-			"Sensitivity: " + name + " vs WAN quality",
-			func() (*Report, error) { return SensitivityWAN(name) },
-		})
+		out = append(out, Experiment{"sens-" + name, "Sensitivity: " + name + " vs WAN quality",
+			func(s *Session) (*Report, error) { return SensitivityWAN(s, name) }})
 	}
-	return exps
+	return out
 }
 
 // ExperimentByID finds a registered experiment.

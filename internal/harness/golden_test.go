@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"albatross/internal/cluster"
-	"albatross/internal/core"
-	"albatross/internal/orca"
 )
 
 // update rewrites the golden files from the current engine instead of
@@ -19,13 +17,13 @@ var update = flag.Bool("update", false, "rewrite testdata golden files from the 
 
 // goldenOutput renders an experiment in the exact format stored under
 // testdata: the human report, a separator, then the CSV data.
-func goldenOutput(t *testing.T, id string) string {
+func goldenOutput(t *testing.T, s *Session, id string) string {
 	t.Helper()
 	e, err := ExperimentByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Run()
+	rep, err := e.Run(s)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -44,8 +42,7 @@ func TestGoldenReports(t *testing.T) {
 	for _, id := range []string{"fig5", "fig7"} {
 		path := filepath.Join("testdata", "golden_"+id+".txt")
 		if *update {
-			ResetCache()
-			if err := os.WriteFile(path, []byte(goldenOutput(t, id)), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(goldenOutput(t, &Session{}, id)), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -54,45 +51,34 @@ func TestGoldenReports(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 8} {
-			ResetCache()
-			prev := SetParallelism(workers)
-			got := goldenOutput(t, id)
-			SetParallelism(prev)
-			if got != string(want) {
+			if got := goldenOutput(t, &Session{Workers: workers}, id); got != string(want) {
 				t.Errorf("%s at parallelism %d: output differs from golden file\n got:\n%s\nwant:\n%s",
 					id, workers, got, want)
 			}
 		}
 	}
-	ResetCache()
 }
 
-// runFresh executes one configuration on a brand-new system (no run cache)
-// and reports both the metrics and how many events the engine dispatched.
-func runFresh(t *testing.T, appName string, clusters, perCluster int) (core.Metrics, uint64) {
+// mustExec runs one spec on a brand-new system (no session, no cache) and
+// fails the test on a run or verification error.
+func mustExec(t *testing.T, spec RunSpec, hooks ...Hook) Result {
+	t.Helper()
+	res, err := Exec(spec, hooks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// freshSpec describes the original variant of a named application on a
+// uniform platform with the harness defaults and nothing else.
+func freshSpec(t *testing.T, appName string, clusters, perCluster int) RunSpec {
 	t.Helper()
 	app, err := AppByName(appName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seqr orca.Sequencer
-	if app.Sequencer != nil {
-		seqr = app.Sequencer(false)
-	}
-	sys := core.NewSystem(core.Config{
-		Topology:  cluster.DAS(clusters, perCluster),
-		Params:    Params,
-		Sequencer: seqr,
-	})
-	verify := app.Build(sys, false)
-	m, err := sys.Run()
-	if err != nil {
-		t.Fatalf("%s: %v", appName, err)
-	}
-	if err := verify(); err != nil {
-		t.Fatalf("%s: %v", appName, err)
-	}
-	return m, sys.Engine.Dispatched()
+	return (&Session{}).Spec(app, cluster.DAS(clusters, perCluster), false)
 }
 
 // TestDeterministicMetrics runs the same seeded configuration three times on
@@ -101,19 +87,14 @@ func runFresh(t *testing.T, appName string, clusters, perCluster int) (core.Metr
 // schedule.
 func TestDeterministicMetrics(t *testing.T) {
 	for _, appName := range []string{"ASP", "SOR", "TSP"} {
-		var m0 core.Metrics
-		var d0 uint64
-		for i := 0; i < 3; i++ {
-			m, d := runFresh(t, appName, 2, 4)
-			if i == 0 {
-				m0, d0 = m, d
-				continue
+		first := mustExec(t, freshSpec(t, appName, 2, 4))
+		for i := 1; i < 3; i++ {
+			res := mustExec(t, freshSpec(t, appName, 2, 4))
+			if res.Elapsed != first.Elapsed {
+				t.Errorf("%s run %d: elapsed %v, want %v", appName, i, res.Elapsed, first.Elapsed)
 			}
-			if m.Elapsed != m0.Elapsed {
-				t.Errorf("%s run %d: elapsed %v, want %v", appName, i, m.Elapsed, m0.Elapsed)
-			}
-			if d != d0 {
-				t.Errorf("%s run %d: dispatched %d events, want %d", appName, i, d, d0)
+			if res.Dispatched != first.Dispatched {
+				t.Errorf("%s run %d: dispatched %d events, want %d", appName, i, res.Dispatched, first.Dispatched)
 			}
 		}
 	}

@@ -7,35 +7,84 @@ import (
 	"time"
 
 	"albatross/internal/cluster"
-	"albatross/internal/core"
 	"albatross/internal/faults"
 	"albatross/internal/orca"
 	"albatross/internal/sim"
+	"albatross/internal/trace"
 )
 
-// Grid-scale chaos: the classic chaos sweep (loss x outage) extended to
-// declarative topologies and hard partitions. A partition cuts backbone
-// segment 0 — the physical link between the first two backbone roots — in
-// both directions; on a ring backbone the network reroutes the long way
-// round, on a redundant mesh it detours, and where no alternate exists
-// gateways hold traffic until the cut heals. The reliability layer recovers
-// whatever the hold queues age out, so every application must still complete
-// and verify — availability is lost only when a scenario never heals.
+// The chaos experiments exercise the whole fault stack end-to-end: a seeded
+// faults.Injector flips WAN messages at the netsim layer, the orca
+// reliability layer retries and deduplicates until every application-level
+// exchange completes, and the sim watchdog bounds runs that cannot recover.
+// Every application must finish verified-correct under loss and outages —
+// degradation shows up only as inflated virtual elapsed time.
+//
+// The classic sweep (loss x outage) runs on the 4x4 DAS mesh; the grid sweep
+// extends it to declarative topologies and hard partitions. A partition cuts
+// backbone segment 0 — the physical link between the first two backbone
+// roots — in both directions; on a ring backbone the network reroutes the
+// long way round, on a redundant mesh it detours, and where no alternate
+// exists gateways hold traffic until the cut heals. The reliability layer
+// recovers whatever the hold queues age out, so every application must still
+// complete and verify — availability is lost only when a scenario never
+// heals.
 
-// chaosPlanTopo extends chaosPlan with the spec's partition window, derived
-// from the topology's backbone graph (or, on the implicit full mesh, the
-// directed pair 0-1 in both directions).
-func chaosPlanTopo(spec ChaosSpec, topo cluster.Topology) faults.Plan {
-	pl := chaosPlan(spec)
-	if spec.PartitionDur <= 0 {
+// ChaosSpec describes one fault scenario of the chaos sweeps; Plan derives
+// the fault plan it means on a given topology.
+type ChaosSpec struct {
+	// Seed selects the injector's decision stream. Zero picks a fixed
+	// default so unseeded runs stay reproducible.
+	Seed uint64
+	// Loss is the per-message WAN drop probability (applied to every
+	// directed cluster pair).
+	Loss float64
+	// Outage, when positive, crashes cluster 1's gateway for this long
+	// starting at chaosOutageStart; traffic into and out of the cluster
+	// is black-holed until it restarts.
+	Outage time.Duration
+	// PartitionStart/PartitionDur, when PartitionDur is positive, cut
+	// backbone segment 0 in both directions for the window — a hard link
+	// failure the network routes around or holds traffic through.
+	PartitionStart time.Duration
+	PartitionDur   time.Duration
+}
+
+// chaosSeed is the default fault seed of the chaos experiments.
+const chaosSeed = 0xda5
+
+// chaosOutageStart places the gateway crash early enough to hit every
+// application's communication phase (the shortest 4x4 run lasts ~50ms, the
+// typical one upwards of 400ms).
+const chaosOutageStart = 100 * time.Millisecond
+
+// chaosDeadline aborts chaos runs that fail to recover instead of letting
+// them simulate unbounded retries. Fault-free 4x4 runs finish in under 4
+// seconds of virtual time, so two minutes is pure backstop.
+const chaosDeadline = 2 * time.Minute
+
+// Plan builds the scenario's fault plan for a topology. The partition window
+// is derived from the topology's backbone graph (or, on the implicit full
+// mesh, the directed pair 0-1 in both directions).
+func (c ChaosSpec) Plan(topo cluster.Topology) faults.Plan {
+	pl := faults.Plan{Seed: c.Seed, Default: faults.PairProbs{Drop: c.Loss}}
+	if pl.Seed == 0 {
+		pl.Seed = chaosSeed
+	}
+	if c.Outage > 0 {
+		pl.Crashes = append(pl.Crashes, faults.GatewayCrash{
+			Cluster: 1, Start: chaosOutageStart, Duration: c.Outage,
+		})
+	}
+	if c.PartitionDur <= 0 {
 		return pl
 	}
 	if topo.WAN != nil {
-		pl.LinkDowns = faults.CutRingSegment(topo.WAN, 0, spec.PartitionStart, spec.PartitionDur)
+		pl.LinkDowns = faults.CutRingSegment(topo.WAN, 0, c.PartitionStart, c.PartitionDur)
 	} else {
 		pl.LinkDowns = []faults.LinkDown{
-			{From: 0, To: 1, Start: spec.PartitionStart, Duration: spec.PartitionDur},
-			{From: 1, To: 0, Start: spec.PartitionStart, Duration: spec.PartitionDur},
+			{From: 0, To: 1, Start: c.PartitionStart, Duration: c.PartitionDur},
+			{From: 1, To: 0, Start: c.PartitionStart, Duration: c.PartitionDur},
 		}
 	}
 	return pl
@@ -78,68 +127,149 @@ func chaosRelConfig(topo cluster.Topology) orca.RelConfig {
 	return orca.RelConfig{RTO: 4 * worst} // 2x the round trip
 }
 
-// ChaosRunTopo executes one application under the fault scenario on an
-// arbitrary topology — including partitions of its backbone graph — with an
-// explicit engine shard count, and verifies the result. Failures carry the
-// reliability layer's stalled-channel diagnosis in the error text.
-func ChaosRunTopo(app AppSpec, topo cluster.Topology, optimized bool, spec ChaosSpec, shards int) (ChaosResult, error) {
-	var res ChaosResult
-	in, err := faults.NewInjector(chaosPlanTopo(spec, topo))
-	if err != nil {
-		return res, fmt.Errorf("chaos %s: %w", app.Name, err)
-	}
-	var seqr orca.Sequencer
-	if app.Sequencer != nil {
-		seqr = app.Sequencer(optimized)
-	}
-	if !app.Shardable {
-		shards = 0
-	}
-	sys := core.NewSystem(core.Config{
-		Topology:  topo,
-		Params:    Params,
-		Sequencer: seqr,
-		Shards:    shards,
-	})
-	sys.Net.SetFaultPolicy(in)
-	sys.RTS.EnableReliability(chaosRelConfig(topo))
-	sys.Engine.SetDeadline(chaosDeadline)
-	verify := app.Build(sys, optimized)
-	wall := time.Now()
-	m, err := sys.Run()
-	ran := time.Since(wall)
-	res.Metrics, res.Rel, res.Faults = m, sys.RTS.RelStats(), in.Counters()
-	res.Stalled = sys.RTS.StalledChannels()
-	tag := fmt.Sprintf("%s on %s opt=%v loss=%g outage=%v partition=[%v,+%v]",
-		app.Name, topo, optimized, spec.Loss, spec.Outage, spec.PartitionStart, spec.PartitionDur)
-	if err != nil {
-		if len(res.Stalled) > 0 {
-			return res, fmt.Errorf("chaos %s: %w; stalled channels: %s",
-				tag, err, strings.Join(res.Stalled, ", "))
-		}
-		return res, fmt.Errorf("chaos %s: %w", tag, err)
-	}
-	if err := verify(); err != nil {
-		return res, fmt.Errorf("chaos %s: %w", tag, err)
-	}
-	if st := sys.ShardStats(); st != nil {
-		recordShardUsage(app.Name, st, m.Elapsed, ran)
-	}
-	return res, nil
+// chaosRun describes one application variant under a fault scenario: the
+// scenario's plan for the topology, the reliability layer sized to it, and
+// the chaos deadline. Senders retry without bound; a scenario the protocol
+// cannot survive is caught by the virtual-time deadline, and the failure
+// carries the reliability layer's stalled-channel diagnosis.
+func (s *Session) chaosRun(app AppSpec, topo cluster.Topology, optimized bool, c ChaosSpec) RunSpec {
+	spec := s.Spec(app, topo, optimized)
+	plan := c.Plan(topo)
+	spec.Faults, spec.Rel, spec.Deadline = &plan, chaosRelConfig(topo), chaosDeadline
+	return spec
 }
 
-// gridScenario is one row of the grid chaos sweep.
-type gridScenario struct {
+// ChaosTimeline runs one application on 4x4 under the fault scenario with
+// TimelineHook attached and returns the rendered timeline: traffic series
+// in the standard glyph ramp, fault series (drops, outage/crash losses,
+// duplicates) in the distinct fault ramp, so injected chaos is visually
+// separable from the traffic it perturbs.
+func ChaosTimeline(s *Session, appName string, optimized bool, c ChaosSpec, width int) (string, error) {
+	app, err := AppByName(appName)
+	if err != nil {
+		return "", err
+	}
+	spec := s.chaosRun(app, cluster.DAS(4, 4), optimized, c)
+	spec.Shards = 0
+	tl := trace.New(time.Millisecond)
+	m, err := Exec(spec, TimelineHook(tl))
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%s %s on 4x4, loss %.1f%%, %v outage (%.3fs virtual)\n%s",
+		appName, variantName(optimized), c.Loss*100, c.Outage, m.Seconds(), tl.Render(width)), nil
+}
+
+// chaosGrid describes a whole sweep — one row of specs per scenario, one
+// column per (application, variant) — and warms the cache for all of it.
+func (s *Session) chaosGrid(topo cluster.Topology, scenarios []chaosScenario, apps []AppSpec, variants ...bool) [][]RunSpec {
+	grid := make([][]RunSpec, len(scenarios))
+	var all []RunSpec
+	for i, sc := range scenarios {
+		for _, app := range apps {
+			for _, optimized := range variants {
+				grid[i] = append(grid[i], s.chaosRun(app, topo, optimized, sc.spec))
+			}
+		}
+		all = append(all, grid[i]...)
+	}
+	s.Prefetch(all)
+	return grid
+}
+
+// chaosScenario is one row of a chaos sweep.
+type chaosScenario struct {
 	name string
 	spec ChaosSpec
+}
+
+// ChaosReport sweeps loss rate x outage duration for SOR and ASP (original
+// and optimized) on the 4x4 platform and renders the degradation table:
+// each cell is the run's virtual elapsed time and its slowdown over the
+// fault-free baseline of the same column. quick trims the sweep to the
+// smoke-test scenarios.
+func ChaosReport(s *Session, quick bool) (*Report, error) {
+	losses := []float64{0, 0.005, 0.01, 0.02}
+	outages := []time.Duration{0, 2 * time.Second}
+	if quick {
+		losses = []float64{0, 0.01}
+	}
+	var scenarios []chaosScenario
+	for _, out := range outages {
+		for _, loss := range losses {
+			name := fmt.Sprintf("loss %.1f%%", loss*100)
+			if out > 0 {
+				name += fmt.Sprintf(" + %v outage", out)
+			}
+			scenarios = append(scenarios, chaosScenario{name, ChaosSpec{Loss: loss, Outage: out}})
+		}
+	}
+	t := &Table{
+		ID:      "chaos",
+		Title:   "Virtual elapsed time (and slowdown vs fault-free) on 4x4 under WAN faults",
+		Headers: []string{"scenario"},
+	}
+	var apps []AppSpec
+	for _, name := range []string{"SOR", "ASP"} {
+		app, err := AppByName(name)
+		if err != nil {
+			return nil, err
+		}
+		apps = append(apps, app)
+		t.Headers = append(t.Headers, name+" orig", name+" opt")
+	}
+	// Column 0 is SOR original, whose harshest scenario also supplies the
+	// notes' recovery totals.
+	specs := s.chaosGrid(cluster.DAS(4, 4), scenarios, apps, false, true)
+	var worst Result
+	for i, sc := range scenarios {
+		row := []string{sc.name}
+		for j, spec := range specs[i] {
+			res, err := s.Run(spec)
+			if err != nil {
+				return nil, err
+			}
+			base, _ := s.Run(specs[0][j]) // loss 0, no outage: row 0 checked its error
+			cell := fmt.Sprintf("%.3fs", res.Seconds())
+			if base.Elapsed > 0 {
+				cell += fmt.Sprintf(" (x%.2f)", float64(res.Elapsed)/float64(base.Elapsed))
+			}
+			row = append(row, cell)
+			if j == 0 {
+				worst = res
+			}
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return &Report{
+		ID:     "chaos",
+		Title:  "Fault injection and recovery: degradation under WAN loss and gateway outages",
+		Tables: []*Table{t},
+		Notes: []string{
+			fmt.Sprintf("fault seed %#x; outage crashes cluster 1's gateway at %v; all runs verified correct",
+				uint64(chaosSeed), chaosOutageStart),
+			fmt.Sprintf("harshest scenario (SOR orig, %s): %d WAN messages lost, %d envelope retransmissions",
+				scenarios[len(scenarios)-1].name, worst.Faults.Drops+worst.Faults.CrashDrops, worst.Rel.Retransmits),
+			fmt.Sprintf("reliability layer there: %d wrapped, %d acks, %d dup-dropped, %d reordered, %d give-ups; stalled channels: %s",
+				worst.Rel.Wrapped, worst.Rel.Acks, worst.Rel.DupDropped, worst.Rel.OutOfOrder, worst.Rel.GiveUps, stalledOrNone(worst.Stalled)),
+		},
+	}, nil
+}
+
+// stalledOrNone renders a stalled-channel list for report notes.
+func stalledOrNone(stalled []string) string {
+	if len(stalled) == 0 {
+		return "none"
+	}
+	return strings.Join(stalled, ", ")
 }
 
 // gridScenarios is the loss x outage x partition sweep. The partition
 // window follows the acceptance scenario: backbone cut at t=1s, heal at
 // t=3s.
-func gridScenarios(quick bool) []gridScenario {
+func gridScenarios(quick bool) []chaosScenario {
 	partition := ChaosSpec{PartitionStart: time.Second, PartitionDur: 2 * time.Second}
-	all := []gridScenario{
+	all := []chaosScenario{
 		{"baseline", ChaosSpec{}},
 		{"loss 1%", ChaosSpec{Loss: 0.01}},
 		{"loss 1% + 2s outage", ChaosSpec{Loss: 0.01, Outage: 2 * time.Second}},
@@ -147,7 +277,7 @@ func gridScenarios(quick bool) []gridScenario {
 		{"partition + loss 1%", ChaosSpec{Loss: 0.01, PartitionStart: partition.PartitionStart, PartitionDur: partition.PartitionDur}},
 	}
 	if quick {
-		return []gridScenario{all[0], all[1], all[3]}
+		return []chaosScenario{all[0], all[1], all[3]}
 	}
 	return all
 }
@@ -173,25 +303,22 @@ func unavailable(err error) (string, bool) {
 // time per app, or the structured reason it became unavailable), the
 // recovery-machinery tallies per scenario (reroutes, held and dropped
 // messages, retransmissions, duplicate suppressions, stalled channels), and
-// SOR's per-link-class degradation across scenarios. The shard count follows
-// the harness-wide SetShards setting.
-func GridChaosReport(name string, topo cluster.Topology, quick bool) (*Report, error) {
+// SOR's per-link-class degradation across scenarios.
+func GridChaosReport(s *Session, name string, topo cluster.Topology, quick bool) (*Report, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
 	scenarios := gridScenarios(quick)
 
 	avail := &Table{
-		ID:    "grid-avail",
-		Title: "availability and completion time per application",
-		Headers: append([]string{"scenario"}, func() []string {
-			var hs []string
-			for _, app := range Apps {
-				hs = append(hs, app.Name)
-			}
-			return append(hs, "avail")
-		}()...),
+		ID:      "grid-avail",
+		Title:   "availability and completion time per application",
+		Headers: []string{"scenario"},
 	}
+	for _, app := range Apps {
+		avail.Headers = append(avail.Headers, app.Name)
+	}
+	avail.Headers = append(avail.Headers, "avail")
 	recovery := &Table{
 		ID:    "grid-recovery",
 		Title: "recovery machinery engaged (summed over applications)",
@@ -204,68 +331,48 @@ func GridChaosReport(name string, topo cluster.Topology, quick bool) (*Report, e
 		Headers: []string{"scenario", "class", "xmits", "busy", "mean-wait", "p99-wait"},
 	}
 
-	// Collect-then-render: all runs go through the scheduler, then rows are
-	// formatted sequentially so output is identical at any parallelism.
-	type cell struct {
-		res    ChaosResult
-		reason string // non-empty when the scenario made the app unavailable
-	}
-	results := make([][]cell, len(scenarios))
-	var tasks []func() error
-	for i, sc := range scenarios {
-		results[i] = make([]cell, len(Apps))
-		for j, app := range Apps {
-			i, j, sc, app := i, j, sc, app
-			tasks = append(tasks, func() error {
-				res, err := ChaosRunTopo(app, topo, false, sc.spec, effectiveShards(app, topo.Clusters))
-				if err != nil {
-					reason, ok := unavailable(err)
-					if !ok {
-						return err
-					}
-					results[i][j] = cell{res, reason}
-					return nil
-				}
-				results[i][j] = cell{res, ""}
-				return nil
-			})
-		}
-	}
-	if err := scheduler().Do(tasks...); err != nil {
-		return nil, err
-	}
-
-	sorCol := -1
-	for j, app := range Apps {
-		if app.Name == "SOR" {
-			sorCol = j
-		}
-	}
+	specs := s.chaosGrid(topo, scenarios, Apps, false)
 	for i, sc := range scenarios {
 		row := []string{sc.name}
 		up := 0
 		var reroutes, held, holdDrops int64
 		var retransmits, dupDropped, giveUps uint64
 		stalled := 0
-		for j := range Apps {
-			c := results[i][j]
-			if c.reason != "" {
-				row = append(row, "UNAVAIL ("+c.reason+")")
-			} else {
-				row = append(row, fmt.Sprintf("%.3fs", c.res.Metrics.Elapsed.Seconds()))
+		for j, app := range Apps {
+			// A run that missed the deadline or deadlocked counts against
+			// availability; its Result still tallies the recovery work done.
+			res, err := s.Run(specs[i][j])
+			reason, down := unavailable(err)
+			switch {
+			case err == nil:
+				row = append(row, fmt.Sprintf("%.3fs", res.Seconds()))
 				up++
+			case down:
+				row = append(row, "UNAVAIL ("+reason+")")
+			default:
+				return nil, err
 			}
-			reroutes += c.res.Metrics.Net.Reroutes()
-			held += c.res.Metrics.Net.HeldMsgs()
-			holdDrops += c.res.Metrics.Net.HoldDrops()
-			retransmits += c.res.Rel.Retransmits
-			dupDropped += c.res.Rel.DupDropped
-			giveUps += c.res.Rel.GiveUps
-			stalled += len(c.res.Stalled)
+			reroutes += res.Net.Reroutes()
+			held += res.Net.HeldMsgs()
+			holdDrops += res.Net.HoldDrops()
+			retransmits += res.Rel.Retransmits
+			dupDropped += res.Rel.DupDropped
+			giveUps += res.Rel.GiveUps
+			stalled += len(res.Stalled)
+			if app.Name == "SOR" && err == nil {
+				for _, cr := range res.Classes {
+					classes.Rows = append(classes.Rows, []string{
+						sc.name, cr.Class,
+						fmt.Sprintf("%d", cr.Xmits),
+						roundDur(cr.Busy),
+						roundDur(cr.MeanWait),
+						roundDur(cr.P99Wait),
+					})
+				}
+			}
 		}
 		row = append(row, fmt.Sprintf("%d/%d", up, len(Apps)))
 		avail.Rows = append(avail.Rows, row)
-
 		recovery.Rows = append(recovery.Rows, []string{
 			sc.name,
 			fmt.Sprintf("%d", reroutes),
@@ -276,18 +383,6 @@ func GridChaosReport(name string, topo cluster.Topology, quick bool) (*Report, e
 			fmt.Sprintf("%d", giveUps),
 			fmt.Sprintf("%d", stalled),
 		})
-
-		if sorCol >= 0 && results[i][sorCol].reason == "" {
-			for _, cr := range results[i][sorCol].res.Metrics.Classes {
-				classes.Rows = append(classes.Rows, []string{
-					sc.name, cr.Class,
-					fmt.Sprintf("%d", cr.Xmits),
-					roundDur(cr.Busy),
-					roundDur(cr.MeanWait),
-					roundDur(cr.P99Wait),
-				})
-			}
-		}
 	}
 
 	return &Report{

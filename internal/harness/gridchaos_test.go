@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"albatross/internal/cluster"
-	"albatross/internal/core"
 	"albatross/internal/faults"
 	"albatross/internal/orca"
 	"albatross/internal/sim"
@@ -38,19 +37,13 @@ func TestGridPartitionHealAllApps(t *testing.T) {
 	spec := ChaosSpec{PartitionStart: time.Second, PartitionDur: 2 * time.Second}
 	var rerouted, held int64
 	for _, app := range Apps {
-		seq, err := ChaosRunTopo(app, topo, false, spec, 0)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", app.Name, err)
+		seq := mustExec(t, (&Session{}).chaosRun(app, topo, false, spec))
+		if seq.Elapsed <= time.Second {
+			t.Errorf("%s finished at %v, before the partition even started", app.Name, seq.Elapsed)
 		}
-		if seq.Metrics.Elapsed <= time.Second {
-			t.Errorf("%s finished at %v, before the partition even started", app.Name, seq.Metrics.Elapsed)
-		}
-		rerouted += seq.Metrics.Net.Reroutes()
-		held += seq.Metrics.Net.HeldMsgs()
-		sh, err := ChaosRunTopo(app, topo, false, spec, 3)
-		if err != nil {
-			t.Fatalf("%s sharded: %v", app.Name, err)
-		}
+		rerouted += seq.Net.Reroutes()
+		held += seq.Net.HeldMsgs()
+		sh := mustExec(t, (&Session{Shards: 3}).chaosRun(app, topo, false, spec))
 		if got, want := fmt.Sprintf("%+v", sh.Metrics), fmt.Sprintf("%+v", seq.Metrics); got != want {
 			t.Errorf("%s: sharded partition run differs from sequential\n got: %s\nwant: %s", app.Name, got, want)
 		}
@@ -78,22 +71,18 @@ func TestGridPartitionNeverHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := core.NewSystem(core.Config{Topology: topo, Params: Params})
-	sys.Net.SetFaultPolicy(faults.MustInjector(plan))
-	sys.RTS.EnableReliability(chaosRelConfig(topo))
-	sys.Engine.SetDeadline(20 * time.Second)
-	app.Build(sys, false)
-	_, err = sys.Run()
+	spec := (&Session{}).Spec(app, topo, false)
+	spec.Faults, spec.Rel, spec.Deadline = &plan, chaosRelConfig(topo), 20*time.Second
+	res, err := Exec(spec)
 	var dl *sim.DeadlineError
 	if !errors.As(err, &dl) {
 		t.Fatalf("run returned %v, want DeadlineError (isolated cluster must not hang)", err)
 	}
-	net := sys.Net.Stats()
-	if net.HeldMsgs() == 0 || net.HoldDrops() == 0 {
+	if res.Net.HeldMsgs() == 0 || res.Net.HoldDrops() == 0 {
 		t.Fatalf("held=%d drops=%d; unroutable traffic should be held then dropped with a verdict",
-			net.HeldMsgs(), net.HoldDrops())
+			res.Net.HeldMsgs(), res.Net.HoldDrops())
 	}
-	if sys.RTS.RelStats().Retransmits == 0 {
+	if res.Rel.Retransmits == 0 {
 		t.Fatal("ARQ never retransmitted across the permanent partition")
 	}
 }
@@ -103,7 +92,7 @@ func TestGridChaosReportQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid chaos sweep is long in -short mode")
 	}
-	rep, err := GridChaosReport("ring9", ring9(t), true)
+	rep, err := GridChaosReport(&Session{}, "ring9", ring9(t), true)
 	if err != nil {
 		t.Fatal(err)
 	}

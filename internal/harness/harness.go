@@ -7,7 +7,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"albatross/internal/apps/acp"
@@ -135,8 +134,8 @@ var Params = cluster.DASParams()
 // Transport configures the gateway transport optimization layer (frame
 // coalescing + multipath striping, netsim/transport.go) for harness runs.
 // The zero value is off, which reproduces the paper's plain store-and-forward
-// gateways byte-identically. Transport settings flow through SetTransport or
-// the explicit RunT/RunOneT calls, never through Params directly.
+// gateways byte-identically. Transport settings flow through Session.Transport
+// and RunSpec.Transport, never through Params directly.
 type Transport struct {
 	MaxFrameBytes  int
 	CoalesceWindow time.Duration
@@ -159,173 +158,10 @@ var DefaultTransport = Transport{
 	WANStreams:     4,
 }
 
-// transportCfg is the harness-wide transport setting used by Run/RunOne.
-// Like SetParallelism and SetShards it is configured once before experiments
-// run, not toggled mid-flight.
-var transportCfg Transport
-
-// SetTransport installs the transport configuration for subsequent Run and
-// RunOne calls and returns the previous one. The run cache keys on the
-// transport configuration, so runs with different settings never alias.
-func SetTransport(t Transport) Transport {
-	prev := transportCfg
-	transportCfg = t
-	return prev
-}
-
 // applyTransport folds a transport configuration into a parameter set.
 func applyTransport(p cluster.Params, t Transport) cluster.Params {
 	p.MaxFrameBytes = t.MaxFrameBytes
 	p.CoalesceWindow = t.CoalesceWindow
 	p.WANStreams = t.WANStreams
 	return p
-}
-
-// shardCount is the harness-wide engine-shard setting (0 or 1 = the
-// sequential engine). Like SetParallelism it is configured once before
-// experiments run, not toggled mid-flight.
-var shardCount int
-
-// SetShards selects the cluster-sharded engine for subsequent runs: each
-// run of a Shardable application partitions its simulation into
-// min(n, clusters) logical processes. Non-shardable applications (and
-// single-cluster shapes) keep the sequential engine; either way results are
-// byte-identical to sequential execution, so the setting changes wall-clock
-// behavior only. It returns the previous value. Call before running
-// experiments.
-func SetShards(n int) int {
-	prev := shardCount
-	shardCount = n
-	return prev
-}
-
-// effectiveShards resolves the shard count one configuration actually runs
-// with, which is also part of the run-cache key.
-func effectiveShards(app AppSpec, clusters int) int {
-	if !app.Shardable || shardCount < 2 || clusters < 2 {
-		return 0
-	}
-	if shardCount < clusters {
-		return shardCount
-	}
-	return clusters
-}
-
-// RunOne executes one application run on a clusters x perCluster platform
-// with the harness-wide transport setting and returns its metrics.
-func RunOne(app AppSpec, clusters, perCluster int, optimized bool) (core.Metrics, error) {
-	return RunOneT(app, clusters, perCluster, optimized, transportCfg)
-}
-
-// RunOneT is RunOne with an explicit transport configuration. The parallel
-// result is verified against the application's sequential reference; a
-// verification failure is an error.
-func RunOneT(app AppSpec, clusters, perCluster int, optimized bool, tr Transport) (core.Metrics, error) {
-	var seqr orca.Sequencer
-	if app.Sequencer != nil {
-		seqr = app.Sequencer(optimized)
-	}
-	sys := core.NewSystem(core.Config{
-		Topology:  cluster.DAS(clusters, perCluster),
-		Params:    applyTransport(Params, tr),
-		Sequencer: seqr,
-		Shards:    effectiveShards(app, clusters),
-	})
-	verify := app.Build(sys, optimized)
-	wall := time.Now()
-	m, err := sys.Run()
-	ran := time.Since(wall)
-	if err != nil {
-		return m, fmt.Errorf("%s %dx%d opt=%v: %w", app.Name, clusters, perCluster, optimized, err)
-	}
-	if err := verify(); err != nil {
-		return m, fmt.Errorf("%s %dx%d opt=%v: %w", app.Name, clusters, perCluster, optimized, err)
-	}
-	if st := sys.ShardStats(); st != nil {
-		recordShardUsage(app.Name, st, m.Elapsed, ran)
-	}
-	return m, nil
-}
-
-// runCache memoizes runs within one harness session: the summary figures
-// and tables reuse many of the same configurations. It is singleflight:
-// concurrent callers of one configuration share a single execution, the
-// first caller running the simulation while the rest wait on its entry.
-type runKey struct {
-	app        string
-	clusters   int
-	perCluster int
-	optimized  bool
-	shards     int
-	transport  Transport
-}
-
-// runEntry is one cache slot; done is closed once m/err are final.
-type runEntry struct {
-	done chan struct{}
-	m    core.Metrics
-	err  error
-}
-
-var (
-	cacheMu  sync.Mutex
-	runCache = map[runKey]*runEntry{}
-)
-
-// Run is RunOne with memoization. It is safe for concurrent use: duplicate
-// configurations coalesce onto one execution (errors included, which a
-// deterministic simulation reproduces anyway).
-func Run(app AppSpec, clusters, perCluster int, optimized bool) (core.Metrics, error) {
-	return RunT(app, clusters, perCluster, optimized, transportCfg)
-}
-
-// RunT is RunOneT with memoization, sharing Run's singleflight cache (the
-// transport configuration is part of the key).
-func RunT(app AppSpec, clusters, perCluster int, optimized bool, tr Transport) (core.Metrics, error) {
-	k := runKey{app.Name, clusters, perCluster, optimized, effectiveShards(app, clusters), tr}
-	cacheMu.Lock()
-	e, ok := runCache[k]
-	if ok {
-		cacheMu.Unlock()
-		<-e.done
-		return e.m, e.err
-	}
-	e = &runEntry{done: make(chan struct{})}
-	runCache[k] = e
-	cacheMu.Unlock()
-	e.m, e.err = RunOneT(app, clusters, perCluster, optimized, tr)
-	close(e.done)
-	return e.m, e.err
-}
-
-// ResetCache clears the memoized runs (tests use it for isolation). It must
-// not race with in-flight Run calls.
-func ResetCache() {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	runCache = map[runKey]*runEntry{}
-}
-
-// Speedup returns T(1 CPU)/T(clusters x perCluster) for the variant; the
-// paper computes each variant's speedup relative to its own 1-CPU run.
-func Speedup(app AppSpec, clusters, perCluster int, optimized bool) (float64, error) {
-	t1, err := Run(app, 1, 1, optimized)
-	if err != nil {
-		return 0, err
-	}
-	tp, err := Run(app, clusters, perCluster, optimized)
-	if err != nil {
-		return 0, err
-	}
-	return speedupRatio(app, clusters, perCluster, optimized, t1, tp)
-}
-
-// speedupRatio guards the division: a degenerate zero-elapsed run must
-// surface as an error, not as a silent +Inf in a report.
-func speedupRatio(app AppSpec, clusters, perCluster int, optimized bool, t1, tp core.Metrics) (float64, error) {
-	if tp.Elapsed <= 0 {
-		return 0, fmt.Errorf("harness: %s %dx%d opt=%v: degenerate run with non-positive elapsed time %v",
-			app.Name, clusters, perCluster, optimized, tp.Elapsed)
-	}
-	return t1.Elapsed.Seconds() / tp.Elapsed.Seconds(), nil
 }

@@ -1,8 +1,13 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"albatross/internal/cluster"
+	"albatross/internal/core"
+	"albatross/internal/sim"
 )
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -57,7 +62,7 @@ func TestExperimentByID(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	rep, err := Table1()
+	rep, err := Table1(&Session{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,34 +90,62 @@ func TestTableRenderAligns(t *testing.T) {
 	}
 }
 
+// TestTable1MeasurementsReturnErrors hands each Table-1 microbenchmark a
+// system that cannot finish (a 1ns virtual deadline) and requires the
+// engine's structured error back, not a panic: the path is reachable from
+// `dasbench -exp table1`.
+func TestTable1MeasurementsReturnErrors(t *testing.T) {
+	doomed := func() *core.System {
+		sys := core.NewSystem(core.Config{Topology: cluster.DAS(2, 2), Params: Params})
+		sys.Engine.SetDeadline(1)
+		return sys
+	}
+	_, errRPC := measureRPCLatency(doomed())
+	_, errBcast := measureBcastLatency(doomed())
+	_, errBW := measureBandwidth(doomed())
+	for name, err := range map[string]error{"rpc": errRPC, "bcast": errBcast, "bandwidth": errBW} {
+		var dl *sim.DeadlineError
+		if !errors.As(err, &dl) {
+			t.Errorf("%s measurement returned %v, want a *sim.DeadlineError", name, err)
+		}
+	}
+}
+
+// TestUnknownFigureAppIsAnError pins the registry's failure mode: a figure
+// naming an application that does not exist fails its Run, it does not panic
+// while the registry is being enumerated.
+func TestUnknownFigureAppIsAnError(t *testing.T) {
+	if _, err := SpeedupFigure(&Session{}, "figX", "Quake", false); err == nil {
+		t.Fatal("unknown application accepted")
+	}
+}
+
 func TestRunMemoization(t *testing.T) {
-	ResetCache()
+	s := &Session{}
 	app, err := AppByName("ACP")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := Run(app, 1, 2, false)
+	m1, err := s.Run(s.Spec(app, cluster.DAS(1, 2), false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Run(app, 1, 2, false)
+	m2, err := s.Run(s.Spec(app, cluster.DAS(1, 2), false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1.Elapsed != m2.Elapsed {
 		t.Fatal("memoized run differs")
 	}
-	ResetCache()
 }
 
 func TestSpeedupSanity(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
+	s := &Session{}
 	app, err := AppByName("ASP")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Speedup(app, 1, 4, false)
+	sp, err := s.Speedup(s.Spec(app, cluster.DAS(1, 4), false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"albatross/internal/cluster"
 	"albatross/internal/core"
 	"albatross/internal/faults"
-	"albatross/internal/orca"
 )
 
 // lookaheadAuditor records every cross-LP scheduling delta the engine's
@@ -51,31 +50,15 @@ func (a *lookaheadAuditor) hook(sys *core.System) func(src, dst int, delta time.
 // can require the property was actually exercised.
 func auditOneRun(t *testing.T, tag string, app AppSpec, topo cluster.Topology, tr Transport, plan *faults.Plan) uint64 {
 	t.Helper()
-	var seqr orca.Sequencer
-	if app.Sequencer != nil {
-		seqr = app.Sequencer(false)
-	}
-	sys := core.NewSystem(core.Config{
-		Topology:  topo,
-		Params:    applyTransport(Params, tr),
-		Sequencer: seqr,
-		Shards:    4,
-	})
-	if !sys.Sharded() {
-		t.Fatalf("%s: expected a sharded system", tag)
-	}
+	spec := identitySpec(app, topo, false, 4, plan)
+	spec.Transport = tr
 	aud := &lookaheadAuditor{}
-	sys.Engine.SetCrossLPAudit(aud.hook(sys))
-	if plan != nil {
-		sys.Net.SetFaultPolicy(faults.MustInjector(*plan))
-		sys.RTS.EnableReliability(orca.RelConfig{RTO: 100 * time.Millisecond})
-		sys.Engine.SetDeadline(chaosDeadline)
-	}
-	verify := app.Build(sys, false)
-	if _, err := sys.Run(); err != nil {
-		t.Fatalf("%s: %v", tag, err)
-	}
-	if err := verify(); err != nil {
+	if _, err := Exec(spec, func(sys *core.System, _ *faults.Injector) {
+		if !sys.Sharded() {
+			t.Fatalf("%s: expected a sharded system", tag)
+		}
+		sys.Engine.SetCrossLPAudit(aud.hook(sys))
+	}); err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
 	aud.mu.Lock()

@@ -3,10 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"albatross/internal/apps/asp"
 	"albatross/internal/cluster"
-	"albatross/internal/core"
-	"albatross/internal/orca"
 )
 
 // RealDAS runs every application on the full, irregular DAS machine of the
@@ -16,105 +13,37 @@ import (
 // equal splits); the simulator can. A uniform 4x34 machine with the same
 // node count is shown next to it: the difference isolates the effect of the
 // uneven cluster sizes.
-func RealDAS() (*Report, error) {
+func RealDAS(s *Session) (*Report, error) {
 	t := &Table{
 		ID:      "real-das",
 		Title:   "Full DAS (64+24+24+24 nodes) vs uniform 4x34, speedups at 136 CPUs",
 		Headers: []string{"App", "real orig", "real opt", "uniform orig", "uniform opt"},
 	}
-	real := cluster.DASReal()
-	uniform := cluster.DAS(4, 34)
-	topos := []cluster.Topology{real, uniform}
-	// speedups[app][0..3]: real orig, real opt, uniform orig, uniform opt.
-	speedups := make([][4]float64, len(Apps))
-	var tasks []func() error
-	for ai, app := range Apps {
-		for ti, topo := range topos {
-			for vi, optimized := range []bool{false, true} {
-				ai, ti, vi, app, topo, optimized := ai, ti, vi, app, topo, optimized
-				tasks = append(tasks, func() error {
-					sp, err := speedupOnTopology(app, topo, optimized)
-					if err != nil {
-						return err
-					}
-					speedups[ai][2*ti+vi] = sp
-					return nil
-				})
-			}
+	// columns: real orig, real opt, uniform orig, uniform opt.
+	columns := func(app AppSpec) (specs []RunSpec) {
+		for _, topo := range []cluster.Topology{cluster.DASReal(), cluster.DAS(4, 34)} {
+			specs = append(specs, s.Spec(app, topo, false), s.Spec(app, topo, true))
+		}
+		return specs
+	}
+	var specs []RunSpec
+	for _, app := range Apps {
+		for _, spec := range columns(app) {
+			specs = append(specs, withBaseline(spec)...)
 		}
 	}
-	if err := scheduler().Do(tasks...); err != nil {
-		return nil, err
-	}
-	for ai, app := range Apps {
+	s.Prefetch(specs)
+	for _, app := range Apps {
 		row := []string{app.Name}
-		for _, sp := range speedups[ai] {
+		for _, spec := range columns(app) {
+			sp, err := s.Speedup(spec)
+			if err != nil {
+				return nil, err
+			}
 			row = append(row, fmt.Sprintf("%.1f", sp))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	return &Report{ID: "real-das", Title: t.Title, Tables: []*Table{t},
 		Notes: []string{"the paper's testbed could not run this shape; the calibrated simulator can"}}, nil
-}
-
-// speedupOnTopology measures one variant on an arbitrary topology, with the
-// usual 1-CPU baseline.
-func speedupOnTopology(app AppSpec, topo cluster.Topology, optimized bool) (float64, error) {
-	t1, err := Run(app, 1, 1, optimized)
-	if err != nil {
-		return 0, err
-	}
-	var seqr orca.Sequencer
-	if app.Sequencer != nil {
-		seqr = app.Sequencer(optimized)
-	}
-	sys := core.NewSystem(core.Config{Topology: topo, Params: Params, Sequencer: seqr})
-	verify := app.Build(sys, optimized)
-	m, err := sys.Run()
-	if err != nil {
-		return 0, fmt.Errorf("%s on %v opt=%v: %w", app.Name, topo, optimized, err)
-	}
-	if err := verify(); err != nil {
-		return 0, fmt.Errorf("%s on %v opt=%v: %w", app.Name, topo, optimized, err)
-	}
-	if m.Elapsed <= 0 {
-		return 0, fmt.Errorf("%s on %v opt=%v: degenerate run with non-positive elapsed time %v",
-			app.Name, topo, optimized, m.Elapsed)
-	}
-	return t1.Elapsed.Seconds() / m.Elapsed.Seconds(), nil
-}
-
-// aspSpeedupAtSize runs ASP with a non-default matrix size on 4x15 and on
-// one CPU, returning the speedup.
-func aspSpeedupAtSize(n int, optimized bool) (float64, error) {
-	cfg := asp.Default()
-	cfg.N = n
-	run := func(topo cluster.Topology) (float64, error) {
-		sys := core.NewSystem(core.Config{
-			Topology:  topo,
-			Params:    Params,
-			Sequencer: asp.Sequencer(optimized),
-		})
-		verify := asp.Build(sys, cfg)
-		m, err := sys.Run()
-		if err != nil {
-			return 0, err
-		}
-		if err := verify(); err != nil {
-			return 0, err
-		}
-		return m.Elapsed.Seconds(), nil
-	}
-	t1, err := run(cluster.DAS(1, 1))
-	if err != nil {
-		return 0, err
-	}
-	tp, err := run(cluster.DAS(4, 15))
-	if err != nil {
-		return 0, err
-	}
-	if tp <= 0 {
-		return 0, fmt.Errorf("asp n=%d opt=%v: degenerate run with non-positive elapsed time", n, optimized)
-	}
-	return t1 / tp, nil
 }

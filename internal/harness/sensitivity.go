@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"albatross/internal/apps/asp"
 	"albatross/internal/cluster"
 	"albatross/internal/core"
+	"albatross/internal/faults"
 	"albatross/internal/orca"
 )
 
@@ -16,43 +18,6 @@ import (
 // future work." They also reproduce the paper's one explicit slow-network
 // data point: ATPG's optimization only matters on a slower WAN
 // (Section 4.4: "10 ms latency, 2 Mbit/s bandwidth").
-
-// RunOnParams is RunOne with explicit network parameters (not memoized).
-func RunOnParams(app AppSpec, clusters, perCluster int, optimized bool, par cluster.Params) (core.Metrics, error) {
-	var seqr orca.Sequencer
-	if app.Sequencer != nil {
-		seqr = app.Sequencer(optimized)
-	}
-	sys := core.NewSystem(core.Config{
-		Topology:  cluster.DAS(clusters, perCluster),
-		Params:    par,
-		Sequencer: seqr,
-	})
-	verify := app.Build(sys, optimized)
-	m, err := sys.Run()
-	if err != nil {
-		return m, fmt.Errorf("%s %dx%d opt=%v: %w", app.Name, clusters, perCluster, optimized, err)
-	}
-	if err := verify(); err != nil {
-		return m, fmt.Errorf("%s %dx%d opt=%v: %w", app.Name, clusters, perCluster, optimized, err)
-	}
-	return m, nil
-}
-
-// SpeedupOnParams computes a variant's speedup under explicit parameters.
-func SpeedupOnParams(app AppSpec, clusters, perCluster int, optimized bool, par cluster.Params) (float64, error) {
-	// The 1-CPU baseline does not touch the network, so the memoized
-	// default-parameter run is reusable.
-	t1, err := Run(app, 1, 1, optimized)
-	if err != nil {
-		return 0, err
-	}
-	tp, err := RunOnParams(app, clusters, perCluster, optimized, par)
-	if err != nil {
-		return 0, err
-	}
-	return speedupRatio(app, clusters, perCluster, optimized, t1, tp)
-}
 
 // wanScenario is one point of the network-quality sweep.
 type wanScenario struct {
@@ -85,111 +50,89 @@ func wanScenarios() []wanScenario {
 	}
 }
 
-// SensitivityWAN sweeps one application (original and optimized) across the
-// WAN-quality scenarios on the 4x16 platform.
-func SensitivityWAN(appName string) (*Report, error) {
+// wanSweep fills t with one row per scenario: the application's original and
+// optimized speedups on 4x16 under that scenario's network parameters (the
+// 1-CPU baselines do not touch the network, so all scenarios share them).
+func wanSweep(s *Session, t *Table, appName string, scenarios []wanScenario) (*Report, error) {
 	app, err := AppByName(appName)
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
+	on := func(sc wanScenario, optimized bool) RunSpec {
+		spec := s.Spec(app, cluster.DAS(4, 16), optimized)
+		spec.Params = sc.par
+		return spec
+	}
+	var specs []RunSpec
+	for _, sc := range scenarios {
+		specs = append(specs, withBaseline(on(sc, false))...)
+		specs = append(specs, withBaseline(on(sc, true))...)
+	}
+	s.Prefetch(specs)
+	for _, sc := range scenarios {
+		so, err := s.Speedup(on(sc, false))
+		if err != nil {
+			return nil, err
+		}
+		sp, err := s.Speedup(on(sc, true))
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, []string{sc.name,
+			fmt.Sprintf("%.1f", so), fmt.Sprintf("%.1f", sp), fmt.Sprintf("%.2fx", sp/so)})
+	}
+	return &Report{ID: t.ID, Title: t.Title, Tables: []*Table{t}}, nil
+}
+
+// SensitivityWAN sweeps one application (original and optimized) across the
+// WAN-quality scenarios on the 4x16 platform.
+func SensitivityWAN(s *Session, appName string) (*Report, error) {
+	return wanSweep(s, &Table{
 		ID:      "sens-" + appName,
 		Title:   fmt.Sprintf("%s speedup on 4x16 vs wide-area link quality", appName),
 		Headers: []string{"scenario", "original", "optimized", "gain"},
-	}
-	scenarios := wanScenarios()
-	rows := make([][]string, len(scenarios))
-	tasks := make([]func() error, len(scenarios))
-	for i, sc := range scenarios {
-		i, sc := i, sc
-		tasks[i] = func() error {
-			so, err := SpeedupOnParams(app, 4, 16, false, sc.par)
-			if err != nil {
-				return err
-			}
-			sp, err := SpeedupOnParams(app, 4, 16, true, sc.par)
-			if err != nil {
-				return err
-			}
-			rows[i] = []string{
-				sc.name,
-				fmt.Sprintf("%.1f", so),
-				fmt.Sprintf("%.1f", sp),
-				fmt.Sprintf("%.2fx", sp/so),
-			}
-			return nil
-		}
-	}
-	if err := scheduler().Do(tasks...); err != nil {
-		return nil, err
-	}
-	t.Rows = rows
-	return &Report{ID: t.ID, Title: t.Title, Tables: []*Table{t}}, nil
+	}, appName, wanScenarios())
 }
 
 // SensitivityATPG reproduces the paper's Section 4.4 observation: at DAS
 // parameters ATPG's optimization changes little, but on the slower network
 // the original program degrades significantly and the single-RPC-per-
 // cluster reduction recovers it.
-func SensitivityATPG() (*Report, error) {
-	app, err := AppByName("ATPG")
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
+func SensitivityATPG(s *Session) (*Report, error) {
+	rep, err := wanSweep(s, &Table{
 		ID:      "sens-atpg",
 		Title:   "ATPG on 4x16: the optimization only matters on slow networks (paper 4.4)",
 		Headers: []string{"network", "original", "optimized", "gain"},
-	}
-	scenarios := []wanScenario{
+	}, "ATPG", []wanScenario{
 		{"DAS ATM", cluster.DASParams()},
 		{"slow WAN (10ms, 2Mb)", cluster.SlowWANParams()},
-	}
-	rows := make([][]string, len(scenarios))
-	tasks := make([]func() error, len(scenarios))
-	for i, sc := range scenarios {
-		i, sc := i, sc
-		tasks[i] = func() error {
-			so, err := SpeedupOnParams(app, 4, 16, false, sc.par)
-			if err != nil {
-				return err
-			}
-			sp, err := SpeedupOnParams(app, 4, 16, true, sc.par)
-			if err != nil {
-				return err
-			}
-			rows[i] = []string{sc.name,
-				fmt.Sprintf("%.1f", so), fmt.Sprintf("%.1f", sp), fmt.Sprintf("%.2fx", sp/so)}
-			return nil
-		}
-	}
-	if err := scheduler().Do(tasks...); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	t.Rows = rows
-	return &Report{ID: "sens-atpg", Title: t.Title, Tables: []*Table{t},
-		Notes: []string{"paper: at DAS parameters 'speedups were not significantly improved'; on the slower network the original is 'significantly worse'"}}, nil
+	rep.Notes = []string{"paper: at DAS parameters 'speedups were not significantly improved'; on the slower network the original is 'significantly worse'"}
+	return rep, nil
 }
 
 // SensitivityClusters sweeps the cluster count at fixed total CPUs for all
 // applications (original programs) — the "number of clusters" axis.
-func SensitivityClusters() (*Report, error) {
+func SensitivityClusters(s *Session) (*Report, error) {
 	t := &Table{
 		ID:      "sens-clusters",
 		Title:   "Original-program speedup at 48 CPUs vs number of clusters",
 		Headers: []string{"program", "1 cluster", "2 clusters", "4 clusters", "6 clusters"},
 	}
-	var cfgs []RunConfig
+	var specs []RunSpec
 	for _, app := range Apps {
 		for _, c := range []int{1, 2, 4, 6} {
-			cfgs = append(cfgs, speedupConfigs(app, c, 48/c, false)...)
+			specs = append(specs, withBaseline(s.Spec(app, cluster.DAS(c, 48/c), false))...)
 		}
 	}
-	Prefetch(cfgs)
+	s.Prefetch(specs)
 	for _, app := range Apps {
 		row := []string{app.Name}
 		for _, c := range []int{1, 2, 4, 6} {
-			sp, err := Speedup(app, c, 48/c, false)
+			sp, err := s.Speedup(s.Spec(app, cluster.DAS(c, 48/c), false))
 			if err != nil {
 				return nil, err
 			}
@@ -204,36 +147,41 @@ func SensitivityClusters() (*Report, error) {
 // paper's Amdahl's-law discussion in Section 3: growing the problem makes
 // the grain coarser and shrinks the relative WAN overhead, which is exactly
 // why the paper deliberately did *not* grow its inputs.
-func SensitivitySize() (*Report, error) {
+func SensitivitySize(s *Session) (*Report, error) {
 	t := &Table{
 		ID:      "sens-size",
 		Title:   "ASP on 4x15: problem size vs speedup (grain grows with n)",
 		Headers: []string{"matrix size", "original", "optimized"},
 	}
 	sizes := []int{96, 192, 384}
-	speedups := make([][2]float64, len(sizes))
-	var tasks []func() error
-	for ni, n := range sizes {
-		for vi, optimized := range []bool{false, true} {
-			ni, vi, n, optimized := ni, vi, n, optimized
-			tasks = append(tasks, func() error {
-				sp, err := aspSpeedupAtSize(n, optimized)
-				if err != nil {
-					return err
-				}
-				speedups[ni][vi] = sp
-				return nil
-			})
+	// aspAt is ASP with a non-default matrix size, as a one-off application.
+	aspAt := func(n int, optimized bool) RunSpec {
+		cfg := asp.Default()
+		cfg.N = n
+		return s.Spec(AppSpec{
+			Name:      fmt.Sprintf("ASP n=%d", n),
+			Shardable: true,
+			Sequencer: func(opt bool) orca.Sequencer { return asp.Sequencer(opt) },
+			Build:     func(sys *core.System, _ bool) func() error { return asp.Build(sys, cfg) },
+		}, cluster.DAS(4, 15), optimized)
+	}
+	var specs []RunSpec
+	for _, n := range sizes {
+		specs = append(specs, withBaseline(aspAt(n, false))...)
+		specs = append(specs, withBaseline(aspAt(n, true))...)
+	}
+	s.Prefetch(specs)
+	for _, n := range sizes {
+		so, err := s.Speedup(aspAt(n, false))
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err := scheduler().Do(tasks...); err != nil {
-		return nil, err
-	}
-	for ni, n := range sizes {
+		sp, err := s.Speedup(aspAt(n, true))
+		if err != nil {
+			return nil, err
+		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.1f", speedups[ni][0]),
-			fmt.Sprintf("%.1f", speedups[ni][1])})
+			fmt.Sprintf("%d", n), fmt.Sprintf("%.1f", so), fmt.Sprintf("%.1f", sp)})
 	}
 	return &Report{ID: "sens-size", Title: t.Title, Tables: []*Table{t},
 		Notes: []string{"paper §3: 'choosing a bigger problem size can reduce the relative impact of overheads such as communication latencies'"}}, nil
@@ -244,75 +192,55 @@ func SensitivitySize() (*Report, error) {
 // time, a 50 ms burst at 3x latency and quarter bandwidth) and a loaded
 // gateway stack — conditions closer to the paper's "ordinary Internet"
 // measurement than the dedicated ATM PVCs.
-func SensitivityCongestion() (*Report, error) {
+func SensitivityCongestion(s *Session) (*Report, error) {
 	t := &Table{
 		ID:      "sens-congestion",
 		Title:   "Time-varying WAN on 4x16: congestion waves + loaded gateways",
 		Headers: []string{"app", "variant", "steady (s)", "congested (s)", "slowdown"},
 	}
-	congested := func(at time.Duration) (float64, float64) {
-		if at%(100*time.Millisecond) < 50*time.Millisecond {
-			return 3, 0.25
-		}
-		return 1, 1
+	congested := func(sys *core.System, _ *faults.Injector) {
+		sys.Net.SetWANProfile(func(at time.Duration) (float64, float64) {
+			if at%(100*time.Millisecond) < 50*time.Millisecond {
+				return 3, 0.25
+			}
+			return 1, 1
+		})
 	}
 	type variantKey struct {
-		name      string
+		app       AppSpec
 		optimized bool
 	}
 	var variants []variantKey
 	for _, name := range []string{"Water", "SOR"} {
-		for _, optimized := range []bool{false, true} {
-			variants = append(variants, variantKey{name, optimized})
+		app, err := AppByName(name)
+		if err != nil {
+			return nil, err
 		}
+		variants = append(variants, variantKey{app, false}, variantKey{app, true})
 	}
 	secs := make([][2]float64, len(variants))
 	var tasks []func() error
 	for vi, v := range variants {
-		for pi, useProfile := range []bool{false, true} {
-			vi, pi, v, useProfile := vi, pi, v, useProfile
-			tasks = append(tasks, func() error {
-				app, err := AppByName(v.name)
-				if err != nil {
-					return err
-				}
-				variant := "original"
-				if v.optimized {
-					variant = "optimized"
-				}
-				par := cluster.DASParams()
-				if useProfile {
-					par.GatewayCost = 40 * time.Microsecond
-				}
-				sys := core.NewSystem(core.Config{
-					Topology: cluster.DAS(4, 16),
-					Params:   par,
-				})
-				if useProfile {
-					sys.Net.SetWANProfile(congested)
-				}
-				verify := app.Build(sys, v.optimized)
-				m, err := sys.Run()
-				if err != nil {
-					return fmt.Errorf("sens-congestion %s %s: %w", v.name, variant, err)
-				}
-				if err := verify(); err != nil {
-					return fmt.Errorf("sens-congestion %s %s: %w", v.name, variant, err)
-				}
-				secs[vi][pi] = m.Seconds()
-				return nil
-			})
-		}
+		vi, spec := vi, s.Spec(v.app, cluster.DAS(4, 16), v.optimized)
+		tasks = append(tasks, func() error {
+			m, err := s.Run(spec)
+			secs[vi][0] = m.Seconds()
+			return err
+		}, func() error {
+			// The WAN profile is a function value, so it rides in as a
+			// hook and the run stays out of the cache.
+			spec := spec
+			spec.Params.GatewayCost = 40 * time.Microsecond
+			m, err := s.Exec(spec, congested)
+			secs[vi][1] = m.Seconds()
+			return err
+		})
 	}
-	if err := scheduler().Do(tasks...); err != nil {
+	if err := s.do(tasks...); err != nil {
 		return nil, err
 	}
 	for vi, v := range variants {
-		variant := "original"
-		if v.optimized {
-			variant = "optimized"
-		}
-		t.Rows = append(t.Rows, []string{v.name, variant,
+		t.Rows = append(t.Rows, []string{v.app.Name, variantName(v.optimized),
 			fmt.Sprintf("%.3f", secs[vi][0]),
 			fmt.Sprintf("%.3f", secs[vi][1]),
 			fmt.Sprintf("%.2fx", secs[vi][1]/secs[vi][0])})

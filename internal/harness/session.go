@@ -1,0 +1,220 @@
+package harness
+
+import (
+	"fmt"
+	"runtime"
+	"sort"
+	"sync"
+
+	"albatross/internal/cluster"
+	"albatross/internal/sim"
+)
+
+// Session carries the three run-wide settings and owns the state runs share:
+// the singleflight result cache, the bounded worker pool, and the
+// sharded-engine usage aggregate. The zero value is ready to use (sequential
+// engine, plain gateways, GOMAXPROCS workers); a Session must not be copied
+// after first use. Experiments follow collect-then-render: submit the full
+// run set through Prefetch (or do), then render rows sequentially from the
+// memoized results, so report output is byte-identical at any Workers.
+type Session struct {
+	// Workers bounds how many runs execute concurrently; non-positive
+	// selects GOMAXPROCS. Every run builds a private engine and system, so
+	// runs share no simulation state.
+	Workers int
+	// Shards and Transport are what Spec stamps on the runs it describes:
+	// the engine shard count (results are byte-identical at any value) and
+	// the gateway transport layer (off reproduces the paper's gateways).
+	Shards    int
+	Transport Transport
+
+	mu    sync.Mutex
+	cache map[runKey]*runEntry
+	usage map[string]*ShardUsage
+}
+
+// runEntry is one cache slot; done is closed once res/err are final.
+type runEntry struct {
+	done chan struct{}
+	res  Result
+	err  error
+}
+
+// Spec describes one application variant on a platform with the harness
+// parameter set and the session's engine and transport settings. Callers
+// adjust the returned value (Params, Faults, an explicit Transport{}) before
+// running it; the session reads nothing else from itself at run time.
+func (s *Session) Spec(app AppSpec, topo cluster.Topology, optimized bool) RunSpec {
+	return RunSpec{App: app, Topo: topo, Optimized: optimized,
+		Params: Params, Transport: s.Transport, Shards: s.Shards}
+}
+
+// Exec is the package-level Exec, additionally folding a sharded run's
+// per-LP counters into the session's usage aggregate. Use it for runs that
+// carry hooks or report through captured variables; everything else goes
+// through Run.
+func (s *Session) Exec(spec RunSpec, hooks ...Hook) (Result, error) {
+	res, err := Exec(spec, hooks...)
+	if res.LPs != nil && err == nil {
+		s.recordShardUsage(spec.App.Name, res)
+	}
+	return res, err
+}
+
+// Run is Exec with memoization: the summary figures and tables reuse many of
+// the same configurations. It is safe for concurrent use and singleflight —
+// concurrent callers of an equal spec share one execution (errors included,
+// which a deterministic simulation reproduces anyway), the first caller
+// running the simulation while the rest wait on its entry.
+func (s *Session) Run(spec RunSpec) (Result, error) {
+	k := spec.key()
+	s.mu.Lock()
+	e, ok := s.cache[k]
+	if ok {
+		s.mu.Unlock()
+		<-e.done
+		return e.res, e.err
+	}
+	if s.cache == nil {
+		s.cache = map[runKey]*runEntry{}
+	}
+	e = &runEntry{done: make(chan struct{})}
+	s.cache[k] = e
+	s.mu.Unlock()
+	e.res, e.err = s.Exec(spec)
+	close(e.done)
+	return e.res, e.err
+}
+
+// Speedup returns T(1 CPU)/T(spec) for the spec's variant. A degenerate
+// zero-elapsed run surfaces as an error, not as a silent +Inf in a report.
+func (s *Session) Speedup(spec RunSpec) (float64, error) {
+	t1, err := s.Run(baseline(spec))
+	if err != nil {
+		return 0, err
+	}
+	tp, err := s.Run(spec)
+	if err != nil {
+		return 0, err
+	}
+	if tp.Elapsed <= 0 {
+		return 0, fmt.Errorf("harness: %s: degenerate run with non-positive elapsed time %v", spec, tp.Elapsed)
+	}
+	return t1.Elapsed.Seconds() / tp.Elapsed.Seconds(), nil
+}
+
+// Prefetch warms the cache for every spec concurrently on the worker pool.
+// Failures are not reported here: they are memoized and deterministically
+// re-surface, in sequential order, when the render pass calls Run or Speedup
+// for the same spec.
+func (s *Session) Prefetch(specs []RunSpec) {
+	// Duplicates (shared baselines) are dropped first: a second caller of an
+	// in-flight spec would only park a worker on its entry.
+	seen := map[runKey]bool{}
+	var tasks []func() error
+	for _, sp := range specs {
+		sp := sp
+		if k := sp.key(); !seen[k] {
+			seen[k] = true
+			tasks = append(tasks, func() error {
+				_, err := s.Run(sp)
+				return err
+			})
+		}
+	}
+	_ = s.do(tasks...)
+}
+
+// do runs all tasks, at most Workers at a time, and waits for every one to
+// finish. A task panic is converted into an error. The returned error is
+// that of the earliest-indexed failing task — the same one a sequential
+// loop stopping at the first failure would report.
+func (s *Session) do(tasks ...func() error) error {
+	workers := s.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	errs := make([]error, len(tasks))
+	run := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = fmt.Errorf("harness: task %d panicked: %v", i, r)
+			}
+		}()
+		errs[i] = tasks[i]()
+	}
+	if workers == 1 || len(tasks) <= 1 {
+		for i := range tasks {
+			run(i)
+		}
+	} else {
+		sem := make(chan struct{}, workers)
+		var wg sync.WaitGroup
+		for i := range tasks {
+			sem <- struct{}{}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				run(i)
+			}(i)
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// recordShardUsage folds one sharded run's counters into the session
+// aggregate, along with the run's virtual elapsed time and wall-clock
+// duration. Runs may execute concurrently on the worker pool.
+func (s *Session) recordShardUsage(app string, res Result) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	u := s.usage[app]
+	if u == nil {
+		if s.usage == nil {
+			s.usage = map[string]*ShardUsage{}
+		}
+		u = &ShardUsage{App: app}
+		s.usage[app] = u
+	}
+	u.Runs++
+	u.Virtual += res.Elapsed
+	u.Wall += res.Wall
+	// Shapes with different cluster counts shard into different LP counts;
+	// grow the aggregate to the widest run seen.
+	for len(u.LPs) < len(res.LPs) {
+		u.LPs = append(u.LPs, sim.LPStats{LP: len(u.LPs)})
+	}
+	for i, st := range res.LPs {
+		u.LPs[i].Windows += st.Windows
+		u.LPs[i].IdleWindows += st.IdleWindows
+		u.LPs[i].Chained += st.Chained
+		u.LPs[i].Events += st.Events
+		u.LPs[i].FenceWait += st.FenceWait
+	}
+}
+
+// ShardUsageReport returns the aggregated counters of every application that
+// ran sharded in this session, sorted by name for stable output. It returns
+// nil when nothing ran on the parallel engine.
+func (s *Session) ShardUsageReport() []ShardUsage {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.usage) == 0 {
+		return nil
+	}
+	out := make([]ShardUsage, 0, len(s.usage))
+	for _, u := range s.usage {
+		cp := *u
+		cp.LPs = append([]sim.LPStats(nil), u.LPs...)
+		out = append(out, cp)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
+	return out
+}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"albatross/internal/cluster"
-	"albatross/internal/core"
 	"albatross/internal/faults"
 	"albatross/internal/orca"
 )
@@ -23,41 +22,16 @@ func readGolden(t *testing.T, id string) string {
 	return string(b)
 }
 
-// runFreshSharded executes one configuration on a brand-new system with the
-// given engine-shard count (0 = sequential), returning the metrics and the
-// dispatched-event count. Non-shardable applications get shards forced to 0,
-// exactly as the harness's Shardable fallback does. A non-nil fault plan
-// installs a seeded injector plus the reliability layer, so the identity
-// sweep also covers runs under chaos.
-func runFreshSharded(t *testing.T, app AppSpec, topo cluster.Topology, optimized bool, shards int, plan *faults.Plan) (core.Metrics, uint64) {
-	t.Helper()
-	if !app.Shardable {
-		shards = 0
-	}
-	var seqr orca.Sequencer
-	if app.Sequencer != nil {
-		seqr = app.Sequencer(optimized)
-	}
-	sys := core.NewSystem(core.Config{
-		Topology:  topo,
-		Params:    Params,
-		Sequencer: seqr,
-		Shards:    shards,
-	})
+// identitySpec describes one run of the identity sweeps: the given engine
+// shard count (0 = sequential) and, with a non-nil fault plan, a seeded
+// injector plus the reliability layer, so the sweeps also cover runs under
+// chaos.
+func identitySpec(app AppSpec, topo cluster.Topology, optimized bool, shards int, plan *faults.Plan) RunSpec {
+	spec := (&Session{Shards: shards}).Spec(app, topo, optimized)
 	if plan != nil {
-		sys.Net.SetFaultPolicy(faults.MustInjector(*plan))
-		sys.RTS.EnableReliability(orca.RelConfig{RTO: 100 * time.Millisecond})
-		sys.Engine.SetDeadline(chaosDeadline)
+		spec.Faults, spec.Rel, spec.Deadline = plan, orca.RelConfig{RTO: 100 * time.Millisecond}, chaosDeadline
 	}
-	verify := app.Build(sys, optimized)
-	m, err := sys.Run()
-	if err != nil {
-		t.Fatalf("%s opt=%v shards=%d: %v", app.Name, optimized, shards, err)
-	}
-	if err := verify(); err != nil {
-		t.Fatalf("%s opt=%v shards=%d: %v", app.Name, optimized, shards, err)
-	}
-	return m, sys.Engine.Dispatched()
+	return spec
 }
 
 // identityTieredTopo is the non-uniform multi-tier platform of the identity
@@ -130,17 +104,17 @@ func TestShardedIdentityAllApps(t *testing.T) {
 	for _, pf := range platforms {
 		for _, app := range Apps {
 			for _, opt := range []bool{false, true} {
-				seqM, seqD := runFreshSharded(t, app, pf.topo, opt, 0, pf.plan)
-				seqDump := fmt.Sprintf("%+v", seqM)
+				seq := mustExec(t, identitySpec(app, pf.topo, opt, 0, pf.plan))
+				seqDump := fmt.Sprintf("%+v", seq.Metrics)
 				for rep := 0; rep < pf.reps; rep++ {
-					m, d := runFreshSharded(t, app, pf.topo, opt, 4, pf.plan)
-					if m.Elapsed != seqM.Elapsed {
-						t.Errorf("%s %s opt=%v rep %d: elapsed %v, want %v", pf.name, app.Name, opt, rep, m.Elapsed, seqM.Elapsed)
+					sh := mustExec(t, identitySpec(app, pf.topo, opt, 4, pf.plan))
+					if sh.Elapsed != seq.Elapsed {
+						t.Errorf("%s %s opt=%v rep %d: elapsed %v, want %v", pf.name, app.Name, opt, rep, sh.Elapsed, seq.Elapsed)
 					}
-					if d != seqD {
-						t.Errorf("%s %s opt=%v rep %d: dispatched %d, want %d", pf.name, app.Name, opt, rep, d, seqD)
+					if sh.Dispatched != seq.Dispatched {
+						t.Errorf("%s %s opt=%v rep %d: dispatched %d, want %d", pf.name, app.Name, opt, rep, sh.Dispatched, seq.Dispatched)
 					}
-					if dump := fmt.Sprintf("%+v", m); dump != seqDump {
+					if dump := fmt.Sprintf("%+v", sh.Metrics); dump != seqDump {
 						t.Errorf("%s %s opt=%v rep %d: metrics differ from sequential\n got: %s\nwant: %s",
 							pf.name, app.Name, opt, rep, dump, seqDump)
 					}
@@ -148,27 +122,6 @@ func TestShardedIdentityAllApps(t *testing.T) {
 			}
 		}
 	}
-}
-
-// runFreshSeqr is runFreshSharded with an explicit sequencer protocol
-// instead of the application's own choice.
-func runFreshSeqr(t *testing.T, app AppSpec, seqr orca.Sequencer, clusters, perCluster int, optimized bool, shards int) (core.Metrics, uint64) {
-	t.Helper()
-	sys := core.NewSystem(core.Config{
-		Topology:  cluster.DAS(clusters, perCluster),
-		Params:    Params,
-		Sequencer: seqr,
-		Shards:    shards,
-	})
-	verify := app.Build(sys, optimized)
-	m, err := sys.Run()
-	if err != nil {
-		t.Fatalf("%s seqr=%s opt=%v shards=%d: %v", app.Name, seqr.Name(), optimized, shards, err)
-	}
-	if err := verify(); err != nil {
-		t.Fatalf("%s seqr=%s opt=%v shards=%d: %v", app.Name, seqr.Name(), optimized, shards, err)
-	}
-	return m, sys.Engine.Dispatched()
 }
 
 // TestShardedSequencerIdentity crosses the newly shardable applications with
@@ -193,14 +146,16 @@ func TestShardedSequencerIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mk := range protocols {
+			// The protocol under test replaces the application's own choice.
+			app.Sequencer = func(bool) orca.Sequencer { return mk() }
 			for _, opt := range []bool{false, true} {
-				seqM, seqD := runFreshSeqr(t, app, mk(), 4, 2, opt, 0)
-				m, d := runFreshSeqr(t, app, mk(), 4, 2, opt, 4)
-				if m.Elapsed != seqM.Elapsed || d != seqD {
+				seq := mustExec(t, identitySpec(app, cluster.DAS(4, 2), opt, 0, nil))
+				sh := mustExec(t, identitySpec(app, cluster.DAS(4, 2), opt, 4, nil))
+				if sh.Elapsed != seq.Elapsed || sh.Dispatched != seq.Dispatched {
 					t.Errorf("%s seqr=%s opt=%v: sharded (%v, %d events) != sequential (%v, %d events)",
-						name, mk().Name(), opt, m.Elapsed, d, seqM.Elapsed, seqD)
+						name, mk().Name(), opt, sh.Elapsed, sh.Dispatched, seq.Elapsed, seq.Dispatched)
 				}
-				if got, want := fmt.Sprintf("%+v", m), fmt.Sprintf("%+v", seqM); got != want {
+				if got, want := fmt.Sprintf("%+v", sh.Metrics), fmt.Sprintf("%+v", seq.Metrics); got != want {
 					t.Errorf("%s seqr=%s opt=%v: metrics differ from sequential\n got: %s\nwant: %s",
 						name, mk().Name(), opt, got, want)
 				}
@@ -218,12 +173,7 @@ func TestShardedGoldenReport(t *testing.T) {
 		t.Skip("golden experiments are long in -short mode")
 	}
 	want := readGolden(t, "fig7")
-	ResetCache()
-	prevShards := SetShards(4)
-	got := goldenOutput(t, "fig7")
-	SetShards(prevShards)
-	ResetCache()
-	if got != want {
+	if got := goldenOutput(t, &Session{Shards: 4}, "fig7"); got != want {
 		t.Errorf("fig7 with shards=4: output differs from sequential golden file\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

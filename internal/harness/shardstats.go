@@ -1,15 +1,13 @@
 package harness
 
 import (
-	"sort"
-	"sync"
 	"time"
 
 	"albatross/internal/sim"
 )
 
 // ShardUsage aggregates the per-LP window counters of every sharded run one
-// application executed in this harness session: windows and events are
+// application executed in one Session: windows and events are
 // summed per LP index, fence waits accumulate wall-clock time, and the
 // run-level virtual and wall-clock durations are summed so derived rates
 // (window width, windows per simulated second, fence-wait share) can be
@@ -50,63 +48,4 @@ func (u ShardUsage) FenceWaitShare(lp sim.LPStats) float64 {
 		return 0
 	}
 	return float64(lp.FenceWait) / float64(u.Wall)
-}
-
-var (
-	shardUsageMu sync.Mutex
-	shardUsage   = map[string]*ShardUsage{}
-)
-
-// recordShardUsage folds one sharded run's counters into the session
-// aggregate, along with the run's virtual elapsed time and wall-clock
-// duration. Runs may execute concurrently under SetParallelism.
-func recordShardUsage(app string, st []sim.LPStats, virtual, wall time.Duration) {
-	shardUsageMu.Lock()
-	defer shardUsageMu.Unlock()
-	u := shardUsage[app]
-	if u == nil {
-		u = &ShardUsage{App: app}
-		shardUsage[app] = u
-	}
-	u.Runs++
-	u.Virtual += virtual
-	u.Wall += wall
-	// Shapes with different cluster counts shard into different LP counts;
-	// grow the aggregate to the widest run seen.
-	for len(u.LPs) < len(st) {
-		u.LPs = append(u.LPs, sim.LPStats{LP: len(u.LPs)})
-	}
-	for i, s := range st {
-		u.LPs[i].Windows += s.Windows
-		u.LPs[i].IdleWindows += s.IdleWindows
-		u.LPs[i].Chained += s.Chained
-		u.LPs[i].Events += s.Events
-		u.LPs[i].FenceWait += s.FenceWait
-	}
-}
-
-// ShardUsageReport returns the aggregated counters of every application that
-// ran sharded so far, sorted by name for stable output. It returns nil when
-// nothing ran on the parallel engine.
-func ShardUsageReport() []ShardUsage {
-	shardUsageMu.Lock()
-	defer shardUsageMu.Unlock()
-	out := make([]ShardUsage, 0, len(shardUsage))
-	for _, u := range shardUsage {
-		cp := *u
-		cp.LPs = append([]sim.LPStats(nil), u.LPs...)
-		out = append(out, cp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// ResetShardUsage clears the aggregate (tests use it for isolation).
-func ResetShardUsage() {
-	shardUsageMu.Lock()
-	defer shardUsageMu.Unlock()
-	shardUsage = map[string]*ShardUsage{}
 }

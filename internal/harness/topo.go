@@ -5,47 +5,15 @@ import (
 	"time"
 
 	"albatross/internal/cluster"
-	"albatross/internal/core"
-	"albatross/internal/orca"
 )
 
-// RunTopoOne executes one application variant on an arbitrary topology —
-// heterogeneous cluster sizes, tiered WAN graphs from the topology DSL, or
-// both — with an explicit transport configuration. It honors the harness-wide
-// shard setting exactly like RunOneT, and verifies the run against the
-// application's sequential reference.
-func RunTopoOne(app AppSpec, topo cluster.Topology, optimized bool, tr Transport) (core.Metrics, error) {
-	var seqr orca.Sequencer
-	if app.Sequencer != nil {
-		seqr = app.Sequencer(optimized)
-	}
-	sys := core.NewSystem(core.Config{
-		Topology:  topo,
-		Params:    applyTransport(Params, tr),
-		Sequencer: seqr,
-		Shards:    effectiveShards(app, topo.Clusters),
-	})
-	verify := app.Build(sys, optimized)
-	wall := time.Now()
-	m, err := sys.Run()
-	ran := time.Since(wall)
-	if err != nil {
-		return m, fmt.Errorf("%s on %s opt=%v: %w", app.Name, topo, optimized, err)
-	}
-	if err := verify(); err != nil {
-		return m, fmt.Errorf("%s on %s opt=%v: %w", app.Name, topo, optimized, err)
-	}
-	if st := sys.ShardStats(); st != nil {
-		recordShardUsage(app.Name, st, m.Elapsed, ran)
-	}
-	return m, nil
-}
-
-// TopoReport runs each listed application (both variants) on the topology and
-// reports elapsed time, WAN traffic, and the per-link-class statistics the
-// sparse network keeps: transmissions, queueing-delay distribution (mean and
-// streaming P99), and link busy time per declared capacity class.
-func TopoReport(topo cluster.Topology, apps []AppSpec, tr Transport) (*Report, error) {
+// TopoReport runs each listed application (both variants) on an arbitrary
+// topology — heterogeneous cluster sizes, tiered WAN graphs from the topology
+// DSL, or both — and reports elapsed time, WAN traffic, and the
+// per-link-class statistics the sparse network keeps: transmissions,
+// queueing-delay distribution (mean and streaming P99), and link busy time
+// per declared capacity class.
+func TopoReport(s *Session, topo cluster.Topology, apps []AppSpec) (*Report, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -62,11 +30,8 @@ func TopoReport(topo cluster.Topology, apps []AppSpec, tr Transport) (*Report, e
 	}
 	for _, app := range apps {
 		for _, optimized := range []bool{false, true} {
-			variant := "original"
-			if optimized {
-				variant = "optimized"
-			}
-			m, err := RunTopoOne(app, topo, optimized, tr)
+			variant := variantName(optimized)
+			m, err := s.Run(s.Spec(app, topo, optimized))
 			if err != nil {
 				return nil, err
 			}

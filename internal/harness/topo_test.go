@@ -21,7 +21,7 @@ func topoGoldenOutput(t *testing.T) string {
 		}
 		apps = append(apps, app)
 	}
-	rep, err := TopoReport(cluster.Irregular(8, 16, 32), apps, Transport{})
+	rep, err := TopoReport(&Session{}, cluster.Irregular(8, 16, 32), apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTopoReportTieredClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := TopoReport(identityTieredTopo(t), []AppSpec{app}, Transport{})
+	rep, err := TopoReport(&Session{}, identityTieredTopo(t), []AppSpec{app})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestTopoReportTransportTiered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := TopoReport(identityTieredTopo(t), []AppSpec{app}, DefaultTransport)
+	rep, err := TopoReport(&Session{Transport: DefaultTransport}, identityTieredTopo(t), []AppSpec{app})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,30 +109,24 @@ func TestTopoReportRejectsInvalid(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := cluster.Topology{Clusters: 2, NodesPerCluster: 0}
-	if _, err := TopoReport(bad, []AppSpec{app}, Transport{}); err == nil {
+	if _, err := TopoReport(&Session{}, bad, []AppSpec{app}); err == nil {
 		t.Fatal("invalid topology accepted")
 	}
 }
 
-// TestRunTopoShardedIdentity spot-checks that RunTopoOne under the
-// harness-wide shard setting reproduces the sequential metrics on a DSL
-// topology, the same invariant the full sweep in shard_test.go proves
-// app-by-app.
+// TestRunTopoShardedIdentity spot-checks that a run under a session's shard
+// setting reproduces the sequential metrics on a DSL topology, the same
+// invariant the full sweep in shard_test.go proves app-by-app.
 func TestRunTopoShardedIdentity(t *testing.T) {
 	app, err := AppByName("ASP")
 	if err != nil {
 		t.Fatal(err)
 	}
 	topo := identityTieredTopo(t)
-	seq, err := RunTopoOne(app, topo, true, Transport{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := SetShards(4)
-	defer SetShards(prev)
-	sh, err := RunTopoOne(app, topo, true, Transport{})
-	if err != nil {
-		t.Fatal(err)
+	seq := mustExec(t, (&Session{}).Spec(app, topo, true))
+	sh := mustExec(t, (&Session{Shards: 4}).Spec(app, topo, true))
+	if sh.LPs == nil {
+		t.Error("shard setting did not reach the engine")
 	}
 	if seq.Elapsed != sh.Elapsed {
 		t.Errorf("sharded elapsed %v != sequential %v", sh.Elapsed, seq.Elapsed)

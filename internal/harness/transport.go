@@ -1,6 +1,10 @@
 package harness
 
-import "fmt"
+import (
+	"fmt"
+
+	"albatross/internal/cluster"
+)
 
 // TransportReport measures how much of the paper's application-optimization
 // gap the transparent gateway transport layer (frame coalescing + multipath
@@ -8,75 +12,48 @@ import "fmt"
 // wide-area speedup of the original program, of the hand-optimized program,
 // and of the original program on the transport-optimized runtime, plus the
 // transport run's wire-level packing statistics.
-func TransportReport() (*Report, error) {
-	return transportTable("transport", 4, 16, DefaultTransport)
+func TransportReport(s *Session) (*Report, error) {
+	return transportTable(s, "transport", 4, 16, DefaultTransport)
 }
 
-// transportTable builds the three-variant table on one platform shape.
-// The original and transport-opt variants share the original program's 1-CPU
-// baseline (the transport layer is inert on a single cluster); the app-opt
-// variant uses its own, as the paper computes speedups.
-func transportTable(id string, clusters, perCluster int, tr Transport) (*Report, error) {
+// transportTable builds the three-variant table on one platform shape. Every
+// run names its transport explicitly, whatever the session's setting: off for
+// the original and hand-optimized programs, tr for the transport-opt column,
+// which therefore shares the original program's 1-CPU baseline (the
+// transport layer is inert on a single cluster).
+func transportTable(s *Session, id string, clusters, perCluster int, tr Transport) (*Report, error) {
 	t := &Table{
 		ID: id,
 		Title: fmt.Sprintf("Runtime transport optimization vs application rewrites (%dx%d, frames %dB/%v/%d streams)",
 			clusters, perCluster, tr.MaxFrameBytes, tr.CoalesceWindow, tr.WANStreams),
 		Headers: []string{"Application", "orig", "app-opt", "transport-opt", "WAN msgs", "WAN frames", "packing"},
 	}
-	off := Transport{}
-	var tasks []func() error
-	for _, app := range Apps {
-		app := app
-		for _, run := range []struct {
-			c, p int
-			opt  bool
-			tr   Transport
-		}{
-			{1, 1, false, off},
-			{1, 1, true, off},
-			{clusters, perCluster, false, off},
-			{clusters, perCluster, true, off},
-			{clusters, perCluster, false, tr},
-		} {
-			run := run
-			tasks = append(tasks, func() error {
-				_, err := RunT(app, run.c, run.p, run.opt, run.tr)
-				return err
-			})
-		}
+	variant := func(app AppSpec, optimized bool, tr Transport) RunSpec {
+		spec := s.Spec(app, cluster.DAS(clusters, perCluster), optimized)
+		spec.Transport = tr
+		return spec
 	}
-	// Prefetch concurrently; errors re-surface deterministically below.
-	_ = scheduler().Do(tasks...)
+	var specs []RunSpec
 	for _, app := range Apps {
-		t1o, err := RunT(app, 1, 1, false, off)
+		specs = append(specs, withBaseline(variant(app, false, Transport{}))...)
+		specs = append(specs, withBaseline(variant(app, true, Transport{}))...)
+		specs = append(specs, variant(app, false, tr))
+	}
+	s.Prefetch(specs)
+	for _, app := range Apps {
+		spO, err := s.Speedup(variant(app, false, Transport{}))
 		if err != nil {
 			return nil, err
 		}
-		t1a, err := RunT(app, 1, 1, true, off)
+		spA, err := s.Speedup(variant(app, true, Transport{}))
 		if err != nil {
 			return nil, err
 		}
-		mo, err := RunT(app, clusters, perCluster, false, off)
+		spT, err := s.Speedup(variant(app, false, tr))
 		if err != nil {
 			return nil, err
 		}
-		ma, err := RunT(app, clusters, perCluster, true, off)
-		if err != nil {
-			return nil, err
-		}
-		mt, err := RunT(app, clusters, perCluster, false, tr)
-		if err != nil {
-			return nil, err
-		}
-		spO, err := speedupRatio(app, clusters, perCluster, false, t1o, mo)
-		if err != nil {
-			return nil, err
-		}
-		spA, err := speedupRatio(app, clusters, perCluster, true, t1a, ma)
-		if err != nil {
-			return nil, err
-		}
-		spT, err := speedupRatio(app, clusters, perCluster, false, t1o, mt)
+		mt, err := s.Run(variant(app, false, tr))
 		if err != nil {
 			return nil, err
 		}

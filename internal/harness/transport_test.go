@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"albatross/internal/cluster"
 )
 
 // TestTransportPackingAcceptance pins the headline claim of the gateway
@@ -16,10 +18,7 @@ func TestTransportPackingAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunT(app, 2, 8, false, DefaultTransport)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustExec(t, (&Session{Transport: DefaultTransport}).Spec(app, cluster.DAS(2, 8), false))
 	frames := m.Net.WANFrames()
 	if frames.Msgs == 0 {
 		t.Fatal("transport on but no frames on the wire")
@@ -31,10 +30,7 @@ func TestTransportPackingAcceptance(t *testing.T) {
 	// The same run without the transport layer must put every intercluster
 	// message on the wire individually: frames count strictly below msgs/5
 	// means >= 5x fewer WAN transmissions.
-	off, err := RunT(app, 2, 8, false, Transport{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := mustExec(t, (&Session{}).Spec(app, cluster.DAS(2, 8), false))
 	if off.Net.WANFrames().Msgs != 0 || off.Net.FramedMsgs() != 0 {
 		t.Errorf("transport off but frame counters nonzero: %+v", off.Net.WANFrames())
 	}
@@ -46,55 +42,21 @@ func TestTransportPackingAcceptance(t *testing.T) {
 }
 
 // TestTransportOffMatchesBaseline proves the zero-value transport is truly
-// inert: a RunT with the zero Transport must reproduce the plain run's
-// metrics byte-for-byte (same virtual end time, same stats rendering).
+// inert: folding the zero Transport over a parameter set that had transport
+// fields set must reproduce the plain run's metrics byte-for-byte (same
+// virtual end time, same stats rendering).
 func TestTransportOffMatchesBaseline(t *testing.T) {
 	for _, name := range []string{"RA", "ASP"} {
-		app, err := AppByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, dispatched := runFresh(t, name, 2, 4)
-		m, err := RunOneT(app, 2, 4, false, Transport{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		base := mustExec(t, freshSpec(t, name, 2, 4))
+		spec := freshSpec(t, name, 2, 4)
+		spec.Params = applyTransport(spec.Params, DefaultTransport)
+		m := mustExec(t, spec) // spec.Transport is zero and wins
 		if m.Elapsed != base.Elapsed {
 			t.Errorf("%s: zero transport elapsed %v, baseline %v", name, m.Elapsed, base.Elapsed)
 		}
 		if got, want := m.Net.String(), base.Net.String(); got != want {
 			t.Errorf("%s: zero transport stats differ from baseline\n got: %s\nwant: %s", name, got, want)
 		}
-		_ = dispatched
-	}
-}
-
-// TestTransportCacheKeysDistinct guards the singleflight cache against
-// aliasing runs with different transport settings: RA with coalescing on is a
-// different simulation (different virtual end time) than with it off, and both
-// must be served from their own cache slots.
-func TestTransportCacheKeysDistinct(t *testing.T) {
-	app, err := AppByName("RA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := RunT(app, 2, 8, false, DefaultTransport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := RunT(app, 2, 8, false, Transport{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Elapsed == off.Elapsed && on.Net.String() == off.Net.String() {
-		t.Error("transport on and off produced identical runs; cache keys may alias")
-	}
-	again, err := RunT(app, 2, 8, false, DefaultTransport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Elapsed != on.Elapsed {
-		t.Errorf("memoized transport run changed: %v then %v", on.Elapsed, again.Elapsed)
 	}
 }
 
@@ -106,7 +68,7 @@ func TestTransportTableRenders(t *testing.T) {
 		t.Skip("full transport table is long in -short mode")
 	}
 	tr := Transport{MaxFrameBytes: 32 << 10, CoalesceWindow: 500 * time.Microsecond, WANStreams: 2}
-	rep, err := transportTable("transport-test", 2, 4, tr)
+	rep, err := transportTable(&Session{}, "transport-test", 2, 4, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
