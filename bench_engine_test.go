@@ -278,22 +278,27 @@ func BenchmarkEngineShardedWindows(b *testing.B) {
 	e := sim.NewEngine()
 	lps := e.Shard(4)
 	e.SetLookahead(time.Millisecond)
-	total := 0
+	ran := make([]int, len(lps)) // per LP, written once: the LPs tick concurrently
 	per := b.N/len(lps) + 1
-	for _, lp := range lps {
-		lp := lp
+	for i, lp := range lps {
+		i, lp := i, lp
 		n := 0
 		var tick func()
 		tick = func() {
-			total++
 			if n++; n < per {
 				lp.At(lp.Now()+100*time.Microsecond, tick)
+			} else {
+				ran[i] = n
 			}
 		}
 		lp.At(100*time.Microsecond, tick)
 	}
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+	total := 0
+	for _, n := range ran {
+		total += n
 	}
 	if total < b.N {
 		b.Fatalf("ran %d events, want >= %d", total, b.N)

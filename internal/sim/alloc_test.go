@@ -1,0 +1,76 @@
+//go:build !race
+
+// Alloc-regression budget for the process switch. Everything a switch needs
+// is built once per process at spawn: the resume thunk, the coroutine and
+// its next/yield pair. Parking, waking and sleeping then only flip state and
+// push the thunk on the ready ring or the heap, so a steady-state switch
+// must allocate nothing.
+//
+// Excluded under the race detector: instrumentation inflates allocation
+// counts and the budget is meaningless there.
+package sim
+
+import (
+	"testing"
+	"time"
+)
+
+func TestAllocProcSwitch(t *testing.T) {
+	cases := []struct {
+		name string
+		body func(p *Proc) // one cycle, after the kick's own park/wake
+	}{
+		{"park-wake", func(*Proc) {}},
+		{"sleep", func(p *Proc) { p.Sleep(time.Microsecond) }},
+		{"yield", func(p *Proc) { p.Yield() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			defer e.Shutdown()
+			kick := NewMailbox(e, "kick")
+			e.Go("switcher", func(p *Proc) {
+				p.SetDaemon(true)
+				for {
+					kick.Get(p)
+					tc.body(p)
+				}
+			})
+			var tok any = "kick"
+			step := func() {
+				kick.Put(tok)
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 16; i++ {
+				step() // start the coroutine, grow the rings and the heap
+			}
+			if got := testing.AllocsPerRun(200, step); got != 0 {
+				t.Errorf("%.2f allocs per cycle, want 0", got)
+			}
+		})
+	}
+}
+
+// TestAllocProcSpawn states what a process costs to create and run to
+// completion, so a change to the spawn path shows up as a number: the Proc,
+// its resume thunk and body wrapper (3), and iter.Pull's coroutine, closures
+// and captured flags (11). The goroutine baton this replaced cost 6.
+func TestAllocProcSpawn(t *testing.T) {
+	e := NewEngine()
+	e.procs = make([]*Proc, 0, 1024)
+	body := func(*Proc) {}
+	spawn := func() {
+		e.Go("p", body)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		spawn()
+	}
+	if got := testing.AllocsPerRun(200, spawn); got > 14 {
+		t.Errorf("%.1f allocs per spawned process, budget 14", got)
+	}
+}

@@ -1,11 +1,15 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation engine.
 //
-// Simulated processes are goroutines coordinated by a strict baton-passing
-// protocol: at any instant exactly one goroutine (either the engine or a
-// single process) is running, so simulation state needs no locking and every
+// Simulated processes are coroutines (iter.Pull): the engine resumes a
+// process with a direct switch into it and gets control back when the
+// process parks or returns, without a trip through the scheduler or a
+// channel. At any instant exactly one of them (the engine or a single
+// process) holds the baton, so simulation state needs no locking and every
 // run of the same configuration produces the identical event order and the
-// identical virtual end time.
+// identical virtual end time. A panic or runtime.Goexit in a process body
+// surfaces from Run, on Run's caller, with the original value (wrapped in
+// the LP's window panic on a sharded root).
 //
 // Time is virtual. A process advances its own clock with Compute or Sleep,
 // synchronizes with others through Future and Mailbox, and the engine
@@ -24,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -42,7 +47,6 @@ type Engine struct {
 
 	deadline time.Duration // virtual-time abort limit; 0 = none
 
-	ctl   chan procSignal // processes signal the engine here when parking/exiting
 	procs []*Proc
 	live  int // spawned but not yet exited
 
@@ -58,25 +62,25 @@ type Engine struct {
 	win       *winState     // on an LP: scheduling log, non-nil only during a sharded Run
 	winBuf    winState      // backing store for win, reused across windows
 	lookahead time.Duration // on the root: minimum entry of the lookahead matrix
-	crew      *shardCrew    // on the root: runner threads, live during Run
-	winStop   atomic.Bool   // on the root: Stop() flag readable from LP threads
+	crew      *shardCrew    // on the root: runner goroutines, live during Run
+	winStop   atomic.Bool   // on the root: Stop() flag readable from LP runners
 
 	// Per-directed-LP-pair lookahead (see SetLookaheadMatrix). laD is the
 	// relay-closed distance matrix, row-major k*k; bounce is each LP's
 	// minimum round-trip floor back to itself via any other LP — the
 	// earliest its own cross-LP emission can influence it again.
-	laD        []time.Duration                          // root: closed lookahead matrix
-	laRouted   bool                                     // root: laD came from SetLookaheadMatrix
-	bounce     time.Duration                            // LP: min_j laD[i][j]+laD[j][i]
-	crossAudit func(src, dst int, delta time.Duration)  // root: AtShard audit hook (tests)
-	laP        []time.Duration                          // root: per-round next-event scratch
-	laIn       []time.Duration                          // root: per-round inbound-floor scratch
-	laF        []time.Duration                          // root: per-round fence scratch
-	mergeCur   []mergeCursor                            // root: merge cursor scratch
+	laD        []time.Duration                         // root: closed lookahead matrix
+	laRouted   bool                                    // root: laD came from SetLookaheadMatrix
+	bounce     time.Duration                           // LP: min_j laD[i][j]+laD[j][i]
+	crossAudit func(src, dst int, delta time.Duration) // root: AtShard audit hook (tests)
+	laP        []time.Duration                         // root: per-round next-event scratch
+	laIn       []time.Duration                         // root: per-round inbound-floor scratch
+	laF        []time.Duration                         // root: per-round fence scratch
+	mergeCur   []mergeCursor                           // root: merge cursor scratch
 
 	// Per-LP window-synchronization counters (see LPStats). Written only by
-	// the thread running the LP's windows during a sharded Run (its runner
-	// thread, or the coordinator for inline windows), read after the fence
+	// the goroutine running the LP's windows during a sharded Run (its
+	// runner, or the coordinator for inline windows), read after the fence
 	// barrier or after Run returns.
 	winWindows uint64        // windows executed
 	winIdle    uint64        // windows that dispatched no event on this LP
@@ -84,17 +88,9 @@ type Engine struct {
 	fenceWait  time.Duration // wall-clock time spent waiting at window fences
 }
 
-// procKilled is the panic value used to unwind process goroutines during
+// procKilled is the panic value used to unwind process coroutines during
 // Shutdown. It is recovered by the spawn wrapper and never escapes.
 type procKilled struct{}
-
-// procSignal tells the engine what the currently running process just did.
-type procSignal uint8
-
-const (
-	sigParked procSignal = iota // process blocked; it will wait on its resume channel
-	sigExited                   // process body returned
-)
 
 type event struct {
 	at  time.Duration
@@ -207,7 +203,7 @@ func (e *Engine) heapPop() event {
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{ctl: make(chan procSignal)}
+	return &Engine{}
 }
 
 // Now reports the current virtual time. On a sharded root it is the furthest
@@ -285,48 +281,46 @@ func (e *Engine) Go(name string, body func(*Proc)) *Proc {
 	if e.shards != nil {
 		panic("sim: Go on a sharded root engine (spawn on an LP)")
 	}
-	p := &Proc{
-		e:      e,
-		id:     len(e.procs),
-		name:   name,
-		resume: make(chan struct{}),
-	}
-	// The resume thunk is bound once per process; every Sleep and wake
-	// reuses it, so handing the baton to a process allocates nothing.
+	p := &Proc{e: e, id: len(e.procs), name: name, body: body}
+	// The resume thunk is bound once per process; the start event, every
+	// Sleep and every wake reuse it, so handing the baton to a process
+	// allocates nothing.
 	p.runFn = func() { e.handoff(p) }
 	e.procs = append(e.procs, p)
 	e.live++
-	e.At(e.now, func() { e.start(p, body) })
+	e.At(e.now, p.runFn)
 	return p
 }
 
-// start launches the goroutine for p and immediately hands it the baton.
-func (e *Engine) start(p *Proc, body func(*Proc)) {
-	p.started = true
-	go func() {
+// start builds the coroutine for p. Its body runs from the first handoff;
+// whichever way it ends (return, Shutdown unwind, panic, Goexit) the process
+// is marked done before control comes back to the engine, and anything but
+// the Shutdown unwind propagates out of that handoff.
+func (e *Engine) start(p *Proc) {
+	body := p.body
+	p.body = nil
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
+			p.state = procDone
+			e.live--
 			if r := recover(); r != nil {
 				if _, ok := r.(procKilled); !ok {
 					panic(r)
 				}
 			}
-			p.state = procDone
-			e.ctl <- sigExited
 		}()
-		<-p.resume
+		p.yield = yield
 		body(p)
-	}()
-	e.handoff(p)
+	})
 }
 
-// handoff transfers the baton to p and waits until p parks or exits.
+// handoff switches to p and returns once p parks or exits.
 func (e *Engine) handoff(p *Proc) {
-	p.state = procRunning
-	p.resume <- struct{}{}
-	sig := <-e.ctl
-	if sig == sigExited {
-		e.live--
+	if p.next == nil {
+		e.start(p)
 	}
+	p.state = procRunning
+	p.next()
 }
 
 // wake schedules p to resume at the current virtual time. It goes through
@@ -334,7 +328,7 @@ func (e *Engine) handoff(p *Proc) {
 // no closure allocation.
 func (e *Engine) wake(p *Proc) {
 	if e.killing {
-		// Wakes issued while dying goroutines unwind (e.g. a deferred
+		// Wakes issued while dying processes unwind (e.g. a deferred
 		// Future.Set) are meaningless: Shutdown releases every process.
 		return
 	}
@@ -409,7 +403,7 @@ func (e *Engine) Run() error {
 		ev.fn()
 	}
 	if e.stopped {
-		// A stopped engine is dead: release every process goroutine so
+		// A stopped engine is dead: release every process coroutine so
 		// sweep loops that create (and stop) many engines do not leak.
 		e.running = false
 		e.Shutdown()
@@ -448,7 +442,7 @@ func (e *Engine) parkedReport() []string {
 
 // Stop makes Run return after the current event completes. Useful for
 // open-ended simulations driven by recurring timers. A stopped engine is
-// finished: Run releases all remaining process goroutines before returning.
+// finished: Run releases all remaining process coroutines before returning.
 // On a sharded run (Stop on the root or any LP reaches the root) the run
 // stops at the next window fence — still deterministic across repeated runs,
 // but the dispatched-event count differs from a sequential engine stopped at
@@ -465,15 +459,15 @@ func (e *Engine) Stop() {
 	e.stopped = true
 }
 
-// Shutdown releases every process goroutine the engine still owns: parked
-// processes (daemons included), processes woken but not yet resumed, and
-// processes spawned but never started. Blocked goroutines unwind via an
-// internal panic, so deferred functions in process bodies still run, but
-// re-parking or waking during the unwind is inert. Shutdown is idempotent,
-// must not be called from inside Run, and leaves the engine unusable for
-// further simulation (state remains readable). Run invokes it automatically
-// after Stop; owners of engines with daemon processes call it to reclaim
-// their goroutines.
+// Shutdown releases every process the engine still owns: parked processes
+// (daemons included), processes woken but not yet resumed, and processes
+// spawned but never started. Suspended coroutines unwind via an internal
+// panic, so deferred functions in process bodies still run, but re-parking
+// or waking during the unwind is inert. Shutdown is idempotent, may be
+// called from any goroutine once Run has returned (or panicked) but not from
+// inside Run, and leaves the engine unusable for further simulation (state
+// remains readable). Run invokes it automatically after Stop; owners of
+// engines with daemon processes call it to reclaim their goroutines.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Engine.Shutdown called during Run")
@@ -482,9 +476,8 @@ func (e *Engine) Shutdown() {
 		return
 	}
 	e.killing = true
-	// On a sharded root, release every LP first: the runner threads are
-	// quiescent outside Run, so the per-LP baton protocols are safe to drive
-	// from this thread.
+	// On a sharded root, release every LP first: the runners are gone outside
+	// Run, so each LP's coroutines are safe to drive from this goroutine.
 	for _, s := range e.shards {
 		s.Shutdown()
 	}
@@ -493,17 +486,14 @@ func (e *Engine) Shutdown() {
 		p := e.procs[i]
 		switch {
 		case p.state == procDone:
-		case !p.started:
-			// Spawned but its start event never ran: no goroutine exists.
+		case p.stop == nil:
+			// Spawned but its start event never ran: no coroutine exists.
 			p.state = procDone
 			e.live--
 		default:
-			// The goroutine is blocked on <-p.resume inside park. Release
-			// it; park sees killing and unwinds, and the spawn wrapper
-			// signals the exit we wait for here.
-			p.resume <- struct{}{}
-			<-e.ctl
-			e.live--
+			// Suspended in park's yield: stop makes the yield report false,
+			// park unwinds, and the spawn wrapper marks the process done.
+			p.stop()
 		}
 	}
 }

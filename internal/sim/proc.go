@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// procState tracks where a process is in the baton-passing protocol.
+// procState tracks where a process is in the handoff protocol.
 type procState uint8
 
 const (
@@ -29,15 +29,23 @@ func (s procState) String() string {
 	return "invalid"
 }
 
-// Proc is a simulated process. All methods must be called from the process's
-// own body function (they block the calling goroutine in virtual time).
+// Proc is a simulated process: a coroutine the engine switches into and that
+// switches back when it blocks. All methods must be called from the
+// process's own body function (they suspend it in virtual time).
 type Proc struct {
-	e      *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	runFn  func() // pre-bound resume thunk: hands this proc the baton
-	state  procState
+	e     *Engine
+	id    int
+	name  string
+	body  func(*Proc) // until the start event builds the coroutine
+	runFn func()      // pre-bound resume thunk: hands this proc the baton
+	state procState
+
+	// The iter.Pull coroutine, nil until the process first runs: next
+	// switches into the body, yield switches back to the engine and reports
+	// false once stop has asked the body to unwind.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// What blocks us, split in two so parking never concatenates: the
 	// primitive kind ("future ", "mailbox ", ...) and the instance name.
@@ -45,7 +53,6 @@ type Proc struct {
 	waitKind string
 	waitName string
 	daemon   bool // daemon procs may be left parked at end of run
-	started  bool // the goroutine for the body exists
 
 	busy time.Duration // accumulated Compute time, for utilization metrics
 }
@@ -79,20 +86,16 @@ func (p *Proc) waitReport() string {
 	return p.name + " on " + p.waitKind + p.waitName
 }
 
-// park gives the baton back to the engine and blocks until woken. During
-// Shutdown it unwinds the calling goroutine instead of blocking forever.
-// kind and name describe the blocking primitive; they are stored as-is and
-// joined only if a deadlock report is built, so parking allocates nothing.
+// park switches back to the engine and suspends until woken. During
+// Shutdown (the yield reports false, at once if the unwind is already under
+// way) it unwinds the process instead of suspending forever. kind and name
+// describe the blocking primitive; they are stored as-is and joined only if
+// a deadlock report is built, so parking allocates nothing.
 func (p *Proc) park(kind, name string) {
-	if p.e.killing {
-		panic(procKilled{})
-	}
 	p.state = procParked
 	p.waitKind = kind
 	p.waitName = name
-	p.e.ctl <- sigParked
-	<-p.resume
-	if p.e.killing {
+	if !p.yield(struct{}{}) {
 		panic(procKilled{})
 	}
 	p.waitKind = ""

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -11,8 +10,11 @@ import (
 // Sharded (conservative parallel) execution.
 //
 // Shard splits an engine into K logical processes (LPs). Each LP is itself an
-// Engine — its own 4-ary heap, ready ring and baton-passing control channel —
-// driven by a dedicated OS thread. The root engine becomes a coordinator: Run
+// Engine — its own 4-ary heap, ready ring and process coroutines — with a
+// runner goroutine of its own. The runners are ordinary goroutines, not
+// locked to OS threads: an LP's windows run on its runner or inline on the
+// coordinator, and a coroutine may only be resumed under the thread-lock
+// state it was created with. The root engine becomes a coordinator: Run
 // executes rounds of bounded time windows. Correctness rests on the
 // scheduling contract that an LP may place work on another LP only via
 // AtShard, at least the per-directed-pair lookahead L[src][dst] beyond its
@@ -60,7 +62,7 @@ import (
 // outbox events whose creator merged are routed with their canonical seqs,
 // and the next round starts from a state the sequential engine could have
 // produced. Same configuration, same schedule, same counts — on any number
-// of threads.
+// of LPs and CPUs.
 const provBase = uint64(1) << 63
 
 // infFuture is the "no pending event" sentinel: far enough beyond any real
@@ -108,7 +110,7 @@ const (
 	fenceRetire = int64(-1) // run is over, runner exits
 )
 
-// shardCrew is the root's set of persistent runner threads, one per LP,
+// shardCrew is the root's set of persistent runner goroutines, one per LP,
 // coordinated by an atomic epoch barrier: the coordinator publishes per-LP
 // fences, bumps the epoch and kicks only the parked runners it needs; the
 // last finisher of a round signals done. Runners spin briefly on the epoch
@@ -293,7 +295,7 @@ func (e *Engine) LookaheadBetween(src, dst int) time.Duration {
 
 // SetCrossLPAudit installs a hook invoked on every cross-LP AtShard with the
 // source LP, destination LP and scheduling delta (target minus the sender's
-// clock). The hook runs on LP runner threads, concurrently; it must be safe
+// clock). The hook runs on LP runner goroutines, concurrently; it must be safe
 // for concurrent use and must not touch engine state. Observability/testing
 // only; nil uninstalls.
 func (e *Engine) SetCrossLPAudit(fn func(src, dst int, delta time.Duration)) {
@@ -337,7 +339,7 @@ func (e *Engine) AtShard(dst *Engine, t time.Duration, fn func()) {
 // winAt is At during a window: stamp a provisional seq and log the call.
 func (e *Engine) winAt(w *winState, t time.Duration, fn func()) {
 	if !w.active {
-		// Another thread is scheduling on this LP mid-window: that is the
+		// Another LP is scheduling on this LP mid-window: that is the
 		// zero-lookahead coupling sharded execution cannot order. (Legal
 		// cross-LP scheduling goes through AtShard.)
 		panic(fmt.Sprintf("sim: cross-LP At on LP %d without lookahead — a timer or direct At "+
@@ -534,7 +536,7 @@ func (e *Engine) runSharded() error {
 		}
 		// Distance fences. An LP skips the round when its next event lies at
 		// or beyond its fence; with exactly one runnable LP the coordinator
-		// runs the window inline — no barrier, no runner thread.
+		// runs the window inline — no barrier, no runner.
 		nAct, soleAct := 0, -1
 		for i := range e.shards {
 			f := infFuture
@@ -626,7 +628,7 @@ func (e *Engine) runSharded() error {
 	}
 	if e.winStop.Load() {
 		// Mirror the sequential stop path: a stopped engine is dead, so
-		// release every process goroutine before returning.
+		// release every process coroutine before returning.
 		e.stopped = true
 		e.running = false
 		e.Shutdown()
@@ -643,7 +645,7 @@ func (e *Engine) runSharded() error {
 	return nil
 }
 
-// startCrew launches one locked-thread runner per LP, parked on the epoch
+// startCrew launches one runner goroutine per LP, parked on the epoch
 // barrier.
 func (e *Engine) startCrew() *shardCrew {
 	crew := &shardCrew{
@@ -667,8 +669,6 @@ func (e *Engine) startCrew() *shardCrew {
 // wake channel when the coordinator has nothing for this LP, run the window
 // when a fence is published, and let the round's last finisher signal done.
 func (c *shardCrew) runner(i int, s *Engine) {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
 	var seen uint64
 	// waitStart brackets the idle gap between finishing one window and
 	// starting the next one this LP participates in: the wall-clock cost of
@@ -698,15 +698,21 @@ func (c *shardCrew) runner(i int, s *Engine) {
 			s.fenceWait += time.Since(waitStart)
 		}
 		func() {
+			finished := false
 			defer func() {
 				if r := recover(); r != nil {
 					c.pans[i] = r
+				} else if !finished {
+					// A process body's Goexit (t.Fatal) is taking this runner
+					// down with it; the coordinator must not wait for it again.
+					c.pans[i] = "runtime.Goexit in a process body"
 				}
 				if c.active.Add(-1) == 0 {
 					c.done <- struct{}{}
 				}
 			}()
 			s.runWindow(time.Duration(f))
+			finished = true
 		}()
 		waitStart = time.Now()
 	}
@@ -717,7 +723,7 @@ func (c *shardCrew) runner(i int, s *Engine) {
 // at or beyond the floor — an LP that ran ahead of a lagging peer — are
 // carried: their resolved provisional prefix is compacted away and their
 // remaining keys reindexed, so the logs stay small and the next merge picks
-// up where this one stopped. Runs on the coordinator thread with every
+// up where this one stopped. Runs on the coordinator with every
 // runner quiescent (the epoch barrier provides the happens-before edges).
 func (e *Engine) mergeWindow(limit time.Duration) {
 	cur := e.mergeCur
@@ -851,7 +857,7 @@ func (e *Engine) mergeWindow(limit time.Duration) {
 // event on this LP (pure synchronization overhead — zero under per-LP
 // fencing, which skips such rounds outright), how many windows ran inline on
 // the coordinator with no fence round-trip, how many events it dispatched in
-// total, and the wall-clock time its runner thread spent waiting between the
+// total, and the wall-clock time its runner spent waiting between the
 // windows it participated in. Windows minus Chained is the LP's fence
 // participations. The counters are observability only — they never influence
 // the simulation and are excluded from the byte-identity surface.

@@ -1,11 +1,14 @@
 #!/usr/bin/env sh
 # Runs the hot-path engine benchmarks and regenerates BENCH_engine.json and
-# BENCH_apps.json at the repository root. BENCH_engine.json keeps two
+# BENCH_apps.json at the repository root. BENCH_engine.json keeps three
 # sections:
 #
 #   baseline — the numbers measured on the container/heap engine before the
 #              ready-ring rebuild (fixed; the reference for the speedup gate)
-#   current  — the numbers from this run
+#   baton    — the process-switch, RPC and sharded rungs of the goroutine-baton
+#              engine, measured at the last commit that had it on the host
+#              named in the section (fixed; what the coroutine switch replaced)
+#   current  — the numbers from this run, stamped with the host they ran on
 #
 # The BenchmarkEngineMode* pairs record the sequential engine against the
 # cluster-sharded engine (-shards=4) for the shardable applications on a
@@ -49,7 +52,9 @@ go test -run '^$' \
 	-bench 'BenchmarkNetworkConstruct' \
 	-benchmem -benchtime "$BENCHTIME" ./internal/netsim/ | tee -a "$RAW"
 
-awk -v benchtime="$BENCHTIME" '
+HOST="$(go env GOVERSION) $(go env GOOS)/$(go env GOARCH), $(nproc) cpus, $(sed -n 's/^cpu: //p' "$RAW" | head -1), GOMAXPROCS=${GOMAXPROCS:-$(nproc)}"
+
+awk -v benchtime="$BENCHTIME" -v host="$HOST" '
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)   # strip -GOMAXPROCS suffix if present
@@ -83,7 +88,19 @@ END {
 	printf "    \"sharded_sync_note\": \"scalar-lookahead sharded engine before the per-route matrix (PR 10); tiered64 ASP shards=4, every window a fence participation\",\n"
 	printf "    \"BenchmarkShardedGridASP\":          {\"windows_per_op\": 145060, \"fences_per_op\": 145060}\n"
 	printf "  },\n"
+	printf "  \"baton\": {\n"
+	printf "    \"note\": \"goroutine-baton engine with thread-locked LP runners, commit 442fd4d, the parent of the coroutine switch (PR 17); go1.24.0 linux/amd64, 2 cpus (2-vCPU Firecracker VM), Intel(R) Xeon(R) Processor @ 2.10GHz, GOMAXPROCS=2, benchtime 1s\",\n"
+	printf "    \"BenchmarkEngineWakes\":               {\"ns_per_op\": 838.5, \"bytes_per_op\": 0, \"allocs_per_op\": 0},\n"
+	printf "    \"BenchmarkRPCRoundTrip\":              {\"ns_per_op\": 500.4, \"bytes_per_op\": 0, \"allocs_per_op\": 0},\n"
+	printf "    \"BenchmarkEngineModeWaterSequential\": {\"ns_per_op\": 3711696, \"simsec_per_wallsec\": 180.8},\n"
+	printf "    \"BenchmarkEngineModeWaterShards4\":    {\"ns_per_op\": 9229024, \"simsec_per_wallsec\": 72.72},\n"
+	printf "    \"BenchmarkEngineModeRASequential\":    {\"ns_per_op\": 391473631, \"simsec_per_wallsec\": 1.324},\n"
+	printf "    \"BenchmarkEngineModeRAShards4\":       {\"ns_per_op\": 8907678667, \"simsec_per_wallsec\": 0.05819},\n"
+	printf "    \"BenchmarkShardedWindowSync\":         {\"ns_per_op\": 3665, \"windows_per_op\": 0.2000, \"fences_per_op\": 0.2000},\n"
+	printf "    \"BenchmarkShardedGridASP\":            {\"ns_per_op\": 1250972877, \"simsec_per_wallsec\": 139.4, \"windows_per_op\": 2171, \"fences_per_op\": 1017}\n"
+	printf "  },\n"
 	printf "  \"current\": {\n"
+	printf "    \"host\": \"%s\",\n", host
 	for (i = 1; i <= n; i++) {
 		name = order[i]
 		printf "    \"%s\": {", name
