@@ -8,6 +8,7 @@ import (
 	"albatross/internal/apps/asp"
 	"albatross/internal/apps/atpg"
 	"albatross/internal/apps/ida"
+	"albatross/internal/apps/memo"
 	"albatross/internal/apps/ra"
 	"albatross/internal/apps/sor"
 	"albatross/internal/apps/tsp"
@@ -97,6 +98,26 @@ func TestDeterministicReplayAcrossApps(t *testing.T) {
 				t.Fatalf("traffic differs across replays:\n%v\n%v", a.Net.String(), b.Net.String())
 			}
 		})
+	}
+}
+
+// TestMemoizedValuesStayReadOnly is the contract behind internal/apps/memo:
+// inputs and references are solved once per Config and shared by every run,
+// so no Build, worker or verifier may write through one. Each application,
+// original and optimized, is built, run and verified twice on DAS 2x4; then
+// every value every memo holds must still equal a fresh computation. A Build
+// that relaxed the shared ASP matrix in place would fail here, not in some
+// later run's digest.
+func TestMemoizedValuesStayReadOnly(t *testing.T) {
+	for _, app := range smallApps() {
+		for _, opt := range []bool{false, true} {
+			for rep := 0; rep < 2; rep++ {
+				run(t, app, cluster.DAS(2, 4), opt, cluster.DASParams())
+			}
+		}
+	}
+	if err := memo.Audit(); err != nil {
+		t.Fatal(err)
 	}
 }
 

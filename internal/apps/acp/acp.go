@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"time"
 
+	"albatross/internal/apps/memo"
 	"albatross/internal/cluster"
 	"albatross/internal/coll"
 	"albatross/internal/core"
@@ -122,9 +123,13 @@ func (pr *Problem) revise(v, u int, dv, du uint32) (uint32, int) {
 	return out, checks
 }
 
-// Sequential computes the AC fixpoint with an AC-3 style worklist. The
+// Sequential is the AC fixpoint the verifier compares against, solved once
+// per Config and shared read-only.
+var Sequential = memo.Of(sequential)
+
+// sequential computes the AC fixpoint with an AC-3 style worklist. The
 // fixpoint is unique, so it verifies any execution order.
-func Sequential(cfg Config) []uint32 {
+func sequential(cfg Config) []uint32 {
 	pr := NewProblem(cfg)
 	dom := make([]uint32, cfg.Vars)
 	for i := range dom {
@@ -170,7 +175,6 @@ type domState struct {
 func Build(sys *core.System, cfg Config, optimized bool) func() error {
 	pr := NewProblem(cfg)
 	p := sys.Topo.Compute()
-	topo := sys.Topo
 
 	domains := sys.RTS.NewReplicated("domains", func(node cluster.NodeID) any {
 		dom := make([]uint32, cfg.Vars)
@@ -228,7 +232,6 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 	// at the cut also proves no update is still in flight, because no
 	// worker sends while all are inside the allreduce.
 	term := coll.New(sys, "acp-term", coll.WideArea)
-	_ = topo
 
 	sys.SpawnWorkers("acp", func(w *core.Worker) {
 		r := w.Rank()

@@ -13,9 +13,9 @@ package asp
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
+	"albatross/internal/apps/memo"
 	"albatross/internal/cluster"
 	"albatross/internal/core"
 	"albatross/internal/orca"
@@ -62,8 +62,12 @@ func Generate(cfg Config) [][]int32 {
 	return d
 }
 
-// Sequential computes all-pairs shortest paths with Floyd-Warshall.
-func Sequential(cfg Config) [][]int32 {
+// Sequential is the solved matrix the verifier compares against, solved once
+// per Config and shared read-only.
+var Sequential = memo.Of(sequential)
+
+// sequential computes all-pairs shortest paths with Floyd-Warshall.
+func sequential(cfg Config) [][]int32 {
 	d := Generate(cfg)
 	n := cfg.N
 	for k := 0; k < n; k++ {
@@ -84,18 +88,9 @@ func Sequential(cfg Config) [][]int32 {
 	return d
 }
 
-// generateCached memoizes the pristine input matrix per Config; Build and
-// Sequential copy from the shared master instead of re-running the
-// generator. Masters are read-only once stored.
-var genCache sync.Map // Config -> [][]int32
-
-func generateCached(cfg Config) [][]int32 {
-	if v, ok := genCache.Load(cfg); ok {
-		return v.([][]int32)
-	}
-	v, _ := genCache.LoadOrStore(cfg, Generate(cfg))
-	return v.([][]int32)
-}
+// master is the pristine input matrix, generated once per Config. Build
+// relaxes its rows in place, so it works on a copy.
+var master = memo.Of(Generate)
 
 func copyMatrix(src [][]int32) [][]int32 {
 	d := make([][]int32, len(src))
@@ -103,19 +98,6 @@ func copyMatrix(src [][]int32) [][]int32 {
 		d[i] = append([]int32(nil), row...)
 	}
 	return d
-}
-
-// seqCache memoizes the solved matrix per Config: verifiers share one
-// read-only reference solution instead of re-running Floyd-Warshall (which
-// dominated verification CPU) on every run.
-var seqCache sync.Map // Config -> [][]int32
-
-func sequentialCached(cfg Config) [][]int32 {
-	if v, ok := seqCache.Load(cfg); ok {
-		return v.([][]int32)
-	}
-	v, _ := seqCache.LoadOrStore(cfg, Sequential(cfg))
-	return v.([][]int32)
 }
 
 // pivotRow carries one pivot-row buffer. Rows travel through replicas and
@@ -155,7 +137,7 @@ func rowRange(n, p, r int) (lo, hi int) {
 func Build(sys *core.System, cfg Config) func() error {
 	n := cfg.N
 	p := sys.Topo.Compute()
-	d := copyMatrix(generateCached(cfg))
+	d := copyMatrix(master(cfg))
 
 	pivot := sys.RTS.NewReplicated("pivot-rows", func(node cluster.NodeID) any {
 		return &pivotState{node: node, rows: make([]*pivotRow, n), wait: make([]*sim.Future, n)}
@@ -268,7 +250,7 @@ func Build(sys *core.System, cfg Config) func() error {
 	})
 
 	return func() error {
-		want := sequentialCached(cfg)
+		want := Sequential(cfg)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if d[i][j] != want[i][j] {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"time"
 
+	"albatross/internal/apps/memo"
 	"albatross/internal/core"
 	"albatross/internal/orca"
 	"albatross/internal/rng"
@@ -61,6 +62,11 @@ type Circuit struct {
 	cfg   Config
 	gates []gate
 }
+
+// circuitFor is the circuit for cfg, generated once per Config. A Circuit is
+// read-only after generation — all evaluation state lives in a Scratch — so
+// every run and the reference share one.
+var circuitFor = memo.Of(NewCircuit)
 
 // NewCircuit generates the deterministic random circuit for cfg.
 func NewCircuit(cfg Config) *Circuit {
@@ -197,9 +203,13 @@ type Result struct {
 	Covered  int // faults covered by them
 }
 
-// Sequential runs the reference computation.
-func Sequential(cfg Config) Result {
-	c := NewCircuit(cfg)
+// Sequential is the reference result the verifier compares against, solved
+// once per Config.
+var Sequential = memo.Of(sequential)
+
+// sequential runs the reference computation.
+func sequential(cfg Config) Result {
+	c := circuitFor(cfg)
 	s := c.NewScratch()
 	var res Result
 	for _, f := range c.Faults() {
@@ -227,7 +237,7 @@ func addOp(dp, dc int) orca.Op {
 // Build sets up the parallel ATPG run. optimized selects local accumulation
 // with per-cluster reduction instead of one RPC per generated pattern.
 func Build(sys *core.System, cfg Config, optimized bool) func() error {
-	c := NewCircuit(cfg)
+	c := circuitFor(cfg)
 	faults := c.Faults()
 	p := sys.Topo.Compute()
 	topo := sys.Topo

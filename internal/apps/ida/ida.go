@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"albatross/internal/apps/memo"
 	"albatross/internal/cluster"
 	"albatross/internal/coll"
 	"albatross/internal/core"
@@ -34,15 +35,30 @@ type job struct {
 
 const jobBytes = 24
 
-// frontier expands the instance root breadth-first (without undoing the
-// previous move, no duplicate detection — plain IDA* semantics) until at
+// search runs the job's bounded DFS under the threshold on a private copy
+// of its board; a job already beyond the threshold only reports its f.
+func (j job) search(threshold int) searchResult {
+	res := searchResult{next: infThreshold}
+	if f := j.g + j.h; f > threshold {
+		res.next = f
+	} else {
+		boundedDFS(&j.b, j.g, j.h, j.lm, threshold, &res)
+	}
+	return res
+}
+
+// frontier is the instance's fixed job set, expanded once per Config and
+// shared read-only by every run and the reference search.
+var frontier = memo.Of(expandFrontier)
+
+// expandFrontier expands the instance root breadth-first (without undoing
+// the previous move, no duplicate detection — plain IDA* semantics) until at
 // least cfg.Jobs nodes exist. The expansion is deterministic and
 // independent of the processor count, so job sets are identical across all
-// configurations. It also returns the number of expansions spent.
-func frontier(cfg Config) ([]job, int64) {
+// configurations.
+func expandFrontier(cfg Config) []job {
 	root := Scramble(cfg.Walk, cfg.Seed)
 	cur := []job{{b: root, g: 0, h: manhattan(&root), lm: -1}}
-	var exp int64
 	for len(cur) < cfg.Jobs {
 		var next []job
 		for _, j := range cur {
@@ -61,7 +77,6 @@ func frontier(cfg Config) ([]job, int64) {
 				}
 				nb := j.b
 				dh := nb.apply(d)
-				exp++
 				next = append(next, job{b: nb, g: j.g + 1, h: j.h + dh, lm: d})
 			}
 		}
@@ -70,7 +85,7 @@ func frontier(cfg Config) ([]job, int64) {
 		}
 		cur = next
 	}
-	return cur, exp
+	return cur
 }
 
 // Result summarizes one run.
@@ -80,10 +95,14 @@ type Result struct {
 	Expansions int64 // total bounded-DFS expansions over all iterations
 }
 
-// Sequential runs the reference computation: the same frontier and the same
+// Sequential is the reference result the verifier compares against, solved
+// once per Config.
+var Sequential = memo.Of(sequential)
+
+// sequential runs the reference computation: the same frontier and the same
 // per-job bounded searches, iterating thresholds, on one processor.
-func Sequential(cfg Config) Result {
-	jobs, _ := frontier(cfg)
+func sequential(cfg Config) Result {
+	jobs := frontier(cfg)
 	root := Scramble(cfg.Walk, cfg.Seed)
 	threshold := manhattan(&root)
 	var total int64
@@ -91,15 +110,7 @@ func Sequential(cfg Config) Result {
 		var sols int64
 		next := infThreshold
 		for _, j := range jobs {
-			res := searchResult{next: infThreshold}
-			if f := j.g + j.h; f > threshold {
-				if f < next {
-					next = f
-				}
-				continue
-			}
-			b := j.b
-			boundedDFS(&b, j.g, j.h, j.lm, threshold, &res)
+			res := j.search(threshold)
 			total += res.expansions
 			sols += res.solutions
 			if res.next < next {
@@ -189,7 +200,7 @@ func BuildPolicy(sys *core.System, cfg Config, pol Policy) func() error {
 	p := sys.Topo.Compute()
 	topo := sys.Topo
 
-	jobs, _ := frontier(cfg)
+	jobs := frontier(cfg)
 	root := Scramble(cfg.Walk, cfg.Seed)
 
 	queues := make([]*orca.Object, p)
@@ -240,13 +251,7 @@ func BuildPolicy(sys *core.System, cfg Config, pol Policy) func() error {
 			}
 
 			runJob := func(j job) {
-				res := searchResult{next: infThreshold}
-				if f := j.g + j.h; f > threshold {
-					res.next = f
-				} else {
-					b := j.b
-					boundedDFS(&b, j.g, j.h, j.lm, threshold, &res)
-				}
+				res := j.search(threshold)
 				w.Compute(time.Duration(res.expansions) * cfg.ExpandCost)
 				workerExp[r] += res.expansions
 				mySols += res.solutions

@@ -7,6 +7,7 @@ import (
 
 	"albatross/internal/cluster"
 	"albatross/internal/core"
+	"albatross/internal/rng"
 )
 
 func testCfg() Config {
@@ -44,24 +45,64 @@ func TestManhattanZeroOnlyAtGoal(t *testing.T) {
 	}
 }
 
+// TestIncrementalHeuristicMatchesFull walks random legal paths with the
+// search's own step — moveTab for the target cell, mdDelta for the heuristic,
+// a two-cell swap for the move — and requires the running h to equal a full
+// recomputation after every step, and the reverse step to restore the board.
 func TestIncrementalHeuristicMatchesFull(t *testing.T) {
 	prop := func(seed uint64, steps uint8) bool {
+		r := rng.New(seed)
 		b := Scramble(int(steps%40), seed)
 		h := manhattan(&b)
-		for d := int8(0); d < 4; d++ {
-			if !canMove(b.blank, d) {
+		for k := 0; k < 64; k++ {
+			from, d := b.blank, int8(r.Intn(4))
+			to := moveTab[from][d]
+			if to < 0 {
 				continue
 			}
-			dh := b.apply(d)
-			if h+dh != manhattan(&b) {
+			before, tile := b, b.cells[to]
+			h += int(mdDelta[tile][to][from])
+			b.cells[from], b.cells[to], b.blank = tile, 0, to
+			if h != manhattan(&b) {
 				return false
 			}
-			b.apply(reverse[d])
+			undone := b
+			undone.cells[from], undone.cells[to], undone.blank = 0, tile, from
+			if undone != before {
+				return false
+			}
+			// Board.apply is the same step for the frontier and Scramble.
+			if viaApply := before; viaApply.apply(d) != int(mdDelta[tile][to][from]) || viaApply != b {
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestMoveTabMatchesCanMove(t *testing.T) {
+	for pos := int8(0); pos < 16; pos++ {
+		for d := int8(0); d < 4; d++ {
+			want := int8(-1)
+			if canMove(pos, d) {
+				want = pos + moveDelta[d]
+			}
+			if moveTab[pos][d] != want {
+				t.Errorf("moveTab[%d][%d] = %d, want %d", pos, d, moveTab[pos][d], want)
+			}
+		}
+	}
+}
+
+// TestSequentialGolden pins what the search counts on the default instance:
+// a cheaper step must expand the same nodes in the same iterations.
+func TestSequentialGolden(t *testing.T) {
+	want := Result{Optimal: 42, Solutions: 11, Expansions: 21273274}
+	if got := sequential(Default()); got != want {
+		t.Fatalf("sequential(Default()) = %+v, want %+v", got, want)
 	}
 }
 
@@ -85,8 +126,7 @@ func TestScrambleSolvableWithinWalk(t *testing.T) {
 
 func TestFrontierDeterministicAndSized(t *testing.T) {
 	cfg := testCfg()
-	a, _ := frontier(cfg)
-	b, _ := frontier(cfg)
+	a, b := expandFrontier(cfg), expandFrontier(cfg)
 	if len(a) != len(b) || len(a) < cfg.Jobs {
 		t.Fatalf("frontier sizes %d vs %d (want >= %d)", len(a), len(b), cfg.Jobs)
 	}

@@ -68,33 +68,52 @@ func canMove(pos, d int8) bool {
 // reverse maps each move to its inverse.
 var reverse = [4]int8{1, 0, 3, 2}
 
-// goalCell[t] is the cell tile t belongs in.
-var goalCell [16]int8
+// moveTab[pos][d] is the cell the blank reaches from pos by move d, or -1
+// where canMove forbids it. mdDelta[t][to][from] is the change in the
+// Manhattan heuristic when tile t slides from cell to into cell from (the
+// blank going the other way). The search steps through these two tables
+// instead of dividing out rows and columns on every move and undo.
+var (
+	moveTab [16][4]int8
+	mdDelta [16][16][16]int8
+)
 
 func init() {
-	for i := 0; i < 15; i++ {
-		goalCell[i+1] = int8(i)
+	for pos := int8(0); pos < 16; pos++ {
+		for d := int8(0); d < 4; d++ {
+			moveTab[pos][d] = -1
+			if canMove(pos, d) {
+				moveTab[pos][d] = pos + moveDelta[d]
+			}
+		}
+		for t := int8(1); t < 16; t++ {
+			for from := int8(0); from < 16; from++ {
+				mdDelta[t][pos][from] = int8(tileDist(t, from) - tileDist(t, pos))
+			}
+		}
 	}
+}
+
+// tileDist is tile t's Manhattan distance from cell to its goal cell, t-1.
+func tileDist(t, cell int8) int {
+	g := t - 1
+	dr, dc := int(cell/4-g/4), int(cell%4-g%4)
+	if dr < 0 {
+		dr = -dr
+	}
+	if dc < 0 {
+		dc = -dc
+	}
+	return dr + dc
 }
 
 // manhattan computes the Manhattan-distance heuristic.
 func manhattan(b *Board) int {
 	h := 0
-	for cell := int8(0); cell < 16; cell++ {
-		t := b.cells[cell]
-		if t == 0 {
-			continue
+	for cell, t := range b.cells {
+		if t != 0 {
+			h += tileDist(t, int8(cell))
 		}
-		g := goalCell[t]
-		dr := int(cell/4 - g/4)
-		if dr < 0 {
-			dr = -dr
-		}
-		dc := int(cell%4 - g%4)
-		if dc < 0 {
-			dc = -dc
-		}
-		h += dr + dc
 	}
 	return h
 }
@@ -102,23 +121,10 @@ func manhattan(b *Board) int {
 // apply moves the blank in direction d and returns the heuristic delta.
 func (b *Board) apply(d int8) int {
 	from := b.blank
-	to := from + moveDelta[d]
+	to := moveTab[from][d]
 	t := b.cells[to]
-	// Heuristic contribution of the moved tile before and after.
-	g := goalCell[t]
-	before := absInt(int(to/4-g/4)) + absInt(int(to%4-g%4))
-	after := absInt(int(from/4-g/4)) + absInt(int(from%4-g%4))
-	b.cells[from] = t
-	b.cells[to] = 0
-	b.blank = to
-	return after - before
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
+	b.cells[from], b.cells[to], b.blank = t, 0, to
+	return int(mdDelta[t][to][from])
 }
 
 // Scramble returns the board reached by a deterministic pseudo-random walk
@@ -156,26 +162,35 @@ const infThreshold = 1 << 30
 
 // boundedDFS searches all extensions of b (reached with cost g, heuristic h,
 // last move lm) up to the f-threshold, counting expansions and solutions.
+// Every legal non-reversing move counts as one expansion, in move order 0..3;
+// only a child inside the threshold is stepped into, and stepping back swaps
+// the same two cells. The &15 on each index is a no-op that lets the compiler
+// drop the bounds checks of this loop (a sixth of the search's time).
 func boundedDFS(b *Board, g, h int, lm int8, threshold int, res *searchResult) {
 	if h == 0 && b.IsGoal() {
 		res.solutions++
 		return
 	}
+	from := b.blank
+	back := int8(-1) // the move that would step straight back
+	if lm >= 0 {
+		back = reverse[lm]
+	}
+	moves := &moveTab[from&15]
 	for d := int8(0); d < 4; d++ {
-		if lm >= 0 && d == reverse[lm] {
+		to := moves[d]
+		if to < 0 || d == back {
 			continue
 		}
-		if !canMove(b.blank, d) {
-			continue
-		}
-		dh := b.apply(d)
+		t := b.cells[to&15]
+		nh := h + int(mdDelta[t&15][to&15][from&15])
 		res.expansions++
-		f := g + 1 + h + dh
-		if f <= threshold {
-			boundedDFS(b, g+1, h+dh, d, threshold, res)
+		if f := g + 1 + nh; f <= threshold {
+			b.cells[from], b.cells[to], b.blank = t, 0, to
+			boundedDFS(b, g+1, nh, d, threshold, res)
+			b.cells[from], b.cells[to], b.blank = 0, t, from
 		} else if f < res.next {
 			res.next = f
 		}
-		b.apply(reverse[d]) // undo
 	}
 }

@@ -22,9 +22,9 @@ package ra
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
+	"albatross/internal/apps/memo"
 	"albatross/internal/cluster"
 	"albatross/internal/core"
 	"albatross/internal/orca"
@@ -106,8 +106,12 @@ func (g *Game) AppendSuccessors(buf []int32, v int) []int32 {
 	return buf
 }
 
-// Sequential computes every position's value by memoized backward induction.
-func Sequential(cfg Config) []Value {
+// Sequential is the value table the verifier compares against, solved once
+// per Config and shared read-only.
+var Sequential = memo.Of(sequential)
+
+// sequential computes every position's value by memoized backward induction.
+func sequential(cfg Config) []Value {
 	g := NewGame(cfg)
 	vals := make([]Value, cfg.N)
 	// Positions only point forward, so a reverse sweep is a topological
@@ -129,18 +133,6 @@ func Sequential(cfg Config) []Value {
 		vals[v] = val
 	}
 	return vals
-}
-
-// seqCache memoizes Sequential per Config: verifiers share one read-only
-// reference instead of re-running the backward induction on every run.
-var seqCache sync.Map // Config -> []Value
-
-func sequentialCached(cfg Config) []Value {
-	if v, ok := seqCache.Load(cfg); ok {
-		return v.([]Value)
-	}
-	v, _ := seqCache.LoadOrStore(cfg, Sequential(cfg))
-	return v.([]Value)
 }
 
 // update is one retrograde notification: position target has a successor
@@ -369,7 +361,7 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 	})
 
 	return func() error {
-		want := sequentialCached(cfg)
+		want := Sequential(cfg)
 		det := 0
 		for _, d := range determined {
 			det += d

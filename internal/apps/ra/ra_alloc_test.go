@@ -21,7 +21,7 @@ import (
 // counts and the budget is meaningless there.
 func TestAllocsPerRunRegression(t *testing.T) {
 	cfg := testCfg()
-	sequentialCached(cfg) // warm the shared memoized reference
+	Sequential(cfg) // warm the shared memoized reference
 	for _, opt := range []bool{false, true} {
 		got := testing.AllocsPerRun(3, func() {
 			sys := core.NewSystem(core.Config{

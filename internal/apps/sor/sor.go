@@ -19,9 +19,9 @@ package sor
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
+	"albatross/internal/apps/memo"
 	"albatross/internal/cluster"
 	"albatross/internal/coll"
 	"albatross/internal/core"
@@ -79,9 +79,19 @@ func relaxRow(row, up, down []float64, i, color int, omega float64) float64 {
 	return maxD
 }
 
-// Sequential solves the system on one processor and reports the field and
-// the number of iterations used.
-func Sequential(cfg Config) ([][]float64, int) {
+// Result is the sequential reference: the converged field and the number
+// of iterations it took.
+type Result struct {
+	Grid  [][]float64
+	Iters int
+}
+
+// Sequential is the reference the verifier compares against, solved once
+// per Config and shared read-only.
+var Sequential = memo.Of(sequential)
+
+// sequential solves the system on one processor.
+func sequential(cfg Config) Result {
 	g := newGrid(cfg)
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
 		maxD := 0.0
@@ -93,31 +103,10 @@ func Sequential(cfg Config) ([][]float64, int) {
 			}
 		}
 		if maxD < cfg.Eps {
-			return g, iter
+			return Result{Grid: g, Iters: iter}
 		}
 	}
-	return g, cfg.MaxIters
-}
-
-// seqCache memoizes Sequential per Config: verifiers run it once per
-// distinct problem instead of once per run (it dominated verification CPU),
-// and readers only ever inspect the shared grid.
-var seqCache sync.Map // Config -> *seqResult
-
-type seqResult struct {
-	g     [][]float64
-	iters int
-}
-
-func sequentialCached(cfg Config) ([][]float64, int) {
-	if v, ok := seqCache.Load(cfg); ok {
-		res := v.(*seqResult)
-		return res.g, res.iters
-	}
-	g, iters := Sequential(cfg)
-	v, _ := seqCache.LoadOrStore(cfg, &seqResult{g: g, iters: iters})
-	res := v.(*seqResult)
-	return res.g, res.iters
+	return Result{Grid: g, Iters: cfg.MaxIters}
 }
 
 // Residual recomputes the largest single-update magnitude of a field — the
@@ -380,7 +369,8 @@ func BuildWithStats(sys *core.System, cfg Config, optimized bool) (verify func()
 		if !converged {
 			return fmt.Errorf("sor: no convergence in %d iterations", iters)
 		}
-		want, wantIters := sequentialCached(cfg)
+		ref := Sequential(cfg)
+		want, wantIters := ref.Grid, ref.Iters
 		if !optimized {
 			// Lock-step exchange: the parallel computation is the exact
 			// sequential computation, so the match must be bitwise.

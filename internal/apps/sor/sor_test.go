@@ -32,7 +32,8 @@ func run(t *testing.T, clusters, npc int, optimized bool, cfg Config) (core.Metr
 
 func TestSequentialConverges(t *testing.T) {
 	cfg := testCfg()
-	g, iters := Sequential(cfg)
+	ref := Sequential(cfg)
+	g, iters := ref.Grid, ref.Iters
 	if iters >= cfg.MaxIters {
 		t.Fatalf("no convergence in %d iterations", iters)
 	}

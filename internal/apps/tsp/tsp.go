@@ -16,8 +16,10 @@ package tsp
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
+	"albatross/internal/apps/memo"
 	"albatross/internal/core"
 	"albatross/internal/orca"
 	"albatross/internal/rng"
@@ -38,18 +40,16 @@ func Default() Config {
 	return Config{NCities: 14, Seed: 17, JobDepth: 5, NodeCost: time.Microsecond}
 }
 
-// Generate builds a symmetric random distance matrix with weights 1..100.
-func Generate(cfg Config) [][]int32 {
+// Generate builds a symmetric random distance matrix with weights 1..100,
+// laid out row-major in one slice: the distance from i to j is d[i*n+j].
+func Generate(cfg Config) []int32 {
 	r := rng.New(cfg.Seed)
 	n := cfg.NCities
-	d := make([][]int32, n)
-	for i := range d {
-		d[i] = make([]int32, n)
-	}
+	d := make([]int32, n*n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			w := int32(1 + r.Intn(100))
-			d[i][j], d[j][i] = w, w
+			d[i*n+j], d[j*n+i] = w, w
 		}
 	}
 	return d
@@ -64,10 +64,12 @@ type Result struct {
 // dfs explores all completions of the partial path whose last city is last,
 // with used the bitmask of visited cities and plen the partial length.
 // Nodes with plen exceeding bound are pruned. It returns the number of
-// nodes generated and the best complete-tour length found (or Inf).
-func dfs(d [][]int32, n int, last int, used uint32, plen int32, depth int, bound int32) (int64, int32) {
+// nodes generated and the best complete-tour length found (or Inf). The
+// unvisited cities are walked off the mask in ascending order.
+func dfs(d []int32, n int, last int, used uint32, plen int32, depth int, bound int32) (int64, int32) {
+	row := d[last*n : last*n+n]
 	if depth == n {
-		total := plen + d[last][0]
+		total := plen + row[0]
 		if total <= bound {
 			return 0, total
 		}
@@ -75,12 +77,10 @@ func dfs(d [][]int32, n int, last int, used uint32, plen int32, depth int, bound
 	}
 	var exp int64
 	best := inf
-	for next := 1; next < n; next++ {
-		if used&(1<<next) != 0 {
-			continue
-		}
+	for free := ^used & (1<<n - 1); free != 0; free &= free - 1 {
+		next := bits.TrailingZeros32(free)
 		exp++
-		nl := plen + d[last][next]
+		nl := plen + row[next]
 		if nl > bound {
 			continue
 		}
@@ -95,24 +95,28 @@ func dfs(d [][]int32, n int, last int, used uint32, plen int32, depth int, bound
 
 const inf int32 = 1 << 30
 
-// Optimal computes the optimal tour length by unbounded branch-and-bound.
-func Optimal(cfg Config) int32 {
-	d := Generate(cfg)
+// Optimal is the optimal tour length — the bound every search of the
+// instance is fixed to — solved once per Config.
+var Optimal = memo.Of(optimal)
+
+// optimal computes the optimal tour length by unbounded branch-and-bound.
+func optimal(cfg Config) int32 {
+	d, n := Generate(cfg), cfg.NCities
 	best := inf
 	var solve func(last int, used uint32, plen int32, depth int)
 	solve = func(last int, used uint32, plen int32, depth int) {
 		if plen >= best {
 			return
 		}
-		if depth == cfg.NCities {
-			if t := plen + d[last][0]; t < best {
+		if depth == n {
+			if t := plen + d[last*n]; t < best {
 				best = t
 			}
 			return
 		}
-		for next := 1; next < cfg.NCities; next++ {
+		for next := 1; next < n; next++ {
 			if used&(1<<next) == 0 {
-				solve(next, used|1<<next, plen+d[last][next], depth+1)
+				solve(next, used|1<<next, plen+d[last*n+next], depth+1)
 			}
 		}
 	}
@@ -120,9 +124,12 @@ func Optimal(cfg Config) int32 {
 	return best
 }
 
-// Sequential runs the fixed-bound search on one processor and returns the
-// reference result.
-func Sequential(cfg Config) Result {
+// Sequential is the reference result the verifier compares against, solved
+// once per Config.
+var Sequential = memo.Of(sequential)
+
+// sequential runs the fixed-bound search on one processor.
+func sequential(cfg Config) Result {
 	d := Generate(cfg)
 	bound := Optimal(cfg)
 	exp, best := dfs(d, cfg.NCities, 0, 1, 0, 1, bound)
@@ -141,7 +148,7 @@ func jobBytes(cfg Config) int { return cfg.JobDepth + 12 }
 // genJobs enumerates the depth-JobDepth prefixes under the fixed bound,
 // counting the master's own expansions. visit is called for each job in a
 // deterministic order with its sequence number.
-func genJobs(d [][]int32, cfg Config, bound int32, visit func(i int, j job)) int64 {
+func genJobs(d []int32, cfg Config, bound int32, visit func(i int, j job)) int64 {
 	var exp int64
 	i := 0
 	var gen func(path []int8, used uint32, plen int32)
@@ -157,7 +164,7 @@ func genJobs(d [][]int32, cfg Config, bound int32, visit func(i int, j job)) int
 				continue
 			}
 			exp++
-			nl := plen + d[last][int(next)]
+			nl := plen + d[last*cfg.NCities+next]
 			if nl > bound {
 				continue
 			}

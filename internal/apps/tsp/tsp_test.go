@@ -32,17 +32,17 @@ func run(t *testing.T, clusters, npc int, optimized bool, cfg Config) core.Metri
 func TestOptimalBruteForceSmall(t *testing.T) {
 	// Cross-check Optimal against explicit enumeration on 8 cities.
 	cfg := Config{NCities: 8, Seed: 9}
-	d := Generate(cfg)
+	d, n := Generate(cfg), cfg.NCities
 	best := inf
 	perm := []int{1, 2, 3, 4, 5, 6, 7}
 	var rec func(k int)
 	rec = func(k int) {
 		if k == len(perm) {
-			l := d[0][perm[0]]
+			l := d[perm[0]]
 			for i := 1; i < len(perm); i++ {
-				l += d[perm[i-1]][perm[i]]
+				l += d[perm[i-1]*n+perm[i]]
 			}
-			l += d[perm[len(perm)-1]][0]
+			l += d[perm[len(perm)-1]*n]
 			if l < best {
 				best = l
 			}
@@ -68,6 +68,15 @@ func TestSequentialFindsOptimal(t *testing.T) {
 	}
 	if r.Expansions <= 0 {
 		t.Fatal("no expansions counted")
+	}
+}
+
+// TestSequentialGolden pins the default instance's bound and search size:
+// a cheaper dfs must count the same nodes.
+func TestSequentialGolden(t *testing.T) {
+	want := Result{Best: 237, Expansions: 13037406}
+	if got := sequential(Default()); got != want {
+		t.Fatalf("sequential(Default()) = %+v, want %+v", got, want)
 	}
 }
 

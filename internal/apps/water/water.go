@@ -19,9 +19,9 @@ package water
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
+	"albatross/internal/apps/memo"
 	"albatross/internal/core"
 	"albatross/internal/rng"
 	"albatross/internal/sim"
@@ -135,8 +135,12 @@ func internalStep(pos []Vec, lo, hi int, f []Vec) int {
 	return pairs
 }
 
-// Sequential runs the reference simulation on one processor.
-func Sequential(cfg Config) []Vec {
+// Sequential is the final positions the verifier compares against, solved
+// once per Config and shared read-only.
+var Sequential = memo.Of(sequential)
+
+// sequential runs the reference simulation on one processor.
+func sequential(cfg Config) []Vec {
 	pos := initMolecules(cfg)
 	vel := make([]Vec, cfg.N)
 	for t := 0; t < cfg.Iters; t++ {
@@ -150,18 +154,6 @@ func Sequential(cfg Config) []Vec {
 		}
 	}
 	return pos
-}
-
-// seqCache memoizes the sequential reference per Config: verifiers share one
-// read-only result instead of re-running the n² reference on every run.
-var seqCache sync.Map // Config -> []Vec
-
-func sequentialCached(cfg Config) []Vec {
-	if v, ok := seqCache.Load(cfg); ok {
-		return v.([]Vec)
-	}
-	v, _ := seqCache.LoadOrStore(cfg, Sequential(cfg))
-	return v.([]Vec)
 }
 
 // iterState is the per-processor exchange bookkeeping of one iteration.
@@ -315,7 +307,7 @@ func BuildVariant(sys *core.System, cfg Config, opts Options) func() error {
 	}
 
 	return func() error {
-		want := sequentialCached(cfg)
+		want := Sequential(cfg)
 		for i := range want {
 			for k := 0; k < 3; k++ {
 				if math.Abs(pos[i][k]-want[i][k]) > 1e-9 {
