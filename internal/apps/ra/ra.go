@@ -22,6 +22,7 @@ package ra
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"albatross/internal/apps/memo"
@@ -248,14 +249,15 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 		r := w.Rank()
 		bp := pools[w.Cluster()]
 
-		// Sender-side per-destination batches (node-level combining).
+		// Sender-side per-destination batches (node-level combining). Bit d
+		// of dirty is set exactly while batches[d] is non-nil, so an idle poll
+		// that has nothing to flush costs p/64 word tests, not p slot reads.
 		batches := make([]*batch, p)
+		dirty := make([]uint64, (p+63)/64)
 		flush := func(dst int) {
 			b := batches[dst]
-			if b == nil || len(b.items) == 0 {
-				return
-			}
 			batches[dst] = nil
+			dirty[dst>>6] &^= 1 << (dst & 63)
 			w.Compute(cfg.SendCost)
 			size := updateBytes * len(b.items)
 			to := cluster.NodeID(dst)
@@ -266,8 +268,10 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 			w.SendID(to, tags[dst], size, b)
 		}
 		flushAll := func() {
-			for d := 0; d < p; d++ {
-				flush(d)
+			for i, word := range dirty {
+				for ; word != 0; word &= word - 1 {
+					flush(i<<6 + bits.TrailingZeros64(word))
+				}
 			}
 		}
 
@@ -316,6 +320,7 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 					if b == nil {
 						b = bp.get()
 						batches[d] = b
+						dirty[d>>6] |= 1 << (d & 63)
 					}
 					b.items = append(b.items, update{target: u, val: t.val})
 					if len(b.items) >= cfg.NodeBatch {

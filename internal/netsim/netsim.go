@@ -108,7 +108,14 @@ type pipe struct {
 	// traffic. Arrivals are clamped to be non-decreasing per pipe; the fault
 	// injector's deliberate reorder delay is applied after the clamp so chaos
 	// reordering still works.
+	lane *sim.Lane // scheduled arrivals, oldest first; nil until the pipe carries a unit
 
+	pipeCounters
+}
+
+// pipeCounters is the part of a pipe that ResetStats zeroes; everything else
+// in a pipe is link state.
+type pipeCounters struct {
 	busy    time.Duration // cumulative transmission time
 	bytes   int64
 	msgs    int64         // application messages carried
@@ -679,13 +686,13 @@ func (n *Network) ResetStats() {
 			n.agg[c][k] = classAgg{}
 		}
 	}
-	// Per-pipe counters reset with the rest; free and arrive are link state
-	// (traffic still queued or in flight) and stay.
+	// Per-pipe counters reset with the rest; the link state (traffic still
+	// queued or in flight) stays.
 	for c := range n.adj {
 		for i := range n.adj[c] {
 			pipes := n.adj[c][i].pipes
 			for k := range pipes {
-				pipes[k] = pipe{free: pipes[k].free, arrive: pipes[k].arrive}
+				pipes[k].pipeCounters = pipeCounters{}
 			}
 		}
 	}

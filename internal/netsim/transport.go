@@ -30,7 +30,11 @@
 // unsequenced unit skips both.
 package netsim
 
-import "time"
+import (
+	"time"
+
+	"albatross/internal/sim"
+)
 
 // noSeq is the sequence number of a unit that is not part of a reassembled
 // stream: an unframed message.
@@ -249,7 +253,9 @@ func (n *Network) transmitOn(sh *netShard, u *wireUnit, now time.Duration, next 
 	// may only stretch it — latency scales below 1 are rejected per sample),
 	// so the delta is always >= the lookahead New configures — coalescing
 	// delays when a frame departs, never how far ahead its arrival is
-	// scheduled. On a plain engine AtShard is exactly At.
+	// scheduled. The pipe's lane is AtShard on a sharded engine; on a plain
+	// one it keeps the clamped arrivals out of the event heap until each is
+	// the pipe's next (a reorder delay that breaks the order falls back to At).
 	at := depart + lat + n.wanDelay
 	// FIFO clamp: a latency drop between two transmissions must not let this
 	// unit overtake earlier traffic on the same pipe (the fault reorder delay
@@ -262,7 +268,10 @@ func (n *Network) transmitOn(sh *netShard, u *wireUnit, now time.Duration, next 
 	if next == u.cd {
 		at += u.extra
 	}
-	sh.e.AtShard(n.sh[next].e, at, u.fn)
+	if p.lane == nil {
+		p.lane = sim.NewLane(sh.e, n.sh[next].e)
+	}
+	p.lane.At(at, u.fn)
 }
 
 // arrive runs on the destination cluster's LP when a unit has crossed its

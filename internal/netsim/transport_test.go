@@ -599,3 +599,34 @@ func TestResetStatsUnsharded(t *testing.T) {
 		t.Fatalf("delivered %d, want 2", got)
 	}
 }
+
+// TestResetStatsKeepsQueuedUnits: a saturated pipe holds its queued units in
+// link state the counters' reset must not touch. Forty messages queue on the
+// 0→1 pipe (100 us of serialization each); ResetStats lands with most of them
+// still waiting, and every one must arrive, in order.
+func TestResetStatsKeepsQueuedUnits(t *testing.T) {
+	const msgs = 40
+	e, n := build(2, 2)
+	var got []int
+	n.SetHandler(2, func(m Msg) { got = append(got, m.Payload.(int)) })
+	for i := 0; i < msgs; i++ {
+		n.Send(Msg{From: 4, To: 2, Kind: KindData, Size: 100, Payload: i}) // from the gateway: no FE leg
+	}
+	e.At(1500*time.Microsecond, func() {
+		if len(got) == 0 || len(got) > msgs/2 {
+			t.Errorf("%d of %d delivered at the reset: the pipe is not saturated across it", len(got), msgs)
+		}
+		n.ResetStats()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != msgs {
+		t.Fatalf("delivered %d of %d messages", len(got), msgs)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("delivery order %v", got)
+		}
+	}
+}

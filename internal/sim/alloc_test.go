@@ -53,6 +53,26 @@ func TestAllocProcSwitch(t *testing.T) {
 	}
 }
 
+// TestAllocLane: a lane's ring and fire thunk are built once, so queueing a
+// burst of arrivals behind one heap entry and firing them allocates nothing.
+func TestAllocLane(t *testing.T) {
+	e := NewEngine()
+	l := NewLane(e, e)
+	fn := func() {}
+	step := func() {
+		for k := 1; k <= 48; k++ {
+			l.At(e.Now()+time.Duration(k)*time.Microsecond, fn)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // grow the ring and the heap
+	if got := testing.AllocsPerRun(200, step); got != 0 {
+		t.Errorf("%.2f allocs per 48-arrival burst, want 0", got)
+	}
+}
+
 // TestAllocProcSpawn states what a process costs to create and run to
 // completion, so a change to the spawn path shows up as a number: the Proc,
 // its resume thunk and body wrapper (3), and iter.Pull's coroutine, closures

@@ -16,14 +16,15 @@
 // schedules arbitrary callbacks with At. When the event heap drains while
 // processes are still parked, Run reports a deadlock naming the culprits.
 //
-// The dispatcher is split in two for throughput. Events scheduled for a
+// The dispatcher is split for throughput. Events scheduled for a
 // future instant live in an inlined, monomorphic 4-ary min-heap ordered by
 // (time, seq) — no interface boxing, no indirect method calls. Events due at
 // the current instant (process wakeups, zero-delay callbacks) bypass the
 // heap through a FIFO ready ring; in a baton-passing simulation these are
-// the majority of all events. The split is invisible to observers: the
-// dispatch order is exactly the (time, seq) total order a single heap would
-// produce (see Run).
+// the majority of all events. Ordered streams of future events (a WAN pipe's
+// arrivals) wait in a Lane, a FIFO of which only the head is in the heap. The
+// split is invisible to observers: the dispatch order is exactly the (time,
+// seq) total order a single heap would produce (see Run and Lane).
 package sim
 
 import (
@@ -128,16 +129,18 @@ func (r *readyRing) push(seq uint64, fn func()) {
 }
 
 func (r *readyRing) grow() {
-	newCap := 2 * len(r.buf)
-	if newCap == 0 {
-		newCap = 64
-	}
-	nb := make([]nowEvent, newCap)
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = nb
+	r.buf = growRing(r.buf, r.head, r.n, 64)
 	r.head = 0
+}
+
+// growRing returns a ring of twice buf's size (minCap for an empty one, a
+// power of two) holding buf's n entries from index 0, oldest first.
+func growRing[T any](buf []T, head, n, minCap int) []T {
+	nb := make([]T, max(2*len(buf), minCap))
+	for i := 0; i < n; i++ {
+		nb[i] = buf[(head+i)&(len(buf)-1)]
+	}
+	return nb
 }
 
 // headSeq reports the schedule order of the oldest entry (r.n must be > 0).

@@ -1,0 +1,73 @@
+package sim
+
+import "time"
+
+// Lane is a FIFO of future events whose times never decrease — an ordered
+// stream such as a WAN pipe's arrivals — kept in front of the event heap: only
+// the lane's oldest event sits in the heap, the rest wait in a ring. A
+// saturated pipe schedules every queued unit's arrival far ahead, and with one
+// heap entry per unit the heap grows to the depth of all the queues together;
+// with lanes it holds one entry per pipe.
+//
+// Dispatch order is unchanged by construction. Every event takes its seq from
+// the engine counter at enqueue, exactly as At does, and the ring is ordered
+// by (at, seq) because at never decreases and seq always increases. So a
+// lane's head is its minimum, the heap's top is the minimum over every lane
+// and every plain event, and when a head fires it pushes its successor under
+// the successor's own (at, seq) before running the callback. An event that
+// would break the lane's order goes through At instead.
+type Lane struct {
+	src, dst *Engine
+	buf      []event // ring, power-of-two sized; buf[head] is the event in the heap
+	head, n  int
+	fireFn   func() // bound to fire once
+}
+
+// NewLane returns an empty lane for events that src schedules on dst (the
+// same engine unless they are two LPs of a sharded run).
+func NewLane(src, dst *Engine) *Lane {
+	l := &Lane{src: src, dst: dst}
+	l.fireFn = l.fire
+	return l
+}
+
+// At schedules fn at absolute virtual time t, like src.AtShard(dst, t, fn).
+func (l *Lane) At(t time.Duration, fn func()) {
+	e := l.dst
+	if e.root != nil {
+		// Sharded run: mid-window seqs are provisional and rewritten in the
+		// LP heaps at every fence, which a ring outside the heap would miss.
+		l.src.AtShard(e, t, fn)
+		return
+	}
+	if t <= e.now || (l.n > 0 && t < l.buf[(l.head+l.n-1)&(len(l.buf)-1)].at) {
+		// Due now, or earlier than the lane's tail: not FIFO, so a plain event.
+		e.At(t, fn)
+		return
+	}
+	e.seq++
+	if l.n == len(l.buf) {
+		l.buf = growRing(l.buf, l.head, l.n, 16)
+		l.head = 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = event{at: t, seq: e.seq, fn: fn}
+	l.n++
+	if l.n == 1 {
+		e.heapPush(event{at: t, seq: e.seq, fn: l.fireFn})
+	}
+}
+
+// fire is the heap entry of the lane's head: it pops the head, puts the next
+// one in the heap, and runs the popped callback. The slot is cleared so the
+// ring does not retain the closure.
+func (l *Lane) fire() {
+	fn := l.buf[l.head].fn
+	l.buf[l.head] = event{}
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	if l.n > 0 {
+		next := l.buf[l.head]
+		l.dst.heapPush(event{at: next.at, seq: next.seq, fn: l.fireFn})
+	}
+	fn()
+}

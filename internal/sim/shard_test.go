@@ -23,6 +23,7 @@ type shardWorld struct {
 	boxes []*Mailbox
 	logs  [][][2]int64 // per node: (virtual ns, payload) at delivery, in order
 	procs []*Proc
+	lanes []*Lane // non-nil: cross-cluster posts go through one lane per directed cluster pair
 }
 
 const worldLookahead = 500 * time.Microsecond
@@ -83,11 +84,21 @@ func (w *shardWorld) post(src *Engine, srcC, dst int, at time.Duration, payload 
 		w.logs[dst] = append(w.logs[dst], [2]int64{int64(dstEng.Now()), payload})
 		w.boxes[dst].Put(payload)
 	}
-	if dstEng == src || dst/w.perC == srcC {
+	if dst/w.perC == srcC {
 		dstEng.At(at, fn)
 		return
 	}
-	src.AtShard(dstEng, at, fn)
+	if w.lanes == nil {
+		src.AtShard(dstEng, at, fn)
+		return
+	}
+	// Slot (srcC, dstC) is touched by srcC's LP alone, and a cluster's posts
+	// are made at its clock plus L, so each pair's times never decrease.
+	k := srcC*len(w.engs) + dst/w.perC
+	if w.lanes[k] == nil {
+		w.lanes[k] = NewLane(src, dstEng)
+	}
+	w.lanes[k].At(at, fn)
 }
 
 type worldResult struct {

@@ -5,7 +5,8 @@
 # every such step in .github/workflows/ci.yml this script requires
 # `go test -list '<alt>' <pkg>` to print at least one test per package, for
 # each |-separated alternative of the pattern — so one renamed test cannot
-# hide behind its neighbours in a list.
+# hide behind its neighbours in a list. A fuzz step (`-run '^$' -fuzz <Target>`)
+# selects no test on purpose; there the named target must exist instead.
 #
 # Usage: scripts/ci-run-patterns.sh [workflow.yml]
 set -eu
@@ -20,13 +21,18 @@ if [ -z "$steps" ]; then
 fi
 
 echo "$steps" | while read -r pattern pkgs; do
+	kind=Test flag=-run
+	if [ "$pattern" = '^$' ]; then
+		kind=Fuzz flag=-fuzz
+		pattern=$(echo "$pkgs" | sed -n 's/.*-fuzz \([A-Za-z0-9_]*\).*/\1/p')
+	fi
 	for pkg in $pkgs; do
 		case "$pkg" in ./*) ;; *) continue ;; esac
 		for alt in $(echo "$pattern" | tr '|' ' '); do
-			if go test -list "$alt" "$pkg" | grep -q '^Test'; then
-				echo "ok    -run '$alt' $pkg"
+			if go test -list "$alt" "$pkg" | grep -q "^$kind"; then
+				echo "ok    $flag '$alt' $pkg"
 			else
-				echo "EMPTY -run '$alt' $pkg matches no test" >&2
+				echo "EMPTY $flag '$alt' $pkg matches no test" >&2
 				exit 1
 			fi
 		done
