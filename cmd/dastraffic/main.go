@@ -114,7 +114,7 @@ func resolveTopology(path string, clusters, nodes int) (cluster.Topology, string
 
 // printClasses shows the per-link-class statistics of the last run: per-hop
 // transmissions, volume, busy time and the queueing-delay distribution on
-// links of each declared capacity class (one synthetic "wan" class on mesh
+// links of each capacity class (the one "wan" class on DAS mesh
 // platforms).
 func printClasses(m core.Metrics) {
 	if len(m.Classes) == 0 {

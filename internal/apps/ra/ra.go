@@ -76,9 +76,6 @@ func (g *Game) Terminal(v int) bool {
 	return rng.Hash64(g.cfg.Seed^uint64(v)*0x9e37)%100 < uint64(g.cfg.TermPct)
 }
 
-// Successors returns v's successor positions (deduplicated, ascending ids).
-func (g *Game) Successors(v int) []int32 { return g.AppendSuccessors(nil, v) }
-
 // AppendSuccessors appends v's successors to buf and returns the extended
 // slice, so sweeps over many positions reuse one buffer instead of
 // allocating per position.

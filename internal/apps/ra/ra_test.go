@@ -34,7 +34,7 @@ func run(t *testing.T, clusters, npc int, optimized bool, cfg Config) core.Metri
 func TestGameIsDAG(t *testing.T) {
 	g := NewGame(testCfg())
 	for v := 0; v < testCfg().N; v++ {
-		for _, s := range g.Successors(v) {
+		for _, s := range g.AppendSuccessors(nil, v) {
 			if int(s) <= v || int(s) >= testCfg().N {
 				t.Fatalf("successor %d of %d out of range", s, v)
 			}
@@ -48,7 +48,7 @@ func TestSequentialValuesConsistent(t *testing.T) {
 	vals := Sequential(cfg)
 	wins, losses := 0, 0
 	for v := 0; v < cfg.N; v++ {
-		succ := g.Successors(v)
+		succ := g.AppendSuccessors(nil, v)
 		switch vals[v] {
 		case Loss:
 			losses++

@@ -25,11 +25,28 @@ type Topology struct {
 	NodesPerCluster int   // compute nodes per cluster (ignored when Sizes is set)
 	Sizes           []int // optional per-cluster sizes; len must equal Clusters
 
-	// WAN, when set, replaces the implicit full mesh at Params' uniform
-	// WANLatency/WANBandwidth with an explicit link graph (tiers, rings,
-	// per-link capacity classes). Built by Builder or ParseTopology (dsl.go);
-	// intercluster traffic is then routed hop by hop along Graph.Next.
+	// WAN is the wide-area link graph (tiers, rings, per-link capacity
+	// classes), built by Builder or ParseTopology (dsl.go). Nil is shorthand
+	// for the paper's platform — every cluster pair joined directly at
+	// Params' uniform WANLatency/WANBandwidth — which Graph spells out.
 	WAN *Graph
+}
+
+// Graph validates the topology and returns the link graph intercluster
+// traffic is routed over: the declared one, or, for the nil-WAN shorthand,
+// a full mesh of one "wan" class at par's uniform WAN figures (streams 0, the
+// transport default), wired by the same Builder as every declared platform.
+func (t Topology) Graph(par Params) (*Graph, error) {
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	if t.WAN != nil {
+		return t.WAN, nil
+	}
+	b := NewBuilder()
+	b.Roots(t.Clusters, Mesh, b.Class("wan", par.WANLatency, par.WANBandwidth, 0), 1)
+	mesh, err := b.Build()
+	return mesh.WAN, err
 }
 
 // Validate reports an error for nonsensical shapes.

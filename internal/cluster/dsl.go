@@ -85,6 +85,7 @@ func (g *Graph) Validate(nclusters int) error {
 	if len(g.roots) == 0 {
 		return fmt.Errorf("cluster: topology graph has no root tier")
 	}
+	linked := make(map[[2]int]bool, len(g.Links))
 	for i, l := range g.Links {
 		if l.A < 0 || l.A >= nclusters || l.B < 0 || l.B >= nclusters || l.A == l.B {
 			return fmt.Errorf("cluster: link %d connects invalid clusters %d-%d", i, l.A, l.B)
@@ -92,6 +93,11 @@ func (g *Graph) Validate(nclusters int) error {
 		if l.Class < 0 || l.Class >= len(g.Classes) {
 			return fmt.Errorf("cluster: link %d uses invalid class %d", i, l.Class)
 		}
+		pair := [2]int{min(l.A, l.B), max(l.A, l.B)}
+		if linked[pair] {
+			return fmt.Errorf("cluster: link %d duplicates the link %d-%d", i, l.A, l.B)
+		}
+		linked[pair] = true
 	}
 	return nil
 }
@@ -228,6 +234,13 @@ type tierSpec struct {
 	ic     Interconnect
 }
 
+// Platform descriptions are outside input (config files): a size no run could
+// hold must be an error, not an out-of-memory crash while expanding it.
+const (
+	maxClusters = 1 << 16 // clusters, and root-mesh links, per platform
+	maxStreams  = 256     // parallel pipes per directed link
+)
+
 // Builder assembles a tiered wide-area platform. Methods record the first
 // error; Build reports it.
 type Builder struct {
@@ -251,8 +264,9 @@ func (b *Builder) Class(name string, latency time.Duration, bandwidth float64, s
 	if name == "" {
 		return b.fail("link class needs a name")
 	}
-	if latency <= 0 || bandwidth <= 0 || streams < 0 {
-		return b.fail("link class %q needs positive latency and bandwidth (got %v, %g)", name, latency, bandwidth)
+	if latency <= 0 || bandwidth <= 0 || streams < 0 || streams > maxStreams {
+		return b.fail("link class %q needs positive latency and bandwidth and 0..%d streams (got %v, %g, %d)",
+			name, maxStreams, latency, bandwidth, streams)
 	}
 	b.classes = append(b.classes, LinkClass{Name: name, Latency: latency, Bandwidth: bandwidth, Streams: streams})
 	return len(b.classes) - 1
@@ -281,8 +295,8 @@ func (b *Builder) tier(parent, count int, ic Interconnect, class int, nodes []in
 	if b.err != nil {
 		return -1
 	}
-	if count <= 0 {
-		return b.fail("tier needs a positive cluster count, got %d", count)
+	if count <= 0 || count > maxClusters {
+		return b.fail("tier needs a cluster count in 1..%d, got %d", maxClusters, count)
 	}
 	if class < 0 || class >= len(b.classes) {
 		return b.fail("tier uses undeclared link class %d", class)
@@ -316,6 +330,23 @@ func (b *Builder) Build() (Topology, error) {
 	for i := 1; i < len(b.tiers); i++ {
 		p := b.tiers[i].parent
 		childTiers[p] = append(childTiers[p], i)
+	}
+	// Size the platform before expanding it. A tier's parent precedes it, so
+	// one reverse pass sees every child tier's subtree size first; each factor
+	// is at most maxClusters, so the products cannot overflow.
+	subtree := make([]int, len(b.tiers)) // clusters under (and including) one cluster of the tier
+	for i := len(b.tiers) - 1; i >= 0; i-- {
+		subtree[i] = 1
+		for _, ct := range childTiers[i] {
+			subtree[i] += b.tiers[ct].count * subtree[ct]
+		}
+		if subtree[i] > maxClusters {
+			subtree[i] = maxClusters + 1
+		}
+	}
+	roots := b.tiers[0].count
+	if roots*subtree[0] > maxClusters || (b.tiers[0].ic == Mesh && roots*(roots-1)/2 > maxClusters) {
+		return Topology{}, fmt.Errorf("cluster: platform exceeds %d clusters or root-mesh links", maxClusters)
 	}
 	g := &Graph{Classes: append([]LinkClass(nil), b.classes...), ic: b.tiers[0].ic}
 	var sizes []int

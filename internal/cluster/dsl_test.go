@@ -160,6 +160,10 @@ func TestParseTopologyErrors(t *testing.T) {
 		"zero mbit":        `{"classes":[{"name":"a","latency":"1ms","mbit":0}],"roots":{"count":2,"class":"a","nodes":[1]}}`,
 		"zero fanout":      `{"classes":[{"name":"a","latency":"1ms","mbit":1}],"roots":{"count":2,"class":"a","nodes":[1]},"tiers":[{"fanout":0,"class":"a","nodes":[1]}]}`,
 		"tier bad class":   `{"classes":[{"name":"a","latency":"1ms","mbit":1}],"roots":{"count":2,"class":"a","nodes":[1]},"tiers":[{"fanout":2,"class":"x","nodes":[1]}]}`,
+		"huge mesh":        `{"classes":[{"name":"a","latency":"1ms","mbit":1}],"roots":{"count":60000,"class":"a","nodes":[1]}}`,
+		"huge tree":        `{"classes":[{"name":"a","latency":"1ms","mbit":1}],"roots":{"count":2,"class":"a","nodes":[1]},"tiers":[{"fanout":300,"class":"a","nodes":[1]},{"fanout":300,"class":"a","nodes":[1]}]}`,
+		"huge fanout":      `{"classes":[{"name":"a","latency":"1ms","mbit":1}],"roots":{"count":2,"class":"a","nodes":[1]},"tiers":[{"fanout":4000000000,"class":"a","nodes":[1]}]}`,
+		"huge streams":     `{"classes":[{"name":"a","latency":"1ms","mbit":1,"streams":1000000}],"roots":{"count":2,"class":"a","nodes":[1]}}`,
 	}
 	for name, cfg := range cases {
 		if _, err := ParseTopology([]byte(cfg)); err == nil {
@@ -293,5 +297,47 @@ func TestNextAvoidingTree(t *testing.T) {
 	cut03 := func(from, to int) bool { return from == 0 && to == 1 }
 	if next, ok := g3.NextAvoiding(0, 1, cut03); !ok || next != 2 {
 		t.Fatalf("mesh detour NextAvoiding(0,1) = %d,%v, want 2,true", next, ok)
+	}
+}
+
+// TestTopologyGraph pins the WAN == nil shorthand: a full mesh of one "wan"
+// class at Params' figures, direct routes; a declared graph is returned as is;
+// figures no link class accepts are an error.
+func TestTopologyGraph(t *testing.T) {
+	par := DASParams()
+	g, err := DAS(4, 15).Graph(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := LinkClass{Name: "wan", Latency: par.WANLatency, Bandwidth: par.WANBandwidth}
+	if len(g.Classes) != 1 || g.Classes[0] != want || len(g.Links) != 6 {
+		t.Fatalf("mesh graph: classes %+v, %d links", g.Classes, len(g.Links))
+	}
+	for u := 0; u < 4; u++ {
+		for d := 0; d < 4; d++ {
+			if u != d && g.Next(u, d) != d {
+				t.Fatalf("Next(%d, %d) = %d, want the direct hop", u, d, g.Next(u, d))
+			}
+		}
+	}
+	declared := twoTier(t)
+	if g, err := declared.Graph(par); err != nil || g != declared.WAN {
+		t.Fatalf("declared graph not returned as is: %p vs %p, %v", g, declared.WAN, err)
+	}
+	par.WANBandwidth = 0
+	if _, err := DAS(2, 2).Graph(par); err == nil {
+		t.Fatal("zero WAN bandwidth accepted")
+	}
+	if _, err := DAS(0, 2).Graph(DASParams()); err == nil {
+		t.Fatal("invalid topology accepted")
+	}
+}
+
+func TestValidateRejectsDuplicateLink(t *testing.T) {
+	topo := twoTier(t)
+	l := topo.WAN.Links[0]
+	topo.WAN.Links = append(topo.WAN.Links, Link{A: l.B, B: l.A, Class: l.Class})
+	if err := topo.Validate(); err == nil || !strings.Contains(err.Error(), "duplicates") {
+		t.Fatalf("duplicate link: err = %v", err)
 	}
 }

@@ -206,18 +206,3 @@ func (cb *Combiner) SendID(w *Worker, to cluster.NodeID, tag orca.TagID, size in
 	it.to, it.tag, it.size, it.payload = to, tag, size, payload
 	cb.sys.RTS.Cast(w.Node, cb.agent(topo.ClusterOf(w.Node)), "comb:"+cb.name, size, it)
 }
-
-// FlushAll forces out every pending buffer (used at phase boundaries so no
-// message is stranded behind a long timer). It drains every cluster's
-// buffers from the calling context, which only one LP may do — on a sharded
-// engine rely on the flush timers instead.
-func (cb *Combiner) FlushAll() {
-	if cb.sys.Sharded() {
-		panic("core: Combiner.FlushAll on a sharded engine — buffers belong to their cluster's LP; rely on the flush timers or flush from each cluster (see DESIGN.md §5c)")
-	}
-	for c := range cb.bufs {
-		for dc := range cb.bufs[c] {
-			cb.flush(c, dc)
-		}
-	}
-}

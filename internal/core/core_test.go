@@ -287,7 +287,8 @@ func TestClusterQueuesStaticDivision(t *testing.T) {
 		for i := 0; i < jobs; i++ {
 			q.PushTo(w, i%2, 32, i)
 		}
-		q.CloseAll(w)
+		q.Close(w, 0)
+		q.Close(w, 1)
 	})
 	sys.SpawnWorkers("w", func(w *Worker) {
 		for {

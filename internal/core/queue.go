@@ -108,13 +108,6 @@ func (q *ClusterQueues) PushTo(w *Worker, c int, size int, job any) {
 	w.Invoke(q.objs[c], pushOp(size, job))
 }
 
-// CloseAll closes every cluster queue.
-func (q *ClusterQueues) CloseAll(w *Worker) {
-	for _, o := range q.objs {
-		w.Invoke(o, closeOp)
-	}
-}
-
 // Close closes cluster c's queue only.
 func (q *ClusterQueues) Close(w *Worker, c int) { w.Invoke(q.objs[c], closeOp) }
 

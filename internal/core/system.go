@@ -121,9 +121,6 @@ func (w *Worker) Send(to cluster.NodeID, tag orca.Tag, size int, payload any) {
 // Recv blocks until a tagged message addressed to this worker arrives.
 func (w *Worker) Recv(tag orca.Tag) any { return w.Sys.RTS.RecvData(w.P, w.Node, tag) }
 
-// TryRecv returns a queued tagged message without blocking.
-func (w *Worker) TryRecv(tag orca.Tag) (any, bool) { return w.Sys.RTS.TryRecvData(w.Node, tag) }
-
 // SendID, RecvID and TryRecvID are the pre-interned-tag variants of
 // Send/Recv/TryRecv: the zero-allocation fast path for per-iteration
 // exchanges (intern the tag once with Sys.RTS.InternTag, then send by ID).

@@ -177,6 +177,43 @@ func (pl Plan) Validate() error {
 	return nil
 }
 
+// ValidateOn rejects a plan that does not fit the platform it is to run on:
+// a cluster index the platform does not have, or a link-down naming a
+// directed pair that is not a physical link of g. The network consults the
+// policy about real gateways and hops only, so such an entry would be
+// silently inert.
+func (pl Plan) ValidateOn(g *cluster.Graph, nclusters int) error {
+	for pair := range pl.Pairs {
+		if pair[0] >= nclusters || pair[1] >= nclusters {
+			return fmt.Errorf("faults: pair %d->%d names a cluster beyond the platform's %d", pair[0], pair[1], nclusters)
+		}
+	}
+	for _, o := range pl.Outages {
+		if o.From >= nclusters || o.To >= nclusters {
+			return fmt.Errorf("faults: outage %d->%d names a cluster beyond the platform's %d", o.From, o.To, nclusters)
+		}
+	}
+	for _, c := range pl.Crashes {
+		if c.Cluster >= nclusters {
+			return fmt.Errorf("faults: gateway crash names cluster %d beyond the platform's %d", c.Cluster, nclusters)
+		}
+	}
+	if len(pl.LinkDowns) == 0 {
+		return nil
+	}
+	linked := make(map[[2]int]bool, 2*len(g.Links))
+	for _, l := range g.Links {
+		linked[[2]int{l.A, l.B}] = true
+		linked[[2]int{l.B, l.A}] = true
+	}
+	for _, l := range pl.LinkDowns {
+		if !linked[[2]int{l.From, l.To}] {
+			return fmt.Errorf("faults: link-down %d->%d is not a physical link of the platform", l.From, l.To)
+		}
+	}
+	return nil
+}
+
 // CutRingSegment derives the LinkDown windows that sever ring segment seg —
 // the physical link between the seg'th root and its successor on the
 // backbone ring — in both directions for [start, start+dur). On a

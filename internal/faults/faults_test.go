@@ -34,10 +34,26 @@ func TestPlanValidate(t *testing.T) {
 		{"negative link-down window", Plan{LinkDowns: []LinkDown{{From: 0, To: 1, Duration: -time.Second}}}, "negative window"},
 		{"self link-down", Plan{LinkDowns: []LinkDown{{From: 2, To: 2, Duration: time.Second}}}, "not a directed cluster pair"},
 		{"negative link-down index", Plan{LinkDowns: []LinkDown{{From: -1, To: 1, Duration: time.Second}}}, "not a directed cluster pair"},
+		// ValidateOn, against a four-cluster ring (links 0-1, 1-2, 2-3, 3-0).
+		{"pair beyond platform", Plan{Pairs: map[[2]int]PairProbs{{0, 4}: {Drop: 0.5}}}, "beyond the platform"},
+		{"outage beyond platform", Plan{Outages: []Outage{{From: Any, To: 4, Duration: time.Second}}}, "beyond the platform"},
+		{"crash beyond platform", Plan{Crashes: []GatewayCrash{{Cluster: 4, Duration: time.Second}}}, "beyond the platform"},
+		{"link-down beyond platform", Plan{LinkDowns: []LinkDown{{From: 3, To: 4, Duration: time.Second}}}, "not a physical link"},
+		{"link-down across the ring", Plan{LinkDowns: []LinkDown{{From: 0, To: 2, Duration: time.Second}}}, "not a physical link"},
+		{"link-down on the closing segment", Plan{LinkDowns: []LinkDown{{From: 0, To: 3, Duration: time.Second}}}, ""},
+	}
+	b := cluster.NewBuilder()
+	b.Roots(4, cluster.Ring, b.Class("ring", time.Millisecond, 1e6, 0), 2)
+	ring, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.plan.Validate()
+			if err == nil {
+				err = tc.plan.ValidateOn(ring.WAN, ring.Clusters)
+			}
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("valid plan rejected: %v", err)

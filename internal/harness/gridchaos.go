@@ -63,10 +63,10 @@ const chaosOutageStart = 100 * time.Millisecond
 // seconds of virtual time, so two minutes is pure backstop.
 const chaosDeadline = 2 * time.Minute
 
-// Plan builds the scenario's fault plan for a topology. The partition window
-// is derived from the topology's backbone graph (or, on the implicit full
-// mesh, the directed pair 0-1 in both directions).
-func (c ChaosSpec) Plan(topo cluster.Topology) faults.Plan {
+// Plan builds the scenario's fault plan for a platform's link graph g. The
+// partition window cuts g's backbone segment 0 (on the DAS mesh, the pair 0-1)
+// in both directions.
+func (c ChaosSpec) Plan(g *cluster.Graph) faults.Plan {
 	pl := faults.Plan{Seed: c.Seed, Default: faults.PairProbs{Drop: c.Loss}}
 	if pl.Seed == 0 {
 		pl.Seed = chaosSeed
@@ -76,40 +76,28 @@ func (c ChaosSpec) Plan(topo cluster.Topology) faults.Plan {
 			Cluster: 1, Start: chaosOutageStart, Duration: c.Outage,
 		})
 	}
-	if c.PartitionDur <= 0 {
-		return pl
-	}
-	if topo.WAN != nil {
-		pl.LinkDowns = faults.CutRingSegment(topo.WAN, 0, c.PartitionStart, c.PartitionDur)
-	} else {
-		pl.LinkDowns = []faults.LinkDown{
-			{From: 0, To: 1, Start: c.PartitionStart, Duration: c.PartitionDur},
-			{From: 1, To: 0, Start: c.PartitionStart, Duration: c.PartitionDur},
-		}
+	if c.PartitionDur > 0 {
+		pl.LinkDowns = faults.CutRingSegment(g, 0, c.PartitionStart, c.PartitionDur)
 	}
 	return pl
 }
 
-// chaosRelConfig sizes the ARQ retransmit timeout to the topology. The
-// default 10ms RTO suits the flat DAS mesh, but a multi-hop backbone's
-// round trip can exceed it many times over — every envelope would then time
-// out before its ack returned, and the sweep would measure a spurious
-// retransmission storm instead of fault recovery. The RTO floor is set to
-// twice the worst-case routed round trip (pure link latency; serialization
-// and queueing ride on the doubling).
-func chaosRelConfig(topo cluster.Topology) orca.RelConfig {
-	g := topo.WAN
-	if g == nil {
-		return orca.RelConfig{}
-	}
+// chaosRelConfig sizes the ARQ retransmit timeout to the platform. 10ms is
+// several WAN round trips on the DAS mesh, but a multi-hop backbone's round
+// trip can exceed it many times over — every envelope would then time out
+// before its ack returned, and the sweep would measure a spurious
+// retransmission storm instead of fault recovery. So the RTO is also at least
+// twice the worst-case routed round trip over g (pure link latency;
+// serialization and queueing ride on the doubling).
+func chaosRelConfig(g *cluster.Graph, nclusters int) orca.RelConfig {
 	classOf := make(map[[2]int]int, 2*len(g.Links))
 	for _, l := range g.Links {
 		classOf[[2]int{l.A, l.B}] = l.Class
 		classOf[[2]int{l.B, l.A}] = l.Class
 	}
 	var worst time.Duration
-	for u := 0; u < topo.Clusters; u++ {
-		for d := 0; d < topo.Clusters; d++ {
+	for u := 0; u < nclusters; u++ {
+		for d := 0; d < nclusters; d++ {
 			if u == d {
 				continue
 			}
@@ -124,18 +112,22 @@ func chaosRelConfig(topo cluster.Topology) orca.RelConfig {
 			}
 		}
 	}
-	return orca.RelConfig{RTO: 4 * worst} // 2x the round trip
+	return orca.RelConfig{RTO: max(10*time.Millisecond, 4*worst)}
 }
 
 // chaosRun describes one application variant under a fault scenario: the
-// scenario's plan for the topology, the reliability layer sized to it, and
+// scenario's plan for the platform, the reliability layer sized to it, and
 // the chaos deadline. Senders retry without bound; a scenario the protocol
 // cannot survive is caught by the virtual-time deadline, and the failure
 // carries the reliability layer's stalled-channel diagnosis.
 func (s *Session) chaosRun(app AppSpec, topo cluster.Topology, optimized bool, c ChaosSpec) RunSpec {
 	spec := s.Spec(app, topo, optimized)
-	plan := c.Plan(topo)
-	spec.Faults, spec.Rel, spec.Deadline = &plan, chaosRelConfig(topo), chaosDeadline
+	g, err := topo.Graph(spec.Params)
+	if err != nil {
+		return spec // Exec rejects the platform with the same error
+	}
+	plan := c.Plan(g)
+	spec.Faults, spec.Rel, spec.Deadline = &plan, chaosRelConfig(g, topo.Clusters), chaosDeadline
 	return spec
 }
 

@@ -72,7 +72,7 @@ func TestGridPartitionNeverHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := (&Session{}).Spec(app, topo, false)
-	spec.Faults, spec.Rel, spec.Deadline = &plan, chaosRelConfig(topo), 20*time.Second
+	spec.Faults, spec.Rel, spec.Deadline = &plan, chaosRelConfig(topo.WAN, topo.Clusters), 20*time.Second
 	res, err := Exec(spec)
 	var dl *sim.DeadlineError
 	if !errors.As(err, &dl) {
@@ -84,6 +84,43 @@ func TestGridPartitionNeverHeals(t *testing.T) {
 	}
 	if res.Rel.Retransmits == 0 {
 		t.Fatal("ARQ never retransmitted across the permanent partition")
+	}
+}
+
+// TestExecRejectsPlanOffThePlatform: a fault plan naming a cluster the
+// platform lacks, or a link-down that is no physical link of its graph, would
+// be silently inert; Exec returns an error for it on the mesh shorthand and on
+// a declared graph alike, and for a platform chaosRun could not plan on.
+func TestExecRejectsPlanOffThePlatform(t *testing.T) {
+	app, err := AppByName("SOR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hour := func(from, to int) []faults.LinkDown {
+		return []faults.LinkDown{{From: from, To: to, Duration: time.Hour}}
+	}
+	cases := []struct {
+		name string
+		topo cluster.Topology
+		plan faults.Plan
+		want string
+	}{
+		{"mesh link-down beyond", cluster.DAS(4, 2), faults.Plan{LinkDowns: hour(0, 4)}, "not a physical link"},
+		{"mesh crash beyond", cluster.DAS(4, 2), faults.Plan{Crashes: []faults.GatewayCrash{{Cluster: 4, Duration: time.Hour}}}, "beyond the platform"},
+		{"ring link-down across", ring9(t), faults.Plan{LinkDowns: hour(0, 2)}, "not a physical link"},
+		{"ring outage beyond", ring9(t), faults.Plan{Outages: []faults.Outage{{From: 9, To: faults.Any, Duration: time.Hour}}}, "beyond the platform"},
+		{"ring pair beyond", ring9(t), faults.Plan{Pairs: map[[2]int]faults.PairProbs{{9, 0}: {Drop: 1}}}, "beyond the platform"},
+	}
+	for _, tc := range cases {
+		spec := (&Session{}).Spec(app, tc.topo, false)
+		spec.Faults = &tc.plan
+		if _, err := Exec(spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
+	bad := (&Session{}).chaosRun(app, cluster.DAS(0, 2), false, ChaosSpec{Loss: 0.01})
+	if _, err := Exec(bad); err == nil || !strings.Contains(err.Error(), "Clusters must be positive") {
+		t.Errorf("invalid platform: err = %v", err)
 	}
 }
 
@@ -109,13 +146,18 @@ func TestGridChaosReportQuick(t *testing.T) {
 }
 
 // TestChaosRelConfigSizesRTO pins the timeout derivation: the worst routed
-// path on ring9 is four 20ms hops each way, so the RTO floor must be twice
-// that round trip; the implicit mesh keeps the default.
+// path on ring9 is four 20ms hops each way, so the RTO must be twice that
+// round trip; the DAS mesh's 1.15ms hop leaves the 10ms floor in force.
 func TestChaosRelConfigSizesRTO(t *testing.T) {
-	if got := chaosRelConfig(ring9(t)); got.RTO != 320*time.Millisecond {
+	ring := ring9(t)
+	if got := chaosRelConfig(ring.WAN, ring.Clusters); got.RTO != 320*time.Millisecond {
 		t.Fatalf("ring9 RTO = %v, want 320ms (2x the 4-hop round trip)", got.RTO)
 	}
-	if got := chaosRelConfig(cluster.DAS(4, 2)); got != (orca.RelConfig{}) {
-		t.Fatalf("mesh config = %+v, want defaults", got)
+	mesh, err := cluster.DAS(4, 2).Graph(Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := chaosRelConfig(mesh, 4); got != (orca.RelConfig{RTO: 10 * time.Millisecond}) {
+		t.Fatalf("mesh config = %+v, want the 10ms floor", got)
 	}
 }

@@ -125,13 +125,17 @@ type Result struct {
 // deadline still reports how far it got.
 func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 	var res Result
-	if err := spec.Topo.Validate(); err != nil {
+	params := applyTransport(spec.Params, spec.Transport)
+	wan, err := spec.Topo.Graph(params)
+	if err != nil {
 		return res, fmt.Errorf("%s: %w", spec, err)
 	}
 	var in *faults.Injector
 	if spec.Faults != nil {
-		var err error
-		if in, err = faults.NewInjector(*spec.Faults); err != nil {
+		if in, err = faults.NewInjector(*spec.Faults); err == nil {
+			err = spec.Faults.ValidateOn(wan, spec.Topo.Clusters)
+		}
+		if err != nil {
 			return res, fmt.Errorf("%s: %w", spec, err)
 		}
 	}
@@ -145,7 +149,7 @@ func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 	}
 	sys := core.NewSystem(core.Config{
 		Topology:  spec.Topo,
-		Params:    applyTransport(spec.Params, spec.Transport),
+		Params:    params,
 		Sequencer: seqr,
 		Shards:    shards,
 	})

@@ -1,7 +1,7 @@
 //go:build !race
 
 // Alloc-regression tests for the sparse WAN data path: once the pools and
-// the lazily-materialized links are warm, steady-state sends — LAN, mesh
+// the pipes' lanes are warm, steady-state sends — LAN, mesh
 // WAN, multi-hop tiered WAN, and framed transport WAN — must not allocate.
 // A change that reintroduces per-message allocation (per-pair tables, map
 // churn on the pipe index, unpooled hop records) fails here long before it
@@ -36,7 +36,7 @@ func netStep(e *sim.Engine, n *Network, from, to cluster.NodeID, size int) func(
 func allocBudget(t *testing.T, name string, step func(), budget float64) {
 	t.Helper()
 	for i := 0; i < 16; i++ {
-		step() // warm pools, lazy links, egress queues and event free lists
+		step() // warm pools, pipe lanes, egress queues and event free lists
 	}
 	if got := testing.AllocsPerRun(100, step); got > budget {
 		t.Fatalf("%s: %.1f allocs/op, budget %.1f", name, got, budget)
@@ -49,7 +49,7 @@ func TestAllocLANSend(t *testing.T) {
 }
 
 func TestAllocWANSendMesh(t *testing.T) {
-	// The DAS fast path: one WAN hop on a lazily-materialized mesh link.
+	// The DAS fast path: one WAN hop on a mesh link.
 	e, n := build(4, 4)
 	allocBudget(t, "mesh wan send", netStep(e, n, 0, 13, 1000), 0)
 }

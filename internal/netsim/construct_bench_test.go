@@ -10,14 +10,12 @@ import (
 	"albatross/internal/sim"
 )
 
-// constructSizes are the platform scales the scaling benchmark sweeps. The
-// acceptance bar is at 256: sparse construction must undercut the dense
-// per-pair representation by >=10x in bytes/op.
+// constructSizes are the platform scales the scaling benchmark sweeps.
 var constructSizes = []int{4, 64, 256}
 
 // constructTopo builds a tiered platform with the given total cluster count:
 // 4 ring roots, then fan-outs of 3 and 4 (4·(1+3)+… per tier), two compute
-// nodes per cluster — the same node count as the dense baseline's DAS(c, 2).
+// nodes per cluster.
 func constructTopo(tb testing.TB, clusters int) cluster.Topology {
 	fanouts := map[int][]int{4: {}, 64: {3, 4}, 256: {3, 4, 4}}[clusters]
 	if fanouts == nil {
@@ -55,59 +53,4 @@ func BenchmarkNetworkConstruct(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkNetworkConstructDense is the memory baseline: it reproduces the
-// representation this package used before the sparse refactor — one pipe
-// per (src, dst) cluster pair plus the flattened per-node tables, allocated
-// up front — on a full mesh with the same node count (DAS(c, 2)).
-func BenchmarkNetworkConstructDense(b *testing.B) {
-	for _, c := range constructSizes {
-		topo := cluster.DAS(c, 2)
-		b.Run(fmt.Sprintf("c=%d", c), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := sim.NewEngine()
-				runtime.KeepAlive(denseConstruct(e, topo))
-			}
-		})
-	}
-}
-
-// denseNet mirrors the pre-refactor Network layout's allocation profile.
-type denseNet struct {
-	nodes     []*node
-	pipes     []pipe
-	clusterOf []int
-	isGW      []bool
-	gateways  []cluster.NodeID
-	members   [][]cluster.NodeID
-}
-
-func denseConstruct(e *sim.Engine, topo cluster.Topology) *denseNet {
-	d := &denseNet{
-		nodes:     make([]*node, topo.Total()),
-		pipes:     make([]pipe, topo.Clusters*topo.Clusters),
-		clusterOf: make([]int, topo.Total()),
-		isGW:      make([]bool, topo.Total()),
-	}
-	for i := range d.clusterOf {
-		d.clusterOf[i] = topo.ClusterOf(cluster.NodeID(i))
-		d.isGW[i] = topo.IsGateway(cluster.NodeID(i))
-	}
-	for i := range d.nodes {
-		id := cluster.NodeID(i)
-		d.nodes[i] = &node{id: id, inbox: sim.NewMailbox(e, fmt.Sprintf("inbox-%d", i))}
-	}
-	d.members = make([][]cluster.NodeID, topo.Clusters)
-	for c := range d.members {
-		d.members[c] = topo.Nodes(c)
-	}
-	if topo.Clusters > 1 {
-		d.gateways = make([]cluster.NodeID, topo.Clusters)
-		for c := range d.gateways {
-			d.gateways[c] = topo.Gateway(c)
-		}
-	}
-	return d
 }

@@ -155,10 +155,8 @@ type netShard struct {
 	wirePool []*wireUnit // free list of WAN wire-unit records (transport.go)
 }
 
-// linkClass is a resolved wide-area link class: the declared parameters with
-// the stream count defaulted from Params. The implicit full mesh has a single
-// synthetic class carrying Params' uniform WAN figures, so the classic DAS
-// arithmetic is byte-for-byte what it always was.
+// linkClass is a resolved wide-area link class: the graph's parameters with
+// the stream count defaulted from Params.
 type linkClass struct {
 	name    string
 	lat     time.Duration
@@ -166,10 +164,7 @@ type linkClass struct {
 	streams int
 }
 
-// adjLink is one directed WAN link in a cluster's sorted adjacency list. All
-// mutable state lives behind the pipes slice header, so sorted insertion
-// (which shifts entries when the mesh materializes a link lazily) never moves
-// it and pointers into the pipes stay valid.
+// adjLink is one directed WAN link in a cluster's sorted adjacency list.
 type adjLink struct {
 	to    int32 // destination cluster
 	class int32 // index into Network.classes
@@ -183,14 +178,12 @@ type Network struct {
 	par   cluster.Params
 	nodes []*node
 
-	// Sparse wide-area state. adj[c] lists cluster c's outgoing links sorted
-	// by destination; on the implicit full mesh (graph == nil) links
-	// materialize lazily on first use, so memory is proportional to links
-	// that actually carry traffic, not to C². agg[c][k] accumulates cluster
-	// c's transmissions on class k as O(1) streaming aggregates. Both are
-	// per-source-cluster state: under a sharded engine each top-level slot
-	// is touched only by its owner LP.
-	graph     *cluster.Graph // nil = implicit full mesh at par's uniform WAN link
+	// Wide-area state, linear in physical links. adj[c] lists cluster c's
+	// outgoing links sorted by destination, all built by New; agg[c][k]
+	// accumulates cluster c's transmissions on class k as O(1) streaming
+	// aggregates. Both are per-source-cluster state: under a sharded engine
+	// each top-level slot is touched only by its owner LP.
+	graph     *cluster.Graph // topo.Graph(par): routes, link classes, physical links
 	classes   []linkClass
 	adj       [][]adjLink
 	agg       [][]classAgg
@@ -349,33 +342,10 @@ func (n *Network) routeFloors() [][]time.Duration {
 		return n.routeFloor
 	}
 	hopExtra := n.par.SoftwareOverhead + n.par.GatewayCost
-	if n.graph == nil {
-		// Implicit full mesh: every pair one uniform WAN hop apart (any
-		// detour costs at least two).
-		d := n.par.WANLatency + hopExtra
-		flat := make([]time.Duration, n.nclusters*n.nclusters)
-		rows := make([][]time.Duration, n.nclusters)
-		for c := range rows {
-			rows[c] = flat[c*n.nclusters : (c+1)*n.nclusters]
-			for o := range rows[c] {
-				if o != c {
-					rows[c][o] = d
-				}
-			}
-		}
-		n.routeFloor = rows
-		return rows
-	}
 	n.routeFloor = n.graph.AllPairsCost(n.nclusters, func(class int) time.Duration {
 		return n.graph.Classes[class].Latency + hopExtra
 	})
 	return n.routeFloor
-}
-
-// RouteFloor reports the minimum routed latency from cluster cs to cluster
-// cd (see routeFloors). Observability/testing.
-func (n *Network) RouteFloor(cs, cd int) time.Duration {
-	return n.routeFloors()[cs][cd]
 }
 
 // WANProfile maps a virtual instant to multiplicative (latency, bandwidth)
@@ -413,9 +383,11 @@ func (n *Network) callTap(at time.Duration, m Msg, inter bool) {
 	n.tap(at, m, inter)
 }
 
-// New creates a network for the given topology and parameters.
+// New creates a network for the given topology and parameters. It panics on
+// an invalid platform; callers holding outside input check topo.Graph first.
 func New(e *sim.Engine, topo cluster.Topology, par cluster.Params) *Network {
-	if err := topo.Validate(); err != nil {
+	graph, err := topo.Graph(par)
+	if err != nil {
 		panic(err)
 	}
 	transport := par.TransportEnabled() && topo.Clusters > 1
@@ -428,7 +400,7 @@ func New(e *sim.Engine, topo cluster.Topology, par cluster.Params) *Network {
 		topo:      topo,
 		par:       par,
 		nodes:     make([]*node, topo.Total()),
-		graph:     topo.WAN,
+		graph:     graph,
 		nclusters: topo.Clusters,
 
 		lanDelay:      par.LANLatency + 2*par.SoftwareOverhead,
@@ -436,26 +408,18 @@ func New(e *sim.Engine, topo cluster.Topology, par cluster.Params) *Network {
 		feDelay:       par.FELatency + par.SoftwareOverhead,
 		wanDelay:      par.SoftwareOverhead,
 	}
-	if n.graph == nil {
-		n.classes = []linkClass{{name: "wan", lat: par.WANLatency, bw: par.WANBandwidth, streams: defStreams}}
-	} else {
-		n.classes = make([]linkClass, len(n.graph.Classes))
-		for i, c := range n.graph.Classes {
-			s := c.Streams
-			if s <= 0 {
-				s = defStreams
-			}
-			n.classes[i] = linkClass{name: c.Name, lat: c.Latency, bw: c.Bandwidth, streams: s}
+	n.classes = make([]linkClass, len(graph.Classes))
+	for i, c := range graph.Classes {
+		s := c.Streams
+		if s <= 0 {
+			s = defStreams
 		}
+		n.classes[i] = linkClass{name: c.Name, lat: c.Latency, bw: c.Bandwidth, streams: s}
 	}
 	n.adj = make([][]adjLink, topo.Clusters)
-	if n.graph != nil {
-		// Declared graphs materialize eagerly: memory is linear in physical
-		// links, and routing never takes the lazy-insert path.
-		for _, l := range n.graph.Links {
-			n.addLink(l.A, l.B, l.Class)
-			n.addLink(l.B, l.A, l.Class)
-		}
+	for _, l := range graph.Links {
+		n.addLink(l.A, l.B, l.Class)
+		n.addLink(l.B, l.A, l.Class)
 	}
 	// agg rows materialize on a cluster's first WAN transmission (aggFor):
 	// clusters that never source wide-area traffic cost one nil slot.
@@ -568,7 +532,7 @@ func New(e *sim.Engine, topo cluster.Topology, par cluster.Params) *Network {
 }
 
 // addLink inserts the directed link a→b into a's adjacency list (construction
-// time only; duplicates are rejected by Graph.Validate upstream).
+// time only; Graph.Validate has rejected duplicates).
 func (n *Network) addLink(a, b, class int) {
 	links := n.adj[a]
 	lo := searchAdj(links, b)
@@ -593,29 +557,18 @@ func searchAdj(links []adjLink, b int) int {
 	return lo
 }
 
-// linkFor returns the directed WAN link cur→next. On the implicit full mesh
-// links materialize on first use — a DAS-sized run touches a handful, a
-// 256-cluster platform only the pairs that actually talk. The adjacency slot
-// is per-source-cluster state owned by cur's LP, so lazy insertion is safe
-// under a sharded engine. The returned pointer is valid for the current
-// event only (a later insertion may shift entries); the pipes it carries are
-// stable.
+// linkFor returns the directed WAN link cur→next. Routes only ever name
+// physical links, so a miss is a routing bug.
 func (n *Network) linkFor(cur, next int) *adjLink {
 	links := n.adj[cur]
-	lo := searchAdj(links, next)
-	if lo < len(links) && int(links[lo].to) == next {
+	if lo := searchAdj(links, next); lo < len(links) && int(links[lo].to) == next {
 		return &links[lo]
 	}
-	if n.graph != nil {
-		panic(fmt.Sprintf("netsim: route hop %d->%d has no declared link", cur, next))
-	}
-	n.addLink(cur, next, 0)
-	return &n.adj[cur][lo]
+	panic(fmt.Sprintf("netsim: route hop %d->%d has no physical link", cur, next))
 }
 
 // aggFor returns cluster c's streaming aggregate for one link class, lazily
-// materializing the cluster's row (per-source-cluster state owned by c's LP,
-// like the adjacency list).
+// materializing the cluster's row (per-source-cluster state owned by c's LP).
 func (n *Network) aggFor(c, class int) *classAgg {
 	a := n.agg[c]
 	if a == nil {
@@ -623,15 +576,6 @@ func (n *Network) aggFor(c, class int) *classAgg {
 		n.agg[c] = a
 	}
 	return &a[class]
-}
-
-// nextHop returns the next cluster on the route cur→cd: the destination
-// itself on the implicit full mesh, otherwise the link graph's next hop.
-func (n *Network) nextHop(cur, cd int) int {
-	if n.graph == nil {
-		return cd
-	}
-	return n.graph.Next(cur, cd)
 }
 
 // Engine returns the underlying simulation engine (the root when sharded).

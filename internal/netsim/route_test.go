@@ -212,31 +212,6 @@ func TestP2Quantile(t *testing.T) {
 	}
 }
 
-func TestMeshLazyMaterialization(t *testing.T) {
-	// On the implicit full mesh only pairs that talk materialize a link.
-	e, n := build(16, 2)
-	n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 100}) // cluster 0 → 1
-	n.Send(Msg{From: 0, To: 4, Kind: KindData, Size: 100}) // cluster 0 → 2
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	live := 0
-	for c := range n.adj {
-		live += len(n.adj[c])
-	}
-	if live != 2 {
-		t.Fatalf("%d links materialized, want 2", live)
-	}
-	if got := len(n.PipeReports()); got != 2 {
-		t.Fatalf("%d pipe reports, want 2", got)
-	}
-	// The synthetic mesh class aggregates all WAN traffic.
-	cr := n.ClassReports()
-	if len(cr) != 1 || cr[0].Class != "wan" || cr[0].Xmits != 2 {
-		t.Fatalf("mesh class reports %+v", cr)
-	}
-}
-
 func TestTieredTransport(t *testing.T) {
 	// Frame coalescing over a multi-hop route: messages from cluster 1 to
 	// cluster 3 coalesce at gateway 1, and the frames hop store-and-forward
@@ -285,8 +260,7 @@ func TestTieredTransport(t *testing.T) {
 }
 
 func TestRouteWithoutLinkPanics(t *testing.T) {
-	// A declared graph must never take the lazy mesh path: a hop without a
-	// physical link is a routing bug and panics loudly.
+	// A hop without a physical link is a routing bug and panics loudly.
 	_, n := tieredTestNet(t, testParams(), 0)
 	defer func() {
 		if recover() == nil {

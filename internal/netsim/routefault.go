@@ -53,24 +53,6 @@ func (n *Network) routeOrHold(sh *netShard, now time.Duration, u *wireUnit) (nex
 // candidate path's first link is down.
 func (n *Network) routeNext(sh *netShard, now time.Duration, cur, cd int) (int, bool) {
 	lf := n.linkFault
-	if n.graph == nil {
-		// Implicit full mesh: direct link, else a one-intermediate detour
-		// (lowest cluster index with both legs up, so the choice is
-		// deterministic).
-		if !lf.LinkDown(now, cur, cd) {
-			return cd, true
-		}
-		for w := 0; w < n.nclusters; w++ {
-			if w == cur || w == cd {
-				continue
-			}
-			if !lf.LinkDown(now, cur, w) && !lf.LinkDown(now, w, cd) {
-				sh.stats.reroutes++
-				return w, true
-			}
-		}
-		return 0, false
-	}
 	next, ok := n.graph.NextAvoiding(cur, cd, func(a, b int) bool { return lf.LinkDown(now, a, b) })
 	if !ok {
 		return 0, false

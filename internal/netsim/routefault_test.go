@@ -59,7 +59,7 @@ func TestRingRerouteSecondDirection(t *testing.T) {
 	}
 }
 
-// TestMeshDetourOneIntermediate: on the implicit full mesh a cut direct
+// TestMeshDetourOneIntermediate: on the full mesh a cut direct
 // link detours through the lowest-index third cluster, turning the
 // single-hop mesh route into a store-and-forward two-hop route.
 func TestMeshDetourOneIntermediate(t *testing.T) {
@@ -116,19 +116,25 @@ var holdKinds = []struct {
 	}, func(k int) int64 { return int64((k + 1) / 2) }},
 }
 
-// TestHeldUnitsDrainFIFOOnHeal: with no alternate path (a declared two-root
-// backbone, or a two-cluster implicit mesh with no third cluster to detour
-// through), traffic parks at the gateway during the cut and drains in send
-// order once the link heals — frames additionally reassembling in sequence
-// order behind the cut.
+// holdPlatforms are two descriptions of one WAN link with no alternate path:
+// a declared two-root backbone, and the two-cluster mesh shorthand (no third
+// cluster to detour through).
+var holdPlatforms = []struct {
+	name  string
+	build func(t testing.TB, par cluster.Params) (*sim.Engine, *Network)
+}{
+	{"declared", twoRootNet},
+	{"mesh", func(_ testing.TB, par cluster.Params) (*sim.Engine, *Network) { return buildWith(2, 2, par) }},
+}
+
+// TestHeldUnitsDrainFIFOOnHeal: with no alternate path, traffic parks at the
+// gateway during the cut and drains in send order once the link heals —
+// frames additionally reassembling in sequence order behind the cut.
 func TestHeldUnitsDrainFIFOOnHeal(t *testing.T) {
 	for _, kind := range holdKinds {
-		for _, platform := range []string{"declared", "mesh"} {
-			t.Run(kind.name+"/"+platform, func(t *testing.T) {
-				e, n := twoRootNet(t, kind.par())
-				if platform == "mesh" {
-					e, n = buildWith(2, 2, kind.par())
-				}
+		for _, pf := range holdPlatforms {
+			t.Run(kind.name+"/"+pf.name, func(t *testing.T) {
+				e, n := pf.build(t, kind.par())
 				n.SetFaultPolicy(&testPolicy{linkDown: downPair(0, 1, 0, 5*time.Millisecond)})
 				var order []int
 				var first time.Duration = -1

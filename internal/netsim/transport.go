@@ -184,7 +184,7 @@ func (u *wireUnit) forward() {
 func (n *Network) transmit(u *wireUnit, now time.Duration) {
 	sh := n.sh[u.cur]
 	if n.linkFault == nil {
-		n.transmitOn(sh, u, now, n.nextHop(u.cur, u.cd))
+		n.transmitOn(sh, u, now, n.graph.Next(u.cur, u.cd))
 	} else if next, ok := n.routeOrHold(sh, now, u); ok {
 		n.transmitOn(sh, u, now, next)
 	} // else parked (or dropped on overflow)
@@ -399,7 +399,7 @@ func (n *Network) egressFor(cs, cd int) *egressQ {
 		eg.flushFn = eg.timerFlush // bound once; the timer never allocates
 		// Frames stripe over the first link of the route: its stream count
 		// is the round-robin modulus for the whole directed pair.
-		eg.mod = len(n.linkFor(cs, n.nextHop(cs, cd)).pipes)
+		eg.mod = len(n.linkFor(cs, n.graph.Next(cs, cd)).pipes)
 		m[int32(cd)] = eg
 	}
 	return eg

@@ -17,7 +17,7 @@ import (
 // plain network — and the differences that do survive are the counted ones.
 
 // foldPlatforms are the two platform kinds the premise is pinned on: the
-// implicit single-hop mesh and a declared multi-hop graph.
+// single-hop DAS mesh and a declared multi-hop graph.
 var foldPlatforms = []struct {
 	name  string
 	build func(t *testing.T, par cluster.Params) (*sim.Engine, *Network)
@@ -110,6 +110,51 @@ func TestPlainEqualsOneMessageFrames(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestMeshShorthandEqualsDeclaredMesh: DAS(4, 3) and a Builder-declared full
+// mesh of one "wan" class at the same figures are one platform — equal
+// deliveries, stats, pipe reports, class reports and elapsed time for the
+// fold traffic, plain and framed, with and without a link cut that forces
+// detours.
+func TestMeshShorthandEqualsDeclaredMesh(t *testing.T) {
+	type observed struct {
+		deliveries []foldDelivery
+		stats      Stats
+		pipes      []PipeReport
+		classes    []ClassReport
+		elapsed    time.Duration
+	}
+	for _, framed := range []bool{false, true} {
+		for _, cut := range []bool{false, true} {
+			par := foldParams(framed)
+			b := cluster.NewBuilder()
+			b.Roots(4, cluster.Mesh, b.Class("wan", par.WANLatency, par.WANBandwidth, 0), 3)
+			declared, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(1); seed <= 3; seed++ {
+				var runs [2]observed
+				for i, topo := range []cluster.Topology{cluster.DAS(4, 3), declared} {
+					e := sim.NewEngine()
+					n := New(e, topo, par)
+					if cut {
+						n.SetFaultPolicy(&testPolicy{linkDown: downPair(0, 1, 2*time.Millisecond, 4*time.Millisecond)})
+					}
+					got := foldTraffic(t, e, n, seed, 400, topo.Total())
+					runs[i] = observed{got, *n.Stats(), n.PipeReports(), n.ClassReports(), e.Now()}
+				}
+				if cut && runs[0].stats.Reroutes() == 0 {
+					t.Fatalf("framed=%v seed %d: the cut rerouted nothing", framed, seed)
+				}
+				if !reflect.DeepEqual(runs[0], runs[1]) {
+					t.Fatalf("framed=%v cut=%v seed %d: shorthand and declared mesh differ\nshorthand: %+v\ndeclared:  %+v",
+						framed, cut, seed, runs[0], runs[1])
+				}
+			}
 		}
 	}
 }

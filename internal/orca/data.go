@@ -101,8 +101,3 @@ func (r *RTS) TryRecvData(at cluster.NodeID, tag Tag) (payload any, ok bool) {
 func (r *RTS) TryRecvDataID(at cluster.NodeID, id TagID) (payload any, ok bool) {
 	return r.dataMailbox(r.nodes[at], id).TryGet()
 }
-
-// PendingData reports how many messages are queued for tag at the node.
-func (r *RTS) PendingData(at cluster.NodeID, tag Tag) int {
-	return r.dataMailbox(r.nodes[at], r.InternTag(tag)).Len()
-}

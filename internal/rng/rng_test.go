@@ -88,37 +88,6 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	prop := func(seed uint64, n8 uint8) bool {
-		n := int(n8%50) + 1
-		p := New(seed).Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == n
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(5)
-	xs := []int{1, 2, 3, 4, 5, 6}
-	sum := 0
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 21 {
-		t.Fatalf("elements changed: %v", xs)
-	}
-}
-
 func TestHash64Avalanche(t *testing.T) {
 	// Flipping one input bit should flip roughly half the output bits.
 	for bit := 0; bit < 64; bit += 7 {

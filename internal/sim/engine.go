@@ -57,14 +57,13 @@ type Engine struct {
 
 	// Sharded-mode links (all nil/zero on a plain sequential engine).
 	// See shard.go for the conservative parallel execution they support.
-	root      *Engine       // on an LP: the sharded root that owns it
-	shards    []*Engine     // on the root: the LP engines
-	lpIdx     int           // on an LP: its index among the root's shards
-	win       *winState     // on an LP: scheduling log, non-nil only during a sharded Run
-	winBuf    winState      // backing store for win, reused across windows
-	lookahead time.Duration // on the root: minimum entry of the lookahead matrix
-	crew      *shardCrew    // on the root: runner goroutines, live during Run
-	winStop   atomic.Bool   // on the root: Stop() flag readable from LP runners
+	root    *Engine     // on an LP: the sharded root that owns it
+	shards  []*Engine   // on the root: the LP engines
+	lpIdx   int         // on an LP: its index among the root's shards
+	win     *winState   // on an LP: scheduling log, non-nil only during a sharded Run
+	winBuf  winState    // backing store for win, reused across windows
+	crew    *shardCrew  // on the root: runner goroutines, live during Run
+	winStop atomic.Bool // on the root: Stop() flag readable from LP runners
 
 	// Per-directed-LP-pair lookahead (see SetLookaheadMatrix). laD is the
 	// relay-closed distance matrix, row-major k*k; bounce is each LP's

@@ -313,34 +313,3 @@ func (b *Barrier) Arrive(p *Proc) {
 	b.waiters = append(b.waiters, p)
 	p.park("barrier ", b.name)
 }
-
-// Semaphore is a counting semaphore in virtual time.
-type Semaphore struct {
-	e       *Engine
-	name    string
-	count   int
-	waiters fifo[*Proc]
-}
-
-// NewSemaphore creates a semaphore with the given initial count.
-func NewSemaphore(e *Engine, name string, initial int) *Semaphore {
-	return &Semaphore{e: e, name: name, count: initial}
-}
-
-// Acquire decrements the count, blocking while it is zero.
-func (s *Semaphore) Acquire(p *Proc) {
-	for s.count == 0 {
-		s.waiters.push(p)
-		p.park("semaphore ", s.name)
-	}
-	s.count--
-}
-
-// Release increments the count and wakes one waiter if any.
-func (s *Semaphore) Release() {
-	s.count++
-	if s.waiters.len() > 0 {
-		w := s.waiters.pop()
-		w.e.wake(w) // the waiter's engine, as in Future.Set
-	}
-}

@@ -251,13 +251,11 @@ func (e *Engine) SetLookahead(d time.Duration) {
 	e.installMatrix(m, e.laRouted)
 }
 
-// installMatrix stores a closed matrix and derives the per-LP bounce floors
-// and the scalar minimum.
+// installMatrix stores a closed matrix and derives the per-LP bounce floors.
 func (e *Engine) installMatrix(d []time.Duration, routed bool) {
 	k := len(e.shards)
 	e.laD = d
 	e.laRouted = routed
-	lo := time.Duration(0)
 	for i := 0; i < k; i++ {
 		rt := infFuture
 		for j := 0; j < k; j++ {
@@ -267,17 +265,10 @@ func (e *Engine) installMatrix(d []time.Duration, routed bool) {
 			if v := d[i*k+j] + d[j*k+i]; v < rt {
 				rt = v
 			}
-			if lo == 0 || d[i*k+j] < lo {
-				lo = d[i*k+j]
-			}
 		}
 		e.shards[i].bounce = rt
 	}
-	e.lookahead = lo
 }
-
-// Lookahead reports the minimum cross-LP scheduling distance over all pairs.
-func (e *Engine) Lookahead() time.Duration { return e.lookahead }
 
 // LookaheadBetween reports the closed lookahead floor for the directed LP
 // pair src→dst (zero if src == dst or no matrix is installed). Callable on

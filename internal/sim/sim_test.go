@@ -215,34 +215,6 @@ func TestBarrierGenerations(t *testing.T) {
 	}
 }
 
-func TestSemaphore(t *testing.T) {
-	e := NewEngine()
-	s := NewSemaphore(e, "s", 2)
-	inCrit := 0
-	maxCrit := 0
-	for i := 0; i < 6; i++ {
-		e.Go("w", func(p *Proc) {
-			s.Acquire(p)
-			inCrit++
-			if inCrit > maxCrit {
-				maxCrit = inCrit
-			}
-			p.Compute(time.Millisecond)
-			inCrit--
-			s.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxCrit != 2 {
-		t.Fatalf("max concurrency %d, want 2", maxCrit)
-	}
-	if e.Now() != 3*time.Millisecond {
-		t.Fatalf("end %v, want 3ms", e.Now())
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
 	f := NewFuture(e, "never")

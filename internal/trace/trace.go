@@ -27,9 +27,6 @@ func New(bucket time.Duration) *Timeline {
 	return &Timeline{bucket: bucket, series: make(map[string][]int64)}
 }
 
-// Bucket returns the bucket width.
-func (t *Timeline) Bucket() time.Duration { return t.bucket }
-
 // Add records n events on the series at virtual time at. Events before time
 // zero (e.g. from callers that pre-date their clock) land in the first bucket.
 func (t *Timeline) Add(at time.Duration, series string, n int64) {
