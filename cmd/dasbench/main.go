@@ -8,6 +8,7 @@
 //	dasbench -list               # show what is available
 //	dasbench -exp fig1 -plot     # additionally draw ASCII speedup charts
 //	dasbench -exp fig7 -shards 4 # run shardable apps on the parallel engine
+//	dasbench -exp fig9 -census   # additionally list each run's event census
 //	dasbench -exp fig9 -coalesce 32768 -coalesce-window 500us -streams 4
 //	                             # ... on the coalescing/striping runtime
 //	dasbench -topo examples/topologies/tiered64.json -apps SOR,RA
@@ -60,6 +61,7 @@ func main() {
 		streamsFlag  = flag.Int("streams", 0, "gateway transport: parallel WAN streams per directed cluster pair (0/1 = single pipe)")
 		topoFlag     = flag.String("topo", "", "run on a declarative topology configuration (JSON file, see examples/topologies) instead of the paper experiments")
 		appsFlag     = flag.String("apps", "ASP", "with -topo: comma-separated application names, or 'all'")
+		censusFlag   = flag.Bool("census", false, "after the reports, print one row per run: events dispatched and what scheduled them")
 	)
 	flag.Parse()
 	// The transport flags run every experiment on the coalescing/striping
@@ -72,6 +74,19 @@ func main() {
 			CoalesceWindow: *windowFlag,
 			WANStreams:     *streamsFlag,
 		},
+	}
+
+	// What follows the reports of every mode: the simulator's own counters.
+	epilogue := func() {
+		printShardUsage(s)
+		if *censusFlag {
+			rep := s.CensusReport()
+			fmt.Print(rep.Render())
+			if err := writeCSV(os.Stdout, *csvFlag, rep.ID, rep); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+		}
 	}
 
 	if *cpuProfile != "" {
@@ -125,7 +140,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		printShardUsage(s)
+		epilogue()
 		return
 	}
 	if *topoFlag != "" {
@@ -133,7 +148,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		printShardUsage(s)
+		epilogue()
 		return
 	}
 
@@ -169,7 +184,7 @@ func main() {
 		fmt.Printf("(%s took %.1fs wall clock; all results verified against sequential references)\n\n",
 			e.ID, time.Since(start).Seconds())
 	}
-	printShardUsage(s)
+	epilogue()
 }
 
 // printShardUsage renders the per-LP window counters every sharded run

@@ -251,11 +251,17 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 		// that has nothing to flush costs p/64 word tests, not p slot reads.
 		batches := make([]*batch, p)
 		dirty := make([]uint64, (p+63)/64)
+		// ApplyCost is charged to owed per update and paid in the next Compute
+		// the worker makes anyway: no other process can observe this one between
+		// two sends, so only the sends' instants (and the busy total) matter,
+		// and every send still follows all the work that preceded it.
+		var owed time.Duration
 		flush := func(dst int) {
 			b := batches[dst]
 			batches[dst] = nil
 			dirty[dst>>6] &^= 1 << (dst & 63)
-			w.Compute(cfg.SendCost)
+			w.Compute(owed + cfg.SendCost)
+			owed = 0
 			size := updateBytes * len(b.items)
 			to := cluster.NodeID(dst)
 			if optimized && !topo.SameCluster(w.Node, to) {
@@ -309,7 +315,7 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 				for _, u := range preds[t.v] {
 					d := owner(u)
 					if d == r {
-						w.Compute(cfg.ApplyCost)
+						owed += cfg.ApplyCost
 						process(u, t.val)
 						continue
 					}
@@ -332,34 +338,57 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 		for v := r; v < cfg.N; v += p {
 			own++
 			if g.Terminal(v) {
-				w.Compute(cfg.ApplyCost)
+				owed += cfg.ApplyCost
 				setValue(int32(v), Loss)
 			}
 		}
 		drain()
 		flushAll()
 
+		// The worker yields only where virtual time must be observed. A batch
+		// queued now is, by FIFO order and this mailbox's single consumer, the
+		// one a poll at now+owed would return, so it is taken without paying
+		// first; only an empty mailbox makes the worker pay up and look again.
+		// An idle worker flushes its partial batches (batches fill to NodeBatch
+		// during busy periods — the point of the node-level combining — and
+		// leave when input runs out), sits out one poll tick, and if that
+		// brought nothing parks on the mailbox: nothing was processed, so
+		// nothing can be dirty, and every further poll would find the same
+		// emptiness. It resumes at the poll instant that would have seen the
+		// arrival, the next whole tick after the flush.
+		const tick = 200 * time.Microsecond
 		for determined[r] < own {
 			got, ok := w.TryRecvID(tags[r])
+			if !ok && owed > 0 {
+				w.Compute(owed)
+				owed = 0
+				got, ok = w.TryRecvID(tags[r])
+			}
 			if !ok {
 				flushAll()
-				w.P.Sleep(200 * time.Microsecond)
+				t0 := w.P.Now()
+				w.P.Sleep(tick)
+				w.AwaitID(tags[r])
+				if late := (w.P.Now() - t0) % tick; late > 0 {
+					w.P.Sleep(tick - late)
+				}
 				continue
 			}
 			b := got.(*batch)
+			owed += time.Duration(len(b.items)) * cfg.ApplyCost
 			for _, up := range b.items {
-				w.Compute(cfg.ApplyCost)
 				process(up.target, up.val)
 			}
 			bp.put(b)
 			drain()
-			// Partial batches are flushed only when we run out of input
-			// (the idle branch above), so batches fill to NodeBatch during
-			// busy periods — the point of the node-level combining.
 		}
 		// The last own determination may have left batched notifications
-		// for other nodes' predecessors; ship them before exiting.
+		// for other nodes' predecessors; ship them before exiting, and pay
+		// for whatever work no send covered.
 		flushAll()
+		if owed > 0 {
+			w.Compute(owed)
+		}
 	})
 
 	return func() error {

@@ -1,11 +1,15 @@
 package ra
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"albatross/internal/cluster"
 	"albatross/internal/core"
+	"albatross/internal/faults"
+	"albatross/internal/sim"
 )
 
 func testCfg() Config {
@@ -103,5 +107,71 @@ func TestMultiClusterMuchSlowerThanSingle(t *testing.T) {
 	multi := run(t, 4, 2, false, cfg)
 	if multi.Elapsed <= single.Elapsed {
 		t.Fatalf("4x2 (%v) not slower than 1x8 (%v)", multi.Elapsed, single.Elapsed)
+	}
+}
+
+// TestStarvedWorkerIsADeadlock: on a lossy WAN without the reliability layer
+// some update never arrives and its receiver can never finish. A parked worker
+// leaves the event heap to drain, so the run ends in a deadlock report naming
+// the starved workers — where the polling loop ticked on for as long as the
+// caller's deadline allowed, or forever.
+func TestStarvedWorkerIsADeadlock(t *testing.T) {
+	sys := core.NewSystem(core.Config{Topology: cluster.DAS(4, 2), Params: cluster.DASParams()})
+	inj, err := faults.NewInjector(faults.Plan{Seed: 1, Default: faults.PairProbs{Drop: 0.2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Net.SetFaultPolicy(inj)
+	sys.Engine.SetDeadline(30 * time.Second) // a polling worker would run into it
+	Build(sys, testCfg(), false)
+	_, err = sys.Run()
+	var dl *sim.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run returned %v, want a *sim.DeadlockError", err)
+	}
+	if dl.Time > time.Second || dl.Dispatched > 100_000 {
+		t.Errorf("deadlock reported at %v after %d events: the starved workers kept the run alive", dl.Time, dl.Dispatched)
+	}
+	for _, p := range dl.Parked {
+		if !strings.HasPrefix(p, "ra-") || !strings.HasSuffix(p, " on mailbox data") {
+			t.Errorf("parked %q, want only RA workers on their data mailbox", p)
+		}
+	}
+	if inj.Counters().Drops == 0 {
+		t.Error("the injector dropped nothing: the test starves nobody")
+	}
+	t.Logf("%v", err)
+}
+
+// TestEventBudget pins what one RA run costs the engine: events dispatched,
+// and how many of them the workers themselves scheduled as Sleep and Compute.
+// The counts repeat exactly; the budgets leave 5-10% headroom for changes to
+// the runtime below and still catch each of the worker's three rules coming
+// undone: a Compute per update costs 16.7k/16.3k computes and 34k events, a
+// settling Compute before every receive 10.7k/9.9k and 28k, and a Sleep per
+// idle tick 2,891/3,683 sleeps (this small run idles little: on the paper's
+// instance the polls were a fifth to a third of all events).
+func TestEventBudget(t *testing.T) {
+	for _, tc := range []struct {
+		opt                        bool
+		dispatched, sleep, compute uint64
+	}{
+		{opt: false, dispatched: 27_000, sleep: 2_850, compute: 8_500}, // measured 25,487 / 2,690 / 7,801
+		{opt: true, dispatched: 27_000, sleep: 2_850, compute: 7_600},  // measured 25,482 / 2,595 / 6,956
+	} {
+		sys := core.NewSystem(core.Config{Topology: cluster.DAS(4, 2), Params: cluster.DASParams()})
+		verify := Build(sys, testCfg(), tc.opt)
+		if _, err := sys.Run(); err != nil {
+			t.Fatalf("opt=%v: %v", tc.opt, err)
+		}
+		if err := verify(); err != nil {
+			t.Fatalf("opt=%v: %v", tc.opt, err)
+		}
+		d, c := sys.Engine.Dispatched(), sys.Engine.Census()
+		t.Logf("opt=%v: %d events dispatched, census %+v", tc.opt, d, c)
+		if d > tc.dispatched || c.Sleep > tc.sleep || c.Compute > tc.compute {
+			t.Errorf("opt=%v: %d events, %d sleeps, %d computes; budgets %d, %d, %d",
+				tc.opt, d, c.Sleep, c.Compute, tc.dispatched, tc.sleep, tc.compute)
+		}
 	}
 }

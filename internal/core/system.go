@@ -134,6 +134,10 @@ func (w *Worker) RecvID(id orca.TagID) any { return w.Sys.RTS.RecvDataID(w.P, w.
 // TryRecvID returns a queued message for the interned tag without blocking.
 func (w *Worker) TryRecvID(id orca.TagID) (any, bool) { return w.Sys.RTS.TryRecvDataID(w.Node, id) }
 
+// AwaitID blocks until a message with the interned tag is queued, without
+// taking it: the next TryRecvID returns it.
+func (w *Worker) AwaitID(id orca.TagID) { w.Sys.RTS.AwaitDataID(w.P, w.Node, id) }
+
 // SpawnWorkers starts one worker process per compute node running body.
 func (s *System) SpawnWorkers(name string, body func(w *Worker)) {
 	for i := 0; i < s.Topo.Compute(); i++ {

@@ -104,7 +104,8 @@ type Hook func(sys *core.System, in *faults.Injector)
 // Result is everything one run reports.
 type Result struct {
 	core.Metrics
-	Dispatched uint64 // events the engine dispatched
+	Dispatched uint64     // events the engine dispatched
+	Census     sim.Census // what scheduled them; sums to Dispatched on a drained run
 	Rel        orca.RelStats
 	Faults     faults.Counters
 	// Stalled lists the reliable channels whose senders gave up, for
@@ -170,6 +171,7 @@ func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 	res = Result{
 		Metrics:    m,
 		Dispatched: sys.Engine.Dispatched(),
+		Census:     sys.Engine.Census(),
 		Rel:        sys.RTS.RelStats(),
 		Stalled:    sys.RTS.StalledChannels(),
 		LPs:        sys.ShardStats(),

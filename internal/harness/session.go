@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -35,6 +36,7 @@ type Session struct {
 
 // runEntry is one cache slot; done is closed once res/err are final.
 type runEntry struct {
+	spec RunSpec
 	done chan struct{}
 	res  Result
 	err  error
@@ -78,7 +80,7 @@ func (s *Session) Run(spec RunSpec) (Result, error) {
 	if s.cache == nil {
 		s.cache = map[runKey]*runEntry{}
 	}
-	e = &runEntry{done: make(chan struct{})}
+	e = &runEntry{spec: spec, done: make(chan struct{})}
 	s.cache[k] = e
 	s.mu.Unlock()
 	e.res, e.err = s.Exec(spec)
@@ -217,4 +219,32 @@ func (s *Session) ShardUsageReport() []ShardUsage {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
 	return out
+}
+
+// CensusReport tabulates the engine's event census of every memoized run that
+// has finished: one row per run, events dispatched and what scheduled them.
+// Rows are sorted by their text, so the table is the same at any Workers.
+func (s *Session) CensusReport() *Report {
+	t := &Table{
+		ID:      "census",
+		Title:   "Events each run dispatched, by what scheduled them (sim.Census)",
+		Headers: []string{"run", "virtual s", "events", "start", "sleep", "compute", "wake", "lane", "callback"},
+	}
+	s.mu.Lock()
+	for _, e := range s.cache {
+		select {
+		case <-e.done:
+		default:
+			continue
+		}
+		c := e.res.Census
+		row := []string{e.spec.String(), fmt.Sprintf("%.6f", e.res.Seconds())}
+		for _, n := range []uint64{e.res.Dispatched, c.Start, c.Sleep, c.Compute, c.Wake, c.Lane, c.Callback} {
+			row = append(row, fmt.Sprint(n))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	s.mu.Unlock()
+	slices.SortFunc(t.Rows, slices.Compare[[]string])
+	return &Report{ID: t.ID, Title: t.Title, Tables: []*Table{t}}
 }

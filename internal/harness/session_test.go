@@ -303,3 +303,34 @@ func TestSessionShardsReachEveryRun(t *testing.T) {
 		}
 	}
 }
+
+// TestCensusReport: a Result's census accounts for every dispatched event,
+// and the session's census table lists each memoized run once, with the same
+// bytes whichever engine ran them and in whatever order they finished.
+func TestCensusReport(t *testing.T) {
+	app, err := AppByName("ATPG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(s *Session) string {
+		specs := []RunSpec{s.Spec(app, cluster.DAS(2, 4), true), s.Spec(app, cluster.DAS(2, 4), false)}
+		s.Prefetch(specs)
+		for _, sp := range specs {
+			res, err := s.Run(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Census.Total() != res.Dispatched || res.Dispatched == 0 {
+				t.Errorf("%s: census %+v sums to %d, dispatched %d", sp, res.Census, res.Census.Total(), res.Dispatched)
+			}
+		}
+		rep := s.CensusReport()
+		if rows := rep.Tables[0].Rows; len(rows) != 2 || !strings.Contains(rows[0][0], "opt=false") {
+			t.Errorf("census rows %v, want the two runs, original first", rows)
+		}
+		return rep.CSV()
+	}
+	if seq, sharded := render(&Session{}), render(&Session{Shards: 2, Workers: 2}); seq != sharded {
+		t.Errorf("census differs between engines\nsequential:\n%s\nsharded:\n%s", seq, sharded)
+	}
+}

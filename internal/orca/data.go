@@ -91,6 +91,13 @@ func (r *RTS) RecvDataID(p *sim.Proc, at cluster.NodeID, id TagID) any {
 	return r.dataMailbox(r.nodes[at], id).Get(p)
 }
 
+// AwaitDataID blocks process p (running at node at) until a message with the
+// interned tag is queued, and leaves it queued for the next (Try)RecvDataID:
+// sim.Mailbox.Wait on the tag's mailbox, with its single-consumer rule.
+func (r *RTS) AwaitDataID(p *sim.Proc, at cluster.NodeID, id TagID) {
+	r.dataMailbox(r.nodes[at], id).Wait(p)
+}
+
 // TryRecvData returns the oldest queued payload for tag without blocking;
 // ok is false if none is queued.
 func (r *RTS) TryRecvData(at cluster.NodeID, tag Tag) (payload any, ok bool) {

@@ -45,6 +45,7 @@ type Engine struct {
 	seq   uint64    // schedule-order tiebreak, monotonic across both queues
 
 	dispatched uint64 // events executed so far (observability/testing)
+	census     Census // events scheduled so far, by origin
 
 	deadline time.Duration // virtual-time abort limit; 0 = none
 
@@ -228,6 +229,44 @@ func (e *Engine) Dispatched() uint64 {
 	return n
 }
 
+// Census counts the events an engine has scheduled by what scheduled them.
+// Every scheduled event is dispatched exactly once, so on a drained run the
+// six counts sum to Dispatched(); a run cut short by Stop or a deadline
+// leaves the difference in the queues. Like Dispatched it repeats exactly
+// between runs of one configuration, on either engine.
+type Census struct {
+	Start    uint64 // process start events (Go)
+	Sleep    uint64 // Proc.Sleep and Yield
+	Compute  uint64 // Proc.Compute
+	Wake     uint64 // resumes of a parked process (Future, Mailbox, Barrier)
+	Lane     uint64 // Lane.At
+	Callback uint64 // At, After and AtShard
+}
+
+// Total is the number of events scheduled.
+func (c Census) Total() uint64 {
+	return c.Start + c.Sleep + c.Compute + c.Wake + c.Lane + c.Callback
+}
+
+func (c *Census) add(o Census) {
+	c.Start += o.Start
+	c.Sleep += o.Sleep
+	c.Compute += o.Compute
+	c.Wake += o.Wake
+	c.Lane += o.Lane
+	c.Callback += o.Callback
+}
+
+// Census reports what the engine has scheduled so far (summed over the LPs on
+// a sharded root).
+func (e *Engine) Census() Census {
+	c := e.census
+	for _, s := range e.shards {
+		c.add(s.census)
+	}
+	return c
+}
+
 // SetDeadline makes Run abort with a *DeadlineError the moment virtual time
 // would advance past d, instead of simulating a runaway (or livelocked-in-
 // virtual-time) run to completion. Zero disables the deadline. Events
@@ -245,6 +284,13 @@ func (e *Engine) SetDeadline(d time.Duration) {
 // context: they must not block, but they may resume processes (via Future,
 // Mailbox, or any primitive built on them) and schedule further events.
 func (e *Engine) At(t time.Duration, fn func()) {
+	e.census.Callback++
+	e.schedule(t, fn)
+}
+
+// schedule is At without the census entry: the one path every origin's event
+// takes into the queues of its own engine.
+func (e *Engine) schedule(t time.Duration, fn func()) {
 	if w := e.win; w != nil {
 		// Mid-window on an LP of a sharded run: provisional seq + call log.
 		e.winAt(w, t, fn)
@@ -290,7 +336,8 @@ func (e *Engine) Go(name string, body func(*Proc)) *Proc {
 	p.runFn = func() { e.handoff(p) }
 	e.procs = append(e.procs, p)
 	e.live++
-	e.At(e.now, p.runFn)
+	e.census.Start++
+	e.schedule(e.now, p.runFn)
 	return p
 }
 
@@ -338,6 +385,7 @@ func (e *Engine) wake(p *Proc) {
 		panic(fmt.Sprintf("sim: wake of %s which is %v", p.name, p.state))
 	}
 	p.state = procReady
+	e.census.Wake++
 	if w := e.win; w != nil {
 		e.winWake(w, p)
 		return

@@ -34,15 +34,16 @@ func NewLane(src, dst *Engine) *Lane {
 // At schedules fn at absolute virtual time t, like src.AtShard(dst, t, fn).
 func (l *Lane) At(t time.Duration, fn func()) {
 	e := l.dst
+	l.src.census.Lane++
 	if e.root != nil {
 		// Sharded run: mid-window seqs are provisional and rewritten in the
 		// LP heaps at every fence, which a ring outside the heap would miss.
-		l.src.AtShard(e, t, fn)
+		l.src.scheduleOn(e, t, fn)
 		return
 	}
 	if t <= e.now || (l.n > 0 && t < l.buf[(l.head+l.n-1)&(len(l.buf)-1)].at) {
 		// Due now, or earlier than the lane's tail: not FIFO, so a plain event.
-		e.At(t, fn)
+		e.schedule(t, fn)
 		return
 	}
 	e.seq++

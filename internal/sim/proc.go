@@ -107,7 +107,14 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic("sim: negative Sleep")
 	}
-	p.e.At(p.e.now+d, p.runFn)
+	p.e.census.Sleep++
+	p.sleep(d)
+}
+
+// sleep parks the process until d from now; Sleep and Compute differ only in
+// the census entry they make first.
+func (p *Proc) sleep(d time.Duration) {
+	p.e.schedule(p.e.now+d, p.runFn)
 	p.park("sleep", "")
 }
 
@@ -117,7 +124,8 @@ func (p *Proc) Compute(d time.Duration) {
 		panic("sim: negative Compute")
 	}
 	p.busy += d
-	p.Sleep(d)
+	p.e.census.Compute++
+	p.sleep(d)
 }
 
 // Yield reschedules the process at the current time, letting every other
@@ -249,7 +257,7 @@ func NewMailbox(e *Engine, name string) *Mailbox {
 // Len reports the number of queued values.
 func (m *Mailbox) Len() int { return m.q.len() }
 
-// Waiting reports the number of processes blocked in Get.
+// Waiting reports the number of processes blocked in Get or Wait.
 func (m *Mailbox) Waiting() int { return m.waiters.len() }
 
 // Put enqueues v, waking the longest-waiting receiver if any. It never
@@ -264,11 +272,22 @@ func (m *Mailbox) Put(v any) {
 
 // Get dequeues the oldest value, blocking the process until one arrives.
 func (m *Mailbox) Get(p *Proc) any {
+	m.Wait(p)
+	return m.q.pop()
+}
+
+// Wait blocks the process until the mailbox holds a value and leaves the
+// value queued; it returns at once, without yielding, if one already is. It
+// lets an idle process sit out a gap of any length as one parked wait instead
+// of a poll per tick, and then decide for itself when to take the value (see
+// the RA worker). Wait does not consume, and Put wakes one waiter per value:
+// a mailbox that mixes Wait and Get callers must have a single consumer, or a
+// Wait caller absorbs the wake a blocked Get was owed.
+func (m *Mailbox) Wait(p *Proc) {
 	for m.q.len() == 0 {
 		m.waiters.push(p)
 		p.park("mailbox ", m.name)
 	}
-	return m.q.pop()
 }
 
 // TryGet dequeues the oldest value without blocking; ok is false if empty.

@@ -302,9 +302,16 @@ func (e *Engine) SetCrossLPAudit(fn func(src, dst int, delta time.Duration)) {
 // least the pair's lookahead floor beyond the calling LP's clock — the call
 // panics on violations.
 func (e *Engine) AtShard(dst *Engine, t time.Duration, fn func()) {
+	e.census.Callback++
+	e.scheduleOn(dst, t, fn)
+}
+
+// scheduleOn is AtShard without the census entry, which the caller makes on
+// e: the scheduling LP is the one whose thread is running.
+func (e *Engine) scheduleOn(dst *Engine, t time.Duration, fn func()) {
 	w := e.win
 	if dst == e || w == nil {
-		dst.At(t, fn)
+		dst.schedule(t, fn)
 		return
 	}
 	if !w.active {
