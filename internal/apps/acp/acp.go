@@ -17,6 +17,7 @@ package acp
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"albatross/internal/apps/memo"
@@ -44,11 +45,19 @@ func Default() Config {
 		CheckCost: 2 * time.Microsecond}
 }
 
-// Problem is one generated CSP.
+// Problem is one generated CSP: the constraint graph and, per directed
+// edge, the constraint itself tabulated as support masks.
 type Problem struct {
 	cfg       Config
 	neighbors [][]int32 // adjacency lists (symmetric)
+	// sup[v][k*Domain+a] is the set of values of v's k-th neighbour that
+	// support value a of v: bit b is allowed(v, neighbors[v][k], a, b).
+	sup [][]uint32
 }
+
+// problemFor is the Problem of a Config, generated once and shared
+// read-only by the sequential reference and every run.
+var problemFor = memo.Of(NewProblem)
 
 // allowed reports whether (a from D(i), b from D(j)) satisfies the
 // constraint between i and j. It is symmetric by canonicalization.
@@ -60,13 +69,14 @@ func (pr *Problem) allowed(i, j int, a, b int) bool {
 	return int(h%100) >= pr.cfg.Tightness
 }
 
-// NewProblem generates the deterministic constraint graph for cfg.
+// NewProblem generates the deterministic constraint graph for cfg and
+// tabulates its constraints.
 func NewProblem(cfg Config) *Problem {
 	if cfg.Domain > 32 {
 		panic("acp: domain must fit a 32-bit mask")
 	}
 	r := rng.New(cfg.Seed)
-	pr := &Problem{cfg: cfg, neighbors: make([][]int32, cfg.Vars)}
+	pr := &Problem{cfg: cfg, neighbors: make([][]int32, cfg.Vars), sup: make([][]uint32, cfg.Vars)}
 	edges := cfg.Vars * cfg.Degree / 2
 	seen := make(map[[2]int32]bool)
 	for e := 0; e < edges; e++ {
@@ -85,6 +95,19 @@ func NewProblem(cfg Config) *Problem {
 		pr.neighbors[i] = append(pr.neighbors[i], j)
 		pr.neighbors[j] = append(pr.neighbors[j], i)
 	}
+	for v, nb := range pr.neighbors {
+		sup := make([]uint32, len(nb)*cfg.Domain)
+		for k, u := range nb {
+			for a := 0; a < cfg.Domain; a++ {
+				for b := 0; b < cfg.Domain; b++ {
+					if pr.allowed(v, int(u), a, b) {
+						sup[k*cfg.Domain+a] |= 1 << b
+					}
+				}
+			}
+		}
+		pr.sup[v] = sup
+	}
 	return pr
 }
 
@@ -95,28 +118,22 @@ func fullMask(d int) uint32 {
 	return (1 << d) - 1
 }
 
-// revise recomputes D(v) against one neighbour u: values of v without any
-// support in D(u) are removed. It returns the new mask and the number of
-// support checks performed.
-func (pr *Problem) revise(v, u int, dv, du uint32) (uint32, int) {
+// revise recomputes D(v) against its k-th neighbour, whose domain is du:
+// values of v without any support in du are removed. It returns the new mask
+// and the number of support checks an ascending scan of du makes per live
+// value of v — up to and including the first supporting value, or all of du
+// when there is none. That count is the virtual time the caller charges, so
+// it is computed exactly, without doing the scan.
+func (pr *Problem) revise(v, k int, dv, du uint32) (uint32, int) {
+	sup := pr.sup[v][k*pr.cfg.Domain:][:pr.cfg.Domain]
 	checks := 0
 	out := dv
-	for a := 0; a < pr.cfg.Domain; a++ {
-		if dv&(1<<a) == 0 {
-			continue
-		}
-		supported := false
-		for b := 0; b < pr.cfg.Domain; b++ {
-			if du&(1<<b) == 0 {
-				continue
-			}
-			checks++
-			if pr.allowed(v, u, a, b) {
-				supported = true
-				break
-			}
-		}
-		if !supported {
+	for live := dv; live != 0; live &= live - 1 {
+		a := bits.TrailingZeros32(live)
+		if s := du & sup[a]; s != 0 {
+			checks += bits.OnesCount32(du&(s&-s-1)) + 1
+		} else {
+			checks += bits.OnesCount32(du)
 			out &^= 1 << a
 		}
 	}
@@ -130,7 +147,7 @@ var Sequential = memo.Of(sequential)
 // sequential computes the AC fixpoint with an AC-3 style worklist. The
 // fixpoint is unique, so it verifies any execution order.
 func sequential(cfg Config) []uint32 {
-	pr := NewProblem(cfg)
+	pr := problemFor(cfg)
 	dom := make([]uint32, cfg.Vars)
 	for i := range dom {
 		dom[i] = fullMask(cfg.Domain)
@@ -146,9 +163,8 @@ func sequential(cfg Config) []uint32 {
 		work = work[1:]
 		inWork[v] = false
 		nv := dom[v]
-		for _, u := range pr.neighbors[v] {
-			nv2, _ := pr.revise(v, int(u), nv, dom[u])
-			nv = nv2
+		for k, u := range pr.neighbors[v] {
+			nv, _ = pr.revise(v, k, nv, dom[u])
 		}
 		if nv != dom[v] {
 			dom[v] = nv
@@ -173,7 +189,7 @@ type domState struct {
 // broadcast. The verifier compares every replica against the sequential
 // fixpoint.
 func Build(sys *core.System, cfg Config, optimized bool) func() error {
-	pr := NewProblem(cfg)
+	pr := problemFor(cfg)
 	p := sys.Topo.Compute()
 
 	domains := sys.RTS.NewReplicated("domains", func(node cluster.NodeID) any {
@@ -250,9 +266,9 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 			for _, v := range work {
 				nv := st.dom[v]
 				checks := 0
-				for _, u := range pr.neighbors[v] {
-					nv2, c := pr.revise(v, int(u), nv, st.dom[int(u)])
-					nv = nv2
+				for k, u := range pr.neighbors[v] {
+					var c int
+					nv, c = pr.revise(v, k, nv, st.dom[u])
 					checks += c
 				}
 				w.Compute(time.Duration(checks) * cfg.CheckCost)

@@ -6,6 +6,7 @@ import (
 
 	"albatross/internal/cluster"
 	"albatross/internal/core"
+	"albatross/internal/rng"
 )
 
 func testCfg() Config {
@@ -39,8 +40,8 @@ func TestSequentialIsFixpoint(t *testing.T) {
 		if dom[v] != fullMask(cfg.Domain) {
 			pruned++
 		}
-		for _, u := range pr.neighbors[v] {
-			nv, _ := pr.revise(v, int(u), dom[v], dom[u])
+		for k, u := range pr.neighbors[v] {
+			nv, _ := pr.revise(v, k, dom[v], dom[u])
 			if nv != dom[v] {
 				t.Fatalf("not a fixpoint: revise(%d,%d) still prunes", v, u)
 			}
@@ -94,3 +95,81 @@ func TestBroadcastHeavy(t *testing.T) {
 		t.Fatalf("RPC-dominated (%d RPCs vs %d bcasts)", m.Ops.RPCs, m.Ops.Bcasts)
 	}
 }
+
+// reviseRef is revise as first written — scan du in ascending order, one
+// allowed call per check, stop at the first support — kept as the oracle for
+// both the mask and the check count (the virtual time a run charges).
+func reviseRef(pr *Problem, v, u int, dv, du uint32) (uint32, int) {
+	checks := 0
+	out := dv
+	for a := 0; a < pr.cfg.Domain; a++ {
+		if dv&(1<<a) == 0 {
+			continue
+		}
+		supported := false
+		for b := 0; b < pr.cfg.Domain; b++ {
+			if du&(1<<b) == 0 {
+				continue
+			}
+			checks++
+			if pr.allowed(v, u, a, b) {
+				supported = true
+				break
+			}
+		}
+		if !supported {
+			out &^= 1 << a
+		}
+	}
+	return out, checks
+}
+
+func TestReviseMatchesReference(t *testing.T) {
+	wide := testCfg()
+	wide.Domain = 32
+	for _, cfg := range []Config{testCfg(), wide} {
+		pr := NewProblem(cfg)
+		r := rng.New(5)
+		full := fullMask(cfg.Domain)
+		for v, nb := range pr.neighbors {
+			for k, u := range nb {
+				for trial := 0; trial < 40; trial++ {
+					dv, du := uint32(r.Uint64())&full, uint32(r.Uint64())&full
+					switch trial {
+					case 0:
+						dv, du = full, full
+					case 1:
+						du = 0
+					case 2:
+						du &= uint32(r.Uint64()) & uint32(r.Uint64()) // sparse: unsupported values
+					}
+					wantMask, wantChecks := reviseRef(pr, v, int(u), dv, du)
+					mask, checks := pr.revise(v, k, dv, du)
+					if mask != wantMask || checks != wantChecks {
+						t.Fatalf("domain %d: revise(%d, %d→%d, %#x, %#x) = (%#x, %d checks), want (%#x, %d)",
+							cfg.Domain, v, k, u, dv, du, mask, checks, wantMask, wantChecks)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRevise is the app-kernel rung for ACP: one variable of the
+// default instance revised against all its neighbours, every domain full
+// (the first sweep of a run, where the scan is longest).
+func BenchmarkRevise(b *testing.B) {
+	cfg := Default()
+	pr := problemFor(cfg)
+	full := fullMask(cfg.Domain)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := i % cfg.Vars
+		nv := full
+		for k := range pr.neighbors[v] {
+			nv, reviseSink = pr.revise(v, k, nv, full)
+		}
+	}
+}
+
+var reviseSink int

@@ -73,19 +73,34 @@ func sequential(cfg Config) [][]int32 {
 	for k := 0; k < n; k++ {
 		rk := d[k]
 		for i := 0; i < n; i++ {
-			ri := d[i]
-			dik := ri[k]
-			if dik >= Inf {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if v := dik + rk[j]; v < ri[j] {
-					ri[j] = v
-				}
-			}
+			relax(d[i], rk, d[i][k])
 		}
 	}
 	return d
+}
+
+// relax is the Floyd-Warshall inner loop, shared by the sequential reference
+// and the parallel workers: ri[j] = min(ri[j], dik+rk[j]) for every column.
+// A row with no path to the pivot is skipped (no entry exceeds Inf and
+// weights are non-negative, so it could not improve). The minimum compiles
+// to a conditional move and the four-wide three-index windows carry no
+// per-element bounds checks, so the loop pays only for the arithmetic.
+func relax(ri, rk []int32, dik int32) {
+	if dik >= Inf {
+		return
+	}
+	rk = rk[:len(ri)]
+	j := 0
+	for ; j+4 <= len(ri); j += 4 {
+		a, b := ri[j:j+4:j+4], rk[j:j+4:j+4]
+		a[0] = min(a[0], dik+b[0])
+		a[1] = min(a[1], dik+b[1])
+		a[2] = min(a[2], dik+b[2])
+		a[3] = min(a[3], dik+b[3])
+	}
+	for ; j < len(ri); j++ {
+		ri[j] = min(ri[j], dik+rk[j])
+	}
 }
 
 // master is the pristine input matrix, generated once per Config. Build
@@ -231,18 +246,8 @@ func Build(sys *core.System, cfg Config) func() error {
 			} else {
 				pr = waitRow(w, st, k)
 			}
-			rk := pr.row
 			for i := lo; i < hi; i++ {
-				ri := d[i]
-				dik := ri[k]
-				if dik >= Inf {
-					continue
-				}
-				for j := 0; j < n; j++ {
-					if v := dik + rk[j]; v < ri[j] {
-						ri[j] = v
-					}
-				}
+				relax(d[i], pr.row, d[i][k])
 			}
 			releaseRow(st, k, pr)
 			w.Compute(time.Duration(own*n) * cfg.OpCost)

@@ -6,6 +6,7 @@ import (
 
 	"albatross/internal/cluster"
 	"albatross/internal/core"
+	"albatross/internal/rng"
 )
 
 func testCfg() Config {
@@ -105,5 +106,89 @@ func TestSequentialSelfConsistent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// floydWarshall is the textbook triple loop, written out here so the oracle
+// shares no code with relax: Sequential and the workers both call relax, so
+// the run verifier alone could not notice a wrong one.
+func floydWarshall(d [][]int32) {
+	n := len(d)
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if v := d[i][k] + d[k][j]; d[i][k] < Inf && v < d[i][j] {
+					d[i][j] = v
+				}
+			}
+		}
+	}
+}
+
+func TestSequentialEqualsFloydWarshall(t *testing.T) {
+	// Sizes that are not multiples of the unroll width; at 25% edge density
+	// most entries of the input rows are Inf.
+	for _, cfg := range []Config{{N: 37, Seed: 5}, {N: 130, Seed: 11}, {N: 3, Seed: 1}} {
+		want := Generate(cfg)
+		hasInf := false
+		for _, v := range want[0] {
+			hasInf = hasInf || v == Inf
+		}
+		if cfg.N > 3 && !hasInf {
+			t.Fatalf("N=%d: input row 0 has no Inf entry", cfg.N)
+		}
+		floydWarshall(want)
+		got := Sequential(cfg)
+		for i := range want {
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("N=%d: d[%d][%d] = %d, Floyd-Warshall says %d", cfg.N, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	}
+}
+
+func TestRelaxMatchesReference(t *testing.T) {
+	r := rng.New(99)
+	entry := func() int32 {
+		if r.Intn(3) == 0 {
+			return Inf
+		}
+		return int32(r.Intn(300))
+	}
+	for trial := 0; trial < 2000; trial++ {
+		n := trial % 68
+		ri, rk := make([]int32, n), make([]int32, n+r.Intn(3)) // rk may be longer, never shorter
+		for j := range ri {
+			ri[j] = entry()
+		}
+		for j := range rk {
+			rk[j] = entry()
+		}
+		dik := entry()
+		want := append([]int32(nil), ri...)
+		for j := range want {
+			if v := dik + rk[j]; dik < Inf && v < want[j] {
+				want[j] = v
+			}
+		}
+		relax(ri, rk, dik)
+		for j := range want {
+			if ri[j] != want[j] {
+				t.Fatalf("trial %d (len %d, dik %d): ri[%d] = %d, want %d", trial, n, dik, j, ri[j], want[j])
+			}
+		}
+	}
+}
+
+// BenchmarkRelax is the app-kernel rung for ASP: one relaxation of a row of
+// Default().N columns against a pivot row.
+func BenchmarkRelax(b *testing.B) {
+	d := Generate(Default())
+	ri, rk := d[1], d[2]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		relax(ri, rk, 7)
 	}
 }

@@ -23,6 +23,7 @@ package ra
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"albatross/internal/apps/memo"
@@ -133,6 +134,47 @@ func sequential(cfg Config) []Value {
 	return vals
 }
 
+// reverse is the game's reverse graph — what a run needs before it starts
+// (the paper measures the core algorithm, excluding startup). It is held in
+// CSR form, two pointer-free arrays instead of N slice headers for the
+// collector to scan, and built once per Config: runs share off and pred
+// read-only and copy undet.
+type reverse struct {
+	off   []int32 // pred[off[v]:off[v+1]] are v's predecessors, ascending
+	pred  []int32
+	undet []int32 // successors per position: the initial undetermined counts
+}
+
+var reverseOf = memo.Of(buildReverse)
+
+func buildReverse(cfg Config) reverse {
+	g := NewGame(cfg)
+	rev := reverse{off: make([]int32, cfg.N+1), undet: make([]int32, cfg.N)}
+	// First sweep: off[s+1] counts s's predecessors, then becomes the prefix
+	// sum; second sweep fills each list through a cursor.
+	scratch := make([]int32, 0, cfg.Succ)
+	for v := 0; v < cfg.N; v++ {
+		scratch = g.AppendSuccessors(scratch[:0], v)
+		rev.undet[v] = int32(len(scratch))
+		for _, s := range scratch {
+			rev.off[s+1]++
+		}
+	}
+	for v := 0; v < cfg.N; v++ {
+		rev.off[v+1] += rev.off[v]
+	}
+	rev.pred = make([]int32, rev.off[cfg.N])
+	next := slices.Clone(rev.off[:cfg.N])
+	for v := 0; v < cfg.N; v++ {
+		scratch = g.AppendSuccessors(scratch[:0], v)
+		for _, s := range scratch {
+			rev.pred[next[s]] = int32(v)
+			next[s]++
+		}
+	}
+	return rev
+}
+
 // update is one retrograde notification: position target has a successor
 // whose value is val.
 type update struct {
@@ -178,37 +220,8 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 	owner := func(v int32) int { return int(v) % p }
 
 	vals := make([]Value, cfg.N)
-	undet := make([]int32, cfg.N) // undetermined-successor counts
-	preds := make([][]int32, cfg.N)
-	// Setup (the paper measures the core algorithm, excluding startup):
-	// reverse edges for positions we own; initial counters. Two passes over
-	// a reused successor buffer size the predecessor lists exactly, so the
-	// whole reverse graph lives in one backing array instead of N growing
-	// slices — setup used to dominate the run's allocation count.
-	scratch := make([]int32, 0, cfg.Succ)
-	predCnt := make([]int32, cfg.N)
-	total := 0
-	for v := 0; v < cfg.N; v++ {
-		scratch = g.AppendSuccessors(scratch[:0], v)
-		undet[v] = int32(len(scratch))
-		total += len(scratch)
-		for _, s := range scratch {
-			predCnt[s]++
-		}
-	}
-	backing := make([]int32, total)
-	off := 0
-	for v := range preds {
-		n := int(predCnt[v])
-		preds[v] = backing[off : off : off+n]
-		off += n
-	}
-	for v := 0; v < cfg.N; v++ {
-		scratch = g.AppendSuccessors(scratch[:0], v)
-		for _, s := range scratch {
-			preds[s] = append(preds[s], int32(v))
-		}
-	}
+	rev := reverseOf(cfg)
+	undet := slices.Clone(rev.undet) // decremented as successors are determined
 
 	var combiner *core.Combiner
 	if optimized {
@@ -312,7 +325,7 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 			for len(stack) > 0 {
 				t := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				for _, u := range preds[t.v] {
+				for _, u := range rev.pred[rev.off[t.v]:rev.off[t.v+1]] {
 					d := owner(u)
 					if d == r {
 						owed += cfg.ApplyCost

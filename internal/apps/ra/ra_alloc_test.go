@@ -11,7 +11,7 @@ import (
 
 // TestAllocsPerRunRegression pins the allocation count of one full RA run
 // (system assembly + setup + the whole retrograde sweep). The reverse graph
-// is built in one backing array and batches/updates travel through pools,
+// is memoized per Config and batches/updates travel through pools,
 // so the count is dominated by fixed per-run structures and scales with
 // processors, not with positions or messages. The budget has ~50% headroom
 // over the measured count; reintroducing per-position or per-message

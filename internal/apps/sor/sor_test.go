@@ -1,11 +1,14 @@
 package sor
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"albatross/internal/cluster"
 	"albatross/internal/core"
+	"albatross/internal/rng"
 )
 
 func testCfg() Config {
@@ -121,14 +124,16 @@ func TestRowRangePartition(t *testing.T) {
 	}
 }
 
-func TestTooManyProcsPanics(t *testing.T) {
+func TestTooManyProcsIsError(t *testing.T) {
 	sys := core.NewDAS(1, 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for p > NX")
-		}
-	}()
-	Build(sys, Config{NX: 4, NY: 4, Omega: 1.5, Eps: 1e-3, MaxIters: 10, CellCost: time.Microsecond, SkipMod: 3}, false)
+	verify := Build(sys, Config{NX: 4, NY: 4, Omega: 1.5, Eps: 1e-3, MaxIters: 10, CellCost: time.Microsecond, SkipMod: 3}, false)
+	if _, err := sys.Run(); err != nil {
+		t.Fatalf("run with nothing spawned: %v", err)
+	}
+	err := verify()
+	if err == nil || !strings.Contains(err.Error(), "8 processors need at least one row each (NX=4)") {
+		t.Fatalf("verify = %v, want the too-many-processors error", err)
+	}
 }
 
 func TestSkipModSweepConverges(t *testing.T) {
@@ -164,3 +169,84 @@ func TestIrregularClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// relaxRowRef is the kernel as first written — every cell visited and tested
+// for its colour — kept here as the oracle: Sequential and the workers share
+// relaxRow, so the run verifier alone could not notice a wrong one.
+func relaxRowRef(row, up, down []float64, i, color int, omega float64) float64 {
+	maxD := 0.0
+	for j := 1; j <= len(row)-2; j++ {
+		if (i+j)%2 != color {
+			continue
+		}
+		d := omega / 4 * (up[j] + down[j] + row[j-1] + row[j+1] - 4*row[j])
+		row[j] += d
+		if d < 0 {
+			d = -d
+		}
+		if d > maxD {
+			maxD = d
+		}
+	}
+	return maxD
+}
+
+func TestRelaxRowMatchesReference(t *testing.T) {
+	r := rng.New(17)
+	for trial := 0; trial < 2000; trial++ {
+		ny := 1 + r.Intn(40)
+		if trial%10 == 0 {
+			ny = 1
+		}
+		i, color, omega := r.Intn(1000), trial&1, 1+r.Float64()
+		rows := make([][]float64, 3)
+		for k := range rows {
+			rows[k] = make([]float64, ny+2)
+			for j := range rows[k] {
+				rows[k][j] = 2*r.Float64() - 1
+			}
+		}
+		want := append([]float64(nil), rows[0]...)
+		wantMax := relaxRowRef(want, rows[1], rows[2], i, color, omega)
+		gotMax := relaxRow(rows[0], rows[1], rows[2], i, color, omega)
+		if math.Float64bits(gotMax) != math.Float64bits(wantMax) {
+			t.Fatalf("trial %d (ny %d, i %d, colour %d): max %v, want %v", trial, ny, i, color, gotMax, wantMax)
+		}
+		for j := range want {
+			if math.Float64bits(rows[0][j]) != math.Float64bits(want[j]) {
+				t.Fatalf("trial %d (ny %d, i %d, colour %d): row[%d] = %v, want %v", trial, ny, i, color, j, rows[0][j], want[j])
+			}
+		}
+	}
+}
+
+func TestDefaultIterationsPinned(t *testing.T) {
+	if got := Sequential(Default()).Iters; got != 131 {
+		t.Fatalf("Sequential(Default()) took %d iterations, pinned at 131", got)
+	}
+}
+
+// BenchmarkRelaxRow is the app-kernel rung for SOR: one colour phase of one
+// row of Default().NY columns.
+func BenchmarkRelaxRow(b *testing.B) {
+	cfg := Default()
+	r := rng.New(1)
+	rows := make([][]float64, 4) // pristine, row, up, down
+	for k := range rows {
+		rows[k] = make([]float64, cfg.NY+2)
+		for j := range rows[k] {
+			rows[k][j] = r.Float64()
+		}
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if n%64 == 0 {
+			// A row relaxed all the way to its fixpoint would time
+			// denormal arithmetic.
+			copy(rows[1], rows[0])
+		}
+		relaxSink = relaxRow(rows[1], rows[2], rows[3], n>>1, n&1, cfg.Omega)
+	}
+}
+
+var relaxSink float64

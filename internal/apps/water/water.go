@@ -106,15 +106,16 @@ func targets(p, i int) []int {
 }
 
 // senders returns the ranks that interact with rank i's block (the inverse
-// of targets).
+// of targets), ascending: j targets i iff i lies 1..p/2 ranks after j, less
+// the even-p diameter pair, which the lower rank alone computes.
 func senders(p, i int) []int {
 	var out []int
 	for j := 0; j < p; j++ {
-		for _, t := range targets(p, j) {
-			if t == i {
-				out = append(out, j)
-			}
+		d := (i - j + p) % p
+		if d < 1 || d > p/2 || (d == p/2 && p%2 == 0 && j >= i) {
+			continue
 		}
+		out = append(out, j)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package water
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -55,18 +56,18 @@ func TestHalfShellCoversEveryPairOnce(t *testing.T) {
 }
 
 func TestSendersInverseOfTargets(t *testing.T) {
-	for _, p := range []int{2, 4, 7, 12} {
+	// senders is a closed form that never calls targets: hold it to the
+	// definition, j in senders(p, i) iff i in targets(p, j), ascending.
+	for p := 1; p <= 130; p++ {
+		targeted := make([][]int, p) // targeted[i]: the j whose targets hold i, ascending
+		for j := 0; j < p; j++ {
+			for _, i := range targets(p, j) {
+				targeted[i] = append(targeted[i], j)
+			}
+		}
 		for i := 0; i < p; i++ {
-			for _, j := range senders(p, i) {
-				found := false
-				for _, q := range targets(p, j) {
-					if q == i {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("p=%d: %d in senders(%d) but %d not in targets(%d)", p, j, i, i, j)
-				}
+			if got := senders(p, i); !slices.Equal(got, targeted[i]) {
+				t.Fatalf("p=%d: senders(%d) = %v, targets say %v", p, i, got, targeted[i])
 			}
 		}
 	}

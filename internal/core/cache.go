@@ -27,9 +27,9 @@ type FetchFunc func(p *sim.Proc, at, source cluster.NodeID, key any) (data any, 
 // coordinator knows in advance which processors read and write the data.
 type ClusterCache struct {
 	sys    *System
-	name   string
 	fetch  FetchFunc
 	stores map[storeKey]*cacheStore
+	svc    []string // svc[source] names source's coordinator service, formatted once
 }
 
 type storeKey struct {
@@ -72,8 +72,12 @@ func (st *cacheStore) get(cc *ClusterCache, p *sim.Proc, at, source cluster.Node
 // NewClusterCache installs coordinator server processes for every (cluster,
 // remote source) pair and returns the cache facade. Call before System.Run.
 func NewClusterCache(sys *System, name string, fetch FetchFunc) *ClusterCache {
-	cc := &ClusterCache{sys: sys, name: name, fetch: fetch, stores: make(map[storeKey]*cacheStore)}
+	cc := &ClusterCache{sys: sys, fetch: fetch, stores: make(map[storeKey]*cacheStore)}
 	topo := sys.Topo
+	cc.svc = make([]string, topo.Compute())
+	for src := range cc.svc {
+		cc.svc[src] = fmt.Sprintf("cache:%s:%d", name, src)
+	}
 	for c := 0; c < topo.Clusters; c++ {
 		for src := 0; src < topo.Compute(); src++ {
 			source := cluster.NodeID(src)
@@ -83,7 +87,7 @@ func NewClusterCache(sys *System, name string, fetch FetchFunc) *ClusterCache {
 			st := &cacheStore{cached: make(map[any]cacheEntry), inflight: make(map[any]*sim.Future)}
 			cc.stores[storeKey{c, source}] = st
 			coord := cc.coordinator(c, source)
-			svc := cc.service(source)
+			svc := cc.svc[source]
 			mb := sys.RTS.RegisterService(coord, svc)
 			sys.spawnDaemon(coord, fmt.Sprintf("cache %s/%s@%d", name, svc, coord),
 				func(w *Worker) { cc.serve(w, mb, st, source) })
@@ -97,10 +101,6 @@ func NewClusterCache(sys *System, name string, fetch FetchFunc) *ClusterCache {
 func (cc *ClusterCache) coordinator(c int, source cluster.NodeID) cluster.NodeID {
 	topo := cc.sys.Topo
 	return topo.Node(c, int(source)%topo.Size(c))
-}
-
-func (cc *ClusterCache) service(source cluster.NodeID) string {
-	return fmt.Sprintf("cache:%s:%d", cc.name, source)
 }
 
 // serve is the coordinator loop: the first request for a key triggers the
@@ -133,7 +133,7 @@ func (cc *ClusterCache) Prefetch(w *Worker, source cluster.NodeID, key any) {
 		// first real request — casting to ourselves would not help.
 		return
 	}
-	cc.sys.RTS.Cast(w.Node, coord, cc.service(source), keyBytes, key)
+	cc.sys.RTS.Cast(w.Node, coord, cc.svc[source], keyBytes, key)
 }
 
 // keyBytes is the simulated size of a cache-request key.
@@ -154,7 +154,7 @@ func (cc *ClusterCache) Get(w *Worker, source cluster.NodeID, key any) any {
 	if coord == w.Node {
 		return cc.stores[storeKey{c, source}].get(cc, w.P, w.Node, source, key).data
 	}
-	return w.Call(coord, cc.service(source), keyBytes, key)
+	return w.Call(coord, cc.svc[source], keyBytes, key)
 }
 
 // spawnDaemon starts a server process that may stay parked forever.

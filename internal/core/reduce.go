@@ -33,8 +33,8 @@ type CombineFunc func(acc, value any) any
 // single logical process; sequentially every cluster shares one list.
 type ClusterReducer struct {
 	sys   *System
-	name  string
 	pools []*reducePools
+	svc   []string // svc[target] names target's coordinator service, formatted once
 }
 
 // reducePools is one cluster's free lists (plus that cluster's combine
@@ -100,8 +100,12 @@ func NewClusterReducer(sys *System, name string, combine CombineFunc) *ClusterRe
 // drawn from) need this on a sharded engine, where each cluster's
 // coordinators run on their own logical process.
 func NewClusterReducerPer(sys *System, name string, mk func(c int) CombineFunc) *ClusterReducer {
-	cr := &ClusterReducer{sys: sys, name: name}
+	cr := &ClusterReducer{sys: sys}
 	topo := sys.Topo
+	cr.svc = make([]string, topo.Compute())
+	for t := range cr.svc {
+		cr.svc[t] = fmt.Sprintf("reduce:%s:%d", name, t)
+	}
 	if sys.Sharded() {
 		cr.pools = make([]*reducePools, topo.Clusters)
 		for c := range cr.pools {
@@ -121,7 +125,7 @@ func NewClusterReducerPer(sys *System, name string, mk func(c int) CombineFunc) 
 				continue
 			}
 			coord := cr.coordinator(c, target)
-			cr.install(coord, cr.service(target))
+			cr.install(coord, cr.svc[target])
 		}
 	}
 	return cr
@@ -130,10 +134,6 @@ func NewClusterReducerPer(sys *System, name string, mk func(c int) CombineFunc) 
 func (cr *ClusterReducer) coordinator(c int, target cluster.NodeID) cluster.NodeID {
 	topo := cr.sys.Topo
 	return topo.Node(c, int(target)%topo.Size(c))
-}
-
-func (cr *ClusterReducer) service(target cluster.NodeID) string {
-	return fmt.Sprintf("reduce:%s:%d", cr.name, target)
 }
 
 // install registers the accumulate-and-forward handler at the coordinator.
@@ -178,7 +178,7 @@ func (cr *ClusterReducer) Put(w *Worker, target cluster.NodeID, tag orca.Tag, si
 	coord := cr.coordinator(c, target)
 	con := cr.pools[c].getCon()
 	con.target, con.tag, con.value, con.expect, con.size = target, tag, value, expectLocal, size
-	cr.sys.RTS.Cast(w.Node, coord, cr.service(target), size, con)
+	cr.sys.RTS.Cast(w.Node, coord, cr.svc[target], size, con)
 }
 
 // ExpectedMessages reports how many tagged messages the target will receive

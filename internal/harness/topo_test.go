@@ -114,6 +114,29 @@ func TestTopoReportRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestSORMoreProcessorsThanRowsIsError: a platform with more compute nodes
+// than SOR has rows is user input (dasbench -topo), so Exec reports it as a
+// one-line error — the config of the original report, a ring of nine
+// 48-node clusters against NX = 384 — on either engine.
+func TestSORMoreProcessorsThanRowsIsError(t *testing.T) {
+	app, err := AppByName("SOR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := cluster.ParseTopology([]byte(`{
+		"classes": [{"name": "backbone", "latency": "20ms", "mbit": 155}],
+		"roots": {"count": 9, "interconnect": "ring", "class": "backbone", "nodes": [48]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Session{{}, {Shards: 2}} {
+		_, err := Exec(s.Spec(app, topo, false))
+		if err == nil || !strings.Contains(err.Error(), "sor: 432 processors need at least one row each (NX=384)") {
+			t.Errorf("shards=%d: Exec = %v, want the too-many-processors error", s.Shards, err)
+		}
+	}
+}
+
 // TestRunTopoShardedIdentity spot-checks that a run under a session's shard
 // setting reproduces the sequential metrics on a DSL topology, the same
 // invariant the full sweep in shard_test.go proves app-by-app.
