@@ -75,6 +75,10 @@ func main() {
 			WANStreams:     *streamsFlag,
 		},
 	}
+	if err := s.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "dasbench:", err)
+		os.Exit(2)
+	}
 
 	// What follows the reports of every mode: the simulator's own counters.
 	epilogue := func() {

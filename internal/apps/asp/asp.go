@@ -131,7 +131,7 @@ type pivotState struct {
 	node    cluster.NodeID
 	rows    []*pivotRow
 	wait    []*sim.Future
-	futPool []*sim.Future
+	futPool sim.Free[sim.Future]
 }
 
 // rowRange returns the row block [lo, hi) owned by rank r of p.
@@ -167,15 +167,14 @@ func Build(sys *core.System, cfg Config) func() error {
 	// pool are touchable: rows are allocated fresh and left to the garbage
 	// collector, exactly like the runtime's own broadcast records.
 	sharded := sys.Sharded()
-	var rowPool []*pivotRow
+	var rowPool sim.Free[pivotRow]
 	rowRefs := make([]int32, n)
 	getRow := func() *pivotRow {
-		if m := len(rowPool); m > 0 {
-			pr := rowPool[m-1]
-			rowPool = rowPool[:m-1]
-			return pr
+		pr := rowPool.Get()
+		if pr.row == nil {
+			pr.row = make([]int32, n)
 		}
-		return &pivotRow{row: make([]int32, n)}
+		return pr
 	}
 	releaseRow := func(st *pivotState, k int, pr *pivotRow) {
 		st.rows[k] = nil
@@ -183,7 +182,7 @@ func Build(sys *core.System, cfg Config) func() error {
 			return
 		}
 		if rowRefs[k]--; rowRefs[k] == 0 {
-			rowPool = append(rowPool, pr)
+			rowPool.Put(pr)
 		}
 	}
 
@@ -206,20 +205,19 @@ func Build(sys *core.System, cfg Config) func() error {
 		if pr := st.rows[k]; pr != nil {
 			return pr
 		}
-		var f *sim.Future
-		if m := len(st.futPool); m > 0 {
-			f = st.futPool[m-1]
-			st.futPool = st.futPool[:m-1]
+		f := st.futPool.Get()
+		if f.Done() {
 			f.Reset("asp-row")
 		} else {
-			// The future belongs to this node's worker: create it on the
-			// node's own engine so it lives entirely on one LP when sharded.
-			f = sim.NewFuture(sys.EngineFor(st.node), "asp-row")
+			// Fresh (a pooled future is a resolved one). It belongs to this
+			// node's worker: create it on the node's own engine so it lives
+			// entirely on one LP when sharded.
+			*f = *sim.NewFuture(sys.EngineFor(st.node), "asp-row")
 		}
 		st.wait[k] = f
 		pr := f.Await(w.P).(*pivotRow)
 		// Apply cleared st.wait[k] before Set, so the future is idle again.
-		st.futPool = append(st.futPool, f)
+		st.futPool.Put(f)
 		return pr
 	}
 

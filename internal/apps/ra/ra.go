@@ -29,8 +29,10 @@ import (
 	"albatross/internal/apps/memo"
 	"albatross/internal/cluster"
 	"albatross/internal/core"
+	"albatross/internal/netsim"
 	"albatross/internal/orca"
 	"albatross/internal/rng"
+	"albatross/internal/sim"
 )
 
 // Value is a game-theoretic position value for the player to move.
@@ -191,26 +193,6 @@ type batch struct {
 	items []update
 }
 
-// batchPool is one cluster's free list of batch records. A batch retires
-// into the pool of the cluster that consumed it, which may differ from
-// where it was filled, but each pool is only touched from its own cluster's
-// LP thread, keeping the send path shard-safe.
-type batchPool struct{ free []*batch }
-
-func (pl *batchPool) get() *batch {
-	if m := len(pl.free); m > 0 {
-		b := pl.free[m-1]
-		pl.free = pl.free[:m-1]
-		return b
-	}
-	return new(batch)
-}
-
-func (pl *batchPool) put(b *batch) {
-	b.items = b.items[:0]
-	pl.free = append(pl.free, b)
-}
-
 // Build sets up the parallel RA run; optimized selects cluster-level message
 // combining on top of the sender-side batching both variants use.
 func Build(sys *core.System, cfg Config, optimized bool) func() error {
@@ -228,24 +210,14 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 		combiner = core.NewCombiner(sys, "ra", 8192, cfg.FlushEach)
 	}
 
-	// One interned tag per destination rank, shared by all workers, and
-	// per-cluster batch free lists (every cluster shares one instance on
-	// the sequential engine).
+	// One interned tag per destination rank, shared by all workers, and the
+	// batch free lists by cluster: a batch retires into the pool of the
+	// engine that consumed it, which may differ from where it was filled.
 	tags := make([]orca.TagID, p)
 	for r := 0; r < p; r++ {
 		tags[r] = sys.RTS.InternTag(orca.Tag{Op: "ra", A: r})
 	}
-	pools := make([]*batchPool, topo.Clusters)
-	if sys.Sharded() {
-		for c := range pools {
-			pools[c] = &batchPool{}
-		}
-	} else {
-		one := &batchPool{}
-		for c := range pools {
-			pools[c] = one
-		}
-	}
+	pools, _ := netsim.PerEngine(sys.Net, func(int) *sim.Free[batch] { return new(sim.Free[batch]) })
 
 	// determined[r] counts positions worker r has determined; each worker
 	// only ever determines its own positions, so the slot stays on r's LP
@@ -334,7 +306,7 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 					}
 					b := batches[d]
 					if b == nil {
-						b = bp.get()
+						b = bp.Get()
 						batches[d] = b
 						dirty[d>>6] |= 1 << (d & 63)
 					}
@@ -392,7 +364,8 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 			for _, up := range b.items {
 				process(up.target, up.val)
 			}
-			bp.put(b)
+			b.items = b.items[:0]
+			bp.Put(b)
 			drain()
 		}
 		// The last own determination may have left batched notifications

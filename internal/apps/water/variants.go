@@ -206,10 +206,9 @@ func buildOptimized(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]i
 	if opts.Reduce {
 		// Contributions and aggregates both come from, and return to, the
 		// buffer pools: the first contribution of a round is copied into a
-		// pooled accumulator, later ones are folded and recycled. Each
-		// cluster's fold runs at that cluster's coordinators and its
-		// contributions come from that cluster's workers, so it closes over
-		// the cluster's own pool.
+		// pooled accumulator, later ones are folded and recycled. A fold
+		// runs at its engine's coordinators on contributions from that
+		// engine's workers, so it closes over that engine's pool.
 		reducer = core.NewClusterReducerPer(sys, "water", func(c int) core.CombineFunc {
 			vp := vps[c]
 			return func(acc, v any) any {

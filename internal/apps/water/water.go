@@ -23,6 +23,7 @@ import (
 
 	"albatross/internal/apps/memo"
 	"albatross/internal/core"
+	"albatross/internal/netsim"
 	"albatross/internal/rng"
 	"albatross/internal/sim"
 )
@@ -223,10 +224,8 @@ func (ps *procState) futFor(e *sim.Engine) *sim.Future {
 
 // vecPool recycles force-contribution buffers. Every receiver folds a
 // contribution into its accumulator the moment it arrives and never retains
-// the slice, so buffers cycle sender -> receiver -> pool. Pools are per
-// cluster (see vecPools): a buffer is always recycled into the pool of the
-// cluster that finished reading it, so each free list is touched by one
-// logical process on a sharded engine.
+// the slice, so buffers cycle sender -> receiver -> pool: a buffer is always
+// recycled into the pool of the engine that finished reading it (vecPools).
 type vecPool struct {
 	bufs [][]Vec
 	max  int // largest block length; every pooled buffer has this capacity
@@ -246,23 +245,10 @@ func (vp *vecPool) get(n int) []Vec {
 
 func (vp *vecPool) put(v []Vec) { vp.bufs = append(vp.bufs, v[:0]) }
 
-// vecPools builds the per-cluster force-buffer pools: one pool per cluster
-// on a sharded system (each touched only by its cluster's logical process;
-// buffers migrate between pools with the messages that carry them), and a
-// single pool shared by every slot sequentially, preserving the original
-// allocation behavior exactly.
+// vecPools builds the force-buffer pools, by cluster; buffers migrate
+// between pools with the messages that carry them.
 func vecPools(sys *core.System, max int) []*vecPool {
-	vps := make([]*vecPool, sys.Topo.Clusters)
-	if sys.Sharded() {
-		for c := range vps {
-			vps[c] = &vecPool{max: max}
-		}
-		return vps
-	}
-	shared := &vecPool{max: max}
-	for c := range vps {
-		vps[c] = shared
-	}
+	vps, _ := netsim.PerEngine(sys.Net, func(int) *vecPool { return &vecPool{max: max} })
 	return vps
 }
 

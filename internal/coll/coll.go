@@ -23,6 +23,7 @@ import (
 
 	"albatross/internal/cluster"
 	"albatross/internal/core"
+	"albatross/internal/netsim"
 	"albatross/internal/orca"
 )
 
@@ -56,18 +57,18 @@ func (s Strategy) String() string {
 type phase int
 
 const (
-	phB phase = iota // broadcast, global/WAN leg
-	phBL             // broadcast, cluster-local tree
-	phR              // reduce, global/WAN leg
-	phRL             // reduce, cluster-local tree
-	phG              // gather, global/WAN leg
-	phGL             // gather, cluster-local leg
-	phS              // scatter, global/WAN leg
-	phSL             // scatter, cluster-local leg
-	phA              // all-to-all, intra-cluster direct
-	phAR             // all-to-all, member → cluster root
-	phAB             // all-to-all, root → root bundle
-	phAS             // all-to-all, root → member scatter
+	phB  phase = iota // broadcast, global/WAN leg
+	phBL              // broadcast, cluster-local tree
+	phR               // reduce, global/WAN leg
+	phRL              // reduce, cluster-local tree
+	phG               // gather, global/WAN leg
+	phGL              // gather, cluster-local leg
+	phS               // scatter, global/WAN leg
+	phSL              // scatter, cluster-local leg
+	phA               // all-to-all, intra-cluster direct
+	phAR              // all-to-all, member → cluster root
+	phAB              // all-to-all, root → root bundle
+	phAS              // all-to-all, root → member scatter
 	numPhases
 )
 
@@ -90,14 +91,12 @@ type Comm struct {
 	stash [][]any
 
 	// Free lists for the intermediate combined-message payloads of the
-	// wide-area gather/scatter/all-to-all paths, indexed by cluster. On a
-	// plain engine every cluster shares one instance (the simulation runs
-	// one process at a time); on a sharded engine each cluster gets its
-	// own, touched only from its LP thread.
+	// wide-area gather/scatter/all-to-all paths, by cluster
+	// (netsim.PerEngine).
 	pools []*commPools
 }
 
-// commPools is one cluster's slice of the combined-payload free lists.
+// commPools is one engine's instance of the combined-payload free lists.
 type commPools struct {
 	partPool   [][]any
 	bundlePool [][][]any
@@ -124,17 +123,7 @@ func New(sys *core.System, name string, strategy Strategy) *Comm {
 		c.byCluster[cl] = ranks
 	}
 	c.stash = make([][]any, topo.Clusters*topo.Clusters)
-	c.pools = make([]*commPools, topo.Clusters)
-	if sys.Sharded() {
-		for cl := range c.pools {
-			c.pools[cl] = &commPools{}
-		}
-	} else {
-		one := &commPools{}
-		for cl := range c.pools {
-			c.pools[cl] = one
-		}
-	}
+	c.pools, _ = netsim.PerEngine(sys.Net, func(int) *commPools { return new(commPools) })
 	c.preIntern()
 	return c
 }
@@ -190,8 +179,7 @@ func (pl *commPools) getPart(n int) []any {
 }
 
 // putPart recycles a consumed payload slice. A part may retire into a
-// different cluster's pool than it came from (combined payloads cross the
-// WAN); each pool is still touched only from its own cluster's LP.
+// different pool than it came from (combined payloads cross the WAN).
 func (pl *commPools) putPart(p []any) {
 	for i := range p {
 		p[i] = nil

@@ -4,7 +4,9 @@ import (
 	"time"
 
 	"albatross/internal/cluster"
+	"albatross/internal/netsim"
 	"albatross/internal/orca"
+	"albatross/internal/sim"
 )
 
 // Combiner implements the paper's RA optimization (Section 4.5): message
@@ -19,10 +21,8 @@ import (
 //
 // Item records and item slices are pooled: the receiving agent recycles
 // them after scattering, so sustained combining allocates nothing beyond
-// the flush timers. Pools are per cluster — a record retires into the pool
-// of the cluster whose LP frees it, which may differ from where it was
-// allocated, but each pool is only ever touched from its own LP thread, so
-// combining stays shard-safe (see DESIGN.md §5c).
+// the flush timers. A record retires into the pool of the engine that frees
+// it, which may differ from where it was allocated (DESIGN.md §5c).
 type Combiner struct {
 	sys        *System
 	name       string
@@ -33,14 +33,12 @@ type Combiner struct {
 	// designated combiner node
 	bufs [][]combineBuf
 
-	// per-cluster free lists; every cluster shares one instance on the
-	// sequential engine
-	pools []*combinePools
+	pools []*combinePools // by cluster (netsim.PerEngine)
 }
 
-// combinePools is one cluster's slice of the combiner free lists.
+// combinePools is one engine's instance of the combiner free lists.
 type combinePools struct {
-	itemPool  []*combineItem
+	itemPool  sim.Free[combineItem]
 	slicePool [][]*combineItem
 }
 
@@ -70,36 +68,12 @@ func NewCombiner(sys *System, name string, flushBytes int, flushAfter time.Durat
 	}
 	topo := sys.Topo
 	cb.bufs = make([][]combineBuf, topo.Clusters)
-	cb.pools = make([]*combinePools, topo.Clusters)
-	if sys.Sharded() {
-		for c := range cb.pools {
-			cb.pools[c] = &combinePools{}
-		}
-	} else {
-		one := &combinePools{}
-		for c := range cb.pools {
-			cb.pools[c] = one
-		}
-	}
+	cb.pools, _ = netsim.PerEngine(sys.Net, func(int) *combinePools { return new(combinePools) })
 	for c := 0; c < topo.Clusters; c++ {
 		cb.bufs[c] = make([]combineBuf, topo.Clusters)
 		cb.install(c)
 	}
 	return cb
-}
-
-func (pl *combinePools) getItem() *combineItem {
-	if k := len(pl.itemPool); k > 0 {
-		it := pl.itemPool[k-1]
-		pl.itemPool = pl.itemPool[:k-1]
-		return it
-	}
-	return new(combineItem)
-}
-
-func (pl *combinePools) putItem(it *combineItem) {
-	it.payload = nil
-	pl.itemPool = append(pl.itemPool, it)
 }
 
 func (pl *combinePools) getSlice() []*combineItem {
@@ -163,7 +137,8 @@ func (cb *Combiner) install(c int) {
 		items := req.Payload.([]*combineItem)
 		for _, it := range items {
 			rts.SendDataID(agent, it.to, it.tag, it.size, it.payload)
-			pl.putItem(it)
+			it.payload = nil
+			pl.itemPool.Put(it)
 		}
 		pl.putSlice(items)
 	})
@@ -202,7 +177,7 @@ func (cb *Combiner) SendID(w *Worker, to cluster.NodeID, tag orca.TagID, size in
 		w.SendID(to, tag, size, payload)
 		return
 	}
-	it := cb.pools[topo.ClusterOf(w.Node)].getItem()
+	it := cb.pools[topo.ClusterOf(w.Node)].itemPool.Get()
 	it.to, it.tag, it.size, it.payload = to, tag, size, payload
 	cb.sys.RTS.Cast(w.Node, cb.agent(topo.ClusterOf(w.Node)), "comb:"+cb.name, size, it)
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"albatross/internal/cluster"
+	"albatross/internal/netsim"
 	"albatross/internal/orca"
+	"albatross/internal/sim"
 )
 
 // CombineFunc folds a contribution into an accumulator; acc is nil for the
@@ -27,22 +29,21 @@ type CombineFunc func(acc, value any) any
 // contributor.
 // Contribution and round records are pooled: coordinators recycle them as
 // rounds are folded and forwarded, so sustained reduction traffic allocates
-// nothing beyond what the application's combine function allocates. The
-// pools are per cluster (a contribution and its coordinator are always in
-// the same cluster), so on a sharded engine each free list is touched by a
-// single logical process; sequentially every cluster shares one list.
+// nothing beyond what the application's combine function allocates. A
+// contribution and its coordinator are always in the same cluster, so both
+// use the same engine's pools (DESIGN.md §5c).
 type ClusterReducer struct {
 	sys   *System
-	pools []*reducePools
-	svc   []string // svc[target] names target's coordinator service, formatted once
+	pools []*reducePools // by cluster (netsim.PerEngine)
+	svc   []string       // svc[target] names target's coordinator service, formatted once
 }
 
-// reducePools is one cluster's free lists (plus that cluster's combine
-// function, which may close over cluster-local state such as buffer pools).
+// reducePools is one engine's free lists (plus that engine's combine
+// function, which may close over engine-local state such as buffer pools).
 type reducePools struct {
 	combine CombineFunc
-	conPool []*reduceContribution
-	rndPool []*roundState
+	conPool sim.Free[reduceContribution]
+	rndPool sim.Free[roundState]
 }
 
 // reduceContribution travels from a contributor to its local coordinator.
@@ -60,45 +61,17 @@ type roundState struct {
 	seen int
 }
 
-func (pl *reducePools) getCon() *reduceContribution {
-	if k := len(pl.conPool); k > 0 {
-		con := pl.conPool[k-1]
-		pl.conPool = pl.conPool[:k-1]
-		return con
-	}
-	return new(reduceContribution)
-}
-
-func (pl *reducePools) putCon(con *reduceContribution) {
-	con.value = nil
-	pl.conPool = append(pl.conPool, con)
-}
-
-func (pl *reducePools) getRound() *roundState {
-	if k := len(pl.rndPool); k > 0 {
-		st := pl.rndPool[k-1]
-		pl.rndPool = pl.rndPool[:k-1]
-		return st
-	}
-	return new(roundState)
-}
-
-func (pl *reducePools) putRound(st *roundState) {
-	st.acc, st.seen = nil, 0
-	pl.rndPool = append(pl.rndPool, st)
-}
-
 // NewClusterReducer installs one event-context coordinator per (cluster,
 // remote target) pair. Call before System.Run.
 func NewClusterReducer(sys *System, name string, combine CombineFunc) *ClusterReducer {
 	return NewClusterReducerPer(sys, name, func(int) CombineFunc { return combine })
 }
 
-// NewClusterReducerPer is NewClusterReducer with a per-cluster combine
-// function: mk(c) builds the fold used by cluster c's coordinators. Folds
-// that touch cluster-local state (e.g. a buffer pool the aggregates are
-// drawn from) need this on a sharded engine, where each cluster's
-// coordinators run on their own logical process.
+// NewClusterReducerPer is NewClusterReducer with a per-engine combine
+// function: mk(c) builds the fold used by the coordinators on cluster c's
+// engine (called once per engine, with its first cluster). Folds that touch
+// engine-local state (e.g. a buffer pool the aggregates are drawn from) need
+// this.
 func NewClusterReducerPer(sys *System, name string, mk func(c int) CombineFunc) *ClusterReducer {
 	cr := &ClusterReducer{sys: sys}
 	topo := sys.Topo
@@ -106,18 +79,7 @@ func NewClusterReducerPer(sys *System, name string, mk func(c int) CombineFunc) 
 	for t := range cr.svc {
 		cr.svc[t] = fmt.Sprintf("reduce:%s:%d", name, t)
 	}
-	if sys.Sharded() {
-		cr.pools = make([]*reducePools, topo.Clusters)
-		for c := range cr.pools {
-			cr.pools[c] = &reducePools{combine: mk(c)}
-		}
-	} else {
-		shared := &reducePools{combine: mk(0)}
-		cr.pools = make([]*reducePools, topo.Clusters)
-		for c := range cr.pools {
-			cr.pools[c] = shared
-		}
-	}
+	cr.pools, _ = netsim.PerEngine(sys.Net, func(c int) *reducePools { return &reducePools{combine: mk(c)} })
 	for c := 0; c < topo.Clusters; c++ {
 		for t := 0; t < topo.Compute(); t++ {
 			target := cluster.NodeID(t)
@@ -147,19 +109,21 @@ func (cr *ClusterReducer) install(coord cluster.NodeID, svc string) {
 		con := req.Payload.(*reduceContribution)
 		st, ok := rounds[con.tag]
 		if !ok {
-			st = pl.getRound()
+			st = pl.rndPool.Get()
 			rounds[con.tag] = st
 		}
 		st.acc = pl.combine(st.acc, con.value)
 		st.seen++
 		target, tag, size, done := con.target, con.tag, con.size, st.seen >= con.expect
-		pl.putCon(con)
+		con.value = nil
+		pl.conPool.Put(con)
 		if !done {
 			return
 		}
 		delete(rounds, tag)
 		acc := st.acc
-		pl.putRound(st)
+		st.acc, st.seen = nil, 0
+		pl.rndPool.Put(st)
 		rts.SendData(coord, target, tag, size, acc)
 	})
 }
@@ -176,7 +140,7 @@ func (cr *ClusterReducer) Put(w *Worker, target cluster.NodeID, tag orca.Tag, si
 	}
 	c := topo.ClusterOf(w.Node)
 	coord := cr.coordinator(c, target)
-	con := cr.pools[c].getCon()
+	con := cr.pools[c].conPool.Get()
 	con.target, con.tag, con.value, con.expect, con.size = target, tag, value, expectLocal, size
 	cr.sys.RTS.Cast(w.Node, coord, cr.svc[target], size, con)
 }

@@ -33,6 +33,20 @@ func (s *Session) ablate(name string, seq orca.Sequencer, build func(sys *core.S
 	return s.Exec(s.Spec(app, cluster.DAS(4, 15), false))
 }
 
+// rows computes a table's n rows through the worker pool, one task per row,
+// and returns them in index order.
+func (s *Session) rows(n int, row func(i int) ([]string, error)) ([][]string, error) {
+	rows := make([][]string, n)
+	tasks := make([]func() error, n)
+	for i := range tasks {
+		tasks[i] = func() (err error) {
+			rows[i], err = row(i)
+			return err
+		}
+	}
+	return rows, s.do(tasks...)
+}
+
 // AblationWater separates cluster caching (reads) from cluster reduction
 // (write-backs) in the Water optimization.
 func AblationWater(s *Session) (*Report, error) {
@@ -51,26 +65,21 @@ func AblationWater(s *Session) (*Report, error) {
 		{"reduce only", water.Options{Reduce: true}},
 		{"cache + reduce (paper)", water.Options{Cache: true, Reduce: true}},
 	}
-	rows := make([][]string, len(variants))
-	tasks := make([]func() error, len(variants))
-	for i, v := range variants {
-		i, v := i, v
-		tasks[i] = func() error {
-			m, err := s.ablate("abl-water "+v.name, nil, func(sys *core.System) func() error {
-				return water.BuildVariant(sys, cfg, v.opts)
-			})
-			if err != nil {
-				return err
-			}
-			inter := m.Net.TotalInter()
-			rows[i] = []string{v.name,
-				fmt.Sprintf("%.3f", m.Seconds()),
-				fmt.Sprintf("%d", inter.Msgs),
-				fmt.Sprintf("%.0f", inter.KBytes())}
-			return nil
+	rows, err := s.rows(len(variants), func(i int) ([]string, error) {
+		v := variants[i]
+		m, err := s.ablate("abl-water "+v.name, nil, func(sys *core.System) func() error {
+			return water.BuildVariant(sys, cfg, v.opts)
+		})
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err := s.do(tasks...); err != nil {
+		inter := m.Net.TotalInter()
+		return []string{v.name,
+			fmt.Sprintf("%.3f", m.Seconds()),
+			fmt.Sprintf("%d", inter.Msgs),
+			fmt.Sprintf("%.0f", inter.KBytes())}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	t.Rows = rows
@@ -100,29 +109,24 @@ func AblationSOR(s *Session) (*Report, error) {
 			skipMod   int
 		}{fmt.Sprintf("chaotic, exchange every %d", sm), true, sm})
 	}
-	rows := make([][]string, len(variants))
-	tasks := make([]func() error, len(variants))
-	for i, v := range variants {
-		i, v := i, v
-		tasks[i] = func() error {
-			c := cfg
-			c.SkipMod = v.skipMod
-			var iters *int
-			m, err := s.ablate("abl-sor "+v.name, nil, func(sys *core.System) (verify func() error) {
-				verify, iters = sor.BuildWithStats(sys, c, v.optimized)
-				return verify
-			})
-			if err != nil {
-				return err
-			}
-			rows[i] = []string{v.name,
-				fmt.Sprintf("%d", *iters),
-				fmt.Sprintf("%.3f", m.Seconds()),
-				fmt.Sprintf("%d", m.Net.TotalInter().Msgs)}
-			return nil
+	rows, err := s.rows(len(variants), func(i int) ([]string, error) {
+		v := variants[i]
+		c := cfg
+		c.SkipMod = v.skipMod
+		var iters *int
+		m, err := s.ablate("abl-sor "+v.name, nil, func(sys *core.System) (verify func() error) {
+			verify, iters = sor.BuildWithStats(sys, c, v.optimized)
+			return verify
+		})
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err := s.do(tasks...); err != nil {
+		return []string{v.name,
+			fmt.Sprintf("%d", *iters),
+			fmt.Sprintf("%.3f", m.Seconds()),
+			fmt.Sprintf("%d", m.Net.TotalInter().Msgs)}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	t.Rows = rows
@@ -148,29 +152,24 @@ func AblationRA(s *Session) (*Report, error) {
 			combos = append(combos, combo{batch, comb})
 		}
 	}
-	rows := make([][]string, len(combos))
-	tasks := make([]func() error, len(combos))
-	for i, c := range combos {
-		i, c := i, c
-		tasks[i] = func() error {
-			cfg := ra.Default()
-			cfg.NodeBatch = c.batch
-			m, err := s.ablate(fmt.Sprintf("abl-ra batch=%d comb=%v", c.batch, c.comb), nil,
-				func(sys *core.System) func() error { return ra.Build(sys, cfg, c.comb) })
-			if err != nil {
-				return err
-			}
-			inter := m.Net.TotalInter()
-			rows[i] = []string{
-				fmt.Sprintf("%d", c.batch),
-				onOff(c.comb),
-				fmt.Sprintf("%.3f", m.Seconds()),
-				fmt.Sprintf("%d", inter.Msgs),
-				fmt.Sprintf("%.0f", inter.KBytes())}
-			return nil
+	rows, err := s.rows(len(combos), func(i int) ([]string, error) {
+		c := combos[i]
+		cfg := ra.Default()
+		cfg.NodeBatch = c.batch
+		m, err := s.ablate(fmt.Sprintf("abl-ra batch=%d comb=%v", c.batch, c.comb), nil,
+			func(sys *core.System) func() error { return ra.Build(sys, cfg, c.comb) })
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err := s.do(tasks...); err != nil {
+		inter := m.Net.TotalInter()
+		return []string{
+			fmt.Sprintf("%d", c.batch),
+			onOff(c.comb),
+			fmt.Sprintf("%.3f", m.Seconds()),
+			fmt.Sprintf("%d", inter.Msgs),
+			fmt.Sprintf("%.0f", inter.KBytes())}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	t.Rows = rows
@@ -194,24 +193,19 @@ func AblationIDA(s *Session) (*Report, error) {
 		{"remember empty", ida.Policy{RememberIdle: true}},
 		{"both (paper)", ida.Policy{LocalFirst: true, RememberIdle: true}},
 	}
-	rows := make([][]string, len(variants))
-	tasks := make([]func() error, len(variants))
-	for i, v := range variants {
-		i, v := i, v
-		tasks[i] = func() error {
-			m, err := s.ablate("abl-ida "+v.name, nil, func(sys *core.System) func() error {
-				return ida.BuildPolicy(sys, cfg, v.pol)
-			})
-			if err != nil {
-				return err
-			}
-			rows[i] = []string{v.name,
-				fmt.Sprintf("%.3f", m.Seconds()),
-				fmt.Sprintf("%d", m.Net.InterRPC().Msgs)}
-			return nil
+	rows, err := s.rows(len(variants), func(i int) ([]string, error) {
+		v := variants[i]
+		m, err := s.ablate("abl-ida "+v.name, nil, func(sys *core.System) func() error {
+			return ida.BuildPolicy(sys, cfg, v.pol)
+		})
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err := s.do(tasks...); err != nil {
+		return []string{v.name,
+			fmt.Sprintf("%.3f", m.Seconds()),
+			fmt.Sprintf("%d", m.Net.InterRPC().Msgs)}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	t.Rows = rows
@@ -236,50 +230,45 @@ func AblationSequencer(s *Session) (*Report, error) {
 		{"rotating (paper default)", func() orca.Sequencer { return orca.NewRotatingSequencer() }},
 		{"migrating (ASP opt)", func() orca.Sequencer { return orca.NewMigratingSequencer() }},
 	}
-	rows := make([][]string, len(variants))
-	tasks := make([]func() error, len(variants))
-	for i, v := range variants {
-		i, v := i, v
-		tasks[i] = func() error {
-			m, err := s.ablate("abl-seq "+v.name, v.mk(), func(sys *core.System) func() error {
-				obj := sys.RTS.NewReplicated("rows", func(cluster.NodeID) any { return new(int) })
-				sys.SpawnWorkers("sender", func(w *core.Worker) {
-					for burst := 0; burst < bursts; burst++ {
-						// Spread the senders over the whole machine (and thus over
-						// all clusters), like ASP's row ownership.
-						if burst*w.NProcs()/bursts != w.Rank() {
-							continue
-						}
-						for *(obj.Replica(w.Node).(*int)) < burst*burstLen {
-							w.P.Sleep(100 * time.Microsecond)
-						}
-						for i := 0; i < burstLen; i++ {
-							w.Invoke(obj, orca.Op{Name: "row", ArgBytes: rowBytes,
-								Apply: func(s any) any { *(s.(*int))++; return nil }})
-						}
+	rows, err := s.rows(len(variants), func(i int) ([]string, error) {
+		v := variants[i]
+		m, err := s.ablate("abl-seq "+v.name, v.mk(), func(sys *core.System) func() error {
+			obj := sys.RTS.NewReplicated("rows", func(cluster.NodeID) any { return new(int) })
+			sys.SpawnWorkers("sender", func(w *core.Worker) {
+				for burst := 0; burst < bursts; burst++ {
+					// Spread the senders over the whole machine (and thus over
+					// all clusters), like ASP's row ownership.
+					if burst*w.NProcs()/bursts != w.Rank() {
+						continue
 					}
-				})
-				return func() error {
-					for i := 0; i < sys.Topo.Compute(); i++ {
-						if got := *(obj.Replica(cluster.NodeID(i)).(*int)); got != bursts*burstLen {
-							return fmt.Errorf("replica %d saw %d updates", i, got)
-						}
+					for *(obj.Replica(w.Node).(*int)) < burst*burstLen {
+						w.P.Sleep(100 * time.Microsecond)
 					}
-					return nil
+					for i := 0; i < burstLen; i++ {
+						w.Invoke(obj, orca.Op{Name: "row", ArgBytes: rowBytes,
+							Apply: func(s any) any { *(s.(*int))++; return nil }})
+					}
 				}
 			})
-			if err != nil {
-				return err
+			return func() error {
+				for i := 0; i < sys.Topo.Compute(); i++ {
+					if got := *(obj.Replica(cluster.NodeID(i)).(*int)); got != bursts*burstLen {
+						return fmt.Errorf("replica %d saw %d updates", i, got)
+					}
+				}
+				return nil
 			}
-			per := m.Elapsed / (bursts * burstLen)
-			rows[i] = []string{v.name,
-				fmt.Sprintf("%.3f", m.Seconds()),
-				per.Round(time.Microsecond).String(),
-				fmt.Sprintf("%d", m.Net.TotalInter().Msgs)}
-			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err := s.do(tasks...); err != nil {
+		per := m.Elapsed / (bursts * burstLen)
+		return []string{v.name,
+			fmt.Sprintf("%.3f", m.Seconds()),
+			per.Round(time.Microsecond).String(),
+			fmt.Sprintf("%d", m.Net.TotalInter().Msgs)}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	t.Rows = rows

@@ -187,3 +187,18 @@ func TestFigureCSV(t *testing.T) {
 		t.Fatalf("figure csv:\n%s", got)
 	}
 }
+
+// TestSequentialLayoutIsOneEngine pins the sequential case of the state
+// layout rule (DESIGN.md §5c): on a plain system every cluster's events run
+// on the root engine, so netsim.PerEngine builds one instance that every
+// cluster aliases. The figures that instance produces are pinned by the
+// goldens.
+func TestSequentialLayoutIsOneEngine(t *testing.T) {
+	sys := core.NewDAS(4, 15)
+	defer sys.Engine.Shutdown()
+	for c := 0; c < sys.Topo.Clusters; c++ {
+		if sys.Net.EngineFor(c) != sys.Engine {
+			t.Fatalf("cluster %d runs on %p, want the root engine %p", c, sys.Net.EngineFor(c), sys.Engine)
+		}
+	}
+}

@@ -101,14 +101,11 @@ func TestCrossLPLookaheadConservative(t *testing.T) {
 			Default: faults.PairProbs{Drop: 0.01},
 			Crashes: []faults.GatewayCrash{{Cluster: 1, Start: 100 * time.Millisecond, Duration: 200 * time.Millisecond}},
 		}
-		if topo.WAN != nil {
-			pl.LinkDowns = faults.CutRingSegment(topo.WAN, 0, 50*time.Millisecond, 100*time.Millisecond)
-		} else {
-			pl.LinkDowns = []faults.LinkDown{
-				{From: 0, To: 1, Start: 50 * time.Millisecond, Duration: 100 * time.Millisecond},
-				{From: 1, To: 0, Start: 50 * time.Millisecond, Duration: 100 * time.Millisecond},
-			}
+		g, err := topo.Graph(Params)
+		if err != nil {
+			t.Fatal(err)
 		}
+		pl.LinkDowns = faults.CutRingSegment(g, 0, 50*time.Millisecond, 100*time.Millisecond)
 		return &pl
 	}
 	platforms := []struct {

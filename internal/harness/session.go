@@ -42,6 +42,29 @@ type runEntry struct {
 	err  error
 }
 
+// Validate rejects a negative run-wide setting, naming the dasbench flag that
+// carries it. Every negative value would otherwise read as the flag's zero:
+// a malformed flag must be an error, not a silently different run.
+func (s *Session) Validate() error {
+	t := s.Transport
+	for _, f := range []struct {
+		flag string
+		neg  bool
+		v    any
+	}{
+		{"-parallel", s.Workers < 0, s.Workers},
+		{"-shards", s.Shards < 0, s.Shards},
+		{"-coalesce", t.MaxFrameBytes < 0, t.MaxFrameBytes},
+		{"-coalesce-window", t.CoalesceWindow < 0, t.CoalesceWindow},
+		{"-streams", t.WANStreams < 0, t.WANStreams},
+	} {
+		if f.neg {
+			return fmt.Errorf("%s must not be negative (got %v)", f.flag, f.v)
+		}
+	}
+	return nil
+}
+
 // Spec describes one application variant on a platform with the harness
 // parameter set and the session's engine and transport settings. Callers
 // adjust the returned value (Params, Faults, an explicit Transport{}) before

@@ -334,3 +334,29 @@ func TestCensusReport(t *testing.T) {
 		t.Errorf("census differs between engines\nsequential:\n%s\nsharded:\n%s", seq, sharded)
 	}
 }
+
+// TestSessionValidate: each run-wide setting rejects a negative value with an
+// error naming its dasbench flag, and accepts zero (the flag's "off").
+func TestSessionValidate(t *testing.T) {
+	cases := []struct {
+		flag string
+		set  func(s *Session, v int)
+	}{
+		{"-parallel", func(s *Session, v int) { s.Workers = v }},
+		{"-shards", func(s *Session, v int) { s.Shards = v }},
+		{"-coalesce", func(s *Session, v int) { s.Transport.MaxFrameBytes = v }},
+		{"-coalesce-window", func(s *Session, v int) { s.Transport.CoalesceWindow = time.Duration(v) }},
+		{"-streams", func(s *Session, v int) { s.Transport.WANStreams = v }},
+	}
+	for _, tc := range cases {
+		var neg, zero Session
+		tc.set(&neg, -3)
+		tc.set(&zero, 0)
+		if err := neg.Validate(); err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
+			t.Errorf("negative %s: error %v, want one naming the flag", tc.flag, err)
+		}
+		if err := zero.Validate(); err != nil {
+			t.Errorf("zero %s rejected: %v", tc.flag, err)
+		}
+	}
+}

@@ -126,8 +126,7 @@ type pipeCounters struct {
 // delivery is a recyclable deliver-callback record. The closure is bound
 // once per record and records are pooled, so a steady stream of messages
 // schedules delivery events without allocating a fresh closure per message.
-// Each record belongs to one netShard's free list and never migrates, so
-// under a sharded engine every record is touched by a single LP thread.
+// A record returns to the free list it came from.
 type delivery struct {
 	n  *Network
 	sh *netShard
@@ -138,21 +137,18 @@ type delivery struct {
 func (d *delivery) run() {
 	n, m := d.n, d.m
 	d.m = Msg{} // drop the payload reference while pooled
-	d.sh.pool = append(d.sh.pool, d)
+	d.sh.pool.Put(d)
 	n.deliver(m)
 }
 
-// netShard is the per-cluster slice of the network's mutable hot state: the
-// engine that executes the cluster's events plus the free lists and traffic
-// counters that the send/deliver path touches on every message. On a plain
-// engine every cluster references one shared netShard (so the sequential
-// data path is exactly what it was); on a sharded engine each cluster gets
-// its own, touched only from the cluster's LP thread, and reads merge them.
+// netShard is one engine's instance of the network's mutable hot state
+// (DESIGN.md §5c): the engine plus the free lists and traffic counters that
+// the send/deliver path touches on every message.
 type netShard struct {
 	e        *sim.Engine
 	stats    Stats
-	pool     []*delivery // free list of delivery records
-	wirePool []*wireUnit // free list of WAN wire-unit records (transport.go)
+	pool     sim.Free[delivery]
+	wirePool sim.Free[wireUnit] // WAN wire-unit records (transport.go)
 }
 
 // linkClass is a resolved wide-area link class: the graph's parameters with
@@ -188,10 +184,11 @@ type Network struct {
 	adj       [][]adjLink
 	agg       [][]classAgg
 	nclusters int
-	xp        *xport // gateway transport layer (nil = off: every message is its own wire unit)
-	sharded   bool
-	sh        []*netShard // cluster → shard (all one shard when unsharded)
-	merged    Stats       // scratch for Stats() snapshots when sharded
+	xp        *xport        // gateway transport layer (nil = off: every message is its own wire unit)
+	sharded   bool          // LPs run concurrently
+	engs      []*sim.Engine // cluster → the engine that executes its events
+	sh, each  []*netShard   // PerEngine: by cluster, and the distinct instances
+	merged    Stats         // scratch for Stats() snapshots
 	tap       Tap
 	tapMu     sync.Mutex // serializes tap calls across LP threads when sharded
 
@@ -430,35 +427,33 @@ func New(e *sim.Engine, topo cluster.Topology, par cluster.Params) *Network {
 		n.clusterOf[i] = topo.ClusterOf(cluster.NodeID(i))
 		n.isGW[i] = topo.IsGateway(cluster.NodeID(i))
 	}
-	// One netShard per cluster under a sharded engine (block-contiguous
-	// cluster → LP assignment, so shards of clusters beyond the LP count
-	// share an LP thread but keep separate free lists and counters); one
-	// shard shared by every cluster on a plain engine, which keeps the
-	// sequential data path identical.
-	n.sh = make([]*netShard, topo.Clusters)
-	if lps := e.Shards(); len(lps) > 0 {
-		n.sharded = true
-		// Contiguous ID blocks, not round-robin: the topology DSL numbers
-		// clusters depth-first, so a block keeps whole subtrees on one LP
-		// and the routed distance BETWEEN LPs stays as large as the
-		// topology allows. Round-robin would scatter siblings across every
-		// LP and collapse each pairwise floor to the fastest access link.
-		k := len(lps)
-		lpOf := make([]int, topo.Clusters)
-		base, rem := topo.Clusters/k, topo.Clusters%k
-		for i, c := 0, 0; i < k && c < topo.Clusters; i++ {
-			sz := base
-			if i < rem {
-				sz++
-			}
-			for j := 0; j < sz; j++ {
-				lpOf[c] = i
-				c++
-			}
+	// Clusters go to engines in contiguous ID blocks, not round-robin: the
+	// topology DSL numbers clusters depth-first, so a block keeps whole
+	// subtrees on one LP and the routed distance BETWEEN LPs stays as large
+	// as the topology allows. Round-robin would scatter siblings across every
+	// LP and collapse each pairwise floor to the fastest access link. The
+	// plain engine is the one-block case.
+	lps := e.Shards()
+	n.sharded = len(lps) > 0
+	if !n.sharded {
+		lps = []*sim.Engine{e}
+	}
+	k := len(lps)
+	lpOf := make([]int, topo.Clusters)
+	n.engs = make([]*sim.Engine, topo.Clusters)
+	base, rem := topo.Clusters/k, topo.Clusters%k
+	for i, c := 0, 0; i < k && c < topo.Clusters; i++ {
+		sz := base
+		if i < rem {
+			sz++
 		}
-		for c := range n.sh {
-			n.sh[c] = &netShard{e: lps[lpOf[c]]}
+		for j := 0; j < sz; j++ {
+			lpOf[c], n.engs[c] = i, lps[i]
+			c++
 		}
+	}
+	n.sh, n.each = PerEngine(n, func(c int) *netShard { return &netShard{e: n.engs[c]} })
+	if n.sharded {
 		// Per-directed-LP-pair lookahead: the minimum routed latency floor
 		// between any cluster on one LP and any cluster on the other. Every
 		// cross-LP event is one WAN hop of some route (multi-hop routes
@@ -502,11 +497,6 @@ func New(e *sim.Engine, topo cluster.Topology, par cluster.Params) *Network {
 			}
 		}
 		e.SetLookaheadMatrix(m)
-	} else {
-		one := &netShard{e: e}
-		for c := range n.sh {
-			n.sh[c] = one
-		}
 	}
 	for i := range n.nodes {
 		id := cluster.NodeID(i)
@@ -584,7 +574,14 @@ func (n *Network) Engine() *sim.Engine { return n.e }
 // EngineFor returns the engine that executes cluster c's events: the LP
 // owning the cluster when sharded, otherwise the lone engine. Processes and
 // timers belonging to a cluster's nodes must be scheduled on this engine.
-func (n *Network) EngineFor(c int) *sim.Engine { return n.sh[c].e }
+func (n *Network) EngineFor(c int) *sim.Engine { return n.engs[c] }
+
+// PerEngine is sim.PerEngine over n's cluster → engine map: one *T per
+// engine, built by mk(c) for the engine's first cluster c and indexed by
+// cluster. Every layer's hot mutable state is laid out by this one rule.
+func PerEngine[T any](n *Network, mk func(c int) *T) (byCluster, each []*T) {
+	return sim.PerEngine(n.engs, mk)
+}
 
 // Topology returns the network's topology.
 func (n *Network) Topology() cluster.Topology { return n.topo }
@@ -592,37 +589,22 @@ func (n *Network) Topology() cluster.Topology { return n.topo }
 // Params returns the network's performance parameters.
 func (n *Network) Params() cluster.Params { return n.par }
 
-// Stats returns the traffic statistics collected so far. On a sharded
-// engine it returns a merged snapshot (clusters meter traffic separately;
-// counter sums are order-independent, so the merge is deterministic) — call
-// it again after more traffic rather than holding the pointer, and use
-// ResetStats (not Stats().Reset()) to zero the counters: resetting the
-// merged snapshot would leave the per-shard counters intact.
+// Stats returns a snapshot of the traffic statistics collected so far,
+// folded over the engines' counters (sums are order-independent, so the fold
+// is deterministic). Call it again after more traffic rather than holding
+// the pointer; ResetStats zeroes the counters.
 func (n *Network) Stats() *Stats {
-	if !n.sharded {
-		return &n.sh[0].stats
-	}
 	n.merged = Stats{}
-	for _, sh := range n.sh {
-		for scope := 0; scope < 2; scope++ {
-			for k := 0; k < NumKinds; k++ {
-				n.merged.counts[scope][k].Add(sh.stats.counts[scope][k])
-			}
-		}
-		n.merged.frames.Add(sh.stats.frames)
-		n.merged.framedMsgs += sh.stats.framedMsgs
-		n.merged.reroutes += sh.stats.reroutes
-		n.merged.heldMsgs += sh.stats.heldMsgs
-		n.merged.holdDrops += sh.stats.holdDrops
+	for _, sh := range n.each {
+		n.merged.add(&sh.stats)
 	}
 	return &n.merged
 }
 
 // ResetStats zeroes the network's traffic counters (used to exclude warm-up
-// or setup traffic), reaching the per-shard counters that a sharded Stats()
-// snapshot merely merges.
+// or setup traffic).
 func (n *Network) ResetStats() {
-	for _, sh := range n.sh {
+	for _, sh := range n.each {
 		sh.stats = Stats{}
 	}
 	for c := range n.agg {
@@ -640,7 +622,6 @@ func (n *Network) ResetStats() {
 			}
 		}
 	}
-	n.merged = Stats{}
 }
 
 // SetHandler installs the delivery callback for a node, replacing inbox
@@ -670,12 +651,9 @@ func (n *Network) deliver(m Msg) {
 // is a local At and the record cycles through a single shard's free list.
 func (n *Network) deliverAt(at time.Duration, m Msg) {
 	sh := n.sh[n.clusterOf[m.To]]
-	var d *delivery
-	if k := len(sh.pool); k > 0 {
-		d = sh.pool[k-1]
-		sh.pool = sh.pool[:k-1]
-	} else {
-		d = &delivery{n: n, sh: sh}
+	d := sh.pool.Get()
+	if d.fn == nil {
+		d.n, d.sh = n, sh
 		d.fn = d.run
 	}
 	d.m = m

@@ -195,24 +195,6 @@ func TestStatsSplitIntraInter(t *testing.T) {
 	}
 }
 
-func TestStatsDiff(t *testing.T) {
-	e, n := build(1, 2)
-	n.Send(Msg{From: 0, To: 1, Kind: KindData, Size: 10})
-	snap := n.Stats().Clone()
-	n.Send(Msg{From: 0, To: 1, Kind: KindData, Size: 20})
-	e.Go("r", func(p *sim.Proc) {
-		n.Inbox(1).Get(p)
-		n.Inbox(1).Get(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	d := n.Stats().Diff(snap)
-	if d.Intra(KindData).Msgs != 1 || d.Intra(KindData).Bytes != 20 {
-		t.Fatalf("diff %+v", d.Intra(KindData))
-	}
-}
-
 // TestFIFOPerPath checks the end-to-end FIFO property: messages from one
 // sender to one receiver arrive in send order, whatever their sizes, both
 // within a cluster and across the WAN.

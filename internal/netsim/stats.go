@@ -65,29 +65,22 @@ func (s *Stats) Intra(k Kind) Counter { return s.counts[scopeIntra][k] }
 // Inter reports the intercluster traffic of one message kind.
 func (s *Stats) Inter(k Kind) Counter { return s.counts[scopeInter][k] }
 
-// Reset zeroes all counters (used to exclude warm-up or setup traffic).
-func (s *Stats) Reset() { *s = Stats{} }
-
 // Clone returns a copy of the current counters.
 func (s *Stats) Clone() Stats { return *s }
 
-// Diff returns the traffic accumulated since the earlier snapshot.
-func (s *Stats) Diff(earlier Stats) Stats {
-	var d Stats
-	for scope := 0; scope < 2; scope++ {
-		for k := 0; k < NumKinds; k++ {
-			d.counts[scope][k] = Counter{
-				s.counts[scope][k].Msgs - earlier.counts[scope][k].Msgs,
-				s.counts[scope][k].Bytes - earlier.counts[scope][k].Bytes,
-			}
+// add folds another engine's counters into s: the one place that
+// enumerates Stats' fields, so a new counter cannot be left out of a fold.
+func (s *Stats) add(o *Stats) {
+	for scope := range s.counts {
+		for k := range s.counts[scope] {
+			s.counts[scope][k].Add(o.counts[scope][k])
 		}
 	}
-	d.frames = Counter{s.frames.Msgs - earlier.frames.Msgs, s.frames.Bytes - earlier.frames.Bytes}
-	d.framedMsgs = s.framedMsgs - earlier.framedMsgs
-	d.reroutes = s.reroutes - earlier.reroutes
-	d.heldMsgs = s.heldMsgs - earlier.heldMsgs
-	d.holdDrops = s.holdDrops - earlier.holdDrops
-	return d
+	s.frames.Add(o.frames)
+	s.framedMsgs += o.framedMsgs
+	s.reroutes += o.reroutes
+	s.heldMsgs += o.heldMsgs
+	s.holdDrops += o.holdDrops
 }
 
 // Reroutes reports transmissions that detoured around a down link.

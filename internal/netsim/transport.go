@@ -65,14 +65,12 @@ type wireUnit struct {
 // them, so they migrate between pools, but each pool is touched by a single
 // LP thread. State is cleared at release: a pooled record is ready as-is.
 func (n *Network) getUnit(sh *netShard) *wireUnit {
-	if k := len(sh.wirePool); k > 0 {
-		u := sh.wirePool[k-1]
-		sh.wirePool = sh.wirePool[:k-1]
-		return u
+	u := sh.wirePool.Get()
+	if u.fn == nil {
+		u.n, u.seq = n, noSeq
+		u.msgs = u.one[:0]
+		u.fn = u.step
 	}
-	u := &wireUnit{n: n, seq: noSeq}
-	u.msgs = u.one[:0]
-	u.fn = u.step
 	return u
 }
 
@@ -96,7 +94,7 @@ func (u *wireUnit) release(sh *netShard) {
 	clear(u.msgs)
 	u.msgs = u.msgs[:0]
 	u.seq, u.stream, u.bytes, u.extra, u.dup = noSeq, 0, 0, 0, false
-	sh.wirePool = append(sh.wirePool, u)
+	sh.wirePool.Put(u)
 }
 
 // faultMsg is the message fault policies rule on: the application message

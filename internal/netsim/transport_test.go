@@ -526,9 +526,8 @@ func TestGatewayCostForwardingHorizonExact(t *testing.T) {
 	}
 }
 
-// TestResetStatsSharded: Stats() on a sharded engine returns a merged
-// snapshot, so resetting the snapshot must not be the API — ResetStats has
-// to reach the per-shard counters.
+// TestResetStatsSharded: Stats() returns a folded snapshot; ResetStats has
+// to reach every LP's counters.
 func TestResetStatsSharded(t *testing.T) {
 	root := sim.NewEngine()
 	root.Shard(2)
@@ -545,12 +544,6 @@ func TestResetStatsSharded(t *testing.T) {
 	defer root.Shutdown()
 	if got := n.Stats().TotalInter().Msgs; got != 2 {
 		t.Fatalf("inter msgs %d, want 2", got)
-	}
-	// Resetting the merged snapshot only clears scratch — the trap that
-	// motivates ResetStats.
-	n.Stats().Reset()
-	if got := n.Stats().TotalInter().Msgs; got != 2 {
-		t.Fatalf("snapshot reset unexpectedly reached shard counters (inter msgs %d)", got)
 	}
 	if len(n.PipeReports()) != 2 || len(n.ClassReports()) != 1 {
 		t.Fatalf("reports before reset: pipes %+v classes %+v", n.PipeReports(), n.ClassReports())

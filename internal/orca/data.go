@@ -71,7 +71,7 @@ func (r *RTS) SendDataID(from, to cluster.NodeID, id TagID, size int, payload an
 	sh := r.nodes[from].sh
 	sh.ops.DataMsgs++
 	sh.ops.DataBytes += int64(size)
-	d := sh.getDataMsg()
+	d := sh.dataPool.Get()
 	d.id, d.payload = id, payload
 	r.send(netsim.Msg{
 		From: from, To: to, Kind: netsim.KindData,

@@ -60,14 +60,13 @@ type pendingBcast struct {
 
 // getBcast pops (or creates) a broadcast record with its done future armed.
 func (r *RTS) getBcast(futName string) *pendingBcast {
-	if k := len(r.bcastPool); k > 0 {
-		b := r.bcastPool[k-1]
-		r.bcastPool = r.bcastPool[:k-1]
+	b := r.bcastPool.Get()
+	if b.fn == nil {
+		b.done = sim.NewFuture(r.e, futName)
+		b.fn = func() { r.distributeNow(b) }
+	} else {
 		b.done.Reset(futName)
-		return b
 	}
-	b := &pendingBcast{done: sim.NewFuture(r.e, futName)}
-	b.fn = func() { r.distributeNow(b) }
 	return b
 }
 
@@ -84,7 +83,7 @@ func (r *RTS) releaseBcast(b *pendingBcast) {
 	}
 	b.obj = nil
 	b.op = Op{} // drop the closure reference while pooled
-	r.bcastPool = append(r.bcastPool, b)
+	r.bcastPool.Put(b)
 }
 
 // NewObject creates a non-replicated shared object stored at owner, with
@@ -214,7 +213,7 @@ func (r *RTS) rpc(p *sim.Proc, from cluster.NodeID, o *Object, op Op) any {
 	sh.ops.RPCBytes += int64(op.ArgBytes + op.ResBytes)
 	f := sh.getFuture(o.futName)
 	id := nd.newCall(f)
-	q := sh.getReq()
+	q := sh.reqPool.Get()
 	q.callID, q.objID, q.op = id, o.id, op
 	r.send(netsim.Msg{
 		From: from, To: o.owner, Kind: netsim.KindRPCReq,
@@ -222,7 +221,7 @@ func (r *RTS) rpc(p *sim.Proc, from cluster.NodeID, o *Object, op Op) any {
 		Payload: q,
 	})
 	res := f.Await(p)
-	sh.putFuture(f)
+	sh.futPool.Put(f)
 	return res
 }
 
@@ -254,7 +253,7 @@ func (o *Object) AsyncUpdate(from cluster.NodeID, op Op) any {
 	// Local cluster: hardware multicast (includes the sender's own copy,
 	// applied on delivery like any other member's).
 	fc := r.topo.ClusterOf(from)
-	local := sh.getAsync()
+	local := sh.asyncPool.Get()
 	local.obj, local.op = o, op
 	local.refs = int32(r.topo.Size(fc))
 	r.net.BcastLocal(from, netsim.KindBcast, size, local)
@@ -264,7 +263,7 @@ func (o *Object) AsyncUpdate(from cluster.NodeID, op Op) any {
 		if c == fc {
 			continue
 		}
-		a := sh.getAsync()
+		a := sh.asyncPool.Get()
 		a.obj, a.op = o, op
 		a.refs = int32(r.topo.Size(c))
 		r.send(netsim.Msg{

@@ -63,10 +63,11 @@ type RTS struct {
 	// in deadlock reports and traces, costly to format on every miss).
 	debugNames bool
 
-	// sharded mirrors the engine's mode; sh maps each cluster to its slice
-	// of the hot mutable state (one shared slice on a plain engine).
-	sharded bool
-	sh      []*rtsShard
+	// sharded: LPs run concurrently. sh maps each cluster to its engine's
+	// instance of the hot mutable state, each lists the distinct instances
+	// (netsim.PerEngine).
+	sharded  bool
+	sh, each []*rtsShard
 
 	// tagMu guards the tag-interning tables: the only RTS maps a sharded
 	// run may touch mid-run (sharded apps should still intern at setup so
@@ -79,16 +80,13 @@ type RTS struct {
 	// references drop on several LPs, so Invoke allocates a fresh record per
 	// write and leaves reclamation to the garbage collector (see
 	// releaseBcast).
-	bcastPool []*pendingBcast
+	bcastPool sim.Free[pendingBcast]
 }
 
-// rtsShard is the per-cluster slice of the runtime's mutable hot state: the
-// protocol-record free lists, pooled reply futures, cached call names and
-// the logical-operation counters. On a plain engine every cluster references
-// one shared rtsShard, so the sequential data path is unchanged; on a
-// sharded engine each cluster gets its own, touched only from its LP thread
-// (records acquired on one LP and recycled on another simply migrate between
-// per-cluster free lists), and Ops() merges the counters deterministically.
+// rtsShard is one engine's instance of the runtime's mutable hot state
+// (DESIGN.md §5c): the protocol-record free lists, pooled reply futures,
+// cached call names and the logical-operation counters. A record acquired on
+// one LP and recycled on another migrates between free lists.
 type rtsShard struct {
 	e *sim.Engine
 
@@ -99,13 +97,13 @@ type rtsShard struct {
 	// Free lists for the protocol records of the steady-state data path.
 	// Records are recycled at delivery, so sustained messaging allocates
 	// nothing.
-	dataPool   []*dataMsg
-	reqPool    []*rpcReq
-	repPool    []*rpcRep
-	svcPool    []*serviceReq
-	asyncPool  []*asyncDeliver
-	submitPool []*submitMsg
-	futPool    []*sim.Future
+	dataPool   sim.Free[dataMsg]
+	reqPool    sim.Free[rpcReq]
+	repPool    sim.Free[rpcRep]
+	svcPool    sim.Free[serviceReq]
+	asyncPool  sim.Free[asyncDeliver]
+	submitPool sim.Free[submitMsg]
+	futPool    sim.Free[sim.Future]
 
 	ops OpStats
 }
@@ -166,6 +164,18 @@ type OpStats struct {
 	DataBytes  int64
 }
 
+// add folds another engine's counters into s.
+func (s *OpStats) add(o *OpStats) {
+	s.RPCs += o.RPCs
+	s.RPCBytes += o.RPCBytes
+	s.Bcasts += o.Bcasts
+	s.BcastBytes += o.BcastBytes
+	s.LocalOps += o.LocalOps
+	s.Requests += o.Requests
+	s.DataMsgs += o.DataMsgs
+	s.DataBytes += o.DataBytes
+}
+
 // New creates a runtime bound to the given network, using seqr for
 // totally-ordered broadcast. If seqr is nil, DefaultSequencer is used.
 func New(net *netsim.Network, seqr Sequencer) *RTS {
@@ -177,20 +187,10 @@ func New(net *netsim.Network, seqr Sequencer) *RTS {
 		seqBusy: make([]time.Duration, topo.Total()),
 		tagIDs:  make(map[Tag]TagID),
 	}
-	// One rtsShard per cluster on a sharded engine, one shared by all
-	// clusters otherwise (see the type comment).
-	r.sh = make([]*rtsShard, topo.Clusters)
-	if len(r.e.Shards()) > 0 {
-		r.sharded = true
-		for c := range r.sh {
-			r.sh[c] = &rtsShard{e: net.EngineFor(c), callNames: make(map[string]string)}
-		}
-	} else {
-		one := &rtsShard{e: r.e, callNames: make(map[string]string)}
-		for c := range r.sh {
-			r.sh[c] = one
-		}
-	}
+	r.sharded = len(r.e.Shards()) > 0
+	r.sh, r.each = netsim.PerEngine(net, func(c int) *rtsShard {
+		return &rtsShard{e: net.EngineFor(c), callNames: make(map[string]string)}
+	})
 	r.nodes = make([]*nodeRTS, topo.Compute())
 	for i := range r.nodes {
 		id := cluster.NodeID(i)
@@ -235,24 +235,13 @@ func (r *RTS) Network() *netsim.Network { return r.net }
 // Topology returns the platform topology.
 func (r *RTS) Topology() cluster.Topology { return r.topo }
 
-// Ops returns the logical operation counters accumulated so far. On a
-// sharded engine the per-cluster counters are summed; integer sums are
-// order-independent, so the merge is deterministic.
+// Ops returns the logical operation counters accumulated so far, summed
+// over the engines' instances; integer sums are order-independent, so the
+// fold is deterministic.
 func (r *RTS) Ops() OpStats {
-	if !r.sharded {
-		return r.sh[0].ops
-	}
 	var t OpStats
-	for _, sh := range r.sh {
-		o := &sh.ops
-		t.RPCs += o.RPCs
-		t.RPCBytes += o.RPCBytes
-		t.Bcasts += o.Bcasts
-		t.BcastBytes += o.BcastBytes
-		t.LocalOps += o.LocalOps
-		t.Requests += o.Requests
-		t.DataMsgs += o.DataMsgs
-		t.DataBytes += o.DataBytes
+	for _, sh := range r.each {
+		t.add(&sh.ops)
 	}
 	return t
 }
@@ -291,70 +280,18 @@ type dataMsg struct {
 	payload any
 }
 
-// record free-list accessors: pop a recycled record or allocate the first
-// few. Every get* has a matching recycle site in the dispatch path. The
-// receiver is the shard of the cluster whose LP is executing, so each free
-// list is touched by one thread only.
-
-func (sh *rtsShard) getDataMsg() *dataMsg {
-	if k := len(sh.dataPool); k > 0 {
-		d := sh.dataPool[k-1]
-		sh.dataPool = sh.dataPool[:k-1]
-		return d
-	}
-	return new(dataMsg)
-}
-
-func (sh *rtsShard) getReq() *rpcReq {
-	if k := len(sh.reqPool); k > 0 {
-		q := sh.reqPool[k-1]
-		sh.reqPool = sh.reqPool[:k-1]
-		return q
-	}
-	return new(rpcReq)
-}
-
-func (sh *rtsShard) getRep() *rpcRep {
-	if k := len(sh.repPool); k > 0 {
-		q := sh.repPool[k-1]
-		sh.repPool = sh.repPool[:k-1]
-		return q
-	}
-	return new(rpcRep)
-}
-
-func (sh *rtsShard) getSvc() *serviceReq {
-	if k := len(sh.svcPool); k > 0 {
-		q := sh.svcPool[k-1]
-		sh.svcPool = sh.svcPool[:k-1]
-		return q
-	}
-	return new(serviceReq)
-}
-
-func (sh *rtsShard) getAsync() *asyncDeliver {
-	if k := len(sh.asyncPool); k > 0 {
-		a := sh.asyncPool[k-1]
-		sh.asyncPool = sh.asyncPool[:k-1]
-		return a
-	}
-	return new(asyncDeliver)
-}
-
 // getFuture pools the one-shot reply futures of RPCs and blocking calls:
-// the caller must return the future with putFuture once Await has consumed
+// the caller must Put the future back on futPool once Await has consumed
 // the value.
 func (sh *rtsShard) getFuture(name string) *sim.Future {
-	if k := len(sh.futPool); k > 0 {
-		f := sh.futPool[k-1]
-		sh.futPool = sh.futPool[:k-1]
+	f := sh.futPool.Get()
+	if f.Done() {
 		f.Reset(name)
-		return f
+	} else { // fresh: a pooled future is always a resolved one
+		*f = *sim.NewFuture(sh.e, name)
 	}
-	return sim.NewFuture(sh.e, name)
+	return f
 }
-
-func (sh *rtsShard) putFuture(f *sim.Future) { sh.futPool = append(sh.futPool, f) }
 
 // dispatchFor returns the network delivery handler of a compute node.
 func (r *RTS) dispatchFor(id cluster.NodeID) netsim.Handler {
@@ -373,8 +310,8 @@ func (r *RTS) dispatchPayload(id cluster.NodeID, nd *nodeRTS, m netsim.Msg) {
 		size := pl.op.ResBytes + HeaderBytes
 		callID := pl.callID
 		pl.op = Op{} // drop the closure reference while pooled
-		nd.sh.reqPool = append(nd.sh.reqPool, pl)
-		rep := nd.sh.getRep()
+		nd.sh.reqPool.Put(pl)
+		rep := nd.sh.repPool.Get()
 		rep.callID, rep.result = callID, res
 		r.send(netsim.Msg{
 			From: id, To: m.From, Kind: netsim.KindRPCRep,
@@ -385,7 +322,7 @@ func (r *RTS) dispatchPayload(id cluster.NodeID, nd *nodeRTS, m netsim.Msg) {
 		f := nd.takeCall(pl.callID)
 		res := pl.result
 		pl.result = nil
-		nd.sh.repPool = append(nd.sh.repPool, pl)
+		nd.sh.repPool.Put(pl)
 		f.Set(res)
 	case *pendingBcast:
 		r.applyOrdered(id, pl)
@@ -397,14 +334,14 @@ func (r *RTS) dispatchPayload(id cluster.NodeID, nd *nodeRTS, m netsim.Msg) {
 		if pl.refs--; pl.refs == 0 {
 			pl.obj = nil
 			pl.op = Op{}
-			nd.sh.asyncPool = append(nd.sh.asyncPool, pl)
+			nd.sh.asyncPool.Put(pl)
 		}
 	case *serviceReq:
 		req := &Request{rts: r, ID: pl.callID, From: pl.from, To: id, Payload: pl.payload}
 		svc := pl.service
 		pl.payload = nil
 		pl.service = ""
-		nd.sh.svcPool = append(nd.sh.svcPool, pl)
+		nd.sh.svcPool.Put(pl)
 		if fn, ok := nd.handlers[svc]; ok {
 			fn(req)
 		} else if mb, ok := nd.services[svc]; ok {
@@ -415,7 +352,7 @@ func (r *RTS) dispatchPayload(id cluster.NodeID, nd *nodeRTS, m netsim.Msg) {
 	case *dataMsg:
 		tid, payload := pl.id, pl.payload
 		pl.payload = nil
-		nd.sh.dataPool = append(nd.sh.dataPool, pl)
+		nd.sh.dataPool.Put(pl)
 		r.dataMailbox(nd, tid).Put(payload)
 	case *relEnvelope:
 		r.rel.onEnvelope(pl)

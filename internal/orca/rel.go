@@ -97,6 +97,16 @@ type RelStats struct {
 	GiveUps     uint64 // senders that exhausted MaxAttempts
 }
 
+// add folds another engine's tallies into s.
+func (s *RelStats) add(o *RelStats) {
+	s.Wrapped += o.Wrapped
+	s.Retransmits += o.Retransmits
+	s.DupDropped += o.DupDropped
+	s.OutOfOrder += o.OutOfOrder
+	s.Acks += o.Acks
+	s.GiveUps += o.GiveUps
+}
+
 // pairKey identifies one directed reliable channel.
 type pairKey struct {
 	from, to cluster.NodeID
@@ -123,15 +133,13 @@ type relAck struct {
 	upTo     uint64
 }
 
-// relShard is the per-cluster slice of the reliability layer's mutable
-// state: the engine that executes the cluster's events plus the channel
-// maps and tallies its LP touches. Channel state is partitioned by the
-// endpoint that owns it — a sender (keyed from→to) lives in from's
-// cluster's shard because sendReliable, onAck and the retransmit timer all
-// execute on from's LP; a receiver lives in to's cluster's shard because
-// envelopes are delivered on to's LP. On a plain engine every cluster
-// references one shared relShard, so the sequential layer is exactly what
-// it was.
+// relShard is one engine's instance of the reliability layer's mutable
+// state (DESIGN.md §5c): the engine plus the channel maps and tallies its
+// events touch. Channel state is partitioned by the endpoint that owns it —
+// a sender (keyed from→to) lives in from's cluster's shard because
+// sendReliable, onAck and the retransmit timer all execute on from's LP; a
+// receiver lives in to's cluster's shard because envelopes are delivered on
+// to's LP.
 type relShard struct {
 	e     *sim.Engine
 	stats RelStats
@@ -143,9 +151,9 @@ type relShard struct {
 // one receiver per incoming directed channel, created on first use in the
 // owning endpoint's shard.
 type relLayer struct {
-	r   *RTS
-	cfg RelConfig
-	sh  []*relShard // cluster → shard (all one shard when unsharded)
+	r        *RTS
+	cfg      RelConfig
+	sh, each []*relShard // netsim.PerEngine: by cluster, and the distinct instances
 }
 
 // shardOf returns the shard owning node id's channel state.
@@ -165,47 +173,26 @@ func (r *RTS) EnableReliability(cfg RelConfig) {
 		panic("orca: EnableReliability after the run started")
 	}
 	l := &relLayer{r: r, cfg: cfg.withDefaults()}
-	l.sh = make([]*relShard, r.topo.Clusters)
-	if r.sharded {
-		for c := range l.sh {
-			l.sh[c] = &relShard{
-				e:    r.net.EngineFor(c),
-				send: make(map[pairKey]*relSender),
-				recv: make(map[pairKey]*relReceiver),
-			}
-		}
-	} else {
-		one := &relShard{
-			e:    r.e,
+	l.sh, l.each = netsim.PerEngine(r.net, func(c int) *relShard {
+		return &relShard{
+			e:    r.net.EngineFor(c),
 			send: make(map[pairKey]*relSender),
 			recv: make(map[pairKey]*relReceiver),
 		}
-		for c := range l.sh {
-			l.sh[c] = one
-		}
-	}
+	})
 	r.rel = l
 }
 
 // RelStats returns the reliability tallies so far (zero value when
-// reliability is disabled). On a sharded engine it sums the per-cluster
-// tallies — integer sums are order-independent, so the merge is
-// deterministic; call it only while the simulation is stopped.
+// reliability is disabled), summed over the engines' instances — integer
+// sums are order-independent, so the fold is deterministic; call it only
+// while the simulation is stopped.
 func (r *RTS) RelStats() RelStats {
-	if r.rel == nil {
-		return RelStats{}
-	}
-	if !r.sharded {
-		return r.rel.sh[0].stats
-	}
 	var tot RelStats
-	for _, sh := range r.rel.sh {
-		tot.Wrapped += sh.stats.Wrapped
-		tot.Retransmits += sh.stats.Retransmits
-		tot.DupDropped += sh.stats.DupDropped
-		tot.OutOfOrder += sh.stats.OutOfOrder
-		tot.Acks += sh.stats.Acks
-		tot.GiveUps += sh.stats.GiveUps
+	if r.rel != nil {
+		for _, sh := range r.rel.each {
+			tot.add(&sh.stats)
+		}
 	}
 	return tot
 }
@@ -496,18 +483,11 @@ func (r *RTS) StalledChannels() []string {
 		return nil
 	}
 	var out []string
-	gather := func(sh *relShard) {
+	for _, sh := range r.rel.each {
 		for key, s := range sh.send {
 			if s.gaveUp {
 				out = append(out, fmt.Sprintf("%d->%d (%d unacked)", key.from, key.to, len(s.queue)))
 			}
-		}
-	}
-	if !r.sharded {
-		gather(r.rel.sh[0])
-	} else {
-		for _, sh := range r.rel.sh {
-			gather(sh)
 		}
 	}
 	sort.Strings(out)

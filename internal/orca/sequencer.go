@@ -40,9 +40,8 @@ func seqNode(topo cluster.Topology, c int) cluster.NodeID { return topo.Node(c, 
 const tokenHopBytes = 16 + HeaderBytes
 
 // submitMsg forwards an update to cluster c's sequencer node. Records are
-// pooled per cluster shard: acquired from the sender's free list, recycled
-// into the destination cluster's at delivery (on a sharded engine records
-// simply migrate between per-LP lists; see rtsShard).
+// acquired from the sender's free list and recycled into the destination
+// cluster's at delivery.
 type submitMsg struct {
 	s Sequencer
 	c int // destination cluster (the sequencer node's cluster)
@@ -52,21 +51,13 @@ type submitMsg struct {
 func (m *submitMsg) deliver(r *RTS) {
 	s, c, b := m.s, m.c, m.b
 	m.s, m.b = nil, nil
-	sh := r.sh[c]
-	sh.submitPool = append(sh.submitPool, m)
+	r.sh[c].submitPool.Put(m)
 	s.arrive(r, c, b)
 }
 
 // sendSubmit ships b from the writer's node to cluster c's sequencer node.
 func (r *RTS) sendSubmit(s Sequencer, from, to cluster.NodeID, c int, b *pendingBcast) {
-	sh := r.nodes[from].sh
-	var m *submitMsg
-	if k := len(sh.submitPool); k > 0 {
-		m = sh.submitPool[k-1]
-		sh.submitPool = sh.submitPool[:k-1]
-	} else {
-		m = new(submitMsg)
-	}
+	m := r.nodes[from].sh.submitPool.Get()
 	m.s, m.c, m.b = s, c, b
 	r.send(netsim.Msg{
 		From: from, To: to, Kind: netsim.KindBcast,
@@ -379,7 +370,7 @@ func (s *MigratingSequencer) sendRequest(r *RTS, c, at, to int) {
 // rewritten at every forwarding hop (the record is owned by the in-flight
 // message, so each hop's handler may rewrite it for the next).
 type migratingRequest struct {
-	s *MigratingSequencer
+	s  *MigratingSequencer
 	c  int
 	at int
 }

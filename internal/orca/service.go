@@ -29,7 +29,7 @@ func (q *Request) Reply(resBytes int, result any) {
 		panic("orca: Reply to a Cast request")
 	}
 	r := q.rts
-	rep := r.nodes[q.To].sh.getRep() // executing at the serving node's LP
+	rep := r.nodes[q.To].sh.repPool.Get() // executing at the serving node's LP
 	rep.callID, rep.result = q.ID, result
 	r.send(netsim.Msg{
 		From: q.To, To: q.From, Kind: netsim.KindRPCRep,
@@ -73,7 +73,7 @@ func (r *RTS) HandleService(at cluster.NodeID, name string, fn func(*Request)) {
 func (r *RTS) Cast(from, to cluster.NodeID, name string, argBytes int, payload any) {
 	sh := r.nodes[from].sh
 	sh.ops.Requests++
-	q := sh.getSvc()
+	q := sh.svcPool.Get()
 	q.callID, q.from, q.service, q.payload = noReply, from, name, payload
 	r.send(netsim.Msg{
 		From: from, To: to, Kind: netsim.KindData,
@@ -110,7 +110,7 @@ func (r *RTS) Call(p *sim.Proc, from, to cluster.NodeID, name string, argBytes i
 	sh.ops.Requests++
 	f := sh.getFuture(sh.callFutName(name))
 	id := nd.newCall(f)
-	q := sh.getSvc()
+	q := sh.svcPool.Get()
 	q.callID, q.from, q.service, q.payload = id, from, name, payload
 	r.send(netsim.Msg{
 		From: from, To: to, Kind: netsim.KindRPCReq,
@@ -118,6 +118,6 @@ func (r *RTS) Call(p *sim.Proc, from, to cluster.NodeID, name string, argBytes i
 		Payload: q,
 	})
 	res := f.Await(p)
-	sh.putFuture(f)
+	sh.futPool.Put(f)
 	return res
 }

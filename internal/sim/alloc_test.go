@@ -94,3 +94,13 @@ func TestAllocProcSpawn(t *testing.T) {
 		t.Errorf("%.1f allocs per spawned process, budget 14", got)
 	}
 }
+
+// TestAllocFreeList: a warm Get/Put pair pops and pushes within the list's
+// existing capacity.
+func TestAllocFreeList(t *testing.T) {
+	var f Free[event]
+	f.Put(f.Get())
+	if got := testing.AllocsPerRun(100, func() { f.Put(f.Get()) }); got != 0 {
+		t.Fatalf("warm Get/Put allocates %v, want 0", got)
+	}
+}

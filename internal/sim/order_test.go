@@ -52,7 +52,7 @@ func TestSeqOrderingLargeScale(t *testing.T) {
 		})
 	}
 	for i := 0; i < n; i++ {
-		schedule(time.Duration(r.Intn(1 << 16)) * time.Microsecond)
+		schedule(time.Duration(r.Intn(1<<16)) * time.Microsecond)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
