@@ -11,17 +11,19 @@
 //	dasbench -exp fig9 -census   # additionally list each run's event census
 //	dasbench -exp fig9 -coalesce 32768 -coalesce-window 500us -streams 4
 //	                             # ... on the coalescing/striping runtime
+//	dasbench -topo 4x16 -apps all # WAN traffic by kind and per-link load of
+//	                             # every app on a uniform 4x16 DAS platform
 //	dasbench -topo examples/topologies/tiered64.json -apps SOR,RA
-//	                             # run apps on a declarative tiered topology
-//	                             # and report per-link-class WAN statistics
+//	                             # ... on a declarative tiered topology, with
+//	                             # per-link-class WAN statistics
 //
-// -shards N partitions each run of a shardable application (all eight of the
-// paper's suite since the LP-pinned sequencer, DESIGN.md §5d) into
+// -shards N partitions each run (all eight of the paper's applications run
+// on the sharded engine since the LP-pinned sequencer, DESIGN.md §5d) into
 // min(N, clusters) cluster-owning logical processes synchronized by
 // WAN-lookahead windows; single-cluster shapes keep the sequential engine.
 // Results are byte-identical at any setting — the flag trades wall-clock
-// time only — and after the experiments a per-LP window-counter table shows
-// the synchronization overhead each application paid.
+// time only — and after the experiments the shard-usage report shows the
+// synchronization overhead each application paid.
 package main
 
 import (
@@ -59,7 +61,7 @@ func main() {
 		coalesceFlag = flag.Int("coalesce", 0, "gateway transport: max coalesced WAN frame size in bytes (0 = no size bound)")
 		windowFlag   = flag.Duration("coalesce-window", 0, "gateway transport: max virtual time a WAN message waits for frame companions (0 = no window)")
 		streamsFlag  = flag.Int("streams", 0, "gateway transport: parallel WAN streams per directed cluster pair (0/1 = single pipe)")
-		topoFlag     = flag.String("topo", "", "run on a declarative topology configuration (JSON file, see examples/topologies) instead of the paper experiments")
+		topoFlag     = flag.String("topo", "", "run on a uniform CxN DAS shape (e.g. 4x16) or a declarative topology configuration (JSON file, see examples/topologies) instead of the paper experiments")
 		appsFlag     = flag.String("apps", "ASP", "with -topo: comma-separated application names, or 'all'")
 		censusFlag   = flag.Bool("census", false, "after the reports, print one row per run: events dispatched and what scheduled them")
 	)
@@ -80,11 +82,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	// What follows the reports of every mode: the simulator's own counters.
+	// What follows the reports of every mode: the simulator's own counters
+	// (the shard-usage report is nil unless a run was sharded).
 	epilogue := func() {
-		printShardUsage(s)
+		reps := []*harness.Report{s.ShardUsageReport()}
 		if *censusFlag {
-			rep := s.CensusReport()
+			reps = append(reps, s.CensusReport())
+		}
+		for _, rep := range reps {
+			if rep == nil {
+				continue
+			}
 			fmt.Print(rep.Render())
 			if err := writeCSV(os.Stdout, *csvFlag, rep.ID, rep); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -191,37 +199,6 @@ func main() {
 	epilogue()
 }
 
-// printShardUsage renders the per-LP window counters every sharded run
-// accumulated: windows executed, the share that dispatched no event on that
-// LP (pure synchronization), windows chained inline without a barrier, the
-// mean virtual width of a window, the window rate per simulated second,
-// events dispatched, and wall-clock fence waits with their share of the
-// run's wall clock. High fence shares or narrow windows are the sharded
-// engine's overhead made visible — the results themselves are
-// byte-identical either way.
-func printShardUsage(s *harness.Session) {
-	report := s.ShardUsageReport()
-	if report == nil {
-		return
-	}
-	fmt.Println("== Sharded-engine window counters (observability only; results are engine-independent) ==")
-	fmt.Printf("%-8s %4s %3s %10s %6s %8s %10s %10s %10s %11s %7s\n",
-		"app", "runs", "lp", "windows", "idle%", "chained", "width", "win/simsec", "events", "fence-wait", "fence%")
-	for _, u := range report {
-		for _, lp := range u.LPs {
-			idle := 0.0
-			if lp.Windows > 0 {
-				idle = 100 * float64(lp.IdleWindows) / float64(lp.Windows)
-			}
-			fmt.Printf("%-8s %4d %3d %10d %5.1f%% %8d %10s %10.0f %10d %11s %6.1f%%\n",
-				u.App, u.Runs, lp.LP, lp.Windows, idle, lp.Chained,
-				u.AvgWindowWidth(lp).Round(time.Microsecond), u.WindowsPerSimSec(lp),
-				lp.Events, lp.FenceWait.Round(time.Millisecond), 100*u.FenceWaitShare(lp))
-		}
-	}
-	fmt.Println()
-}
-
 // writeCSV writes the report's data as <dir>/<id>.csv and says so on out; an
 // empty dir (no -csv flag) does nothing.
 func writeCSV(out io.Writer, dir, id string, rep *harness.Report) error {
@@ -241,18 +218,18 @@ func writeCSV(out io.Writer, dir, id string, rep *harness.Report) error {
 
 // runChaos renders the fault-injection degradation sweep, then a chaos
 // timeline of one representative run so the injected faults (distinct glyph
-// ramp) can be read against the traffic they perturb. With a topology file
-// it instead runs the grid-scale sweep — loss x outage x backbone
+// ramp) can be read against the traffic they perturb. With -topo it
+// instead runs the grid-scale sweep — loss x outage x backbone
 // partition over all eight applications — and skips the timeline (the
 // availability and recovery tables carry the story there).
-func runChaos(s *harness.Session, quick bool, csvDir, topoPath string) error {
+func runChaos(s *harness.Session, quick bool, csvDir, topoArg string) error {
 	start := time.Now()
-	if topoPath != "" {
-		topo, err := cluster.LoadTopology(topoPath)
+	if topoArg != "" {
+		topo, name, err := loadTopology(topoArg)
 		if err != nil {
 			return err
 		}
-		rep, err := harness.GridChaosReport(s, filepath.Base(topoPath), topo, quick)
+		rep, err := harness.GridChaosReport(s, name, topo, quick)
 		if err != nil {
 			return err
 		}

@@ -402,7 +402,7 @@ func (b *Builder) Build() (Topology, error) {
 	return topo, topo.Validate()
 }
 
-// JSON configuration form, consumed by dasbench/dastraffic -topo. Tiers are
+// JSON configuration form, consumed by dasbench -topo. Tiers are
 // a linear chain (tier i hangs off tier i-1), which covers tiered grids,
 // stars and rings-of-stars; arbitrary branching needs the Go Builder.
 //

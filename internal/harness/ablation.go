@@ -23,9 +23,8 @@ import (
 // variants report through variables their Build captures.
 func (s *Session) ablate(name string, seq orca.Sequencer, build func(sys *core.System) func() error) (Result, error) {
 	app := AppSpec{
-		Name:      name,
-		Shardable: true,
-		Build:     func(sys *core.System, _ bool) func() error { return build(sys) },
+		Name:  name,
+		Build: func(sys *core.System, _ bool) func() error { return build(sys) },
 	}
 	if seq != nil {
 		app.Sequencer = func(bool) orca.Sequencer { return seq }

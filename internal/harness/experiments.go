@@ -88,36 +88,52 @@ var speedupFigures = []figSpec{
 
 // Table1 reproduces the paper's low-level Orca primitive measurements:
 // null-RPC and replicated-update latency plus stream bandwidth, over the
-// LAN and over the WAN.
+// LAN and over the WAN, followed by a request/reply round-trip sweep over
+// message sizes on both network levels.
 func Table1(s *Session) (*Report, error) {
 	t := &Table{
 		ID:      "table1",
 		Title:   "Application-to-application performance of the low-level primitives",
 		Headers: []string{"Benchmark", "LAN latency", "WAN latency", "LAN bandwidth", "WAN bandwidth"},
 	}
+	sweep := &Table{
+		ID:      "table1-rtt",
+		Title:   "Round-trip time by message size (request size = reply size)",
+		Headers: []string{"bytes", "LAN", "WAN"},
+	}
 	das := func(clusters, perCluster int) *core.System {
 		return core.NewSystem(core.Config{Topology: cluster.DAS(clusters, perCluster), Params: Params})
 	}
-	// The six microbenchmarks are independent simulations; run them
+	// Every microbenchmark is an independent simulation; run them
 	// concurrently and assemble the rows afterwards.
 	var lanRPC, wanRPC, lanB, wanB time.Duration
 	var lanBW, wanBW float64
-	err := s.do(
+	sizes := []int{0, 64, 1024, 8192, 65536, 1 << 20}
+	rtts := make([][2]time.Duration, len(sizes)) // LAN, WAN per size
+	tasks := []func() error{
 		func() (err error) { lanRPC, err = measureRPCLatency(das(1, 2)); return },
 		func() (err error) { wanRPC, err = measureRPCLatency(das(2, 2)); return },
 		func() (err error) { lanB, err = measureBcastLatency(das(1, 60)); return },
 		func() (err error) { wanB, err = measureBcastLatency(das(2, 30)); return },
 		func() (err error) { lanBW, err = measureBandwidth(das(1, 2)); return },
 		func() (err error) { wanBW, err = measureBandwidth(das(2, 2)); return },
-	)
-	if err != nil {
+	}
+	for i, size := range sizes {
+		for lvl := range rtts[i] {
+			tasks = append(tasks, func() (err error) { rtts[i][lvl], err = measureRTT(das(lvl+1, 2), size); return })
+		}
+	}
+	if err := s.do(tasks...); err != nil {
 		return nil, err
 	}
 	t.Rows = append(t.Rows,
 		[]string{"RPC (non-replicated)", fmtUS(lanRPC), fmtUS(wanRPC), fmtMbit(lanBW), fmtMbit(wanBW)},
 		[]string{"Broadcast (replicated)", fmtUS(lanB), fmtUS(wanB), fmtMbit(lanBW), fmtMbit(wanBW)},
 	)
-	return &Report{ID: "table1", Title: t.Title, Tables: []*Table{t},
+	for i, size := range sizes {
+		sweep.Rows = append(sweep.Rows, []string{fmt.Sprint(size), roundDur(rtts[i][0]), roundDur(rtts[i][1])})
+	}
+	return &Report{ID: "table1", Title: t.Title, Tables: []*Table{t, sweep},
 		Notes: []string{"paper: RPC 40us/2.7ms, bcast 65us/3.0ms, 208/4.53 Mbit/s"}}, nil
 }
 
@@ -130,9 +146,9 @@ func fmtUS(d time.Duration) string {
 
 func fmtMbit(bps float64) string { return fmt.Sprintf("%.2f Mbit/s", bps*8/1e6) }
 
-// farNode is the peer the point-to-point microbenchmarks talk to from node
-// 0: its LAN neighbor on one cluster, the first node of the other cluster on
-// two — so the exchange crosses the WAN.
+// farNode is where the microbenchmarks place their remote end, seen from
+// node 0: its LAN neighbor on one cluster, the first node of the other
+// cluster on two — so the exchange crosses the WAN.
 func farNode(sys *core.System) cluster.NodeID {
 	if sys.Topo.Clusters == 2 {
 		return sys.Topo.Node(1, 0)
@@ -160,11 +176,14 @@ func measureRPCLatency(sys *core.System) (time.Duration, error) {
 }
 
 // measureBcastLatency times a null replicated update on an object replicated
-// on every node (paper Table 1's 60-replica benchmark).
+// on every node (paper Table 1's 60-replica benchmark). The writer is
+// farNode: the rotating sequencer parks its token in cluster 0 while idle,
+// so a writer there would order its updates at LAN speed even on two
+// clusters.
 func measureBcastLatency(sys *core.System) (time.Duration, error) {
 	obj := sys.RTS.NewReplicated("null", func(cluster.NodeID) any { return struct{}{} })
 	var lat time.Duration
-	sys.SpawnAt(1, "writer", func(w *core.Worker) {
+	sys.SpawnAt(farNode(sys), "writer", func(w *core.Worker) {
 		const reps = 10
 		start := w.P.Now()
 		for i := 0; i < reps; i++ {
@@ -176,6 +195,30 @@ func measureBcastLatency(sys *core.System) (time.Duration, error) {
 		return 0, fmt.Errorf("table1 bcast latency on %s: %w", sys.Topo, err)
 	}
 	return lat, nil
+}
+
+// measureRTT times one request/reply exchange with size-byte payloads each
+// way, from node 0 to an echo service on farNode.
+func measureRTT(sys *core.System, size int) (time.Duration, error) {
+	peer := farNode(sys)
+	mb := sys.RTS.RegisterService(peer, "echo")
+	sys.SpawnAt(peer, "server", func(w *core.Worker) {
+		w.P.SetDaemon(true)
+		for {
+			req := orca.NextRequest(w.P, mb)
+			req.Reply(size, req.Payload)
+		}
+	})
+	var rtt time.Duration
+	sys.SpawnAt(0, "client", func(w *core.Worker) {
+		start := w.P.Now()
+		w.Call(peer, "echo", size, "ping")
+		rtt = w.P.Now() - start
+	})
+	if _, err := sys.Run(); err != nil {
+		return 0, fmt.Errorf("table1 %d-byte round trip on %s: %w", size, sys.Topo, err)
+	}
+	return rtt, nil
 }
 
 // measureBandwidth streams 100 KB messages point-to-point from node 0

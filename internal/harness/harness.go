@@ -22,96 +22,89 @@ import (
 	"albatross/internal/orca"
 )
 
-// AppSpec describes one benchmark application to the harness.
+// AppSpec describes one benchmark application to the harness. Every
+// application must be safe on the cluster-sharded parallel engine: it uses
+// no cross-cluster shared mutable state outside the runtime's message paths
+// and no global termination shortcuts (DESIGN.md §5c has the audit).
 type AppSpec struct {
 	Name string
-	// HasOptimized reports whether a distinct optimized program exists
-	// (ACP's proposed optimization is implemented here, so all do).
-	HasOptimized bool
 	// Sequencer selects the broadcast protocol for a variant; nil means
 	// the platform default (central on one cluster, rotating on more).
 	Sequencer func(optimized bool) orca.Sequencer
 	// Build wires the application into a fresh system and returns its
 	// result verifier.
 	Build func(sys *core.System, optimized bool) func() error
-	// Shardable reports that the application is safe on the cluster-sharded
-	// parallel engine: it uses no cross-cluster shared mutable state outside
-	// the runtime's message paths, no sequenced broadcasts, and no global
-	// termination shortcuts (see DESIGN.md §5c for the audit). Non-shardable
-	// applications silently fall back to the sequential engine, so every
-	// configuration keeps producing byte-identical reports.
-	Shardable bool
 }
 
 // Apps lists the paper's eight applications in its Table 2/3 order.
 var Apps = []AppSpec{
 	{
-		// Shardable: owner-partitioned state; all cross-cluster exchange goes
+		// Shard-safe: owner-partitioned state; all cross-cluster exchange goes
 		// through runtime messages (RPC push or cache/reduce services).
-		Name: "Water", HasOptimized: true, Shardable: true,
+		Name: "Water",
 		Build: func(sys *core.System, opt bool) func() error {
 			return water.Build(sys, water.Default(), opt)
 		},
 	},
 	{
-		// Shardable: best-tour updates are sequenced broadcasts, which the
+		// Shard-safe: best-tour updates are sequenced broadcasts, which the
 		// LP-pinned sequencer orders entirely through WAN messages; all
 		// other exchange is owner-executed RPC (see DESIGN.md §5d).
-		Name: "TSP", HasOptimized: true, Shardable: true,
+		Name: "TSP",
 		Build: func(sys *core.System, opt bool) func() error {
 			return tsp.Build(sys, tsp.Default(), opt)
 		},
 	},
 	{
-		// Shardable: the pivot-row broadcasts run on the LP-pinned
+		// Shard-safe: the pivot-row broadcasts run on the LP-pinned
 		// sequencer; row buffers are unpooled on the sharded engine and
 		// every other structure is per-node (see DESIGN.md §5d).
-		Name: "ASP", HasOptimized: true, Shardable: true,
+		Name:      "ASP",
 		Sequencer: func(opt bool) orca.Sequencer { return asp.Sequencer(opt) },
 		Build: func(sys *core.System, opt bool) func() error {
 			return asp.Build(sys, asp.Default())
 		},
 	},
 	{
-		// Shardable: faults are statically partitioned; the only shared
+		// Shard-safe: faults are statically partitioned; the only shared
 		// objects are invoked through RPCs that execute at their owners.
-		Name: "ATPG", HasOptimized: true, Shardable: true,
+		Name: "ATPG",
 		Build: func(sys *core.System, opt bool) func() error {
 			return atpg.Build(sys, atpg.Default(), opt)
 		},
 	},
 	{
-		// Shardable: steals are owner-executed RPCs, phase termination is
+		// Shard-safe: steals are owner-executed RPCs, phase termination is
 		// decided from the replicated idle map (ordered broadcasts), and
 		// iterations end in a collective allreduce — no shared counters.
-		Name: "IDA*", HasOptimized: true, Shardable: true,
+		Name: "IDA*",
 		Build: func(sys *core.System, opt bool) func() error {
 			return ida.Build(sys, ida.Default(), opt)
 		},
 	},
 	{
-		// Shardable: updates travel as tagged messages (optionally through
+		// Shard-safe: updates travel as tagged messages (optionally through
 		// the cluster combiner), batch pools are per cluster, and each
 		// worker terminates locally once its own positions are determined.
-		Name: "RA", HasOptimized: true, Shardable: true,
+		Name: "RA",
 		Build: func(sys *core.System, opt bool) func() error {
 			return ra.Build(sys, ra.Default(), opt)
 		},
 	},
 	{
-		// Shardable: prunings apply per node, worklists live at their own
+		// Shard-safe: prunings apply per node, worklists live at their own
 		// node, and round termination is a collective allreduce over
 		// sent/applied counts — no shared flags.
-		Name: "ACP", HasOptimized: true, Shardable: true,
+		Name: "ACP",
 		Build: func(sys *core.System, opt bool) func() error {
 			return acp.Build(sys, acp.Default(), opt)
 		},
 	},
 	{
-		// Shardable: rows are owner-written, ghost exchange is tagged
+		// Shard-safe: rows are owner-written, ghost exchange is tagged
 		// messages, and the convergence test is a collective allreduce
 		// every worker folds identically — no shared scalars.
-		Name: "SOR", HasOptimized: true, Shardable: true,
+		Name: "SOR",
 		Build: func(sys *core.System, opt bool) func() error {
 			return sor.Build(sys, sor.Default(), opt)
 		},
@@ -140,11 +133,6 @@ type Transport struct {
 	MaxFrameBytes  int
 	CoalesceWindow time.Duration
 	WANStreams     int
-}
-
-// Enabled reports whether any transport optimization is configured.
-func (t Transport) Enabled() bool {
-	return t.MaxFrameBytes > 0 || t.CoalesceWindow > 0 || t.WANStreams > 1
 }
 
 // DefaultTransport is the calibrated transport configuration used by the

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"albatross/internal/cluster"
 	"albatross/internal/core"
@@ -61,6 +63,9 @@ func TestExperimentByID(t *testing.T) {
 	}
 }
 
+// TestTable1Shape checks the primitives table's labels and pins the
+// round-trip sweep row by row: request/reply time at each payload size on the
+// LAN and across the WAN.
 func TestTable1Shape(t *testing.T) {
 	rep, err := Table1(&Session{})
 	if err != nil {
@@ -71,6 +76,41 @@ func TestTable1Shape(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table1 output missing %q:\n%s", want, out)
 		}
+	}
+	want := [][]string{
+		{"0", "46µs", "2.718ms"},
+		{"64", "51µs", "2.969ms"},
+		{"1024", "125µs", "6.744ms"},
+		{"8192", "677µs", "34.929ms"},
+		{"65536", "5.088ms", "260.406ms"},
+		{"1048576", "80.706ms", "4.125728s"},
+	}
+	if len(rep.Tables) != 2 || !reflect.DeepEqual(rep.Tables[1].Rows, want) {
+		t.Fatalf("round-trip sweep:\n%s\nwant rows %v", out, want)
+	}
+}
+
+// TestTable1BcastLatency: the replicated-update writer sits outside the
+// cluster where the rotating sequencer parks its token, so on two clusters
+// every update waits for the WAN (paper: 3.0 ms) while on one it orders at
+// LAN speed (paper: 65 us).
+func TestTable1BcastLatency(t *testing.T) {
+	das := func(clusters, perCluster int) *core.System {
+		return core.NewSystem(core.Config{Topology: cluster.DAS(clusters, perCluster), Params: Params})
+	}
+	wan, err := measureBcastLatency(das(2, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wan < 2300*time.Microsecond || wan > 3500*time.Microsecond {
+		t.Errorf("WAN broadcast latency %v, want 2.3-3.5 ms", wan)
+	}
+	lan, err := measureBcastLatency(das(1, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lan >= 200*time.Microsecond {
+		t.Errorf("LAN broadcast latency %v, want under 200 us", lan)
 	}
 }
 
@@ -103,7 +143,8 @@ func TestTable1MeasurementsReturnErrors(t *testing.T) {
 	_, errRPC := measureRPCLatency(doomed())
 	_, errBcast := measureBcastLatency(doomed())
 	_, errBW := measureBandwidth(doomed())
-	for name, err := range map[string]error{"rpc": errRPC, "bcast": errBcast, "bandwidth": errBW} {
+	_, errRTT := measureRTT(doomed(), 1024)
+	for name, err := range map[string]error{"rpc": errRPC, "bcast": errBcast, "bandwidth": errBW, "rtt": errRTT} {
 		var dl *sim.DeadlineError
 		if !errors.As(err, &dl) {
 			t.Errorf("%s measurement returned %v, want a *sim.DeadlineError", name, err)

@@ -25,8 +25,8 @@ type RunSpec struct {
 	Params    cluster.Params
 	Transport Transport
 	// Shards asks for the cluster-sharded engine (0/1 = sequential). It is
-	// honored for Shardable applications on multi-cluster platforms and
-	// changes wall-clock behavior only, never results.
+	// honored on multi-cluster platforms and changes wall-clock behavior
+	// only, never results.
 	Shards int
 	// Faults, when non-nil, installs a seeded injector built from the plan
 	// and enables the reliability layer with Rel — also for a plan that
@@ -144,15 +144,11 @@ func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 	if spec.App.Sequencer != nil {
 		seqr = spec.App.Sequencer(spec.Optimized)
 	}
-	shards := spec.Shards
-	if !spec.App.Shardable {
-		shards = 0
-	}
 	sys := core.NewSystem(core.Config{
 		Topology:  spec.Topo,
 		Params:    params,
 		Sequencer: seqr,
-		Shards:    shards,
+		Shards:    spec.Shards,
 	})
 	if in != nil {
 		sys.Net.SetFaultPolicy(in)

@@ -160,7 +160,6 @@ func SensitivitySize(s *Session) (*Report, error) {
 		cfg.N = n
 		return s.Spec(AppSpec{
 			Name:      fmt.Sprintf("ASP n=%d", n),
-			Shardable: true,
 			Sequencer: func(opt bool) orca.Sequencer { return asp.Sequencer(opt) },
 			Build:     func(sys *core.System, _ bool) func() error { return asp.Build(sys, cfg) },
 		}, cluster.DAS(4, 15), optimized)

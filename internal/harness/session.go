@@ -2,10 +2,11 @@ package harness
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
+	"time"
 
 	"albatross/internal/cluster"
 	"albatross/internal/sim"
@@ -31,7 +32,16 @@ type Session struct {
 
 	mu    sync.Mutex
 	cache map[runKey]*runEntry
-	usage map[string]*ShardUsage
+	usage map[string]*shardUsage
+}
+
+// shardUsage aggregates the per-LP window counters of every sharded run one
+// application executed: counters are summed per LP index, and the runs'
+// virtual and wall-clock durations are summed for the derived rates.
+type shardUsage struct {
+	runs          int
+	virtual, wall time.Duration
+	lps           []sim.LPStats
 }
 
 // runEntry is one cache slot; done is closed once res/err are final.
@@ -203,45 +213,73 @@ func (s *Session) recordShardUsage(app string, res Result) {
 	u := s.usage[app]
 	if u == nil {
 		if s.usage == nil {
-			s.usage = map[string]*ShardUsage{}
+			s.usage = map[string]*shardUsage{}
 		}
-		u = &ShardUsage{App: app}
+		u = &shardUsage{}
 		s.usage[app] = u
 	}
-	u.Runs++
-	u.Virtual += res.Elapsed
-	u.Wall += res.Wall
+	u.runs++
+	u.virtual += res.Elapsed
+	u.wall += res.Wall
 	// Shapes with different cluster counts shard into different LP counts;
 	// grow the aggregate to the widest run seen.
-	for len(u.LPs) < len(res.LPs) {
-		u.LPs = append(u.LPs, sim.LPStats{LP: len(u.LPs)})
+	for len(u.lps) < len(res.LPs) {
+		u.lps = append(u.lps, sim.LPStats{LP: len(u.lps)})
 	}
 	for i, st := range res.LPs {
-		u.LPs[i].Windows += st.Windows
-		u.LPs[i].IdleWindows += st.IdleWindows
-		u.LPs[i].Chained += st.Chained
-		u.LPs[i].Events += st.Events
-		u.LPs[i].FenceWait += st.FenceWait
+		u.lps[i].Windows += st.Windows
+		u.lps[i].IdleWindows += st.IdleWindows
+		u.lps[i].Chained += st.Chained
+		u.lps[i].Events += st.Events
+		u.lps[i].FenceWait += st.FenceWait
 	}
 }
 
-// ShardUsageReport returns the aggregated counters of every application that
-// ran sharded in this session, sorted by name for stable output. It returns
-// nil when nothing ran on the parallel engine.
-func (s *Session) ShardUsageReport() []ShardUsage {
+// ShardUsageReport tabulates the per-LP window counters of every application
+// that ran sharded in this session, one row per (application, LP) sorted by
+// name: windows executed, the share that dispatched no event on that LP
+// (pure synchronization), windows chained inline without a barrier, the mean
+// virtual width of a window, the window rate per simulated second, events
+// dispatched, and wall-clock fence waits with their share of the runs' wall
+// clock. The results themselves are byte-identical on either engine; this is
+// the sharded engine's overhead made visible. It returns nil when nothing ran
+// on the parallel engine.
+func (s *Session) ShardUsageReport() *Report {
+	t := &Table{
+		ID:    "shard-usage",
+		Title: "Sharded-engine window counters (observability only; results are engine-independent)",
+		Headers: []string{"app", "runs", "lp", "windows", "idle%", "chained", "width",
+			"win/simsec", "events", "fence-wait", "fence%"},
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.usage) == 0 {
 		return nil
 	}
-	out := make([]ShardUsage, 0, len(s.usage))
-	for _, u := range s.usage {
-		cp := *u
-		cp.LPs = append([]sim.LPStats(nil), u.LPs...)
-		out = append(out, cp)
+	for _, app := range slices.Sorted(maps.Keys(s.usage)) {
+		u := s.usage[app]
+		for _, lp := range u.lps {
+			var idle, rate, fence float64
+			var width time.Duration
+			if lp.Windows > 0 {
+				idle = 100 * float64(lp.IdleWindows) / float64(lp.Windows)
+				width = u.virtual / time.Duration(lp.Windows)
+			}
+			if u.virtual > 0 {
+				rate = float64(lp.Windows) / u.virtual.Seconds()
+			}
+			if u.wall > 0 {
+				fence = 100 * float64(lp.FenceWait) / float64(u.wall)
+			}
+			t.Rows = append(t.Rows, []string{
+				app, fmt.Sprint(u.runs), fmt.Sprint(lp.LP), fmt.Sprint(lp.Windows),
+				fmt.Sprintf("%.1f%%", idle), fmt.Sprint(lp.Chained),
+				roundDur(width), fmt.Sprintf("%.0f", rate), fmt.Sprint(lp.Events),
+				lp.FenceWait.Round(time.Millisecond).String(), fmt.Sprintf("%.1f%%", fence),
+			})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
-	return out
+	return &Report{ID: t.ID, Title: t.Title, Tables: []*Table{t}}
 }
 
 // CensusReport tabulates the engine's event census of every memoized run that

@@ -111,8 +111,7 @@ func TestDoConvertsPanicsToErrors(t *testing.T) {
 // goroutines ask, and that each spec is served its own result.
 func countingApp(name string, builds *atomic.Int64) AppSpec {
 	return AppSpec{
-		Name:      name,
-		Shardable: true,
+		Name: name,
 		Build: func(sys *core.System, opt bool) func() error {
 			nth := builds.Add(1)
 			sys.SpawnWorkers("w", func(w *core.Worker) {

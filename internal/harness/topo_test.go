@@ -62,8 +62,8 @@ func TestTopoReportTieredClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Tables) != 2 {
-		t.Fatalf("report has %d tables, want 2", len(rep.Tables))
+	if len(rep.Tables) != 4 {
+		t.Fatalf("report has %d tables, want 4", len(rep.Tables))
 	}
 	classes := rep.Tables[1]
 	seen := map[string]bool{}

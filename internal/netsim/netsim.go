@@ -110,12 +110,6 @@ type pipe struct {
 	// reordering still works.
 	lane *sim.Lane // scheduled arrivals, oldest first; nil until the pipe carries a unit
 
-	pipeCounters
-}
-
-// pipeCounters is the part of a pipe that ResetStats zeroes; everything else
-// in a pipe is link state.
-type pipeCounters struct {
 	busy    time.Duration // cumulative transmission time
 	bytes   int64
 	msgs    int64         // application messages carried
@@ -592,36 +586,13 @@ func (n *Network) Params() cluster.Params { return n.par }
 // Stats returns a snapshot of the traffic statistics collected so far,
 // folded over the engines' counters (sums are order-independent, so the fold
 // is deterministic). Call it again after more traffic rather than holding
-// the pointer; ResetStats zeroes the counters.
+// the pointer.
 func (n *Network) Stats() *Stats {
 	n.merged = Stats{}
 	for _, sh := range n.each {
 		n.merged.add(&sh.stats)
 	}
 	return &n.merged
-}
-
-// ResetStats zeroes the network's traffic counters (used to exclude warm-up
-// or setup traffic).
-func (n *Network) ResetStats() {
-	for _, sh := range n.each {
-		sh.stats = Stats{}
-	}
-	for c := range n.agg {
-		for k := range n.agg[c] {
-			n.agg[c][k] = classAgg{}
-		}
-	}
-	// Per-pipe counters reset with the rest; the link state (traffic still
-	// queued or in flight) stays.
-	for c := range n.adj {
-		for i := range n.adj[c] {
-			pipes := n.adj[c][i].pipes
-			for k := range pipes {
-				pipes[k].pipeCounters = pipeCounters{}
-			}
-		}
-	}
 }
 
 // SetHandler installs the delivery callback for a node, replacing inbox

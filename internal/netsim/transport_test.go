@@ -525,101 +525,3 @@ func TestGatewayCostForwardingHorizonExact(t *testing.T) {
 		t.Fatalf("arrivals %v, want %v", arrivals, want)
 	}
 }
-
-// TestResetStatsSharded: Stats() returns a folded snapshot; ResetStats has
-// to reach every LP's counters.
-func TestResetStatsSharded(t *testing.T) {
-	root := sim.NewEngine()
-	root.Shard(2)
-	n := New(root, cluster.Topology{Clusters: 2, NodesPerCluster: 2}, testParams())
-	n.EngineFor(0).At(0, func() {
-		n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 100})
-	})
-	n.EngineFor(1).At(0, func() {
-		n.Send(Msg{From: 2, To: 0, Kind: KindData, Size: 100})
-	})
-	if err := root.Run(); err != nil {
-		t.Fatal(err)
-	}
-	defer root.Shutdown()
-	if got := n.Stats().TotalInter().Msgs; got != 2 {
-		t.Fatalf("inter msgs %d, want 2", got)
-	}
-	if len(n.PipeReports()) != 2 || len(n.ClassReports()) != 1 {
-		t.Fatalf("reports before reset: pipes %+v classes %+v", n.PipeReports(), n.ClassReports())
-	}
-	n.ResetStats()
-	if got := n.Stats().TotalInter(); got.Msgs != 0 || got.Bytes != 0 {
-		t.Fatalf("ResetStats left counters %+v", got)
-	}
-	if p, c := n.PipeReports(), n.ClassReports(); len(p) != 0 || len(c) != 0 {
-		t.Fatalf("ResetStats left reports: pipes %+v classes %+v", p, c)
-	}
-}
-
-// TestResetStatsUnsharded: the same call is the reset API on a plain engine,
-// and it reaches every report — Stats, the per-class aggregates and the
-// per-pipe counters — while leaving link state alone: the reset lands while
-// the first message still occupies the pipe (100 bytes from 61us to 161us),
-// and a message entering at 100us must still queue behind it.
-func TestResetStatsUnsharded(t *testing.T) {
-	e, n := build(2, 2)
-	n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 100})
-	e.At(100*time.Microsecond, func() {
-		if n.Stats().TotalInter().Msgs != 1 {
-			t.Error("traffic not metered")
-		}
-		if len(n.PipeReports()) != 1 || len(n.ClassReports()) != 1 {
-			t.Errorf("reports before reset: pipes %+v classes %+v", n.PipeReports(), n.ClassReports())
-		}
-		n.ResetStats()
-		if got := n.Stats().TotalInter(); got.Msgs != 0 {
-			t.Errorf("ResetStats left counters %+v", got)
-		}
-		if p, c := n.PipeReports(), n.ClassReports(); len(p) != 0 || len(c) != 0 {
-			t.Errorf("ResetStats left reports: pipes %+v classes %+v", p, c)
-		}
-		n.Send(Msg{From: 4, To: 2, Kind: KindData, Size: 100}) // from the gateway: no FE leg
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := PipeReport{From: 0, To: 1, Msgs: 1, Bytes: 100, Busy: 100 * time.Microsecond, MaxQueueing: 61 * time.Microsecond}
-	if p := n.PipeReports(); len(p) != 1 || p[0] != want {
-		t.Fatalf("post-reset pipe reports %+v, want only the new message, queued behind the old: %+v", p, want)
-	}
-	if got := n.Inbox(2).Len(); got != 2 {
-		t.Fatalf("delivered %d, want 2", got)
-	}
-}
-
-// TestResetStatsKeepsQueuedUnits: a saturated pipe holds its queued units in
-// link state the counters' reset must not touch. Forty messages queue on the
-// 0→1 pipe (100 us of serialization each); ResetStats lands with most of them
-// still waiting, and every one must arrive, in order.
-func TestResetStatsKeepsQueuedUnits(t *testing.T) {
-	const msgs = 40
-	e, n := build(2, 2)
-	var got []int
-	n.SetHandler(2, func(m Msg) { got = append(got, m.Payload.(int)) })
-	for i := 0; i < msgs; i++ {
-		n.Send(Msg{From: 4, To: 2, Kind: KindData, Size: 100, Payload: i}) // from the gateway: no FE leg
-	}
-	e.At(1500*time.Microsecond, func() {
-		if len(got) == 0 || len(got) > msgs/2 {
-			t.Errorf("%d of %d delivered at the reset: the pipe is not saturated across it", len(got), msgs)
-		}
-		n.ResetStats()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != msgs {
-		t.Fatalf("delivered %d of %d messages", len(got), msgs)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("delivery order %v", got)
-		}
-	}
-}
