@@ -13,11 +13,13 @@ package asp
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"albatross/internal/apps/memo"
 	"albatross/internal/cluster"
 	"albatross/internal/core"
+	"albatross/internal/netsim"
 	"albatross/internal/orca"
 	"albatross/internal/rng"
 	"albatross/internal/sim"
@@ -162,15 +164,14 @@ func Build(sys *core.System, cfg Config) func() error {
 	// into a pooled buffer, every worker releases the row after its relax
 	// sweep, and the last release returns the buffer for a later pivot. The
 	// live row set stays proportional to the broadcast pipeline depth
-	// instead of the full matrix. On the sharded engine the releases land on
-	// several LPs inside one window, so neither the refcounts nor the shared
-	// pool are touchable: rows are allocated fresh and left to the garbage
-	// collector, exactly like the runtime's own broadcast records.
-	sharded := sys.Sharded()
-	var rowPool sim.Free[pivotRow]
-	rowRefs := make([]int32, n)
-	getRow := func() *pivotRow {
-		pr := rowPool.Get()
+	// instead of the full matrix. Releases land on every node, so on the
+	// sharded engine on several LPs at once: the refcounts are atomic and
+	// each engine has its own pool, the rule of the runtime's own broadcast
+	// records.
+	rowPool, _ := netsim.PerEngine(sys.Net, func(int) *sim.Free[pivotRow] { return new(sim.Free[pivotRow]) })
+	rowRefs := make([]atomic.Int32, n)
+	getRow := func(node cluster.NodeID) *pivotRow {
+		pr := rowPool[sys.Topo.ClusterOf(node)].Get()
 		if pr.row == nil {
 			pr.row = make([]int32, n)
 		}
@@ -178,11 +179,8 @@ func Build(sys *core.System, cfg Config) func() error {
 	}
 	releaseRow := func(st *pivotState, k int, pr *pivotRow) {
 		st.rows[k] = nil
-		if sharded {
-			return
-		}
-		if rowRefs[k]--; rowRefs[k] == 0 {
-			rowPool.Put(pr)
+		if rowRefs[k].Add(-1) == 0 {
+			rowPool[sys.Topo.ClusterOf(st.node)].Put(pr)
 		}
 	}
 
@@ -237,9 +235,9 @@ func Build(sys *core.System, cfg Config) func() error {
 			var pr *pivotRow
 			if owner(k) == w.Rank() {
 				// Snapshot the row: it already reflects iterations < k.
-				pr = getRow()
+				pr = getRow(w.Node)
 				copy(pr.row, d[k])
-				rowRefs[k] = int32(p)
+				rowRefs[k].Store(int32(p))
 				w.Invoke(pivot, setRow(k, pr))
 			} else {
 				pr = waitRow(w, st, k)

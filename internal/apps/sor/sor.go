@@ -180,6 +180,16 @@ func BuildWithStats(sys *core.System, cfg Config, optimized bool) (verify func()
 	// iters and converged are written by rank 0 only and read after the run.
 	iters := 0
 	converged := false
+	// A message stream is identified by the sender's rank alone: the
+	// per-neighbour send/recv sequences pair strictly (both sides evaluate
+	// the same exchange schedule) and the network is FIFO per channel, so no
+	// per-iteration tag is needed and the interned-tag space stays fixed.
+	// Interned at setup, like every tag of a run: no LP writes the tag table.
+	tags := make([]orca.TagID, p)
+	for r := range tags {
+		tags[r] = sys.RTS.InternTag(orca.Tag{Op: "sor", A: r})
+	}
+
 	// The per-iteration convergence test is a real wide-area allreduce
 	// (cluster-local trees plus one WAN message per cluster), so every
 	// worker learns the global maximum delta and decides termination
@@ -203,21 +213,15 @@ func BuildWithStats(sys *core.System, cfg Config, optimized bool) (verify func()
 		ghostDown := make([]float64, cfg.NY+2)
 		hasUp, hasDown := r > 0, r < p-1
 
-		// A message stream is identified by the sender's rank alone: the
-		// per-neighbour send/recv sequences pair strictly (both sides
-		// evaluate the same exchange schedule) and the network is FIFO per
-		// channel, so no per-iteration tag is needed and the interned-tag
-		// space stays fixed.
-		rts := sys.RTS
-		tagSelf := rts.InternTag(orca.Tag{Op: "sor", A: r})
+		tagSelf := tags[r]
 		var tagUp, tagDown orca.TagID
 		upWAN, downWAN := false, false
 		if hasUp {
-			tagUp = rts.InternTag(orca.Tag{Op: "sor", A: r - 1})
+			tagUp = tags[r-1]
 			upWAN = !topo.SameCluster(w.Node, cluster.NodeID(r-1))
 		}
 		if hasDown {
-			tagDown = rts.InternTag(orca.Tag{Op: "sor", A: r + 1})
+			tagDown = tags[r+1]
 			downWAN = !topo.SameCluster(w.Node, cluster.NodeID(r+1))
 		}
 

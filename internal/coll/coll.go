@@ -51,9 +51,13 @@ func (s Strategy) String() string {
 // has exactly one matching receive in call k, and the network delivers each
 // (sender, receiver) channel in FIFO order, so same-tag messages arrive in
 // call order and a receive can never observe a later call's message first.
-// Phases whose natural sender is the per-call root (broadcast and scatter
-// legs) therefore encode the root into aux; all others use the sender rank
-// or the sending cluster (whose root is fixed) directly.
+// Each node has its own mailboxes, so a tag need not name its destination,
+// and a sender may send several same-tag messages in one call when the
+// receiver takes them in the same order (all-to-all's member → root leg, one
+// part per remote cluster in cluster order). Phases whose natural sender is
+// the per-call root (broadcast and scatter legs) therefore encode the root
+// into aux; all others use the sender rank or the sending cluster (whose
+// root is fixed) directly.
 type phase int
 
 const (
@@ -81,7 +85,7 @@ type Comm struct {
 	name     string
 
 	phNames [numPhases]string       // precomputed "name/phase" tag strings
-	tids    [numPhases][]orca.TagID // interned tag per (phase, aux), stored +1
+	tids    [numPhases][]orca.TagID // interned tag per (phase, aux)
 
 	all       []int   // ranks 0..p-1
 	byCluster [][]int // per-cluster ranks, in order
@@ -124,26 +128,25 @@ func New(sys *core.System, name string, strategy Strategy) *Comm {
 	}
 	c.stash = make([][]any, topo.Clusters*topo.Clusters)
 	c.pools, _ = netsim.PerEngine(sys.Net, func(int) *commPools { return new(commPools) })
-	c.preIntern()
+	c.intern()
 	return c
 }
 
-// preIntern interns the tag set of the root-0 tree collectives (broadcast,
-// reduce, and the allreduce/barrier built from them, in both strategies) at
-// construction time. Interning mutates the communicator's dense tag tables,
-// which several LPs of a sharded run would otherwise race on; with the set
-// pre-interned, steady-state Barrier/AllReduce/Bcast/Reduce take the
-// read-only cached path. Collectives outside this set (non-zero roots,
-// gather/scatter/all-to-all) intern lazily and are therefore safe on the
-// sequential engine only, unless first exercised during setup.
-func (c *Comm) preIntern() {
-	n := c.sys.Topo.Compute()
-	if k := c.sys.Topo.Clusters; k > n {
-		n = k
+// intern interns every (phase, aux) tag the strategy uses, each phase over
+// its aux range: a rank or a cluster. Interning writes the runtime's tag
+// tables, so it happens here, before any LP runs; collectives then only read
+// c.tids.
+func (c *Comm) intern() {
+	p, k := c.sys.Topo.Compute(), c.sys.Topo.Clusters
+	span := [numPhases]int{phB: p, phR: p, phG: p, phS: p, phA: p}
+	if c.strategy == WideArea {
+		span = [numPhases]int{phB: p, phBL: p, phR: k, phRL: p, phG: k, phGL: p,
+			phS: p, phSL: p, phA: p, phAR: p, phAB: k, phAS: k}
 	}
-	for _, ph := range []phase{phB, phBL, phR, phRL} {
-		for aux := 0; aux < n; aux++ {
-			c.tag(ph, aux)
+	for ph, n := range span {
+		c.tids[ph] = make([]orca.TagID, n)
+		for aux := range c.tids[ph] {
+			c.tids[ph][aux] = c.sys.RTS.InternTag(orca.Tag{Op: c.phNames[ph], A: aux})
 		}
 	}
 }
@@ -151,20 +154,9 @@ func (c *Comm) preIntern() {
 // Strategy returns the communicator's strategy.
 func (c *Comm) Strategy() Strategy { return c.strategy }
 
-// tag returns the interned tag of (phase, aux), caching IDs in a dense
-// table so steady-state collectives neither format names nor probe maps.
-func (c *Comm) tag(ph phase, aux int) orca.TagID {
-	t := c.tids[ph]
-	if aux >= len(t) {
-		t = append(t, make([]orca.TagID, aux+1-len(t))...)
-		c.tids[ph] = t
-	} else if id := t[aux]; id != 0 {
-		return id - 1
-	}
-	id := c.sys.RTS.InternTag(orca.Tag{Op: c.phNames[ph], A: aux})
-	c.tids[ph][aux] = id + 1
-	return id
-}
+// tag returns the interned tag of (phase, aux): collectives neither format
+// names nor probe maps.
+func (c *Comm) tag(ph phase, aux int) orca.TagID { return c.tids[ph][aux] }
 
 // getPart pops (or makes) an n-element payload slice from the free list.
 func (pl *commPools) getPart(n int) []any {
@@ -224,17 +216,17 @@ func (c *Comm) Bcast(w *core.Worker, root int, size int, data any) any {
 	switch {
 	case w.Rank() == root:
 		// Send once to each remote cluster's local root. The tag encodes
-		// (root, destination cluster): the root varies across calls, and
-		// call-order matching needs one sender per tag.
+		// the root: it varies across calls, and call-order matching needs
+		// one sender per tag.
 		for cl := 0; cl < topo.Clusters; cl++ {
 			if cl == rootCluster {
 				continue
 			}
-			w.SendID(cluster.NodeID(c.byCluster[cl][0]), c.tag(phB, root*topo.Clusters+cl), size, data)
+			w.SendID(cluster.NodeID(c.byCluster[cl][0]), c.tag(phB, root), size, data)
 		}
 		v = data
 	case w.Rank() == clusterRoot && myCluster != rootCluster:
-		v = w.RecvID(c.tag(phB, root*topo.Clusters+myCluster))
+		v = w.RecvID(c.tag(phB, root))
 	}
 	// Distribute within the cluster, rooted at the cluster root (or the
 	// global root for its own cluster).
@@ -446,18 +438,17 @@ func indexOf(xs []int, v int) int {
 func (c *Comm) Scatter(w *core.Worker, root int, size int, values []any) any {
 	p := c.sys.Topo.Compute()
 	if c.strategy == Flat {
-		// Tags encode (root, destination): the root is the sender and
-		// varies across calls.
+		// Tags encode the root: it is the sender and varies across calls.
 		if w.Rank() == root {
 			for r := 0; r < p; r++ {
 				if r == root {
 					continue
 				}
-				w.SendID(cluster.NodeID(r), c.tag(phS, root*p+r), size, values[r])
+				w.SendID(cluster.NodeID(r), c.tag(phS, root), size, values[r])
 			}
 			return values[root]
 		}
-		return w.RecvID(c.tag(phS, root*p+w.Rank()))
+		return w.RecvID(c.tag(phS, root))
 	}
 	topo := c.sys.Topo
 	rootCluster := topo.ClusterOf(cluster.NodeID(root))
@@ -480,30 +471,30 @@ func (c *Comm) Scatter(w *core.Worker, root int, size int, values []any) any {
 			for i, r := range ranks {
 				part[i] = values[r]
 			}
-			w.SendID(cluster.NodeID(ranks[0]), c.tag(phS, root*topo.Clusters+cl), size*len(ranks), part)
+			w.SendID(cluster.NodeID(ranks[0]), c.tag(phS, root), size*len(ranks), part)
 		}
 		// Own cluster directly (root is this cluster's scatter sender).
 		for _, r := range local {
 			if r == root {
 				continue
 			}
-			w.SendID(cluster.NodeID(r), c.tag(phSL, root*p+r), size, values[r])
+			w.SendID(cluster.NodeID(r), c.tag(phSL, root), size, values[r])
 		}
 		return values[root]
 	case w.Rank() == lr && myCluster != rootCluster:
-		part := w.RecvID(c.tag(phS, root*topo.Clusters+myCluster)).([]any)
+		part := w.RecvID(c.tag(phS, root)).([]any)
 		var own any
 		for i, r := range local {
 			if r == lr {
 				own = part[i]
 				continue
 			}
-			w.SendID(cluster.NodeID(r), c.tag(phSL, lr*p+r), size, part[i])
+			w.SendID(cluster.NodeID(r), c.tag(phSL, lr), size, part[i])
 		}
 		pl.putPart(part)
 		return own
 	default:
-		return w.RecvID(c.tag(phSL, lr*p+w.Rank()))
+		return w.RecvID(c.tag(phSL, lr))
 	}
 }
 
@@ -563,7 +554,7 @@ func (c *Comm) AllToAll(w *core.Worker, size int, values []any) []any {
 			c.stash[myCluster*topo.Clusters+cl] = part
 			continue
 		}
-		w.SendID(cluster.NodeID(lr), c.tag(phAR, cl*1000+w.Rank()), size*len(ranks), part)
+		w.SendID(cluster.NodeID(lr), c.tag(phAR, w.Rank()), size*len(ranks), part)
 	}
 	if w.Rank() == lr {
 		// Collect every member's per-cluster parts, bundle, exchange with
@@ -590,7 +581,7 @@ func (c *Comm) AllToAll(w *core.Worker, size int, values []any) []any {
 					c.stash[st] = nil
 					continue
 				}
-				rp := w.RecvID(c.tag(phAR, cl*1000+r)).([]any)
+				rp := w.RecvID(c.tag(phAR, r)).([]any)
 				addPart(si, rp)
 				pl.putPart(rp)
 			}
@@ -614,7 +605,7 @@ func (c *Comm) AllToAll(w *core.Worker, size int, values []any) []any {
 					pl.putPart(senders)
 					continue
 				}
-				w.SendID(cluster.NodeID(dest), c.tag(phAS, cl*1000+dest), size*len(senders), senders)
+				w.SendID(cluster.NodeID(dest), c.tag(phAS, cl), size*len(senders), senders)
 			}
 			pl.putBundle(b)
 		}
@@ -623,7 +614,7 @@ func (c *Comm) AllToAll(w *core.Worker, size int, values []any) []any {
 			if cl == myCluster {
 				continue
 			}
-			senders := w.RecvID(c.tag(phAS, cl*1000+w.Rank())).([]any)
+			senders := w.RecvID(c.tag(phAS, cl)).([]any)
 			for si, v := range senders {
 				out[c.byCluster[cl][si]] = v
 			}

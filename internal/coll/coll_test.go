@@ -1,6 +1,7 @@
 package coll
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -306,5 +307,47 @@ func TestAllToAllWANBundles(t *testing.T) {
 	}
 	if got := m.Net.TotalInter().Msgs; got != 12 {
 		t.Fatalf("wide-area alltoall used %d WAN messages, want 12", got)
+	}
+}
+
+// TestShardedMatchesSequential runs the collectives outside the root-0 tree
+// set (all-gather, a non-zero-root scatter, all-to-all) on the sequential
+// engine and on four LPs. Every tag is interned at New, so the LPs only read
+// the tag tables (go test -race checks that), and both engines must agree on
+// every result and on the elapsed time.
+func TestShardedMatchesSequential(t *testing.T) {
+	topo := cluster.DAS(4, 3)
+	p := topo.Compute()
+	run := func(strat Strategy, shards int) ([][]any, time.Duration) {
+		got := make([][]any, p)
+		sys := core.NewSystem(core.Config{Topology: topo, Params: cluster.DASParams(), Shards: shards})
+		comm := New(sys, "c", strat)
+		sys.SpawnWorkers("w", func(w *core.Worker) {
+			values := make([]any, p)
+			for q := range values {
+				values[q] = w.Rank()*1000 + q
+			}
+			out := comm.AllGather(w, 16, w.Rank())
+			out = append(out, comm.Scatter(w, 5, 16, values))
+			got[w.Rank()] = append(out, comm.AllToAll(w, 8, values)...)
+		})
+		m, err := sys.Run()
+		if err != nil {
+			t.Fatalf("%v shards=%d: %v", strat, shards, err)
+		}
+		return got, m.Elapsed
+	}
+	for _, strat := range []Strategy{Flat, WideArea} {
+		seq, seqT := run(strat, 0)
+		shd, shdT := run(strat, 4)
+		if !reflect.DeepEqual(seq, shd) {
+			t.Fatalf("%v: sharded results differ from sequential", strat)
+		}
+		if seqT != shdT {
+			t.Fatalf("%v: elapsed %v sequential, %v sharded", strat, seqT, shdT)
+		}
+		if want := 5*1000 + 7; seq[7][p] != want {
+			t.Fatalf("%v: rank 7 scattered %v, want %d", strat, seq[7][p], want)
+		}
 	}
 }

@@ -67,9 +67,6 @@ func NewSystem(cfg Config) *System {
 	return &System{Engine: e, Net: net, RTS: rts, Topo: cfg.Topology}
 }
 
-// Sharded reports whether the system runs on the cluster-sharded engine.
-func (s *System) Sharded() bool { return len(s.Engine.Shards()) > 0 }
-
 // EngineFor returns the engine that schedules events for the given node:
 // the root engine sequentially, the node's cluster LP when sharded. All
 // process spawns bound to a node must go through it.

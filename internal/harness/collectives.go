@@ -62,17 +62,22 @@ func Collectives(s *Session) (*Report, error) {
 		for si, strat := range []coll.Strategy{coll.Flat, coll.WideArea} {
 			oi, si, o, strat := oi, si, o, strat
 			tasks = append(tasks, func() error {
-				sys := core.NewSystem(core.Config{Topology: cluster.DAS(4, 15), Params: Params})
-				comm := coll.New(sys, "bench", strat)
-				sys.SpawnWorkers("w", func(w *core.Worker) {
-					for i := 0; i < reps; i++ {
-						o.run(comm, w, o.size)
-						comm.Barrier(w)
-					}
-				})
-				m, err := sys.Run()
+				app := AppSpec{
+					Name: fmt.Sprintf("coll %s %v", o.name, strat),
+					Build: func(sys *core.System, _ bool) func() error {
+						comm := coll.New(sys, "bench", strat)
+						sys.SpawnWorkers("w", func(w *core.Worker) {
+							for i := 0; i < reps; i++ {
+								o.run(comm, w, o.size)
+								comm.Barrier(w)
+							}
+						})
+						return nil
+					},
+				}
+				m, err := s.Exec(s.Spec(app, cluster.DAS(4, 15), false))
 				if err != nil {
-					return fmt.Errorf("coll %s %v: %w", o.name, strat, err)
+					return err
 				}
 				lats[oi][si] = m.Elapsed / reps
 				return nil

@@ -32,7 +32,7 @@ type AppSpec struct {
 	// the platform default (central on one cluster, rotating on more).
 	Sequencer func(optimized bool) orca.Sequencer
 	// Build wires the application into a fresh system and returns its
-	// result verifier.
+	// result verifier, or nil for a measurement with nothing to verify.
 	Build func(sys *core.System, optimized bool) func() error
 }
 
@@ -57,8 +57,8 @@ var Apps = []AppSpec{
 	},
 	{
 		// Shard-safe: the pivot-row broadcasts run on the LP-pinned
-		// sequencer; row buffers are unpooled on the sharded engine and
-		// every other structure is per-node (see DESIGN.md §5d).
+		// sequencer; row buffers are refcounted atomically into per-engine
+		// pools and every other structure is per-node (see DESIGN.md §5b).
 		Name:      "ASP",
 		Sequencer: func(opt bool) orca.Sequencer { return asp.Sequencer(opt) },
 		Build: func(sys *core.System, opt bool) func() error {

@@ -54,7 +54,7 @@ func auditOneRun(t *testing.T, tag string, app AppSpec, topo cluster.Topology, t
 	spec.Transport = tr
 	aud := &lookaheadAuditor{}
 	if _, err := Exec(spec, func(sys *core.System, _ *faults.Injector) {
-		if !sys.Sharded() {
+		if len(sys.Engine.Shards()) == 0 {
 			t.Fatalf("%s: expected a sharded system", tag)
 		}
 		sys.Engine.SetCrossLPAudit(aud.hook(sys))

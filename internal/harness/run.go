@@ -176,7 +176,7 @@ func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 	if in != nil {
 		res.Faults = in.Counters()
 	}
-	if err == nil {
+	if err == nil && verify != nil {
 		err = verify()
 	}
 	if err != nil {

@@ -11,9 +11,12 @@
 package orca
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"albatross/internal/cluster"
+	"albatross/internal/netsim"
 	"albatross/internal/sim"
 )
 
@@ -87,26 +90,96 @@ func TestAllocRPCRoundTrip(t *testing.T) {
 // TestAllocBroadcast pins one totally-ordered replicated update at zero for
 // each sequencer protocol: the pendingBcast record is the wire payload end
 // to end, submit/grant/token records come from free lists, and the ordering
-// queues reuse their capacity.
+// queues reuse their capacity. On two LPs the same records recycle into the
+// free list of whichever LP drops the last reference, so a list only refills
+// when the traffic flows back: the budget (per write, one writer per
+// cluster) is what that migration leaves, and it sits ~3 below the
+// unpooled rule, which allocated a record, a future and a closure per write.
 func TestAllocBroadcast(t *testing.T) {
 	cases := []struct {
-		name string
-		mk   func() Sequencer
+		name     string
+		mk       func() Sequencer
+		lpBudget float64
 	}{
-		{"central", func() Sequencer { return NewCentralSequencer(0) }},
-		{"rotating", func() Sequencer { return NewRotatingSequencer() }},
-		{"migrating", func() Sequencer { return NewMigratingSequencer() }},
+		{"central", func() Sequencer { return NewCentralSequencer(0) }, 3},
+		{"rotating", func() Sequencer { return NewRotatingSequencer() }, 2},
+		{"migrating", func() Sequencer { return NewMigratingSequencer() }, 0.25},
 	}
+	op := Op{Name: "inc", ArgBytes: 8, ResBytes: 8,
+		Apply: func(s any) any { c := s.(*counter); c.n++; return nil }}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e, _, rts := build(2, 2, tc.mk())
 			obj := rts.NewReplicated("c", func(n cluster.NodeID) any { return &counter{} })
-			op := Op{Name: "inc", ArgBytes: 8, ResBytes: 8,
-				Apply: func(s any) any { c := s.(*counter); c.n++; return nil }}
 			step := drive(e, "alloc-bcast", func(p *sim.Proc) {
 				obj.Invoke(p, 1, op)
 			})
 			allocBudget(t, tc.name+" broadcast", step, 0)
 		})
+		t.Run(tc.name+"/2LP", func(t *testing.T) {
+			got := shardedWrites(t, tc.mk(), func(p *sim.Proc, obj *Object, from cluster.NodeID) {
+				obj.Invoke(p, from, op)
+			})
+			if got > tc.lpBudget {
+				t.Errorf("%s broadcast on 2 LPs: %.2f allocs/write, budget %.2f", tc.name, got, tc.lpBudget)
+			}
+		})
 	}
+}
+
+// TestAllocAsyncUpdate pins an unordered replicated update, the same pooled
+// record released on every compute node, at zero on the sequential engine
+// and at ~zero per update on two LPs.
+func TestAllocAsyncUpdate(t *testing.T) {
+	op := Op{Name: "inc", ArgBytes: 8,
+		Apply: func(s any) any { c := s.(*counter); c.n++; return nil }}
+	e, _, rts := build(2, 2, nil)
+	obj := rts.NewReplicated("c", func(n cluster.NodeID) any { return &counter{} })
+	step := func() {
+		obj.AsyncUpdate(1, op)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocBudget(t, "AsyncUpdate", step, 0)
+	got := shardedWrites(t, nil, func(p *sim.Proc, obj *Object, from cluster.NodeID) {
+		obj.AsyncUpdate(from, op)
+		p.Sleep(10 * time.Millisecond) // let each update retire before the next
+	})
+	if got > 0.1 {
+		t.Errorf("AsyncUpdate on 2 LPs: %.2f allocs/update, budget 0.1", got)
+	}
+}
+
+// shardedWrites runs one writer per cluster of a two-LP 2x2 engine, each
+// performing 2000 operations, in a single Run, and returns the run's
+// allocations per operation (LP threads, processes and free-list warm-up
+// amortized in).
+func shardedWrites(t *testing.T, seqr Sequencer, body func(p *sim.Proc, obj *Object, from cluster.NodeID)) float64 {
+	t.Helper()
+	const n = 2000
+	e := sim.NewEngine()
+	e.Shard(2)
+	net := netsim.New(e, cluster.Topology{Clusters: 2, NodesPerCluster: 2}, cluster.DASParams())
+	rts := New(net, seqr)
+	obj := rts.NewReplicated("c", func(n cluster.NodeID) any { return &counter{} })
+	for c := 0; c < 2; c++ {
+		from := rts.Topology().Node(c, 1)
+		net.EngineFor(c).Go("writer", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				body(p, obj, from)
+			}
+		})
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := obj.Replica(0).(*counter).n; got != 2*n {
+		t.Fatalf("replica 0 applied %d updates, want %d", got, 2*n)
+	}
+	return float64(after.Mallocs-before.Mallocs) / (2 * n)
 }

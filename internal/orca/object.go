@@ -2,6 +2,7 @@ package orca
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"albatross/internal/cluster"
 	"albatross/internal/netsim"
@@ -40,12 +41,13 @@ type Object struct {
 	applied func(at cluster.NodeID, op Op, result any)
 }
 
-// pendingBcast is a replicated write travelling through the sequencer. It is
-// the wire record for its whole lifecycle — submit, ordering, distribution
-// and per-node delivery — and is reference-counted: one reference per
-// compute node's apply plus one for the writer consuming the result, so the
-// record (and its pooled done future) recycles exactly when the last node
-// has applied it and the writer has resumed.
+// pendingBcast is a replicated write in flight. It is the wire record for
+// its whole lifecycle — submit, ordering, distribution and per-node delivery
+// — and is reference-counted: one reference per compute node's apply plus,
+// for an ordered write, one for the writer consuming the result. The
+// references drop on every delivering node, so on the sharded engine on
+// several LPs at once: the count is atomic, and the last releaser returns
+// the record to its own engine's free list (records migrate between lists).
 type pendingBcast struct {
 	obj     *Object
 	op      Op
@@ -53,37 +55,32 @@ type pendingBcast struct {
 	orderer cluster.NodeID
 	seq     uint64
 	size    int // op.ArgBytes + HeaderBytes, the wire size everywhere
-	refs    int32
-	done    *sim.Future
-	fn      func() // bound once: runs distributeNow for this record
+	refs    atomic.Int32
+	// done is the writer's reply future, from its engine's futPool. It is
+	// nil for an unordered AsyncUpdate, which nobody awaits and which every
+	// node applies on arrival.
+	done *sim.Future
+	fn   func() // bound once: runs distributeNow for this record
 }
 
-// getBcast pops (or creates) a broadcast record with its done future armed.
-func (r *RTS) getBcast(futName string) *pendingBcast {
-	b := r.bcastPool.Get()
+// getBcast pops (or creates) a broadcast record from sh's free list.
+func (r *RTS) getBcast(sh *rtsShard) *pendingBcast {
+	b := sh.bcastPool.Get()
 	if b.fn == nil {
-		b.done = sim.NewFuture(r.e, futName)
 		b.fn = func() { r.distributeNow(b) }
-	} else {
-		b.done.Reset(futName)
 	}
 	return b
 }
 
-// releaseBcast drops one reference, recycling the record at zero. On a
-// sharded engine the references drop on several LPs inside one window, so
-// neither the counter nor a shared free list is touchable: the record is
-// simply left to the garbage collector (Invoke allocates it fresh there).
-func (r *RTS) releaseBcast(b *pendingBcast) {
-	if r.sharded {
+// releaseBcast drops one reference, recycling the record into sh's free list
+// at zero.
+func (sh *rtsShard) releaseBcast(b *pendingBcast) {
+	if b.refs.Add(-1) > 0 {
 		return
 	}
-	if b.refs--; b.refs > 0 {
-		return
-	}
-	b.obj = nil
+	b.obj, b.done = nil, nil
 	b.op = Op{} // drop the closure reference while pooled
-	r.bcastPool.Put(b)
+	sh.bcastPool.Put(b)
 }
 
 // NewObject creates a non-replicated shared object stored at owner, with
@@ -183,25 +180,15 @@ func (o *Object) Invoke(p *sim.Proc, from cluster.NodeID, op Op) any {
 	sh := r.nodes[from].sh
 	sh.ops.Bcasts++
 	sh.ops.BcastBytes += int64(op.ArgBytes)
-	var b *pendingBcast
-	if r.sharded {
-		// Fresh record per write: its fields are written on the writer's and
-		// orderer's LPs and read on every delivering LP, each hop ordered by
-		// a ≥lookahead message (see DESIGN.md §5d), but its references drop
-		// concurrently across LPs — so no refcount, no free list, and the
-		// done future lives on the writer's LP where the writer awaits it.
-		nb := &pendingBcast{done: sim.NewFuture(sh.e, o.futName)}
-		nb.fn = func() { r.distributeNow(nb) }
-		b = nb
-	} else {
-		b = r.getBcast(o.futName)
-		b.refs = int32(r.topo.Compute()) + 1
-	}
+	b := r.getBcast(sh)
 	b.obj, b.op, b.from = o, op, from
 	b.size = op.ArgBytes + HeaderBytes
+	b.done = sh.getFuture(o.futName)
+	b.refs.Store(int32(r.topo.Compute()) + 1)
 	r.seqr.Submit(r, from, b)
 	res := b.done.Await(p)
-	r.releaseBcast(b) // the writer's own reference, after consuming res
+	sh.futPool.Put(b.done)
+	sh.releaseBcast(b) // the writer's own reference, after consuming res
 	return res
 }
 
@@ -225,16 +212,6 @@ func (r *RTS) rpc(p *sim.Proc, from cluster.NodeID, o *Object, op Op) any {
 	return res
 }
 
-// asyncDeliver is an unordered replicated update in flight (the asynchronous
-// broadcast of Section 4.7's proposed ACP optimization). One record serves
-// one cluster's delivery fan-out (refs = cluster size); the gateway relays
-// the record itself, so no separate relay wrapper exists.
-type asyncDeliver struct {
-	obj  *Object
-	op   Op
-	refs int32
-}
-
 // AsyncUpdate applies a write to a replicated object using asynchronous,
 // unordered broadcast: the sender's replica updates immediately and the
 // sender continues without waiting; remote replicas update when the message
@@ -249,28 +226,14 @@ func (o *Object) AsyncUpdate(from cluster.NodeID, op Op) any {
 	sh := r.nodes[from].sh
 	sh.ops.Bcasts++
 	sh.ops.BcastBytes += int64(op.ArgBytes)
-	size := op.ArgBytes + HeaderBytes
-	// Local cluster: hardware multicast (includes the sender's own copy,
-	// applied on delivery like any other member's).
-	fc := r.topo.ClusterOf(from)
-	local := sh.asyncPool.Get()
-	local.obj, local.op = o, op
-	local.refs = int32(r.topo.Size(fc))
-	r.net.BcastLocal(from, netsim.KindBcast, size, local)
-	// Remote clusters: one WAN message per cluster; the gateway re-broadcasts
-	// the record into its cluster.
-	for c := 0; c < r.topo.Clusters; c++ {
-		if c == fc {
-			continue
-		}
-		a := sh.asyncPool.Get()
-		a.obj, a.op = o, op
-		a.refs = int32(r.topo.Size(c))
-		r.send(netsim.Msg{
-			From: from, To: r.topo.Gateway(c), Kind: netsim.KindBcast,
-			Size:    size,
-			Payload: a,
-		})
-	}
+	// Hardware multicast in the sender's cluster (including the sender's own
+	// copy, applied on delivery like any other member's) and one WAN message
+	// per remote cluster, which its gateway re-broadcasts: the ordered
+	// fan-out, started at the sender instead of an orderer.
+	b := r.getBcast(sh)
+	b.obj, b.op, b.from, b.orderer = o, op, from, from
+	b.size = op.ArgBytes + HeaderBytes
+	b.refs.Store(int32(r.topo.Compute()))
+	r.distributeNow(b)
 	return nil
 }

@@ -14,11 +14,11 @@
 // services.
 //
 // The data path is flattened for steady-state zero allocation: tags are
-// interned to dense IDs, every protocol record (dataMsg, pendingBcast,
-// submit, RPC request/reply, service request, async update) lives on a free
-// list and is recycled at delivery, and reply futures are pooled. See
-// DESIGN.md §5b for why recycling at delivery is safe under the engine's
-// deterministic (time, seq) dispatch order.
+// interned to dense IDs, every protocol record (dataMsg, the pendingBcast of
+// ordered and unordered updates, submit, RPC request/reply, service request)
+// lives on a free list and is recycled at delivery, and reply futures are
+// pooled. See DESIGN.md §5b for why recycling at delivery is safe on both
+// engines.
 package orca
 
 import (
@@ -63,10 +63,8 @@ type RTS struct {
 	// in deadlock reports and traces, costly to format on every miss).
 	debugNames bool
 
-	// sharded: LPs run concurrently. sh maps each cluster to its engine's
-	// instance of the hot mutable state, each lists the distinct instances
-	// (netsim.PerEngine).
-	sharded  bool
+	// sh maps each cluster to its engine's instance of the hot mutable
+	// state, each lists the distinct instances (netsim.PerEngine).
 	sh, each []*rtsShard
 
 	// tagMu guards the tag-interning tables: the only RTS maps a sharded
@@ -74,13 +72,6 @@ type RTS struct {
 	// TagIDs stay deterministic; the lock makes a stray mid-run intern a
 	// race-free nondeterminism bug instead of memory corruption).
 	tagMu sync.Mutex
-
-	// Free list for the ordered-broadcast records of the sequential engine.
-	// On a sharded engine broadcast records are not pooled at all: their
-	// references drop on several LPs, so Invoke allocates a fresh record per
-	// write and leaves reclamation to the garbage collector (see
-	// releaseBcast).
-	bcastPool sim.Free[pendingBcast]
 }
 
 // rtsShard is one engine's instance of the runtime's mutable hot state
@@ -101,7 +92,7 @@ type rtsShard struct {
 	reqPool    sim.Free[rpcReq]
 	repPool    sim.Free[rpcRep]
 	svcPool    sim.Free[serviceReq]
-	asyncPool  sim.Free[asyncDeliver]
+	bcastPool  sim.Free[pendingBcast]
 	submitPool sim.Free[submitMsg]
 	futPool    sim.Free[sim.Future]
 
@@ -187,7 +178,6 @@ func New(net *netsim.Network, seqr Sequencer) *RTS {
 		seqBusy: make([]time.Duration, topo.Total()),
 		tagIDs:  make(map[Tag]TagID),
 	}
-	r.sharded = len(r.e.Shards()) > 0
 	r.sh, r.each = netsim.PerEngine(net, func(c int) *rtsShard {
 		return &rtsShard{e: net.EngineFor(c), callNames: make(map[string]string)}
 	})
@@ -325,16 +315,10 @@ func (r *RTS) dispatchPayload(id cluster.NodeID, nd *nodeRTS, m netsim.Msg) {
 		nd.sh.repPool.Put(pl)
 		f.Set(res)
 	case *pendingBcast:
-		r.applyOrdered(id, pl)
-	case *asyncDeliver:
-		res := pl.op.Apply(pl.obj.replicas[id])
-		if pl.obj.applied != nil {
-			pl.obj.applied(id, pl.op, res)
-		}
-		if pl.refs--; pl.refs == 0 {
-			pl.obj = nil
-			pl.op = Op{}
-			nd.sh.asyncPool.Put(pl)
+		if pl.done == nil {
+			r.apply(id, nd, pl) // unordered: applies on arrival
+		} else {
+			r.applyOrdered(id, pl)
 		}
 	case *serviceReq:
 		req := &Request{rts: r, ID: pl.callID, From: pl.from, To: id, Payload: pl.payload}
@@ -366,15 +350,12 @@ func (r *RTS) dispatchPayload(id cluster.NodeID, nd *nodeRTS, m netsim.Msg) {
 }
 
 // gatewayDispatch handles protocol traffic addressed to gateways: broadcast
-// relays and sequencer control messages. Ordered and unordered updates
-// travel as their own records (no relay wrapper): the gateway re-broadcasts
-// the very record it received into its cluster.
+// relays and sequencer control messages. Updates travel as their own records
+// (no relay wrapper): the gateway re-broadcasts the very record it received
+// into its cluster using hardware multicast.
 func (r *RTS) gatewayDispatch(m netsim.Msg) {
 	switch pl := m.Payload.(type) {
 	case *pendingBcast:
-		// Re-broadcast into the local cluster using hardware multicast.
-		r.net.BcastLocal(m.To, netsim.KindBcast, m.Size, pl)
-	case *asyncDeliver:
 		r.net.BcastLocal(m.To, netsim.KindBcast, m.Size, pl)
 	case *relEnvelope:
 		r.rel.onEnvelope(pl)
@@ -444,9 +425,10 @@ func (r *RTS) applyOrdered(id cluster.NodeID, b *pendingBcast) {
 	}
 	nb := b
 	for {
-		r.applyNow(id, nd, nb)
-		// applyNow advanced nextSeq, so the whole window shifts down one
-		// slot — even when the head slot is an unfilled gap.
+		nd.nextSeq++
+		r.apply(id, nd, nb)
+		// nextSeq advanced, so the whole window shifts down one slot — even
+		// when the head slot is an unfilled gap.
 		if len(nd.held) == 0 {
 			return
 		}
@@ -460,18 +442,16 @@ func (r *RTS) applyOrdered(id cluster.NodeID, b *pendingBcast) {
 	}
 }
 
-// applyNow applies one in-order update at a node and drops the node's
-// reference to it.
-func (r *RTS) applyNow(id cluster.NodeID, nd *nodeRTS, nb *pendingBcast) {
-	nd.nextSeq++
+// apply applies an update at a node and drops the node's reference to it.
+func (r *RTS) apply(id cluster.NodeID, nd *nodeRTS, nb *pendingBcast) {
 	res := nb.op.Apply(nb.obj.replicas[id])
 	if nb.obj.applied != nil {
 		nb.obj.applied(id, nb.op, res)
 	}
-	if nb.from == id {
+	if nb.done != nil && nb.from == id {
 		// Writer semantics: the invocation returns (and unblocks)
 		// when the writer's own copy has been updated.
 		nb.done.Set(res)
 	}
-	r.releaseBcast(nb)
+	nd.sh.releaseBcast(nb)
 }
