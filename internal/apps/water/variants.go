@@ -27,7 +27,7 @@ func buildOriginal(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]in
 		states[r] = newProcState(r, p, len(tgt[r]), len(snd[r]), blockLen(r))
 		objs[r] = sys.RTS.NewObject(fmt.Sprintf("water-mbox-%d", r), cluster.NodeID(r), states[r])
 	}
-	vps := vecPools(sys, blockLen(0))
+	vps := forcePools(sys, blockLen(0))
 
 	putPos := func(t, from int, data []Vec) orca.Op {
 		return orca.Op{Name: "PutPos", ArgBytes: molBytes * len(data), ResBytes: 4,
@@ -49,7 +49,7 @@ func buildOriginal(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]in
 			Apply: func(s any) any {
 				st := s.(*procState).at(t)
 				addInto(st.frcAgg, data)
-				vp.put(data)
+				vp.Put(data)
 				st.frcGot++
 				if st.frcFut != nil && st.frcGot == st.frcNeed {
 					st.frcFut.Set(nil)
@@ -89,7 +89,7 @@ func buildOriginal(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]in
 			}
 			pairs := internalStep(pos, lo, hi, fOwn)
 			for idx, q := range tgt[i] {
-				fq := vp.get(len(st.pos[q]))
+				fq := vp.Get(len(st.pos[q]))
 				pairs += pairStepBlocks(pos[lo:hi], st.pos[q], fOwn, fq)
 				frem[idx] = fq
 			}
@@ -171,7 +171,7 @@ func buildOptimized(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]i
 	p := sys.Topo.Compute()
 	topo := sys.Topo
 	rts := sys.RTS
-	vps := vecPools(sys, blockLen(0))
+	vps := forcePools(sys, blockLen(0))
 
 	stores := make([]*posStore, p)
 	for r := 0; r < p; r++ {
@@ -214,14 +214,14 @@ func buildOptimized(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]i
 			return func(acc, v any) any {
 				contrib := v.([]Vec)
 				if acc == nil {
-					a := vp.get(len(contrib))
+					a := vp.Get(len(contrib))
 					copy(a, contrib)
-					vp.put(contrib)
+					vp.Put(contrib)
 					return a
 				}
 				a := acc.([]Vec)
 				addInto(a, contrib)
-				vp.put(contrib)
+				vp.Put(contrib)
 				return a
 			}
 		})
@@ -291,7 +291,7 @@ func buildOptimized(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]i
 			}
 			pairs := internalStep(pos, lo, hi, fOwn)
 			for idx, q := range tgt[i] {
-				fq := vp.get(len(got[idx]))
+				fq := vp.Get(len(got[idx]))
 				pairs += pairStepBlocks(pos[lo:hi], got[idx], fOwn, fq)
 				got[idx] = nil
 				if reducer != nil {
@@ -307,7 +307,7 @@ func buildOptimized(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]i
 			for k := 0; k < nAggs[i]; k++ {
 				fa := w.RecvID(myID).([]Vec)
 				addInto(fOwn, fa)
-				vp.put(fa)
+				vp.Put(fa)
 			}
 			integrate(cfg, pos, vel, lo, hi, fOwn)
 		}

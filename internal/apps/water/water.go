@@ -222,33 +222,14 @@ func (ps *procState) futFor(e *sim.Engine) *sim.Future {
 	return ps.fut
 }
 
-// vecPool recycles force-contribution buffers. Every receiver folds a
+// forcePools builds the force-buffer pools, by cluster. Every receiver folds a
 // contribution into its accumulator the moment it arrives and never retains
-// the slice, so buffers cycle sender -> receiver -> pool: a buffer is always
-// recycled into the pool of the engine that finished reading it (vecPools).
-type vecPool struct {
-	bufs [][]Vec
-	max  int // largest block length; every pooled buffer has this capacity
-}
-
-func (vp *vecPool) get(n int) []Vec {
-	if m := len(vp.bufs); m > 0 {
-		v := vp.bufs[m-1][:n]
-		vp.bufs = vp.bufs[:m-1]
-		for i := range v {
-			v[i] = Vec{}
-		}
-		return v
-	}
-	return make([]Vec, n, vp.max)
-}
-
-func (vp *vecPool) put(v []Vec) { vp.bufs = append(vp.bufs, v[:0]) }
-
-// vecPools builds the force-buffer pools, by cluster; buffers migrate
-// between pools with the messages that carry them.
-func vecPools(sys *core.System, max int) []*vecPool {
-	vps, _ := netsim.PerEngine(sys.Net, func(int) *vecPool { return &vecPool{max: max} })
+// the slice, so buffers cycle sender -> receiver -> pool, migrating between
+// pools with the messages that carry them: a buffer is always recycled into
+// the pool of the engine that finished reading it. Every buffer is made at
+// the largest block length, so it fits any block.
+func forcePools(sys *core.System, max int) []*sim.Slices[Vec] {
+	vps, _ := netsim.PerEngine(sys.Net, func(int) *sim.Slices[Vec] { return &sim.Slices[Vec]{MinCap: max} })
 	return vps
 }
 

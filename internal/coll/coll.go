@@ -25,6 +25,7 @@ import (
 	"albatross/internal/core"
 	"albatross/internal/netsim"
 	"albatross/internal/orca"
+	"albatross/internal/sim"
 )
 
 // Strategy selects the communication structure of the collectives.
@@ -100,10 +101,12 @@ type Comm struct {
 	pools []*commPools
 }
 
-// commPools is one engine's instance of the combined-payload free lists.
+// commPools is one engine's instance of the combined-payload free lists. A
+// part may retire into a different pool than it came from (combined payloads
+// cross the WAN).
 type commPools struct {
-	partPool   [][]any
-	bundlePool [][][]any
+	parts   sim.Slices[any]
+	bundles sim.Slices[[]any]
 }
 
 // New creates a communicator. name must be unique per system.
@@ -157,45 +160,6 @@ func (c *Comm) Strategy() Strategy { return c.strategy }
 // tag returns the interned tag of (phase, aux): collectives neither format
 // names nor probe maps.
 func (c *Comm) tag(ph phase, aux int) orca.TagID { return c.tids[ph][aux] }
-
-// getPart pops (or makes) an n-element payload slice from the free list.
-func (pl *commPools) getPart(n int) []any {
-	if k := len(pl.partPool); k > 0 {
-		p := pl.partPool[k-1]
-		pl.partPool = pl.partPool[:k-1]
-		if cap(p) >= n {
-			return p[:n]
-		}
-	}
-	return make([]any, n)
-}
-
-// putPart recycles a consumed payload slice. A part may retire into a
-// different pool than it came from (combined payloads cross the WAN).
-func (pl *commPools) putPart(p []any) {
-	for i := range p {
-		p[i] = nil
-	}
-	pl.partPool = append(pl.partPool, p)
-}
-
-func (pl *commPools) getBundle(n int) [][]any {
-	if k := len(pl.bundlePool); k > 0 {
-		b := pl.bundlePool[k-1]
-		pl.bundlePool = pl.bundlePool[:k-1]
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([][]any, n)
-}
-
-func (pl *commPools) putBundle(b [][]any) {
-	for i := range b {
-		b[i] = nil
-	}
-	pl.bundlePool = append(pl.bundlePool, b)
-}
 
 // CombineFunc folds two values (used by Reduce/AllReduce); it must be
 // associative. acc is nil for the first value.
@@ -384,7 +348,7 @@ func (c *Comm) Gather(w *core.Worker, root int, size int, value any) []any {
 	// Cluster root gathers its cluster into a positional slice (indexed
 	// like local)...
 	pl := c.pools[myCluster]
-	part := pl.getPart(len(local))
+	part := pl.parts.Get(len(local))
 	for i, r := range local {
 		if r == w.Rank() {
 			part[i] = value
@@ -401,7 +365,7 @@ func (c *Comm) Gather(w *core.Worker, root int, size int, value any) []any {
 	for i, r := range local {
 		out[r] = part[i]
 	}
-	pl.putPart(part)
+	pl.parts.Put(part)
 	for cl := 0; cl < topo.Clusters; cl++ {
 		if cl == rootCluster {
 			continue
@@ -410,7 +374,7 @@ func (c *Comm) Gather(w *core.Worker, root int, size int, value any) []any {
 		for i, r := range c.byCluster[cl] {
 			out[r] = rp[i]
 		}
-		pl.putPart(rp)
+		pl.parts.Put(rp)
 	}
 	return out
 }
@@ -467,7 +431,7 @@ func (c *Comm) Scatter(w *core.Worker, root int, size int, values []any) any {
 				continue
 			}
 			ranks := c.byCluster[cl]
-			part := pl.getPart(len(ranks))
+			part := pl.parts.Get(len(ranks))
 			for i, r := range ranks {
 				part[i] = values[r]
 			}
@@ -491,7 +455,7 @@ func (c *Comm) Scatter(w *core.Worker, root int, size int, values []any) any {
 			}
 			w.SendID(cluster.NodeID(r), c.tag(phSL, lr), size, part[i])
 		}
-		pl.putPart(part)
+		pl.parts.Put(part)
 		return own
 	default:
 		return w.RecvID(c.tag(phSL, lr))
@@ -545,7 +509,7 @@ func (c *Comm) AllToAll(w *core.Worker, size int, values []any) []any {
 			continue
 		}
 		ranks := c.byCluster[cl]
-		part := pl.getPart(len(ranks))
+		part := pl.parts.Get(len(ranks))
 		for i, q := range ranks {
 			part[i] = values[q]
 		}
@@ -564,9 +528,9 @@ func (c *Comm) AllToAll(w *core.Worker, size int, values []any) []any {
 				continue
 			}
 			ranks := c.byCluster[cl]
-			b := pl.getBundle(len(ranks))
+			b := pl.bundles.Get(len(ranks))
 			for di := range b {
-				b[di] = pl.getPart(len(local))
+				b[di] = pl.parts.Get(len(local))
 			}
 			addPart := func(si int, part []any) {
 				for di, v := range part {
@@ -577,13 +541,13 @@ func (c *Comm) AllToAll(w *core.Worker, size int, values []any) []any {
 				if r == lr {
 					st := myCluster*topo.Clusters + cl
 					addPart(si, c.stash[st])
-					pl.putPart(c.stash[st])
+					pl.parts.Put(c.stash[st])
 					c.stash[st] = nil
 					continue
 				}
 				rp := w.RecvID(c.tag(phAR, r)).([]any)
 				addPart(si, rp)
-				pl.putPart(rp)
+				pl.parts.Put(rp)
 			}
 			w.SendID(cluster.NodeID(ranks[0]), c.tag(phAB, myCluster),
 				size*len(local)*len(ranks), b)
@@ -602,12 +566,12 @@ func (c *Comm) AllToAll(w *core.Worker, size int, values []any) []any {
 					for si, v := range senders {
 						out[srcRanks[si]] = v
 					}
-					pl.putPart(senders)
+					pl.parts.Put(senders)
 					continue
 				}
 				w.SendID(cluster.NodeID(dest), c.tag(phAS, cl), size*len(senders), senders)
 			}
-			pl.putBundle(b)
+			pl.bundles.Put(b)
 		}
 	} else {
 		for cl := 0; cl < topo.Clusters; cl++ {
@@ -618,7 +582,7 @@ func (c *Comm) AllToAll(w *core.Worker, size int, values []any) []any {
 			for si, v := range senders {
 				out[c.byCluster[cl][si]] = v
 			}
-			pl.putPart(senders)
+			pl.parts.Put(senders)
 		}
 	}
 	// Finally the intra-cluster receives.

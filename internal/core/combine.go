@@ -39,7 +39,7 @@ type Combiner struct {
 // combinePools is one engine's instance of the combiner free lists.
 type combinePools struct {
 	itemPool  sim.Free[combineItem]
-	slicePool [][]*combineItem
+	slicePool sim.Slices[*combineItem]
 }
 
 // combineItem is one application message riding inside a combined message.
@@ -76,22 +76,6 @@ func NewCombiner(sys *System, name string, flushBytes int, flushAfter time.Durat
 	return cb
 }
 
-func (pl *combinePools) getSlice() []*combineItem {
-	if k := len(pl.slicePool); k > 0 {
-		s := pl.slicePool[k-1]
-		pl.slicePool = pl.slicePool[:k-1]
-		return s
-	}
-	return nil
-}
-
-func (pl *combinePools) putSlice(s []*combineItem) {
-	for i := range s {
-		s[i] = nil
-	}
-	pl.slicePool = append(pl.slicePool, s[:0])
-}
-
 // agent returns the designated combining machine of cluster c: its last
 // compute node (keeping it off the sequencer node).
 func (cb *Combiner) agent(c int) cluster.NodeID {
@@ -113,7 +97,7 @@ func (cb *Combiner) install(c int) {
 		dc := cb.sys.Topo.ClusterOf(it.to)
 		buf := &cb.bufs[c][dc]
 		if buf.items == nil {
-			buf.items = pl.getSlice()
+			buf.items = pl.slicePool.Get(0)
 		}
 		buf.items = append(buf.items, it)
 		buf.bytes += it.size + itemHeaderBytes
@@ -140,7 +124,7 @@ func (cb *Combiner) install(c int) {
 			it.payload = nil
 			pl.itemPool.Put(it)
 		}
-		pl.putSlice(items)
+		pl.slicePool.Put(items)
 	})
 }
 
@@ -156,7 +140,7 @@ func (cb *Combiner) flush(c, dc int) {
 	buf.gen++
 	if len(items) == 0 {
 		if items != nil {
-			cb.pools[c].putSlice(items)
+			cb.pools[c].slicePool.Put(items)
 		}
 		return
 	}

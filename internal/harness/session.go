@@ -13,12 +13,13 @@ import (
 )
 
 // Session carries the three run-wide settings and owns the state runs share:
-// the singleflight result cache, the bounded worker pool, and the
-// sharded-engine usage aggregate. The zero value is ready to use (sequential
-// engine, plain gateways, GOMAXPROCS workers); a Session must not be copied
-// after first use. Experiments follow collect-then-render: submit the full
-// run set through Prefetch (or do), then render rows sequentially from the
-// memoized results, so report output is byte-identical at any Workers.
+// the singleflight result cache, the bounded worker pool, and the log of
+// finished runs its census and shard-usage reports read. The zero value is
+// ready to use (sequential engine, plain gateways, GOMAXPROCS workers); a
+// Session must not be copied after first use. Experiments follow
+// collect-then-render: submit the full run set through Prefetch (or do), then
+// render rows sequentially from the memoized results, so report output is
+// byte-identical at any Workers.
 type Session struct {
 	// Workers bounds how many runs execute concurrently; non-positive
 	// selects GOMAXPROCS. Every run builds a private engine and system, so
@@ -32,22 +33,19 @@ type Session struct {
 
 	mu    sync.Mutex
 	cache map[runKey]*runEntry
-	usage map[string]*shardUsage
-}
-
-// shardUsage aggregates the per-LP window counters of every sharded run one
-// application executed: counters are summed per LP index, and the runs'
-// virtual and wall-clock durations are summed for the derived rates.
-type shardUsage struct {
-	runs          int
-	virtual, wall time.Duration
-	lps           []sim.LPStats
+	ran   []ranRun // every run Exec finished, memoized or not, in finishing order
 }
 
 // runEntry is one cache slot; done is closed once res/err are final.
 type runEntry struct {
-	spec RunSpec
 	done chan struct{}
+	res  Result
+	err  error
+}
+
+// ranRun is one finished run in the session's log.
+type ranRun struct {
+	spec RunSpec
 	res  Result
 	err  error
 }
@@ -84,15 +82,15 @@ func (s *Session) Spec(app AppSpec, topo cluster.Topology, optimized bool) RunSp
 		Params: Params, Transport: s.Transport, Shards: s.Shards}
 }
 
-// Exec is the package-level Exec, additionally folding a sharded run's
-// per-LP counters into the session's usage aggregate. Use it for runs that
-// carry hooks or report through captured variables; everything else goes
-// through Run.
+// Exec is the package-level Exec, additionally logging the finished run for
+// the session's census and shard-usage reports. Use it for runs that carry
+// hooks or report through captured variables; everything else goes through
+// Run.
 func (s *Session) Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 	res, err := Exec(spec, hooks...)
-	if res.LPs != nil && err == nil {
-		s.recordShardUsage(spec.App.Name, res)
-	}
+	s.mu.Lock()
+	s.ran = append(s.ran, ranRun{spec, res, err})
+	s.mu.Unlock()
 	return res, err
 }
 
@@ -113,7 +111,7 @@ func (s *Session) Run(spec RunSpec) (Result, error) {
 	if s.cache == nil {
 		s.cache = map[runKey]*runEntry{}
 	}
-	e = &runEntry{spec: spec, done: make(chan struct{})}
+	e = &runEntry{done: make(chan struct{})}
 	s.cache[k] = e
 	s.mu.Unlock()
 	e.res, e.err = s.Exec(spec)
@@ -204,40 +202,11 @@ func (s *Session) do(tasks ...func() error) error {
 	return nil
 }
 
-// recordShardUsage folds one sharded run's counters into the session
-// aggregate, along with the run's virtual elapsed time and wall-clock
-// duration. Runs may execute concurrently on the worker pool.
-func (s *Session) recordShardUsage(app string, res Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	u := s.usage[app]
-	if u == nil {
-		if s.usage == nil {
-			s.usage = map[string]*shardUsage{}
-		}
-		u = &shardUsage{}
-		s.usage[app] = u
-	}
-	u.runs++
-	u.virtual += res.Elapsed
-	u.wall += res.Wall
-	// Shapes with different cluster counts shard into different LP counts;
-	// grow the aggregate to the widest run seen.
-	for len(u.lps) < len(res.LPs) {
-		u.lps = append(u.lps, sim.LPStats{LP: len(u.lps)})
-	}
-	for i, st := range res.LPs {
-		u.lps[i].Windows += st.Windows
-		u.lps[i].IdleWindows += st.IdleWindows
-		u.lps[i].Chained += st.Chained
-		u.lps[i].Events += st.Events
-		u.lps[i].FenceWait += st.FenceWait
-	}
-}
-
 // ShardUsageReport tabulates the per-LP window counters of every application
 // that ran sharded in this session, one row per (application, LP) sorted by
-// name: windows executed, the share that dispatched no event on that LP
+// name. An application's successful runs are folded: counters summed per LP
+// index, virtual and wall-clock durations summed for the rates. Columns:
+// windows executed, the share that dispatched no event on that LP
 // (pure synchronization), windows chained inline without a barrier, the mean
 // virtual width of a window, the window rate per simulated second, events
 // dispatched, and wall-clock fence waits with their share of the runs' wall
@@ -251,13 +220,44 @@ func (s *Session) ShardUsageReport() *Report {
 		Headers: []string{"app", "runs", "lp", "windows", "idle%", "chained", "width",
 			"win/simsec", "events", "fence-wait", "fence%"},
 	}
+	type usage struct {
+		runs          int
+		virtual, wall time.Duration
+		lps           []sim.LPStats
+	}
+	byApp := map[string]*usage{}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.usage) == 0 {
+	for _, r := range s.ran {
+		if r.err != nil || r.res.LPs == nil {
+			continue
+		}
+		u := byApp[r.spec.App.Name]
+		if u == nil {
+			u = &usage{}
+			byApp[r.spec.App.Name] = u
+		}
+		u.runs++
+		u.virtual += r.res.Elapsed
+		u.wall += r.res.Wall
+		// Shapes with different cluster counts shard into different LP
+		// counts; grow the fold to the widest run seen.
+		for len(u.lps) < len(r.res.LPs) {
+			u.lps = append(u.lps, sim.LPStats{LP: len(u.lps)})
+		}
+		for i, st := range r.res.LPs {
+			u.lps[i].Windows += st.Windows
+			u.lps[i].IdleWindows += st.IdleWindows
+			u.lps[i].Chained += st.Chained
+			u.lps[i].Events += st.Events
+			u.lps[i].FenceWait += st.FenceWait
+		}
+	}
+	s.mu.Unlock()
+	if len(byApp) == 0 {
 		return nil
 	}
-	for _, app := range slices.Sorted(maps.Keys(s.usage)) {
-		u := s.usage[app]
+	for _, app := range slices.Sorted(maps.Keys(byApp)) {
+		u := byApp[app]
 		for _, lp := range u.lps {
 			var idle, rate, fence float64
 			var width time.Duration
@@ -282,9 +282,10 @@ func (s *Session) ShardUsageReport() *Report {
 	return &Report{ID: t.ID, Title: t.Title, Tables: []*Table{t}}
 }
 
-// CensusReport tabulates the engine's event census of every memoized run that
-// has finished: one row per run, events dispatched and what scheduled them.
-// Rows are sorted by their text, so the table is the same at any Workers.
+// CensusReport tabulates the engine's event census of every run the session
+// has finished, memoized or not: one row per run, events dispatched and what
+// scheduled them. Rows are sorted by their text, so the table is the same at
+// any Workers.
 func (s *Session) CensusReport() *Report {
 	t := &Table{
 		ID:      "census",
@@ -292,15 +293,10 @@ func (s *Session) CensusReport() *Report {
 		Headers: []string{"run", "virtual s", "events", "start", "sleep", "compute", "wake", "lane", "callback"},
 	}
 	s.mu.Lock()
-	for _, e := range s.cache {
-		select {
-		case <-e.done:
-		default:
-			continue
-		}
-		c := e.res.Census
-		row := []string{e.spec.String(), fmt.Sprintf("%.6f", e.res.Seconds())}
-		for _, n := range []uint64{e.res.Dispatched, c.Start, c.Sleep, c.Compute, c.Wake, c.Lane, c.Callback} {
+	for _, r := range s.ran {
+		c := r.res.Census
+		row := []string{r.spec.String(), fmt.Sprintf("%.6f", r.res.Seconds())}
+		for _, n := range []uint64{r.res.Dispatched, c.Start, c.Sleep, c.Compute, c.Wake, c.Lane, c.Callback} {
 			row = append(row, fmt.Sprint(n))
 		}
 		t.Rows = append(t.Rows, row)

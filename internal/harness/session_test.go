@@ -334,6 +334,25 @@ func TestCensusReport(t *testing.T) {
 	}
 }
 
+// TestCensusCountsUncachedRuns: runs that bypass the memo cache through
+// Session.Exec (ablations, hooked runs) are in the census too — abl-seq's
+// three sequencer variants give three rows.
+func TestCensusCountsUncachedRuns(t *testing.T) {
+	s := &Session{}
+	if _, err := AblationSequencer(s); err != nil {
+		t.Fatal(err)
+	}
+	rows := s.CensusReport().Tables[0].Rows
+	if len(rows) != 3 {
+		t.Fatalf("census has %d rows, want one per abl-seq variant: %v", len(rows), rows)
+	}
+	for _, row := range rows {
+		if !strings.HasPrefix(row[0], "abl-seq ") || row[2] == "0" {
+			t.Errorf("census row %v, want an abl-seq run that dispatched events", row)
+		}
+	}
+}
+
 // TestSessionValidate: each run-wide setting rejects a negative value with an
 // error naming its dasbench flag, and accepts zero (the flag's "off").
 func TestSessionValidate(t *testing.T) {

@@ -20,7 +20,11 @@
 // routing path is untouched.
 package netsim
 
-import "time"
+import (
+	"time"
+
+	"albatross/internal/sim"
+)
 
 const (
 	holdRetryBase = 10 * time.Millisecond  // first retry delay after parking
@@ -36,7 +40,7 @@ const (
 // rely on); the healed queue drains wholesale at the next retry tick.
 func (n *Network) routeOrHold(sh *netShard, now time.Duration, u *wireUnit) (next int, ok bool) {
 	cur, cd := u.cur, u.cd
-	if q := n.hold[cur][int32(cd)]; q != nil && len(q.items) > 0 {
+	if q := n.hold[cur][int32(cd)]; q != nil && q.items.Len() > 0 {
 		q.push(now, u)
 		return 0, false
 	}
@@ -77,7 +81,7 @@ type holdItem struct {
 type holdQ struct {
 	n       *Network
 	cur, cd int
-	items   []holdItem
+	items   sim.FIFO[holdItem]
 	backoff time.Duration
 	pending bool
 	retryFn func() // bound to (*holdQ).retry once
@@ -105,12 +109,12 @@ func (n *Network) holdFor(cur, cd int) *holdQ {
 // beats preserving traffic the sender will retransmit anyway.
 func (q *holdQ) push(now time.Duration, u *wireUnit) {
 	sh := q.n.sh[q.cur]
-	if len(q.items) >= holdQueueCap {
+	if q.items.Len() >= holdQueueCap {
 		q.n.dropHeld(sh, now, u)
 		return
 	}
 	sh.stats.heldMsgs++
-	q.items = append(q.items, holdItem{u, now})
+	q.items.Push(holdItem{u, now})
 	if !q.pending {
 		q.pending = true
 		q.backoff = holdRetryBase
@@ -125,19 +129,10 @@ func (q *holdQ) push(now time.Duration, u *wireUnit) {
 func (q *holdQ) retry() {
 	sh := q.n.sh[q.cur]
 	now := sh.e.Now()
-	aged := 0
-	for aged < len(q.items) && now-q.items[aged].at >= holdTimeout {
-		q.n.dropHeld(sh, now, q.items[aged].u)
-		aged++
+	for q.items.Len() > 0 && now-q.items.Peek().at >= holdTimeout {
+		q.n.dropHeld(sh, now, q.items.Pop().u)
 	}
-	if aged > 0 {
-		kept := copy(q.items, q.items[aged:])
-		for i := kept; i < len(q.items); i++ {
-			q.items[i] = holdItem{} // drop stale references past the new tail
-		}
-		q.items = q.items[:kept]
-	}
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
 		q.pending = false
 		return
 	}
@@ -156,21 +151,13 @@ func (q *holdQ) retry() {
 // reporting whether the queue emptied. Each unit routes individually so
 // reroute accounting stays per transmission.
 func (q *holdQ) drain(sh *netShard, now time.Duration) bool {
-	for i := range q.items {
+	for q.items.Len() > 0 {
 		next, ok := q.n.routeNext(sh, now, q.cur, q.cd)
 		if !ok {
-			kept := copy(q.items, q.items[i:])
-			for j := kept; j < len(q.items); j++ {
-				q.items[j] = holdItem{}
-			}
-			q.items = q.items[:kept]
 			return false
 		}
-		u := q.items[i].u
-		q.items[i] = holdItem{}
-		q.n.transmitOn(sh, u, now, next)
+		q.n.transmitOn(sh, q.items.Pop().u, now, next)
 	}
-	q.items = q.items[:0]
 	return true
 }
 

@@ -26,8 +26,8 @@
 // over WANStreams parallel pipes per directed pair (each with the full
 // WANLatency/WANBandwidth) and carry a sequence number; the remote gateway's
 // ingress queue reassembles them in order, holding early frames until the gap
-// fills. egressQ and ingressQ are the only framed-specific code: an
-// unsequenced unit skips both.
+// fills. egressQ and the ingress sim.Reorder are the only framed-specific
+// state: an unsequenced unit skips both.
 package netsim
 
 import (
@@ -293,24 +293,11 @@ func (u *wireUnit) arrive() {
 		return
 	}
 	iq := n.ingressFor(u.cs, u.cd)
-	switch {
-	case u.seq < iq.next:
-		u.release(sh) // duplicate of an already-consumed frame
-	case u.seq == iq.next:
-		iq.next++
-		u.unpack(now)
-		u.release(sh)
-		iq.drain(now)
-	default:
-		if _, dup := iq.held[u.seq]; dup {
-			u.release(sh) // duplicate of a frame already waiting in the gap
-			return
-		}
-		if iq.held == nil {
-			iq.held = make(map[int64]*wireUnit)
-		}
-		iq.held[u.seq] = u
+	if !iq.Put(uint64(u.seq), u) {
+		u.release(sh) // duplicate of a frame already consumed or waiting in the gap
+		return
 	}
+	unpackInOrder(iq, now)
 }
 
 // unpack forwards the unit's messages onward from the destination gateway:
@@ -352,11 +339,11 @@ func (n *Network) lose(sh *netShard, now time.Duration, u *wireUnit) {
 	switch {
 	case seq == noSeq: // no reassembler waits on it
 	case u.cur == cd:
-		n.ingressFor(cs, cd).consumeLost(now, seq)
+		consumeLost(n.ingressFor(cs, cd), now, seq)
 	default:
 		dst := n.sh[cd]
 		sh.e.AtShard(dst.e, now+n.routeFloor[u.cur][cd], func() {
-			n.ingressFor(cs, cd).consumeLost(dst.e.Now(), seq)
+			consumeLost(n.ingressFor(cs, cd), dst.e.Now(), seq)
 		})
 	}
 	u.release(sh)
@@ -369,13 +356,13 @@ func (n *Network) lose(sh *netShard, now time.Duration, u *wireUnit) {
 // LP, so the layer needs no locks under a sharded engine.
 type xport struct {
 	egress  []map[int32]*egressQ // source cluster → destination → queue
-	ingress []map[int32]*ingressQ
+	ingress []map[int32]*sim.Reorder[*wireUnit]
 }
 
 func newXport(n *Network) *xport {
 	return &xport{
 		egress:  make([]map[int32]*egressQ, n.nclusters),
-		ingress: make([]map[int32]*ingressQ, n.nclusters),
+		ingress: make([]map[int32]*sim.Reorder[*wireUnit], n.nclusters),
 	}
 }
 
@@ -403,18 +390,20 @@ func (n *Network) egressFor(cs, cd int) *egressQ {
 	return eg
 }
 
-// ingressFor returns cluster cd's reassembly queue for frames from cs,
+// ingressFor returns cluster cd's reassembly window for frames from cs,
 // creating it on first use (always on cd's LP: arrivals run there, and
-// mid-route loss tombstones are scheduled onto it by lose).
-func (n *Network) ingressFor(cs, cd int) *ingressQ {
+// mid-route loss tombstones are scheduled onto it by lose). It holds early
+// frames by sequence number; a nil frame is the tombstone of a lost one
+// (payload gone, sequence number still consumed).
+func (n *Network) ingressFor(cs, cd int) *sim.Reorder[*wireUnit] {
 	m := n.xp.ingress[cd]
 	if m == nil {
-		m = make(map[int32]*ingressQ, 4)
+		m = make(map[int32]*sim.Reorder[*wireUnit], 4)
 		n.xp.ingress[cd] = m
 	}
 	iq := m[int32(cs)]
 	if iq == nil {
-		iq = &ingressQ{}
+		iq = new(sim.Reorder[*wireUnit])
 		m[int32(cs)] = iq
 	}
 	return iq
@@ -510,48 +499,25 @@ func (eg *egressQ) flush(now time.Duration) {
 	}
 }
 
-// ingressQ reassembles one directed pair's frames in sequence order at the
-// destination gateway. held maps sequence number → early frame; a nil entry
-// is the tombstone of a lost frame (payload gone, sequence number still
-// consumed).
-type ingressQ struct {
-	next int64
-	held map[int64]*wireUnit
-}
-
-// consumeLost advances the sequence past a frame whose payload was lost
-// (remote gateway crash, mid-route loss, hold-queue drop), so later frames
-// are not held forever behind the loss. now is the resync instant: frames
-// held behind the gap unpack then.
-func (iq *ingressQ) consumeLost(now time.Duration, seq int64) {
-	switch {
-	case seq < iq.next:
-		// Duplicate of a consumed frame; nothing to resync.
-	case seq == iq.next:
-		iq.next++
-		iq.drain(now)
-	default:
-		if _, dup := iq.held[seq]; dup {
-			return
-		}
-		if iq.held == nil {
-			iq.held = make(map[int64]*wireUnit)
-		}
-		iq.held[seq] = nil
+// consumeLost files the tombstone of a frame whose payload was lost (remote
+// gateway crash, mid-route loss, hold-queue drop), so later frames are not
+// held forever behind the loss. now is the resync instant: frames held behind
+// the gap unpack then. A duplicate tombstone changes nothing.
+func consumeLost(iq *sim.Reorder[*wireUnit], now time.Duration, seq int64) {
+	if iq.Put(uint64(seq), nil) {
+		unpackInOrder(iq, now)
 	}
 }
 
-// drain consumes consecutively-sequenced frames waiting behind a filled gap.
-// Held frames unpack at the drain instant (they arrived earlier but must not
-// overtake the gap filler); tombstones just advance the sequence.
-func (iq *ingressQ) drain(now time.Duration) {
+// unpackInOrder consumes the frames that are next in sequence. Held frames
+// unpack now (they arrived earlier but must not overtake the gap filler);
+// tombstones just advance the sequence.
+func unpackInOrder(iq *sim.Reorder[*wireUnit], now time.Duration) {
 	for {
-		u, ok := iq.held[iq.next]
+		u, ok := iq.Take()
 		if !ok {
 			return
 		}
-		delete(iq.held, iq.next)
-		iq.next++
 		if u != nil {
 			u.unpack(now)
 			u.release(u.n.sh[u.cd])

@@ -111,11 +111,8 @@ type nodeRTS struct {
 
 	// Totally-ordered delivery state: updates apply in global sequence
 	// order (one order across all replicated objects, as in Orca's single
-	// logical sequencer); out-of-order arrivals are buffered in a small
-	// reorder window. held[i] holds the update with sequence nextSeq+1+i
-	// (seq == nextSeq applies immediately and is never stored).
-	nextSeq uint64
-	held    []*pendingBcast
+	// logical sequencer); out-of-order arrivals wait in the window.
+	ordered sim.Reorder[*pendingBcast]
 }
 
 // newCall allocates a call slot for an outstanding reply, recycling slot
@@ -413,32 +410,19 @@ func (r *RTS) distributeNow(b *pendingBcast) {
 
 // applyOrdered applies ordered update b at node id, buffering out-of-order
 // arrivals in the node's reorder window so every node applies the same
-// total order.
+// total order. Each sequence number reaches a node once: a second copy is an
+// invariant violation, not an update to apply twice.
 func (r *RTS) applyOrdered(id cluster.NodeID, b *pendingBcast) {
 	nd := r.nodes[id]
-	if off := int(b.seq - nd.nextSeq); off > 0 {
-		for len(nd.held) < off {
-			nd.held = append(nd.held, nil)
-		}
-		nd.held[off-1] = b
-		return
+	if !nd.ordered.Put(b.seq, b) {
+		panic(fmt.Sprintf("orca: ordered update %d delivered twice to node %d", b.seq, id))
 	}
-	nb := b
 	for {
-		nd.nextSeq++
+		nb, ok := nd.ordered.Take()
+		if !ok {
+			return
+		}
 		r.apply(id, nd, nb)
-		// nextSeq advanced, so the whole window shifts down one slot — even
-		// when the head slot is an unfilled gap.
-		if len(nd.held) == 0 {
-			return
-		}
-		nb = nd.held[0]
-		k := copy(nd.held, nd.held[1:])
-		nd.held[k] = nil
-		nd.held = nd.held[:k]
-		if nb == nil {
-			return
-		}
 	}
 }
 

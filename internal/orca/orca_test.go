@@ -208,6 +208,29 @@ func TestReplicatedWriteUpdatesAllReplicas(t *testing.T) {
 	}
 }
 
+// TestOrderedUpdateAppliedOnce: a second copy of an ordered update a node has
+// already applied is an invariant violation that panics, never an update
+// applied twice.
+func TestOrderedUpdateAppliedOnce(t *testing.T) {
+	e, _, rts := build(2, 3, NewCentralSequencer(0))
+	obj := rts.NewReplicated("c", func(cluster.NodeID) any { return &counter{} })
+	e.Go("w", func(p *sim.Proc) { obj.Invoke(p, 4, incOp(3)) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a duplicated ordered update did not panic")
+		}
+		if n := obj.Replica(1).(*counter).n; n != 3 {
+			t.Errorf("replica 1 holds %d after the duplicate, want 3", n)
+		}
+	}()
+	dup := &pendingBcast{obj: obj, op: incOp(3), seq: 0}
+	dup.refs.Store(1)
+	rts.applyOrdered(1, dup)
+}
+
 // TestTotalOrderProperty is the central correctness property of the
 // broadcast layer: whatever the sequencer protocol, cluster shape and write
 // schedule, every node applies exactly the same sequence of updates.

@@ -216,7 +216,7 @@ type relSender struct {
 	sh      *relShard // owning (sending cluster's) shard
 	key     pairKey
 	nextSeq uint64
-	queue   []*relEnvelope // sent but unacknowledged, in sequence order
+	queue   sim.FIFO[*relEnvelope] // sent but unacknowledged, in sequence order
 
 	rto      time.Duration // current backoff value
 	deadline time.Duration // virtual instant the current wait expires
@@ -247,16 +247,15 @@ func (l *relLayer) sendReliable(m netsim.Msg) {
 	}
 	s.nextSeq++
 	sh.stats.Wrapped++
+	s.queue.Push(env)
 	if s.gaveUp {
 		// The channel is dead; queue for the post-mortem but send nothing.
-		s.queue = append(s.queue, env)
 		return
 	}
-	s.queue = append(s.queue, env)
-	if len(s.queue) <= relWindow {
+	if s.queue.Len() <= relWindow {
 		l.transmit(env)
 	}
-	if len(s.queue) == 1 {
+	if s.queue.Len() == 1 {
 		s.arm()
 	}
 }
@@ -284,7 +283,7 @@ func (s *relSender) arm() {
 
 func (s *relSender) onTimer() {
 	s.pending = false
-	if len(s.queue) == 0 || s.gaveUp {
+	if s.queue.Len() == 0 || s.gaveUp {
 		// Nothing outstanding: do not rearm, so an idle channel's timer
 		// lapses and inflates the run's virtual end time by at most one
 		// backoff interval past the last traffic.
@@ -312,14 +311,11 @@ func (s *relSender) onTimer() {
 	}
 	n := 1
 	if s.attempts > 1 {
-		n = len(s.queue)
-		if n > relWindow {
-			n = relWindow
-		}
+		n = min(s.queue.Len(), relWindow)
 	}
-	for _, env := range s.queue[:n] {
+	for i := 0; i < n; i++ {
 		s.sh.stats.Retransmits++
-		s.l.transmit(env)
+		s.l.transmit(s.queue.At(i))
 	}
 	if s.rto *= 2; s.rto > cfg.MaxRTO {
 		s.rto = cfg.MaxRTO
@@ -337,31 +333,19 @@ func (l *relLayer) onAck(a *relAck) {
 		return // ack for a channel we never opened (cannot happen in practice)
 	}
 	drop := 0
-	for drop < len(s.queue) && s.queue[drop].seq < a.upTo {
-		s.queue[drop] = nil
+	for s.queue.Len() > 0 && s.queue.Peek().seq < a.upTo {
+		s.queue.Pop()
 		drop++
 	}
 	if drop == 0 {
 		return // stale duplicate ack, no progress
 	}
-	k := copy(s.queue, s.queue[drop:])
-	for i := k; i < len(s.queue); i++ {
-		s.queue[i] = nil
-	}
-	s.queue = s.queue[:k]
 	// Ack-clocked transmission: the ack slid the window forward by drop
 	// positions, so the envelopes newly inside it go on the wire now (their
 	// first transmission — everything at an index below relWindow has
 	// already been sent).
-	lo, hi := relWindow-drop, len(s.queue)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > relWindow {
-		hi = relWindow
-	}
-	for i := lo; i < hi; i++ {
-		l.transmit(s.queue[i])
+	for i := max(relWindow-drop, 0); i < min(s.queue.Len(), relWindow); i++ {
+		l.transmit(s.queue.At(i))
 	}
 	// Progress halves the backoff rather than resetting it: under heavy
 	// load the gap between progress acks is queueing delay, not loss, and
@@ -373,7 +357,7 @@ func (l *relLayer) onAck(a *relAck) {
 		s.rto = l.cfg.RTO
 	}
 	s.attempts = 0
-	if len(s.queue) > 0 {
+	if s.queue.Len() > 0 {
 		s.arm()
 	}
 }
@@ -381,11 +365,10 @@ func (l *relLayer) onAck(a *relAck) {
 // relReceiver is the receiving end of one directed channel. It lives in the
 // receiving cluster's shard: envelopes are delivered on that cluster's LP.
 type relReceiver struct {
-	l    *relLayer
-	sh   *relShard // owning (receiving cluster's) shard
-	key  pairKey
-	next uint64         // lowest sequence number not yet delivered
-	held []*relEnvelope // out-of-order buffer, sorted by seq, no duplicates
+	l   *relLayer
+	sh  *relShard // owning (receiving cluster's) shard
+	key pairKey
+	win sim.Reorder[*relEnvelope] // Next() is the lowest seq not yet delivered
 }
 
 func (l *relLayer) receiver(sh *relShard, key pairKey) *relReceiver {
@@ -400,60 +383,40 @@ func (l *relLayer) receiver(sh *relShard, key pairKey) *relReceiver {
 // onEnvelope handles one arriving envelope at the receiving node.
 func (l *relLayer) onEnvelope(env *relEnvelope) {
 	rc := l.receiver(l.shardOf(env.to), pairKey{env.from, env.to})
-	switch {
-	case env.seq < rc.next:
-		// Duplicate (retransmit or fault duplication) of a delivered
-		// envelope. Re-ack so the sender stops retransmitting even when the
-		// original ack was lost.
+	next := rc.win.Next()
+	if !rc.win.Put(env.seq, env) {
 		rc.sh.stats.DupDropped++
-		rc.sendAck()
-		return
-	case env.seq > rc.next:
-		// Early arrival: hold it to restore send order. FIFO channels only
-		// reach here under fault reordering or a retransmit racing a held
-		// predecessor, so the buffer stays tiny.
-		if !rc.hold(env) {
-			rc.sh.stats.DupDropped++
-			return // duplicate of an already-held envelope
+		if env.seq < next {
+			// Duplicate (retransmit or fault duplication) of a delivered
+			// envelope. Re-ack so the sender stops retransmitting even when
+			// the original ack was lost.
+			rc.sendAck()
 		}
+		return // else a duplicate of an already-held envelope
+	}
+	if env.seq > next {
+		// Early arrival: held to restore send order. FIFO channels only
+		// reach here under fault reordering or a retransmit racing a held
+		// predecessor, so the window stays tiny.
 		rc.sh.stats.OutOfOrder++
 		rc.sendAck()
 		return
 	}
-	// In order: deliver, then drain any held successors.
-	rc.next++
-	l.deliverInner(env)
-	for len(rc.held) > 0 && rc.held[0].seq == rc.next {
-		h := rc.held[0]
-		k := copy(rc.held, rc.held[1:])
-		rc.held[k] = nil
-		rc.held = rc.held[:k]
-		rc.next++
+	// In order: deliver it and any held successors.
+	for {
+		h, ok := rc.win.Take()
+		if !ok {
+			break
+		}
 		l.deliverInner(h)
 	}
 	rc.sendAck()
 }
 
-// hold inserts env into the sorted out-of-order buffer; false if a copy of
-// this sequence number is already held.
-func (rc *relReceiver) hold(env *relEnvelope) bool {
-	i := 0
-	for i < len(rc.held) && rc.held[i].seq < env.seq {
-		i++
-	}
-	if i < len(rc.held) && rc.held[i].seq == env.seq {
-		return false
-	}
-	rc.held = append(rc.held, nil)
-	copy(rc.held[i+1:], rc.held[i:])
-	rc.held[i] = env
-	return true
-}
-
 // sendAck reports cumulative progress back to the sender, raw (unreliable):
 // a lost ack is recovered by the retransmit → re-ack cycle.
 func (rc *relReceiver) sendAck() {
-	a := &relAck{from: rc.key.from, to: rc.key.to, upTo: rc.next}
+	a := &relAck{from: rc.key.from, to: rc.key.to, upTo: rc.win.Next()}
 	rc.l.r.net.Send(netsim.Msg{
 		From: rc.key.to, To: rc.key.from, Kind: netsim.KindControl,
 		Size:    relAckBytes,
@@ -486,7 +449,7 @@ func (r *RTS) StalledChannels() []string {
 	for _, sh := range r.rel.each {
 		for key, s := range sh.send {
 			if s.gaveUp {
-				out = append(out, fmt.Sprintf("%d->%d (%d unacked)", key.from, key.to, len(s.queue)))
+				out = append(out, fmt.Sprintf("%d->%d (%d unacked)", key.from, key.to, s.queue.Len()))
 			}
 		}
 	}

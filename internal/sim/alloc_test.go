@@ -104,3 +104,41 @@ func TestAllocFreeList(t *testing.T) {
 		t.Fatalf("warm Get/Put allocates %v, want 0", got)
 	}
 }
+
+// TestAllocContainers: once warm, a FIFO cycling a burst, a Reorder taking
+// a reversed window, and a Slices list serving a buffer all stay within the
+// storage they already have.
+func TestAllocContainers(t *testing.T) {
+	var q FIFO[event]
+	var r Reorder[*Proc]
+	var s Slices[any]
+	p := new(Proc)
+	cases := []struct {
+		name string
+		step func()
+	}{
+		{"fifo", func() {
+			for k := 0; k < 40; k++ {
+				q.Push(event{seq: uint64(k)})
+			}
+			for q.Len() > 0 {
+				q.Pop()
+			}
+		}},
+		{"reorder", func() {
+			base := r.Next()
+			for k := uint64(40); k > 0; k-- {
+				r.Put(base+k-1, p)
+			}
+			for _, ok := r.Take(); ok; _, ok = r.Take() {
+			}
+		}},
+		{"slices", func() { s.Put(s.Get(64)) }},
+	}
+	for _, tc := range cases {
+		tc.step() // grow to the working size
+		if got := testing.AllocsPerRun(100, tc.step); got != 0 {
+			t.Errorf("%s: warm cycle allocates %v, want 0", tc.name, got)
+		}
+	}
+}

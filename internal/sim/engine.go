@@ -40,9 +40,9 @@ import (
 // Create one with NewEngine, spawn processes with Go, then call Run.
 type Engine struct {
 	now   time.Duration
-	heap  []event   // future events: 4-ary min-heap on (at, seq)
-	ready readyRing // events due at the current instant, FIFO
-	seq   uint64    // schedule-order tiebreak, monotonic across both queues
+	heap  []event        // future events: 4-ary min-heap on (at, seq)
+	ready FIFO[nowEvent] // events due at the current instant
+	seq   uint64         // schedule-order tiebreak, monotonic across both queues
 
 	dispatched uint64 // events executed so far (observability/testing)
 	census     Census // events scheduled so far, by origin
@@ -109,51 +109,6 @@ func eventLess(a, b event) bool {
 type nowEvent struct {
 	seq uint64
 	fn  func()
-}
-
-// readyRing is a FIFO circular buffer of due-now events. Pushes and pops are
-// allocation-free in steady state; the buffer doubles (power-of-two sizes)
-// when full.
-type readyRing struct {
-	buf  []nowEvent
-	head int
-	n    int
-}
-
-func (r *readyRing) push(seq uint64, fn func()) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = nowEvent{seq, fn}
-	r.n++
-}
-
-func (r *readyRing) grow() {
-	r.buf = growRing(r.buf, r.head, r.n, 64)
-	r.head = 0
-}
-
-// growRing returns a ring of twice buf's size (minCap for an empty one, a
-// power of two) holding buf's n entries from index 0, oldest first.
-func growRing[T any](buf []T, head, n, minCap int) []T {
-	nb := make([]T, max(2*len(buf), minCap))
-	for i := 0; i < n; i++ {
-		nb[i] = buf[(head+i)&(len(buf)-1)]
-	}
-	return nb
-}
-
-// headSeq reports the schedule order of the oldest entry (r.n must be > 0).
-func (r *readyRing) headSeq() uint64 { return r.buf[r.head].seq }
-
-// pop removes and returns the oldest entry's callback, clearing the slot so
-// the ring does not retain the closure.
-func (r *readyRing) pop() func() {
-	fn := r.buf[r.head].fn
-	r.buf[r.head] = nowEvent{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return fn
 }
 
 // heapPush inserts ev into the 4-ary min-heap.
@@ -301,7 +256,7 @@ func (e *Engine) schedule(t time.Duration, fn func()) {
 		// same-instant events across LPs order exactly as sequentially.
 		seq := e.rootSeq()
 		if t <= e.now {
-			e.ready.push(seq, fn)
+			e.ready.Push(nowEvent{seq, fn})
 			return
 		}
 		e.heapPush(event{at: t, seq: seq, fn: fn})
@@ -314,7 +269,7 @@ func (e *Engine) schedule(t time.Duration, fn func()) {
 	if t <= e.now {
 		// Due now (or clamped from the past): the ready ring preserves
 		// schedule order, which for same-instant events is dispatch order.
-		e.ready.push(e.seq, fn)
+		e.ready.Push(nowEvent{e.seq, fn})
 		return
 	}
 	e.heapPush(event{at: t, seq: e.seq, fn: fn})
@@ -391,11 +346,11 @@ func (e *Engine) wake(p *Proc) {
 		return
 	}
 	if e.root != nil {
-		e.ready.push(e.rootSeq(), p.runFn)
+		e.ready.Push(nowEvent{e.rootSeq(), p.runFn})
 		return
 	}
 	e.seq++
-	e.ready.push(e.seq, p.runFn)
+	e.ready.Push(nowEvent{e.seq, p.runFn})
 }
 
 // Run executes events until both queues drain. It returns a *DeadlockError
@@ -417,18 +372,18 @@ func (e *Engine) Run() error {
 	if e.shards != nil {
 		return e.runSharded()
 	}
-	for (e.ready.n > 0 || len(e.heap) > 0) && !e.stopped {
-		if e.ready.n > 0 {
+	for (e.ready.Len() > 0 || len(e.heap) > 0) && !e.stopped {
+		if e.ready.Len() > 0 {
 			// A heap event due at the current instant predates every ring
 			// entry (see above); the seq comparison is a cheap guard that
 			// keeps this correct even if that invariant ever weakens.
-			if len(e.heap) > 0 && e.heap[0].at <= e.now && e.heap[0].seq < e.ready.headSeq() {
+			if len(e.heap) > 0 && e.heap[0].at <= e.now && e.heap[0].seq < e.ready.Peek().seq {
 				ev := e.heapPop()
 				e.dispatched++
 				ev.fn()
 				continue
 			}
-			fn := e.ready.pop()
+			fn := e.ready.Pop().fn
 			e.dispatched++
 			fn()
 			continue

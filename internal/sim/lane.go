@@ -18,9 +18,8 @@ import "time"
 // would break the lane's order goes through At instead.
 type Lane struct {
 	src, dst *Engine
-	buf      []event // ring, power-of-two sized; buf[head] is the event in the heap
-	head, n  int
-	fireFn   func() // bound to fire once
+	q        FIFO[event] // q.Peek() is the event in the heap
+	fireFn   func()      // bound to fire once
 }
 
 // NewLane returns an empty lane for events that src schedules on dst (the
@@ -41,33 +40,24 @@ func (l *Lane) At(t time.Duration, fn func()) {
 		l.src.scheduleOn(e, t, fn)
 		return
 	}
-	if t <= e.now || (l.n > 0 && t < l.buf[(l.head+l.n-1)&(len(l.buf)-1)].at) {
+	if t <= e.now || (l.q.Len() > 0 && t < l.q.At(l.q.Len()-1).at) {
 		// Due now, or earlier than the lane's tail: not FIFO, so a plain event.
 		e.schedule(t, fn)
 		return
 	}
 	e.seq++
-	if l.n == len(l.buf) {
-		l.buf = growRing(l.buf, l.head, l.n, 16)
-		l.head = 0
-	}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = event{at: t, seq: e.seq, fn: fn}
-	l.n++
-	if l.n == 1 {
+	l.q.Push(event{at: t, seq: e.seq, fn: fn})
+	if l.q.Len() == 1 {
 		e.heapPush(event{at: t, seq: e.seq, fn: l.fireFn})
 	}
 }
 
 // fire is the heap entry of the lane's head: it pops the head, puts the next
-// one in the heap, and runs the popped callback. The slot is cleared so the
-// ring does not retain the closure.
+// one in the heap, and runs the popped callback.
 func (l *Lane) fire() {
-	fn := l.buf[l.head].fn
-	l.buf[l.head] = event{}
-	l.head = (l.head + 1) & (len(l.buf) - 1)
-	l.n--
-	if l.n > 0 {
-		next := l.buf[l.head]
+	fn := l.q.Pop().fn
+	if l.q.Len() > 0 {
+		next := l.q.Peek()
 		l.dst.heapPush(event{at: next.at, seq: next.seq, fn: l.fireFn})
 	}
 	fn()

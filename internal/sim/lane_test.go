@@ -106,10 +106,10 @@ func laneProgram(t testing.TB, data []byte, lanes bool) laneTrace {
 	if err == nil && !e.stopped {
 		// Drained: every slot a lane ever used must have let go of its closure.
 		for i, l := range ls {
-			if l.n != 0 {
-				t.Errorf("lane %d still holds %d events after a drained run", i, l.n)
+			if l.q.Len() != 0 {
+				t.Errorf("lane %d still holds %d events after a drained run", i, l.q.Len())
 			}
-			for j, ev := range l.buf {
+			for j, ev := range l.q.buf {
 				if ev.fn != nil {
 					t.Errorf("lane %d slot %d retains a callback", i, j)
 				}
@@ -244,11 +244,11 @@ func TestLaneStopAndShutdown(t *testing.T) {
 	if e.Live() != 0 {
 		t.Errorf("%d processes live after a stopped run", e.Live())
 	}
-	if l.n != 7 {
-		t.Errorf("lane holds %d, want 7", l.n)
+	if l.q.Len() != 7 {
+		t.Errorf("lane holds %d, want 7", l.q.Len())
 	}
 	for j := 0; j < 3; j++ {
-		if l.buf[j].fn != nil {
+		if l.q.buf[j].fn != nil {
 			t.Errorf("slot %d retains the callback of an event that ran", j)
 		}
 	}
@@ -273,7 +273,7 @@ func TestLaneShardedPassThrough(t *testing.T) {
 		}
 		used := 0
 		for _, l := range w.lanes {
-			if l != nil && l.buf != nil {
+			if l != nil && l.q.buf != nil {
 				used++
 			}
 		}

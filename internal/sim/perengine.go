@@ -23,21 +23,3 @@ func PerEngine[T any](engs []*Engine, mk func(first int) *T) (bySlot, each []*T)
 	}
 	return bySlot, each
 }
-
-// Free is a LIFO free list of *T records; the zero value is empty. Get on an
-// empty list returns a new zero T, so a record that binds a closure or a
-// future at creation tests that field after Get.
-type Free[T any] struct{ free []*T }
-
-// Get pops the most recently Put record, or allocates a zero one.
-func (f *Free[T]) Get() *T {
-	if k := len(f.free); k > 0 {
-		t := f.free[k-1]
-		f.free = f.free[:k-1]
-		return t
-	}
-	return new(T)
-}
-
-// Put recycles t. The caller has dropped whatever t must not keep alive.
-func (f *Free[T]) Put(t *T) { f.free = append(f.free, t) }

@@ -56,26 +56,3 @@ func TestPerEngine(t *testing.T) {
 		}
 	})
 }
-
-func TestFreeList(t *testing.T) {
-	type rec struct {
-		v  int
-		fn func()
-	}
-	var f Free[rec]
-	if r := f.Get(); r == nil || r.v != 0 || r.fn != nil {
-		t.Fatalf("Get on empty = %+v, want a zero record", r)
-	}
-	a, b := &rec{v: 1}, &rec{v: 2}
-	f.Put(a)
-	f.Put(b)
-	if got := f.Get(); got != b {
-		t.Fatalf("Get = %+v, want the last Put (LIFO)", got)
-	}
-	if got := f.Get(); got != a {
-		t.Fatalf("Get = %+v, want the first Put", got)
-	}
-	if got := f.Get(); got == a || got == b || got.v != 0 {
-		t.Fatalf("Get on drained list = %+v, want a fresh zero record", got)
-	}
-}

@@ -199,54 +199,13 @@ func (f *Future) Await(p *Proc) any {
 	return f.val
 }
 
-// fifo is a power-of-two circular buffer: the same shape as the engine's
-// ready ring. Unlike an append/reslice slice queue it reuses its backing
-// array forever, so a steady put/get cycle allocates nothing.
-type fifo[T any] struct {
-	buf  []T // len is zero or a power of two
-	head int // index of the oldest element
-	n    int // queued count
-}
-
-func (f *fifo[T]) len() int { return f.n }
-
-func (f *fifo[T]) push(v T) {
-	if f.n == len(f.buf) {
-		f.grow()
-	}
-	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
-	f.n++
-}
-
-func (f *fifo[T]) pop() T {
-	var zero T
-	v := f.buf[f.head]
-	f.buf[f.head] = zero // drop the reference
-	f.head = (f.head + 1) & (len(f.buf) - 1)
-	f.n--
-	return v
-}
-
-func (f *fifo[T]) grow() {
-	size := 2 * len(f.buf)
-	if size == 0 {
-		size = 8
-	}
-	buf := make([]T, size)
-	for i := 0; i < f.n; i++ {
-		buf[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
-	}
-	f.buf = buf
-	f.head = 0
-}
-
 // Mailbox is an unbounded FIFO queue of values with blocking receive.
 // Multiple receivers are served in arrival order.
 type Mailbox struct {
 	e       *Engine
 	name    string
-	q       fifo[any]
-	waiters fifo[*Proc]
+	q       FIFO[any]
+	waiters FIFO[*Proc]
 }
 
 // NewMailbox creates an empty mailbox.
@@ -255,17 +214,17 @@ func NewMailbox(e *Engine, name string) *Mailbox {
 }
 
 // Len reports the number of queued values.
-func (m *Mailbox) Len() int { return m.q.len() }
+func (m *Mailbox) Len() int { return m.q.Len() }
 
 // Waiting reports the number of processes blocked in Get or Wait.
-func (m *Mailbox) Waiting() int { return m.waiters.len() }
+func (m *Mailbox) Waiting() int { return m.waiters.Len() }
 
 // Put enqueues v, waking the longest-waiting receiver if any. It never
 // blocks and may be called from event callbacks or process context.
 func (m *Mailbox) Put(v any) {
-	m.q.push(v)
-	if m.waiters.len() > 0 {
-		w := m.waiters.pop()
+	m.q.Push(v)
+	if m.waiters.Len() > 0 {
+		w := m.waiters.Pop()
 		w.e.wake(w) // the waiter's engine, as in Future.Set
 	}
 }
@@ -273,7 +232,7 @@ func (m *Mailbox) Put(v any) {
 // Get dequeues the oldest value, blocking the process until one arrives.
 func (m *Mailbox) Get(p *Proc) any {
 	m.Wait(p)
-	return m.q.pop()
+	return m.q.Pop()
 }
 
 // Wait blocks the process until the mailbox holds a value and leaves the
@@ -284,18 +243,18 @@ func (m *Mailbox) Get(p *Proc) any {
 // a mailbox that mixes Wait and Get callers must have a single consumer, or a
 // Wait caller absorbs the wake a blocked Get was owed.
 func (m *Mailbox) Wait(p *Proc) {
-	for m.q.len() == 0 {
-		m.waiters.push(p)
+	for m.q.Len() == 0 {
+		m.waiters.Push(p)
 		p.park("mailbox ", m.name)
 	}
 }
 
 // TryGet dequeues the oldest value without blocking; ok is false if empty.
 func (m *Mailbox) TryGet() (v any, ok bool) {
-	if m.q.len() == 0 {
+	if m.q.Len() == 0 {
 		return nil, false
 	}
-	return m.q.pop(), true
+	return m.q.Pop(), true
 }
 
 // Barrier lets n processes rendezvous repeatedly. Each Arrive blocks until

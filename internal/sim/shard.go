@@ -348,7 +348,7 @@ func (e *Engine) winAt(w *winState, t time.Duration, fn func()) {
 	w.provCnt++
 	w.calls = append(w.calls, false)
 	if t <= e.now {
-		e.ready.push(seq, fn)
+		e.ready.Push(nowEvent{seq, fn})
 		return
 	}
 	e.heapPush(event{at: t, seq: seq, fn: fn})
@@ -366,7 +366,7 @@ func (e *Engine) winWake(w *winState, p *Proc) {
 	seq := provBase | uint64(w.provCnt)
 	w.provCnt++
 	w.calls = append(w.calls, false)
-	e.ready.push(seq, p.runFn)
+	e.ready.Push(nowEvent{seq, p.runFn})
 }
 
 // rootSeq draws the next canonical seq from the root's global counter: the
@@ -396,15 +396,14 @@ func (e *Engine) runWindow(fence time.Duration) {
 				fence = f
 			}
 		}
-		if e.ready.n > 0 {
-			if len(e.heap) > 0 && e.heap[0].at <= e.now && e.heap[0].seq < e.ready.headSeq() {
+		if e.ready.Len() > 0 {
+			if len(e.heap) > 0 && e.heap[0].at <= e.now && e.heap[0].seq < e.ready.Peek().seq {
 				ev := e.heapPop()
 				e.execOne(w, ev.at, ev.seq, ev.fn)
 				continue
 			}
-			seq := e.ready.headSeq()
-			fn := e.ready.pop()
-			e.execOne(w, e.now, seq, fn)
+			ev := e.ready.Pop()
+			e.execOne(w, e.now, ev.seq, ev.fn)
 			continue
 		}
 		if len(e.heap) == 0 || e.heap[0].at >= fence {
@@ -441,7 +440,7 @@ func (e *Engine) runSharded() error {
 	if e.laD == nil {
 		panic("sim: sharded Run without SetLookahead")
 	}
-	if e.ready.n != 0 || len(e.heap) != 0 {
+	if e.ready.Len() != 0 || len(e.heap) != 0 {
 		panic("sim: events scheduled on the sharded root engine")
 	}
 	k := len(e.shards)
@@ -481,7 +480,7 @@ func (e *Engine) runSharded() error {
 		anyPending := false
 		for i, s := range e.shards {
 			switch {
-			case s.ready.n > 0:
+			case s.ready.Len() > 0:
 				e.laP[i] = s.now
 			case len(s.heap) > 0:
 				e.laP[i] = s.heap[0].at
@@ -730,7 +729,7 @@ func (e *Engine) mergeWindow(limit time.Duration) {
 	}
 	for _, E := range e.shards {
 		w := E.win
-		if E.ready.n != 0 {
+		if E.ready.Len() != 0 {
 			panic("sim: LP ready ring not drained at fence")
 		}
 		if cap(w.canonTab) < w.provCnt {
