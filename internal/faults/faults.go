@@ -1,8 +1,8 @@
 // Package faults builds deterministic wide-area fault injectors for the
 // simulated network. A Plan declares what can go wrong — per-directed-pair
-// drop/duplicate/reorder probabilities, scheduled link outages, WAN quality
-// degradation windows, and gateway crash windows — and an Injector executes
-// the plan as a netsim.FaultPolicy.
+// drop/duplicate/reorder probabilities, gateway crash windows and link-down
+// windows — and an Injector executes the plan as a netsim.FaultPolicy. WAN
+// quality is not a fault: it is netsim.Network.SetWANProfile's alone.
 //
 // Determinism is the point: the injector draws every probabilistic verdict
 // from a splitmix64 stream derived from (Plan.Seed, source cluster,
@@ -12,12 +12,13 @@
 // messages on the source cluster's LP in that LP's deterministic order, so
 // the same (seed, plan, workload) loses the exact same messages at the
 // exact same virtual instants whether the engine runs sequentially or
-// sharded. Scheduled faults (link-downs, outages, degradations, crashes)
-// are pure functions of virtual time and consume no randomness at all.
+// sharded. Scheduled faults (crashes and link-downs) are pure functions of
+// virtual time and consume no randomness at all.
 package faults
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"albatross/internal/cluster"
@@ -36,35 +37,11 @@ type PairProbs struct {
 
 func (p PairProbs) sum() float64 { return p.Drop + p.Duplicate + p.Reorder }
 
-// Outage is a full loss window on one directed WAN link: every message
-// entering the pipe From→To within [Start, Start+Duration) is dropped.
-// From or To may be Any to cover every link touching the other side
-// (Any→Any is a total WAN blackout).
-type Outage struct {
-	From, To int
-	Start    time.Duration
-	Duration time.Duration
-}
-
-// Any is a wildcard cluster index for Outage endpoints.
-const Any = -1
-
-// Degradation scales WAN quality over [Start, Start+Duration): latency is
-// multiplied by LatScale and bandwidth by BWScale. Overlapping windows
-// compose multiplicatively.
-type Degradation struct {
-	Start    time.Duration
-	Duration time.Duration
-	LatScale float64 // must be >= 0
-	BWScale  float64 // must be > 0
-}
-
 // LinkDown is a scheduled hard failure of one directed WAN link: for
-// [Start, Start+Duration) the link From→To carries nothing. Unlike an
-// Outage — which silently eats the messages already committed to the pipe —
-// a down link is visible to routing: the network reroutes around it where
-// the topology has an alternate path (ring second direction, mesh detour)
-// and holds traffic at the gateway until the link heals where it does not.
+// [Start, Start+Duration) the link From→To carries nothing. A down link is
+// visible to routing: the network reroutes around it where the topology has
+// an alternate path (ring second direction, mesh detour) and holds traffic at
+// the gateway until the link heals where it does not.
 // Cut both directions to fail a physical link entirely; cut every link
 // around a cluster (see CutRingSegment/CutUplink) to partition it.
 type LinkDown struct {
@@ -100,9 +77,7 @@ type Plan struct {
 	// Required (positive) when any Reorder probability is set.
 	ReorderDelay time.Duration
 
-	Outages      []Outage
-	Degradations []Degradation
-	Crashes      []GatewayCrash
+	Crashes []GatewayCrash
 
 	// LinkDowns are hard link-failure windows the network routes around
 	// (or holds traffic through). See CutRingSegment, CutUplink and
@@ -111,8 +86,8 @@ type Plan struct {
 }
 
 // Validate rejects plans whose execution would be meaningless or corrupting:
-// probabilities outside [0,1] or summing past 1, non-positive degradation
-// scales, negative windows, or reordering without a delay.
+// probabilities outside [0,1] or summing past 1, negative windows, windows
+// ending past the last representable instant, or reordering without a delay.
 func (pl Plan) Validate() error {
 	check := func(what string, p PairProbs) error {
 		for _, v := range []struct {
@@ -142,37 +117,34 @@ func (pl Plan) Validate() error {
 			return fmt.Errorf("faults: pair %d->%d has a negative cluster index", pair[0], pair[1])
 		}
 	}
-	for _, o := range pl.Outages {
-		if o.Duration < 0 || o.Start < 0 {
-			return fmt.Errorf("faults: outage %d->%d has negative window [%v, +%v]", o.From, o.To, o.Start, o.Duration)
-		}
-		if o.From < Any || o.To < Any {
-			return fmt.Errorf("faults: outage %d->%d has an invalid cluster index", o.From, o.To)
-		}
-	}
-	for _, d := range pl.Degradations {
-		if d.Duration < 0 || d.Start < 0 {
-			return fmt.Errorf("faults: degradation has negative window [%v, +%v]", d.Start, d.Duration)
-		}
-		if !(d.LatScale >= 0) || !(d.BWScale > 0) {
-			return fmt.Errorf("faults: degradation scales (latency %g, bandwidth %g) invalid; latency must be >= 0 and bandwidth > 0", d.LatScale, d.BWScale)
-		}
-	}
 	for _, c := range pl.Crashes {
-		if c.Duration < 0 || c.Start < 0 {
-			return fmt.Errorf("faults: gateway crash of cluster %d has negative window [%v, +%v]", c.Cluster, c.Start, c.Duration)
+		if err := checkWindow(fmt.Sprintf("gateway crash of cluster %d", c.Cluster), c.Start, c.Duration); err != nil {
+			return err
 		}
 		if c.Cluster < 0 {
 			return fmt.Errorf("faults: gateway crash has negative cluster index %d", c.Cluster)
 		}
 	}
 	for _, l := range pl.LinkDowns {
-		if l.Duration < 0 || l.Start < 0 {
-			return fmt.Errorf("faults: link-down %d->%d has negative window [%v, +%v]", l.From, l.To, l.Start, l.Duration)
+		if err := checkWindow(fmt.Sprintf("link-down %d->%d", l.From, l.To), l.Start, l.Duration); err != nil {
+			return err
 		}
 		if l.From < 0 || l.To < 0 || l.From == l.To {
 			return fmt.Errorf("faults: link-down %d->%d is not a directed cluster pair", l.From, l.To)
 		}
+	}
+	return nil
+}
+
+// checkWindow rejects a fault window [start, start+dur) that is negative or
+// ends past the last representable instant: start+dur would wrap, and the
+// window would never be live.
+func checkWindow(what string, start, dur time.Duration) error {
+	if dur < 0 || start < 0 {
+		return fmt.Errorf("faults: %s has negative window [%v, +%v]", what, start, dur)
+	}
+	if dur > math.MaxInt64-start {
+		return fmt.Errorf("faults: %s has window [%v, +%v] ending past the last representable instant", what, start, dur)
 	}
 	return nil
 }
@@ -186,11 +158,6 @@ func (pl Plan) ValidateOn(g *cluster.Graph, nclusters int) error {
 	for pair := range pl.Pairs {
 		if pair[0] >= nclusters || pair[1] >= nclusters {
 			return fmt.Errorf("faults: pair %d->%d names a cluster beyond the platform's %d", pair[0], pair[1], nclusters)
-		}
-	}
-	for _, o := range pl.Outages {
-		if o.From >= nclusters || o.To >= nclusters {
-			return fmt.Errorf("faults: outage %d->%d names a cluster beyond the platform's %d", o.From, o.To, nclusters)
 		}
 	}
 	for _, c := range pl.Crashes {
@@ -279,14 +246,12 @@ const (
 	EventDuplicate
 	// EventReorder is a probabilistic reorder delay.
 	EventReorder
-	// EventOutage is a loss to a scheduled link outage.
-	EventOutage
 	// EventCrash is a loss to a crashed gateway.
 	EventCrash
 	numEventKinds
 )
 
-var eventKindNames = [numEventKinds]string{"drop", "duplicate", "reorder", "outage", "crash"}
+var eventKindNames = [numEventKinds]string{"drop", "duplicate", "reorder", "crash"}
 
 func (k EventKind) String() string {
 	if int(k) < len(eventKindNames) {
@@ -305,12 +270,11 @@ type Event struct {
 
 // Counters tallies what the injector actually did over a run.
 type Counters struct {
-	Inspected   uint64 // WAN messages ruled on
-	Drops       uint64 // probabilistic losses
-	Duplicates  uint64
-	Reorders    uint64
-	OutageDrops uint64 // losses to scheduled link outages
-	CrashDrops  uint64 // losses to crashed gateways (either side)
+	Inspected  uint64 // WAN messages ruled on
+	Drops      uint64 // probabilistic losses
+	Duplicates uint64
+	Reorders   uint64
+	CrashDrops uint64 // losses to crashed gateways (either side)
 }
 
 // Add accumulates o into c.
@@ -319,7 +283,6 @@ func (c *Counters) Add(o Counters) {
 	c.Drops += o.Drops
 	c.Duplicates += o.Duplicates
 	c.Reorders += o.Reorders
-	c.OutageDrops += o.OutageDrops
 	c.CrashDrops += o.CrashDrops
 }
 
@@ -329,8 +292,9 @@ func (c *Counters) Add(o Counters) {
 // stream for directed pair (cs, cd) lives in streams[cs][cd] and is only
 // touched by WANTransit, which the network always runs on cs's LP; the
 // counters for cluster c live in ctr[c] and are only touched by calls the
-// network runs on c's LP. Bind pre-sizes both outer slices so concurrent
-// LPs never reallocate them.
+// network runs on c's LP. Bind sizes both outer slices before the run, so
+// concurrent LPs never reallocate them; an injector must be bound before it
+// rules on anything.
 type Injector struct {
 	plan    Plan
 	streams [][]uint64 // [source][dest] splitmix64 decision streams
@@ -374,20 +338,13 @@ func (in *Injector) Counters() Counters {
 	return tot
 }
 
-// Bind pre-sizes the injector's per-cluster state for a topology of
-// nclusters clusters. netsim.SetFaultPolicy calls it; the pre-sizing is
-// what lets concurrent LPs index their own rows without reallocation.
+// Bind sizes the injector's per-cluster state for a topology of nclusters
+// clusters, starting its streams and counters afresh. netsim.SetFaultPolicy
+// calls it; the sizing is what lets concurrent LPs index their own rows
+// without reallocation.
 func (in *Injector) Bind(nclusters int) {
-	if nclusters > len(in.streams) {
-		s := make([][]uint64, nclusters)
-		copy(s, in.streams)
-		in.streams = s
-	}
-	if nclusters > len(in.ctr) {
-		c := make([]Counters, nclusters)
-		copy(c, in.ctr)
-		in.ctr = c
-	}
+	in.streams = make([][]uint64, nclusters)
+	in.ctr = make([]Counters, nclusters)
 }
 
 // pairSeed derives the decision-stream seed for directed pair (cs, cd): the
@@ -398,36 +355,20 @@ func pairSeed(seed uint64, cs, cd int) uint64 {
 	return rng.SplitMix64(&s)
 }
 
-// stream returns the decision stream for directed pair (cs, cd), growing
-// state lazily for unbound (sequential, direct-use) injectors. Rows are
-// materialized by the source cluster's LP only, with every entry seeded
-// eagerly, so a row's contents never change after creation.
+// stream returns the decision stream for directed pair (cs, cd). A source
+// cluster's row materializes on its first probabilistic verdict, so a grid
+// pays only for the clusters that send; the source cluster's LP seeds every
+// entry at once, so a row's seeds never change after creation.
 func (in *Injector) stream(cs, cd int) *uint64 {
-	if cs >= len(in.streams) {
-		in.Bind(cs + 1)
-	}
 	row := in.streams[cs]
-	if cd >= len(row) {
-		n := len(in.streams)
-		if cd >= n {
-			n = cd + 1
+	if row == nil {
+		row = make([]uint64, len(in.streams))
+		for j := range row {
+			row[j] = pairSeed(in.plan.Seed, cs, j)
 		}
-		grown := make([]uint64, n)
-		copy(grown, row)
-		for j := len(row); j < n; j++ {
-			grown[j] = pairSeed(in.plan.Seed, cs, j)
-		}
-		in.streams[cs] = grown
-		row = grown
+		in.streams[cs] = row
 	}
 	return &row[cd]
-}
-
-func (in *Injector) counters(c int) *Counters {
-	if c >= len(in.ctr) {
-		in.Bind(c + 1)
-	}
-	return &in.ctr[c]
 }
 
 // roll draws the next uniform variate in [0, 1) from one pair's stream.
@@ -445,19 +386,11 @@ func inWindow(at, start, dur time.Duration) bool {
 	return at >= start && at < start+dur
 }
 
-// WANTransit implements netsim.FaultPolicy. Scheduled outages take
-// precedence and consume no randomness; otherwise one variate partitions
-// into drop / duplicate / reorder / deliver.
+// WANTransit implements netsim.FaultPolicy: one variate partitions into
+// drop / duplicate / reorder / deliver.
 func (in *Injector) WANTransit(at time.Duration, cs, cd int, m netsim.Msg) (netsim.FaultAction, time.Duration) {
-	ctr := in.counters(cs)
+	ctr := &in.ctr[cs]
 	ctr.Inspected++
-	for _, o := range in.plan.Outages {
-		if (o.From == Any || o.From == cs) && (o.To == Any || o.To == cd) && inWindow(at, o.Start, o.Duration) {
-			ctr.OutageDrops++
-			in.emit(at, EventOutage, cs, cd)
-			return netsim.FaultDrop, 0
-		}
-	}
 	p, ok := in.plan.Pairs[[2]int{cs, cd}]
 	if !ok {
 		p = in.plan.Default
@@ -483,25 +416,12 @@ func (in *Injector) WANTransit(at time.Duration, cs, cd int, m netsim.Msg) (nets
 	return netsim.FaultDeliver, 0
 }
 
-// WANQuality implements netsim.FaultPolicy: active degradation windows
-// compose multiplicatively.
-func (in *Injector) WANQuality(at time.Duration) (float64, float64) {
-	lat, bw := 1.0, 1.0
-	for _, d := range in.plan.Degradations {
-		if inWindow(at, d.Start, d.Duration) {
-			lat *= d.LatScale
-			bw *= d.BWScale
-		}
-	}
-	return lat, bw
-}
-
 // GatewayDown implements netsim.FaultPolicy. Each true answer is one lost
 // message, tallied as a crash drop.
 func (in *Injector) GatewayDown(at time.Duration, c int, m netsim.Msg) bool {
 	for _, cr := range in.plan.Crashes {
 		if cr.Cluster == c && inWindow(at, cr.Start, cr.Duration) {
-			in.counters(c).CrashDrops++
+			in.ctr[c].CrashDrops++
 			in.emit(at, EventCrash, c, -1)
 			return true
 		}
@@ -509,7 +429,7 @@ func (in *Injector) GatewayDown(at time.Duration, c int, m netsim.Msg) bool {
 	return false
 }
 
-// LinkDown implements netsim.LinkFaultPolicy: it reports whether the
+// LinkDown implements netsim.FaultPolicy: it reports whether the
 // directed link from→to is inside any scheduled failure window at virtual
 // time at. Pure function of its arguments — routing consults it from
 // multiple LPs concurrently.

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -24,19 +25,18 @@ func TestPlanValidate(t *testing.T) {
 		{"reorder without delay", Plan{Default: PairProbs{Reorder: 0.1}}, "ReorderDelay"},
 		{"bad pair", Plan{Pairs: map[[2]int]PairProbs{{0, 1}: {Drop: 2}}}, "pair 0->1"},
 		{"negative pair index", Plan{Pairs: map[[2]int]PairProbs{{-2, 1}: {}}}, "negative cluster index"},
-		{"negative outage", Plan{Outages: []Outage{{From: 0, To: 1, Start: -time.Second}}}, "negative window"},
-		{"bad outage endpoint", Plan{Outages: []Outage{{From: -2, To: 1}}}, "invalid cluster index"},
-		{"wildcard outage ok", Plan{Outages: []Outage{{From: Any, To: Any, Duration: time.Second}}}, ""},
-		{"zero bw degradation", Plan{Degradations: []Degradation{{Duration: time.Second, LatScale: 1, BWScale: 0}}}, "degradation scales"},
 		{"negative crash", Plan{Crashes: []GatewayCrash{{Cluster: 1, Duration: -time.Second}}}, "negative window"},
+		// A window whose end overflows would wrap and never be live.
+		{"crash window overflow", Plan{Crashes: []GatewayCrash{{Cluster: 1, Start: time.Millisecond, Duration: math.MaxInt64}}}, "past the last representable instant"},
+		{"crash window to the last instant", Plan{Crashes: []GatewayCrash{{Cluster: 1, Start: time.Millisecond, Duration: math.MaxInt64 - time.Millisecond}}}, ""},
 		{"negative crash cluster", Plan{Crashes: []GatewayCrash{{Cluster: -1, Duration: time.Second}}}, "negative cluster index"},
 		{"good link-down", Plan{LinkDowns: []LinkDown{{From: 0, To: 1, Start: time.Second, Duration: time.Second}}}, ""},
 		{"negative link-down window", Plan{LinkDowns: []LinkDown{{From: 0, To: 1, Duration: -time.Second}}}, "negative window"},
+		{"link-down window overflow", Plan{LinkDowns: []LinkDown{{From: 0, To: 1, Start: time.Second, Duration: math.MaxInt64}}}, "past the last representable instant"},
 		{"self link-down", Plan{LinkDowns: []LinkDown{{From: 2, To: 2, Duration: time.Second}}}, "not a directed cluster pair"},
 		{"negative link-down index", Plan{LinkDowns: []LinkDown{{From: -1, To: 1, Duration: time.Second}}}, "not a directed cluster pair"},
 		// ValidateOn, against a four-cluster ring (links 0-1, 1-2, 2-3, 3-0).
 		{"pair beyond platform", Plan{Pairs: map[[2]int]PairProbs{{0, 4}: {Drop: 0.5}}}, "beyond the platform"},
-		{"outage beyond platform", Plan{Outages: []Outage{{From: Any, To: 4, Duration: time.Second}}}, "beyond the platform"},
 		{"crash beyond platform", Plan{Crashes: []GatewayCrash{{Cluster: 4, Duration: time.Second}}}, "beyond the platform"},
 		{"link-down beyond platform", Plan{LinkDowns: []LinkDown{{From: 3, To: 4, Duration: time.Second}}}, "not a physical link"},
 		{"link-down across the ring", Plan{LinkDowns: []LinkDown{{From: 0, To: 2, Duration: time.Second}}}, "not a physical link"},
@@ -75,6 +75,7 @@ func TestVerdictStreamDeterminism(t *testing.T) {
 	}
 	sequence := func() []netsim.FaultAction {
 		in := MustInjector(plan)
+		in.Bind(2)
 		var out []netsim.FaultAction
 		for i := 0; i < 500; i++ {
 			a, _ := in.WANTransit(time.Duration(i)*time.Millisecond, 0, 1, netsim.Msg{})
@@ -96,6 +97,7 @@ func TestProbabilisticRates(t *testing.T) {
 		Default:      PairProbs{Drop: 0.3, Duplicate: 0.1, Reorder: 0.05},
 		ReorderDelay: time.Millisecond,
 	})
+	in.Bind(2)
 	const n = 20000
 	for i := 0; i < n; i++ {
 		in.WANTransit(time.Duration(i), 0, 1, netsim.Msg{})
@@ -121,6 +123,7 @@ func TestPairOverrides(t *testing.T) {
 		Default: PairProbs{Drop: 1},
 		Pairs:   map[[2]int]PairProbs{{1, 0}: {}}, // reverse direction perfect
 	})
+	in.Bind(2)
 	if a, _ := in.WANTransit(0, 0, 1, netsim.Msg{}); a != netsim.FaultDrop {
 		t.Fatalf("default pair verdict %v, want drop", a)
 	}
@@ -129,68 +132,11 @@ func TestPairOverrides(t *testing.T) {
 	}
 }
 
-func TestOutageWindow(t *testing.T) {
-	in := MustInjector(Plan{
-		Outages: []Outage{{From: 0, To: 1, Start: time.Second, Duration: 2 * time.Second}},
-	})
-	verdict := func(at time.Duration, cs, cd int) netsim.FaultAction {
-		a, _ := in.WANTransit(at, cs, cd, netsim.Msg{})
-		return a
-	}
-	if verdict(999*time.Millisecond, 0, 1) != netsim.FaultDeliver {
-		t.Fatal("dropped before the outage window")
-	}
-	if verdict(time.Second, 0, 1) != netsim.FaultDrop {
-		t.Fatal("delivered at outage start")
-	}
-	if verdict(2999*time.Millisecond, 0, 1) != netsim.FaultDrop {
-		t.Fatal("delivered just before outage end")
-	}
-	if verdict(3*time.Second, 0, 1) != netsim.FaultDeliver {
-		t.Fatal("dropped at outage end (window is half-open)")
-	}
-	if verdict(2*time.Second, 1, 0) != netsim.FaultDeliver {
-		t.Fatal("outage leaked to the reverse direction")
-	}
-	if got := in.Counters().OutageDrops; got != 2 {
-		t.Fatalf("outage drops %d, want 2", got)
-	}
-}
-
-func TestWildcardOutage(t *testing.T) {
-	in := MustInjector(Plan{
-		Outages: []Outage{{From: Any, To: 2, Duration: time.Second}},
-	})
-	if a, _ := in.WANTransit(0, 7, 2, netsim.Msg{}); a != netsim.FaultDrop {
-		t.Fatal("wildcard From did not match")
-	}
-	if a, _ := in.WANTransit(0, 2, 7, netsim.Msg{}); a != netsim.FaultDeliver {
-		t.Fatal("wildcard outage matched the wrong direction")
-	}
-}
-
-func TestDegradationWindowsCompose(t *testing.T) {
-	in := MustInjector(Plan{
-		Degradations: []Degradation{
-			{Start: 0, Duration: 10 * time.Second, LatScale: 2, BWScale: 0.5},
-			{Start: 5 * time.Second, Duration: 10 * time.Second, LatScale: 3, BWScale: 0.5},
-		},
-	})
-	if ls, bs := in.WANQuality(time.Second); ls != 2 || bs != 0.5 {
-		t.Fatalf("first window scales (%g, %g)", ls, bs)
-	}
-	if ls, bs := in.WANQuality(7 * time.Second); ls != 6 || bs != 0.25 {
-		t.Fatalf("overlap scales (%g, %g), want multiplicative (6, 0.25)", ls, bs)
-	}
-	if ls, bs := in.WANQuality(20 * time.Second); ls != 1 || bs != 1 {
-		t.Fatalf("outside windows scales (%g, %g), want (1, 1)", ls, bs)
-	}
-}
-
 func TestGatewayCrashWindow(t *testing.T) {
 	in := MustInjector(Plan{
 		Crashes: []GatewayCrash{{Cluster: 1, Start: time.Second, Duration: time.Second}},
 	})
+	in.Bind(2)
 	if in.GatewayDown(0, 1, netsim.Msg{}) {
 		t.Fatal("down before crash")
 	}
@@ -213,6 +159,7 @@ func TestEventsEmitted(t *testing.T) {
 		Default: PairProbs{Drop: 1},
 		Crashes: []GatewayCrash{{Cluster: 0, Start: 0, Duration: time.Second}},
 	})
+	in.Bind(2)
 	var events []Event
 	in.OnEvent(func(e Event) { events = append(events, e) })
 	in.GatewayDown(time.Millisecond, 0, netsim.Msg{})
@@ -226,7 +173,7 @@ func TestEventsEmitted(t *testing.T) {
 	if events[1].Kind != EventDrop || events[1].From != 0 || events[1].To != 1 {
 		t.Fatalf("drop event %+v", events[1])
 	}
-	if EventOutage.String() != "outage" || EventKind(99).String() != "invalid" {
+	if EventCrash.String() != "crash" || EventKind(99).String() != "invalid" {
 		t.Fatal("EventKind.String broken")
 	}
 }
@@ -245,6 +192,9 @@ func TestNetworkRunDeterminism(t *testing.T) {
 			Crashes:      []GatewayCrash{{Cluster: 1, Start: 10 * time.Millisecond, Duration: 10 * time.Millisecond}},
 		})
 		n.SetFaultPolicy(in)
+		for id := 0; id < 12; id++ { // nine compute nodes and three gateways
+			n.SetHandler(cluster.NodeID(id), func(netsim.Msg) {})
+		}
 		for i := 0; i < 300; i++ {
 			from := cluster.NodeID(i % 9)
 			to := cluster.NodeID((i * 7) % 9)
@@ -403,11 +353,13 @@ func TestLinkDownRoutesAroundInNetwork(t *testing.T) {
 	e := sim.NewEngine()
 	n := netsim.New(e, topo, cluster.DASParams())
 	n.SetFaultPolicy(MustInjector(plan))
+	got := 0
+	n.SetHandler(2, func(netsim.Msg) { got++ })
 	n.Send(netsim.Msg{From: 0, To: 2, Kind: netsim.KindData, Size: 1000})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Inbox(2).Len(); got != 1 {
+	if got != 1 {
 		t.Fatalf("delivered %d, want 1 (rerouted)", got)
 	}
 	if n.Stats().Reroutes() == 0 {

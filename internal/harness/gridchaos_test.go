@@ -108,7 +108,7 @@ func TestExecRejectsPlanOffThePlatform(t *testing.T) {
 		{"mesh link-down beyond", cluster.DAS(4, 2), faults.Plan{LinkDowns: hour(0, 4)}, "not a physical link"},
 		{"mesh crash beyond", cluster.DAS(4, 2), faults.Plan{Crashes: []faults.GatewayCrash{{Cluster: 4, Duration: time.Hour}}}, "beyond the platform"},
 		{"ring link-down across", ring9(t), faults.Plan{LinkDowns: hour(0, 2)}, "not a physical link"},
-		{"ring outage beyond", ring9(t), faults.Plan{Outages: []faults.Outage{{From: 9, To: faults.Any, Duration: time.Hour}}}, "beyond the platform"},
+		{"ring crash beyond", ring9(t), faults.Plan{Crashes: []faults.GatewayCrash{{Cluster: 9, Duration: time.Hour}}}, "beyond the platform"},
 		{"ring pair beyond", ring9(t), faults.Plan{Pairs: map[[2]int]faults.PairProbs{{9, 0}: {Drop: 1}}}, "beyond the platform"},
 	}
 	for _, tc := range cases {

@@ -45,13 +45,13 @@ func allocBudget(t *testing.T, name string, step func(), budget float64) {
 
 func TestAllocLANSend(t *testing.T) {
 	e, n := build(1, 4)
-	allocBudget(t, "lan send", netStep(e, n, 0, 1, 1000), 0)
+	allocBudget(t, "lan send", netStep(e, n.Network, 0, 1, 1000), 0)
 }
 
 func TestAllocWANSendMesh(t *testing.T) {
 	// The DAS fast path: one WAN hop on a mesh link.
 	e, n := build(4, 4)
-	allocBudget(t, "mesh wan send", netStep(e, n, 0, 13, 1000), 0)
+	allocBudget(t, "mesh wan send", netStep(e, n.Network, 0, 13, 1000), 0)
 }
 
 func TestAllocWANSendTiered(t *testing.T) {
@@ -59,7 +59,7 @@ func TestAllocWANSendTiered(t *testing.T) {
 	// pooled transit record must carry the message the whole way without
 	// allocating per hop.
 	e, n := tieredTestNet(t, testParams(), 0)
-	allocBudget(t, "tiered wan send", netStep(e, n, 2, 6, 1000), 0)
+	allocBudget(t, "tiered wan send", netStep(e, n.Network, 2, 6, 1000), 0)
 }
 
 func TestAllocWANSendTransport(t *testing.T) {
@@ -78,5 +78,5 @@ func TestAllocWANSendTransportTiered(t *testing.T) {
 	par.MaxFrameBytes = 32 << 10
 	par.CoalesceWindow = 100 * time.Microsecond
 	e, n := tieredTestNet(t, par, 2)
-	allocBudget(t, "tiered transport send", netStep(e, n, 2, 6, 1000), 0)
+	allocBudget(t, "tiered transport send", netStep(e, n.Network, 2, 6, 1000), 0)
 }

@@ -9,11 +9,10 @@ import (
 )
 
 // testPolicy is a FaultPolicy built from optional closures; nil fields
-// behave like the perfect network. A non-nil linkDown makes it a
-// LinkFaultPolicy with scheduled link failures.
+// behave like the perfect network. A non-nil linkDown schedules link
+// failures.
 type testPolicy struct {
 	transit  func(at time.Duration, cs, cd int, m Msg) (FaultAction, time.Duration)
-	quality  func(at time.Duration) (float64, float64)
 	gwDown   func(at time.Duration, c int, m Msg) bool
 	linkDown func(at time.Duration, from, to int) bool
 }
@@ -23,13 +22,6 @@ func (p *testPolicy) WANTransit(at time.Duration, cs, cd int, m Msg) (FaultActio
 		return FaultDeliver, 0
 	}
 	return p.transit(at, cs, cd, m)
-}
-
-func (p *testPolicy) WANQuality(at time.Duration) (float64, float64) {
-	if p.quality == nil {
-		return 1, 1
-	}
-	return p.quality(at)
 }
 
 func (p *testPolicy) GatewayDown(at time.Duration, c int, m Msg) bool {
@@ -48,7 +40,9 @@ func (p *testPolicy) LinkDown(at time.Duration, from, to int) bool {
 
 func (p *testPolicy) HasLinkDowns() bool { return p.linkDown != nil }
 
-var _ LinkFaultPolicy = (*testPolicy)(nil)
+func (p *testPolicy) Bind(int) {}
+
+var _ FaultPolicy = (*testPolicy)(nil)
 
 func TestFaultDropLosesMessage(t *testing.T) {
 	e, n := build(2, 2)
@@ -185,44 +179,6 @@ func TestFaultReorderDelay(t *testing.T) {
 	}
 }
 
-func TestFaultQualityComposesWithProfile(t *testing.T) {
-	deliver := func(configure func(*Network)) time.Duration {
-		e, n := build(2, 2)
-		configure(n)
-		n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 1000})
-		var at time.Duration
-		e.Go("r", func(p *sim.Proc) {
-			n.Inbox(2).Get(p)
-			at = p.Now()
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return at
-	}
-	base := deliver(func(*Network) {})
-	// 3x latency, half bandwidth via the fault policy alone: +2ms latency,
-	// +1ms serialization (same arithmetic as the WANProfile test).
-	faultOnly := deliver(func(n *Network) {
-		n.SetFaultPolicy(&testPolicy{
-			quality: func(time.Duration) (float64, float64) { return 3, 0.5 },
-		})
-	})
-	if want := base + 3*time.Millisecond; faultOnly != want {
-		t.Fatalf("fault quality: %v, want %v", faultOnly, want)
-	}
-	// Profile 2x latency composed with fault 1.5x latency = 3x total.
-	composed := deliver(func(n *Network) {
-		n.SetWANProfile(func(time.Duration) (float64, float64) { return 2, 1 })
-		n.SetFaultPolicy(&testPolicy{
-			quality: func(time.Duration) (float64, float64) { return 1.5, 0.5 },
-		})
-	})
-	if composed != faultOnly {
-		t.Fatalf("composed quality %v, want %v", composed, faultOnly)
-	}
-}
-
 // TestNoopFaultPolicyIsTransparent pins the guarantee that a policy ruling
 // FaultDeliver with nominal quality gives bit-identical timing to no policy.
 func TestNoopFaultPolicyIsTransparent(t *testing.T) {
@@ -261,30 +217,36 @@ func TestWANQualityValidation(t *testing.T) {
 	cases := []struct {
 		name    string
 		install func(*Network)
-		source  string
+		want    string
 	}{
 		{"profile negative latency", func(n *Network) {
 			n.SetWANProfile(func(time.Duration) (float64, float64) { return -1, 1 })
-		}, "WANProfile"},
+		}, "invalid WAN scales"},
 		{"profile zero bandwidth", func(n *Network) {
 			n.SetWANProfile(func(time.Duration) (float64, float64) { return 1, 0 })
-		}, "WANProfile"},
+		}, "invalid WAN scales"},
 		{"profile NaN", func(n *Network) {
 			nan := 0.0
 			nan /= nan
 			bad := nan // silence constant-folding; NaN must be rejected
 			n.SetWANProfile(func(time.Duration) (float64, float64) { return bad, 1 })
-		}, "WANProfile"},
-		{"policy negative bandwidth", func(n *Network) {
-			n.SetFaultPolicy(&testPolicy{
-				quality: func(time.Duration) (float64, float64) { return 1, -2 },
-			})
-		}, "FaultPolicy"},
+		}, "invalid WAN scales"},
+		{"profile negative bandwidth", func(n *Network) {
+			n.SetWANProfile(func(time.Duration) (float64, float64) { return 1, -2 })
+		}, "invalid WAN scales"},
+		// Scaled latency or transmission time past the last Duration would
+		// wrap negative and make the WAN faster.
+		{"profile latency overflow", func(n *Network) {
+			n.SetWANProfile(func(time.Duration) (float64, float64) { return 1e300, 1 })
+		}, "past the last representable instant"},
+		{"profile transmission overflow", func(n *Network) {
+			n.SetWANProfile(func(time.Duration) (float64, float64) { return 1, 1e-300 })
+		}, "past the last representable instant"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e, n := build(2, 2)
-			tc.install(n)
+			tc.install(n.Network)
 			n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 1000})
 			defer func() {
 				r := recover()
@@ -292,8 +254,8 @@ func TestWANQualityValidation(t *testing.T) {
 					t.Fatal("invalid WAN quality sample not rejected")
 				}
 				msg, ok := r.(string)
-				if !ok || !strings.Contains(msg, tc.source) || !strings.Contains(msg, "invalid WAN scales") {
-					t.Fatalf("panic %v does not name the source %q", r, tc.source)
+				if !ok || !strings.Contains(msg, "WANProfile") || !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %v does not name WANProfile and %q", r, tc.want)
 				}
 			}()
 			_ = e.Run()

@@ -91,11 +91,9 @@ type Handler func(Msg)
 
 // node is the per-machine network endpoint state.
 type node struct {
-	id      cluster.NodeID
 	nicFree time.Duration // sender-side serialization horizon
 	gwFree  time.Duration // gateway forwarding horizon (gateways only)
 	handler Handler
-	inbox   *sim.Mailbox // default delivery target when no handler is set
 }
 
 // pipe is a directed WAN link between two cluster gateways (one of several
@@ -104,10 +102,9 @@ type pipe struct {
 	free   time.Duration // transmission horizon (FIFO resource)
 	arrive time.Duration // last scheduled arrival: the pipe is a physical FIFO
 	// link, so a latency drop between two transmissions (a WANProfile wave
-	// edge, a fault clearing) must not let later traffic overtake earlier
-	// traffic. Arrivals are clamped to be non-decreasing per pipe; the fault
-	// injector's deliberate reorder delay is applied after the clamp so chaos
-	// reordering still works.
+	// edge) must not let later traffic overtake earlier traffic. Arrivals are
+	// clamped to be non-decreasing per pipe; the fault injector's deliberate
+	// reorder delay is applied after the clamp so chaos reordering still works.
 	lane *sim.Lane // scheduled arrivals, oldest first; nil until the pipe carries a unit
 
 	busy    time.Duration // cumulative transmission time
@@ -166,7 +163,7 @@ type Network struct {
 	e     *sim.Engine
 	topo  cluster.Topology
 	par   cluster.Params
-	nodes []*node
+	nodes []node
 
 	// Wide-area state, linear in physical links. adj[c] lists cluster c's
 	// outgoing links sorted by destination, all built by New; agg[c][k]
@@ -194,12 +191,12 @@ type Network struct {
 	// once built.
 	routeFloor [][]time.Duration
 
-	// Link fault domains (routefault.go). linkFault is non-nil only when the
+	// Link fault domains (routefault.go). linkFaults is set only when the
 	// installed policy schedules hard link failures; hold[c] maps a final
 	// destination cluster to the bounded queue of wire units parked at c's
-	// gateway while no route exists. Both nil on the fault-free fast path.
-	linkFault LinkFaultPolicy
-	hold      []map[int32]*holdQ
+	// gateway while no route exists. Both unset on the fault-free fast path.
+	linkFaults bool
+	hold       []map[int32]*holdQ
 
 	// Flattened topology tables: the send path answers "which cluster",
 	// "is it a gateway" and "who are the local members" with one array
@@ -223,8 +220,8 @@ type Network struct {
 	wanProfile WANProfile
 
 	// fault, if set, injects wide-area faults (drops, duplicates, reorder
-	// delays, outages, gateway crashes, quality degradation). The hooks
-	// cost one nil check when no policy is installed.
+	// delays, gateway crashes, link failures). The hooks cost one nil check
+	// when no policy is installed.
 	fault FaultPolicy
 }
 
@@ -248,72 +245,54 @@ const (
 // links are the unreliable resource. Implementations must be pure functions
 // of virtual time plus their own deterministic state: the engine calls them
 // in its deterministic event order, so a seeded policy reproduces the exact
-// same fault sequence on every run.
+// same fault sequence on every run. WAN quality is not a fault: it comes
+// from SetWANProfile alone.
 type FaultPolicy interface {
 	// WANTransit rules on one message entering the WAN pipe cs→cd at
 	// virtual time at. delay (used only when the verdict delivers) is
 	// added to the message's arrival at the remote gateway, modelling
 	// reordering against traffic that departs later.
 	WANTransit(at time.Duration, cs, cd int, m Msg) (a FaultAction, delay time.Duration)
-	// WANQuality returns multiplicative (latency, bandwidth) scales in
-	// effect at time at. The latency scale must be non-negative and the
-	// bandwidth scale positive; the scales compose with any WANProfile.
-	WANQuality(at time.Duration) (latScale, bwScale float64)
 	// GatewayDown reports whether cluster c's gateway is crashed at time
 	// at. m is the message about to traverse the gateway, so the policy
 	// can account for the drop it induces by answering true.
 	GatewayDown(at time.Duration, c int, m Msg) bool
-}
-
-// LinkFaultPolicy extends FaultPolicy with per-link fault domains: scheduled
-// hard failures of individual directed WAN links, visible to routing. Like
-// every policy hook, LinkDown must be a pure function of its arguments —
-// the router consults it from several LP threads concurrently.
-type LinkFaultPolicy interface {
-	FaultPolicy
-	// LinkDown reports whether the directed link from→to carries nothing
-	// at virtual time at.
+	// LinkDown reports whether the directed link from→to carries nothing at
+	// virtual time at. It must be a pure function of its arguments: the
+	// router consults it from several LP threads concurrently.
 	LinkDown(at time.Duration, from, to int) bool
 	// HasLinkDowns reports whether any link failure is scheduled at all;
 	// when false the network keeps its static zero-overhead routing path.
 	HasLinkDowns() bool
-}
-
-// ClusterBinder is implemented by fault policies that partition their
-// mutable state by cluster (faults.Injector does). SetFaultPolicy calls
-// Bind with the cluster count so the policy can pre-size its per-cluster
-// slots before concurrent LPs start indexing them.
-type ClusterBinder interface {
+	// Bind sizes the policy's per-cluster state for nclusters clusters,
+	// before concurrent LPs start indexing it.
 	Bind(nclusters int)
 }
 
 // SetFaultPolicy installs the fault injector (nil removes it, restoring the
-// perfect network). Install it before the run starts: switching policies
-// mid-run leaves in-flight messages ruled by the old policy.
+// perfect network) and binds it to the cluster count. Install it before the
+// run starts: switching policies mid-run leaves in-flight messages ruled by
+// the old policy.
 //
 // Shard safety is the policy's contract, not the network's gate: the
 // network consults WANTransit on the source cluster's LP, GatewayDown on
-// the named cluster's LP, and WANQuality/LinkDown wherever traffic is in
-// flight, so a policy whose verdicts depend only on (virtual time, directed
-// pair, that pair's own history) — as faults.Injector's per-pair streams do
-// — produces byte-identical fault sequences sequentially and sharded.
-// Policies implementing ClusterBinder are bound to the cluster count here.
-// On a sharded engine WANQuality must not return a latency scale below 1
-// (checked per sample): shrinking WAN latency would undercut the lookahead
-// the window fences are built on.
+// the named cluster's LP, and LinkDown wherever traffic is in flight, so a
+// policy whose verdicts depend only on (virtual time, directed pair, that
+// pair's own history) — as faults.Injector's per-pair streams do — produces
+// byte-identical fault sequences sequentially and sharded.
 func (n *Network) SetFaultPolicy(p FaultPolicy) {
-	n.fault = p
-	n.linkFault = nil
-	if b, ok := p.(ClusterBinder); ok {
-		b.Bind(n.nclusters)
+	n.fault, n.linkFaults = p, false
+	if p == nil {
+		return
 	}
-	if lp, ok := p.(LinkFaultPolicy); ok && lp.HasLinkDowns() {
-		n.linkFault = lp
+	p.Bind(n.nclusters)
+	if p.HasLinkDowns() {
+		n.linkFaults = true
 		if n.hold == nil {
 			n.hold = make([]map[int32]*holdQ, n.nclusters)
 		}
 	}
-	if p != nil && n.xp != nil {
+	if n.xp != nil {
 		// Any fault can lose a sequenced unit mid-route (a crashed
 		// intermediate gateway needs no link cut), and its tombstone travels
 		// at the routed latency floor (lose). Build the table now, on the
@@ -340,13 +319,15 @@ func (n *Network) routeFloors() [][]time.Duration {
 }
 
 // WANProfile maps a virtual instant to multiplicative (latency, bandwidth)
-// scales for the wide-area links. Both scales must be positive.
+// scales for the wide-area links. The latency scale must be non-negative and
+// the bandwidth scale positive.
 type WANProfile func(at time.Duration) (latScale, bwScale float64)
 
-// SetWANProfile installs a time-varying WAN quality model (nil removes it).
-// On a sharded engine the profile must not return a latency scale below 1
-// (checked per sample): shrinking WAN latency would undercut the lookahead
-// the window fences are built on.
+// SetWANProfile installs a time-varying WAN quality model (nil removes it):
+// the one source of WAN quality. Samples are checked as they are taken
+// (wanQuality). On a sharded engine the profile must not return a latency
+// scale below 1: shrinking WAN latency would undercut the lookahead the
+// window fences are built on.
 func (n *Network) SetWANProfile(p WANProfile) {
 	n.wanProfile = p
 }
@@ -390,7 +371,7 @@ func New(e *sim.Engine, topo cluster.Topology, par cluster.Params) *Network {
 		e:         e,
 		topo:      topo,
 		par:       par,
-		nodes:     make([]*node, topo.Total()),
+		nodes:     make([]node, topo.Total()),
 		graph:     graph,
 		nclusters: topo.Clusters,
 
@@ -454,7 +435,7 @@ func New(e *sim.Engine, topo cluster.Topology, par cluster.Params) *Network {
 		// re-enter the schedule at each intermediate gateway), and a single
 		// hop costs at least its class latency + software overhead +
 		// gateway cost ≥ the end-to-end floor between its endpoint clusters
-		// ≥ the LP-pair minimum. Degradations, reroutes and holds may only
+		// ≥ the LP-pair minimum. WAN profiles, reroutes and holds may only
 		// raise a route's latency (checkWANScales rejects scales below 1),
 		// so the matrix stays a conservative floor under faults. LPs left
 		// without clusters (more LPs than clusters) never schedule; their
@@ -491,13 +472,6 @@ func New(e *sim.Engine, topo cluster.Topology, par cluster.Params) *Network {
 			}
 		}
 		e.SetLookaheadMatrix(m)
-	}
-	for i := range n.nodes {
-		id := cluster.NodeID(i)
-		n.nodes[i] = &node{
-			id:    id,
-			inbox: sim.NewMailbox(n.sh[n.clusterOf[i]].e, fmt.Sprintf("inbox-%d", i)),
-		}
 	}
 	n.members = make([][]cluster.NodeID, topo.Clusters)
 	for c := range n.members {
@@ -595,24 +569,19 @@ func (n *Network) Stats() *Stats {
 	return &n.merged
 }
 
-// SetHandler installs the delivery callback for a node, replacing inbox
-// delivery. Pass nil to restore inbox delivery.
+// SetHandler installs the delivery callback for a node (nil removes it).
+// Delivery is handler-only: every node a message reaches must have one.
 func (n *Network) SetHandler(id cluster.NodeID, h Handler) {
 	n.nodes[id].handler = h
 }
 
-// Inbox returns the default delivery mailbox of a node (used when no
-// handler is installed).
-func (n *Network) Inbox(id cluster.NodeID) *sim.Mailbox { return n.nodes[id].inbox }
-
-// deliver hands msg to its destination at the current virtual time.
+// deliver hands msg to its destination's handler at the current virtual time.
 func (n *Network) deliver(m Msg) {
-	dst := n.nodes[m.To]
-	if dst.handler != nil {
-		dst.handler(m)
-		return
+	h := n.nodes[m.To].handler
+	if h == nil {
+		panic(fmt.Sprintf("netsim: invariant violated: %v delivered to node %d, which has no handler", m, m.To))
 	}
-	dst.inbox.Put(m)
+	h(m)
 }
 
 // deliverAt schedules delivery of m at absolute virtual time at, reusing a
@@ -677,7 +646,7 @@ func (n *Network) sendLAN(m Msg) {
 	sh := n.sh[n.clusterOf[m.From]]
 	sh.stats.count(scopeIntra, m.Kind, m.Size)
 	now := sh.e.Now()
-	src := n.nodes[m.From]
+	src := &n.nodes[m.From]
 	end := serialize(&src.nicFree, now, m.Size, n.par.LANBandwidth)
 	n.deliverAt(end+n.lanDelay, m)
 }
@@ -694,7 +663,7 @@ func (n *Network) sendWAN(m Msg) {
 	// sender is the gateway itself, e.g. forwarded protocol traffic).
 	atLocalGW := now
 	if !n.isGW[m.From] {
-		src := n.nodes[m.From]
+		src := &n.nodes[m.From]
 		end := serialize(&src.nicFree, now, m.Size, n.par.FEBandwidth)
 		atLocalGW = end + n.feDelay
 	}
@@ -707,39 +676,41 @@ func (n *Network) sendWAN(m Msg) {
 	sh.e.At(atLocalGW, u.fn) // same cluster: sender and its gateway share an LP
 }
 
-// wanQuality evaluates the latency and bandwidth of one link class in effect
-// at time at, composing the class parameters with the installed WANProfile
-// and fault policy. Samples are validated: a negative latency scale or
-// non-positive bandwidth scale would silently corrupt serialize's arithmetic
-// (negative or infinite transmission times), so bad samples panic with the
-// source named.
-func (n *Network) wanQuality(at time.Duration, cl *linkClass) (time.Duration, float64) {
-	lat, bw := cl.lat, cl.bw
-	if n.wanProfile != nil {
-		ls, bs := n.wanProfile(at)
-		checkWANScales("WANProfile", n.sharded, at, ls, bs)
-		lat, bw = time.Duration(float64(lat)*ls), bw*bs
+// durationLimit is the first float64 past the last representable Duration.
+const durationLimit = 1 << 63
+
+// wanQuality returns one link class's latency and the transmission time of
+// size bytes over it, for a transmission that begins at time at: the class
+// parameters, scaled by the installed WANProfile's sample if there is one.
+// Samples are validated, so a bad one panics naming WANProfile instead of
+// silently corrupting the arithmetic: a scaled latency or transmission time
+// past the last Duration would wrap negative and make the WAN faster.
+func (n *Network) wanQuality(at time.Duration, cl *linkClass, size int) (lat, xmit time.Duration) {
+	if n.wanProfile == nil {
+		return cl.lat, bwTime(size, cl.bw)
 	}
-	if n.fault != nil {
-		ls, bs := n.fault.WANQuality(at)
-		checkWANScales("FaultPolicy", n.sharded, at, ls, bs)
-		lat, bw = time.Duration(float64(lat)*ls), bw*bs
+	ls, bs := n.wanProfile(at)
+	checkWANScales(n.sharded, at, ls, bs)
+	lf, xf := float64(cl.lat)*ls, float64(size)/(cl.bw*bs)*float64(time.Second)
+	lat, xmit = time.Duration(lf), time.Duration(xf)
+	if !(lf < durationLimit && xf < durationLimit) || at+xmit+lat < at {
+		panic(fmt.Sprintf("netsim: WANProfile returned WAN scales (latency %g, bandwidth %g) at %v under which a %d B transmission arrives past the last representable instant", ls, bs, at, size))
 	}
-	return lat, bw
+	return lat, xmit
 }
 
-// checkWANScales rejects WAN quality samples that would corrupt transmission
+// checkWANScales rejects WANProfile samples that would corrupt transmission
 // arithmetic. NaN fails both comparisons' complements, so it is caught too.
 // On a sharded engine a latency scale below 1 is also rejected: it would
 // shrink effective WAN latency under the lookahead the window fences are
 // built on (bandwidth scales only move the departure instant, so any
 // positive value is safe).
-func checkWANScales(src string, sharded bool, at time.Duration, ls, bs float64) {
+func checkWANScales(sharded bool, at time.Duration, ls, bs float64) {
 	if !(ls >= 0) || !(bs > 0) {
-		panic(fmt.Sprintf("netsim: %s returned invalid WAN scales (latency %g, bandwidth %g) at %v; latency scale must be >= 0 and bandwidth scale > 0", src, ls, bs, at))
+		panic(fmt.Sprintf("netsim: WANProfile returned invalid WAN scales (latency %g, bandwidth %g) at %v; latency scale must be >= 0 and bandwidth scale > 0", ls, bs, at))
 	}
 	if sharded && !(ls >= 1) {
-		panic(fmt.Sprintf("netsim: %s returned latency scale %g at %v; scales below 1 would undercut the sharded engine's WAN lookahead", src, ls, at))
+		panic(fmt.Sprintf("netsim: WANProfile returned latency scale %g at %v; scales below 1 would undercut the sharded engine's WAN lookahead", ls, at))
 	}
 }
 
@@ -809,7 +780,7 @@ func (n *Network) BcastLocal(from cluster.NodeID, kind Kind, size int, payload a
 	}
 	sh.stats.count(scopeIntra, kind, size)
 	now := sh.e.Now()
-	src := n.nodes[from]
+	src := &n.nodes[from]
 	end := serialize(&src.nicFree, now, size, n.par.LANBandwidth)
 	arrive := end + n.lanBcastDelay
 	for _, id := range n.members[n.clusterOf[from]] {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -24,13 +25,34 @@ func testParams() cluster.Params {
 	}
 }
 
-func build(clusters, npc int) (*sim.Engine, *Network) {
+func build(clusters, npc int) (*sim.Engine, *testNet) {
 	e := sim.NewEngine()
-	n := New(e, cluster.Topology{Clusters: clusters, NodesPerCluster: npc}, testParams())
-	return e, n
+	return e, collect(New(e, cluster.Topology{Clusters: clusters, NodesPerCluster: npc}, testParams()))
 }
 
-func recvTime(t *testing.T, e *sim.Engine, n *Network, to cluster.NodeID) time.Duration {
+// testNet is a network whose every node queues its deliveries in a mailbox
+// of its own: delivery is handler-only, so tests that receive from processes
+// or count arrivals install collecting handlers.
+type testNet struct {
+	*Network
+	inbox []*sim.Mailbox
+}
+
+// collect installs a collecting handler on every node of n.
+func collect(n *Network) *testNet {
+	tn := &testNet{Network: n, inbox: make([]*sim.Mailbox, len(n.nodes))}
+	for i := range tn.inbox {
+		mb := sim.NewMailbox(n.EngineFor(n.clusterOf[i]), "inbox")
+		n.SetHandler(cluster.NodeID(i), func(m Msg) { mb.Put(m) })
+		tn.inbox[i] = mb
+	}
+	return tn
+}
+
+// Inbox returns the mailbox node id's deliveries queue in.
+func (tn *testNet) Inbox(id cluster.NodeID) *sim.Mailbox { return tn.inbox[id] }
+
+func recvTime(t *testing.T, e *sim.Engine, n *testNet, to cluster.NodeID) time.Duration {
 	t.Helper()
 	var at time.Duration = -1
 	e.Go("recv", func(p *sim.Proc) {
@@ -271,6 +293,21 @@ func TestHandlerDelivery(t *testing.T) {
 	}
 }
 
+// TestDeliveryWithoutHandlerPanics: delivery is handler-only, so a message
+// reaching a node nobody listens on is an invariant violation naming the node.
+func TestDeliveryWithoutHandlerPanics(t *testing.T) {
+	e := sim.NewEngine()
+	n := New(e, cluster.Topology{Clusters: 1, NodesPerCluster: 2}, testParams())
+	n.Send(Msg{From: 0, To: 1, Kind: KindData, Size: 8})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "node 1, which has no handler") {
+			t.Fatalf("panic %q does not name the handlerless node", msg)
+		}
+	}()
+	_ = e.Run()
+}
+
 func TestKindString(t *testing.T) {
 	names := map[Kind]string{
 		KindRPCReq: "rpc-req", KindRPCRep: "rpc-rep",
@@ -320,7 +357,7 @@ func TestGatewayCostSerializesForwarding(t *testing.T) {
 	e := sim.NewEngine()
 	par := testParams()
 	par.GatewayCost = 500 * time.Microsecond
-	n := New(e, cluster.Topology{Clusters: 2, NodesPerCluster: 3}, par)
+	n := collect(New(e, cluster.Topology{Clusters: 2, NodesPerCluster: 3}, par))
 	// Three tiny messages from distinct senders arrive at the gateway
 	// together; the gateway forwards them one at a time.
 	for i := 0; i < 3; i++ {
@@ -344,7 +381,7 @@ func TestGatewayCostSerializesForwarding(t *testing.T) {
 func TestWANProfileScalesDelivery(t *testing.T) {
 	delivery := func(profile WANProfile) time.Duration {
 		e := sim.NewEngine()
-		n := New(e, cluster.Topology{Clusters: 2, NodesPerCluster: 2}, testParams())
+		n := collect(New(e, cluster.Topology{Clusters: 2, NodesPerCluster: 2}, testParams()))
 		n.SetWANProfile(profile)
 		n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 1000})
 		var at time.Duration
@@ -376,7 +413,7 @@ func TestWANProfileScalesDelivery(t *testing.T) {
 // flips between queueing and transmission must apply its post-step quality.
 func TestWANProfileSampledAtTransmissionStart(t *testing.T) {
 	e := sim.NewEngine()
-	n := New(e, cluster.Topology{Clusters: 2, NodesPerCluster: 2}, testParams())
+	n := collect(New(e, cluster.Topology{Clusters: 2, NodesPerCluster: 2}, testParams()))
 	// Before 500us: nominal quality. From 500us: 3x latency, half bandwidth.
 	n.SetWANProfile(func(at time.Duration) (float64, float64) {
 		if at < 500*time.Microsecond {

@@ -13,7 +13,7 @@ import (
 // one each under a root (leaf: 200us, 2 MB/s). Two compute nodes per cluster,
 // so node 2 is cluster 1's first node and node 6 cluster 3's; gateways are
 // 8+c. LAN/FE figures come from testParams.
-func tieredTestNet(t testing.TB, par cluster.Params, classStreams int) (*sim.Engine, *Network) {
+func tieredTestNet(t testing.TB, par cluster.Params, classStreams int) (*sim.Engine, *testNet) {
 	t.Helper()
 	b := cluster.NewBuilder()
 	trunk := b.Class("trunk", 1000*time.Microsecond, 1e6, classStreams)
@@ -25,7 +25,7 @@ func tieredTestNet(t testing.TB, par cluster.Params, classStreams int) (*sim.Eng
 		t.Fatal(err)
 	}
 	e := sim.NewEngine()
-	return e, New(e, topo, par)
+	return e, collect(New(e, topo, par))
 }
 
 func TestTieredDeliveryTime(t *testing.T) {
@@ -69,7 +69,7 @@ func TestTieredOneHop(t *testing.T) {
 }
 
 // countDeliveries installs counting handlers on every compute node.
-func countDeliveries(n *Network) *int {
+func countDeliveries(n *testNet) *int {
 	count := new(int)
 	topo := n.Topology()
 	for c := 0; c < topo.Clusters; c++ {

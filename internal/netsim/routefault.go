@@ -1,8 +1,8 @@
 // Route health and adaptive failover for link fault domains.
 //
 // When the installed fault policy schedules hard link failures
-// (LinkFaultPolicy with HasLinkDowns), every WAN transmission first asks
-// routeOrHold for a live next hop. The preferred (static) hop is used when
+// (HasLinkDowns), every WAN transmission first asks routeOrHold for a live
+// next hop. The preferred (static) hop is used when
 // its link is up; otherwise the topology's redundancy is exploited — the
 // second direction of a ring backbone, a one-intermediate detour on a mesh
 // (cluster.Graph.NextAvoiding) — and the detour is counted as a reroute.
@@ -16,7 +16,7 @@
 // Everything here is per-source-cluster state touched only on the owning
 // cluster's LP, and every verdict is a pure function of virtual time, so
 // sharded runs stay byte-identical to sequential ones. Without a link
-// failure plan (n.linkFault == nil) none of this code runs and the static
+// failure plan (!n.linkFaults) none of this code runs and the static
 // routing path is untouched.
 package netsim
 
@@ -56,7 +56,7 @@ func (n *Network) routeOrHold(sh *netShard, now time.Duration, u *wireUnit) (nex
 // when the hop differs from the static route. ok is false when every
 // candidate path's first link is down.
 func (n *Network) routeNext(sh *netShard, now time.Duration, cur, cd int) (int, bool) {
-	lf := n.linkFault
+	lf := n.fault
 	next, ok := n.graph.NextAvoiding(cur, cd, func(a, b int) bool { return lf.LinkDown(now, a, b) })
 	if !ok {
 		return 0, false

@@ -11,7 +11,7 @@ import (
 // ringTestNet builds a 4-root ring backbone (one class, 1000us / 1 MB/s),
 // two compute nodes per cluster. Nodes 2c and 2c+1 belong to cluster c;
 // gateways are 8+c.
-func ringTestNet(t testing.TB, par cluster.Params) (*sim.Engine, *Network) {
+func ringTestNet(t testing.TB, par cluster.Params) (*sim.Engine, *testNet) {
 	t.Helper()
 	b := cluster.NewBuilder()
 	bb := b.Class("backbone", 1000*time.Microsecond, 1e6, 0)
@@ -21,7 +21,7 @@ func ringTestNet(t testing.TB, par cluster.Params) (*sim.Engine, *Network) {
 		t.Fatal(err)
 	}
 	e := sim.NewEngine()
-	return e, New(e, topo, par)
+	return e, collect(New(e, topo, par))
 }
 
 // downPair returns a LinkDown closure failing one directed pair for
@@ -85,7 +85,7 @@ func TestMeshDetourOneIntermediate(t *testing.T) {
 
 // twoRootNet builds a two-root backbone (1000us / 1 MB/s), two compute
 // nodes per cluster: the one WAN link has no alternate path.
-func twoRootNet(t testing.TB, par cluster.Params) (*sim.Engine, *Network) {
+func twoRootNet(t testing.TB, par cluster.Params) (*sim.Engine, *testNet) {
 	t.Helper()
 	b := cluster.NewBuilder()
 	bb := b.Class("backbone", 1000*time.Microsecond, 1e6, 0)
@@ -95,7 +95,7 @@ func twoRootNet(t testing.TB, par cluster.Params) (*sim.Engine, *Network) {
 		t.Fatal(err)
 	}
 	e := sim.NewEngine()
-	return e, New(e, topo, par)
+	return e, collect(New(e, topo, par))
 }
 
 // holdKinds runs the hold-queue tests over both kinds of wire unit: plain
@@ -121,10 +121,10 @@ var holdKinds = []struct {
 // cluster to detour through).
 var holdPlatforms = []struct {
 	name  string
-	build func(t testing.TB, par cluster.Params) (*sim.Engine, *Network)
+	build func(t testing.TB, par cluster.Params) (*sim.Engine, *testNet)
 }{
 	{"declared", twoRootNet},
-	{"mesh", func(_ testing.TB, par cluster.Params) (*sim.Engine, *Network) { return buildWith(2, 2, par) }},
+	{"mesh", func(_ testing.TB, par cluster.Params) (*sim.Engine, *testNet) { return buildWith(2, 2, par) }},
 }
 
 // TestHeldUnitsDrainFIFOOnHeal: with no alternate path, traffic parks at the

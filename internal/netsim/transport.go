@@ -181,7 +181,7 @@ func (u *wireUnit) forward() {
 // hold queue when link failures leave no route (routefault.go).
 func (n *Network) transmit(u *wireUnit, now time.Duration) {
 	sh := n.sh[u.cur]
-	if n.linkFault == nil {
+	if !n.linkFaults {
 		n.transmitOn(sh, u, now, n.graph.Next(u.cur, u.cd))
 	} else if next, ok := n.routeOrHold(sh, now, u); ok {
 		n.transmitOn(sh, u, now, next)
@@ -196,7 +196,7 @@ func (n *Network) gatewaySlot(c int, now time.Duration) time.Duration {
 	if n.par.GatewayCost <= 0 {
 		return now
 	}
-	gw := n.nodes[n.gateways[c]]
+	gw := &n.nodes[n.gateways[c]]
 	if gw.gwFree < now {
 		gw.gwFree = now
 	}
@@ -229,8 +229,7 @@ func (n *Network) transmitOn(sh *netShard, u *wireUnit, now time.Duration, next 
 	// queued behind earlier traffic departs at p.free, and a time-varying
 	// profile (congestion wave) must apply there, not at the instant the
 	// unit joined the queue.
-	lat, bw := n.wanQuality(start, &n.classes[l.class])
-	xmit := bwTime(u.bytes, bw)
+	lat, xmit := n.wanQuality(start, &n.classes[l.class], u.bytes)
 	depart := start + xmit
 	p.free = depart
 	p.busy += xmit
@@ -247,8 +246,8 @@ func (n *Network) transmitOn(sh *netShard, u *wireUnit, now time.Duration, next 
 	}
 	n.aggFor(u.cur, int(l.class)).observe(wait, xmit, int64(u.bytes), int64(len(u.msgs)), framed)
 	// The cross-LP hop: arrival is depart+lat+wanDelay with depart >= now and
-	// lat at least the link's class latency (sharded profiles and policies
-	// may only stretch it — latency scales below 1 are rejected per sample),
+	// lat at least the link's class latency (a sharded WANProfile may only
+	// stretch it — latency scales below 1 are rejected per sample),
 	// so the delta is always >= the lookahead New configures — coalescing
 	// delays when a frame departs, never how far ahead its arrival is
 	// scheduled. The pipe's lane is AtShard on a sharded engine; on a plain
@@ -306,7 +305,7 @@ func (u *wireUnit) arrive() {
 // — then serialize one by one onto Fast Ethernet toward their nodes.
 func (u *wireUnit) unpack(now time.Duration) {
 	n := u.n
-	gw := n.nodes[n.gateways[u.cd]]
+	gw := &n.nodes[n.gateways[u.cd]]
 	slotted := false
 	for _, m := range u.msgs {
 		if n.isGW[m.To] {

@@ -22,10 +22,9 @@ func transportParams() cluster.Params {
 	return p
 }
 
-func buildWith(clusters, npc int, par cluster.Params) (*sim.Engine, *Network) {
+func buildWith(clusters, npc int, par cluster.Params) (*sim.Engine, *testNet) {
 	e := sim.NewEngine()
-	n := New(e, cluster.Topology{Clusters: clusters, NodesPerCluster: npc}, par)
-	return e, n
+	return e, collect(New(e, cluster.Topology{Clusters: clusters, NodesPerCluster: npc}, par))
 }
 
 // TestCoalescedSingleMessageDelivery pins the exact timing of a lone framed
@@ -197,7 +196,7 @@ func transportWorkload(t *testing.T, shards int) (time.Duration, uint64, string,
 	if shards > 0 {
 		root.Shard(shards)
 	}
-	n := New(root, cluster.Topology{Clusters: 2, NodesPerCluster: 3}, transportParams())
+	n := collect(New(root, cluster.Topology{Clusters: 2, NodesPerCluster: 3}, transportParams()))
 	for c := 0; c < 2; c++ {
 		c := c
 		for i := 0; i < 3; i++ {
@@ -500,7 +499,7 @@ func TestGatewayCostForwardingHorizonExact(t *testing.T) {
 	e := sim.NewEngine()
 	par := testParams()
 	par.GatewayCost = 500 * time.Microsecond
-	n := New(e, cluster.Topology{Clusters: 2, NodesPerCluster: 3}, par)
+	n := collect(New(e, cluster.Topology{Clusters: 2, NodesPerCluster: 3}, par))
 	// Zero-size messages: no serialization anywhere, only latencies and the
 	// forwarding cost. Each reaches the local gateway at 51us.
 	for i := 0; i < 3; i++ {

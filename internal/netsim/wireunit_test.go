@@ -20,13 +20,13 @@ import (
 // single-hop DAS mesh and a declared multi-hop graph.
 var foldPlatforms = []struct {
 	name  string
-	build func(t *testing.T, par cluster.Params) (*sim.Engine, *Network)
+	build func(t *testing.T, par cluster.Params) (*sim.Engine, *testNet)
 }{
-	{"mesh4x3", func(_ *testing.T, par cluster.Params) (*sim.Engine, *Network) {
+	{"mesh4x3", func(_ *testing.T, par cluster.Params) (*sim.Engine, *testNet) {
 		e := sim.NewEngine()
-		return e, New(e, cluster.DAS(4, 3), par)
+		return e, collect(New(e, cluster.DAS(4, 3), par))
 	}},
-	{"tiered", func(t *testing.T, par cluster.Params) (*sim.Engine, *Network) {
+	{"tiered", func(t *testing.T, par cluster.Params) (*sim.Engine, *testNet) {
 		return tieredTestNet(t, par, 0)
 	}},
 }
@@ -52,7 +52,7 @@ type foldDelivery struct {
 // `endpoints` node IDs (compute nodes only, or compute nodes and gateways)
 // at instants drawn from a coarse grid, so many sends share an instant, and
 // returns every delivery in handler order.
-func foldTraffic(t *testing.T, e *sim.Engine, n *Network, seed uint64, count, endpoints int) []foldDelivery {
+func foldTraffic(t *testing.T, e *sim.Engine, n *testNet, seed uint64, count, endpoints int) []foldDelivery {
 	t.Helper()
 	var got []foldDelivery
 	for id := 0; id < endpoints; id++ {
@@ -140,7 +140,7 @@ func TestMeshShorthandEqualsDeclaredMesh(t *testing.T) {
 				var runs [2]observed
 				for i, topo := range []cluster.Topology{cluster.DAS(4, 3), declared} {
 					e := sim.NewEngine()
-					n := New(e, topo, par)
+					n := collect(New(e, topo, par))
 					if cut {
 						n.SetFaultPolicy(&testPolicy{linkDown: downPair(0, 1, 2*time.Millisecond, 4*time.Millisecond)})
 					}
