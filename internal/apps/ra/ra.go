@@ -336,27 +336,35 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 		// first; only an empty mailbox makes the worker pay up and look again.
 		// An idle worker flushes its partial batches (batches fill to NodeBatch
 		// during busy periods — the point of the node-level combining — and
-		// leave when input runs out), sits out one poll tick, and if that
-		// brought nothing parks on the mailbox: nothing was processed, so
-		// nothing can be dirty, and every further poll would find the same
-		// emptiness. It resumes at the poll instant that would have seen the
-		// arrival, the next whole tick after the flush.
+		// leave when input runs out) and polls every tick from one tick on:
+		// nothing is processed meanwhile, so nothing can turn dirty, and Poll
+		// sits the stretch out as one event. With no partial batch to flush,
+		// paying up and looking again is the same poll started at now+owed.
 		const tick = 200 * time.Microsecond
+		clean := func() bool {
+			for _, word := range dirty {
+				if word != 0 {
+					return false
+				}
+			}
+			return true
+		}
 		for determined[r] < own {
 			got, ok := w.TryRecvID(tags[r])
 			if !ok && owed > 0 {
+				if clean() {
+					w.P.Charge(owed)
+					w.PollID(tags[r], w.P.Now()+owed, tick)
+					owed = 0
+					continue
+				}
 				w.Compute(owed)
 				owed = 0
 				got, ok = w.TryRecvID(tags[r])
 			}
 			if !ok {
 				flushAll()
-				t0 := w.P.Now()
-				w.P.Sleep(tick)
-				w.AwaitID(tags[r])
-				if late := (w.P.Now() - t0) % tick; late > 0 {
-					w.P.Sleep(tick - late)
-				}
+				w.PollID(tags[r], w.P.Now()+tick, tick)
 				continue
 			}
 			b := got.(*batch)

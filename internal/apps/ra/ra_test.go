@@ -146,18 +146,19 @@ func TestStarvedWorkerIsADeadlock(t *testing.T) {
 // TestEventBudget pins what one RA run costs the engine: events dispatched,
 // and how many of them the workers themselves scheduled as Sleep and Compute.
 // The counts repeat exactly; the budgets leave 5-10% headroom for changes to
-// the runtime below and still catch each of the worker's three rules coming
-// undone: a Compute per update costs 16.7k/16.3k computes and 34k events, a
-// settling Compute before every receive 10.7k/9.9k and 28k, and a Sleep per
-// idle tick 2,891/3,683 sleeps (this small run idles little: on the paper's
-// instance the polls were a fifth to a third of all events).
+// the runtime below and still catch each of the worker's four rules coming
+// undone (orig/opt): a Compute per update costs 16.4k/16.0k computes and 33k
+// events, a settling Compute before every receive 10.7k/9.9k computes, an
+// idle stretch as a tick's Sleep, a parked wait and an alignment Sleep
+// 3,378/2,946 sleeps and 26.0k/25.5k events, and a settle with nothing to
+// flush paid as a Compute before the poll 7,801/6,956 computes.
 func TestEventBudget(t *testing.T) {
 	for _, tc := range []struct {
 		opt                        bool
 		dispatched, sleep, compute uint64
 	}{
-		{opt: false, dispatched: 27_000, sleep: 2_850, compute: 8_500}, // measured 25,487 / 2,690 / 7,801
-		{opt: true, dispatched: 27_000, sleep: 2_850, compute: 7_600},  // measured 25,482 / 2,595 / 6,956
+		{opt: false, dispatched: 25_500, sleep: 460, compute: 7_500}, // measured 23,934 / 422 / 6,938
+		{opt: true, dispatched: 25_000, sleep: 245, compute: 6_850},  // measured 23,476 / 225 / 6,323
 	} {
 		sys := core.NewSystem(core.Config{Topology: cluster.DAS(4, 2), Params: cluster.DASParams()})
 		verify := Build(sys, testCfg(), tc.opt)

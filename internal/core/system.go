@@ -131,9 +131,12 @@ func (w *Worker) RecvID(id orca.TagID) any { return w.Sys.RTS.RecvDataID(w.P, w.
 // TryRecvID returns a queued message for the interned tag without blocking.
 func (w *Worker) TryRecvID(id orca.TagID) (any, bool) { return w.Sys.RTS.TryRecvDataID(w.Node, id) }
 
-// AwaitID blocks until a message with the interned tag is queued, without
-// taking it: the next TryRecvID returns it.
-func (w *Worker) AwaitID(id orca.TagID) { w.Sys.RTS.AwaitDataID(w.P, w.Node, id) }
+// PollID blocks until the earliest instant first + k·period (k ≥ 0) at which a
+// message with the interned tag is queued, without taking it: the next
+// TryRecvID returns it.
+func (w *Worker) PollID(id orca.TagID, first, period time.Duration) {
+	w.Sys.RTS.PollDataID(w.P, w.Node, id, first, period)
+}
 
 // SpawnWorkers starts one worker process per compute node running body.
 func (s *System) SpawnWorkers(name string, body func(w *Worker)) {

@@ -2,6 +2,7 @@ package orca
 
 import (
 	"fmt"
+	"time"
 
 	"albatross/internal/cluster"
 	"albatross/internal/netsim"
@@ -91,11 +92,12 @@ func (r *RTS) RecvDataID(p *sim.Proc, at cluster.NodeID, id TagID) any {
 	return r.dataMailbox(r.nodes[at], id).Get(p)
 }
 
-// AwaitDataID blocks process p (running at node at) until a message with the
-// interned tag is queued, and leaves it queued for the next (Try)RecvDataID:
-// sim.Mailbox.Wait on the tag's mailbox, with its single-consumer rule.
-func (r *RTS) AwaitDataID(p *sim.Proc, at cluster.NodeID, id TagID) {
-	r.dataMailbox(r.nodes[at], id).Wait(p)
+// PollDataID blocks process p (running at node at) until the earliest instant
+// first + k·period (k ≥ 0) at which a message with the interned tag is queued,
+// and leaves it queued for the next (Try)RecvDataID: sim.Mailbox.Poll on the
+// tag's mailbox, with its single-consumer rule.
+func (r *RTS) PollDataID(p *sim.Proc, at cluster.NodeID, id TagID, first, period time.Duration) {
+	r.dataMailbox(r.nodes[at], id).Poll(p, first, period)
 }
 
 // TryRecvData returns the oldest queued payload for tag without blocking;

@@ -327,10 +327,14 @@ func (e *Engine) handoff(p *Proc) {
 	p.next()
 }
 
-// wake schedules p to resume at the current virtual time. It goes through
-// the ready ring with the process's pre-bound resume thunk: no heap sift,
-// no closure allocation.
-func (e *Engine) wake(p *Proc) {
+// wake schedules p to resume at the current virtual time.
+func (e *Engine) wake(p *Proc) { e.wakeAt(p, e.now) }
+
+// wakeAt schedules parked p to resume at t (t ≤ now means now) with the
+// process's pre-bound resume thunk, so it allocates nothing: through the
+// ready ring when due now, through the heap otherwise. A process whose resume
+// is still ahead stays parked, reported as on a sleep.
+func (e *Engine) wakeAt(p *Proc, t time.Duration) {
 	if e.killing {
 		// Wakes issued while dying processes unwind (e.g. a deferred
 		// Future.Set) are meaningless: Shutdown releases every process.
@@ -339,18 +343,19 @@ func (e *Engine) wake(p *Proc) {
 	if p.state != procParked {
 		panic(fmt.Sprintf("sim: wake of %s which is %v", p.name, p.state))
 	}
-	p.state = procReady
+	if w := e.win; w != nil && !w.active {
+		panic(fmt.Sprintf("sim: cross-LP wake of %q on LP %d — a Future/Mailbox/Barrier bound to "+
+			"one cluster signalled from another without lookahead (typically a sequenced broadcast, "+
+			"shared barrier, or global counter in the application; see DESIGN.md §5c/§5d)",
+			p.waitReport(), e.lpIdx))
+	}
 	e.census.Wake++
-	if w := e.win; w != nil {
-		e.winWake(w, p)
-		return
+	if t > e.now {
+		p.waitKind, p.waitName = "sleep", ""
+	} else {
+		p.state = procReady
 	}
-	if e.root != nil {
-		e.ready.Push(nowEvent{e.rootSeq(), p.runFn})
-		return
-	}
-	e.seq++
-	e.ready.Push(nowEvent{e.seq, p.runFn})
+	e.schedule(t, p.runFn)
 }
 
 // Run executes events until both queues drain. It returns a *DeadlockError

@@ -54,6 +54,10 @@ type Proc struct {
 	waitName string
 	daemon   bool // daemon procs may be left parked at end of run
 
+	// While parked in Mailbox.Poll, the poll grid pollAt + k·pollEvery
+	// (k ≥ 0) the filling Put resumes the process on; pollEvery is 0 otherwise.
+	pollAt, pollEvery time.Duration
+
 	busy time.Duration // accumulated Compute time, for utilization metrics
 }
 
@@ -127,6 +131,10 @@ func (p *Proc) Compute(d time.Duration) {
 	p.e.census.Compute++
 	p.sleep(d)
 }
+
+// Charge adds d to the busy time without advancing the clock: a Compute folded
+// into a wait that lasts at least d, such as Mailbox.Poll with first ≥ now+d.
+func (p *Proc) Charge(d time.Duration) { p.busy += d }
 
 // Yield reschedules the process at the current time, letting every other
 // event and process due now run first.
@@ -216,37 +224,65 @@ func NewMailbox(e *Engine, name string) *Mailbox {
 // Len reports the number of queued values.
 func (m *Mailbox) Len() int { return m.q.Len() }
 
-// Waiting reports the number of processes blocked in Get or Wait.
+// Waiting reports the number of processes blocked in Get or Poll.
 func (m *Mailbox) Waiting() int { return m.waiters.Len() }
 
-// Put enqueues v, waking the longest-waiting receiver if any. It never
-// blocks and may be called from event callbacks or process context.
+// Put enqueues v and resumes the longest-waiting receiver if any: a Get
+// caller now, a Poll caller at the first instant of its grid not before now.
+// It never blocks and may be called from event callbacks or process context.
 func (m *Mailbox) Put(v any) {
 	m.q.Push(v)
 	if m.waiters.Len() > 0 {
 		w := m.waiters.Pop()
-		w.e.wake(w) // the waiter's engine, as in Future.Set
+		// The waiter's engine and clock, as in Future.Set.
+		t := w.e.now
+		if w.pollEvery > 0 {
+			late := t - w.pollAt
+			t = w.pollAt
+			if late > 0 {
+				t += (late + w.pollEvery - 1) / w.pollEvery * w.pollEvery
+			}
+		}
+		w.e.wakeAt(w, t)
 	}
 }
 
 // Get dequeues the oldest value, blocking the process until one arrives.
 func (m *Mailbox) Get(p *Proc) any {
-	m.Wait(p)
+	m.wait(p)
 	return m.q.Pop()
 }
 
-// Wait blocks the process until the mailbox holds a value and leaves the
-// value queued; it returns at once, without yielding, if one already is. It
-// lets an idle process sit out a gap of any length as one parked wait instead
-// of a poll per tick, and then decide for itself when to take the value (see
-// the RA worker). Wait does not consume, and Put wakes one waiter per value:
-// a mailbox that mixes Wait and Get callers must have a single consumer, or a
-// Wait caller absorbs the wake a blocked Get was owed.
-func (m *Mailbox) Wait(p *Proc) {
+// wait parks the process until the mailbox holds a value.
+func (m *Mailbox) wait(p *Proc) {
 	for m.q.Len() == 0 {
 		m.waiters.Push(p)
 		p.park("mailbox ", m.name)
 	}
+}
+
+// Poll returns at the earliest instant first + k·period (k ≥ 0) at which the
+// mailbox holds a value, and leaves the value queued: the instant a process
+// that looks at first and then once per period would see it. If a value is
+// already queued Poll sleeps to first (it returns at once if first is not in
+// the future); otherwise it parks, and the Put that fills the mailbox
+// schedules the resume, so an idle stretch of any length costs one event.
+// Poll does not consume, and Put resumes one waiter per value: a mailbox that
+// mixes Poll and Get callers must have a single consumer, or a Poll caller
+// absorbs the wake a blocked Get was owed.
+func (m *Mailbox) Poll(p *Proc, first, period time.Duration) {
+	if period <= 0 {
+		panic("sim: non-positive Poll period")
+	}
+	if m.q.Len() > 0 {
+		if d := first - p.e.now; d > 0 {
+			p.Sleep(d)
+		}
+		return
+	}
+	p.pollAt, p.pollEvery = first, period
+	m.wait(p)
+	p.pollEvery = 0
 }
 
 // TryGet dequeues the oldest value without blocking; ok is false if empty.

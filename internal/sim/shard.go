@@ -354,21 +354,6 @@ func (e *Engine) winAt(w *winState, t time.Duration, fn func()) {
 	e.heapPush(event{at: t, seq: seq, fn: fn})
 }
 
-// winWake is wake during a window: identical bookkeeping for the pre-bound
-// resume thunk.
-func (e *Engine) winWake(w *winState, p *Proc) {
-	if !w.active {
-		panic(fmt.Sprintf("sim: cross-LP wake of %q on LP %d — a Future/Mailbox/Barrier bound to "+
-			"one cluster signalled from another without lookahead (typically a sequenced broadcast, "+
-			"shared barrier, or global counter in the application; see DESIGN.md §5c/§5d)",
-			p.waitReport(), e.lpIdx))
-	}
-	seq := provBase | uint64(w.provCnt)
-	w.provCnt++
-	w.calls = append(w.calls, false)
-	e.ready.Push(nowEvent{seq, p.runFn})
-}
-
 // rootSeq draws the next canonical seq from the root's global counter: the
 // setup-phase scheduling path of shard engines (single-threaded, so shared
 // counter access is safe, and cross-LP t=0 ties order exactly as the
