@@ -7,7 +7,6 @@
 //	dasbench -exp fig5,fig6      # selected experiments
 //	dasbench -list               # show what is available
 //	dasbench -exp fig1 -plot     # additionally draw ASCII speedup charts
-//	dasbench -exp fig7 -shards 4 # run shardable apps on the parallel engine
 //	dasbench -exp fig9 -census   # additionally list each run's event census
 //	dasbench -exp fig9 -coalesce 32768 -coalesce-window 500us -streams 4
 //	                             # ... on the coalescing/striping runtime
@@ -17,13 +16,8 @@
 //	                             # ... on a declarative tiered topology, with
 //	                             # per-link-class WAN statistics
 //
-// -shards N partitions each run (all eight of the paper's applications run
-// on the sharded engine since the LP-pinned sequencer, DESIGN.md §5d) into
-// min(N, clusters) cluster-owning logical processes synchronized by
-// WAN-lookahead windows; single-cluster shapes keep the sequential engine.
-// Results are byte-identical at any setting — the flag trades wall-clock
-// time only — and after the experiments the shard-usage report shows the
-// synchronization overhead each application paid.
+// Runs execute -parallel at a time, each on its own sequential engine;
+// output is byte-identical at any -parallel.
 package main
 
 import (
@@ -55,7 +49,6 @@ func main() {
 		quickFlag    = flag.Bool("quick", false, "with -chaos: trim the sweep to the smoke-test scenarios")
 		csvFlag      = flag.String("csv", "", "also write each experiment's data as CSV into this directory")
 		parallelFlag = flag.Int("parallel", 0, "simulation runs to execute concurrently (0 = GOMAXPROCS); output is identical at any setting")
-		shardsFlag   = flag.Int("shards", 0, "engine shards (LPs) per run for shardable applications (0/1 = sequential engine); output is identical at any setting")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProfile   = flag.String("memprofile", "", "write a heap profile (taken after all runs drain) to this file")
 		coalesceFlag = flag.Int("coalesce", 0, "gateway transport: max coalesced WAN frame size in bytes (0 = no size bound)")
@@ -70,7 +63,6 @@ func main() {
 	// runtime (the "transport" experiment sweeps it explicitly either way).
 	s := &harness.Session{
 		Workers: *parallelFlag,
-		Shards:  *shardsFlag,
 		Transport: harness.Transport{
 			MaxFrameBytes:  *coalesceFlag,
 			CoalesceWindow: *windowFlag,
@@ -82,22 +74,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	// What follows the reports of every mode: the simulator's own counters
-	// (the shard-usage report is nil unless a run was sharded).
+	// What follows the reports of every mode: with -census, the simulator's
+	// own event counters.
 	epilogue := func() {
-		reps := []*harness.Report{s.ShardUsageReport()}
-		if *censusFlag {
-			reps = append(reps, s.CensusReport())
+		if !*censusFlag {
+			return
 		}
-		for _, rep := range reps {
-			if rep == nil {
-				continue
-			}
-			fmt.Print(rep.Render())
-			if err := writeCSV(os.Stdout, *csvFlag, rep.ID, rep); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		rep := s.CensusReport()
+		fmt.Print(rep.Render())
+		if err := writeCSV(os.Stdout, *csvFlag, rep.ID, rep); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 	}
 
@@ -275,7 +262,6 @@ func showTimeline(s *harness.Session, appName string) error {
 	debugNames := func(sys *core.System, _ *faults.Injector) { sys.RTS.SetDebugNames(true) }
 	for _, optimized := range []bool{false, true} {
 		spec := s.Spec(app, cluster.DAS(4, 15), optimized)
-		spec.Shards = 0
 		tl := trace.New(time.Millisecond)
 		m, err := harness.Exec(spec, debugNames, harness.TimelineHook(tl))
 		if err != nil {

@@ -36,8 +36,8 @@ func loadTopology(arg string) (cluster.Topology, string, error) {
 	return topo, name, nil
 }
 
-// runTopo runs the selected applications (both variants, honoring -shards and
-// the transport flags) on the -topo platform and renders TopoReport.
+// runTopo runs the selected applications (both variants, honoring the
+// transport flags) on the -topo platform and renders TopoReport.
 func runTopo(out io.Writer, s *harness.Session, topoArg, appsCSV, csvDir string) error {
 	topo, _, err := loadTopology(topoArg)
 	if err != nil {

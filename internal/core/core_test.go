@@ -13,11 +13,9 @@ import (
 
 func TestSystemSmoke(t *testing.T) {
 	sys := NewDAS(2, 4)
-	b := sim.NewBarrier(sys.Engine, "b", sys.Topo.Compute())
 	ran := 0
 	sys.SpawnWorkers("w", func(w *Worker) {
 		w.Compute(time.Duration(w.Rank()+1) * time.Millisecond)
-		b.Arrive(w.P)
 		ran++
 	})
 	m, err := sys.Run()

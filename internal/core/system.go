@@ -38,7 +38,8 @@ type Config struct {
 	// produces byte-identical results in both modes. The only remaining
 	// sharded restriction is per-sample: WAN latency scales below 1
 	// (profile or fault policy) are rejected because they would undercut
-	// the engine's lookahead.
+	// the engine's lookahead. Two callers set it: bench/'s sim-apps-sharded
+	// workload and harness's sequential≡sharded identity tests.
 	Shards int
 }
 

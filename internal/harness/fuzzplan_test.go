@@ -191,8 +191,7 @@ func checkPlan(t testing.TB, data []byte, platforms [2]cluster.Topology, graphs 
 	}
 	var res [2]Result
 	for i, shards := range []int{0, 2} {
-		spec.Shards = shards
-		r, err := Exec(spec)
+		r, err := execOn(t, spec, shards)
 		var dl *sim.DeadlineError
 		var dk *sim.DeadlockError
 		if err != nil && !errors.As(err, &dl) && !errors.As(err, &dk) {

@@ -30,6 +30,16 @@ func goldenOutput(t *testing.T, s *Session, id string) string {
 	return rep.Render() + "\n--- CSV ---\n" + rep.CSV()
 }
 
+// readGolden loads a stored golden report from testdata.
+func readGolden(t *testing.T, id string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "golden_"+id+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // TestGoldenReports proves the engine rebuild changed no observable result:
 // the fig5 (ASP, broadcast-heavy) and fig7 (ATPG, RPC-heavy) reports must be
 // byte-identical to the testdata captured from the pre-rebuild engine, and

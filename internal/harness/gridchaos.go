@@ -142,7 +142,6 @@ func ChaosTimeline(s *Session, appName string, optimized bool, c ChaosSpec, widt
 		return "", err
 	}
 	spec := s.chaosRun(app, cluster.DAS(4, 4), optimized, c)
-	spec.Shards = 0
 	tl := trace.New(time.Millisecond)
 	m, err := Exec(spec, TimelineHook(tl))
 	if err != nil {

@@ -37,13 +37,14 @@ func TestGridPartitionHealAllApps(t *testing.T) {
 	spec := ChaosSpec{PartitionStart: time.Second, PartitionDur: 2 * time.Second}
 	var rerouted, held int64
 	for _, app := range Apps {
-		seq := mustExec(t, (&Session{}).chaosRun(app, topo, false, spec))
+		run := (&Session{}).chaosRun(app, topo, false, spec)
+		seq := mustExecOn(t, run, 0)
 		if seq.Elapsed <= time.Second {
 			t.Errorf("%s finished at %v, before the partition even started", app.Name, seq.Elapsed)
 		}
 		rerouted += seq.Net.Reroutes()
 		held += seq.Net.HeldMsgs()
-		sh := mustExec(t, (&Session{Shards: 3}).chaosRun(app, topo, false, spec))
+		sh := mustExecOn(t, run, 3)
 		if got, want := fmt.Sprintf("%+v", sh.Metrics), fmt.Sprintf("%+v", seq.Metrics); got != want {
 			t.Errorf("%s: sharded partition run differs from sequential\n got: %s\nwant: %s", app.Name, got, want)
 		}

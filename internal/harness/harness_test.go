@@ -130,6 +130,28 @@ func TestTableRenderAligns(t *testing.T) {
 	}
 }
 
+// TestTableRenderRaggedRow: a row wider than the header renders, without a
+// panic, with every column aligned and its extra cell included; CSV writes
+// the row as it is.
+func TestTableRenderRaggedRow(t *testing.T) {
+	tb := &Table{
+		ID: "t", Title: "demo",
+		Headers: []string{"a", "bb"},
+		Rows:    [][]string{{"x", "y"}, {"long", "z", "extra"}},
+	}
+	want := "t: demo\n" +
+		"a     bb\n" +
+		"----  --\n" +
+		"x     y \n" +
+		"long  z   extra\n"
+	if got := tb.Render(); got != want {
+		t.Errorf("render:\n%q\nwant\n%q", got, want)
+	}
+	if got, want := tb.CSV(), "a,bb\nx,y\nlong,z,extra\n"; got != want {
+		t.Errorf("csv:\n%q\nwant\n%q", got, want)
+	}
+}
+
 // TestTable1MeasurementsReturnErrors hands each Table-1 microbenchmark a
 // system that cannot finish (a 1ns virtual deadline) and requires the
 // engine's structured error back, not a panic: the path is reachable from

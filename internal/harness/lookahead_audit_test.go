@@ -50,13 +50,10 @@ func (a *lookaheadAuditor) hook(sys *core.System) func(src, dst int, delta time.
 // can require the property was actually exercised.
 func auditOneRun(t *testing.T, tag string, app AppSpec, topo cluster.Topology, tr Transport, plan *faults.Plan) uint64 {
 	t.Helper()
-	spec := identitySpec(app, topo, false, 4, plan)
+	spec := identitySpec(app, topo, false, plan)
 	spec.Transport = tr
 	aud := &lookaheadAuditor{}
-	if _, err := Exec(spec, func(sys *core.System, _ *faults.Injector) {
-		if len(sys.Engine.Shards()) == 0 {
-			t.Fatalf("%s: expected a sharded system", tag)
-		}
+	if _, err := execOn(t, spec, 4, func(sys *core.System, _ *faults.Injector) {
 		sys.Engine.SetCrossLPAudit(aud.hook(sys))
 	}); err != nil {
 		t.Fatalf("%s: %v", tag, err)

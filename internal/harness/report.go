@@ -35,17 +35,20 @@ type Table struct {
 	Rows    [][]string
 }
 
-// Render formats the table as aligned text.
+// Render formats the table as aligned text. A row wider than the header gets
+// its extra columns aligned too.
 func (t *Table) Render() string {
-	widths := make([]int, len(t.Headers))
+	ncols := len(t.Headers)
+	for _, row := range t.Rows {
+		ncols = max(ncols, len(row))
+	}
+	widths := make([]int, ncols)
 	for i, h := range t.Headers {
 		widths[i] = len(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
 	var b strings.Builder

@@ -15,19 +15,18 @@ import (
 )
 
 // RunSpec fully determines one run's bytes: which application variant, on
-// which platform and network, on which engine, under which fault plan. Two
-// equal specs produce identical results, which is what lets a Session
-// memoize on it.
+// which platform and network, under which fault plan. Two equal specs
+// produce identical results, which is what lets a Session memoize on it.
 type RunSpec struct {
 	App       AppSpec
 	Topo      cluster.Topology
 	Optimized bool
 	Params    cluster.Params
 	Transport Transport
-	// Shards asks for the cluster-sharded engine (0/1 = sequential). It is
-	// honored on multi-cluster platforms and changes wall-clock behavior
-	// only, never results.
-	Shards int
+	// shards is core.Config.Shards, set only by the sequential≡sharded
+	// identity tests; it changes wall-clock behavior only, never results, and
+	// leaves with the sharded engine.
+	shards int
 	// Faults, when non-nil, installs a seeded injector built from the plan
 	// and enables the reliability layer with Rel — also for a plan that
 	// injects nothing, so fault-free baselines of a sweep pay the same
@@ -59,7 +58,7 @@ type runKey struct {
 	optimized bool
 	params    cluster.Params
 	transport Transport
-	shards    int
+	shards    int // leaves with internal/sim/shard.go
 	faults    string
 	rel       orca.RelConfig
 	deadline  time.Duration
@@ -73,7 +72,7 @@ func (sp RunSpec) key() runKey {
 		optimized: sp.Optimized,
 		params:    sp.Params,
 		transport: sp.Transport,
-		shards:    sp.Shards,
+		shards:    sp.shards,
 		rel:       sp.Rel,
 		deadline:  sp.Deadline,
 	}
@@ -111,10 +110,8 @@ type Result struct {
 	// Stalled lists the reliable channels whose senders gave up, for
 	// post-mortem diagnosis of unavailable runs (empty on success).
 	Stalled []string
-	// LPs and Wall describe the simulator, not the simulation: per-LP window
-	// counters of a sharded run (nil when sequential) and the wall-clock
-	// time the run took. Neither is part of the byte-identity surface.
-	LPs  []sim.LPStats
+	// Wall is the wall-clock time the run took: it describes the simulator,
+	// not the simulation, and is not part of the byte-identity surface.
 	Wall time.Duration
 }
 
@@ -148,7 +145,7 @@ func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 		Topology:  spec.Topo,
 		Params:    params,
 		Sequencer: seqr,
-		Shards:    spec.Shards,
+		Shards:    spec.shards,
 	})
 	if in != nil {
 		sys.Net.SetFaultPolicy(in)
@@ -170,7 +167,6 @@ func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 		Census:     sys.Engine.Census(),
 		Rel:        sys.RTS.RelStats(),
 		Stalled:    sys.RTS.StalledChannels(),
-		LPs:        sys.ShardStats(),
 		Wall:       wall,
 	}
 	if in != nil {
@@ -190,8 +186,6 @@ func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 
 // TimelineHook taps every message — and, under a fault plan, every injected
 // fault, in the distinct fault-series ramp — into a time-bucketed timeline.
-// Runs traced this way pin Shards to 0: on the sharded engine taps fire in
-// wall-clock interleaving, so series would appear in nondeterministic order.
 func TimelineHook(tl *trace.Timeline) Hook {
 	return func(sys *core.System, in *faults.Injector) {
 		sys.Net.SetTap(func(at time.Duration, m netsim.Msg, inter bool) {

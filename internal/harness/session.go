@@ -2,33 +2,27 @@ package harness
 
 import (
 	"fmt"
-	"maps"
 	"runtime"
 	"slices"
 	"sync"
-	"time"
 
 	"albatross/internal/cluster"
-	"albatross/internal/sim"
 )
 
-// Session carries the three run-wide settings and owns the state runs share:
+// Session carries the two run-wide settings and owns the state runs share:
 // the singleflight result cache, the bounded worker pool, and the log of
-// finished runs its census and shard-usage reports read. The zero value is
-// ready to use (sequential engine, plain gateways, GOMAXPROCS workers); a
-// Session must not be copied after first use. Experiments follow
-// collect-then-render: submit the full run set through Prefetch (or do), then
-// render rows sequentially from the memoized results, so report output is
-// byte-identical at any Workers.
+// finished runs its census report reads. The zero value is ready to use
+// (plain gateways, GOMAXPROCS workers); a Session must not be copied after
+// first use. Experiments follow collect-then-render: submit the full run set
+// through Prefetch (or do), then render rows sequentially from the memoized
+// results, so report output is byte-identical at any Workers.
 type Session struct {
 	// Workers bounds how many runs execute concurrently; non-positive
 	// selects GOMAXPROCS. Every run builds a private engine and system, so
 	// runs share no simulation state.
 	Workers int
-	// Shards and Transport are what Spec stamps on the runs it describes:
-	// the engine shard count (results are byte-identical at any value) and
-	// the gateway transport layer (off reproduces the paper's gateways).
-	Shards    int
+	// Transport is what Spec stamps on the runs it describes: the gateway
+	// transport layer (off reproduces the paper's gateways).
 	Transport Transport
 
 	mu    sync.Mutex
@@ -43,11 +37,10 @@ type runEntry struct {
 	err  error
 }
 
-// ranRun is one finished run in the session's log.
+// ranRun is one finished run in the session's log, failed or not.
 type ranRun struct {
 	spec RunSpec
 	res  Result
-	err  error
 }
 
 // Validate rejects a negative run-wide setting, naming the dasbench flag that
@@ -61,7 +54,6 @@ func (s *Session) Validate() error {
 		v    any
 	}{
 		{"-parallel", s.Workers < 0, s.Workers},
-		{"-shards", s.Shards < 0, s.Shards},
 		{"-coalesce", t.MaxFrameBytes < 0, t.MaxFrameBytes},
 		{"-coalesce-window", t.CoalesceWindow < 0, t.CoalesceWindow},
 		{"-streams", t.WANStreams < 0, t.WANStreams},
@@ -74,22 +66,20 @@ func (s *Session) Validate() error {
 }
 
 // Spec describes one application variant on a platform with the harness
-// parameter set and the session's engine and transport settings. Callers
-// adjust the returned value (Params, Faults, an explicit Transport{}) before
-// running it; the session reads nothing else from itself at run time.
+// parameter set and the session's transport setting. Callers adjust the
+// returned value (Params, Faults, an explicit Transport{}) before running it;
+// the session reads nothing else from itself at run time.
 func (s *Session) Spec(app AppSpec, topo cluster.Topology, optimized bool) RunSpec {
-	return RunSpec{App: app, Topo: topo, Optimized: optimized,
-		Params: Params, Transport: s.Transport, Shards: s.Shards}
+	return RunSpec{App: app, Topo: topo, Optimized: optimized, Params: Params, Transport: s.Transport}
 }
 
 // Exec is the package-level Exec, additionally logging the finished run for
-// the session's census and shard-usage reports. Use it for runs that carry
-// hooks or report through captured variables; everything else goes through
-// Run.
+// the session's census report. Use it for runs that carry hooks or report
+// through captured variables; everything else goes through Run.
 func (s *Session) Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 	res, err := Exec(spec, hooks...)
 	s.mu.Lock()
-	s.ran = append(s.ran, ranRun{spec, res, err})
+	s.ran = append(s.ran, ranRun{spec, res})
 	s.mu.Unlock()
 	return res, err
 }
@@ -200,86 +190,6 @@ func (s *Session) do(tasks ...func() error) error {
 		}
 	}
 	return nil
-}
-
-// ShardUsageReport tabulates the per-LP window counters of every application
-// that ran sharded in this session, one row per (application, LP) sorted by
-// name. An application's successful runs are folded: counters summed per LP
-// index, virtual and wall-clock durations summed for the rates. Columns:
-// windows executed, the share that dispatched no event on that LP
-// (pure synchronization), windows chained inline without a barrier, the mean
-// virtual width of a window, the window rate per simulated second, events
-// dispatched, and wall-clock fence waits with their share of the runs' wall
-// clock. The results themselves are byte-identical on either engine; this is
-// the sharded engine's overhead made visible. It returns nil when nothing ran
-// on the parallel engine.
-func (s *Session) ShardUsageReport() *Report {
-	t := &Table{
-		ID:    "shard-usage",
-		Title: "Sharded-engine window counters (observability only; results are engine-independent)",
-		Headers: []string{"app", "runs", "lp", "windows", "idle%", "chained", "width",
-			"win/simsec", "events", "fence-wait", "fence%"},
-	}
-	type usage struct {
-		runs          int
-		virtual, wall time.Duration
-		lps           []sim.LPStats
-	}
-	byApp := map[string]*usage{}
-	s.mu.Lock()
-	for _, r := range s.ran {
-		if r.err != nil || r.res.LPs == nil {
-			continue
-		}
-		u := byApp[r.spec.App.Name]
-		if u == nil {
-			u = &usage{}
-			byApp[r.spec.App.Name] = u
-		}
-		u.runs++
-		u.virtual += r.res.Elapsed
-		u.wall += r.res.Wall
-		// Shapes with different cluster counts shard into different LP
-		// counts; grow the fold to the widest run seen.
-		for len(u.lps) < len(r.res.LPs) {
-			u.lps = append(u.lps, sim.LPStats{LP: len(u.lps)})
-		}
-		for i, st := range r.res.LPs {
-			u.lps[i].Windows += st.Windows
-			u.lps[i].IdleWindows += st.IdleWindows
-			u.lps[i].Chained += st.Chained
-			u.lps[i].Events += st.Events
-			u.lps[i].FenceWait += st.FenceWait
-		}
-	}
-	s.mu.Unlock()
-	if len(byApp) == 0 {
-		return nil
-	}
-	for _, app := range slices.Sorted(maps.Keys(byApp)) {
-		u := byApp[app]
-		for _, lp := range u.lps {
-			var idle, rate, fence float64
-			var width time.Duration
-			if lp.Windows > 0 {
-				idle = 100 * float64(lp.IdleWindows) / float64(lp.Windows)
-				width = u.virtual / time.Duration(lp.Windows)
-			}
-			if u.virtual > 0 {
-				rate = float64(lp.Windows) / u.virtual.Seconds()
-			}
-			if u.wall > 0 {
-				fence = 100 * float64(lp.FenceWait) / float64(u.wall)
-			}
-			t.Rows = append(t.Rows, []string{
-				app, fmt.Sprint(u.runs), fmt.Sprint(lp.LP), fmt.Sprint(lp.Windows),
-				fmt.Sprintf("%.1f%%", idle), fmt.Sprint(lp.Chained),
-				roundDur(width), fmt.Sprintf("%.0f", rate), fmt.Sprint(lp.Events),
-				lp.FenceWait.Round(time.Millisecond).String(), fmt.Sprintf("%.1f%%", fence),
-			})
-		}
-	}
-	return &Report{ID: t.ID, Title: t.Title, Tables: []*Table{t}}
 }
 
 // CensusReport tabulates the engine's event census of every run the session

@@ -146,7 +146,7 @@ func TestSessionKeyIsTheSpec(t *testing.T) {
 		{"Transport.MaxFrameBytes", func(sp *RunSpec) { sp.Transport.MaxFrameBytes = 1 << 10 }},
 		{"Transport.CoalesceWindow", func(sp *RunSpec) { sp.Transport.CoalesceWindow = time.Millisecond }},
 		{"Transport.WANStreams", func(sp *RunSpec) { sp.Transport.WANStreams = 2 }},
-		{"Shards", func(sp *RunSpec) { sp.Shards = 2 }},
+		{"shards", func(sp *RunSpec) { sp.shards = 2 }},
 		{"Faults (seed 1)", func(sp *RunSpec) { sp.Faults = plan(1) }},
 		{"Faults (seed 2)", func(sp *RunSpec) { sp.Faults = plan(2) }},
 		{"Rel.RTO", func(sp *RunSpec) { sp.Rel.RTO = time.Second }},
@@ -265,47 +265,9 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSessionShardsReachEveryRun: the session's shard setting must reach
-// every kind of experiment, not only the cached figure runs — a sensitivity
-// sweep (explicit Params), an ablation (one-off application through
-// Session.Exec) and the quick chaos report (fault plans) must, under
-// Session{Shards: 2}, really run on the sharded engine (non-empty usage
-// aggregate) and still render the sequential bytes.
-func TestSessionShardsReachEveryRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded sweeps are long in -short mode")
-	}
-	for _, e := range []struct {
-		name string
-		run  func(*Session) (*Report, error)
-	}{
-		{"sens-atpg", SensitivityATPG},
-		{"abl-water", AblationWater},
-		{"chaos-quick", func(s *Session) (*Report, error) { return ChaosReport(s, true) }},
-	} {
-		render := func(s *Session) string {
-			rep, err := e.run(s)
-			if err != nil {
-				t.Fatalf("%s with %d shards: %v", e.name, s.Shards, err)
-			}
-			return rep.Render() + rep.CSV()
-		}
-		seq, sharded := &Session{}, &Session{Shards: 2}
-		if want, got := render(seq), render(sharded); got != want {
-			t.Errorf("%s: 2-shard report differs from sequential\n got:\n%s\nwant:\n%s", e.name, got, want)
-		}
-		if sharded.ShardUsageReport() == nil {
-			t.Errorf("%s: nothing ran on the sharded engine under Session{Shards: 2}", e.name)
-		}
-		if seq.ShardUsageReport() != nil {
-			t.Errorf("%s: the zero Session recorded sharded runs", e.name)
-		}
-	}
-}
-
 // TestCensusReport: a Result's census accounts for every dispatched event,
 // and the session's census table lists each memoized run once, with the same
-// bytes whichever engine ran them and in whatever order they finished.
+// bytes in whatever order the runs finished.
 func TestCensusReport(t *testing.T) {
 	app, err := AppByName("ATPG")
 	if err != nil {
@@ -329,8 +291,8 @@ func TestCensusReport(t *testing.T) {
 		}
 		return rep.CSV()
 	}
-	if seq, sharded := render(&Session{}), render(&Session{Shards: 2, Workers: 2}); seq != sharded {
-		t.Errorf("census differs between engines\nsequential:\n%s\nsharded:\n%s", seq, sharded)
+	if one, two := render(&Session{Workers: 1}), render(&Session{Workers: 2}); one != two {
+		t.Errorf("census differs between worker counts\n1 worker:\n%s\n2 workers:\n%s", one, two)
 	}
 }
 
@@ -361,7 +323,6 @@ func TestSessionValidate(t *testing.T) {
 		set  func(s *Session, v int)
 	}{
 		{"-parallel", func(s *Session, v int) { s.Workers = v }},
-		{"-shards", func(s *Session, v int) { s.Shards = v }},
 		{"-coalesce", func(s *Session, v int) { s.Transport.MaxFrameBytes = v }},
 		{"-coalesce-window", func(s *Session, v int) { s.Transport.CoalesceWindow = time.Duration(v) }},
 		{"-streams", func(s *Session, v int) { s.Transport.WANStreams = v }},

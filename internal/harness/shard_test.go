@@ -2,36 +2,54 @@ package harness
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"albatross/internal/cluster"
+	"albatross/internal/core"
 	"albatross/internal/faults"
 	"albatross/internal/orca"
 )
 
-// readGolden loads a stored golden report from testdata.
-func readGolden(t *testing.T, id string) string {
-	t.Helper()
-	b, err := os.ReadFile(filepath.Join("testdata", "golden_"+id+".txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// identitySpec describes one run of the identity sweeps: the given engine
-// shard count (0 = sequential) and, with a non-nil fault plan, a seeded
-// injector plus the reliability layer, so the sweeps also cover runs under
-// chaos.
-func identitySpec(app AppSpec, topo cluster.Topology, optimized bool, shards int, plan *faults.Plan) RunSpec {
-	spec := (&Session{Shards: shards}).Spec(app, topo, optimized)
+// identitySpec describes one run of the identity sweeps: with a non-nil
+// fault plan, a seeded injector plus the reliability layer, so the sweeps
+// also cover runs under chaos. execOn picks the engine.
+func identitySpec(app AppSpec, topo cluster.Topology, optimized bool, plan *faults.Plan) RunSpec {
+	spec := (&Session{}).Spec(app, topo, optimized)
 	if plan != nil {
 		spec.Faults, spec.Rel, spec.Deadline = plan, orca.RelConfig{RTO: 100 * time.Millisecond}, chaosDeadline
 	}
 	return spec
+}
+
+// execOn runs spec on the given engine shard count (0 = sequential) and fails
+// the test unless the engine really has min(shards, Clusters) LPs on a
+// multi-cluster platform, and none otherwise: an identity test whose shard
+// count stopped reaching core.NewSystem would compare the sequential engine
+// with itself and pass.
+func execOn(t testing.TB, spec RunSpec, shards int, hooks ...Hook) (Result, error) {
+	t.Helper()
+	spec.shards = shards
+	want := 0
+	if shards > 1 && spec.Topo.Clusters > 1 {
+		want = min(shards, spec.Topo.Clusters)
+	}
+	check := func(sys *core.System, _ *faults.Injector) {
+		if got := len(sys.Engine.Shards()); got != want {
+			t.Fatalf("%s with shards=%d: engine has %d LPs, want %d", spec, shards, got, want)
+		}
+	}
+	return Exec(spec, append(hooks, check)...)
+}
+
+// mustExecOn is execOn failing the test on a run or verification error.
+func mustExecOn(t *testing.T, spec RunSpec, shards int) Result {
+	t.Helper()
+	res, err := execOn(t, spec, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // identityTieredTopo is the non-uniform multi-tier platform of the identity
@@ -101,10 +119,11 @@ func TestShardedIdentityAllApps(t *testing.T) {
 	for _, pf := range platforms {
 		for _, app := range Apps {
 			for _, opt := range []bool{false, true} {
-				seq := mustExec(t, identitySpec(app, pf.topo, opt, 0, pf.plan))
+				spec := identitySpec(app, pf.topo, opt, pf.plan)
+				seq := mustExecOn(t, spec, 0)
 				seqDump := fmt.Sprintf("%+v", seq.Metrics)
 				for rep := 0; rep < pf.reps; rep++ {
-					sh := mustExec(t, identitySpec(app, pf.topo, opt, 4, pf.plan))
+					sh := mustExecOn(t, spec, 4)
 					if sh.Elapsed != seq.Elapsed {
 						t.Errorf("%s %s opt=%v rep %d: elapsed %v, want %v", pf.name, app.Name, opt, rep, sh.Elapsed, seq.Elapsed)
 					}
@@ -146,8 +165,8 @@ func TestShardedSequencerIdentity(t *testing.T) {
 			// The protocol under test replaces the application's own choice.
 			app.Sequencer = func(bool) orca.Sequencer { return mk() }
 			for _, opt := range []bool{false, true} {
-				seq := mustExec(t, identitySpec(app, cluster.DAS(4, 2), opt, 0, nil))
-				sh := mustExec(t, identitySpec(app, cluster.DAS(4, 2), opt, 4, nil))
+				spec := identitySpec(app, cluster.DAS(4, 2), opt, nil)
+				seq, sh := mustExecOn(t, spec, 0), mustExecOn(t, spec, 4)
 				if sh.Elapsed != seq.Elapsed || sh.Dispatched != seq.Dispatched {
 					t.Errorf("%s seqr=%s opt=%v: sharded (%v, %d events) != sequential (%v, %d events)",
 						name, mk().Name(), opt, sh.Elapsed, sh.Dispatched, seq.Elapsed, seq.Dispatched)
@@ -158,19 +177,5 @@ func TestShardedSequencerIdentity(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestShardedGoldenReport reruns the ATPG golden experiment (fig7) with the
-// 4-shard engine enabled harness-wide and requires the rendered report to
-// stay byte-identical to the sequential golden file: the shard setting may
-// change wall-clock behavior only, never results.
-func TestShardedGoldenReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden experiments are long in -short mode")
-	}
-	want := readGolden(t, "fig7")
-	if got := goldenOutput(t, &Session{Shards: 4}, "fig7"); got != want {
-		t.Errorf("fig7 with shards=4: output differs from sequential golden file\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -129,32 +129,12 @@ func TestSORMoreProcessorsThanRowsIsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []*Session{{}, {Shards: 2}} {
-		_, err := Exec(s.Spec(app, topo, false))
+	for _, shards := range []int{0, 2} {
+		spec := (&Session{}).Spec(app, topo, false)
+		spec.shards = shards
+		_, err := Exec(spec)
 		if err == nil || !strings.Contains(err.Error(), "sor: 432 processors need at least one row each (NX=384)") {
-			t.Errorf("shards=%d: Exec = %v, want the too-many-processors error", s.Shards, err)
+			t.Errorf("shards=%d: Exec = %v, want the too-many-processors error", shards, err)
 		}
-	}
-}
-
-// TestRunTopoShardedIdentity spot-checks that a run under a session's shard
-// setting reproduces the sequential metrics on a DSL topology, the same
-// invariant the full sweep in shard_test.go proves app-by-app.
-func TestRunTopoShardedIdentity(t *testing.T) {
-	app, err := AppByName("ASP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := identityTieredTopo(t)
-	seq := mustExec(t, (&Session{}).Spec(app, topo, true))
-	sh := mustExec(t, (&Session{Shards: 4}).Spec(app, topo, true))
-	if sh.LPs == nil {
-		t.Error("shard setting did not reach the engine")
-	}
-	if seq.Elapsed != sh.Elapsed {
-		t.Errorf("sharded elapsed %v != sequential %v", sh.Elapsed, seq.Elapsed)
-	}
-	if seq.Elapsed <= 0 {
-		t.Error("degenerate run")
 	}
 }

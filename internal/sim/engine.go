@@ -193,7 +193,7 @@ type Census struct {
 	Start    uint64 // process start events (Go)
 	Sleep    uint64 // Proc.Sleep and Yield
 	Compute  uint64 // Proc.Compute
-	Wake     uint64 // resumes of a parked process (Future, Mailbox, Barrier)
+	Wake     uint64 // resumes of a parked process (Future, Mailbox)
 	Lane     uint64 // Lane.At
 	Callback uint64 // At, After and AtShard
 }
@@ -344,7 +344,7 @@ func (e *Engine) wakeAt(p *Proc, t time.Duration) {
 		panic(fmt.Sprintf("sim: wake of %s which is %v", p.name, p.state))
 	}
 	if w := e.win; w != nil && !w.active {
-		panic(fmt.Sprintf("sim: cross-LP wake of %q on LP %d — a Future/Mailbox/Barrier bound to "+
+		panic(fmt.Sprintf("sim: cross-LP wake of %q on LP %d — a Future/Mailbox bound to "+
 			"one cluster signalled from another without lookahead (typically a sequenced broadcast, "+
 			"shared barrier, or global counter in the application; see DESIGN.md §5c/§5d)",
 			p.waitReport(), e.lpIdx))

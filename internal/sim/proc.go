@@ -292,38 +292,3 @@ func (m *Mailbox) TryGet() (v any, ok bool) {
 	}
 	return m.q.Pop(), true
 }
-
-// Barrier lets n processes rendezvous repeatedly. Each Arrive blocks until
-// all n processes of the current generation have arrived.
-type Barrier struct {
-	e       *Engine
-	name    string
-	n       int
-	arrived int
-	waiters []*Proc
-}
-
-// NewBarrier creates a barrier for n participants.
-func NewBarrier(e *Engine, name string, n int) *Barrier {
-	if n <= 0 {
-		panic("sim: barrier size must be positive")
-	}
-	return &Barrier{e: e, name: name, n: n}
-}
-
-// Arrive blocks until all participants of this generation have arrived.
-// The last arriver does not yield.
-func (b *Barrier) Arrive(p *Proc) {
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		for i, w := range b.waiters {
-			w.e.wake(w) // the waiter's engine, as in Future.Set
-			b.waiters[i] = nil
-		}
-		b.waiters = b.waiters[:0]
-		return
-	}
-	b.waiters = append(b.waiters, p)
-	p.park("barrier ", b.name)
-}

@@ -186,35 +186,6 @@ func TestMailboxTryGet(t *testing.T) {
 	}
 }
 
-func TestBarrierGenerations(t *testing.T) {
-	e := NewEngine()
-	const n = 4
-	b := NewBarrier(e, "b", n)
-	var maxRound [n]int
-	for i := 0; i < n; i++ {
-		i := i
-		e.Go("w", func(p *Proc) {
-			for round := 1; round <= 3; round++ {
-				p.Compute(time.Duration(i+1) * time.Millisecond)
-				b.Arrive(p)
-				maxRound[i] = round
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range maxRound {
-		if maxRound[i] != 3 {
-			t.Fatalf("proc %d finished %d rounds", i, maxRound[i])
-		}
-	}
-	// Each round gated by slowest proc (4ms): total 12ms.
-	if e.Now() != 12*time.Millisecond {
-		t.Fatalf("end %v, want 12ms", e.Now())
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
 	f := NewFuture(e, "never")
@@ -556,15 +527,6 @@ func TestFutureDoneAndValue(t *testing.T) {
 	if !f.Done() || f.Value() != 42 {
 		t.Fatal("resolved future wrong")
 	}
-}
-
-func TestBarrierSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-size barrier accepted")
-		}
-	}()
-	NewBarrier(NewEngine(), "b", 0)
 }
 
 func TestDeadlockErrorMessage(t *testing.T) {
