@@ -241,19 +241,26 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 		// two sends, so only the sends' instants (and the busy total) matter,
 		// and every send still follows all the work that preceded it.
 		var owed time.Duration
+		// A send is chained (Proc.Ahead), to the owner of any of the batch's
+		// targets: the worker is resumed only to observe its mailbox.
+		send := func(a any) {
+			b := a.(*batch)
+			dst := owner(b.items[0].target)
+			w.SendID(cluster.NodeID(dst), tags[dst], updateBytes*len(b.items), b)
+		}
 		flush := func(dst int) {
 			b := batches[dst]
 			batches[dst] = nil
 			dirty[dst>>6] &^= 1 << (dst & 63)
-			w.Compute(owed + cfg.SendCost)
+			d := owed + cfg.SendCost
 			owed = 0
-			size := updateBytes * len(b.items)
 			to := cluster.NodeID(dst)
 			if optimized && !topo.SameCluster(w.Node, to) {
-				combiner.SendID(w, to, tags[dst], size, b)
+				w.Compute(d)
+				combiner.SendID(w, to, tags[dst], updateBytes*len(b.items), b)
 				return
 			}
-			w.SendID(to, tags[dst], size, b)
+			w.P.Ahead(d, send, b)
 		}
 		flushAll := func() {
 			for i, word := range dirty {

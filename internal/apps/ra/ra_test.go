@@ -144,21 +144,24 @@ func TestStarvedWorkerIsADeadlock(t *testing.T) {
 }
 
 // TestEventBudget pins what one RA run costs the engine: events dispatched,
-// and how many of them the workers themselves scheduled as Sleep and Compute.
-// The counts repeat exactly; the budgets leave 5-10% headroom for changes to
-// the runtime below and still catch each of the worker's four rules coming
-// undone (orig/opt): a Compute per update costs 16.4k/16.0k computes and 33k
-// events, a settling Compute before every receive 10.7k/9.9k computes, an
-// idle stretch as a tick's Sleep, a parked wait and an alignment Sleep
-// 3,378/2,946 sleeps and 26.0k/25.5k events, and a settle with nothing to
-// flush paid as a Compute before the poll 7,801/6,956 computes.
+// how many of them the workers themselves scheduled as Sleep and Compute, and
+// how many times the engine switched into a worker. The counts repeat
+// exactly; the budgets leave 5-10% headroom for changes to the runtime below
+// and still catch each of the worker's five rules coming undone (orig/opt): a
+// Compute per update costs 16.4k/16.0k computes and 33k events, a settling
+// Compute before every receive 10.7k/9.9k computes, an idle stretch as a
+// tick's Sleep, a parked wait and an alignment Sleep 3,378/2,946 sleeps and
+// 26.0k/25.5k events, a settle with nothing to flush paid as a Compute before
+// the poll 7,801/6,956 computes, and a send after a resumed Compute instead of
+// a chained one 9,299 orig resumes (opt's sends on this two-node-per-cluster
+// shape nearly all go through the combiner, which keeps Compute).
 func TestEventBudget(t *testing.T) {
 	for _, tc := range []struct {
-		opt                        bool
-		dispatched, sleep, compute uint64
+		opt                                 bool
+		dispatched, sleep, compute, resumes uint64
 	}{
-		{opt: false, dispatched: 25_500, sleep: 460, compute: 7_500}, // measured 23,934 / 422 / 6,938
-		{opt: true, dispatched: 25_000, sleep: 245, compute: 6_850},  // measured 23,476 / 225 / 6,323
+		{opt: false, dispatched: 25_500, sleep: 460, compute: 7_500, resumes: 5_800}, // measured 23,934 / 422 / 6,938 / 5,440
+		{opt: true, dispatched: 25_000, sleep: 245, compute: 6_850, resumes: 8_700},  // measured 23,476 / 225 / 6,323 / 8,242
 	} {
 		sys := core.NewSystem(core.Config{Topology: cluster.DAS(4, 2), Params: cluster.DASParams()})
 		verify := Build(sys, testCfg(), tc.opt)
@@ -168,11 +171,11 @@ func TestEventBudget(t *testing.T) {
 		if err := verify(); err != nil {
 			t.Fatalf("opt=%v: %v", tc.opt, err)
 		}
-		d, c := sys.Engine.Dispatched(), sys.Engine.Census()
-		t.Logf("opt=%v: %d events dispatched, census %+v", tc.opt, d, c)
-		if d > tc.dispatched || c.Sleep > tc.sleep || c.Compute > tc.compute {
-			t.Errorf("opt=%v: %d events, %d sleeps, %d computes; budgets %d, %d, %d",
-				tc.opt, d, c.Sleep, c.Compute, tc.dispatched, tc.sleep, tc.compute)
+		d, c, res := sys.Engine.Dispatched(), sys.Engine.Census(), sys.Engine.Resumes()
+		t.Logf("opt=%v: %d events dispatched, %d resumes, census %+v", tc.opt, d, res, c)
+		if d > tc.dispatched || c.Sleep > tc.sleep || c.Compute > tc.compute || res > tc.resumes {
+			t.Errorf("opt=%v: %d events, %d sleeps, %d computes, %d resumes; budgets %d, %d, %d, %d",
+				tc.opt, d, c.Sleep, c.Compute, res, tc.dispatched, tc.sleep, tc.compute, tc.resumes)
 		}
 	}
 }

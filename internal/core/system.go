@@ -129,8 +129,12 @@ func (w *Worker) SendID(to cluster.NodeID, id orca.TagID, size int, payload any)
 // RecvID blocks until a message with the interned tag arrives.
 func (w *Worker) RecvID(id orca.TagID) any { return w.Sys.RTS.RecvDataID(w.P, w.Node, id) }
 
-// TryRecvID returns a queued message for the interned tag without blocking.
-func (w *Worker) TryRecvID(id orca.TagID) (any, bool) { return w.Sys.RTS.TryRecvDataID(w.Node, id) }
+// TryRecvID returns a queued message for the interned tag without blocking,
+// once the worker's chained links (sim.Proc.Ahead) have run.
+func (w *Worker) TryRecvID(id orca.TagID) (any, bool) {
+	w.P.Sync()
+	return w.Sys.RTS.TryRecvDataID(w.Node, id)
+}
 
 // PollID blocks until the earliest instant first + k·period (k ≥ 0) at which a
 // message with the interned tag is queued, without taking it: the next

@@ -105,6 +105,7 @@ type Result struct {
 	core.Metrics
 	Dispatched uint64     // events the engine dispatched
 	Census     sim.Census // what scheduled them; sums to Dispatched on a drained run
+	Resumes    uint64     // switches into process coroutines
 	Rel        orca.RelStats
 	Faults     faults.Counters
 	// Stalled lists the reliable channels whose senders gave up, for
@@ -165,6 +166,7 @@ func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 		Metrics:    m,
 		Dispatched: sys.Engine.Dispatched(),
 		Census:     sys.Engine.Census(),
+		Resumes:    sys.Engine.Resumes(),
 		Rel:        sys.RTS.RelStats(),
 		Stalled:    sys.RTS.StalledChannels(),
 		Wall:       wall,

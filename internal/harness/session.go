@@ -193,20 +193,20 @@ func (s *Session) do(tasks ...func() error) error {
 }
 
 // CensusReport tabulates the engine's event census of every run the session
-// has finished, memoized or not: one row per run, events dispatched and what
-// scheduled them. Rows are sorted by their text, so the table is the same at
-// any Workers.
+// has finished, memoized or not: one row per run, events dispatched, what
+// scheduled them, and how many times the engine switched into a process. Rows
+// are sorted by their text, so the table is the same at any Workers.
 func (s *Session) CensusReport() *Report {
 	t := &Table{
 		ID:      "census",
-		Title:   "Events each run dispatched, by what scheduled them (sim.Census)",
-		Headers: []string{"run", "virtual s", "events", "start", "sleep", "compute", "wake", "lane", "callback"},
+		Title:   "Events each run dispatched, by what scheduled them (sim.Census), and process resumes",
+		Headers: []string{"run", "virtual s", "events", "start", "sleep", "compute", "wake", "lane", "callback", "resumes"},
 	}
 	s.mu.Lock()
 	for _, r := range s.ran {
 		c := r.res.Census
 		row := []string{r.spec.String(), fmt.Sprintf("%.6f", r.res.Seconds())}
-		for _, n := range []uint64{r.res.Dispatched, c.Start, c.Sleep, c.Compute, c.Wake, c.Lane, c.Callback} {
+		for _, n := range []uint64{r.res.Dispatched, c.Start, c.Sleep, c.Compute, c.Wake, c.Lane, c.Callback, r.res.Resumes} {
 			row = append(row, fmt.Sprint(n))
 		}
 		t.Rows = append(t.Rows, row)

@@ -267,7 +267,7 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 
 // TestCensusReport: a Result's census accounts for every dispatched event,
 // and the session's census table lists each memoized run once, with the same
-// bytes in whatever order the runs finished.
+// bytes — the resumes column included — in whatever order the runs finished.
 func TestCensusReport(t *testing.T) {
 	app, err := AppByName("ATPG")
 	if err != nil {
@@ -284,10 +284,17 @@ func TestCensusReport(t *testing.T) {
 			if res.Census.Total() != res.Dispatched || res.Dispatched == 0 {
 				t.Errorf("%s: census %+v sums to %d, dispatched %d", sp, res.Census, res.Census.Total(), res.Dispatched)
 			}
+			if res.Resumes == 0 || res.Resumes > res.Dispatched {
+				t.Errorf("%s: %d resumes for %d events", sp, res.Resumes, res.Dispatched)
+			}
 		}
 		rep := s.CensusReport()
-		if rows := rep.Tables[0].Rows; len(rows) != 2 || !strings.Contains(rows[0][0], "opt=false") {
+		tab := rep.Tables[0]
+		if rows := tab.Rows; len(rows) != 2 || !strings.Contains(rows[0][0], "opt=false") {
 			t.Errorf("census rows %v, want the two runs, original first", rows)
+		}
+		if h := tab.Headers; h[len(h)-1] != "resumes" {
+			t.Errorf("census headers %v, want a resumes column last", h)
 		}
 		return rep.CSV()
 	}

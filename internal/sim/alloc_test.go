@@ -3,8 +3,9 @@
 // Alloc-regression budget for the process switch. Everything a switch needs
 // is built once per process at spawn: the resume thunk, the coroutine and
 // its next/yield pair. Parking, waking and sleeping then only flip state and
-// push the thunk on the ready ring or the heap, so a steady-state switch
-// must allocate nothing.
+// queue the thunk in a recycled queue node, so a steady-state switch must
+// allocate nothing; a chain's link ring and thunk are built on its first
+// Ahead, so a chained Compute allocates nothing either.
 //
 // Excluded under the race detector: instrumentation inflates allocation
 // counts and the budget is meaningless there.
@@ -23,6 +24,12 @@ func TestAllocProcSwitch(t *testing.T) {
 		{"park-wake", func(*Proc) {}},
 		{"sleep", func(p *Proc) { p.Sleep(time.Microsecond) }},
 		{"yield", func(p *Proc) { p.Yield() }},
+		{"ahead", func(p *Proc) {
+			for i := 0; i < 40; i++ {
+				p.Ahead(time.Microsecond, func(any) {}, nil)
+			}
+			p.Sync()
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,7 +51,7 @@ func TestAllocProcSwitch(t *testing.T) {
 				}
 			}
 			for i := 0; i < 16; i++ {
-				step() // start the coroutine, grow the rings and the heap
+				step() // start the coroutine, grow the queue
 			}
 			if got := testing.AllocsPerRun(200, step); got != 0 {
 				t.Errorf("%.2f allocs per cycle, want 0", got)
@@ -54,7 +61,7 @@ func TestAllocProcSwitch(t *testing.T) {
 }
 
 // TestAllocLane: a lane's ring and fire thunk are built once, so queueing a
-// burst of arrivals behind one heap entry and firing them allocates nothing.
+// burst of arrivals behind one queue entry and firing them allocates nothing.
 func TestAllocLane(t *testing.T) {
 	e := NewEngine()
 	l := NewLane(e, e)
@@ -67,7 +74,7 @@ func TestAllocLane(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	step() // grow the ring and the heap
+	step() // grow the ring and the queue
 	if got := testing.AllocsPerRun(200, step); got != 0 {
 		t.Errorf("%.2f allocs per 48-arrival burst, want 0", got)
 	}

@@ -13,38 +13,37 @@
 //
 // Time is virtual. A process advances its own clock with Compute or Sleep,
 // synchronizes with others through Future and Mailbox, and the engine
-// schedules arbitrary callbacks with At. When the event heap drains while
+// schedules arbitrary callbacks with At. When the event queue drains while
 // processes are still parked, Run reports a deadlock naming the culprits.
 //
-// The dispatcher is split for throughput. Events scheduled for a
-// future instant live in an inlined, monomorphic 4-ary min-heap ordered by
-// (time, seq) — no interface boxing, no indirect method calls. Events due at
-// the current instant (process wakeups, zero-delay callbacks) bypass the
-// heap through a FIFO ready ring; in a baton-passing simulation these are
-// the majority of all events. Ordered streams of future events (a WAN pipe's
-// arrivals) wait in a Lane, a FIFO of which only the head is in the heap. The
-// split is invisible to observers: the dispatch order is exactly the (time,
-// seq) total order a single heap would produce (see Run and Lane).
+// Every pending event sits in one monotone radix queue (queue.go) popped in
+// strict (time, seq) order; an ordered stream of future events (a WAN pipe's
+// arrivals) waits in a Lane, of which only the head is queued. A process that
+// computes and then acts without observing can chain those steps
+// (Proc.Ahead): same events, one switch into the process per chain.
 package sim
 
 import (
 	"fmt"
 	"iter"
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// Engine owns the virtual clock and the pending-event queues.
+// Engine owns the virtual clock and the pending-event queue.
 // Create one with NewEngine, spawn processes with Go, then call Run.
 type Engine struct {
-	now   time.Duration
-	heap  []event        // future events: 4-ary min-heap on (at, seq)
-	ready FIFO[nowEvent] // events due at the current instant
-	seq   uint64         // schedule-order tiebreak, monotonic across both queues
+	now time.Duration
+	q   queue  // every pending event, popped in (at, seq) order
+	seq uint64 // schedule-order tiebreak
+
+	chainer *Proc // the running process while it holds chained links (Proc.Ahead)
 
 	dispatched uint64 // events executed so far (observability/testing)
+	resumes    uint64 // switches into process coroutines
 	census     Census // events scheduled so far, by origin
 
 	deadline time.Duration // virtual-time abort limit; 0 = none
@@ -99,66 +98,6 @@ type event struct {
 	fn  func()
 }
 
-// eventLess orders events by virtual time, then by schedule order.
-func eventLess(a, b event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// nowEvent is a ready-ring entry: an event known to be due at the current
-// instant, so only its schedule order and callback need storing.
-type nowEvent struct {
-	seq uint64
-	fn  func()
-}
-
-// heapPush inserts ev into the 4-ary min-heap.
-func (e *Engine) heapPush(ev event) {
-	h := append(e.heap, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !eventLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	e.heap = h
-}
-
-// heapPop removes and returns the minimum event (len(e.heap) must be > 0).
-func (e *Engine) heapPop() event {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release the callback reference
-	h = h[:n]
-	for i := 0; ; {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if eventLess(h[j], h[m]) {
-				m = j
-			}
-		}
-		if !eventLess(h[m], h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	e.heap = h
-	return top
-}
-
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
 	return &Engine{}
@@ -180,6 +119,16 @@ func (e *Engine) Dispatched() uint64 {
 	n := e.dispatched
 	for _, s := range e.shards {
 		n += s.dispatched
+	}
+	return n
+}
+
+// Resumes reports how many times the engine has switched into a process
+// (summed over the LPs on a sharded root).
+func (e *Engine) Resumes() uint64 {
+	n := e.resumes
+	for _, s := range e.shards {
+		n += s.resumes
 	}
 	return n
 }
@@ -244,8 +193,11 @@ func (e *Engine) At(t time.Duration, fn func()) {
 }
 
 // schedule is At without the census entry: the one path every origin's event
-// takes into the queues of its own engine.
+// takes into the queue of its own engine.
 func (e *Engine) schedule(t time.Duration, fn func()) {
+	if e.chainer != nil {
+		e.chainer.misuse()
+	}
 	if w := e.win; w != nil {
 		// Mid-window on an LP of a sharded run: provisional seq + call log.
 		e.winAt(w, t, fn)
@@ -254,25 +206,16 @@ func (e *Engine) schedule(t time.Duration, fn func()) {
 	if e.root != nil {
 		// Setup phase on an LP: seqs come from the root's global counter, so
 		// same-instant events across LPs order exactly as sequentially.
-		seq := e.rootSeq()
-		if t <= e.now {
-			e.ready.Push(nowEvent{seq, fn})
-			return
-		}
-		e.heapPush(event{at: t, seq: seq, fn: fn})
+		e.q.push(event{at: t, seq: e.rootSeq(), fn: fn})
 		return
 	}
 	if e.shards != nil {
 		panic("sim: At on a sharded root engine (schedule on an LP)")
 	}
+	// A time in the past is clamped to now; the fresh seq still orders the
+	// event after everything already due.
 	e.seq++
-	if t <= e.now {
-		// Due now (or clamped from the past): the ready ring preserves
-		// schedule order, which for same-instant events is dispatch order.
-		e.ready.Push(nowEvent{e.seq, fn})
-		return
-	}
-	e.heapPush(event{at: t, seq: e.seq, fn: fn})
+	e.q.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d from now.
@@ -315,6 +258,7 @@ func (e *Engine) start(p *Proc) {
 		}()
 		p.yield = yield
 		body(p)
+		p.Sync()
 	})
 }
 
@@ -324,6 +268,7 @@ func (e *Engine) handoff(p *Proc) {
 		e.start(p)
 	}
 	p.state = procRunning
+	e.resumes++
 	p.next()
 }
 
@@ -331,9 +276,8 @@ func (e *Engine) handoff(p *Proc) {
 func (e *Engine) wake(p *Proc) { e.wakeAt(p, e.now) }
 
 // wakeAt schedules parked p to resume at t (t ≤ now means now) with the
-// process's pre-bound resume thunk, so it allocates nothing: through the
-// ready ring when due now, through the heap otherwise. A process whose resume
-// is still ahead stays parked, reported as on a sleep.
+// process's pre-bound resume thunk, so it allocates nothing. A process whose
+// resume is still ahead stays parked, reported as on a sleep.
 func (e *Engine) wakeAt(p *Proc, t time.Duration) {
 	if e.killing {
 		// Wakes issued while dying processes unwind (e.g. a deferred
@@ -358,16 +302,9 @@ func (e *Engine) wakeAt(p *Proc, t time.Duration) {
 	e.schedule(t, p.runFn)
 }
 
-// Run executes events until both queues drain. It returns a *DeadlockError
-// if processes remain parked afterwards, and nil on clean completion.
-//
-// Dispatch order is the strict (time, seq) total order. The ready ring holds
-// only events scheduled at the current instant, and the clock never advances
-// while the ring is non-empty — so any heap event that shares the current
-// instant was necessarily scheduled earlier (before the clock last advanced)
-// and carries a smaller seq. Draining such heap events before the ring, and
-// the ring in FIFO order, therefore reproduces exactly the order a single
-// (time, seq) heap would produce.
+// Run executes events in (time, seq) order until the queue drains. It
+// returns a *DeadlockError if processes remain parked afterwards, and nil on
+// clean completion.
 func (e *Engine) Run() error {
 	if e.running {
 		panic("sim: Engine.Run called reentrantly")
@@ -377,41 +314,27 @@ func (e *Engine) Run() error {
 	if e.shards != nil {
 		return e.runSharded()
 	}
-	for (e.ready.Len() > 0 || len(e.heap) > 0) && !e.stopped {
-		if e.ready.Len() > 0 {
-			// A heap event due at the current instant predates every ring
-			// entry (see above); the seq comparison is a cheap guard that
-			// keeps this correct even if that invariant ever weakens.
-			if len(e.heap) > 0 && e.heap[0].at <= e.now && e.heap[0].seq < e.ready.Peek().seq {
-				ev := e.heapPop()
-				e.dispatched++
-				ev.fn()
-				continue
-			}
-			fn := e.ready.Pop().fn
-			e.dispatched++
-			fn()
-			continue
+	last := time.Duration(math.MaxInt64)
+	if e.deadline > 0 {
+		last = e.deadline
+	}
+	for !e.stopped {
+		ev, ok := e.q.popThrough(last)
+		if !ok {
+			break
 		}
-		ev := e.heapPop()
-		if ev.at > e.now {
-			if e.deadline > 0 && ev.at > e.deadline {
-				// The run is about to outlive its deadline. Abort before
-				// executing the event; the engine is finished (the popped
-				// event is discarded) and should be Shutdown by the caller.
-				return &DeadlineError{
-					Deadline:   e.deadline,
-					Next:       ev.at,
-					Parked:     e.parkedReport(),
-					Dispatched: e.dispatched,
-					Live:       e.live,
-				}
-			}
-			e.now = ev.at
-		}
+		e.now = ev.at
 		e.dispatched++
 		ev.fn()
 	}
+	next, _, _, pending := e.q.next()
+	return e.finish(next, pending)
+}
+
+// finish ends a run on either engine: a stopped engine is released, a run
+// with an event pending beyond the deadline (at next) is a DeadlineError, and
+// one that drained with processes parked a DeadlockError.
+func (e *Engine) finish(next time.Duration, pending bool) error {
 	if e.stopped {
 		// A stopped engine is dead: release every process coroutine so
 		// sweep loops that create (and stop) many engines do not leak.
@@ -419,13 +342,12 @@ func (e *Engine) Run() error {
 		e.Shutdown()
 		return nil
 	}
-	if parked := e.parkedReport(); len(parked) > 0 {
-		return &DeadlockError{
-			Time:       e.now,
-			Parked:     parked,
-			Dispatched: e.dispatched,
-			Live:       e.live,
-		}
+	parked := e.parkedReport()
+	if pending {
+		return &DeadlineError{Deadline: e.deadline, Next: next, Parked: parked, Dispatched: e.Dispatched(), Live: e.Live()}
+	}
+	if len(parked) > 0 {
+		return &DeadlockError{Time: e.Now(), Parked: parked, Dispatched: e.Dispatched(), Live: e.Live()}
 	}
 	return nil
 }
@@ -486,6 +408,7 @@ func (e *Engine) Shutdown() {
 		return
 	}
 	e.killing = true
+	e.chainer = nil
 	// On a sharded root, release every LP first: the runners are gone outside
 	// Run, so each LP's coroutines are safe to drive from this goroutine.
 	for _, s := range e.shards {
@@ -494,6 +417,7 @@ func (e *Engine) Shutdown() {
 	// Index loop: an unwinding process may spawn more procs via defers.
 	for i := 0; i < len(e.procs); i++ {
 		p := e.procs[i]
+		p.ch = nil // drop pending links
 		switch {
 		case p.state == procDone:
 		case p.stop == nil:

@@ -287,7 +287,7 @@ func TestPollPutDuringShutdownIsInert(t *testing.T) {
 }
 
 // TestPollDeadlineNamesPendingResume: a Put ahead of the poll grid leaves the
-// resume pending on the heap, and a deadline that falls before it reports the
+// resume pending in the queue, and a deadline that falls before it reports the
 // process as on a sleep.
 func TestPollDeadlineNamesPendingResume(t *testing.T) {
 	e := NewEngine()

@@ -289,7 +289,7 @@ func TestLaneShardedPassThrough(t *testing.T) {
 // BenchmarkEngineDeepQueue is the dispatch rung at the depth a saturated WAN
 // produces: 16 k arrivals pending on 12 FIFO pipes while 60 processes poll
 // every 200 µs, each arrival scheduling the next one on its pipe behind the
-// queue. "at" keeps every arrival in the heap; "lane" keeps 12.
+// queue. "at" keeps every arrival in the engine queue; "lane" keeps 12.
 func BenchmarkEngineDeepQueue(b *testing.B) {
 	const pipes, depth, pollers = 12, 16384, 60
 	const gap = time.Microsecond
@@ -340,5 +340,42 @@ func BenchmarkEngineDeepQueue(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// BenchmarkEngineFanout is the dispatch rung at the shape of framed unpack:
+// every 200 µs a frame's burst of 500–2,000 callbacks lands 100 ns apart,
+// while 60 processes poll every 200 µs. One op is one callback.
+func BenchmarkEngineFanout(b *testing.B) {
+	const pollers, period, gap = 60, 200 * time.Microsecond, 100 * time.Nanosecond
+	e := NewEngine()
+	defer e.Shutdown()
+	for i := 0; i < pollers; i++ {
+		e.Go("poller", func(p *Proc) {
+			p.SetDaemon(true)
+			for {
+				p.Sleep(period)
+			}
+		})
+	}
+	r := rng.New(7)
+	left := b.N
+	unpack := func() {
+		if left--; left == 0 {
+			e.Stop()
+		}
+	}
+	var frame func()
+	frame = func() {
+		n := 500 + r.Intn(1501)
+		for i := 1; i <= n; i++ {
+			e.At(e.Now()+time.Duration(i)*gap, unpack)
+		}
+		e.After(period, frame)
+	}
+	e.At(0, frame)
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // at random times (plus nested, sometimes past-time reschedules) and checks
 // the full (time, seq) contract at scale: the clock never goes backwards and
 // events sharing an instant run in exactly the order they were scheduled.
-// This exercises deep 4-ary heap sifts, ready-ring growth, and the seq
-// counter well past any small-heap special cases.
+// This exercises nine radix levels of the queue, long due lists, bucket
+// redistribution, and the seq counter well past any small-queue special cases.
 func TestSeqOrderingLargeScale(t *testing.T) {
 	const n = 1 << 20 // > 1e6 scheduled events before nested reschedules
 	r := rng.New(42)
@@ -95,25 +95,25 @@ func TestPastEventOrdersAfterQueuedNowEvents(t *testing.T) {
 	}
 }
 
-// TestHeapEventsDueNowRunBeforeRingEntries mixes the two queues at one
-// instant: a heap event scheduled for this instant from an earlier instant
-// carries a smaller seq than any ready-ring entry pushed at the instant
-// itself, so it must dispatch first — the pure (time, seq) order.
-func TestHeapEventsDueNowRunBeforeRingEntries(t *testing.T) {
+// TestQueuedEventsDueNowRunBeforeNewEntries mixes old and new events at one
+// instant: an event scheduled for this instant from an earlier instant
+// carries a smaller seq than any event scheduled at the instant itself, so it
+// must dispatch first — the pure (time, seq) order.
+func TestQueuedEventsDueNowRunBeforeNewEntries(t *testing.T) {
 	e := NewEngine()
 	var got []string
-	// Both scheduled at t=0 for t=10ms: they live in the heap, seqs 1 and 2.
+	// Both scheduled at t=0 for t=10ms: seqs 1 and 2.
 	e.At(10*time.Millisecond, func() {
-		got = append(got, "heap-1")
-		// Pushed onto the ready ring at t=10ms with seq 3: must wait for
-		// heap-2 (seq 2, due now) even though the ring is "ready".
-		e.At(e.Now(), func() { got = append(got, "ring-1") })
+		got = append(got, "old-1")
+		// Scheduled at t=10ms for now with seq 3: must wait for old-2
+		// (seq 2, also due now).
+		e.At(e.Now(), func() { got = append(got, "new-1") })
 	})
-	e.At(10*time.Millisecond, func() { got = append(got, "heap-2") })
+	e.At(10*time.Millisecond, func() { got = append(got, "old-2") })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"heap-1", "heap-2", "ring-1"}
+	want := []string{"old-1", "old-2", "new-1"}
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
 			t.Fatalf("order %v, want %v", got, want)

@@ -11,7 +11,7 @@ type procState uint8
 const (
 	procReady   procState = iota // scheduled to run but not holding the baton
 	procRunning                  // holds the baton
-	procParked                   // blocked on a primitive, off the event heap
+	procParked                   // blocked on a primitive, off the event queue
 	procDone                     // body returned
 )
 
@@ -33,12 +33,13 @@ func (s procState) String() string {
 // switches back when it blocks. All methods must be called from the
 // process's own body function (they suspend it in virtual time).
 type Proc struct {
-	e     *Engine
-	id    int
-	name  string
-	body  func(*Proc) // until the start event builds the coroutine
-	runFn func()      // pre-bound resume thunk: hands this proc the baton
-	state procState
+	e      *Engine
+	id     int
+	name   string
+	body   func(*Proc) // until the start event builds the coroutine
+	runFn  func()      // pre-bound resume thunk: hands this proc the baton
+	state  procState
+	daemon bool // daemon procs may be left parked at end of run
 
 	// The iter.Pull coroutine, nil until the process first runs: next
 	// switches into the body, yield switches back to the engine and reports
@@ -52,14 +53,32 @@ type Proc struct {
 	// waitReport joins them only when a deadlock report needs the text.
 	waitKind string
 	waitName string
-	daemon   bool // daemon procs may be left parked at end of run
 
 	// While parked in Mailbox.Poll, the poll grid pollAt + k·pollEvery
 	// (k ≥ 0) the filling Put resumes the process on; pollEvery is 0 otherwise.
 	pollAt, pollEvery time.Duration
 
 	busy time.Duration // accumulated Compute time, for utilization metrics
+
+	ch *chain // built on the first Ahead
 }
+
+// chain holds a process's chained links (Ahead).
+type chain struct {
+	links FIFO[link]    // links.Peek() is the one whose Compute event is queued
+	run   func()        // that event's thunk: runs the head link
+	end   time.Duration // the process's clock once the last link has run
+}
+
+// link is one chained step: a Compute of d, then fn(arg).
+type link struct {
+	d   time.Duration
+	fn  func(any)
+	arg any
+}
+
+// maxLinks bounds a chain; the next Ahead syncs first.
+const maxLinks = 32
 
 // SetDaemon marks the process as a daemon: a server that legitimately stays
 // blocked forever (waiting for requests). Daemon processes parked when the
@@ -75,8 +94,14 @@ func (p *Proc) Name() string { return p.name }
 // Engine returns the owning engine.
 func (p *Proc) Engine() *Engine { return p.e }
 
-// Now reports the current virtual time.
-func (p *Proc) Now() time.Duration { return p.e.now }
+// Now reports the process's virtual time: the end of its chain while it
+// holds chained links, the engine's clock otherwise.
+func (p *Proc) Now() time.Duration {
+	if p.e.chainer == p {
+		return p.ch.end
+	}
+	return p.e.now
+}
 
 // BusyTime reports total virtual time this process has spent in Compute.
 func (p *Proc) BusyTime() time.Duration { return p.busy }
@@ -111,6 +136,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic("sim: negative Sleep")
 	}
+	p.Sync()
 	p.e.census.Sleep++
 	p.sleep(d)
 }
@@ -127,9 +153,73 @@ func (p *Proc) Compute(d time.Duration) {
 	if d < 0 {
 		panic("sim: negative Compute")
 	}
+	p.Sync()
 	p.busy += d
 	p.e.census.Compute++
 	p.sleep(d)
+}
+
+// Ahead has the effect of Compute(d); fn(arg) with the same census entry, busy
+// time and seq, but fn runs in the event that ends the Compute, which queues
+// the next link's Compute as the resumed process would, and the process runs
+// on with Now at the chain's end. Until it syncs (every observing primitive
+// does, Sync explicitly) it must not schedule anything itself: the engine
+// panics. A chain holds at most 32 links; the next Ahead syncs first.
+func (p *Proc) Ahead(d time.Duration, fn func(any), arg any) {
+	if d < 0 {
+		panic("sim: negative Compute")
+	}
+	e, c := p.e, p.ch
+	if c == nil {
+		c = &chain{run: func() { e.runLink(p) }}
+		c.links.buf = make([]link, maxLinks) // a chaining process soon fills one
+		p.ch = c
+	}
+	if c.links.Len() == maxLinks {
+		p.Sync()
+	}
+	if c.links.Len() == 0 {
+		p.step(d)
+		c.end = e.now
+		e.chainer = p
+	}
+	c.end += d
+	c.links.Push(link{d, fn, arg})
+}
+
+// Sync parks the process, reported as on a sleep, until its chained links
+// have run; the last one's event hands the baton straight back.
+func (p *Proc) Sync() {
+	if p.ch == nil || p.ch.links.Len() == 0 {
+		return
+	}
+	p.e.chainer = nil
+	p.park("sleep", "")
+}
+
+// runLink ends the head link's Compute: it runs the link's action, then queues
+// the next link's Compute or, after the last, resumes the process in Sync.
+func (e *Engine) runLink(p *Proc) {
+	c := p.ch
+	l := c.links.Pop()
+	l.fn(l.arg)
+	if c.links.Len() == 0 {
+		e.handoff(p)
+		return
+	}
+	p.step(c.links.Peek().d)
+}
+
+// step queues the event ending a link's Compute of d, as Compute would.
+func (p *Proc) step(d time.Duration) {
+	p.busy += d
+	p.e.census.Compute++
+	p.e.schedule(p.e.now+d, p.ch.run)
+}
+
+// misuse reports a schedule by p while it holds links that precede it.
+func (p *Proc) misuse() {
+	panic(fmt.Sprintf("sim: %s scheduled an event with %d chained links pending", p.name, p.ch.links.Len()))
 }
 
 // Charge adds d to the busy time without advancing the clock: a Compute folded
@@ -199,6 +289,7 @@ func (f *Future) Reset(name string) {
 // Await blocks the calling process until the future resolves and returns the
 // value. If already resolved it returns immediately without yielding.
 func (f *Future) Await(p *Proc) any {
+	p.Sync()
 	if f.done {
 		return f.val
 	}
@@ -249,6 +340,7 @@ func (m *Mailbox) Put(v any) {
 
 // Get dequeues the oldest value, blocking the process until one arrives.
 func (m *Mailbox) Get(p *Proc) any {
+	p.Sync()
 	m.wait(p)
 	return m.q.Pop()
 }
@@ -274,6 +366,7 @@ func (m *Mailbox) Poll(p *Proc, first, period time.Duration) {
 	if period <= 0 {
 		panic("sim: non-positive Poll period")
 	}
+	p.Sync()
 	if m.q.Len() > 0 {
 		if d := first - p.e.now; d > 0 {
 			p.Sleep(d)

@@ -10,7 +10,7 @@ import (
 // Sharded (conservative parallel) execution.
 //
 // Shard splits an engine into K logical processes (LPs). Each LP is itself an
-// Engine — its own 4-ary heap, ready ring and process coroutines — with a
+// Engine — its own event queue and process coroutines — with a
 // runner goroutine of its own. The runners are ordinary goroutines, not
 // locked to OS threads: an LP's windows run on its runner or inline on the
 // coordinator, and a coroutine may only be resumed under the thread-lock
@@ -19,7 +19,7 @@ import (
 // scheduling contract that an LP may place work on another LP only via
 // AtShard, at least the per-directed-pair lookahead L[src][dst] beyond its
 // own clock (asserted at every call). Cross-LP events are collected in
-// per-LP outboxes during a window and merged into the destination heaps
+// per-LP outboxes during a window and merged into the destination queues
 // between rounds, so no LP ever receives an event in its own past.
 //
 // Fences are per-LP and distance-based (Chandy–Misra with link distances):
@@ -57,8 +57,8 @@ import (
 // sequential execution prefix — and replays the counter: each logged call
 // receives the next canonical seq. Records at or beyond B (an LP that ran
 // ahead of a lagging peer) are carried to a later merge, with the resolved
-// prefix compacted away. Provisional seqs still in LP heaps are rewritten in
-// place (the rewrite is order-preserving, so the heap invariant survives),
+// prefix compacted away. Provisional seqs still in LP queues are rewritten in
+// place (the rewrite is order-preserving, so the due lists stay sorted),
 // outbox events whose creator merged are routed with their canonical seqs,
 // and the next round starts from a state the sequential engine could have
 // produced. Same configuration, same schedule, same counts — on any number
@@ -347,11 +347,7 @@ func (e *Engine) winAt(w *winState, t time.Duration, fn func()) {
 	seq := provBase | uint64(w.provCnt)
 	w.provCnt++
 	w.calls = append(w.calls, false)
-	if t <= e.now {
-		e.ready.Push(nowEvent{seq, fn})
-		return
-	}
-	e.heapPush(event{at: t, seq: seq, fn: fn})
+	e.q.push(event{at: t, seq: seq, fn: fn})
 }
 
 // rootSeq draws the next canonical seq from the root's global counter: the
@@ -381,23 +377,12 @@ func (e *Engine) runWindow(fence time.Duration) {
 				fence = f
 			}
 		}
-		if e.ready.Len() > 0 {
-			if len(e.heap) > 0 && e.heap[0].at <= e.now && e.heap[0].seq < e.ready.Peek().seq {
-				ev := e.heapPop()
-				e.execOne(w, ev.at, ev.seq, ev.fn)
-				continue
-			}
-			ev := e.ready.Pop()
-			e.execOne(w, e.now, ev.seq, ev.fn)
-			continue
-		}
-		if len(e.heap) == 0 || e.heap[0].at >= fence {
+		// Events due now run whatever the fence: the LP reached now below it.
+		ev, ok := e.q.popThrough(fence - 1)
+		if !ok {
 			break
 		}
-		ev := e.heapPop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
+		e.now = ev.at
 		e.execOne(w, ev.at, ev.seq, ev.fn)
 	}
 	w.active = false
@@ -425,7 +410,7 @@ func (e *Engine) runSharded() error {
 	if e.laD == nil {
 		panic("sim: sharded Run without SetLookahead")
 	}
-	if e.ready.Len() != 0 || len(e.heap) != 0 {
+	if _, _, _, ok := e.q.next(); ok {
 		panic("sim: events scheduled on the sharded root engine")
 	}
 	k := len(e.shards)
@@ -460,17 +445,13 @@ func (e *Engine) runSharded() error {
 
 	for !e.winStop.Load() {
 		// P_j: the earliest instant LP j could still act at of its own
-		// accord. A non-empty ready ring holds events due at the LP's
-		// current instant.
+		// accord. The peek leaves the LP's queue base where it is: a merge
+		// below may still queue an event earlier than the peeked time.
 		anyPending := false
 		for i, s := range e.shards {
-			switch {
-			case s.ready.Len() > 0:
-				e.laP[i] = s.now
-			case len(s.heap) > 0:
-				e.laP[i] = s.heap[0].at
-			default:
-				e.laP[i] = infFuture
+			e.laP[i] = infFuture
+			if at, _, _, ok := s.q.next(); ok {
+				e.laP[i] = at
 			}
 			if e.laP[i] < infFuture {
 				anyPending = true
@@ -480,7 +461,7 @@ func (e *Engine) runSharded() error {
 		// In-flight floors: cross events whose creator's exec record has not
 		// merged yet sit unrouted in their sender's outbox. Each fences its
 		// destination directly at its arrival time (it will land in the
-		// destination heap at a future merge), and contributes to minNext
+		// destination queue at a future merge), and contributes to minNext
 		// exactly as the pending event it is in the sequential engine.
 		minOut := infFuture
 		for _, s := range e.shards {
@@ -508,13 +489,7 @@ func (e *Engine) runSharded() error {
 			}
 		}
 		if e.deadline > 0 && minNext > e.deadline {
-			return &DeadlineError{
-				Deadline:   e.deadline,
-				Next:       minNext,
-				Parked:     e.parkedReport(),
-				Dispatched: e.Dispatched(),
-				Live:       e.Live(),
-			}
+			return e.finish(minNext, true)
 		}
 		// Distance fences. An LP skips the round when its next event lies at
 		// or beyond its fence; with exactly one runnable LP the coordinator
@@ -608,23 +583,8 @@ func (e *Engine) runSharded() error {
 		}
 		e.mergeWindow(B)
 	}
-	if e.winStop.Load() {
-		// Mirror the sequential stop path: a stopped engine is dead, so
-		// release every process coroutine before returning.
-		e.stopped = true
-		e.running = false
-		e.Shutdown()
-		return nil
-	}
-	if parked := e.parkedReport(); len(parked) > 0 {
-		return &DeadlockError{
-			Time:       e.Now(),
-			Parked:     parked,
-			Dispatched: e.Dispatched(),
-			Live:       e.Live(),
-		}
-	}
-	return nil
+	e.stopped = e.winStop.Load()
+	return e.finish(0, false)
 }
 
 // startCrew launches one runner goroutine per LP, parked on the epoch
@@ -714,8 +674,8 @@ func (e *Engine) mergeWindow(limit time.Duration) {
 	}
 	for _, E := range e.shards {
 		w := E.win
-		if E.ready.Len() != 0 {
-			panic("sim: LP ready ring not drained at fence")
+		if E.q.tail != nil {
+			panic("sim: LP due-now list not empty at fence")
 		}
 		if cap(w.canonTab) < w.provCnt {
 			w.canonTab = make([]uint64, w.provCnt)
@@ -776,30 +736,26 @@ func (e *Engine) mergeWindow(limit time.Duration) {
 	// their canonical values, carried ones shift down by the resolved count.
 	// Canonical seqs are assigned in each LP's call order and all exceed the
 	// pre-merge counter, so the rewrite preserves the relative order of
-	// every pair of events — the heap invariant survives untouched. This
-	// pass must complete before any outbox routing below: a routed event's
-	// canonical seq orders against the destination's resolved seqs by value,
-	// which only holds once those are rewritten.
+	// every pair of events — the due lists stay sorted. This pass must
+	// complete before any outbox routing below: a routed event's canonical
+	// seq orders against the destination's resolved seqs by value, which
+	// only holds once those are rewritten.
 	for s, E := range e.shards {
 		w := E.win
 		res := cur[s].prov
-		for i := range E.heap {
-			if sq := E.heap[i].seq; sq >= provBase {
-				if p := int(sq &^ provBase); p < res {
-					E.heap[i].seq = w.canonTab[p]
-				} else {
-					E.heap[i].seq = provBase | uint64(p-res)
-				}
+		canon := func(sq uint64) uint64 {
+			if sq < provBase {
+				return sq
+			}
+			if p := int(sq &^ provBase); p < res {
+				return w.canonTab[p]
+			} else {
+				return provBase | uint64(p-res)
 			}
 		}
+		E.q.rewrite(canon)
 		for i := cur[s].exec; i < len(w.execs); i++ {
-			if sq := w.execs[i].key; sq >= provBase {
-				if p := int(sq &^ provBase); p < res {
-					w.execs[i].key = w.canonTab[p]
-				} else {
-					w.execs[i].key = provBase | uint64(p-res)
-				}
-			}
+			w.execs[i].key = canon(w.execs[i].key)
 		}
 		w.provCnt -= res
 		n := copy(w.execs, w.execs[cur[s].exec:])
@@ -821,7 +777,7 @@ func (e *Engine) mergeWindow(limit time.Duration) {
 					"pair's lookahead floor beyond the sender's clock (see DESIGN.md §5c)",
 					s, c.at, c.dst.lpIdx, c.dst.now))
 			}
-			c.dst.heapPush(event{at: c.at, seq: c.seq, fn: c.fn})
+			c.dst.q.push(event{at: c.at, seq: c.seq, fn: c.fn})
 		}
 		n := copy(w.outbox, w.outbox[cur[s].out:])
 		tail := w.outbox[n:]

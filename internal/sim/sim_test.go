@@ -398,7 +398,7 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestHeapPropertyMonotoneTime(t *testing.T) {
+func TestQueuePropertyMonotoneTime(t *testing.T) {
 	// Property: regardless of the schedule of insertions, callbacks observe
 	// a non-decreasing clock.
 	prop := func(seed uint64) bool {
