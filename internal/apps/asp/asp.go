@@ -171,7 +171,7 @@ func Build(sys *core.System, cfg Config) func() error {
 	rowPool, _ := netsim.PerEngine(sys.Net, func(int) *sim.Free[pivotRow] { return new(sim.Free[pivotRow]) })
 	rowRefs := make([]atomic.Int32, n)
 	getRow := func(node cluster.NodeID) *pivotRow {
-		pr := rowPool[sys.Topo.ClusterOf(node)].Get()
+		pr := rowPool[sys.Net.ClusterOf(node)].Get()
 		if pr.row == nil {
 			pr.row = make([]int32, n)
 		}
@@ -180,7 +180,7 @@ func Build(sys *core.System, cfg Config) func() error {
 	releaseRow := func(st *pivotState, k int, pr *pivotRow) {
 		st.rows[k] = nil
 		if rowRefs[k].Add(-1) == 0 {
-			rowPool[sys.Topo.ClusterOf(st.node)].Put(pr)
+			rowPool[sys.Net.ClusterOf(st.node)].Put(pr)
 		}
 	}
 

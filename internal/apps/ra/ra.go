@@ -198,7 +198,6 @@ type batch struct {
 func Build(sys *core.System, cfg Config, optimized bool) func() error {
 	g := NewGame(cfg)
 	p := sys.Topo.Compute()
-	topo := sys.Topo
 	owner := func(v int32) int { return int(v) % p }
 
 	vals := make([]Value, cfg.N)
@@ -229,7 +228,8 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 
 	sys.SpawnWorkers("ra", func(w *core.Worker) {
 		r := w.Rank()
-		bp := pools[w.Cluster()]
+		myCluster := w.Cluster()
+		bp := pools[myCluster]
 
 		// Sender-side per-destination batches (node-level combining). Bit d
 		// of dirty is set exactly while batches[d] is non-nil, so an idle poll
@@ -255,7 +255,7 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 			d := owed + cfg.SendCost
 			owed = 0
 			to := cluster.NodeID(dst)
-			if optimized && !topo.SameCluster(w.Node, to) {
+			if optimized && sys.Net.ClusterOf(to) != myCluster {
 				w.Compute(d)
 				combiner.SendID(w, to, tags[dst], updateBytes*len(b.items), b)
 				return

@@ -301,10 +301,10 @@ func BuildWithStats(sys *core.System, cfg Config, optimized bool) (verify func()
 				// the damped update is a contraction whatever the ghost's
 				// age (Chazan & Miranker's stability condition).
 				topOmega, bottomOmega := cfg.Omega, cfg.Omega
-				if optimized && hasUp && !topo.SameCluster(w.Node, cluster.NodeID(r-1)) {
+				if optimized && hasUp && upWAN {
 					topOmega = 1.0
 				}
-				if optimized && hasDown && !topo.SameCluster(w.Node, cluster.NodeID(r+1)) {
+				if optimized && hasDown && downWAN {
 					bottomOmega = 1.0
 				}
 

@@ -44,7 +44,7 @@ func buildOriginal(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]in
 	putFrc := func(t, q int, data []Vec) orca.Op {
 		// Apply executes at the owner q's node, so the freed buffer joins
 		// the owner's cluster pool.
-		vp := vps[sys.Topo.ClusterOf(cluster.NodeID(q))]
+		vp := vps[sys.Net.ClusterOf(cluster.NodeID(q))]
 		return orca.Op{Name: "PutFrc", ArgBytes: molBytes * len(data), ResBytes: 4,
 			Apply: func(s any) any {
 				st := s.(*procState).at(t)

@@ -172,7 +172,7 @@ func (c *Comm) Bcast(w *core.Worker, root int, size int, data any) any {
 		return c.bcastTree(w, root, size, data, c.all, phB)
 	}
 	topo := c.sys.Topo
-	rootCluster := topo.ClusterOf(cluster.NodeID(root))
+	rootCluster := c.sys.Net.ClusterOf(cluster.NodeID(root))
 	myCluster := w.Cluster()
 	local := c.byCluster[myCluster]
 	clusterRoot := local[0]
@@ -247,7 +247,7 @@ func (c *Comm) Reduce(w *core.Worker, root int, size int, value any, combine Com
 		return c.reduceTree(w, root, size, value, combine, c.all, phR)
 	}
 	topo := c.sys.Topo
-	rootCluster := topo.ClusterOf(cluster.NodeID(root))
+	rootCluster := c.sys.Net.ClusterOf(cluster.NodeID(root))
 	myCluster := w.Cluster()
 	local := c.byCluster[myCluster]
 	lr := local[0]
@@ -334,7 +334,7 @@ func (c *Comm) Gather(w *core.Worker, root int, size int, value any) []any {
 		return out
 	}
 	topo := c.sys.Topo
-	rootCluster := topo.ClusterOf(cluster.NodeID(root))
+	rootCluster := c.sys.Net.ClusterOf(cluster.NodeID(root))
 	myCluster := w.Cluster()
 	local := c.byCluster[myCluster]
 	lr := local[0]
@@ -415,7 +415,7 @@ func (c *Comm) Scatter(w *core.Worker, root int, size int, values []any) any {
 		return w.RecvID(c.tag(phS, root))
 	}
 	topo := c.sys.Topo
-	rootCluster := topo.ClusterOf(cluster.NodeID(root))
+	rootCluster := c.sys.Net.ClusterOf(cluster.NodeID(root))
 	myCluster := w.Cluster()
 	local := c.byCluster[myCluster]
 	lr := local[0]
@@ -499,7 +499,7 @@ func (c *Comm) AllToAll(w *core.Worker, size int, values []any) []any {
 		if q == w.Rank() {
 			continue
 		}
-		if topo.SameCluster(w.Node, cluster.NodeID(q)) {
+		if c.sys.Net.ClusterOf(cluster.NodeID(q)) == myCluster {
 			w.SendID(cluster.NodeID(q), c.tag(phA, w.Rank()), size, values[q])
 		}
 	}

@@ -122,11 +122,11 @@ func (cc *ClusterCache) serve(w *Worker, mb *sim.Mailbox, st *cacheStore, source
 // of the read phase is part of the same optimization. Same-cluster sources
 // need no prefetch (reads are already LAN-fast) and none is sent.
 func (cc *ClusterCache) Prefetch(w *Worker, source cluster.NodeID, key any) {
-	topo := cc.sys.Topo
-	if topo.SameCluster(w.Node, source) {
+	net := cc.sys.Net
+	c := net.ClusterOf(w.Node)
+	if c == net.ClusterOf(source) {
 		return
 	}
-	c := topo.ClusterOf(w.Node)
 	coord := cc.coordinator(c, source)
 	if coord == w.Node {
 		// The store is local; the coordinator daemon will fetch on the
@@ -144,12 +144,12 @@ const keyBytes = 16
 // through the cluster coordinator. When w itself runs on the coordinator
 // node it uses the shared cache directly, skipping the loopback request.
 func (cc *ClusterCache) Get(w *Worker, source cluster.NodeID, key any) any {
-	topo := cc.sys.Topo
-	if topo.SameCluster(w.Node, source) {
+	net := cc.sys.Net
+	c := net.ClusterOf(w.Node)
+	if c == net.ClusterOf(source) {
 		data, _ := cc.fetch(w.P, w.Node, source, key)
 		return data
 	}
-	c := topo.ClusterOf(w.Node)
 	coord := cc.coordinator(c, source)
 	if coord == w.Node {
 		return cc.stores[storeKey{c, source}].get(cc, w.P, w.Node, source, key).data

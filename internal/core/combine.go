@@ -94,7 +94,7 @@ func (cb *Combiner) install(c int) {
 	// Outgoing side: accumulate and flush.
 	rts.HandleService(agent, "comb:"+cb.name, func(req *orca.Request) {
 		it := req.Payload.(*combineItem)
-		dc := cb.sys.Topo.ClusterOf(it.to)
+		dc := cb.sys.Net.ClusterOf(it.to)
 		buf := &cb.bufs[c][dc]
 		if buf.items == nil {
 			buf.items = pl.slicePool.Get(0)
@@ -156,12 +156,13 @@ func (cb *Combiner) Send(w *Worker, to cluster.NodeID, tag orca.Tag, size int, p
 
 // SendID is Send for a pre-interned tag: the zero-allocation fast path.
 func (cb *Combiner) SendID(w *Worker, to cluster.NodeID, tag orca.TagID, size int, payload any) {
-	topo := cb.sys.Topo
-	if topo.SameCluster(w.Node, to) {
+	net := cb.sys.Net
+	c := net.ClusterOf(w.Node)
+	if c == net.ClusterOf(to) {
 		w.SendID(to, tag, size, payload)
 		return
 	}
-	it := cb.pools[topo.ClusterOf(w.Node)].itemPool.Get()
+	it := cb.pools[c].itemPool.Get()
 	it.to, it.tag, it.size, it.payload = to, tag, size, payload
-	cb.sys.RTS.Cast(w.Node, cb.agent(topo.ClusterOf(w.Node)), "comb:"+cb.name, size, it)
+	cb.sys.RTS.Cast(w.Node, cb.agent(c), "comb:"+cb.name, size, it)
 }

@@ -104,7 +104,7 @@ func (cr *ClusterReducer) coordinator(c int, target cluster.NodeID) cluster.Node
 func (cr *ClusterReducer) install(coord cluster.NodeID, svc string) {
 	rounds := make(map[orca.Tag]*roundState)
 	rts := cr.sys.RTS
-	pl := cr.pools[cr.sys.Topo.ClusterOf(coord)]
+	pl := cr.pools[cr.sys.Net.ClusterOf(coord)]
 	rts.HandleService(coord, svc, func(req *orca.Request) {
 		con := req.Payload.(*reduceContribution)
 		st, ok := rounds[con.tag]
@@ -133,12 +133,12 @@ func (cr *ClusterReducer) install(coord cluster.NodeID, svc string) {
 // number of contributors in the caller's cluster for this round — known in
 // advance, as the paper notes. Same-cluster targets are sent directly.
 func (cr *ClusterReducer) Put(w *Worker, target cluster.NodeID, tag orca.Tag, size int, value any, expectLocal int) {
-	topo := cr.sys.Topo
-	if topo.SameCluster(w.Node, target) {
+	net := cr.sys.Net
+	c := net.ClusterOf(w.Node)
+	if c == net.ClusterOf(target) {
 		w.Send(target, tag, size, value)
 		return
 	}
-	c := topo.ClusterOf(w.Node)
 	coord := cr.coordinator(c, target)
 	con := cr.pools[c].conPool.Get()
 	con.target, con.tag, con.value, con.expect, con.size = target, tag, value, expectLocal, size
@@ -150,17 +150,18 @@ func (cr *ClusterReducer) Put(w *Worker, target cluster.NodeID, tag orca.Tag, si
 // itself): direct messages from its own cluster plus one aggregate per
 // remote cluster with at least one contributor.
 func (cr *ClusterReducer) ExpectedMessages(target cluster.NodeID, contributors []cluster.NodeID) int {
-	topo := cr.sys.Topo
+	net := cr.sys.Net
+	tc := net.ClusterOf(target)
 	n := 0
 	remote := make(map[int]bool)
 	for _, c := range contributors {
 		if c == target {
 			continue
 		}
-		if topo.SameCluster(c, target) {
+		if cc := net.ClusterOf(c); cc == tc {
 			n++
 		} else {
-			remote[topo.ClusterOf(c)] = true
+			remote[cc] = true
 		}
 	}
 	return n + len(remote)

@@ -72,7 +72,7 @@ func NewSystem(cfg Config) *System {
 // the root engine sequentially, the node's cluster LP when sharded. All
 // process spawns bound to a node must go through it.
 func (s *System) EngineFor(node cluster.NodeID) *sim.Engine {
-	return s.Net.EngineFor(s.Topo.ClusterOf(node))
+	return s.Net.EngineFor(s.Net.ClusterOf(node))
 }
 
 // NewDAS assembles a DAS-like platform with the paper's Table-1 parameters
@@ -98,7 +98,7 @@ func (w *Worker) Rank() int { return int(w.Node) }
 func (w *Worker) NProcs() int { return w.Sys.Topo.Compute() }
 
 // Cluster is the index of the worker's cluster.
-func (w *Worker) Cluster() int { return w.Sys.Topo.ClusterOf(w.Node) }
+func (w *Worker) Cluster() int { return w.Sys.Net.ClusterOf(w.Node) }
 
 // Compute charges d of CPU work to the worker.
 func (w *Worker) Compute(d time.Duration) { w.P.Compute(d) }

@@ -19,6 +19,7 @@ package faults
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"albatross/internal/cluster"
@@ -442,8 +443,21 @@ func (in *Injector) LinkDown(at time.Duration, from, to int) bool {
 	return false
 }
 
-// HasLinkDowns reports whether the plan schedules any link failures; when
-// false the network keeps its zero-overhead static routing path.
-func (in *Injector) HasLinkDowns() bool { return len(in.plan.LinkDowns) > 0 }
+// LinkChanges implements netsim.FaultPolicy: the sorted, deduplicated
+// instants at which some window of the plan opens or closes (Start and
+// Start+Duration). LinkDown is constant between consecutive instants, since
+// inWindow flips only at a window edge. Nil when the plan cuts no link, which
+// keeps the network on its static routing path.
+func (in *Injector) LinkChanges() []time.Duration {
+	if len(in.plan.LinkDowns) == 0 {
+		return nil
+	}
+	at := make([]time.Duration, 0, 2*len(in.plan.LinkDowns))
+	for _, l := range in.plan.LinkDowns {
+		at = append(at, l.Start, l.Start+l.Duration)
+	}
+	slices.Sort(at)
+	return slices.Compact(at)
+}
 
 var _ netsim.FaultPolicy = (*Injector)(nil)

@@ -2,12 +2,14 @@ package faults
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"albatross/internal/cluster"
 	"albatross/internal/netsim"
+	"albatross/internal/rng"
 	"albatross/internal/sim"
 )
 
@@ -237,9 +239,6 @@ func TestLinkDownWindowPredicate(t *testing.T) {
 	in := MustInjector(Plan{LinkDowns: []LinkDown{
 		{From: 0, To: 1, Start: time.Second, Duration: time.Second},
 	}})
-	if !in.HasLinkDowns() {
-		t.Fatal("HasLinkDowns() = false with a scheduled cut")
-	}
 	cases := []struct {
 		at       time.Duration
 		from, to int
@@ -257,8 +256,70 @@ func TestLinkDownWindowPredicate(t *testing.T) {
 			t.Fatalf("LinkDown(%v, %d, %d) = %v, want %v", c.at, c.from, c.to, got, c.want)
 		}
 	}
-	if MustInjector(Plan{}).HasLinkDowns() {
-		t.Fatal("empty plan claims link downs")
+}
+
+// TestLinkChangesContract holds Injector.LinkChanges to the FaultPolicy
+// contract the router caches on: sorted and deduplicated, both edges of every
+// window present, nil without link-downs, and LinkDown constant for every
+// directed link of the plan between consecutive instants.
+func TestLinkChangesContract(t *testing.T) {
+	for _, pl := range []Plan{{}, {Default: PairProbs{Drop: 0.5}, Crashes: []GatewayCrash{{Cluster: 1, Duration: time.Second}}}} {
+		if got := MustInjector(pl).LinkChanges(); got != nil {
+			t.Fatalf("plan without link-downs: LinkChanges() = %v, want nil", got)
+		}
+	}
+	r := rng.New(35)
+	for i := 0; i < 300; i++ {
+		var pl Plan
+		for k := 1 + r.Intn(6); k > 0; k-- {
+			l := LinkDown{From: r.Intn(3), To: r.Intn(3), Start: time.Duration(r.Intn(5)) * time.Millisecond}
+			if l.From == l.To {
+				l.To = (l.To + 1) % 3
+			}
+			switch r.Intn(4) {
+			case 0: // permanent: ends at the last instant
+				l.Duration = math.MaxInt64 - l.Start
+			case 1: // empty window: never live, still two equal edges
+			default:
+				l.Duration = time.Duration(1+r.Intn(4)) * time.Millisecond
+			}
+			pl.LinkDowns = append(pl.LinkDowns, l)
+		}
+		in := MustInjector(pl)
+		ch := in.LinkChanges()
+		for j := 1; j < len(ch); j++ {
+			if ch[j] <= ch[j-1] {
+				t.Fatalf("plan %+v: LinkChanges %v not strictly increasing", pl.LinkDowns, ch)
+			}
+		}
+		for _, l := range pl.LinkDowns {
+			if !slices.Contains(ch, l.Start) || !slices.Contains(ch, l.Start+l.Duration) {
+				t.Fatalf("plan %+v: LinkChanges %v misses an edge of %+v", pl.LinkDowns, ch, l)
+			}
+		}
+		// Probe each epoch at its first and last instant and in between; the
+		// epoch before the first change starts at 0 (no instant is negative).
+		for j := 0; j <= len(ch); j++ {
+			lo, hi := time.Duration(0), time.Duration(math.MaxInt64)
+			if j > 0 {
+				lo = ch[j-1]
+			}
+			if j < len(ch) {
+				hi = ch[j] - 1
+			}
+			if hi < lo {
+				continue
+			}
+			for _, l := range pl.LinkDowns {
+				want := in.LinkDown(lo, l.From, l.To)
+				for _, at := range []time.Duration{lo + (hi-lo)/2, hi} {
+					if got := in.LinkDown(at, l.From, l.To); got != want {
+						t.Fatalf("plan %+v: LinkDown(%d->%d) is %v at %v but %v at %v, inside one epoch of %v",
+							pl.LinkDowns, l.From, l.To, want, lo, got, at, ch)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -8,13 +10,28 @@ import (
 	"albatross/internal/sim"
 )
 
-// testPolicy is a FaultPolicy built from optional closures; nil fields
-// behave like the perfect network. A non-nil linkDown schedules link
-// failures.
+// testPolicy is a FaultPolicy built from optional closures and declared
+// link-down windows; nil fields behave like the perfect network. LinkDown and
+// LinkChanges both derive from downs.
 type testPolicy struct {
-	transit  func(at time.Duration, cs, cd int, m Msg) (FaultAction, time.Duration)
-	gwDown   func(at time.Duration, c int, m Msg) bool
-	linkDown func(at time.Duration, from, to int) bool
+	transit func(at time.Duration, cs, cd int, m Msg) (FaultAction, time.Duration)
+	gwDown  func(at time.Duration, c int, m Msg) bool
+	downs   []linkWindow
+}
+
+// linkWindow fails the directed link from→to for [start, start+dur).
+type linkWindow struct {
+	from, to   int
+	start, dur time.Duration
+}
+
+// forever is a window length that never ends within a run.
+const forever = time.Duration(math.MaxInt64)
+
+// downPair returns the windows failing one directed pair for [start,
+// start+dur); dur is clipped so the window ends at the last instant.
+func downPair(from, to int, start, dur time.Duration) []linkWindow {
+	return []linkWindow{{from, to, start, min(dur, forever-start)}}
 }
 
 func (p *testPolicy) WANTransit(at time.Duration, cs, cd int, m Msg) (FaultAction, time.Duration) {
@@ -32,13 +49,22 @@ func (p *testPolicy) GatewayDown(at time.Duration, c int, m Msg) bool {
 }
 
 func (p *testPolicy) LinkDown(at time.Duration, from, to int) bool {
-	if p.linkDown == nil {
-		return false
+	for _, w := range p.downs {
+		if w.from == from && w.to == to && at >= w.start && at < w.start+w.dur {
+			return true
+		}
 	}
-	return p.linkDown(at, from, to)
+	return false
 }
 
-func (p *testPolicy) HasLinkDowns() bool { return p.linkDown != nil }
+func (p *testPolicy) LinkChanges() []time.Duration {
+	var at []time.Duration
+	for _, w := range p.downs {
+		at = append(at, w.start, w.start+w.dur)
+	}
+	slices.Sort(at)
+	return slices.Compact(at)
+}
 
 func (p *testPolicy) Bind(int) {}
 

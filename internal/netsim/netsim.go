@@ -191,12 +191,14 @@ type Network struct {
 	// once built.
 	routeFloor [][]time.Duration
 
-	// Link fault domains (routefault.go). linkFaults is set only when the
-	// installed policy schedules hard link failures; hold[c] maps a final
-	// destination cluster to the bounded queue of wire units parked at c's
-	// gateway while no route exists. Both unset on the fault-free fast path.
-	linkFaults bool
-	hold       []map[int32]*holdQ
+	// Routing and link fault domains (routefault.go). routes[c] is cluster
+	// c's route row, materialized on its first WAN transmission.
+	// linkChanges are the installed policy's link-state change instants;
+	// hold[c] holds the bounded queues of wire units parked at c's gateway
+	// while no route exists. Those two stay nil without link faults.
+	routes      []routeRow
+	linkChanges []time.Duration
+	hold        []holdSet
 
 	// Flattened topology tables: the send path answers "which cluster",
 	// "is it a gateway" and "who are the local members" with one array
@@ -261,9 +263,12 @@ type FaultPolicy interface {
 	// virtual time at. It must be a pure function of its arguments: the
 	// router consults it from several LP threads concurrently.
 	LinkDown(at time.Duration, from, to int) bool
-	// HasLinkDowns reports whether any link failure is scheduled at all;
-	// when false the network keeps its static zero-overhead routing path.
-	HasLinkDowns() bool
+	// LinkChanges returns the sorted instants at which some LinkDown answer
+	// may change: LinkDown must be constant for every directed pair between
+	// consecutive instants (a link-state epoch), so the router consults it
+	// once per (source, destination, epoch). Nil means no link ever fails,
+	// and the network keeps its static routes.
+	LinkChanges() []time.Duration
 	// Bind sizes the policy's per-cluster state for nclusters clusters,
 	// before concurrent LPs start indexing it.
 	Bind(nclusters int)
@@ -276,20 +281,21 @@ type FaultPolicy interface {
 //
 // Shard safety is the policy's contract, not the network's gate: the
 // network consults WANTransit on the source cluster's LP, GatewayDown on
-// the named cluster's LP, and LinkDown wherever traffic is in flight, so a
+// the named cluster's LP, and LinkDown on the LP whose route row it fills, so a
 // policy whose verdicts depend only on (virtual time, directed pair, that
 // pair's own history) — as faults.Injector's per-pair streams do — produces
 // byte-identical fault sequences sequentially and sharded.
 func (n *Network) SetFaultPolicy(p FaultPolicy) {
-	n.fault, n.linkFaults = p, false
+	n.fault, n.linkChanges = p, nil
+	clear(n.routes) // answers of the previous policy
 	if p == nil {
 		return
 	}
 	p.Bind(n.nclusters)
-	if p.HasLinkDowns() {
-		n.linkFaults = true
+	if ch := p.LinkChanges(); len(ch) > 0 {
+		n.linkChanges = ch
 		if n.hold == nil {
-			n.hold = make([]map[int32]*holdQ, n.nclusters)
+			n.hold = make([]holdSet, n.nclusters)
 		}
 	}
 	if n.xp != nil {
@@ -393,9 +399,11 @@ func New(e *sim.Engine, topo cluster.Topology, par cluster.Params) *Network {
 		n.addLink(l.A, l.B, l.Class)
 		n.addLink(l.B, l.A, l.Class)
 	}
-	// agg rows materialize on a cluster's first WAN transmission (aggFor):
-	// clusters that never source wide-area traffic cost one nil slot.
+	// agg and route rows materialize on a cluster's first WAN transmission
+	// (aggFor, route): clusters that never source wide-area traffic cost one
+	// empty slot each.
 	n.agg = make([][]classAgg, topo.Clusters)
+	n.routes = make([]routeRow, topo.Clusters)
 	n.clusterOf = make([]int, topo.Total())
 	n.isGW = make([]bool, topo.Total())
 	for i := range n.clusterOf {
@@ -515,12 +523,13 @@ func searchAdj(links []adjLink, b int) int {
 	return lo
 }
 
-// linkFor returns the directed WAN link cur→next. Routes only ever name
-// physical links, so a miss is a routing bug.
-func (n *Network) linkFor(cur, next int) *adjLink {
+// linkIndex returns the index of the directed WAN link cur→next in adj[cur]
+// (route-row fills and egress setup). Routes only ever name physical links,
+// so a miss is a routing bug.
+func (n *Network) linkIndex(cur, next int) int {
 	links := n.adj[cur]
 	if lo := searchAdj(links, next); lo < len(links) && int(links[lo].to) == next {
-		return &links[lo]
+		return lo
 	}
 	panic(fmt.Sprintf("netsim: route hop %d->%d has no physical link", cur, next))
 }
@@ -553,6 +562,11 @@ func PerEngine[T any](n *Network, mk func(c int) *T) (byCluster, each []*T) {
 
 // Topology returns the network's topology.
 func (n *Network) Topology() cluster.Topology { return n.topo }
+
+// ClusterOf reports which cluster node id (compute or gateway) belongs to:
+// one index into the network's flattened table, where Topology.ClusterOf
+// scans the per-cluster sizes of a declared platform. Run-time paths use this.
+func (n *Network) ClusterOf(id cluster.NodeID) int { return n.clusterOf[id] }
 
 // Params returns the network's performance parameters.
 func (n *Network) Params() cluster.Params { return n.par }

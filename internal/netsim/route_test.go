@@ -263,5 +263,5 @@ func TestRouteWithoutLinkPanics(t *testing.T) {
 			t.Fatal("no panic for undeclared link")
 		}
 	}()
-	n.linkFor(1, 3)
+	n.linkIndex(1, 3)
 }

@@ -24,21 +24,13 @@ func ringTestNet(t testing.TB, par cluster.Params) (*sim.Engine, *testNet) {
 	return e, collect(New(e, topo, par))
 }
 
-// downPair returns a LinkDown closure failing one directed pair for
-// [start, start+dur).
-func downPair(from, to int, start, dur time.Duration) func(time.Duration, int, int) bool {
-	return func(at time.Duration, f, tt int) bool {
-		return f == from && tt == to && at >= start && at < start+dur
-	}
-}
-
 // TestRingRerouteSecondDirection: with the forward ring link 0→1 cut, a
 // message from cluster 0 to cluster 1 goes the other way round (0→3→2→1)
 // instead of blackholing — and the path scan turns the route around at the
 // source, so no hop ever bounces back toward the cut.
 func TestRingRerouteSecondDirection(t *testing.T) {
 	e, n := ringTestNet(t, testParams())
-	n.SetFaultPolicy(&testPolicy{linkDown: downPair(0, 1, 0, time.Hour)})
+	n.SetFaultPolicy(&testPolicy{downs: downPair(0, 1, 0, time.Hour)})
 	n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 1000})
 	at := recvTime(t, e, n, 2)
 	// FE 151us + three backbone hops (0→3, 3→2, 2→1) at 2001us each + FE
@@ -64,7 +56,7 @@ func TestRingRerouteSecondDirection(t *testing.T) {
 // single-hop mesh route into a store-and-forward two-hop route.
 func TestMeshDetourOneIntermediate(t *testing.T) {
 	e, n := build(3, 2)
-	n.SetFaultPolicy(&testPolicy{linkDown: downPair(0, 1, 0, time.Hour)})
+	n.SetFaultPolicy(&testPolicy{downs: downPair(0, 1, 0, time.Hour)})
 	n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 1000})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -135,7 +127,7 @@ func TestHeldUnitsDrainFIFOOnHeal(t *testing.T) {
 		for _, pf := range holdPlatforms {
 			t.Run(kind.name+"/"+pf.name, func(t *testing.T) {
 				e, n := pf.build(t, kind.par())
-				n.SetFaultPolicy(&testPolicy{linkDown: downPair(0, 1, 0, 5*time.Millisecond)})
+				n.SetFaultPolicy(&testPolicy{downs: downPair(0, 1, 0, 5*time.Millisecond)})
 				var order []int
 				var first time.Duration = -1
 				n.SetHandler(2, func(m Msg) {
@@ -182,7 +174,7 @@ func TestHoldQueueOverflowDropsNewcomers(t *testing.T) {
 	for _, kind := range holdKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			e, n := twoRootNet(t, kind.par())
-			n.SetFaultPolicy(&testPolicy{linkDown: downPair(0, 1, 0, 5*time.Millisecond)})
+			n.SetFaultPolicy(&testPolicy{downs: downPair(0, 1, 0, 5*time.Millisecond)})
 			var order []int
 			n.SetHandler(2, func(m Msg) { order = append(order, m.Payload.(int)) })
 			// Sends originate at the gateway (node 4) so every message reaches
@@ -228,9 +220,7 @@ func TestHoldQueueOverflowDropsNewcomers(t *testing.T) {
 // of retrying forever.
 func TestHoldTimeoutDropsUnderPermanentPartition(t *testing.T) {
 	e, n := twoRootNet(t, testParams())
-	n.SetFaultPolicy(&testPolicy{linkDown: func(at time.Duration, f, tt int) bool {
-		return f == 0 && tt == 1
-	}})
+	n.SetFaultPolicy(&testPolicy{downs: downPair(0, 1, 0, forever)})
 	n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 1000})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -252,11 +242,8 @@ func TestHoldTimeoutDropsUnderPermanentPartition(t *testing.T) {
 func TestUplinkCutHoldsSubtreeTraffic(t *testing.T) {
 	e, n := tieredTestNet(t, testParams(), 0)
 	// Cluster 1 hangs under root 0; cut its uplink both ways for 5ms.
-	cut := func(at time.Duration, f, tt int) bool {
-		up := (f == 1 && tt == 0) || (f == 0 && tt == 1)
-		return up && at < 5*time.Millisecond
-	}
-	n.SetFaultPolicy(&testPolicy{linkDown: cut})
+	cut := append(downPair(1, 0, 0, 5*time.Millisecond), downPair(0, 1, 0, 5*time.Millisecond)...)
+	n.SetFaultPolicy(&testPolicy{downs: cut})
 	n.Send(Msg{From: 2, To: 6, Kind: KindData, Size: 1000}) // leaf 1 → leaf 3
 	at := recvTime(t, e, n, 6)
 	if at < 5*time.Millisecond {
@@ -315,7 +302,7 @@ func TestRerouteBackThroughSourceGateway(t *testing.T) {
 			// round, 1→0→3→2.
 			inspections := 0
 			n.SetFaultPolicy(&testPolicy{
-				linkDown: downPair(1, 2, time.Millisecond, time.Hour),
+				downs: downPair(1, 2, time.Millisecond, time.Hour),
 				transit: func(time.Duration, int, int, Msg) (FaultAction, time.Duration) {
 					inspections++
 					return FaultDeliver, 0

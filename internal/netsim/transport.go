@@ -177,15 +177,21 @@ func (u *wireUnit) forward() {
 	n.transmit(u, now)
 }
 
-// transmit sends the unit over the next link of its route, or parks it in a
-// hold queue when link failures leave no route (routefault.go).
+// transmit sends the unit over the first link of its route from u.cur, read
+// from the cluster's route row, or parks it in a hold queue (routefault.go).
+// A non-empty queue toward the same destination means earlier traffic is
+// still parked, so the unit queues behind it even if the route just healed
+// (FIFO per channel is the ordering contract the upper layers rely on); the
+// healed queue drains wholesale at its next retry tick.
 func (n *Network) transmit(u *wireUnit, now time.Duration) {
 	sh := n.sh[u.cur]
-	if !n.linkFaults {
-		n.transmitOn(sh, u, now, n.graph.Next(u.cur, u.cd))
-	} else if next, ok := n.routeOrHold(sh, now, u); ok {
-		n.transmitOn(sh, u, now, next)
-	} // else parked (or dropped on overflow)
+	if q := n.parkedAt(u.cur, u.cd); q != nil {
+		q.push(now, u)
+	} else if l := n.routeNext(sh, now, u.cur, u.cd); l != nil {
+		n.transmitOn(sh, u, now, l)
+	} else {
+		n.holdFor(u.cur, u.cd).push(now, u) // (or dropped on overflow)
+	}
 }
 
 // gatewaySlot reserves cluster c's gateway protocol stack, which forwards
@@ -204,15 +210,14 @@ func (n *Network) gatewaySlot(c int, now time.Duration) time.Duration {
 	return gw.gwFree
 }
 
-// transmitOn runs the gateway forwarding slot and puts the unit on the pipe
-// toward next (the caller's routing choice), then schedules the cross-LP hop:
+// transmitOn runs the gateway forwarding slot and puts the unit on link l
+// (the caller's routing choice), then schedules the cross-LP hop:
 // to the destination cluster's arrive stage, or to the next intermediate
 // gateway's forward stage. Stats' frame counters are charged once, at the
 // source hop; the per-pipe and per-class aggregates meter every hop
 // (wire-level accounting), and their frame columns count sequenced units only.
-func (n *Network) transmitOn(sh *netShard, u *wireUnit, now time.Duration, next int) {
+func (n *Network) transmitOn(sh *netShard, u *wireUnit, now time.Duration, l *adjLink) {
 	now = n.gatewaySlot(u.cur, now)
-	l := n.linkFor(u.cur, next)
 	// Unsequenced units carry stream 0, so plain messages never stripe:
 	// orca's ordering and ARQ layers rely on FIFO per directed channel, which
 	// only reassembly by sequence number can restore across streams.
@@ -261,6 +266,7 @@ func (n *Network) transmitOn(sh *netShard, u *wireUnit, now time.Duration, next 
 		at = p.arrive
 	}
 	p.arrive = at
+	next := int(l.to)
 	u.cur = next
 	if next == u.cd {
 		at += u.extra
@@ -383,7 +389,7 @@ func (n *Network) egressFor(cs, cd int) *egressQ {
 		eg.flushFn = eg.timerFlush // bound once; the timer never allocates
 		// Frames stripe over the first link of the route: its stream count
 		// is the round-robin modulus for the whole directed pair.
-		eg.mod = len(n.linkFor(cs, n.graph.Next(cs, cd)).pipes)
+		eg.mod = len(n.adj[cs][n.linkIndex(cs, n.graph.Next(cs, cd))].pipes)
 		m[int32(cd)] = eg
 	}
 	return eg

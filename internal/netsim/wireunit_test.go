@@ -142,7 +142,7 @@ func TestMeshShorthandEqualsDeclaredMesh(t *testing.T) {
 					e := sim.NewEngine()
 					n := collect(New(e, topo, par))
 					if cut {
-						n.SetFaultPolicy(&testPolicy{linkDown: downPair(0, 1, 2*time.Millisecond, 4*time.Millisecond)})
+						n.SetFaultPolicy(&testPolicy{downs: downPair(0, 1, 2*time.Millisecond, 4*time.Millisecond)})
 					}
 					got := foldTraffic(t, e, n, seed, 400, topo.Total())
 					runs[i] = observed{got, *n.Stats(), n.PipeReports(), n.ClassReports(), e.Now()}

@@ -382,7 +382,7 @@ func (r *RTS) distribute(orderer cluster.NodeID, seq uint64, b *pendingBcast) {
 	// horizon (seqBusy[orderer]) and the delivery schedule are state of the
 	// orderer's LP, touched only from its thread, and the fan-out in b.fn
 	// rides hardware multicast locally plus ≥lookahead WAN hops remotely.
-	e := r.sh[r.topo.ClusterOf(orderer)].e
+	e := r.sh[r.net.ClusterOf(orderer)].e
 	start := e.Now()
 	if busy := r.seqBusy[orderer]; busy > start {
 		start = busy
@@ -395,7 +395,7 @@ func (r *RTS) distribute(orderer cluster.NodeID, seq uint64, b *pendingBcast) {
 
 func (r *RTS) distributeNow(b *pendingBcast) {
 	r.net.BcastLocal(b.orderer, netsim.KindBcast, b.size, b)
-	oc := r.topo.ClusterOf(b.orderer)
+	oc := r.net.ClusterOf(b.orderer)
 	for c := 0; c < r.topo.Clusters; c++ {
 		if c == oc {
 			continue

@@ -158,7 +158,7 @@ type relLayer struct {
 
 // shardOf returns the shard owning node id's channel state.
 func (l *relLayer) shardOf(id cluster.NodeID) *relShard {
-	return l.sh[l.r.topo.ClusterOf(id)]
+	return l.sh[l.r.net.ClusterOf(id)]
 }
 
 // EnableReliability interposes reliable channels on all intercluster
@@ -201,7 +201,7 @@ func (r *RTS) RelStats() RelStats {
 // reliability layer when it is enabled, everything else straight to the
 // network.
 func (r *RTS) send(m netsim.Msg) {
-	if r.rel != nil && r.topo.ClusterOf(m.From) != r.topo.ClusterOf(m.To) {
+	if r.rel != nil && r.net.ClusterOf(m.From) != r.net.ClusterOf(m.To) {
 		r.rel.sendReliable(m)
 		return
 	}

@@ -108,7 +108,7 @@ func (s *CentralSequencer) Submit(r *RTS, from cluster.NodeID, b *pendingBcast) 
 		s.order(r, b)
 		return
 	}
-	r.sendSubmit(s, from, s.node, r.topo.ClusterOf(s.node), b)
+	r.sendSubmit(s, from, s.node, r.net.ClusterOf(s.node), b)
 }
 
 func (s *CentralSequencer) arrive(r *RTS, c int, b *pendingBcast) { s.order(r, b) }
@@ -177,7 +177,7 @@ func (s *RotatingSequencer) attach(r *RTS) {
 // Submit sends the update to the sender's cluster sequencer, which queues it
 // until the token arrives.
 func (s *RotatingSequencer) Submit(r *RTS, from cluster.NodeID, b *pendingBcast) {
-	c := r.topo.ClusterOf(from)
+	c := r.net.ClusterOf(from)
 	sn := seqNode(r.topo, c)
 	if from == sn {
 		s.arrive(r, c, b)
@@ -325,7 +325,7 @@ func (s *MigratingSequencer) attach(r *RTS) {
 // sequencer is hosted there it orders immediately, otherwise the cluster
 // requests a migration.
 func (s *MigratingSequencer) Submit(r *RTS, from cluster.NodeID, b *pendingBcast) {
-	c := r.topo.ClusterOf(from)
+	c := r.net.ClusterOf(from)
 	sn := seqNode(r.topo, c)
 	if from == sn {
 		s.arrive(r, c, b)

@@ -629,7 +629,11 @@ func (c *shardCrew) runner(i int, s *Engine) {
 			}
 		}
 		seen = c.epoch.Load()
-		f := c.fences[i].Load()
+		// Swap consumes the fence, so each published fence runs once. A
+		// runner that read a skipped round's epoch may find the next round's
+		// fence already stored, before that round's epoch bump; it runs the
+		// window early, and on seeing the bump must not run it again.
+		f := c.fences[i].Swap(fenceSkip)
 		switch f {
 		case fenceRetire:
 			return
