@@ -8,8 +8,7 @@
 //	dasbench -list               # show what is available
 //	dasbench -exp fig1 -plot     # additionally draw ASCII speedup charts
 //	dasbench -exp fig9 -census   # additionally list each run's event census
-//	dasbench -exp fig9 -coalesce 32768 -coalesce-window 500us -streams 4
-//	                             # ... on the coalescing/striping runtime
+//	dasbench -exp fig9 -transport # ... on the coalescing/striping runtime
 //	dasbench -topo 4x16 -apps all # WAN traffic by kind and per-link load of
 //	                             # every app on a uniform 4x16 DAS platform
 //	dasbench -topo examples/topologies/tiered64.json -apps SOR,RA
@@ -51,24 +50,15 @@ func main() {
 		parallelFlag = flag.Int("parallel", 0, "simulation runs to execute concurrently (0 = GOMAXPROCS); output is identical at any setting")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProfile   = flag.String("memprofile", "", "write a heap profile (taken after all runs drain) to this file")
-		coalesceFlag = flag.Int("coalesce", 0, "gateway transport: max coalesced WAN frame size in bytes (0 = no size bound)")
-		windowFlag   = flag.Duration("coalesce-window", 0, "gateway transport: max virtual time a WAN message waits for frame companions (0 = no window)")
-		streamsFlag  = flag.Int("streams", 0, "gateway transport: parallel WAN streams per directed cluster pair (0/1 = single pipe)")
+		transFlag    = flag.Bool("transport", false, "run on the gateway transport layer: 32 kB coalesced WAN frames, a 500us window, 4 WAN streams")
 		topoFlag     = flag.String("topo", "", "run on a uniform CxN DAS shape (e.g. 4x16) or a declarative topology configuration (JSON file, see examples/topologies) instead of the paper experiments")
 		appsFlag     = flag.String("apps", "ASP", "with -topo: comma-separated application names, or 'all'")
 		censusFlag   = flag.Bool("census", false, "after the reports, print one row per run: events dispatched and what scheduled them")
 	)
 	flag.Parse()
-	// The transport flags run every experiment on the coalescing/striping
-	// runtime (the "transport" experiment sweeps it explicitly either way).
-	s := &harness.Session{
-		Workers: *parallelFlag,
-		Transport: harness.Transport{
-			MaxFrameBytes:  *coalesceFlag,
-			CoalesceWindow: *windowFlag,
-			WANStreams:     *streamsFlag,
-		},
-	}
+	// -transport runs every experiment on the coalescing/striping runtime
+	// (the "transport" experiment sweeps it explicitly either way).
+	s := &harness.Session{Workers: *parallelFlag, Transport: *transFlag}
 	if err := s.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "dasbench:", err)
 		os.Exit(2)

@@ -69,6 +69,7 @@ func run(optimized bool) (time.Duration, int64, [buckets]int64) {
 	}
 
 	var reducer *core.ClusterReducer
+	hist := sys.RTS.InternTag(orca.Tag{Op: "hist"}) // messages go by interned tag
 	if optimized {
 		reducer = core.NewClusterReducer(sys, "hist", func(acc, v any) any {
 			d := v.([buckets]int64)
@@ -93,7 +94,7 @@ func run(optimized bool) (time.Duration, int64, [buckets]int64) {
 		expect = reducer.ExpectedMessages(0, contributors)
 		sys.SpawnAt(0, "collector", func(w *core.Worker) {
 			for i := 0; i < expect; i++ {
-				d := w.Recv(orca.Tag{Op: "hist"}).([buckets]int64)
+				d := w.RecvID(hist).([buckets]int64)
 				w.Invoke(result, addOp(d))
 			}
 		})
@@ -132,7 +133,7 @@ func run(optimized bool) (time.Duration, int64, [buckets]int64) {
 			if w.Cluster() == 0 {
 				nLocal-- // rank 0 reports directly
 			}
-			reducer.Put(w, 0, orca.Tag{Op: "hist"}, 8*buckets, all, nLocal)
+			reducer.Put(w, 0, hist, 8*buckets, all, nLocal)
 		}
 	})
 

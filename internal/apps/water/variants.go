@@ -295,8 +295,7 @@ func buildOptimized(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]i
 				pairs += pairStepBlocks(pos[lo:hi], got[idx], fOwn, fq)
 				got[idx] = nil
 				if reducer != nil {
-					tag := orca.Tag{Op: "water-frc", A: q, B: t & 1}
-					reducer.Put(w, cluster.NodeID(q), tag, molBytes*len(fq), fq, expectLocal[q][w.Cluster()])
+					reducer.Put(w, cluster.NodeID(q), frcTags[t&1][q], molBytes*len(fq), fq, expectLocal[q][w.Cluster()])
 				} else {
 					w.SendID(cluster.NodeID(q), frcTags[t&1][q], molBytes*len(fq), fq)
 				}

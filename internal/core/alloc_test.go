@@ -34,7 +34,7 @@ func TestAllocServiceName(t *testing.T) {
 	// (node 0) and contributes to node 3 through its coordinator (node 1
 	// itself: a loopback cast, the same service lookup).
 	const reader, source, target = 1, 2, 3
-	tag := orca.Tag{Op: "alloc-reduce"}
+	tag := sys.RTS.InternTag(orca.Tag{Op: "alloc-reduce"})
 	var key, value any = "iter", "force"
 	kick := sim.NewMailbox(sys.Engine, "kick")
 	sys.spawnDaemon(reader, "reader", func(w *Worker) {
@@ -48,7 +48,7 @@ func TestAllocServiceName(t *testing.T) {
 	})
 	sys.spawnDaemon(target, "target", func(w *Worker) {
 		for {
-			w.Recv(tag)
+			w.RecvID(tag)
 		}
 	})
 	step := func() {

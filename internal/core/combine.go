@@ -147,14 +147,9 @@ func (cb *Combiner) flush(c, dc int) {
 	cb.sys.RTS.Cast(cb.agent(c), cb.agent(dc), "scat:"+cb.name, bytes, items)
 }
 
-// Send transmits an asynchronous tagged message, combining it with other
-// intercluster traffic when the destination is in a remote cluster.
-// Same-cluster messages bypass the combiner.
-func (cb *Combiner) Send(w *Worker, to cluster.NodeID, tag orca.Tag, size int, payload any) {
-	cb.SendID(w, to, cb.sys.RTS.InternTag(tag), size, payload)
-}
-
-// SendID is Send for a pre-interned tag: the zero-allocation fast path.
+// SendID transmits an asynchronous message with an interned tag, combining
+// it with other intercluster traffic when the destination is in a remote
+// cluster. Same-cluster messages bypass the combiner.
 func (cb *Combiner) SendID(w *Worker, to cluster.NodeID, tag orca.TagID, size int, payload any) {
 	net := cb.sys.Net
 	c := net.ClusterOf(w.Node)

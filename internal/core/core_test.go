@@ -121,7 +121,7 @@ func TestClusterReducerCombinesRemoteContributions(t *testing.T) {
 		}
 		return acc.(int) + v.(int)
 	})
-	tag := orca.Tag{Op: "forces", A: 7}
+	tag := sys.RTS.InternTag(orca.Tag{Op: "forces", A: 7})
 	target := cluster.NodeID(0)
 	var sum int
 	var nmsgs int
@@ -132,7 +132,7 @@ func TestClusterReducerCombinesRemoteContributions(t *testing.T) {
 		switch {
 		case w.Node == target:
 			for i := 0; i < expectMsgs; i++ {
-				sum += w.Recv(tag).(int)
+				sum += w.RecvID(tag).(int)
 				nmsgs++
 			}
 		default:
@@ -160,6 +160,7 @@ func TestCombinerDeliversAllOnce(t *testing.T) {
 		sys := NewDAS(3, 3)
 		cb := NewCombiner(sys, "t", 4096, 500*time.Microsecond)
 		const nmsg = 40
+		tags := internTags(sys, nmsg)
 		recvCount := make(map[int]int)
 		total := 0
 		sys.SpawnWorkers("w", func(w *Worker) {
@@ -167,7 +168,7 @@ func TestCombinerDeliversAllOnce(t *testing.T) {
 				wr := r.Derive(99)
 				for i := 0; i < nmsg; i++ {
 					to := cluster.NodeID(1 + wr.Intn(8))
-					cb.Send(w, to, orca.Tag{Op: "m", A: i}, 100, i)
+					cb.SendID(w, to, tags[i], 100, i)
 					w.Compute(time.Duration(wr.Intn(200)) * time.Microsecond)
 				}
 			}
@@ -178,7 +179,7 @@ func TestCombinerDeliversAllOnce(t *testing.T) {
 		}
 		for i := 0; i < nmsg; i++ {
 			for n := 1; n < 9; n++ {
-				if _, ok := sys.RTS.TryRecvData(cluster.NodeID(n), orca.Tag{Op: "m", A: i}); ok {
+				if _, ok := sys.RTS.TryRecvDataID(cluster.NodeID(n), tags[i]); ok {
 					recvCount[i]++
 					total++
 				}
@@ -200,12 +201,13 @@ func TestCombinerReducesInterclusterMessages(t *testing.T) {
 	run := func(useCombiner bool) int64 {
 		sys := NewDAS(2, 3)
 		cb := NewCombiner(sys, "t", 8192, time.Millisecond)
+		tags := internTags(sys, 50)
 		sys.SpawnAt(0, "sender", func(w *Worker) {
-			for i := 0; i < 50; i++ {
+			for i, tag := range tags {
 				if useCombiner {
-					cb.Send(w, 4, orca.Tag{Op: "m", A: i}, 100, i)
+					cb.SendID(w, 4, tag, 100, i)
 				} else {
-					w.Send(4, orca.Tag{Op: "m", A: i}, 100, i)
+					w.SendID(4, tag, 100, i)
 				}
 			}
 			w.Compute(2 * time.Millisecond) // let timers flush
@@ -225,13 +227,14 @@ func TestCombinerReducesInterclusterMessages(t *testing.T) {
 func TestCombinerFlushAfterTimerDrainsStragglers(t *testing.T) {
 	sys := NewDAS(2, 2)
 	cb := NewCombiner(sys, "t", 1<<20 /* never by size */, 300*time.Microsecond)
+	tag := sys.RTS.InternTag(orca.Tag{Op: "x"})
 	sys.SpawnAt(0, "sender", func(w *Worker) {
-		cb.Send(w, 2, orca.Tag{Op: "x"}, 10, "v")
+		cb.SendID(w, 2, tag, 10, "v")
 	})
 	if _, err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sys.RTS.TryRecvData(2, orca.Tag{Op: "x"}); !ok {
+	if _, ok := sys.RTS.TryRecvDataID(2, tag); !ok {
 		t.Fatal("straggler message never flushed")
 	}
 }
@@ -450,17 +453,27 @@ func TestCombinerOnIrregularTopology(t *testing.T) {
 	})
 	cb := NewCombiner(sys, "t", 4096, 300*time.Microsecond)
 	const nmsg = 12
+	tags := internTags(sys, nmsg)
 	sys.SpawnAt(0, "sender", func(w *Worker) {
 		for i := 0; i < nmsg; i++ {
-			cb.Send(w, cluster.NodeID(2+i%8), orca.Tag{Op: "m", A: i}, 50, i)
+			cb.SendID(w, cluster.NodeID(2+i%8), tags[i], 50, i)
 		}
 	})
 	if _, err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < nmsg; i++ {
-		if _, ok := sys.RTS.TryRecvData(cluster.NodeID(2+i%8), orca.Tag{Op: "m", A: i}); !ok {
+		if _, ok := sys.RTS.TryRecvDataID(cluster.NodeID(2+i%8), tags[i]); !ok {
 			t.Fatalf("message %d lost", i)
 		}
 	}
+}
+
+// internTags interns the tags {Op: "m", A: i} for i < n.
+func internTags(sys *System, n int) []orca.TagID {
+	tags := make([]orca.TagID, n)
+	for i := range tags {
+		tags[i] = sys.RTS.InternTag(orca.Tag{Op: "m", A: i})
+	}
+	return tags
 }

@@ -20,11 +20,11 @@ type CombineFunc func(acc, value any) any
 // (e.g. adds force contributions) and transfers only the single combined
 // result over the WAN.
 //
-// A round is identified by an orca.Tag. Contributors in the same cluster as
-// the target bypass the reducer and send directly; contributors in a remote
-// cluster Cast to their local coordinator together with the expected number
-// of local contributors for that round, and the coordinator forwards one
-// aggregate to the target when all have arrived. The target therefore
+// A round is identified by an interned orca.TagID. Contributors in the same
+// cluster as the target bypass the reducer and send directly; contributors in
+// a remote cluster Cast to their local coordinator together with the expected
+// number of local contributors for that round, and the coordinator forwards
+// one aggregate to the target when all have arrived. The target therefore
 // receives one tagged message per remote cluster plus one per local
 // contributor.
 // Contribution and round records are pooled: coordinators recycle them as
@@ -49,7 +49,7 @@ type reducePools struct {
 // reduceContribution travels from a contributor to its local coordinator.
 type reduceContribution struct {
 	target cluster.NodeID
-	tag    orca.Tag
+	tag    orca.TagID
 	value  any
 	expect int // local contributors for this (target, tag) round
 	size   int // aggregate wire size when forwarded
@@ -102,7 +102,7 @@ func (cr *ClusterReducer) coordinator(c int, target cluster.NodeID) cluster.Node
 // The handler runs at the coordinator's node, so it uses the coordinator's
 // cluster pools — the same pools its (always same-cluster) contributors use.
 func (cr *ClusterReducer) install(coord cluster.NodeID, svc string) {
-	rounds := make(map[orca.Tag]*roundState)
+	rounds := make(map[orca.TagID]*roundState)
 	rts := cr.sys.RTS
 	pl := cr.pools[cr.sys.Net.ClusterOf(coord)]
 	rts.HandleService(coord, svc, func(req *orca.Request) {
@@ -124,7 +124,7 @@ func (cr *ClusterReducer) install(coord cluster.NodeID, svc string) {
 		acc := st.acc
 		st.acc, st.seen = nil, 0
 		pl.rndPool.Put(st)
-		rts.SendData(coord, target, tag, size, acc)
+		rts.SendDataID(coord, target, tag, size, acc)
 	})
 }
 
@@ -132,11 +132,11 @@ func (cr *ClusterReducer) install(coord cluster.NodeID, svc string) {
 // of one contribution (and of the forwarded aggregate). expectLocal is the
 // number of contributors in the caller's cluster for this round — known in
 // advance, as the paper notes. Same-cluster targets are sent directly.
-func (cr *ClusterReducer) Put(w *Worker, target cluster.NodeID, tag orca.Tag, size int, value any, expectLocal int) {
+func (cr *ClusterReducer) Put(w *Worker, target cluster.NodeID, tag orca.TagID, size int, value any, expectLocal int) {
 	net := cr.sys.Net
 	c := net.ClusterOf(w.Node)
 	if c == net.ClusterOf(target) {
-		w.Send(target, tag, size, value)
+		w.SendID(target, tag, size, value)
 		return
 	}
 	coord := cr.coordinator(c, target)

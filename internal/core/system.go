@@ -111,22 +111,15 @@ func (w *Worker) Call(to cluster.NodeID, service string, argBytes int, payload a
 	return w.Sys.RTS.Call(w.P, w.Node, to, service, argBytes, payload)
 }
 
-// Send transmits an asynchronous tagged message to another node.
-func (w *Worker) Send(to cluster.NodeID, tag orca.Tag, size int, payload any) {
-	w.Sys.RTS.SendData(w.Node, to, tag, size, payload)
-}
-
-// Recv blocks until a tagged message addressed to this worker arrives.
-func (w *Worker) Recv(tag orca.Tag) any { return w.Sys.RTS.RecvData(w.P, w.Node, tag) }
-
-// SendID, RecvID and TryRecvID are the pre-interned-tag variants of
-// Send/Recv/TryRecv: the zero-allocation fast path for per-iteration
-// exchanges (intern the tag once with Sys.RTS.InternTag, then send by ID).
+// SendID transmits an asynchronous tagged message to another node. Tags are
+// interned once with Sys.RTS.InternTag, so a send is a slice index with no
+// lock or map probe.
 func (w *Worker) SendID(to cluster.NodeID, id orca.TagID, size int, payload any) {
 	w.Sys.RTS.SendDataID(w.Node, to, id, size, payload)
 }
 
-// RecvID blocks until a message with the interned tag arrives.
+// RecvID blocks until a message with the interned tag addressed to this
+// worker arrives.
 func (w *Worker) RecvID(id orca.TagID) any { return w.Sys.RTS.RecvDataID(w.P, w.Node, id) }
 
 // TryRecvID returns a queued message for the interned tag without blocking,

@@ -56,45 +56,37 @@ func Collectives(s *Session) (*Report, error) {
 		}},
 	}
 	const reps = 5
-	lats := make([][2]time.Duration, len(ops))
-	var tasks []func() error
-	for oi, o := range ops {
-		for si, strat := range []coll.Strategy{coll.Flat, coll.WideArea} {
-			oi, si, o, strat := oi, si, o, strat
-			tasks = append(tasks, func() error {
-				app := AppSpec{
-					Name: fmt.Sprintf("coll %s %v", o.name, strat),
-					Build: func(sys *core.System, _ bool) func() error {
-						comm := coll.New(sys, "bench", strat)
-						sys.SpawnWorkers("w", func(w *core.Worker) {
-							for i := 0; i < reps; i++ {
-								o.run(comm, w, o.size)
-								comm.Barrier(w)
-							}
-						})
-						return nil
-					},
-				}
-				m, err := s.Exec(s.Spec(app, cluster.DAS(4, 15), false))
-				if err != nil {
-					return err
-				}
-				lats[oi][si] = m.Elapsed / reps
-				return nil
-			})
+	var specs []RunSpec // per operation: flat, wide-area
+	for _, o := range ops {
+		for _, strat := range []coll.Strategy{coll.Flat, coll.WideArea} {
+			app := AppSpec{
+				Name: fmt.Sprintf("coll %s %dB %v", o.name, o.size, strat),
+				Build: func(sys *core.System, _ bool) func() error {
+					comm := coll.New(sys, "bench", strat)
+					sys.SpawnWorkers("w", func(w *core.Worker) {
+						for i := 0; i < reps; i++ {
+							o.run(comm, w, o.size)
+							comm.Barrier(w)
+						}
+					})
+					return nil
+				},
+			}
+			specs = append(specs, s.Spec(app, cluster.DAS(4, 15), false))
 		}
 	}
-	if err := s.do(tasks...); err != nil {
+	res, err := s.All(specs...)
+	if err != nil {
 		return nil, err
 	}
-	for oi, o := range ops {
-		lat := lats[oi]
+	for i, o := range ops {
+		flat, wide := res[2*i].Elapsed/reps, res[2*i+1].Elapsed/reps
 		t.Rows = append(t.Rows, []string{
 			o.name,
 			fmt.Sprintf("%d B", o.size),
-			lat[0].Round(time.Microsecond).String(),
-			lat[1].Round(time.Microsecond).String(),
-			fmt.Sprintf("%.2fx", float64(lat[0])/float64(lat[1]))})
+			flat.Round(time.Microsecond).String(),
+			wide.Round(time.Microsecond).String(),
+			fmt.Sprintf("%.2fx", float64(flat)/float64(wide))})
 	}
 	return &Report{ID: "coll", Title: t.Title, Tables: []*Table{t},
 		Notes: []string{

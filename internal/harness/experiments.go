@@ -19,39 +19,36 @@ var FigureClusters = []int{1, 2, 4}
 
 // SpeedupFigure measures one application variant over the paper's grid.
 // The grid's runs execute concurrently on the session's worker pool; the
-// series are then rendered sequentially from the memoized results.
+// series are then rendered from the results in grid order.
 func SpeedupFigure(s *Session, id, appName string, optimized bool) (*Report, error) {
 	app, err := AppByName(appName)
 	if err != nil {
 		return nil, err
 	}
-	grid := func(c, cpus int) RunSpec { return s.Spec(app, cluster.DAS(c, cpus/c), optimized) }
 	var specs []RunSpec
 	for _, c := range FigureClusters {
 		for _, cpus := range FigureCPUs {
 			if cpus%c == 0 {
-				specs = append(specs, withBaseline(grid(c, cpus))...)
+				specs = append(specs, s.Spec(app, cluster.DAS(c, cpus/c), optimized))
 			}
 		}
 	}
-	s.Prefetch(specs)
+	sp, err := s.Speedups(specs...)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{ID: id, Title: figureTitle(appName, optimized), MaxX: 64, MaxY: 64}
-	for _, c := range FigureClusters {
-		ser := Series{Label: fmt.Sprintf("%d Cluster(s)", c)}
-		if c == 1 {
-			ser.Points = append(ser.Points, Point{CPUs: 1, Speedup: 1})
-		}
-		for _, cpus := range FigureCPUs {
-			if cpus%c != 0 {
-				continue
+	for i, spec := range specs {
+		c := spec.Topo.Clusters
+		if i == 0 || specs[i-1].Topo.Clusters != c {
+			ser := Series{Label: fmt.Sprintf("%d Cluster(s)", c)}
+			if c == 1 {
+				ser.Points = []Point{{CPUs: 1, Speedup: 1}} // the baseline itself
 			}
-			sp, err := s.Speedup(grid(c, cpus))
-			if err != nil {
-				return nil, err
-			}
-			ser.Points = append(ser.Points, Point{CPUs: cpus, Speedup: sp})
+			fig.Series = append(fig.Series, ser)
 		}
-		fig.Series = append(fig.Series, ser)
+		ser := &fig.Series[len(fig.Series)-1]
+		ser.Points = append(ser.Points, Point{CPUs: spec.Topo.Compute(), Speedup: sp[i]})
 	}
 	return &Report{ID: id, Title: fig.Title, Figure: fig}, nil
 }
@@ -229,15 +226,16 @@ func measureBandwidth(sys *core.System) (float64, error) {
 	const nmsg = 20
 	var elapsed time.Duration
 	doneF := sim.NewFuture(sys.Engine, "bw-done")
+	tag := sys.RTS.InternTag(orca.Tag{Op: "bw"})
 	sys.SpawnAt(dst, "sink", func(w *core.Worker) {
 		for i := 0; i < nmsg; i++ {
-			w.Recv(orca.Tag{Op: "bw"})
+			w.RecvID(tag)
 		}
 		doneF.Set(nil)
 	})
 	sys.SpawnAt(0, "src", func(w *core.Worker) {
 		for i := 0; i < nmsg; i++ {
-			w.Send(dst, orca.Tag{Op: "bw"}, chunk, nil)
+			w.SendID(dst, tag, chunk, nil)
 		}
 		doneF.Await(w.P)
 		elapsed = w.P.Now()
@@ -259,29 +257,27 @@ func Table2(s *Session) (*Report, error) {
 	}
 	var specs []RunSpec
 	for _, app := range Apps {
-		specs = append(specs, withBaseline(s.Spec(app, cluster.DAS(1, 64), false))...)
+		specs = append(specs, s.Spec(app, cluster.DAS(1, 64), false))
 	}
-	s.Prefetch(specs)
-	for _, app := range Apps {
-		spec := s.Spec(app, cluster.DAS(1, 64), false)
-		m, err := s.Run(spec)
-		if err != nil {
-			return nil, err
-		}
-		t1, err := s.Run(baseline(spec))
-		if err != nil {
-			return nil, err
-		}
+	sp, err := s.Speedups(specs...)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.All(specs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, m := range res {
 		secs := m.Elapsed.Seconds()
 		rpcs := m.Ops.RPCs + m.Ops.Requests + m.Ops.DataMsgs
 		rpcKB := float64(m.Ops.RPCBytes+m.Ops.DataBytes) / 1024
 		t.Rows = append(t.Rows, []string{
-			app.Name,
+			specs[i].App.Name,
 			fmt.Sprintf("%.0f", float64(rpcs)/secs),
 			fmt.Sprintf("%.0f", rpcKB/secs),
 			fmt.Sprintf("%.0f", float64(m.Ops.Bcasts)/secs),
 			fmt.Sprintf("%.0f", float64(m.Ops.BcastBytes)/1024/secs),
-			fmt.Sprintf("%.1f", t1.Elapsed.Seconds()/secs),
+			fmt.Sprintf("%.1f", sp[i]),
 		})
 	}
 	return &Report{ID: "table2", Title: t.Title, Tables: []*Table{t}}, nil
@@ -300,13 +296,7 @@ func trafficTable(s *Session, id string, optimized bool) (*Report, error) {
 		Headers: []string{"Application", "# RPC", "RPC kbyte", "# bcast", "bcast kbyte"},
 	}
 	var specs []RunSpec
-	for _, app := range Apps {
-		if optimized && app.Name == "ACP" {
-			continue // mirrors the skip in the render loop below
-		}
-		specs = append(specs, s.Spec(app, cluster.DAS(4, 16), optimized))
-	}
-	s.Prefetch(specs)
+	var at []int // the row each spec fills
 	for _, app := range Apps {
 		if optimized && app.Name == "ACP" {
 			// The paper implemented no ACP optimization; its Table 5 row
@@ -315,25 +305,30 @@ func trafficTable(s *Session, id string, optimized bool) (*Report, error) {
 			t.Rows = append(t.Rows, []string{"ACP'", "-", "-", "-", "-"})
 			continue
 		}
-		m, err := s.Run(s.Spec(app, cluster.DAS(4, 16), optimized))
-		if err != nil {
-			return nil, err
-		}
+		at = append(at, len(t.Rows))
+		t.Rows = append(t.Rows, nil)
+		specs = append(specs, s.Spec(app, cluster.DAS(4, 16), optimized))
+	}
+	res, err := s.All(specs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, m := range res {
 		rpc := m.Net.InterRPC()
 		data := m.Net.InterData()
 		bc := m.Net.InterBcast()
 		ctl := m.Net.Inter(netsim.KindControl)
-		name := app.Name
+		name := specs[i].App.Name
 		if optimized {
 			name += "'"
 		}
-		t.Rows = append(t.Rows, []string{
+		t.Rows[at[i]] = []string{
 			name,
 			fmt.Sprintf("%d", rpc.Msgs+data.Msgs),
 			fmt.Sprintf("%.0f", rpc.KBytes()+data.KBytes()),
 			fmt.Sprintf("%d", bc.Msgs+ctl.Msgs),
 			fmt.Sprintf("%.0f", bc.KBytes()+ctl.KBytes()),
-		})
+		}
 	}
 	return &Report{ID: id, Title: t.Title, Tables: []*Table{t}}, nil
 }
@@ -348,22 +343,28 @@ func barTable(s *Session, id string, shapes []barShape) (*Report, error) {
 	var specs []RunSpec
 	for _, app := range Apps {
 		for _, sh := range shapes {
-			specs = append(specs, withBaseline(sh.spec(s, app))...)
+			specs = append(specs, s.Spec(app, cluster.DAS(sh.clusters, sh.perCluster), sh.optimized))
 		}
 	}
-	s.Prefetch(specs)
-	for _, app := range Apps {
-		row := []string{app.Name}
-		for _, sh := range shapes {
-			sp, err := s.Speedup(sh.spec(s, app))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.1f", sp))
-		}
-		t.Rows = append(t.Rows, row)
+	sp, err := s.Speedups(specs...)
+	if err != nil {
+		return nil, err
 	}
+	t.Rows = speedupRows(sp, len(shapes))
 	return &Report{ID: id, Title: t.Title, Tables: []*Table{t}}, nil
+}
+
+// speedupRows renders per-application speedups, n columns per application in
+// Apps order, as one row each headed by the application's name.
+func speedupRows(sp []float64, n int) [][]string {
+	rows := make([][]string, len(Apps))
+	for i, app := range Apps {
+		rows[i] = []string{app.Name}
+		for _, v := range sp[i*n : (i+1)*n] {
+			rows[i] = append(rows[i], fmt.Sprintf("%.1f", v))
+		}
+	}
+	return rows
 }
 
 type barShape struct {
@@ -371,10 +372,6 @@ type barShape struct {
 	clusters   int
 	perCluster int
 	optimized  bool
-}
-
-func (sh barShape) spec(s *Session, app AppSpec) RunSpec {
-	return s.Spec(app, cluster.DAS(sh.clusters, sh.perCluster), sh.optimized)
 }
 
 func barTitle(id string) string {

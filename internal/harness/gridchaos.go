@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -151,21 +152,20 @@ func ChaosTimeline(s *Session, appName string, optimized bool, c ChaosSpec, widt
 		appName, variantName(optimized), c.Loss*100, c.Outage, m.Seconds(), tl.Render(width)), nil
 }
 
-// chaosGrid describes a whole sweep — one row of specs per scenario, one
-// column per (application, variant) — and warms the cache for all of it.
-func (s *Session) chaosGrid(topo cluster.Topology, scenarios []chaosScenario, apps []AppSpec, variants ...bool) [][]RunSpec {
-	grid := make([][]RunSpec, len(scenarios))
-	var all []RunSpec
-	for i, sc := range scenarios {
+// chaosGrid runs a whole sweep — one row per scenario, one column per
+// (application, variant) — and returns each run's result and error.
+func (s *Session) chaosGrid(topo cluster.Topology, scenarios []chaosScenario, apps []AppSpec, variants ...bool) ([][]Result, [][]error) {
+	var specs []RunSpec
+	for _, sc := range scenarios {
 		for _, app := range apps {
 			for _, optimized := range variants {
-				grid[i] = append(grid[i], s.chaosRun(app, topo, optimized, sc.spec))
+				specs = append(specs, s.chaosRun(app, topo, optimized, sc.spec))
 			}
 		}
-		all = append(all, grid[i]...)
 	}
-	s.Prefetch(all)
-	return grid
+	res, errs := s.all(specs)
+	cols := len(apps) * len(variants)
+	return slices.Collect(slices.Chunk(res, cols)), slices.Collect(slices.Chunk(errs, cols))
 }
 
 // chaosScenario is one row of a chaos sweep.
@@ -211,16 +211,15 @@ func ChaosReport(s *Session, quick bool) (*Report, error) {
 	}
 	// Column 0 is SOR original, whose harshest scenario also supplies the
 	// notes' recovery totals.
-	specs := s.chaosGrid(cluster.DAS(4, 4), scenarios, apps, false, true)
+	runs, errs := s.chaosGrid(cluster.DAS(4, 4), scenarios, apps, false, true)
 	var worst Result
 	for i, sc := range scenarios {
 		row := []string{sc.name}
-		for j, spec := range specs[i] {
-			res, err := s.Run(spec)
-			if err != nil {
+		for j, res := range runs[i] {
+			if err := errs[i][j]; err != nil {
 				return nil, err
 			}
-			base, _ := s.Run(specs[0][j]) // loss 0, no outage: row 0 checked its error
+			base := runs[0][j] // loss 0, no outage: row 0 checked its error
 			cell := fmt.Sprintf("%.3fs", res.Seconds())
 			if base.Elapsed > 0 {
 				cell += fmt.Sprintf(" (x%.2f)", float64(res.Elapsed)/float64(base.Elapsed))
@@ -322,7 +321,7 @@ func GridChaosReport(s *Session, name string, topo cluster.Topology, quick bool)
 		Headers: []string{"scenario", "class", "xmits", "busy", "mean-wait", "p99-wait"},
 	}
 
-	specs := s.chaosGrid(topo, scenarios, Apps, false)
+	runs, errs := s.chaosGrid(topo, scenarios, Apps, false)
 	for i, sc := range scenarios {
 		row := []string{sc.name}
 		up := 0
@@ -332,7 +331,7 @@ func GridChaosReport(s *Session, name string, topo cluster.Topology, quick bool)
 		for j, app := range Apps {
 			// A run that missed the deadline or deadlocked counts against
 			// availability; its Result still tallies the recovery work done.
-			res, err := s.Run(specs[i][j])
+			res, err := runs[i][j], errs[i][j]
 			reason, down := unavailable(err)
 			switch {
 			case err == nil:

@@ -124,32 +124,14 @@ func AppByName(name string) (AppSpec, error) {
 // Params is the network parameter set used by all experiments.
 var Params = cluster.DASParams()
 
-// Transport configures the gateway transport optimization layer (frame
-// coalescing + multipath striping, netsim/transport.go) for harness runs.
-// The zero value is off, which reproduces the paper's plain store-and-forward
-// gateways byte-identically. Transport settings flow through Session.Transport
-// and RunSpec.Transport, never through Params directly.
-type Transport struct {
-	MaxFrameBytes  int
-	CoalesceWindow time.Duration
-	WANStreams     int
-}
-
-// DefaultTransport is the calibrated transport configuration used by the
-// "transport" experiment and the -coalesce/-streams tool flags: frames of up
-// to 32 kB sealed after at most 500us, striped over 4 parallel WAN streams.
-// The window is a fraction of the 2.7ms WAN round trip, so latency-sensitive
-// RPCs pay little while message floods (RA, ASP) pack densely.
-var DefaultTransport = Transport{
-	MaxFrameBytes:  32 << 10,
-	CoalesceWindow: 500 * time.Microsecond,
-	WANStreams:     4,
-}
-
-// applyTransport folds a transport configuration into a parameter set.
-func applyTransport(p cluster.Params, t Transport) cluster.Params {
-	p.MaxFrameBytes = t.MaxFrameBytes
-	p.CoalesceWindow = t.CoalesceWindow
-	p.WANStreams = t.WANStreams
+// DefaultTransport is Params with the calibrated gateway transport layer
+// (frame coalescing + multipath striping, netsim/transport.go) on, as used by
+// the "transport" experiment and dasbench -transport: frames of up to 32 kB
+// sealed after at most 500us, striped over 4 parallel WAN streams. The window
+// is a fraction of the 2.7ms WAN round trip, so latency-sensitive RPCs pay
+// little while message floods (RA, ASP) pack densely.
+var DefaultTransport = func() cluster.Params {
+	p := Params
+	p.MaxFrameBytes, p.CoalesceWindow, p.WANStreams = 32<<10, 500*time.Microsecond, 4
 	return p
-}
+}()

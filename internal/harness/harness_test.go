@@ -208,11 +208,11 @@ func TestSpeedupSanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.Speedup(s.Spec(app, cluster.DAS(1, 4), false))
+	sps, err := s.Speedups(s.Spec(app, cluster.DAS(1, 4), false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp <= 1 || sp > 4 {
+	if sp := sps[0]; sp <= 1 || sp > 4 {
 		t.Fatalf("4-CPU speedup %.2f outside (1, 4]", sp)
 	}
 }

@@ -48,10 +48,10 @@ func (a *lookaheadAuditor) hook(sys *core.System) func(src, dst int, delta time.
 // lies at least the directed pair's closed route floor beyond the sender's
 // clock. It returns the number of cross-LP schedules observed so callers
 // can require the property was actually exercised.
-func auditOneRun(t *testing.T, tag string, app AppSpec, topo cluster.Topology, tr Transport, plan *faults.Plan) uint64 {
+func auditOneRun(t *testing.T, tag string, app AppSpec, topo cluster.Topology, params cluster.Params, plan *faults.Plan) uint64 {
 	t.Helper()
 	spec := identitySpec(app, topo, false, plan)
-	spec.Transport = tr
+	spec.Params = params
 	aud := &lookaheadAuditor{}
 	if _, err := execOn(t, spec, 4, func(sys *core.System, _ *faults.Injector) {
 		sys.Engine.SetCrossLPAudit(aud.hook(sys))
@@ -119,10 +119,10 @@ func TestCrossLPLookaheadConservative(t *testing.T) {
 		{"ring9-chaos", ring9, chaosPlan(ring9)},
 	}
 	transports := []struct {
-		name string
-		tr   Transport
+		name   string
+		params cluster.Params
 	}{
-		{"plain", Transport{}},
+		{"plain", Params},
 		{"framed", DefaultTransport},
 	}
 	for _, pf := range platforms {
@@ -134,7 +134,7 @@ func TestCrossLPLookaheadConservative(t *testing.T) {
 					t.Fatal(err)
 				}
 				tag := pf.name + "/" + tr.name + "/" + name
-				seen += auditOneRun(t, tag, app, pf.topo, tr.tr, pf.plan)
+				seen += auditOneRun(t, tag, app, pf.topo, tr.params, pf.plan)
 			}
 			if seen == 0 {
 				t.Errorf("%s/%s: no cross-LP schedules observed — audit exercised nothing", pf.name, tr.name)

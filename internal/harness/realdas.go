@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"fmt"
-
-	"albatross/internal/cluster"
-)
+import "albatross/internal/cluster"
 
 // RealDAS runs every application on the full, irregular DAS machine of the
 // paper's Figure 17 — VU Amsterdam's 64 nodes plus three 24-node sites, 136
@@ -19,31 +15,17 @@ func RealDAS(s *Session) (*Report, error) {
 		Title:   "Full DAS (64+24+24+24 nodes) vs uniform 4x34, speedups at 136 CPUs",
 		Headers: []string{"App", "real orig", "real opt", "uniform orig", "uniform opt"},
 	}
-	// columns: real orig, real opt, uniform orig, uniform opt.
-	columns := func(app AppSpec) (specs []RunSpec) {
+	var specs []RunSpec // per application: real orig, real opt, uniform orig, uniform opt
+	for _, app := range Apps {
 		for _, topo := range []cluster.Topology{cluster.DASReal(), cluster.DAS(4, 34)} {
 			specs = append(specs, s.Spec(app, topo, false), s.Spec(app, topo, true))
 		}
-		return specs
 	}
-	var specs []RunSpec
-	for _, app := range Apps {
-		for _, spec := range columns(app) {
-			specs = append(specs, withBaseline(spec)...)
-		}
+	sp, err := s.Speedups(specs...)
+	if err != nil {
+		return nil, err
 	}
-	s.Prefetch(specs)
-	for _, app := range Apps {
-		row := []string{app.Name}
-		for _, spec := range columns(app) {
-			sp, err := s.Speedup(spec)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.1f", sp))
-		}
-		t.Rows = append(t.Rows, row)
-	}
+	t.Rows = speedupRows(sp, 4)
 	return &Report{ID: "real-das", Title: t.Title, Tables: []*Table{t},
 		Notes: []string{"the paper's testbed could not run this shape; the calibrated simulator can"}}, nil
 }

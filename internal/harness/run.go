@@ -21,8 +21,7 @@ type RunSpec struct {
 	App       AppSpec
 	Topo      cluster.Topology
 	Optimized bool
-	Params    cluster.Params
-	Transport Transport
+	Params    cluster.Params // network and gateway transport
 	// shards is core.Config.Shards, set only by the sequential≡sharded
 	// identity tests; it changes wall-clock behavior only, never results, and
 	// leaves with the sharded engine.
@@ -57,7 +56,6 @@ type runKey struct {
 	wan       *cluster.Graph
 	optimized bool
 	params    cluster.Params
-	transport Transport
 	shards    int // leaves with internal/sim/shard.go
 	faults    string
 	rel       orca.RelConfig
@@ -71,7 +69,6 @@ func (sp RunSpec) key() runKey {
 		wan:       sp.Topo.WAN,
 		optimized: sp.Optimized,
 		params:    sp.Params,
-		transport: sp.Transport,
 		shards:    sp.shards,
 		rel:       sp.Rel,
 		deadline:  sp.Deadline,
@@ -89,9 +86,6 @@ func (sp RunSpec) key() runKey {
 func baseline(sp RunSpec) RunSpec {
 	return RunSpec{App: sp.App, Topo: cluster.DAS(1, 1), Optimized: sp.Optimized, Params: Params}
 }
-
-// withBaseline expands one speedup measurement into its run set.
-func withBaseline(sp RunSpec) []RunSpec { return []RunSpec{baseline(sp), sp} }
 
 // Hook customizes a freshly assembled system before the application is
 // built. Everything that is a function value — a message tap, a fault-event
@@ -124,8 +118,7 @@ type Result struct {
 // deadline still reports how far it got.
 func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 	var res Result
-	params := applyTransport(spec.Params, spec.Transport)
-	wan, err := spec.Topo.Graph(params)
+	wan, err := spec.Topo.Graph(spec.Params)
 	if err != nil {
 		return res, fmt.Errorf("%s: %w", spec, err)
 	}
@@ -144,7 +137,7 @@ func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 	}
 	sys := core.NewSystem(core.Config{
 		Topology:  spec.Topo,
-		Params:    params,
+		Params:    spec.Params,
 		Sequencer: seqr,
 		Shards:    spec.shards,
 	})

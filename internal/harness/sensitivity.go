@@ -22,7 +22,7 @@ import (
 // wanScenario is one point of the network-quality sweep.
 type wanScenario struct {
 	name string
-	par  cluster.Params
+	par  cluster.Params // only its link latencies and bandwidths are read
 }
 
 func wanScenarios() []wanScenario {
@@ -51,35 +51,33 @@ func wanScenarios() []wanScenario {
 }
 
 // wanSweep fills t with one row per scenario: the application's original and
-// optimized speedups on 4x16 under that scenario's network parameters (the
-// 1-CPU baselines do not touch the network, so all scenarios share them).
+// optimized speedups on 4x16 under that scenario's links (the 1-CPU baselines
+// do not touch the network, so all scenarios share them). A scenario sets only
+// link latencies and bandwidths, so the session's transport still applies.
 func wanSweep(s *Session, t *Table, appName string, scenarios []wanScenario) (*Report, error) {
 	app, err := AppByName(appName)
 	if err != nil {
 		return nil, err
 	}
-	on := func(sc wanScenario, optimized bool) RunSpec {
-		spec := s.Spec(app, cluster.DAS(4, 16), optimized)
-		spec.Params = sc.par
-		return spec
-	}
-	var specs []RunSpec
+	var specs []RunSpec // per scenario: original, optimized
 	for _, sc := range scenarios {
-		specs = append(specs, withBaseline(on(sc, false))...)
-		specs = append(specs, withBaseline(on(sc, true))...)
+		for _, optimized := range []bool{false, true} {
+			spec := s.Spec(app, cluster.DAS(4, 16), optimized)
+			p, q := &spec.Params, sc.par
+			p.LANLatency, p.LANBandwidth = q.LANLatency, q.LANBandwidth
+			p.FELatency, p.FEBandwidth = q.FELatency, q.FEBandwidth
+			p.WANLatency, p.WANBandwidth = q.WANLatency, q.WANBandwidth
+			specs = append(specs, spec)
+		}
 	}
-	s.Prefetch(specs)
-	for _, sc := range scenarios {
-		so, err := s.Speedup(on(sc, false))
-		if err != nil {
-			return nil, err
-		}
-		sp, err := s.Speedup(on(sc, true))
-		if err != nil {
-			return nil, err
-		}
+	sp, err := s.Speedups(specs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, sc := range scenarios {
+		orig, opt := sp[2*i], sp[2*i+1]
 		t.Rows = append(t.Rows, []string{sc.name,
-			fmt.Sprintf("%.1f", so), fmt.Sprintf("%.1f", sp), fmt.Sprintf("%.2fx", sp/so)})
+			fmt.Sprintf("%.1f", orig), fmt.Sprintf("%.1f", opt), fmt.Sprintf("%.2fx", opt/orig)})
 	}
 	return &Report{ID: t.ID, Title: t.Title, Tables: []*Table{t}}, nil
 }
@@ -125,21 +123,14 @@ func SensitivityClusters(s *Session) (*Report, error) {
 	var specs []RunSpec
 	for _, app := range Apps {
 		for _, c := range []int{1, 2, 4, 6} {
-			specs = append(specs, withBaseline(s.Spec(app, cluster.DAS(c, 48/c), false))...)
+			specs = append(specs, s.Spec(app, cluster.DAS(c, 48/c), false))
 		}
 	}
-	s.Prefetch(specs)
-	for _, app := range Apps {
-		row := []string{app.Name}
-		for _, c := range []int{1, 2, 4, 6} {
-			sp, err := s.Speedup(s.Spec(app, cluster.DAS(c, 48/c), false))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.1f", sp))
-		}
-		t.Rows = append(t.Rows, row)
+	sp, err := s.Speedups(specs...)
+	if err != nil {
+		return nil, err
 	}
+	t.Rows = speedupRows(sp, 4)
 	return &Report{ID: "sens-clusters", Title: t.Title, Tables: []*Table{t}}, nil
 }
 
@@ -154,33 +145,25 @@ func SensitivitySize(s *Session) (*Report, error) {
 		Headers: []string{"matrix size", "original", "optimized"},
 	}
 	sizes := []int{96, 192, 384}
-	// aspAt is ASP with a non-default matrix size, as a one-off application.
-	aspAt := func(n int, optimized bool) RunSpec {
+	var specs []RunSpec // per size: original, optimized
+	for _, n := range sizes {
+		// ASP with a non-default matrix size, as a one-off application.
 		cfg := asp.Default()
 		cfg.N = n
-		return s.Spec(AppSpec{
+		app := AppSpec{
 			Name:      fmt.Sprintf("ASP n=%d", n),
 			Sequencer: func(opt bool) orca.Sequencer { return asp.Sequencer(opt) },
 			Build:     func(sys *core.System, _ bool) func() error { return asp.Build(sys, cfg) },
-		}, cluster.DAS(4, 15), optimized)
-	}
-	var specs []RunSpec
-	for _, n := range sizes {
-		specs = append(specs, withBaseline(aspAt(n, false))...)
-		specs = append(specs, withBaseline(aspAt(n, true))...)
-	}
-	s.Prefetch(specs)
-	for _, n := range sizes {
-		so, err := s.Speedup(aspAt(n, false))
-		if err != nil {
-			return nil, err
 		}
-		sp, err := s.Speedup(aspAt(n, true))
-		if err != nil {
-			return nil, err
-		}
+		specs = append(specs, s.Spec(app, cluster.DAS(4, 15), false), s.Spec(app, cluster.DAS(4, 15), true))
+	}
+	sp, err := s.Speedups(specs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, n := range sizes {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", n), fmt.Sprintf("%.1f", so), fmt.Sprintf("%.1f", sp)})
+			fmt.Sprintf("%d", n), fmt.Sprintf("%.1f", sp[2*i]), fmt.Sprintf("%.1f", sp[2*i+1])})
 	}
 	return &Report{ID: "sens-size", Title: t.Title, Tables: []*Table{t},
 		Notes: []string{"paper §3: 'choosing a bigger problem size can reduce the relative impact of overheads such as communication latencies'"}}, nil

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -13,17 +14,17 @@ import (
 // the singleflight result cache, the bounded worker pool, and the log of
 // finished runs its census report reads. The zero value is ready to use
 // (plain gateways, GOMAXPROCS workers); a Session must not be copied after
-// first use. Experiments follow collect-then-render: submit the full run set
-// through Prefetch (or do), then render rows sequentially from the memoized
-// results, so report output is byte-identical at any Workers.
+// first use. Experiments build their run set once, run it through All (or
+// Speedups, or do for runs with hooks) and render rows from the results by
+// index, so report output is byte-identical at any Workers.
 type Session struct {
 	// Workers bounds how many runs execute concurrently; non-positive
 	// selects GOMAXPROCS. Every run builds a private engine and system, so
 	// runs share no simulation state.
 	Workers int
-	// Transport is what Spec stamps on the runs it describes: the gateway
-	// transport layer (off reproduces the paper's gateways).
-	Transport Transport
+	// Transport makes Spec describe runs on the gateway transport layer
+	// (DefaultTransport); off reproduces the paper's gateways.
+	Transport bool
 
 	mu    sync.Mutex
 	cache map[runKey]*runEntry
@@ -43,34 +44,25 @@ type ranRun struct {
 	res  Result
 }
 
-// Validate rejects a negative run-wide setting, naming the dasbench flag that
-// carries it. Every negative value would otherwise read as the flag's zero:
-// a malformed flag must be an error, not a silently different run.
+// Validate rejects a negative -parallel, which would otherwise read as its
+// zero: a malformed flag must be an error, not a silently different run.
 func (s *Session) Validate() error {
-	t := s.Transport
-	for _, f := range []struct {
-		flag string
-		neg  bool
-		v    any
-	}{
-		{"-parallel", s.Workers < 0, s.Workers},
-		{"-coalesce", t.MaxFrameBytes < 0, t.MaxFrameBytes},
-		{"-coalesce-window", t.CoalesceWindow < 0, t.CoalesceWindow},
-		{"-streams", t.WANStreams < 0, t.WANStreams},
-	} {
-		if f.neg {
-			return fmt.Errorf("%s must not be negative (got %v)", f.flag, f.v)
-		}
+	if s.Workers < 0 {
+		return fmt.Errorf("-parallel must not be negative (got %d)", s.Workers)
 	}
 	return nil
 }
 
 // Spec describes one application variant on a platform with the harness
-// parameter set and the session's transport setting. Callers adjust the
-// returned value (Params, Faults, an explicit Transport{}) before running it;
-// the session reads nothing else from itself at run time.
+// parameter set, on the transport layer if the session has it on. Callers
+// adjust the returned value (Params, Faults) before running it; the session
+// reads nothing else from itself at run time.
 func (s *Session) Spec(app AppSpec, topo cluster.Topology, optimized bool) RunSpec {
-	return RunSpec{App: app, Topo: topo, Optimized: optimized, Params: Params, Transport: s.Transport}
+	p := Params
+	if s.Transport {
+		p = DefaultTransport
+	}
+	return RunSpec{App: app, Topo: topo, Optimized: optimized, Params: p}
 }
 
 // Exec is the package-level Exec, additionally logging the finished run for
@@ -109,50 +101,75 @@ func (s *Session) Run(spec RunSpec) (Result, error) {
 	return e.res, e.err
 }
 
-// Speedup returns T(1 CPU)/T(spec) for the spec's variant. A degenerate
-// zero-elapsed run surfaces as an error, not as a silent +Inf in a report.
-func (s *Session) Speedup(spec RunSpec) (float64, error) {
-	t1, err := s.Run(baseline(spec))
-	if err != nil {
-		return 0, err
-	}
-	tp, err := s.Run(spec)
-	if err != nil {
-		return 0, err
-	}
-	if tp.Elapsed <= 0 {
-		return 0, fmt.Errorf("harness: %s: degenerate run with non-positive elapsed time %v", spec, tp.Elapsed)
-	}
-	return t1.Elapsed.Seconds() / tp.Elapsed.Seconds(), nil
+// All runs every spec through Run on the worker pool and returns the results
+// in spec order. The error is the earliest-indexed failing spec's — the one a
+// sequential loop stopping at the first failure would report.
+func (s *Session) All(specs ...RunSpec) ([]Result, error) {
+	res, errs := s.all(specs)
+	return res, cmp.Or(errs...)
 }
 
-// Prefetch warms the cache for every spec concurrently on the worker pool.
-// Failures are not reported here: they are memoized and deterministically
-// re-surface, in sequential order, when the render pass calls Run or Speedup
-// for the same spec.
-func (s *Session) Prefetch(specs []RunSpec) {
-	// Duplicates (shared baselines) are dropped first: a second caller of an
-	// in-flight spec would only park a worker on its entry.
-	seen := map[runKey]bool{}
-	var tasks []func() error
-	for _, sp := range specs {
-		sp := sp
-		if k := sp.key(); !seen[k] {
-			seen[k] = true
-			tasks = append(tasks, func() error {
-				_, err := s.Run(sp)
-				return err
-			})
+// all is All with each spec's own error, for sweeps that tolerate some
+// failures. A repeated spec (a shared baseline) takes its result from its
+// first occurrence: it runs once and never parks a worker on its twin.
+func (s *Session) all(specs []RunSpec) ([]Result, []error) {
+	res := make([]Result, len(specs))
+	first := make([]int, len(specs))
+	seen := map[runKey]int{}
+	tasks := make([]func() error, len(specs))
+	for i, sp := range specs {
+		k := sp.key()
+		j, dup := seen[k]
+		if !dup {
+			j = i
+			seen[k] = i
+		}
+		first[i] = j
+		tasks[i] = func() (err error) {
+			if !dup {
+				res[i], err = s.Run(sp)
+			}
+			return err
 		}
 	}
-	_ = s.do(tasks...)
+	errs := s.each(tasks)
+	for i, j := range first {
+		res[i], errs[i] = res[j], errs[j]
+	}
+	return res, errs
 }
 
-// do runs all tasks, at most Workers at a time, and waits for every one to
-// finish. A task panic is converted into an error. The returned error is
-// that of the earliest-indexed failing task — the same one a sequential
-// loop stopping at the first failure would report.
-func (s *Session) do(tasks ...func() error) error {
+// Speedups returns T(1 CPU)/T(spec) for each spec: the paper computes each
+// variant's speedup against its own single-processor run. The specs and their
+// baselines run together through All. A degenerate zero-elapsed run surfaces
+// as an error, not as a silent +Inf in a report.
+func (s *Session) Speedups(specs ...RunSpec) ([]float64, error) {
+	runs := make([]RunSpec, 0, 2*len(specs))
+	for _, sp := range specs {
+		runs = append(runs, baseline(sp), sp)
+	}
+	res, err := s.All(runs...)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(specs))
+	for i, sp := range specs {
+		t1, tp := res[2*i], res[2*i+1]
+		if tp.Elapsed <= 0 {
+			return nil, fmt.Errorf("harness: %s: degenerate run with non-positive elapsed time %v", sp, tp.Elapsed)
+		}
+		out[i] = t1.Elapsed.Seconds() / tp.Elapsed.Seconds()
+	}
+	return out, nil
+}
+
+// do runs all tasks through each and returns the earliest-indexed error —
+// the same one a sequential loop stopping at the first failure would report.
+func (s *Session) do(tasks ...func() error) error { return cmp.Or(s.each(tasks)...) }
+
+// each runs all tasks, at most Workers at a time, waits for every one to
+// finish and returns each task's error. A task panic becomes its error.
+func (s *Session) each(tasks []func() error) []error {
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -184,12 +201,7 @@ func (s *Session) do(tasks ...func() error) error {
 		}
 		wg.Wait()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return errs
 }
 
 // CensusReport tabulates the engine's event census of every run the session

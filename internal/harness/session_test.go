@@ -143,9 +143,9 @@ func TestSessionKeyIsTheSpec(t *testing.T) {
 		{"Topo.Sizes", func(sp *RunSpec) { sp.Topo = cluster.Irregular(2, 3) }},
 		{"Topo.Sizes (another)", func(sp *RunSpec) { sp.Topo = cluster.Irregular(3, 2) }},
 		{"Params.WANLatency", func(sp *RunSpec) { sp.Params.WANLatency *= 2 }},
-		{"Transport.MaxFrameBytes", func(sp *RunSpec) { sp.Transport.MaxFrameBytes = 1 << 10 }},
-		{"Transport.CoalesceWindow", func(sp *RunSpec) { sp.Transport.CoalesceWindow = time.Millisecond }},
-		{"Transport.WANStreams", func(sp *RunSpec) { sp.Transport.WANStreams = 2 }},
+		{"Params.MaxFrameBytes", func(sp *RunSpec) { sp.Params.MaxFrameBytes = 1 << 10 }},
+		{"Params.CoalesceWindow", func(sp *RunSpec) { sp.Params.CoalesceWindow = time.Millisecond }},
+		{"Params.WANStreams", func(sp *RunSpec) { sp.Params.WANStreams = 2 }},
 		{"shards", func(sp *RunSpec) { sp.shards = 2 }},
 		{"Faults (seed 1)", func(sp *RunSpec) { sp.Faults = plan(1) }},
 		{"Faults (seed 2)", func(sp *RunSpec) { sp.Faults = plan(2) }},
@@ -200,19 +200,53 @@ func TestSessionKeyIsTheSpec(t *testing.T) {
 	}
 }
 
-func TestPrefetchWarmsCache(t *testing.T) {
-	var builds atomic.Int64
-	s := &Session{}
-	specs := withBaseline(s.Spec(countingApp("prefetched", &builds), cluster.DAS(2, 2), false))
-	s.Prefetch(specs)
-	if got := builds.Load(); got != int64(len(specs)) {
-		t.Fatalf("%d builds after Prefetch of %d specs", got, len(specs))
-	}
-	if _, err := s.Speedup(specs[1]); err != nil {
-		t.Fatal(err)
-	}
-	if got := builds.Load(); got != int64(len(specs)) {
-		t.Fatalf("Speedup re-ran a prefetched spec (%d builds)", got)
+// TestAllRunsEachSpecOnce is All's contract at any Workers: a sweep whose
+// specs repeat (shared baselines) builds each distinct spec once and returns
+// the results in spec order, and a sweep with two failing specs reports the
+// earliest-indexed failure, as a sequential loop would.
+func TestAllRunsEachSpecOnce(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var builds atomic.Int64
+		s := &Session{Workers: workers}
+		var specs []RunSpec
+		for _, name := range []string{"a", "b", "c"} {
+			for _, topo := range []cluster.Topology{cluster.DAS(2, 2), cluster.DAS(1, 3)} {
+				sp := s.Spec(countingApp(name, &builds), topo, false)
+				specs = append(specs, baseline(sp), sp)
+			}
+		}
+		res, err := s.All(specs...)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		distinct := map[runKey]bool{}
+		for _, sp := range specs {
+			distinct[sp.key()] = true
+		}
+		if got := builds.Load(); got != int64(len(distinct)) {
+			t.Fatalf("workers=%d: %d builds for %d distinct specs among %d", workers, got, len(distinct), len(specs))
+		}
+		for i, sp := range specs {
+			want, err := s.Run(sp)
+			if err != nil || res[i].Elapsed != want.Elapsed {
+				t.Errorf("workers=%d: result %d (%s) is %v, its run gave %v (%v)", workers, i, sp, res[i].Elapsed, want.Elapsed, err)
+			}
+		}
+		if got := builds.Load(); got != int64(len(distinct)) {
+			t.Fatalf("workers=%d: reading back re-ran specs (%d builds)", workers, got)
+		}
+
+		errA, errB := errors.New("app A failed"), errors.New("app B failed")
+		failing := func(name string, err error) RunSpec {
+			return s.Spec(AppSpec{Name: name, Build: func(sys *core.System, _ bool) func() error {
+				sys.SpawnWorkers("w", func(w *core.Worker) { w.Compute(time.Microsecond) })
+				return func() error { return err }
+			}}, cluster.DAS(1, 2), false)
+		}
+		_, err = s.All(specs[0], failing("fail-a", errA), specs[1], failing("fail-b", errB), specs[2])
+		if !errors.Is(err, errA) {
+			t.Errorf("workers=%d: error %v, want the earliest-indexed failure %v", workers, err, errA)
+		}
 	}
 }
 
@@ -226,7 +260,7 @@ func TestSpeedupRejectsZeroElapsed(t *testing.T) {
 	spec := s.Spec(AppSpec{Name: "degenerate"}, cluster.DAS(4, 16), false)
 	seed(baseline(spec), core.Metrics{Elapsed: time.Second})
 	seed(spec, core.Metrics{})
-	sp, err := s.Speedup(spec)
+	sp, err := s.Speedups(spec)
 	if err == nil {
 		t.Fatalf("zero-elapsed run produced speedup %v, want error", sp)
 	}
@@ -275,12 +309,12 @@ func TestCensusReport(t *testing.T) {
 	}
 	render := func(s *Session) string {
 		specs := []RunSpec{s.Spec(app, cluster.DAS(2, 4), true), s.Spec(app, cluster.DAS(2, 4), false)}
-		s.Prefetch(specs)
-		for _, sp := range specs {
-			res, err := s.Run(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
+		results, err := s.All(specs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range results {
+			sp := specs[i]
 			if res.Census.Total() != res.Dispatched || res.Dispatched == 0 {
 				t.Errorf("%s: census %+v sums to %d, dispatched %d", sp, res.Census, res.Census.Total(), res.Dispatched)
 			}
@@ -330,9 +364,6 @@ func TestSessionValidate(t *testing.T) {
 		set  func(s *Session, v int)
 	}{
 		{"-parallel", func(s *Session, v int) { s.Workers = v }},
-		{"-coalesce", func(s *Session, v int) { s.Transport.MaxFrameBytes = v }},
-		{"-coalesce-window", func(s *Session, v int) { s.Transport.CoalesceWindow = time.Duration(v) }},
-		{"-streams", func(s *Session, v int) { s.Transport.WANStreams = v }},
 	}
 	for _, tc := range cases {
 		var neg, zero Session
@@ -344,5 +375,48 @@ func TestSessionValidate(t *testing.T) {
 		if err := zero.Validate(); err != nil {
 			t.Errorf("zero %s rejected: %v", tc.flag, err)
 		}
+	}
+}
+
+// TestCensusLabelsUnique: every run coll executes has its own census label —
+// both broadcast payloads included — so no two of its runs alias in the
+// session cache.
+func TestCensusLabelsUnique(t *testing.T) {
+	s := &Session{}
+	if _, err := Collectives(s); err != nil {
+		t.Fatal(err)
+	}
+	rows := s.CensusReport().Tables[0].Rows
+	if len(rows) != 16 {
+		t.Errorf("census has %d rows, want 16 (8 operations x 2 strategies)", len(rows))
+	}
+	seen := map[string]bool{}
+	for _, row := range rows {
+		if seen[row[0]] {
+			t.Errorf("census label %q appears twice", row[0])
+		}
+		seen[row[0]] = true
+	}
+}
+
+// TestSessionTransportReachesSweeps: a sweep that sets its own network
+// parameters (the WAN-quality scenarios) must keep the session's transport
+// on every multi-cluster run, or -transport would silently stop reaching it.
+func TestSessionTransportReachesSweeps(t *testing.T) {
+	s := &Session{Transport: true}
+	if _, err := SensitivityATPG(s); err != nil {
+		t.Fatal(err)
+	}
+	multi := 0
+	for _, r := range s.ran {
+		if r.spec.Topo.Clusters > 1 {
+			multi++
+			if !r.spec.Params.TransportEnabled() {
+				t.Errorf("%s ran without the session's transport: %+v", r.spec, r.spec.Params)
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("sens-atpg ran no multi-cluster spec")
 	}
 }

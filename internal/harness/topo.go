@@ -24,7 +24,10 @@ func TopoReport(s *Session, topo cluster.Topology, apps []AppSpec) (*Report, err
 	for _, app := range apps {
 		specs = append(specs, s.Spec(app, topo, false), s.Spec(app, topo, true))
 	}
-	s.Prefetch(specs)
+	res, err := s.All(specs...)
+	if err != nil {
+		return nil, err
+	}
 	summary := &Table{
 		ID:      "topo-apps",
 		Title:   "application runs",
@@ -47,55 +50,49 @@ func TopoReport(s *Session, topo cluster.Topology, apps []AppSpec) (*Report, err
 		Headers: []string{"app", "variant", "link", "msgs", "frames", "packing", "kB",
 			"utilization", "max queueing"},
 	}
-	for _, app := range apps {
-		for _, optimized := range []bool{false, true} {
-			variant := variantName(optimized)
-			m, err := s.Run(s.Spec(app, topo, optimized))
-			if err != nil {
-				return nil, err
-			}
-			inter := m.Net.TotalInter()
-			summary.Rows = append(summary.Rows, []string{
-				app.Name, variant,
-				fmt.Sprintf("%.3fs", m.Seconds()),
-				fmt.Sprintf("%d", inter.Msgs),
-				fmt.Sprintf("%.1f", inter.KBytes()),
-				fmt.Sprintf("%d", m.Net.WANFrames().Msgs),
-				fmt.Sprintf("%.1f", m.Net.PackingRatio()),
+	for i, m := range res {
+		name, variant := specs[i].App.Name, variantName(specs[i].Optimized)
+		inter := m.Net.TotalInter()
+		summary.Rows = append(summary.Rows, []string{
+			name, variant,
+			fmt.Sprintf("%.3fs", m.Seconds()),
+			fmt.Sprintf("%d", inter.Msgs),
+			fmt.Sprintf("%.1f", inter.KBytes()),
+			fmt.Sprintf("%d", m.Net.WANFrames().Msgs),
+			fmt.Sprintf("%.1f", m.Net.PackingRatio()),
+		})
+		for _, cr := range m.Classes {
+			classes.Rows = append(classes.Rows, []string{
+				name, variant, cr.Class,
+				fmt.Sprintf("%d", cr.Xmits),
+				fmt.Sprintf("%d", cr.Msgs),
+				fmt.Sprintf("%.1f", float64(cr.Bytes)/1024),
+				roundDur(cr.Busy),
+				roundDur(cr.MeanWait),
+				roundDur(cr.P99Wait),
+				roundDur(cr.MaxWait),
 			})
-			for _, cr := range m.Classes {
-				classes.Rows = append(classes.Rows, []string{
-					app.Name, variant, cr.Class,
-					fmt.Sprintf("%d", cr.Xmits),
-					fmt.Sprintf("%d", cr.Msgs),
-					fmt.Sprintf("%.1f", float64(cr.Bytes)/1024),
-					roundDur(cr.Busy),
-					roundDur(cr.MeanWait),
-					roundDur(cr.P99Wait),
-					roundDur(cr.MaxWait),
-				})
-			}
-			rpc, data, bc := m.Net.InterRPC(), m.Net.InterData(), m.Net.InterBcast()
-			traffic.Rows = append(traffic.Rows, []string{
-				app.Name, variant,
-				fmt.Sprint(rpc.Msgs + data.Msgs),
-				fmt.Sprintf("%.0f", rpc.KBytes()+data.KBytes()),
-				fmt.Sprint(bc.Msgs),
-				fmt.Sprintf("%.0f", bc.KBytes()),
-				fmt.Sprint(m.Net.Inter(netsim.KindControl).Msgs),
+		}
+		rpc, data, bc := m.Net.InterRPC(), m.Net.InterData(), m.Net.InterBcast()
+		traffic.Rows = append(traffic.Rows, []string{
+			name, variant,
+			fmt.Sprint(rpc.Msgs + data.Msgs),
+			fmt.Sprintf("%.0f", rpc.KBytes()+data.KBytes()),
+			fmt.Sprint(bc.Msgs),
+			fmt.Sprintf("%.0f", bc.KBytes()),
+			fmt.Sprint(m.Net.Inter(netsim.KindControl).Msgs),
+		})
+		for _, r := range m.Links {
+			links.Rows = append(links.Rows, []string{
+				name, variant,
+				fmt.Sprintf("c%d->c%d.%d", r.From, r.To, r.Stream),
+				fmt.Sprint(r.Msgs),
+				fmt.Sprint(r.Frames),
+				fmt.Sprintf("%.1f", r.Packing()),
+				fmt.Sprintf("%.0f", float64(r.Bytes)/1024),
+				fmt.Sprintf("%.0f%%", 100*r.Utilization(m.Elapsed)),
+				roundDur(r.MaxQueueing),
 			})
-			for _, r := range m.Links {
-				links.Rows = append(links.Rows, []string{
-					app.Name, variant,
-					fmt.Sprintf("c%d->c%d.%d", r.From, r.To, r.Stream),
-					fmt.Sprint(r.Msgs),
-					fmt.Sprint(r.Frames),
-					fmt.Sprintf("%.1f", r.Packing()),
-					fmt.Sprintf("%.0f", float64(r.Bytes)/1024),
-					fmt.Sprintf("%.0f%%", 100*r.Utilization(m.Elapsed)),
-					roundDur(r.MaxQueueing),
-				})
-			}
 		}
 	}
 	rep := &Report{

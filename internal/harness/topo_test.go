@@ -89,7 +89,7 @@ func TestTopoReportTransportTiered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := TopoReport(&Session{Transport: DefaultTransport}, identityTieredTopo(t), []AppSpec{app})
+	rep, err := TopoReport(&Session{Transport: true}, identityTieredTopo(t), []AppSpec{app})
 	if err != nil {
 		t.Fatal(err)
 	}

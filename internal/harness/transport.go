@@ -17,55 +17,45 @@ func TransportReport(s *Session) (*Report, error) {
 }
 
 // transportTable builds the three-variant table on one platform shape. Every
-// run names its transport explicitly, whatever the session's setting: off for
-// the original and hand-optimized programs, tr for the transport-opt column,
-// which therefore shares the original program's 1-CPU baseline (the
+// run names its parameters explicitly, whatever the session's setting: Params
+// for the original and hand-optimized programs, tr for the transport-opt
+// column, which therefore shares the original program's 1-CPU baseline (the
 // transport layer is inert on a single cluster).
-func transportTable(s *Session, id string, clusters, perCluster int, tr Transport) (*Report, error) {
+func transportTable(s *Session, id string, clusters, perCluster int, tr cluster.Params) (*Report, error) {
 	t := &Table{
 		ID: id,
 		Title: fmt.Sprintf("Runtime transport optimization vs application rewrites (%dx%d, frames %dB/%v/%d streams)",
 			clusters, perCluster, tr.MaxFrameBytes, tr.CoalesceWindow, tr.WANStreams),
 		Headers: []string{"Application", "orig", "app-opt", "transport-opt", "WAN msgs", "WAN frames", "packing"},
 	}
-	variant := func(app AppSpec, optimized bool, tr Transport) RunSpec {
-		spec := s.Spec(app, cluster.DAS(clusters, perCluster), optimized)
-		spec.Transport = tr
-		return spec
-	}
+	// Per application: orig, app-opt, transport-opt.
 	var specs []RunSpec
 	for _, app := range Apps {
-		specs = append(specs, withBaseline(variant(app, false, Transport{}))...)
-		specs = append(specs, withBaseline(variant(app, true, Transport{}))...)
-		specs = append(specs, variant(app, false, tr))
+		for _, v := range []struct {
+			optimized bool
+			params    cluster.Params
+		}{{false, Params}, {true, Params}, {false, tr}} {
+			specs = append(specs, RunSpec{App: app, Topo: cluster.DAS(clusters, perCluster), Optimized: v.optimized, Params: v.params})
+		}
 	}
-	s.Prefetch(specs)
-	for _, app := range Apps {
-		spO, err := s.Speedup(variant(app, false, Transport{}))
-		if err != nil {
-			return nil, err
-		}
-		spA, err := s.Speedup(variant(app, true, Transport{}))
-		if err != nil {
-			return nil, err
-		}
-		spT, err := s.Speedup(variant(app, false, tr))
-		if err != nil {
-			return nil, err
-		}
-		mt, err := s.Run(variant(app, false, tr))
-		if err != nil {
-			return nil, err
-		}
-		frames := mt.Net.WANFrames()
+	sp, err := s.Speedups(specs...)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.All(specs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, app := range Apps {
+		mt := res[3*i+2].Net
 		t.Rows = append(t.Rows, []string{
 			app.Name,
-			fmt.Sprintf("%.1f", spO),
-			fmt.Sprintf("%.1f", spA),
-			fmt.Sprintf("%.1f", spT),
-			fmt.Sprintf("%d", mt.Net.FramedMsgs()),
-			fmt.Sprintf("%d", frames.Msgs),
-			fmt.Sprintf("%.1f", mt.Net.PackingRatio()),
+			fmt.Sprintf("%.1f", sp[3*i]),
+			fmt.Sprintf("%.1f", sp[3*i+1]),
+			fmt.Sprintf("%.1f", sp[3*i+2]),
+			fmt.Sprintf("%d", mt.FramedMsgs()),
+			fmt.Sprintf("%d", mt.WANFrames().Msgs),
+			fmt.Sprintf("%.1f", mt.PackingRatio()),
 		})
 	}
 	return &Report{ID: id, Title: t.Title, Tables: []*Table{t},

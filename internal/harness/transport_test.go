@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"albatross/internal/cluster"
 )
@@ -18,7 +17,7 @@ func TestTransportPackingAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mustExec(t, (&Session{Transport: DefaultTransport}).Spec(app, cluster.DAS(2, 8), false))
+	m := mustExec(t, (&Session{Transport: true}).Spec(app, cluster.DAS(2, 8), false))
 	frames := m.Net.WANFrames()
 	if frames.Msgs == 0 {
 		t.Fatal("transport on but no frames on the wire")
@@ -41,25 +40,6 @@ func TestTransportPackingAcceptance(t *testing.T) {
 	}
 }
 
-// TestTransportOffMatchesBaseline proves the zero-value transport is truly
-// inert: folding the zero Transport over a parameter set that had transport
-// fields set must reproduce the plain run's metrics byte-for-byte (same
-// virtual end time, same stats rendering).
-func TestTransportOffMatchesBaseline(t *testing.T) {
-	for _, name := range []string{"RA", "ASP"} {
-		base := mustExec(t, freshSpec(t, name, 2, 4))
-		spec := freshSpec(t, name, 2, 4)
-		spec.Params = applyTransport(spec.Params, DefaultTransport)
-		m := mustExec(t, spec) // spec.Transport is zero and wins
-		if m.Elapsed != base.Elapsed {
-			t.Errorf("%s: zero transport elapsed %v, baseline %v", name, m.Elapsed, base.Elapsed)
-		}
-		if got, want := m.Net.String(), base.Net.String(); got != want {
-			t.Errorf("%s: zero transport stats differ from baseline\n got: %s\nwant: %s", name, got, want)
-		}
-	}
-}
-
 // TestTransportTableRenders builds the three-variant table on a small shape
 // and checks its structure: one row per application, parseable speedups, and
 // a packing column that reflects real framing for the transport variant.
@@ -67,7 +47,8 @@ func TestTransportTableRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full transport table is long in -short mode")
 	}
-	tr := Transport{MaxFrameBytes: 32 << 10, CoalesceWindow: 500 * time.Microsecond, WANStreams: 2}
+	tr := DefaultTransport
+	tr.WANStreams = 2
 	rep, err := transportTable(&Session{}, "transport-test", 2, 4, tr)
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ func allocBudget(t *testing.T, name string, step func(), budget float64) {
 
 // TestAllocSendRecvData pins the tagged point-to-point path at zero: an
 // interned tag, a pooled message record recycled at delivery, and a
-// pre-boxed payload make SendData/RecvData allocation-free.
+// pre-boxed payload make SendDataID/RecvDataID allocation-free.
 func TestAllocSendRecvData(t *testing.T) {
 	e, _, rts := build(1, 2, nil)
 	id := rts.InternTag(Tag{Op: "alloc-p2p"})
@@ -71,7 +71,7 @@ func TestAllocSendRecvData(t *testing.T) {
 		rts.SendDataID(0, 1, id, 64, payload)
 		rx()
 	}
-	allocBudget(t, "SendData/RecvData", step, 0)
+	allocBudget(t, "SendDataID/RecvDataID", step, 0)
 }
 
 // TestAllocRPCRoundTrip pins a full remote invocation — request, dispatch,

@@ -17,9 +17,10 @@ type Tag struct {
 	A, B int
 }
 
-// TagID is the dense interned identifier of a Tag. Hot paths intern a tag
-// once (InternTag) and then send/receive by ID: per-node mailbox lookup is
-// a slice index, with no map probe or name formatting per message.
+// TagID is the dense interned identifier of a Tag. Applications intern each
+// tag once (InternTag) and every send and receive takes the ID: per-node
+// mailbox lookup is a slice index, with no map probe or name formatting per
+// message.
 type TagID int32
 
 // InternTag returns the dense ID for tag, assigning the next one on first
@@ -58,16 +59,10 @@ func (r *RTS) dataMailbox(nd *nodeRTS, id TagID) *sim.Mailbox {
 	return mb
 }
 
-// SendData transmits an asynchronous tagged message of the given simulated
-// size from one node to another. The sender does not block (the paper's
-// low-level Orca RTS send primitive, used by the C re-implementations of
-// SOR and by RA's message combining).
-func (r *RTS) SendData(from, to cluster.NodeID, tag Tag, size int, payload any) {
-	r.SendDataID(from, to, r.InternTag(tag), size, payload)
-}
-
-// SendDataID is SendData for a pre-interned tag: the zero-allocation fast
-// path for per-iteration exchanges.
+// SendDataID transmits an asynchronous message with an interned tag, of the
+// given simulated size, from one node to another. The sender does not block
+// (the paper's low-level Orca RTS send primitive, used by the C
+// re-implementations of SOR and by RA's message combining).
 func (r *RTS) SendDataID(from, to cluster.NodeID, id TagID, size int, payload any) {
 	sh := r.nodes[from].sh
 	sh.ops.DataMsgs++
@@ -81,13 +76,8 @@ func (r *RTS) SendDataID(from, to cluster.NodeID, id TagID, size int, payload an
 	})
 }
 
-// RecvData blocks process p (running at node at) until a message with the
-// given tag arrives, and returns its payload.
-func (r *RTS) RecvData(p *sim.Proc, at cluster.NodeID, tag Tag) any {
-	return r.RecvDataID(p, at, r.InternTag(tag))
-}
-
-// RecvDataID is RecvData for a pre-interned tag.
+// RecvDataID blocks process p (running at node at) until a message with the
+// interned tag arrives, and returns its payload.
 func (r *RTS) RecvDataID(p *sim.Proc, at cluster.NodeID, id TagID) any {
 	return r.dataMailbox(r.nodes[at], id).Get(p)
 }
@@ -100,13 +90,8 @@ func (r *RTS) PollDataID(p *sim.Proc, at cluster.NodeID, id TagID, first, period
 	r.dataMailbox(r.nodes[at], id).Poll(p, first, period)
 }
 
-// TryRecvData returns the oldest queued payload for tag without blocking;
-// ok is false if none is queued.
-func (r *RTS) TryRecvData(at cluster.NodeID, tag Tag) (payload any, ok bool) {
-	return r.TryRecvDataID(at, r.InternTag(tag))
-}
-
-// TryRecvDataID is TryRecvData for a pre-interned tag.
+// TryRecvDataID returns the oldest queued payload for the interned tag
+// without blocking; ok is false if none is queued.
 func (r *RTS) TryRecvDataID(at cluster.NodeID, id TagID) (payload any, ok bool) {
 	return r.dataMailbox(r.nodes[at], id).TryGet()
 }

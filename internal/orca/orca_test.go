@@ -151,15 +151,16 @@ func TestTable1Bandwidth(t *testing.T) {
 		const nmsg = 10
 		var elapsed time.Duration
 		done := sim.NewFuture(e, "done")
+		tag := rts.InternTag(Tag{Op: "bw"})
 		e.Go("recv", func(p *sim.Proc) {
 			for i := 0; i < nmsg; i++ {
-				rts.RecvData(p, tc.to, Tag{Op: "bw"})
+				rts.RecvDataID(p, tc.to, tag)
 			}
 			done.Set(nil)
 		})
 		e.Go("send", func(p *sim.Proc) {
 			for i := 0; i < nmsg; i++ {
-				rts.SendData(0, tc.to, Tag{Op: "bw"}, chunk, nil)
+				rts.SendDataID(0, tc.to, tag, chunk, nil)
 			}
 			done.Await(p)
 			elapsed = p.Now()
@@ -398,15 +399,15 @@ func TestCastAndHandleService(t *testing.T) {
 
 func TestDataTagsIsolateStreams(t *testing.T) {
 	e, _, rts := build(1, 2, nil)
-	tagA, tagB := Tag{Op: "a"}, Tag{Op: "b", A: 1}
+	tagA, tagB := rts.InternTag(Tag{Op: "a"}), rts.InternTag(Tag{Op: "b", A: 1})
 	var gotA, gotB any
 	e.Go("recv", func(p *sim.Proc) {
-		gotB = rts.RecvData(p, 1, tagB)
-		gotA = rts.RecvData(p, 1, tagA)
+		gotB = rts.RecvDataID(p, 1, tagB)
+		gotA = rts.RecvDataID(p, 1, tagA)
 	})
 	e.Go("send", func(p *sim.Proc) {
-		rts.SendData(0, 1, tagA, 10, "A")
-		rts.SendData(0, 1, tagB, 10, "B")
+		rts.SendDataID(0, 1, tagA, 10, "A")
+		rts.SendDataID(0, 1, tagB, 10, "B")
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -557,8 +558,10 @@ func TestChaosMix(t *testing.T) {
 		counterObj := rts.NewObject("counter", 0, &counter{})
 		repObj := rts.NewReplicated("rep", func(cluster.NodeID) any { return &counter{} })
 		echoes := 0
+		dataTags := make([]TagID, n) // raw data messages go by destination
 		for i := 0; i < n; i++ {
 			id := cluster.NodeID(i)
+			dataTags[i] = rts.InternTag(Tag{Op: "chaos", A: i})
 			rts.HandleService(id, "echo", func(req *Request) {
 				echoes++
 				if req.NeedsReply() {
@@ -594,7 +597,7 @@ func TestChaosMix(t *testing.T) {
 						wantCalls++
 					case 4:
 						dst := cluster.NodeID(pr.Intn(n))
-						rts.SendData(node, dst, Tag{Op: "chaos", A: int(dst)}, 16, s)
+						rts.SendDataID(node, dst, dataTags[dst], 16, s)
 						wantData++
 					}
 				}
@@ -611,7 +614,7 @@ func TestChaosMix(t *testing.T) {
 				return false
 			}
 			for {
-				if _, ok := rts.TryRecvData(cluster.NodeID(i), Tag{Op: "chaos", A: i}); !ok {
+				if _, ok := rts.TryRecvDataID(cluster.NodeID(i), dataTags[i]); !ok {
 					break
 				}
 				dataGot++

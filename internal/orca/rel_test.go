@@ -73,15 +73,15 @@ func TestDataInOrderUnderReorderAndDuplication(t *testing.T) {
 		ReorderDelay: 20 * time.Millisecond,
 	}
 	e, _, rts, in := buildFaulty(t, 2, 2, nil, plan, RelConfig{})
-	tag := Tag{Op: "stream"}
+	tag := rts.InternTag(Tag{Op: "stream"})
 	const k = 80
 	for i := 0; i < k; i++ {
-		rts.SendData(0, 3, tag, 64, i)
+		rts.SendDataID(0, 3, tag, 64, i)
 	}
 	var got []int
 	e.Go("recv", func(p *sim.Proc) {
 		for i := 0; i < k; i++ {
-			got = append(got, rts.RecvData(p, 3, tag).(int))
+			got = append(got, rts.RecvDataID(p, 3, tag).(int))
 		}
 	})
 	if err := e.Run(); err != nil {
