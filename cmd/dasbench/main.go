@@ -16,7 +16,9 @@
 //	                             # per-link-class WAN statistics
 //
 // Runs execute -parallel at a time, each on its own sequential engine;
-// output is byte-identical at any -parallel.
+// output is byte-identical at any -parallel. A flag the selected mode does
+// not read (-quick without -chaos, -apps without -topo, ...) is an error,
+// exit status 2.
 package main
 
 import (
@@ -27,6 +29,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,27 +41,91 @@ import (
 	"albatross/internal/trace"
 )
 
+// options are the parsed command line.
+type options struct {
+	exp, timeline, csv, cpuProfile, memProfile, topo, apps string
+	list, plot, chaos, quick, transport, census            bool
+	parallel                                               int
+}
+
+// readBy names, for every flag that not all modes read, the modes that do.
+// A flag set in any other mode is an error rather than silently dropped.
+var readBy = map[string][]string{
+	"list":      {"list"},
+	"timeline":  {"timeline"},
+	"chaos":     {"chaos"},
+	"topo":      {"topo", "chaos"},
+	"exp":       {"exp"},
+	"plot":      {"exp"},
+	"quick":     {"chaos"},
+	"apps":      {"topo"},
+	"csv":       {"exp", "chaos", "topo"},
+	"census":    {"exp", "chaos", "topo"},
+	"parallel":  {"exp", "chaos", "topo"},
+	"transport": {"exp", "chaos", "topo", "timeline"},
+}
+
+// parseFlags parses args and rejects a flag the selected mode does not read.
+// Every error is reported on stderr.
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	var o options
+	fs := flag.NewFlagSet("dasbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.exp, "exp", "all", "comma-separated experiment ids, or 'all'")
+	fs.BoolVar(&o.list, "list", false, "list available experiments")
+	fs.BoolVar(&o.plot, "plot", true, "render ASCII charts for speedup figures")
+	fs.StringVar(&o.timeline, "timeline", "", "show a message-activity timeline for one application on 4x15 instead of running experiments")
+	fs.BoolVar(&o.chaos, "chaos", false, "run the fault-injection chaos sweep (loss rate x outage duration) instead of the paper experiments")
+	fs.BoolVar(&o.quick, "quick", false, "with -chaos: trim the sweep to the smoke-test scenarios")
+	fs.StringVar(&o.csv, "csv", "", "also write each experiment's data as CSV into this directory")
+	fs.IntVar(&o.parallel, "parallel", 0, "simulation runs to execute concurrently (0 = GOMAXPROCS); output is identical at any setting")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the experiment runs to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile (taken after all runs drain) to this file")
+	fs.BoolVar(&o.transport, "transport", false, "run on the gateway transport layer: 32 kB coalesced WAN frames, a 500us window, 4 WAN streams")
+	fs.StringVar(&o.topo, "topo", "", "run on a uniform CxN DAS shape (e.g. 4x16) or a declarative topology configuration (JSON file, see examples/topologies) instead of the paper experiments")
+	fs.StringVar(&o.apps, "apps", "ASP", "with -topo: comma-separated application names, or 'all'")
+	fs.BoolVar(&o.census, "census", false, "after the reports, print one row per run: events dispatched and what scheduled them")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	// The mode, named by the flag that selects it, in main's precedence.
+	mode := "exp"
+	switch {
+	case o.list:
+		mode = "list"
+	case o.timeline != "":
+		mode = "timeline"
+	case o.chaos:
+		mode = "chaos"
+	case o.topo != "":
+		mode = "topo"
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		in, ok := readBy[f.Name]
+		if err != nil || !ok || slices.Contains(in, mode) {
+			return
+		}
+		err = fmt.Errorf("-%s cannot be combined with -%s; it is read only with -%s", f.Name, mode, strings.Join(in, ", -"))
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, "dasbench:", err)
+		return nil, err
+	}
+	return &o, nil
+}
+
 func main() {
-	var (
-		expFlag      = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		listFlag     = flag.Bool("list", false, "list available experiments")
-		plotFlag     = flag.Bool("plot", true, "render ASCII charts for speedup figures")
-		timelineFlag = flag.String("timeline", "", "show a message-activity timeline for one application on 4x15 instead of running experiments")
-		chaosFlag    = flag.Bool("chaos", false, "run the fault-injection chaos sweep (loss rate x outage duration) instead of the paper experiments")
-		quickFlag    = flag.Bool("quick", false, "with -chaos: trim the sweep to the smoke-test scenarios")
-		csvFlag      = flag.String("csv", "", "also write each experiment's data as CSV into this directory")
-		parallelFlag = flag.Int("parallel", 0, "simulation runs to execute concurrently (0 = GOMAXPROCS); output is identical at any setting")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
-		memProfile   = flag.String("memprofile", "", "write a heap profile (taken after all runs drain) to this file")
-		transFlag    = flag.Bool("transport", false, "run on the gateway transport layer: 32 kB coalesced WAN frames, a 500us window, 4 WAN streams")
-		topoFlag     = flag.String("topo", "", "run on a uniform CxN DAS shape (e.g. 4x16) or a declarative topology configuration (JSON file, see examples/topologies) instead of the paper experiments")
-		appsFlag     = flag.String("apps", "ASP", "with -topo: comma-separated application names, or 'all'")
-		censusFlag   = flag.Bool("census", false, "after the reports, print one row per run: events dispatched and what scheduled them")
-	)
-	flag.Parse()
+	opts, err := parseFlags(os.Args[1:], os.Stderr)
+	if err == flag.ErrHelp {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 	// -transport runs every experiment on the coalescing/striping runtime
 	// (the "transport" experiment sweeps it explicitly either way).
-	s := &harness.Session{Workers: *parallelFlag, Transport: *transFlag}
+	s := &harness.Session{Workers: opts.parallel, Transport: opts.transport}
 	if err := s.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "dasbench:", err)
 		os.Exit(2)
@@ -67,19 +134,19 @@ func main() {
 	// What follows the reports of every mode: with -census, the simulator's
 	// own event counters.
 	epilogue := func() {
-		if !*censusFlag {
+		if !opts.census {
 			return
 		}
 		rep := s.CensusReport()
 		fmt.Print(rep.Render())
-		if err := writeCSV(os.Stdout, *csvFlag, rep.ID, rep); err != nil {
+		if err := writeCSV(os.Stdout, opts.csv, rep.ID, rep); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if opts.cpuProfile != "" {
+		f, err := os.Create(opts.cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -93,10 +160,10 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *memProfile != "" {
+	if opts.memProfile != "" {
 		// The heap snapshot is taken after the scheduler has drained every
 		// run, so it reflects steady-state retention, not in-flight churn.
-		path := *memProfile
+		path := opts.memProfile
 		defer func() {
 			f, err := os.Create(path)
 			if err != nil {
@@ -111,29 +178,29 @@ func main() {
 		}()
 	}
 
-	if *listFlag {
+	if opts.list {
 		for _, e := range harness.Experiments() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
 		return
 	}
-	if *timelineFlag != "" {
-		if err := showTimeline(s, *timelineFlag); err != nil {
+	if opts.timeline != "" {
+		if err := showTimeline(s, opts.timeline); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *chaosFlag {
-		if err := runChaos(s, *quickFlag, *csvFlag, *topoFlag); err != nil {
+	if opts.chaos {
+		if err := runChaos(s, opts.quick, opts.csv, opts.topo); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		epilogue()
 		return
 	}
-	if *topoFlag != "" {
-		if err := runTopo(os.Stdout, s, *topoFlag, *appsFlag, *csvFlag); err != nil {
+	if opts.topo != "" {
+		if err := runTopo(os.Stdout, s, opts.topo, opts.apps, opts.csv); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -142,10 +209,10 @@ func main() {
 	}
 
 	var selected []harness.Experiment
-	if *expFlag == "all" {
+	if opts.exp == "all" {
 		selected = harness.Experiments()
 	} else {
-		for _, id := range strings.Split(*expFlag, ",") {
+		for _, id := range strings.Split(opts.exp, ",") {
 			e, err := harness.ExperimentByID(strings.TrimSpace(id))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -163,10 +230,10 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(rep.Render())
-		if *plotFlag && rep.Figure != nil {
+		if opts.plot && rep.Figure != nil {
 			fmt.Print(plot.Render(rep.Figure, 64, 24))
 		}
-		if err := writeCSV(os.Stdout, *csvFlag, e.ID, rep); err != nil {
+		if err := writeCSV(os.Stdout, opts.csv, e.ID, rep); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

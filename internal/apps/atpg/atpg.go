@@ -17,6 +17,7 @@ package atpg
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"albatross/internal/apps/memo"
@@ -113,8 +114,8 @@ func (c *Circuit) Outputs() int {
 // Scratch holds one evaluator's reusable state: the signal buffer filled by
 // every simulation and the per-fault pattern generator. Reusing one Scratch
 // across a worker's whole fault partition removes the dominant allocation of
-// the run (one signal vector per gate-level simulation). A Scratch belongs
-// to a single simulated process and must not be shared.
+// the run (one signal vector per gate-level simulation). A Scratch serves
+// one evaluation at a time and must not be shared between concurrent ones.
 type Scratch struct {
 	vals []byte
 	r    *rng.Rand
@@ -221,6 +222,12 @@ func sequential(cfg Config) Result {
 	return res
 }
 
+// faultTest is what a worker learns from one fault's pattern search.
+type faultTest struct {
+	found bool
+	evals int64
+}
+
 // statsState is the shared statistics object.
 type statsState struct{ patterns, covered int }
 
@@ -241,6 +248,17 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 	faults := c.Faults()
 	p := sys.Topo.Compute()
 	topo := sys.Topo
+
+	// Each fault's pattern search depends only on the circuit, so it runs
+	// on the host's idle cores ahead of the worker that charges it. Every
+	// evaluating goroutine takes a scratch from the pool for the call.
+	scratch := sync.Pool{New: func() any { return c.NewScratch() }}
+	tests := core.NewOffload(sys, len(faults), func(i int) faultTest {
+		s := scratch.Get().(*Scratch)
+		_, found, evals := c.TestFaultScratch(s, faults[i])
+		scratch.Put(s)
+		return faultTest{found, evals}
+	})
 
 	stats := sys.RTS.NewObject("atpg-stats", 0, &statsState{})
 	final := &statsState{}
@@ -263,12 +281,11 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 
 	sys.SpawnWorkers("atpg", func(w *core.Worker) {
 		i := w.Rank()
-		scratch := c.NewScratch()
 		myPatterns, myCovered := 0, 0
 		for fi := i; fi < len(faults); fi += p {
-			_, ok, evals := c.TestFaultScratch(scratch, faults[fi])
-			w.Compute(time.Duration(evals) * cfg.GateCost)
-			if !ok {
+			t := tests.Get(fi)
+			w.Compute(time.Duration(t.evals) * cfg.GateCost)
+			if !t.found {
 				continue
 			}
 			myCovered++

@@ -25,12 +25,14 @@ func Default() Config {
 	return Config{Walk: 60, Seed: 4, Jobs: 2048, ExpandCost: time.Microsecond}
 }
 
-// job is one frontier node searched as a unit.
+// job is one frontier node searched as a unit; idx is its place in the
+// frontier (an int32 keeps the boxed job in its 48-byte size class).
 type job struct {
-	b  Board
-	g  int
-	h  int
-	lm int8
+	b   Board
+	g   int
+	h   int
+	lm  int8
+	idx int32
 }
 
 const jobBytes = 24
@@ -84,6 +86,9 @@ func expandFrontier(cfg Config) []job {
 			break // cannot grow further (degenerate)
 		}
 		cur = next
+	}
+	for i := range cur {
+		cur[i].idx = int32(i)
 	}
 	return cur
 }
@@ -231,6 +236,15 @@ func BuildPolicy(sys *core.System, cfg Config, pol Policy) func() error {
 	foundOptimal := -1 // written by rank 0 only, read after the run
 	iter := coll.New(sys, "ida-iter", coll.WideArea)
 
+	// Each job's search under an iteration's threshold depends only on the
+	// frontier, so it runs on the host's idle cores ahead of the worker that
+	// charges it. Iteration k is batch k; the allreduce that ends an
+	// iteration has every search of it read before any worker refills.
+	searchAt := func(threshold int) func(int) searchResult {
+		return func(i int) searchResult { return jobs[i].search(threshold) }
+	}
+	searches := core.NewOffload(sys, len(jobs), searchAt(manhattan(&root)))
+
 	sys.SpawnWorkers("ida", func(w *core.Worker) {
 		r := w.Rank()
 		myIdle := false
@@ -251,7 +265,7 @@ func BuildPolicy(sys *core.System, cfg Config, pol Policy) func() error {
 			}
 
 			runJob := func(j job) {
-				res := j.search(threshold)
+				res := searches.Get(int(j.idx))
 				w.Compute(time.Duration(res.expansions) * cfg.ExpandCost)
 				workerExp[r] += res.expansions
 				mySols += res.solutions
@@ -317,6 +331,7 @@ func BuildPolicy(sys *core.System, cfg Config, pol Policy) func() error {
 				return // unsolvable: foundOptimal stays -1, like Sequential
 			}
 			threshold = tot.next
+			searches.Refill(iteration+1, searchAt(threshold))
 		}
 	})
 

@@ -136,54 +136,62 @@ func sequential(cfg Config) Result {
 	return Result{Best: best, Expansions: exp}
 }
 
-// job is one unit of work: a path prefix.
-type job struct {
-	path []int8
-	used uint32
-	plen int32
+// job is one unit of work: a path prefix, named by its index in the
+// instance's job list, which both variants enumerate in the same order.
+type job struct{ idx int }
+
+// jobKey is what a job's search starts from: the prefix's last city and
+// length, its visited-city mask and its partial tour length.
+type jobKey struct {
+	last, depth int
+	used        uint32
+	plen        int32
+}
+
+// jobList is an instance's jobs in generation order and the master's
+// expansions generating them.
+type jobList struct {
+	keys []jobKey
+	exp  int64
 }
 
 func jobBytes(cfg Config) int { return cfg.JobDepth + 12 }
 
-// genJobs enumerates the depth-JobDepth prefixes under the fixed bound,
-// counting the master's own expansions. visit is called for each job in a
-// deterministic order with its sequence number.
-func genJobs(d []int32, cfg Config, bound int32, visit func(i int, j job)) int64 {
-	var exp int64
-	i := 0
-	var gen func(path []int8, used uint32, plen int32)
-	gen = func(path []int8, used uint32, plen int32) {
-		if len(path) == cfg.JobDepth {
-			visit(i, job{path: append([]int8(nil), path...), used: used, plen: plen})
-			i++
+// jobsFor is the instance's job list, enumerated once per Config, so a run's
+// searches can start before its masters hand out the jobs in virtual time.
+var jobsFor = memo.Of(genJobs)
+
+// genJobs enumerates the depth-JobDepth prefixes under the fixed bound, in
+// a deterministic order, counting the master's own expansions.
+func genJobs(cfg Config) jobList {
+	d := Generate(cfg)
+	bound := Optimal(cfg)
+	var jl jobList
+	var gen func(last, depth int, used uint32, plen int32)
+	gen = func(last, depth int, used uint32, plen int32) {
+		if depth == cfg.JobDepth {
+			jl.keys = append(jl.keys, jobKey{last: last, depth: depth, used: used, plen: plen})
 			return
 		}
-		last := int(path[len(path)-1])
 		for next := 1; next < cfg.NCities; next++ {
 			if used&(1<<next) != 0 {
 				continue
 			}
-			exp++
+			jl.exp++
 			nl := plen + d[last*cfg.NCities+next]
 			if nl > bound {
 				continue
 			}
-			gen(append(path, int8(next)), used|1<<next, nl)
+			gen(next, depth+1, used|1<<next, nl)
 		}
 	}
-	gen([]int8{0}, 1, 0)
-	return exp
+	gen(0, 1, 1, 0)
+	return jl
 }
 
 // CountJobs reports how many jobs the masters generate at cfg.JobDepth
 // under the fixed bound.
-func CountJobs(cfg Config) int {
-	d := Generate(cfg)
-	bound := Optimal(cfg)
-	n := 0
-	genJobs(d, cfg, bound, func(i int, j job) { n++ })
-	return n
-}
+func CountJobs(cfg Config) int { return len(jobsFor(cfg).keys) }
 
 // minState is each node's replica of the "current best tour" object.
 type minState struct{ best int32 }
@@ -212,20 +220,28 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 
 	workerExp := make([]int64, topo.Compute())
 	workerBest := make([]int32, topo.Compute())
-	var masterExp int64
+
+	// Each job's search depends only on the instance, so it runs on the
+	// host's idle cores ahead of the worker that charges it.
+	jobs := jobsFor(cfg)
+	searches := core.NewOffload(sys, len(jobs.keys), func(i int) Result {
+		k := jobs.keys[i]
+		exp, best := dfs(d, cfg.NCities, k.last, k.used, k.plen, k.depth, bound)
+		return Result{Best: best, Expansions: exp}
+	})
 
 	// runJob executes one job on worker w, charging its search time.
 	runJob := func(w *core.Worker, j job) {
-		exp, best := dfs(d, cfg.NCities, int(j.path[len(j.path)-1]), j.used, j.plen, len(j.path), bound)
-		workerExp[w.Rank()] += exp
-		w.Compute(time.Duration(exp) * cfg.NodeCost)
-		if best < workerBest[w.Rank()] {
-			workerBest[w.Rank()] = best
+		r := searches.Get(j.idx)
+		workerExp[w.Rank()] += r.Expansions
+		w.Compute(time.Duration(r.Expansions) * cfg.NodeCost)
+		if r.Best < workerBest[w.Rank()] {
+			workerBest[w.Rank()] = r.Best
 		}
 		// Publish strictly better tours to the replicated minimum, like
 		// the paper's program (reads of the minimum are local and free).
-		if cur := minObj.Replica(w.Node).(*minState).best; best < cur {
-			w.Invoke(minObj, updateMin(best))
+		if cur := minObj.Replica(w.Node).(*minState).best; r.Best < cur {
+			w.Invoke(minObj, updateMin(r.Best))
 		}
 	}
 
@@ -247,10 +263,10 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 	if !optimized {
 		q := core.NewCentralQueue(sys, 0)
 		sys.SpawnAt(0, "tsp-master", func(w *core.Worker) {
-			masterExp = genJobs(d, cfg, bound, func(i int, j job) {
-				q.Push(w, jobBytes(cfg), j)
-			})
-			w.Compute(time.Duration(masterExp) * cfg.NodeCost)
+			for i := range jobs.keys {
+				q.Push(w, jobBytes(cfg), job{idx: i})
+			}
+			w.Compute(time.Duration(jobs.exp) * cfg.NodeCost)
 			q.Close(w)
 		})
 		sys.SpawnWorkers("tsp", func(w *core.Worker) {
@@ -264,15 +280,10 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 		for c := 0; c < topo.Clusters; c++ {
 			c := c
 			sys.SpawnAt(topo.Node(c, 0), fmt.Sprintf("tsp-master-%d", c), func(w *core.Worker) {
-				exp := genJobs(d, cfg, bound, func(i int, j job) {
-					if i%topo.Clusters == c {
-						q.PushTo(w, c, jobBytes(cfg), j)
-					}
-				})
-				w.Compute(time.Duration(exp) * cfg.NodeCost)
-				if c == 0 {
-					masterExp = exp
+				for i := c; i < len(jobs.keys); i += topo.Clusters {
+					q.PushTo(w, c, jobBytes(cfg), job{idx: i})
 				}
+				w.Compute(time.Duration(jobs.exp) * cfg.NodeCost)
 				q.Close(w, c) // each master closes only its own queue
 			})
 		}
@@ -291,7 +302,7 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 				best = workerBest[r]
 			}
 		}
-		exp += masterExp
+		exp += jobs.exp // the expansions generating the jobs, counted once
 		if best != want.Best {
 			return fmt.Errorf("tsp: best %d, want %d", best, want.Best)
 		}

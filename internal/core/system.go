@@ -49,6 +49,8 @@ type System struct {
 	Net    *netsim.Network
 	RTS    *orca.RTS
 	Topo   cluster.Topology
+
+	offloads []interface{ stop() } // stopped when Run returns
 }
 
 // NewSystem assembles a platform from the configuration.
@@ -162,8 +164,14 @@ func (s *System) SpawnAt(node cluster.NodeID, name string, body func(w *Worker))
 // A deadlock (processes blocked forever) is returned as an error. After the
 // run the engine is shut down: daemon servers (and, on deadlock, stuck
 // workers) release their goroutines, so sweeps that build many Systems do
-// not leak. Simulation state stays readable for result verification.
+// not leak, and Offload helpers are stopped and waited for. Simulation
+// state stays readable for result verification.
 func (s *System) Run() (Metrics, error) {
+	defer func() {
+		for _, o := range s.offloads {
+			o.stop()
+		}
+	}()
 	err := s.Engine.Run()
 	m := s.Metrics()
 	s.Engine.Shutdown()
