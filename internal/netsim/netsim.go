@@ -16,6 +16,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -105,7 +106,7 @@ type pipe struct {
 	// edge) must not let later traffic overtake earlier traffic. Arrivals are
 	// clamped to be non-decreasing per pipe; the fault injector's deliberate
 	// reorder delay is applied after the clamp so chaos reordering still works.
-	lane *sim.Lane // scheduled arrivals, oldest first; nil until the pipe carries a unit
+	lane *sim.Lane[hop] // scheduled arrivals, oldest first; nil until the pipe carries a unit
 
 	busy    time.Duration // cumulative transmission time
 	bytes   int64
@@ -373,6 +374,9 @@ func New(e *sim.Engine, topo cluster.Topology, par cluster.Params) *Network {
 	if transport && par.WANStreams > 1 {
 		defStreams = par.WANStreams
 	}
+	if defStreams > math.MaxInt16 { // a wire unit's stream is an int16
+		panic(fmt.Sprintf("netsim: WANStreams %d exceeds %d", defStreams, math.MaxInt16))
+	}
 	n := &Network{
 		e:         e,
 		topo:      topo,
@@ -631,9 +635,23 @@ func bwTime(size int, bw float64) time.Duration {
 	return time.Duration(float64(size) / bw * float64(time.Second))
 }
 
+// maxMsgSize bounds Msg.Size: a WAN hop carries an unframed message's byte
+// count in 32 bits.
+const maxMsgSize = math.MaxInt32
+
+// checkSize panics, naming the message, when its size is negative or past
+// maxMsgSize.
+func checkSize(m Msg) {
+	if uint(m.Size) > maxMsgSize {
+		panic(fmt.Sprintf("netsim: invariant violated: %v has size %d, outside [0, %d]", m, m.Size, maxMsgSize))
+	}
+}
+
 // Send transmits m asynchronously; delivery happens at the simulated arrival
-// time. It never blocks and is callable from process or event context.
+// time. It never blocks and is callable from process or event context. A
+// size outside [0, math.MaxInt32] panics.
 func (n *Network) Send(m Msg) {
+	checkSize(m)
 	src := n.sh[n.clusterOf[m.From]]
 	if m.From == m.To {
 		if n.tap != nil {
@@ -683,7 +701,7 @@ func (n *Network) sendWAN(m Msg) {
 	}
 
 	u := n.getUnit(sh)
-	u.cs, u.cd = n.clusterOf[m.From], n.clusterOf[m.To]
+	u.cs, u.cd = int32(n.clusterOf[m.From]), int32(n.clusterOf[m.To])
 	u.cur = u.cs
 	u.msgs = append(u.msgs, m)
 	u.bytes = m.Size
@@ -788,6 +806,7 @@ func (n *Network) PipeReports() []PipeReport {
 // the sender serializes once, all members receive after the broadcast
 // latency. Gateways do not receive local broadcasts.
 func (n *Network) BcastLocal(from cluster.NodeID, kind Kind, size int, payload any) {
+	checkSize(Msg{From: from, To: from, Kind: kind, Size: size})
 	sh := n.sh[n.clusterOf[from]]
 	if n.tap != nil {
 		n.callTap(sh.e.Now(), Msg{From: from, To: from, Kind: kind, Size: size}, false)

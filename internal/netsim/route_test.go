@@ -15,6 +15,13 @@ import (
 // 8+c. LAN/FE figures come from testParams.
 func tieredTestNet(t testing.TB, par cluster.Params, classStreams int) (*sim.Engine, *testNet) {
 	t.Helper()
+	e := sim.NewEngine()
+	return e, collect(New(e, tieredTopology(t, classStreams), par))
+}
+
+// tieredTopology is tieredTestNet's platform.
+func tieredTopology(t testing.TB, classStreams int) cluster.Topology {
+	t.Helper()
 	b := cluster.NewBuilder()
 	trunk := b.Class("trunk", 1000*time.Microsecond, 1e6, classStreams)
 	leaf := b.Class("leaf", 200*time.Microsecond, 2e6, 0)
@@ -24,8 +31,7 @@ func tieredTestNet(t testing.TB, par cluster.Params, classStreams int) (*sim.Eng
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := sim.NewEngine()
-	return e, collect(New(e, topo, par))
+	return topo
 }
 
 func TestTieredDeliveryTime(t *testing.T) {

@@ -166,7 +166,7 @@ func (n *Network) holdFor(cur, cd int) *holdQ {
 func (q *holdQ) push(now time.Duration, u *wireUnit) {
 	sh := q.n.sh[q.cur]
 	if q.items.Len() >= holdQueueCap {
-		q.n.dropHeld(sh, now, u)
+		q.n.dropHeld(sh, now, q.cur, u)
 		return
 	}
 	sh.stats.heldMsgs++
@@ -187,7 +187,7 @@ func (q *holdQ) retry() {
 	sh := q.n.sh[q.cur]
 	now := sh.e.Now()
 	for q.items.Len() > 0 && now-q.items.Peek().at >= holdTimeout {
-		q.n.dropHeld(sh, now, q.pop())
+		q.n.dropHeld(sh, now, q.cur, q.pop())
 	}
 	if q.items.Len() == 0 {
 		q.pending = false
@@ -213,7 +213,7 @@ func (q *holdQ) drain(sh *netShard, now time.Duration) bool {
 		if l == nil {
 			return false
 		}
-		q.n.transmitOn(sh, q.pop(), now, l)
+		q.n.transmitOn(sh, q.cur, q.pop().hop(), now, l)
 	}
 	return true
 }
@@ -224,9 +224,9 @@ func (q *holdQ) pop() *wireUnit {
 	return q.items.Pop().u
 }
 
-// dropHeld gives up on one parked wire unit (timeout or overflow): a counted
-// verdict, then the common loss path.
-func (n *Network) dropHeld(sh *netShard, now time.Duration, u *wireUnit) {
+// dropHeld gives up on one wire unit parked at cluster cur (timeout or
+// overflow): a counted verdict, then the common loss path.
+func (n *Network) dropHeld(sh *netShard, now time.Duration, cur int, u *wireUnit) {
 	sh.stats.holdDrops++
-	n.lose(sh, now, u)
+	n.lose(sh, now, cur, u)
 }

@@ -8,9 +8,18 @@
 // pays the gateway forwarding slot and the FIFO pipe of the next link
 // (transmitOn), re-enters forward at every intermediate gateway of a
 // multi-hop route, and at the destination gateway is unpacked onto Fast
-// Ethernet (arrive, unpack). A unit lost on the way goes through lose. Every
-// scheduled hop is the unit's one event closure, step, which picks the stage
-// from where the unit stands.
+// Ethernet (arrive, unpack). A unit lost on the way goes through lose.
+//
+// A unit crossing a pipe waits in the pipe's lane as a hop: the record plus
+// the destination cluster and byte count. The lane fires land at the pipe's
+// far gateway, which without a fault policy forwards an intermediate hop
+// from those fields alone, never loading the record. The stages take the
+// unit's position as a parameter: land from the pipe, forward, lose and the
+// hold queues from their caller. Every other entry is the unit's one event
+// closure, step, which picks the stage from where the unit stands, so the
+// record's cur is read by step alone and written by every path that
+// schedules it: sendWAN, admit's duplicate and the lane's spill. While a unit
+// waits in a lane, its cur is stale.
 //
 // The transport layer (MPWide-style frame coalescing and multipath striping)
 // changes only how units are built and consumed. When enabled (any of
@@ -45,20 +54,34 @@ const noSeq = -1
 // so steady intercluster traffic — framed or not — schedules its gateway hops
 // without allocating. A frame's format is the concatenation of its messages'
 // payloads: header cost is modelled by the per-unit software overhead, not
-// extra bytes.
+// extra bytes. Cluster indices are int32 and the stream an int16, packed with
+// dup, so the record fills the 128-byte size class exactly.
 type wireUnit struct {
 	n      *Network
-	cs, cd int
-	cur    int           // cluster whose gateway handles the unit next (route position)
+	cs, cd int32
+	cur    int32         // the cluster step runs at (stale while in a lane)
+	stream int16         // striping stream, reduced modulo each link's pipe count
+	dup    bool          // an injected duplicate copy: exempt from further verdicts
 	seq    int64         // reassembly sequence number; noSeq when unsequenced
-	stream int           // striping stream, reduced modulo each link's pipe count
 	bytes  int           // summed message sizes: what the wire serializes
 	extra  time.Duration // fault-injected reorder delay, added to the final arrival
-	dup    bool          // an injected duplicate copy: exempt from further verdicts
 	msgs   []Msg         // starts out backed by one, so a single message never allocates
 	one    [1]Msg
 	fn     func() // bound to (*wireUnit).step once
 }
+
+// hop is a unit waiting in a pipe's lane: the record and the two fields an
+// intermediate gateway's forwarding reads. bytes is exact for an unframed
+// unit (Send bounds a message's size to 32 bits); a frame's summed size is
+// read from its record, as its stream and message count are.
+type hop struct {
+	u     *wireUnit
+	cd    int32
+	bytes int32
+}
+
+// hop returns the unit's lane item.
+func (u *wireUnit) hop() hop { return hop{u, u.cd, int32(u.bytes)} }
 
 // getUnit pops a pooled record from sh (or creates one with its event
 // closure bound). Records are released on whichever cluster's shard consumes
@@ -74,8 +97,9 @@ func (n *Network) getUnit(sh *netShard) *wireUnit {
 	return u
 }
 
-// step is the unit's one scheduled entry point, on the LP of the cluster it
-// has reached; which stage runs follows from where the unit stands.
+// step is the unit's event closure — the entry of sendWAN's first leg, of a
+// duplicate and of a hop spilled from a lane — on the LP of cluster cur;
+// which stage runs follows from where the unit stands.
 func (u *wireUnit) step() {
 	switch {
 	case u.cur == u.cd:
@@ -83,7 +107,7 @@ func (u *wireUnit) step() {
 	case u.seq == noSeq && u.n.xp != nil:
 		u.enqueue() // transport layer on: a lone message is on its way into a frame
 	default:
-		u.forward()
+		u.n.forward(int(u.cur), u.hop())
 	}
 }
 
@@ -121,12 +145,12 @@ func (u *wireUnit) faultMsg() Msg {
 // the copy follows the original onto the wire.
 func (n *Network) admit(sh *netShard, now time.Duration, u *wireUnit) (dup *wireUnit, ok bool) {
 	wire := u.faultMsg()
-	if n.fault.GatewayDown(now, u.cs, wire) {
+	if n.fault.GatewayDown(now, int(u.cs), wire) {
 		// The local gateway is crashed: the unit never reaches the WAN.
 		u.release(sh)
 		return nil, false
 	}
-	act, delay := n.fault.WANTransit(now, u.cs, u.cd, wire)
+	act, delay := n.fault.WANTransit(now, int(u.cs), int(u.cd), wire)
 	switch act {
 	case FaultDrop:
 		u.release(sh)
@@ -142,16 +166,17 @@ func (n *Network) admit(sh *netShard, now time.Duration, u *wireUnit) (dup *wire
 	return dup, true
 }
 
-// forward is a gateway's forwarding stage, on the owning cluster's LP. An
-// unframed unit enters here at its source gateway (frames enter the wire from
+// forward is cluster cur's gateway forwarding stage, on its LP. An unframed
+// unit enters here at its source gateway (frames enter the wire from
 // egressQ.flush); on a multi-hop route every unit re-enters here at each
-// intermediate gateway, store-and-forward.
-func (u *wireUnit) forward() {
-	n := u.n
-	sh := n.sh[u.cur]
+// intermediate gateway, store-and-forward. Only the fault checks read the
+// record.
+func (n *Network) forward(cur int, h hop) {
+	sh := n.sh[cur]
 	now := sh.e.Now()
 	if n.fault != nil {
-		if u.cur == u.cs && u.seq == noSeq && !u.dup {
+		u := h.u
+		if cur == int(u.cs) && u.seq == noSeq && !u.dup {
 			// An unframed unit at its source gateway is entering the WAN.
 			// (So is one that a reversed reroute carries back through it:
 			// chaos-run results depend on its being ruled on again. A frame
@@ -166,31 +191,42 @@ func (u *wireUnit) forward() {
 				// at the same instant, behind everything already scheduled.
 				sh.e.At(now, dup.fn)
 			}
-		} else if n.fault.GatewayDown(now, u.cur, u.faultMsg()) {
+		} else if n.fault.GatewayDown(now, cur, u.faultMsg()) {
 			// Intermediate gateways (and duplicate copies at the source)
 			// consult only gateway liveness: drop/duplicate verdicts apply
 			// once, where the unit enters the WAN.
-			n.lose(sh, now, u)
+			n.lose(sh, now, cur, u)
 			return
 		}
 	}
-	n.transmit(u, now)
+	n.transmit(sh, cur, h, now)
 }
 
-// transmit sends the unit over the first link of its route from u.cur, read
-// from the cluster's route row, or parks it in a hold queue (routefault.go).
-// A non-empty queue toward the same destination means earlier traffic is
-// still parked, so the unit queues behind it even if the route just healed
-// (FIFO per channel is the ordering contract the upper layers rely on); the
-// healed queue drains wholesale at its next retry tick.
-func (n *Network) transmit(u *wireUnit, now time.Duration) {
-	sh := n.sh[u.cur]
-	if q := n.parkedAt(u.cur, u.cd); q != nil {
-		q.push(now, u)
-	} else if l := n.routeNext(sh, now, u.cur, u.cd); l != nil {
-		n.transmitOn(sh, u, now, l)
+// land is a hop's arrival at cluster to's gateway, on to's LP: the
+// destination's arrive stage, or the forwarding stage of an intermediate
+// gateway.
+func (n *Network) land(to int, h hop) {
+	if to == int(h.cd) {
+		h.u.arrive()
+		return
+	}
+	n.forward(to, h)
+}
+
+// transmit sends the unit at cluster cur's gateway over the first link of its
+// route, read from the cluster's route row, or parks it in a hold queue
+// (routefault.go). A non-empty queue toward the same destination means
+// earlier traffic is still parked, so the unit queues behind it even if the
+// route just healed (FIFO per channel is the ordering contract the upper
+// layers rely on); the healed queue drains wholesale at its next retry tick.
+func (n *Network) transmit(sh *netShard, cur int, h hop, now time.Duration) {
+	cd := int(h.cd)
+	if q := n.parkedAt(cur, cd); q != nil {
+		q.push(now, h.u)
+	} else if l := n.routeNext(sh, now, cur, cd); l != nil {
+		n.transmitOn(sh, cur, h, now, l)
 	} else {
-		n.holdFor(u.cur, u.cd).push(now, u) // (or dropped on overflow)
+		n.holdFor(cur, cd).push(now, h.u) // (or dropped on overflow)
 	}
 }
 
@@ -210,18 +246,23 @@ func (n *Network) gatewaySlot(c int, now time.Duration) time.Duration {
 	return gw.gwFree
 }
 
-// transmitOn runs the gateway forwarding slot and puts the unit on link l
-// (the caller's routing choice), then schedules the cross-LP hop:
-// to the destination cluster's arrive stage, or to the next intermediate
-// gateway's forward stage. Stats' frame counters are charged once, at the
-// source hop; the per-pipe and per-class aggregates meter every hop
-// (wire-level accounting), and their frame columns count sequenced units only.
-func (n *Network) transmitOn(sh *netShard, u *wireUnit, now time.Duration, l *adjLink) {
-	now = n.gatewaySlot(u.cur, now)
+// transmitOn runs cluster cur's gateway forwarding slot and puts the unit on
+// link l (the caller's routing choice), then queues the hop in the pipe's
+// lane toward the next gateway. Stats' frame counters are charged once, at
+// the source hop; the per-pipe and per-class aggregates meter every hop
+// (wire-level accounting), and their frame columns count sequenced units
+// only. With the transport layer on every transmitted unit is a frame.
+func (n *Network) transmitOn(sh *netShard, cur int, h hop, now time.Duration, l *adjLink) {
+	now = n.gatewaySlot(cur, now)
 	// Unsequenced units carry stream 0, so plain messages never stripe:
 	// orca's ordering and ARQ layers rely on FIFO per directed channel, which
 	// only reassembly by sequence number can restore across streams.
-	p := &l.pipes[u.stream%len(l.pipes)]
+	p, bytes, msgs := &l.pipes[0], int(h.bytes), 1
+	framed := n.xp != nil
+	if framed {
+		u := h.u
+		p, bytes, msgs = &l.pipes[int(u.stream)%len(l.pipes)], u.bytes, len(u.msgs)
+	}
 	wait := p.free - now
 	if wait < 0 {
 		wait = 0
@@ -234,30 +275,29 @@ func (n *Network) transmitOn(sh *netShard, u *wireUnit, now time.Duration, l *ad
 	// queued behind earlier traffic departs at p.free, and a time-varying
 	// profile (congestion wave) must apply there, not at the instant the
 	// unit joined the queue.
-	lat, xmit := n.wanQuality(start, &n.classes[l.class], u.bytes)
+	lat, xmit := n.wanQuality(start, &n.classes[l.class], bytes)
 	depart := start + xmit
 	p.free = depart
 	p.busy += xmit
-	p.bytes += int64(u.bytes)
-	p.msgs += int64(len(u.msgs))
-	framed := u.seq != noSeq
+	p.bytes += int64(bytes)
+	p.msgs += int64(msgs)
 	if framed {
 		p.frames++
-		if u.cur == u.cs {
+		if cur == int(h.u.cs) {
 			sh.stats.frames.Msgs++
-			sh.stats.frames.Bytes += int64(u.bytes)
-			sh.stats.framedMsgs += int64(len(u.msgs))
+			sh.stats.frames.Bytes += int64(bytes)
+			sh.stats.framedMsgs += int64(msgs)
 		}
 	}
-	n.aggFor(u.cur, int(l.class)).observe(wait, xmit, int64(u.bytes), int64(len(u.msgs)), framed)
+	n.aggFor(cur, int(l.class)).observe(wait, xmit, int64(bytes), int64(msgs), framed)
 	// The cross-LP hop: arrival is depart+lat+wanDelay with depart >= now and
 	// lat at least the link's class latency (a sharded WANProfile may only
 	// stretch it — latency scales below 1 are rejected per sample),
 	// so the delta is always >= the lookahead New configures — coalescing
 	// delays when a frame departs, never how far ahead its arrival is
-	// scheduled. The pipe's lane is AtShard on a sharded engine; on a plain
-	// one it keeps the clamped arrivals out of the event heap until each is
-	// the pipe's next (a reorder delay that breaks the order falls back to At).
+	// scheduled. The pipe's lane spills to AtShard on a sharded engine; on a
+	// plain one it keeps the clamped arrivals out of the event queue until
+	// each is the pipe's next (a reorder delay that breaks the order spills).
 	at := depart + lat + n.wanDelay
 	// FIFO clamp: a latency drop between two transmissions must not let this
 	// unit overtake earlier traffic on the same pipe (the fault reorder delay
@@ -267,14 +307,15 @@ func (n *Network) transmitOn(sh *netShard, u *wireUnit, now time.Duration, l *ad
 	}
 	p.arrive = at
 	next := int(l.to)
-	u.cur = next
-	if next == u.cd {
-		at += u.extra
+	if next == int(h.cd) && n.fault != nil {
+		at += h.u.extra // admit, extra's one writer, runs only under a fault policy
 	}
 	if p.lane == nil {
-		p.lane = sim.NewLane(sh.e, n.sh[next].e)
+		p.lane = sim.NewLane(sh.e, n.sh[next].e,
+			func(h hop) { n.land(next, h) },
+			func(h hop) func() { h.u.cur = int32(next); return h.u.fn })
 	}
-	p.lane.At(at, u.fn)
+	p.lane.At(at, h)
 }
 
 // arrive runs on the destination cluster's LP when a unit has crossed its
@@ -286,10 +327,10 @@ func (u *wireUnit) arrive() {
 	n := u.n
 	sh := n.sh[u.cd]
 	now := sh.e.Now()
-	if n.fault != nil && n.fault.GatewayDown(now, u.cd, u.faultMsg()) {
+	if n.fault != nil && n.fault.GatewayDown(now, int(u.cd), u.faultMsg()) {
 		// The remote gateway is crashed: the unit crossed the WAN but is lost
 		// at the receiving side. Duplicates are subject to this too.
-		n.lose(sh, now, u)
+		n.lose(sh, now, int(u.cd), u)
 		return
 	}
 	if u.seq == noSeq {
@@ -297,7 +338,7 @@ func (u *wireUnit) arrive() {
 		u.release(sh)
 		return
 	}
-	iq := n.ingressFor(u.cs, u.cd)
+	iq := n.ingressFor(int(u.cs), int(u.cd))
 	if !iq.Put(uint64(u.seq), u) {
 		u.release(sh) // duplicate of a frame already consumed or waiting in the gap
 		return
@@ -311,7 +352,8 @@ func (u *wireUnit) arrive() {
 // — then serialize one by one onto Fast Ethernet toward their nodes.
 func (u *wireUnit) unpack(now time.Duration) {
 	n := u.n
-	gw := &n.nodes[n.gateways[u.cd]]
+	cd := int(u.cd)
+	gw := &n.nodes[n.gateways[cd]]
 	slotted := false
 	for _, m := range u.msgs {
 		if n.isGW[m.To] {
@@ -319,7 +361,7 @@ func (u *wireUnit) unpack(now time.Duration) {
 			continue
 		}
 		if !slotted {
-			now = n.gatewaySlot(u.cd, now)
+			now = n.gatewaySlot(cd, now)
 			slotted = true
 		}
 		end := serialize(&gw.nicFree, now, m.Size, n.par.FEBandwidth)
@@ -327,8 +369,8 @@ func (u *wireUnit) unpack(now time.Duration) {
 	}
 }
 
-// lose gives up on a unit whose payload is gone: a crashed gateway on its
-// route, a hold-queue timeout or overflow. An unsequenced unit just vanishes
+// lose gives up on a unit whose payload is gone at cluster at: a crashed
+// gateway on its route, a hold-queue timeout or overflow. An unsequenced unit just vanishes
 // (the loss is ARQ's to detect). A sequenced one must still consume its
 // number at the destination's reassembler, or frames arriving over an
 // alternate path (or after heal) would wait forever behind the gap: lost at
@@ -339,15 +381,15 @@ func (u *wireUnit) unpack(now time.Duration) {
 // link's latency would undercut the end-to-end floor on multi-hop routes.)
 // routeFloor is non-nil whenever a sequenced unit can be lost (SetFaultPolicy
 // builds it).
-func (n *Network) lose(sh *netShard, now time.Duration, u *wireUnit) {
-	cs, cd, seq := u.cs, u.cd, u.seq
+func (n *Network) lose(sh *netShard, now time.Duration, at int, u *wireUnit) {
+	cs, cd, seq := int(u.cs), int(u.cd), u.seq
 	switch {
 	case seq == noSeq: // no reassembler waits on it
-	case u.cur == cd:
+	case at == cd:
 		consumeLost(n.ingressFor(cs, cd), now, seq)
 	default:
 		dst := n.sh[cd]
-		sh.e.AtShard(dst.e, now+n.routeFloor[u.cur][cd], func() {
+		sh.e.AtShard(dst.e, now+n.routeFloor[at][cd], func() {
 			consumeLost(n.ingressFor(cs, cd), dst.e.Now(), seq)
 		})
 	}
@@ -422,7 +464,7 @@ func (u *wireUnit) enqueue() {
 	sh := n.sh[u.cs]
 	m, cs, cd := u.msgs[0], u.cs, u.cd
 	u.release(sh)
-	n.egressFor(cs, cd).add(sh.e.Now(), m)
+	n.egressFor(int(cs), int(cd)).add(sh.e.Now(), m)
 }
 
 // egressQ is the coalescing queue of one directed cluster pair, living at the
@@ -449,10 +491,10 @@ func (eg *egressQ) add(now time.Duration, m Msg) {
 	if u == nil {
 		sh := n.sh[eg.cs]
 		u = n.getUnit(sh)
-		u.cs, u.cd, u.cur = eg.cs, eg.cd, eg.cs
+		u.cs, u.cd = int32(eg.cs), int32(eg.cd)
 		// The pair's next number and stream, committed (advanced) only when
 		// flush gets the frame past the fault verdict and onto the wire.
-		u.seq, u.stream = eg.seq, eg.stream
+		u.seq, u.stream = eg.seq, int16(eg.stream)
 		eg.u = u
 		eg.deadline = now + n.par.CoalesceWindow
 		sh.e.At(eg.deadline, eg.flushFn)
@@ -495,12 +537,13 @@ func (eg *egressQ) flush(now time.Duration) {
 	if eg.stream >= eg.mod {
 		eg.stream = 0
 	}
-	n.transmit(u, now)
+	sh := n.sh[eg.cs]
+	n.transmit(sh, eg.cs, u.hop(), now)
 	if dup != nil {
 		// A frame's duplicate (same sequence number, same stream) enters the
 		// pipe right behind the original, in the same event; reassembly later
 		// discards whichever copy arrives second.
-		n.transmit(dup, now)
+		n.transmit(sh, eg.cs, dup.hop(), now)
 	}
 }
 

@@ -61,22 +61,44 @@ func TestAllocProcSwitch(t *testing.T) {
 }
 
 // TestAllocLane: a lane's ring and fire thunk are built once, so queueing a
-// burst of arrivals behind one queue entry and firing them allocates nothing.
+// burst of arrivals behind one queue entry and firing them allocates nothing;
+// nor does a burst whose inserts spill (due now, or earlier than the ring's
+// tail) into plain events.
 func TestAllocLane(t *testing.T) {
-	e := NewEngine()
-	l := NewLane(e, e)
-	fn := func() {}
-	step := func() {
-		for k := 1; k <= 48; k++ {
-			l.At(e.Now()+time.Duration(k)*time.Microsecond, fn)
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	step() // grow the ring and the queue
-	if got := testing.AllocsPerRun(200, step); got != 0 {
-		t.Errorf("%.2f allocs per 48-arrival burst, want 0", got)
+	const us = time.Microsecond
+	for _, c := range []struct {
+		name string
+		at   func(now time.Duration, k int) time.Duration
+	}{
+		{"ring", func(now time.Duration, k int) time.Duration { return now + time.Duration(k)*us }},
+		{"spill", func(now time.Duration, k int) time.Duration {
+			if k%2 == 0 {
+				return now
+			}
+			return now + time.Duration(49-k)*us
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			spills := 0
+			l := NewLane(e, e, func(fn func()) { fn() }, func(fn func()) func() { spills++; return fn })
+			fn := func() {}
+			step := func() {
+				for k := 1; k <= 48; k++ {
+					l.At(c.at(e.Now(), k), fn)
+				}
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step() // grow the ring and the queue
+			if got := testing.AllocsPerRun(200, step); got != 0 {
+				t.Errorf("%.2f allocs per 48-insert burst, want 0", got)
+			}
+			if ringOnly := c.name == "ring"; (spills == 0) != ringOnly {
+				t.Errorf("%d inserts spilled", spills)
+			}
+		})
 	}
 }
 

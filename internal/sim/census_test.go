@@ -15,7 +15,7 @@ func TestCensusSumsToDispatched(t *testing.T) {
 	var seq Census
 	for _, sharded := range []bool{false, true} {
 		w := buildWorld(t, clusters, perC, iters, sharded)
-		w.lanes = make([]*Lane, clusters*clusters)
+		w.lanes = make([]*Lane[func()], clusters*clusters)
 		w.engs[1].Go("sleeper", func(p *Proc) {
 			for k := 0; k < 5; k++ {
 				p.Sleep(time.Millisecond)

@@ -223,13 +223,13 @@ func TestAheadLongChainSyncs(t *testing.T) {
 // holds chained links would run it before links that precede it; the engine
 // panics instead of reordering.
 func TestAheadMisusePanics(t *testing.T) {
-	for name, misuse := range map[string]func(p *Proc, l *Lane, mb *Mailbox){
-		"At":      func(p *Proc, _ *Lane, _ *Mailbox) { p.Engine().At(0, func() {}) },
-		"Put":     func(_ *Proc, _ *Lane, mb *Mailbox) { mb.Put(1) },
-		"Lane.At": func(_ *Proc, l *Lane, _ *Mailbox) { l.At(time.Second, func() {}) },
+	for name, misuse := range map[string]func(p *Proc, l *Lane[func()], mb *Mailbox){
+		"At":      func(p *Proc, _ *Lane[func()], _ *Mailbox) { p.Engine().At(0, func() {}) },
+		"Put":     func(_ *Proc, _ *Lane[func()], mb *Mailbox) { mb.Put(1) },
+		"Lane.At": func(_ *Proc, l *Lane[func()], _ *Mailbox) { l.At(time.Second, func() {}) },
 	} {
 		e := NewEngine()
-		l := NewLane(e, e)
+		l := newCallLane(e, e)
 		mb := NewMailbox(e, "m")
 		e.Go("waiter", func(p *Proc) { mb.Get(p) }) // parked by the time p runs
 		e.Go("p", func(p *Proc) {

@@ -2,22 +2,35 @@ package sim
 
 // The four containers of the simulator's hot paths. Each is single-threaded
 // (an instance belongs to the engine that runs it, see PerEngine), allocates
-// nothing in steady state, and drops every reference it hands out, so pooled
-// or queued records are reclaimed as soon as their last user lets go.
+// nothing in steady state, and drops every reference it hands out. Queued
+// buffers are reclaimed as soon as their last user lets go; Free's records
+// share chunks, so one is reclaimed with its chunk, once the last user of
+// every record carved from that chunk has let go.
 
 // Free is a LIFO free list of *T records; the zero value is empty. Get on an
-// empty list returns a new zero T, so a record that binds a closure or a
-// future at creation tests that field after Get.
-type Free[T any] struct{ free []*T }
+// empty list carves a zero T from a chunk, so a record that binds a closure
+// or a future at creation tests that field after Get.
+type Free[T any] struct {
+	free  []*T
+	chunk []T // records not yet handed out
+	made  int // records carved so far
+}
 
-// Get pops the most recently Put record, or allocates a zero one.
+// Get pops the most recently Put record — the warmest one — or carves a zero
+// one. Chunks double up to 256 records, so n carves cost O(log n) allocations.
 func (f *Free[T]) Get() *T {
 	if k := len(f.free); k > 0 {
 		t := f.free[k-1]
 		f.free = f.free[:k-1]
 		return t
 	}
-	return new(T)
+	if len(f.chunk) == 0 {
+		f.chunk = make([]T, min(max(f.made, 1), 256))
+		f.made += len(f.chunk)
+	}
+	t := &f.chunk[0]
+	f.chunk = f.chunk[1:]
+	return t
 }
 
 // Put recycles t. The caller has dropped whatever t must not keep alive.

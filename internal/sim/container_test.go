@@ -6,6 +6,9 @@ import (
 	"albatross/internal/rng"
 )
 
+// TestFreeList: Get hands back the most recently Put record first (the
+// warmest), records carved from chunks are distinct and zeroed, and carving
+// n records costs O(log n) allocations.
 func TestFreeList(t *testing.T) {
 	type rec struct {
 		v  int
@@ -21,11 +24,35 @@ func TestFreeList(t *testing.T) {
 	if got := f.Get(); got != b {
 		t.Fatalf("Get = %+v, want the last Put (LIFO)", got)
 	}
+	f.Put(b)
+	if got := f.Get(); got != b {
+		t.Fatalf("Get after Put = %+v, want the record just Put", got)
+	}
 	if got := f.Get(); got != a {
 		t.Fatalf("Get = %+v, want the first Put", got)
 	}
-	if got := f.Get(); got == a || got == b || got.v != 0 {
-		t.Fatalf("Get on drained list = %+v, want a fresh zero record", got)
+
+	const n = 1000
+	seen := make(map[*rec]bool, n)
+	for i := 0; i < n; i++ {
+		r := f.Get()
+		if seen[r] || r == a || r == b {
+			t.Fatalf("Get %d on a drained list handed out %p twice", i, r)
+		}
+		if r.v != 0 || r.fn != nil {
+			t.Fatalf("Get %d on a drained list = %+v, want a zero record", i, r)
+		}
+		seen[r] = true
+		r.v = i + 1 // a neighbour in the chunk must not see this
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		var g Free[rec]
+		for i := 0; i < n; i++ {
+			g.Get()
+		}
+	})
+	if allocs > 20 { // 2·log2(n)
+		t.Errorf("%d Gets on an empty list cost %.0f allocations, want O(log n)", n, allocs)
 	}
 }
 

@@ -13,7 +13,10 @@ import (
 // lanes must dispatch exactly what an engine given the same inserts as plain
 // At calls dispatches — same order, same clock at every event, same count,
 // same error. laneProgram decodes a byte string into such a schedule and runs
-// it either way.
+// it either way. The lanes carry their callbacks as items (Lane[func()]), and
+// every lane insert is checked against the spill rule: it leaves the ring
+// exactly when it is due now or earlier than the newest event still waiting
+// in the lane's ring.
 //
 // Byte 0 sets a deadline (0 = none, else b × 8 µs); byte 1 the number of
 // events scheduled before Run. Every event is three bytes:
@@ -40,9 +43,14 @@ type laneTrace struct {
 
 func laneProgram(t testing.TB, data []byte, lanes bool) laneTrace {
 	e := NewEngine()
-	var ls [3]*Lane
+	var ls [3]*Lane[func()]
+	var ringed [3]int         // per lane: inserts waiting in the ring
+	var tail [3]time.Duration // per lane: time of the newest of them
+	spilled := 0
 	for i := range ls {
-		ls[i] = NewLane(e, e)
+		ls[i] = NewLane(e, e,
+			func(fn func()) { ringed[i]--; fn() },
+			func(fn func()) func() { spilled++; return fn })
 	}
 	var tr laneTrace
 	pos, id := 0, 0
@@ -86,8 +94,19 @@ func laneProgram(t testing.TB, data []byte, lanes bool) laneTrace {
 		}
 		if target == 0 || !lanes {
 			e.At(at, fn)
-		} else {
-			ls[target-1].At(at, fn)
+			return
+		}
+		k := target - 1
+		leaves := at <= e.Now() || (ringed[k] > 0 && at < tail[k])
+		before := spilled
+		ls[k].At(at, fn)
+		if ran := spilled - before; ran > 1 || (ran == 1) != leaves {
+			t.Fatalf("event %d at %v on lane %d (clock %v, %d ringed, tail %v): spill ran %d times; leaves the ring: %v",
+				me, at, k, e.Now(), ringed[k], tail[k], ran, leaves)
+		}
+		if !leaves {
+			ringed[k]++
+			tail[k] = at
 		}
 	}
 	e.SetDeadline(time.Duration(next()) * 8 * time.Microsecond)
@@ -110,13 +129,18 @@ func laneProgram(t testing.TB, data []byte, lanes bool) laneTrace {
 				t.Errorf("lane %d still holds %d events after a drained run", i, l.q.Len())
 			}
 			for j, ev := range l.q.buf {
-				if ev.fn != nil {
+				if ev.item != nil {
 					t.Errorf("lane %d slot %d retains a callback", i, j)
 				}
 			}
 		}
 	}
 	return tr
+}
+
+// newCallLane returns a lane whose items are the events' callbacks.
+func newCallLane(src, dst *Engine) *Lane[func()] {
+	return NewLane(src, dst, func(fn func()) { fn() }, func(fn func()) func() { return fn })
 }
 
 func checkLaneProgram(t testing.TB, data []byte) {
@@ -198,7 +222,7 @@ func TestLaneOrderRandomPrograms(t *testing.T) {
 func TestLaneDeadline(t *testing.T) {
 	for _, lanes := range []bool{false, true} {
 		e := NewEngine()
-		l := NewLane(e, e)
+		l := newCallLane(e, e)
 		ran := 0
 		for k := 1; k <= 5; k++ {
 			at := time.Duration(k) * time.Millisecond
@@ -225,7 +249,7 @@ func TestLaneDeadline(t *testing.T) {
 // and the slots of the events that did run no longer hold their closures.
 func TestLaneStopAndShutdown(t *testing.T) {
 	e := NewEngine()
-	l := NewLane(e, e)
+	l := newCallLane(e, e)
 	e.Go("parked", func(p *Proc) { NewMailbox(e, "never").Get(p) })
 	ran := 0
 	for k := 1; k <= 10; k++ {
@@ -248,7 +272,7 @@ func TestLaneStopAndShutdown(t *testing.T) {
 		t.Errorf("lane holds %d, want 7", l.q.Len())
 	}
 	for j := 0; j < 3; j++ {
-		if l.q.buf[j].fn != nil {
+		if l.q.buf[j].item != nil {
 			t.Errorf("slot %d retains the callback of an event that ran", j)
 		}
 	}
@@ -262,7 +286,7 @@ func TestLaneShardedPassThrough(t *testing.T) {
 	want := buildWorld(t, 4, 3, 40, false).run()
 	for _, sharded := range []bool{false, true} {
 		w := buildWorld(t, 4, 3, 40, sharded)
-		w.lanes = make([]*Lane, 4*4)
+		w.lanes = make([]*Lane[func()], 4*4)
 		got := w.run()
 		if got.err != nil {
 			t.Fatalf("sharded=%v: %v", sharded, got.err)
@@ -309,7 +333,7 @@ func BenchmarkEngineDeepQueue(b *testing.B) {
 					}
 				})
 			}
-			var ls [pipes]*Lane
+			var ls [pipes]*Lane[func()]
 			var tail [pipes]time.Duration
 			var arrive [pipes]func()
 			sched := func(k int) {
@@ -321,7 +345,7 @@ func BenchmarkEngineDeepQueue(b *testing.B) {
 			}
 			left := b.N
 			for k := range arrive {
-				ls[k] = NewLane(e, e)
+				ls[k] = newCallLane(e, e)
 				arrive[k] = func() {
 					if left--; left == 0 {
 						e.Stop()

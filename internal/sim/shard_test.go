@@ -23,7 +23,7 @@ type shardWorld struct {
 	boxes []*Mailbox
 	logs  [][][2]int64 // per node: (virtual ns, payload) at delivery, in order
 	procs []*Proc
-	lanes []*Lane // non-nil: cross-cluster posts go through one lane per directed cluster pair
+	lanes []*Lane[func()] // non-nil: cross-cluster posts go through one lane per directed cluster pair
 }
 
 const worldLookahead = 500 * time.Microsecond
@@ -96,7 +96,7 @@ func (w *shardWorld) post(src *Engine, srcC, dst int, at time.Duration, payload 
 	// are made at its clock plus L, so each pair's times never decrease.
 	k := srcC*len(w.engs) + dst/w.perC
 	if w.lanes[k] == nil {
-		w.lanes[k] = NewLane(src, dstEng)
+		w.lanes[k] = newCallLane(src, dstEng)
 	}
 	w.lanes[k].At(at, fn)
 }

@@ -6,7 +6,8 @@
 # `go test -list '<alt>' <pkg>` to print at least one test per package, for
 # each |-separated alternative of the pattern — so one renamed test cannot
 # hide behind its neighbours in a list. A fuzz step (`-run '^$' -fuzz <Target>`)
-# selects no test on purpose; there the named target must exist instead.
+# selects no test on purpose; there the named target must exist instead, and
+# a benchmark step (`-run '^$' -bench <pattern>`) must select a benchmark.
 #
 # Usage: scripts/ci-run-patterns.sh [workflow.yml]
 set -eu
@@ -23,8 +24,16 @@ fi
 echo "$steps" | while read -r pattern pkgs; do
 	kind=Test flag=-run
 	if [ "$pattern" = '^$' ]; then
-		kind=Fuzz flag=-fuzz
-		pattern=$(echo "$pkgs" | sed -n 's/.*-fuzz \([A-Za-z0-9_]*\).*/\1/p')
+		case "$pkgs" in
+		*-fuzz*)
+			kind=Fuzz flag=-fuzz
+			pattern=$(echo "$pkgs" | sed -n 's/.*-fuzz \([A-Za-z0-9_]*\).*/\1/p')
+			;;
+		*)
+			kind=Benchmark flag=-bench
+			pattern=$(echo "$pkgs" | sed -n 's/.*-bench \([^ ]*\).*/\1/p')
+			;;
+		esac
 	fi
 	for pkg in $pkgs; do
 		case "$pkg" in ./*) ;; *) continue ;; esac
