@@ -17,7 +17,6 @@ package atpg
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"albatross/internal/apps/memo"
@@ -112,10 +111,10 @@ func (c *Circuit) Outputs() int {
 }
 
 // Scratch holds one evaluator's reusable state: the signal buffer filled by
-// every simulation and the per-fault pattern generator. Reusing one Scratch
-// across a worker's whole fault partition removes the dominant allocation of
-// the run (one signal vector per gate-level simulation). A Scratch serves
-// one evaluation at a time and must not be shared between concurrent ones.
+// every simulation and the per-fault pattern generator. Reused across a loop
+// of searches it saves one signal vector per gate-level simulation. A
+// Scratch serves one evaluation at a time and must not be shared between
+// concurrent ones.
 type Scratch struct {
 	vals []byte
 	r    *rng.Rand
@@ -126,18 +125,11 @@ func (c *Circuit) NewScratch() *Scratch {
 	return &Scratch{vals: make([]byte, c.cfg.Inputs+len(c.gates)), r: rng.New(0)}
 }
 
-// eval simulates the circuit on the input pattern; if faultGate >= 0, that
-// gate's output is stuck at stuckAt. It returns a hash of the primary
-// outputs (the last Outputs gate signals). The convenience form allocates;
-// hot loops pass a reused Scratch to evalScratch.
-func (c *Circuit) eval(pattern uint64, faultGate int, stuckAt byte) uint64 {
-	return c.evalScratch(c.NewScratch(), pattern, faultGate, stuckAt)
-}
-
-// evalScratch is eval against caller-owned scratch buffers. Every signal
-// slot is overwritten before it is read, so no clearing is needed between
-// calls.
-func (c *Circuit) evalScratch(s *Scratch, pattern uint64, faultGate int, stuckAt byte) uint64 {
+// eval simulates the circuit on the input pattern, in s's signal buffer; if
+// faultGate >= 0, that gate's output is stuck at stuckAt. It returns a hash
+// of the primary outputs (the last Outputs gate signals). Every signal slot
+// is overwritten before it is read, so no clearing is needed between calls.
+func (c *Circuit) eval(s *Scratch, pattern uint64, faultGate int, stuckAt byte) uint64 {
 	n := c.cfg.Inputs + len(c.gates)
 	vals := s.vals
 	for i := 0; i < c.cfg.Inputs; i++ {
@@ -176,20 +168,14 @@ func (c *Circuit) evalScratch(s *Scratch, pattern uint64, faultGate int, stuckAt
 }
 
 // TestFault searches for a pattern detecting f, trying cfg.Tries
-// deterministic pseudo-random patterns. It returns the pattern, whether one
-// was found, and the number of gate evaluations spent. The convenience form
-// allocates fresh scratch; hot loops use TestFaultScratch.
-func (c *Circuit) TestFault(f Fault) (pattern uint64, found bool, evals int64) {
-	return c.TestFaultScratch(c.NewScratch(), f)
-}
-
-// TestFaultScratch is TestFault against caller-owned scratch buffers.
-func (c *Circuit) TestFaultScratch(s *Scratch, f Fault) (pattern uint64, found bool, evals int64) {
+// deterministic pseudo-random patterns, with s's buffers. It returns the
+// pattern, whether one was found, and the number of gate evaluations spent.
+func (c *Circuit) TestFault(s *Scratch, f Fault) (pattern uint64, found bool, evals int64) {
 	s.r.Seed(c.cfg.Seed ^ rng.Hash64(uint64(f.Gate)*2+uint64(f.StuckAt)))
 	for t := 0; t < c.cfg.Tries; t++ {
 		pat := s.r.Uint64()
-		good := c.evalScratch(s, pat, -1, 0)
-		bad := c.evalScratch(s, pat, f.Gate, f.StuckAt)
+		good := c.eval(s, pat, -1, 0)
+		bad := c.eval(s, pat, f.Gate, f.StuckAt)
 		evals += int64(2 * len(c.gates))
 		if good != bad {
 			return pat, true, evals
@@ -214,7 +200,7 @@ func sequential(cfg Config) Result {
 	s := c.NewScratch()
 	var res Result
 	for _, f := range c.Faults() {
-		if _, ok, _ := c.TestFaultScratch(s, f); ok {
+		if _, ok, _ := c.TestFault(s, f); ok {
 			res.Patterns++
 			res.Covered++
 		}
@@ -226,6 +212,21 @@ func sequential(cfg Config) Result {
 type faultTest struct {
 	found bool
 	evals int64
+}
+
+// testsFor holds each fault's pattern search, in Faults order, computed once
+// per Config on every core: a search depends only on the circuit, so a
+// worker's test of a fault is a table read plus the virtual time it charges.
+var testsFor = memo.Of(tests)
+
+// tests runs every fault's pattern search, each with its own scratch.
+func tests(cfg Config) []faultTest {
+	c := circuitFor(cfg)
+	faults := c.Faults()
+	return memo.Each(len(faults), func(i int) faultTest {
+		_, found, evals := c.TestFault(c.NewScratch(), faults[i])
+		return faultTest{found, evals}
+	})
 }
 
 // statsState is the shared statistics object.
@@ -244,21 +245,9 @@ func addOp(dp, dc int) orca.Op {
 // Build sets up the parallel ATPG run. optimized selects local accumulation
 // with per-cluster reduction instead of one RPC per generated pattern.
 func Build(sys *core.System, cfg Config, optimized bool) func() error {
-	c := circuitFor(cfg)
-	faults := c.Faults()
+	table := testsFor(cfg)
 	p := sys.Topo.Compute()
 	topo := sys.Topo
-
-	// Each fault's pattern search depends only on the circuit, so it runs
-	// on the host's idle cores ahead of the worker that charges it. Every
-	// evaluating goroutine takes a scratch from the pool for the call.
-	scratch := sync.Pool{New: func() any { return c.NewScratch() }}
-	tests := core.NewOffload(sys, len(faults), func(i int) faultTest {
-		s := scratch.Get().(*Scratch)
-		_, found, evals := c.TestFaultScratch(s, faults[i])
-		scratch.Put(s)
-		return faultTest{found, evals}
-	})
 
 	stats := sys.RTS.NewObject("atpg-stats", 0, &statsState{})
 	final := &statsState{}
@@ -282,8 +271,8 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 	sys.SpawnWorkers("atpg", func(w *core.Worker) {
 		i := w.Rank()
 		myPatterns, myCovered := 0, 0
-		for fi := i; fi < len(faults); fi += p {
-			t := tests.Get(fi)
+		for fi := i; fi < len(table); fi += p {
+			t := table[fi]
 			w.Compute(time.Duration(t.evals) * cfg.GateCost)
 			if !t.found {
 				continue

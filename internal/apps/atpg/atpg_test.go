@@ -1,6 +1,8 @@
 package atpg
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,8 +34,9 @@ func run(t *testing.T, clusters, npc int, optimized bool, cfg Config) core.Metri
 func TestCircuitDeterministic(t *testing.T) {
 	cfg := testCfg()
 	a, b := NewCircuit(cfg), NewCircuit(cfg)
+	sa, sb := a.NewScratch(), b.NewScratch()
 	for pat := uint64(0); pat < 64; pat += 7 {
-		if a.eval(pat, -1, 0) != b.eval(pat, -1, 0) {
+		if a.eval(sa, pat, -1, 0) != b.eval(sb, pat, -1, 0) {
 			t.Fatal("circuit generation not deterministic")
 		}
 	}
@@ -42,14 +45,15 @@ func TestCircuitDeterministic(t *testing.T) {
 func TestFaultDetectionMeansOutputsDiffer(t *testing.T) {
 	cfg := testCfg()
 	c := NewCircuit(cfg)
+	s := c.NewScratch()
 	found := 0
 	for _, f := range c.Faults() {
-		pat, ok, _ := c.TestFault(f)
+		pat, ok, _ := c.TestFault(s, f)
 		if !ok {
 			continue
 		}
 		found++
-		if c.eval(pat, -1, 0) == c.eval(pat, f.Gate, f.StuckAt) {
+		if c.eval(s, pat, -1, 0) == c.eval(s, pat, f.Gate, f.StuckAt) {
 			t.Fatalf("pattern %x does not actually detect fault %+v", pat, f)
 		}
 	}
@@ -96,5 +100,26 @@ func TestHighEfficiencyEvenUnoptimized(t *testing.T) {
 	eff := float64(t1) / float64(t4x2) / 8
 	if eff < 0.5 {
 		t.Fatalf("4x2 efficiency %.2f too low for a barely-communicating program", eff)
+	}
+}
+
+// TestSearchTableMatchesLoop: the unmemoized table fill, on one core and on
+// four, equals each fault's pattern search run in a plain loop.
+func TestSearchTableMatchesLoop(t *testing.T) {
+	cfg := testCfg()
+	c := NewCircuit(cfg)
+	s := c.NewScratch()
+	var want []faultTest
+	for _, f := range c.Faults() {
+		_, found, evals := c.TestFault(s, f)
+		want = append(want, faultTest{found, evals})
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := tests(cfg)
+		runtime.GOMAXPROCS(prev)
+		if !slices.Equal(got, want) {
+			t.Errorf("GOMAXPROCS %d: the table differs from the loop", procs)
+		}
 	}
 }

@@ -132,6 +132,34 @@ func sequential(cfg Config) Result {
 	}
 }
 
+// searchesFor holds, per iteration, every frontier job's bounded search, in
+// frontier order, computed once per Config on every core: row k is searched
+// under the threshold every worker reaches after k iteration allreduces, and
+// the last row is the one that finds a solution or exhausts the instance. A
+// search depends only on the frontier and the threshold, so a worker's run of
+// a job is a table read plus the virtual time it charges.
+var searchesFor = memo.Of(searches)
+
+// searches fills the rows, one iteration at a time, each row's minimum next
+// threshold setting the following row's.
+func searches(cfg Config) [][]searchResult {
+	jobs := frontier(cfg)
+	root := Scramble(cfg.Walk, cfg.Seed)
+	var rows [][]searchResult
+	for threshold := manhattan(&root); ; {
+		row := memo.Each(len(jobs), func(i int) searchResult { return jobs[i].search(threshold) })
+		rows = append(rows, row)
+		next, sols := infThreshold, int64(0)
+		for _, res := range row {
+			next, sols = min(next, res.next), sols+res.solutions
+		}
+		if sols > 0 || next >= infThreshold {
+			return rows
+		}
+		threshold = next
+	}
+}
+
 // queueState is one worker's local job queue (a shared object owned by that
 // worker's node, so remote steals are RPCs and local pops are free).
 type queueState struct{ jobs []job }
@@ -236,14 +264,7 @@ func BuildPolicy(sys *core.System, cfg Config, pol Policy) func() error {
 	foundOptimal := -1 // written by rank 0 only, read after the run
 	iter := coll.New(sys, "ida-iter", coll.WideArea)
 
-	// Each job's search under an iteration's threshold depends only on the
-	// frontier, so it runs on the host's idle cores ahead of the worker that
-	// charges it. Iteration k is batch k; the allreduce that ends an
-	// iteration has every search of it read before any worker refills.
-	searchAt := func(threshold int) func(int) searchResult {
-		return func(i int) searchResult { return jobs[i].search(threshold) }
-	}
-	searches := core.NewOffload(sys, len(jobs), searchAt(manhattan(&root)))
+	rows := searchesFor(cfg)
 
 	sys.SpawnWorkers("ida", func(w *core.Worker) {
 		r := w.Rank()
@@ -265,7 +286,7 @@ func BuildPolicy(sys *core.System, cfg Config, pol Policy) func() error {
 			}
 
 			runJob := func(j job) {
-				res := searches.Get(int(j.idx))
+				res := rows[iteration][j.idx]
 				w.Compute(time.Duration(res.expansions) * cfg.ExpandCost)
 				workerExp[r] += res.expansions
 				mySols += res.solutions
@@ -331,7 +352,6 @@ func BuildPolicy(sys *core.System, cfg Config, pol Policy) func() error {
 				return // unsolvable: foundOptimal stays -1, like Sequential
 			}
 			threshold = tot.next
-			searches.Refill(iteration+1, searchAt(threshold))
 		}
 	})
 

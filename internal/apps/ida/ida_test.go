@@ -1,6 +1,7 @@
 package ida
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -197,5 +198,38 @@ func TestIrregularClusters(t *testing.T) {
 	}
 	if err := verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSearchTableMatchesLoop: the unmemoized table fill, on one core and on
+// four, equals each row's jobs searched in a plain loop under the threshold
+// the previous row's minimum gives, and its rows add up to the sequential
+// reference: every expansion, and the solutions in the last row.
+func TestSearchTableMatchesLoop(t *testing.T) {
+	cfg := Config{Walk: 26, Seed: 4, Jobs: 64, ExpandCost: time.Microsecond}
+	jobs, want := frontier(cfg), Sequential(cfg)
+	root := Scramble(cfg.Walk, cfg.Seed)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		rows := searches(cfg)
+		runtime.GOMAXPROCS(prev)
+		threshold := manhattan(&root)
+		var exp, sols int64
+		for k, row := range rows {
+			next := infThreshold
+			sols = 0
+			for i, j := range jobs {
+				res := j.search(threshold)
+				if row[i] != res {
+					t.Fatalf("GOMAXPROCS %d: row %d job %d = %+v, the loop %+v", procs, k, i, row[i], res)
+				}
+				exp, sols, next = exp+res.expansions, sols+res.solutions, min(next, res.next)
+			}
+			threshold = next
+		}
+		if exp != want.Expansions || sols != want.Solutions {
+			t.Errorf("GOMAXPROCS %d: %d rows hold %d expansions and %d solutions, want %d and %d",
+				procs, len(rows), exp, sols, want.Expansions, want.Solutions)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 // Package memo is the one cache the applications share. Everything an
 // application derives from its Config alone — the generated input, the
-// sequential reference its verifier compares against, TSP's a-priori bound —
-// is a pure function of that Config, so it is computed once per distinct
-// Config for the life of the process and handed to every run of that
-// instance, on any platform shape and from any number of harness workers.
+// sequential reference its verifier compares against, TSP's a-priori bound,
+// the per-job search tables of TSP, ATPG and IDA* — is a pure function of
+// that Config, so it is computed once per distinct Config for the life of
+// the process and handed to every run of that instance, on any platform
+// shape and from any number of harness workers. A table's entries are
+// independent, so Each fills it on every core.
 //
 // Held values are shared and read-only: a Build that needs to write takes a
 // copy (ASP copies its matrix). Entries are never evicted; the table grows
@@ -14,8 +16,10 @@ package memo
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // audits holds one checker per memo, appended as package-level memos are
@@ -63,4 +67,30 @@ func Audit() error {
 		}
 	}
 	return nil
+}
+
+// Each returns f(0), …, f(n−1), evaluated by the caller and GOMAXPROCS−1
+// more goroutines that claim indices in ascending order. It returns once
+// every index is done, so no goroutine outlives the call; with GOMAXPROCS 1
+// it is a plain loop. f must be pure: it may run on any goroutine, and which
+// one evaluated an index never shows in the result.
+func Each[T any](n int, f func(i int) T) []T {
+	out := make([]T, n)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			out[i] = f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return out
 }

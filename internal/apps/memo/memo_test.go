@@ -1,10 +1,13 @@
 package memo
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestOneComputePerKey has 16 goroutines ask for one key at once: compute
@@ -81,4 +84,42 @@ func TestAuditCatchesAWrite(t *testing.T) {
 		t.Fatalf("Audit after a write through a held value: %v", err)
 	}
 	get(5)[4] = 0 // leave the process-wide audit clean for other tests
+}
+
+// TestEachMatchesLoop: for n = 0, 1, below and above GOMAXPROCS, Each
+// returns what a plain loop over f returns, evaluates every index exactly
+// once, and leaves no goroutine behind.
+func TestEachMatchesLoop(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, n := range []int{0, 1, max(procs-1, 2), procs + 1, 1000} {
+		calls := make([]atomic.Int32, n)
+		f := func(i int) uint64 {
+			calls[i].Add(1)
+			v := uint64(i)
+			for r := 0; r < 1+i%37*50; r++ { // uneven costs reorder the claims
+				v = v*6364136223846793005 + 1442695040888963407
+			}
+			return v
+		}
+		want := make([]uint64, n)
+		for i := range want {
+			want[i] = f(i)
+		}
+		before := runtime.NumGoroutine()
+		got := Each(n, f)
+		// A helper has called Done before it exits: give it a moment.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("n=%d: %d goroutines after Each, %d before", n, runtime.NumGoroutine(), before)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("n=%d: Each differs from the loop", n)
+		}
+		for i := range calls {
+			if c := calls[i].Load(); c != 2 { // once by the loop, once by Each
+				t.Errorf("n=%d: index %d evaluated %d times by Each", n, i, c-1)
+			}
+		}
+	}
 }

@@ -157,8 +157,8 @@ type jobList struct {
 
 func jobBytes(cfg Config) int { return cfg.JobDepth + 12 }
 
-// jobsFor is the instance's job list, enumerated once per Config, so a run's
-// searches can start before its masters hand out the jobs in virtual time.
+// jobsFor is the instance's job list, enumerated once per Config and shared
+// by the search table and every run's masters.
 var jobsFor = memo.Of(genJobs)
 
 // genJobs enumerates the depth-JobDepth prefixes under the fixed bound, in
@@ -193,6 +193,21 @@ func genJobs(cfg Config) jobList {
 // under the fixed bound.
 func CountJobs(cfg Config) int { return len(jobsFor(cfg).keys) }
 
+// searchesFor holds each job's fixed-bound search, in job order, computed
+// once per Config on every core: a search depends only on the instance, so
+// a worker's run of a job is a table read plus the virtual time it charges.
+var searchesFor = memo.Of(searches)
+
+// searches runs every job's dfs under the fixed bound.
+func searches(cfg Config) []Result {
+	d, bound, keys := Generate(cfg), Optimal(cfg), jobsFor(cfg).keys
+	return memo.Each(len(keys), func(i int) Result {
+		k := keys[i]
+		exp, best := dfs(d, cfg.NCities, k.last, k.used, k.plen, k.depth, bound)
+		return Result{Best: best, Expansions: exp}
+	})
+}
+
 // minState is each node's replica of the "current best tour" object.
 type minState struct{ best int32 }
 
@@ -200,8 +215,6 @@ type minState struct{ best int32 }
 // static queues instead of the central queue. The returned verifier checks
 // the tour length and the exact expansion-count invariant.
 func Build(sys *core.System, cfg Config, optimized bool) func() error {
-	d := Generate(cfg)
-	bound := Optimal(cfg)
 	topo := sys.Topo
 
 	minObj := sys.RTS.NewReplicated("global-min", func(cluster.NodeID) any {
@@ -221,18 +234,11 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 	workerExp := make([]int64, topo.Compute())
 	workerBest := make([]int32, topo.Compute())
 
-	// Each job's search depends only on the instance, so it runs on the
-	// host's idle cores ahead of the worker that charges it.
-	jobs := jobsFor(cfg)
-	searches := core.NewOffload(sys, len(jobs.keys), func(i int) Result {
-		k := jobs.keys[i]
-		exp, best := dfs(d, cfg.NCities, k.last, k.used, k.plen, k.depth, bound)
-		return Result{Best: best, Expansions: exp}
-	})
+	jobs, table := jobsFor(cfg), searchesFor(cfg)
 
 	// runJob executes one job on worker w, charging its search time.
 	runJob := func(w *core.Worker, j job) {
-		r := searches.Get(j.idx)
+		r := table[j.idx]
 		workerExp[w.Rank()] += r.Expansions
 		w.Compute(time.Duration(r.Expansions) * cfg.NodeCost)
 		if r.Best < workerBest[w.Rank()] {

@@ -1,6 +1,8 @@
 package tsp
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -117,5 +119,40 @@ func TestDeterministicExpansions(t *testing.T) {
 	b := run(t, 2, 2, false, cfg)
 	if a.Elapsed != b.Elapsed {
 		t.Fatalf("nondeterministic run times %v vs %v", a.Elapsed, b.Elapsed)
+	}
+}
+
+// TestSearchTableMatchesLoop: the unmemoized table fill, on one core and on
+// four, equals each job's dfs run in a plain loop.
+func TestSearchTableMatchesLoop(t *testing.T) {
+	cfg := Config{NCities: 11, Seed: 5, JobDepth: 3, NodeCost: time.Microsecond}
+	d, bound := Generate(cfg), Optimal(cfg)
+	var want []Result
+	for _, k := range jobsFor(cfg).keys {
+		exp, best := dfs(d, cfg.NCities, k.last, k.used, k.plen, k.depth, bound)
+		want = append(want, Result{Best: best, Expansions: exp})
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := searches(cfg)
+		runtime.GOMAXPROCS(prev)
+		if !slices.Equal(got, want) {
+			t.Errorf("GOMAXPROCS %d: the table differs from the loop", procs)
+		}
+	}
+}
+
+// TestRunLeavesNoGoroutine: a run whose Build fills a fresh search table on
+// four cores returns with every goroutine it started gone — the fill's
+// helpers, the processes and the daemon servers.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	before := runtime.NumGoroutine()
+	run(t, 2, 3, false, Config{NCities: 11, Seed: 31, JobDepth: 3, NodeCost: time.Microsecond})
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }

@@ -14,11 +14,12 @@ import (
 type CombineFunc func(acc, value any) any
 
 // ClusterReducer implements the paper's cluster-level reduction used by
-// Water's write-back phase and by ATPG's statistics (Sections 4.1, 4.4,
-// Table 3 "cluster-level reduction"): updates destined for a processor in a
-// remote cluster are first sent to a local coordinator, which reduces them
-// (e.g. adds force contributions) and transfers only the single combined
-// result over the WAN.
+// Water's write-back phase (Section 4.1, Table 3 "cluster-level reduction"):
+// updates destined for a processor in a remote cluster are first sent to a
+// local coordinator, which reduces them (e.g. adds force contributions) and
+// transfers only the single combined result over the WAN. ATPG's statistics
+// (Section 4.4) reduce the same way through per-cluster shared objects of
+// their own (atpg-agg-N), since each worker contributes once per run.
 //
 // A round is identified by an interned orca.TagID. Contributors in the same
 // cluster as the target bypass the reducer and send directly; contributors in

@@ -104,3 +104,16 @@ func TestChaosReportQuick(t *testing.T) {
 		t.Fatalf("CSV header malformed:\n%s", csv)
 	}
 }
+
+// TestChaosTimelineIsASessionRun: the timeline's hooked run goes through the
+// session, so -chaos -census lists it.
+func TestChaosTimelineIsASessionRun(t *testing.T) {
+	s := &Session{}
+	if _, err := ChaosTimeline(s, "SOR", false, ChaosSpec{Loss: 0.01, Outage: 2 * time.Second}, 72); err != nil {
+		t.Fatal(err)
+	}
+	rows := s.CensusReport().Tables[0].Rows
+	if len(rows) != 1 || !strings.HasPrefix(rows[0][0], "SOR on 4x4 opt=false faults=") {
+		t.Fatalf("census rows %q, want the timeline's one SOR run", rows)
+	}
+}

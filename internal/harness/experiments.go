@@ -98,31 +98,36 @@ func Table1(s *Session) (*Report, error) {
 		Title:   "Round-trip time by message size (request size = reply size)",
 		Headers: []string{"bytes", "LAN", "WAN"},
 	}
-	das := func(clusters, perCluster int) *core.System {
-		return core.NewSystem(core.Config{Topology: cluster.DAS(clusters, perCluster), Params: Params})
-	}
-	// Every microbenchmark is an independent simulation; run them
+	// Every microbenchmark is an independent run through the session, so it
+	// takes the session's transport and is logged for its census; run them
 	// concurrently and assemble the rows afterwards.
-	var lanRPC, wanRPC, lanB, wanB time.Duration
-	var lanBW, wanBW float64
+	das := func(name string, clusters, perCluster int, out *time.Duration, measure func(*core.System, *time.Duration)) func() error {
+		return func() error {
+			_, err := s.Exec(s.Spec(probe(name, out, measure), cluster.DAS(clusters, perCluster), false))
+			return err
+		}
+	}
+	var lanRPC, wanRPC, lanB, wanB, lanStream, wanStream time.Duration
 	sizes := []int{0, 64, 1024, 8192, 65536, 1 << 20}
 	rtts := make([][2]time.Duration, len(sizes)) // LAN, WAN per size
 	tasks := []func() error{
-		func() (err error) { lanRPC, err = measureRPCLatency(das(1, 2)); return },
-		func() (err error) { wanRPC, err = measureRPCLatency(das(2, 2)); return },
-		func() (err error) { lanB, err = measureBcastLatency(das(1, 60)); return },
-		func() (err error) { wanB, err = measureBcastLatency(das(2, 30)); return },
-		func() (err error) { lanBW, err = measureBandwidth(das(1, 2)); return },
-		func() (err error) { wanBW, err = measureBandwidth(das(2, 2)); return },
+		das("rpc", 1, 2, &lanRPC, rpcLatency),
+		das("rpc", 2, 2, &wanRPC, rpcLatency),
+		das("bcast", 1, 60, &lanB, bcastLatency),
+		das("bcast", 2, 30, &wanB, bcastLatency),
+		das("stream", 1, 2, &lanStream, streamTime),
+		das("stream", 2, 2, &wanStream, streamTime),
 	}
 	for i, size := range sizes {
 		for lvl := range rtts[i] {
-			tasks = append(tasks, func() (err error) { rtts[i][lvl], err = measureRTT(das(lvl+1, 2), size); return })
+			tasks = append(tasks, das(fmt.Sprintf("rtt %dB", size), lvl+1, 2, &rtts[i][lvl],
+				func(sys *core.System, out *time.Duration) { roundTrip(sys, size, out) }))
 		}
 	}
 	if err := s.do(tasks...); err != nil {
 		return nil, err
 	}
+	lanBW, wanBW := streamBandwidth(lanStream), streamBandwidth(wanStream)
 	t.Rows = append(t.Rows,
 		[]string{"RPC (non-replicated)", fmtUS(lanRPC), fmtUS(wanRPC), fmtMbit(lanBW), fmtMbit(wanBW)},
 		[]string{"Broadcast (replicated)", fmtUS(lanB), fmtUS(wanB), fmtMbit(lanBW), fmtMbit(wanBW)},
@@ -153,50 +158,49 @@ func farNode(sys *core.System) cluster.NodeID {
 	return 1
 }
 
-// measureRPCLatency times a null remote invocation on an object owned by
-// node 0; on two clusters the call crosses the WAN twice.
-func measureRPCLatency(sys *core.System) (time.Duration, error) {
+// probe is one Table 1 microbenchmark as a one-off application: its Build
+// has measure spawn the measuring processes, which write the measured time
+// to out before the run ends. There is nothing to verify.
+func probe(name string, out *time.Duration, measure func(*core.System, *time.Duration)) AppSpec {
+	return AppSpec{Name: "table1 " + name, Build: func(sys *core.System, _ bool) func() error {
+		measure(sys, out)
+		return nil
+	}}
+}
+
+// rpcLatency times a null remote invocation on an object owned by node 0;
+// on two clusters the call crosses the WAN twice.
+func rpcLatency(sys *core.System, out *time.Duration) {
 	obj := sys.RTS.NewObject("null", 0, struct{}{})
-	var rtt time.Duration
 	sys.SpawnAt(farNode(sys), "caller", func(w *core.Worker) {
 		const reps = 10
 		start := w.P.Now()
 		for i := 0; i < reps; i++ {
 			w.Invoke(obj, orca.Op{Name: "null", Apply: func(s any) any { return nil }})
 		}
-		rtt = (w.P.Now() - start) / reps
+		*out = (w.P.Now() - start) / reps
 	})
-	if _, err := sys.Run(); err != nil {
-		return 0, fmt.Errorf("table1 rpc latency on %s: %w", sys.Topo, err)
-	}
-	return rtt, nil
 }
 
-// measureBcastLatency times a null replicated update on an object replicated
-// on every node (paper Table 1's 60-replica benchmark). The writer is
-// farNode: the rotating sequencer parks its token in cluster 0 while idle,
-// so a writer there would order its updates at LAN speed even on two
-// clusters.
-func measureBcastLatency(sys *core.System) (time.Duration, error) {
+// bcastLatency times a null replicated update on an object replicated on
+// every node (paper Table 1's 60-replica benchmark). The writer is farNode:
+// the rotating sequencer parks its token in cluster 0 while idle, so a writer
+// there would order its updates at LAN speed even on two clusters.
+func bcastLatency(sys *core.System, out *time.Duration) {
 	obj := sys.RTS.NewReplicated("null", func(cluster.NodeID) any { return struct{}{} })
-	var lat time.Duration
 	sys.SpawnAt(farNode(sys), "writer", func(w *core.Worker) {
 		const reps = 10
 		start := w.P.Now()
 		for i := 0; i < reps; i++ {
 			w.Invoke(obj, orca.Op{Name: "null", Apply: func(s any) any { return nil }})
 		}
-		lat = (w.P.Now() - start) / reps
+		*out = (w.P.Now() - start) / reps
 	})
-	if _, err := sys.Run(); err != nil {
-		return 0, fmt.Errorf("table1 bcast latency on %s: %w", sys.Topo, err)
-	}
-	return lat, nil
 }
 
-// measureRTT times one request/reply exchange with size-byte payloads each
+// roundTrip times one request/reply exchange with size-byte payloads each
 // way, from node 0 to an echo service on farNode.
-func measureRTT(sys *core.System, size int) (time.Duration, error) {
+func roundTrip(sys *core.System, size int, out *time.Duration) {
 	peer := farNode(sys)
 	mb := sys.RTS.RegisterService(peer, "echo")
 	sys.SpawnAt(peer, "server", func(w *core.Worker) {
@@ -206,44 +210,40 @@ func measureRTT(sys *core.System, size int) (time.Duration, error) {
 			req.Reply(size, req.Payload)
 		}
 	})
-	var rtt time.Duration
 	sys.SpawnAt(0, "client", func(w *core.Worker) {
 		start := w.P.Now()
 		w.Call(peer, "echo", size, "ping")
-		rtt = w.P.Now() - start
+		*out = w.P.Now() - start
 	})
-	if _, err := sys.Run(); err != nil {
-		return 0, fmt.Errorf("table1 %d-byte round trip on %s: %w", size, sys.Topo, err)
-	}
-	return rtt, nil
 }
 
-// measureBandwidth streams 100 KB messages point-to-point from node 0
-// (across the WAN on two clusters) and reports achieved bytes/second.
-func measureBandwidth(sys *core.System) (float64, error) {
+// The bandwidth stream: streamMsgs messages of streamChunk bytes each.
+const streamMsgs, streamChunk = 20, 100 * 1024
+
+// streamTime streams the bandwidth messages point-to-point from node 0
+// (across the WAN on two clusters) and records when the sink has them all.
+func streamTime(sys *core.System, out *time.Duration) {
 	dst := farNode(sys)
-	const chunk = 100 * 1024
-	const nmsg = 20
-	var elapsed time.Duration
 	doneF := sim.NewFuture(sys.Engine, "bw-done")
 	tag := sys.RTS.InternTag(orca.Tag{Op: "bw"})
 	sys.SpawnAt(dst, "sink", func(w *core.Worker) {
-		for i := 0; i < nmsg; i++ {
+		for i := 0; i < streamMsgs; i++ {
 			w.RecvID(tag)
 		}
 		doneF.Set(nil)
 	})
 	sys.SpawnAt(0, "src", func(w *core.Worker) {
-		for i := 0; i < nmsg; i++ {
-			w.SendID(dst, tag, chunk, nil)
+		for i := 0; i < streamMsgs; i++ {
+			w.SendID(dst, tag, streamChunk, nil)
 		}
 		doneF.Await(w.P)
-		elapsed = w.P.Now()
+		*out = w.P.Now()
 	})
-	if _, err := sys.Run(); err != nil {
-		return 0, fmt.Errorf("table1 bandwidth on %s: %w", sys.Topo, err)
-	}
-	return float64(nmsg*chunk) / elapsed.Seconds(), nil
+}
+
+// streamBandwidth is the bytes per second a stream that took elapsed achieved.
+func streamBandwidth(elapsed time.Duration) float64 {
+	return float64(streamMsgs*streamChunk) / elapsed.Seconds()
 }
 
 // Table2 reproduces the application characteristics on 64 processors of a

@@ -144,7 +144,7 @@ func ChaosTimeline(s *Session, appName string, optimized bool, c ChaosSpec, widt
 	}
 	spec := s.chaosRun(app, cluster.DAS(4, 4), optimized, c)
 	tl := trace.New(time.Millisecond)
-	m, err := Exec(spec, TimelineHook(tl))
+	m, err := s.Exec(spec, TimelineHook(tl))
 	if err != nil {
 		return "", err
 	}

@@ -95,18 +95,14 @@ func TestTable1Shape(t *testing.T) {
 // every update waits for the WAN (paper: 3.0 ms) while on one it orders at
 // LAN speed (paper: 65 us).
 func TestTable1BcastLatency(t *testing.T) {
-	das := func(clusters, perCluster int) *core.System {
-		return core.NewSystem(core.Config{Topology: cluster.DAS(clusters, perCluster), Params: Params})
-	}
-	wan, err := measureBcastLatency(das(2, 30))
-	if err != nil {
+	var wan, lan time.Duration
+	if _, err := Exec(RunSpec{App: probe("bcast", &wan, bcastLatency), Topo: cluster.DAS(2, 30), Params: Params}); err != nil {
 		t.Fatal(err)
 	}
 	if wan < 2300*time.Microsecond || wan > 3500*time.Microsecond {
 		t.Errorf("WAN broadcast latency %v, want 2.3-3.5 ms", wan)
 	}
-	lan, err := measureBcastLatency(das(1, 60))
-	if err != nil {
+	if _, err := Exec(RunSpec{App: probe("bcast", &lan, bcastLatency), Topo: cluster.DAS(1, 60), Params: Params}); err != nil {
 		t.Fatal(err)
 	}
 	if lan >= 200*time.Microsecond {
@@ -152,25 +148,61 @@ func TestTableRenderRaggedRow(t *testing.T) {
 	}
 }
 
-// TestTable1MeasurementsReturnErrors hands each Table-1 microbenchmark a
+// TestTable1MeasurementsReturnErrors runs each Table-1 microbenchmark on a
 // system that cannot finish (a 1ns virtual deadline) and requires the
 // engine's structured error back, not a panic: the path is reachable from
 // `dasbench -exp table1`.
 func TestTable1MeasurementsReturnErrors(t *testing.T) {
-	doomed := func() *core.System {
-		sys := core.NewSystem(core.Config{Topology: cluster.DAS(2, 2), Params: Params})
-		sys.Engine.SetDeadline(1)
-		return sys
-	}
-	_, errRPC := measureRPCLatency(doomed())
-	_, errBcast := measureBcastLatency(doomed())
-	_, errBW := measureBandwidth(doomed())
-	_, errRTT := measureRTT(doomed(), 1024)
-	for name, err := range map[string]error{"rpc": errRPC, "bcast": errBcast, "bandwidth": errBW, "rtt": errRTT} {
+	for name, measure := range map[string]func(*core.System, *time.Duration){
+		"rpc": rpcLatency, "bcast": bcastLatency, "stream": streamTime,
+		"rtt": func(sys *core.System, out *time.Duration) { roundTrip(sys, 1024, out) },
+	} {
+		var v time.Duration
+		_, err := Exec(RunSpec{App: probe(name, &v, measure), Topo: cluster.DAS(2, 2), Params: Params, Deadline: 1})
 		var dl *sim.DeadlineError
 		if !errors.As(err, &dl) {
 			t.Errorf("%s measurement returned %v, want a *sim.DeadlineError", name, err)
 		}
+	}
+}
+
+// TestTable1ThroughTheSession: every Table 1 microbenchmark is a session run
+// — one census row each — and a Transport session measures on the coalescing
+// gateways: its WAN columns move while its LAN columns, which never reach a
+// gateway, stay as they are.
+func TestTable1ThroughTheSession(t *testing.T) {
+	plain, framed := &Session{}, &Session{Transport: true}
+	var reps [2]*Report
+	for i, s := range []*Session{plain, framed} {
+		var err error
+		if reps[i], err = Table1(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := plain.CensusReport().Tables[0].Rows
+	if len(rows) != 18 {
+		t.Fatalf("%d census rows, want one per microbenchmark (18)", len(rows))
+	}
+	for _, r := range rows {
+		if !strings.HasPrefix(r[0], "table1 ") {
+			t.Errorf("census row %q is not a Table 1 run", r[0])
+		}
+	}
+	wanMoved := false
+	for k, tb := range reps[0].Tables {
+		for i, row := range tb.Rows {
+			for j, cell := range row {
+				other := reps[1].Tables[k].Rows[i][j]
+				if strings.HasPrefix(tb.Headers[j], "WAN") {
+					wanMoved = wanMoved || cell != other
+				} else if cell != other {
+					t.Errorf("%s row %d %q: %q plain, %q on the transport", tb.ID, i, tb.Headers[j], cell, other)
+				}
+			}
+		}
+	}
+	if !wanMoved {
+		t.Error("no WAN cell changed on the transport: Table 1 ignored the session's setting")
 	}
 }
 

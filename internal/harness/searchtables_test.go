@@ -8,12 +8,14 @@ import (
 	"albatross/internal/cluster"
 )
 
-// TestOffloadSameBytes: the applications that evaluate their searches through
-// core.Offload — TSP, ATPG and IDA*, both variants — produce the same
-// metrics, event counts, census and process resumes with no helper
-// goroutine (GOMAXPROCS 1) as with three (GOMAXPROCS 4), and pass their
-// verifiers in both.
-func TestOffloadSameBytes(t *testing.T) {
+// TestSearchTablesSameBytes: the applications that read their per-job
+// searches from memoized tables — TSP, ATPG and IDA*, both variants —
+// produce the same metrics, event counts, census and process resumes at
+// GOMAXPROCS 1 as at GOMAXPROCS 4, and pass their verifiers in both. The
+// first setting fills any table not yet filled, the second reads it warm;
+// the apps' TestSearchTableMatchesLoop hold the fill itself to a plain loop
+// at both settings.
+func TestSearchTablesSameBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six DAS 4x15 runs per GOMAXPROCS setting")
 	}
