@@ -156,3 +156,21 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildWithoutRunLeavesNoGoroutine: a Build that fills a fresh search
+// table on four cores, on a System that is never run, leaves no goroutine
+// behind — the fill's helpers are gone when Build returns, and processes
+// start only with Run.
+func TestBuildWithoutRunLeavesNoGoroutine(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	before := runtime.NumGoroutine()
+	sys := core.NewSystem(core.Config{Topology: cluster.DAS(2, 3), Params: cluster.DASParams()})
+	Build(sys, Config{NCities: 11, Seed: 37, JobDepth: 3, NodeCost: time.Microsecond}, false)
+	// A fill helper has called Done before it exits: give it a moment.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Build, %d before", runtime.NumGoroutine(), before)
+		}
+	}
+}
