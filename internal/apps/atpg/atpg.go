@@ -17,6 +17,8 @@ package atpg
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"time"
 
 	"albatross/internal/apps/memo"
@@ -39,7 +41,10 @@ func Default() Config {
 	return Config{Inputs: 24, Gates: 600, Tries: 24, Seed: 7, GateCost: 250 * time.Nanosecond}
 }
 
-// gate kinds
+// gate kinds. gNor computes (¬a) ∨ b, not NOR: the model's scalar
+// evaluator (the tests' oracle) spells it 1 - a | b, which Go parses as
+// (1-a) | b. Every ATPG result and golden depends on it, so the word kernel
+// reproduces it (^a | b) until a model change fixes it.
 const (
 	gAnd = iota
 	gOr
@@ -110,56 +115,54 @@ func (c *Circuit) Outputs() int {
 	return o
 }
 
-// Scratch holds one evaluator's reusable state: the signal buffer filled by
-// every simulation and the per-fault pattern generator. Reused across a loop
-// of searches it saves one signal vector per gate-level simulation. A
-// Scratch serves one evaluation at a time and must not be shared between
-// concurrent ones.
+// Scratch holds one evaluator's reusable state: the good and the faulty
+// circuit's signal words, one bit per try, and the per-fault pattern
+// generator. A Scratch serves one evaluation at a time and must not be
+// shared between concurrent ones.
 type Scratch struct {
-	vals []byte
-	r    *rng.Rand
+	good, bad []uint64
+	r         *rng.Rand
 }
 
 // NewScratch returns scratch buffers sized for this circuit.
 func (c *Circuit) NewScratch() *Scratch {
-	return &Scratch{vals: make([]byte, c.cfg.Inputs+len(c.gates)), r: rng.New(0)}
+	n := c.cfg.Inputs + len(c.gates)
+	return &Scratch{good: make([]uint64, n), bad: make([]uint64, n), r: rng.New(0)}
 }
 
-// eval simulates the circuit on the input pattern, in s's signal buffer; if
-// faultGate >= 0, that gate's output is stuck at stuckAt. It returns a hash
-// of the primary outputs (the last Outputs gate signals). Every signal slot
-// is overwritten before it is read, so no clearing is needed between calls.
-func (c *Circuit) eval(s *Scratch, pattern uint64, faultGate int, stuckAt byte) uint64 {
-	n := c.cfg.Inputs + len(c.gates)
-	vals := s.vals
-	for i := 0; i < c.cfg.Inputs; i++ {
-		vals[i] = byte((pattern >> i) & 1)
-	}
-	for i, g := range c.gates {
+// evalWords evaluates gates from..Gates-1 on 64 tries at once, bit l of
+// every signal word belonging to try l. Signals below Inputs+from must
+// already be set.
+func (c *Circuit) evalWords(vals []uint64, from int) {
+	in := c.cfg.Inputs
+	for i := from; i < len(c.gates); i++ {
+		g := c.gates[i]
 		a, b := vals[g.a], vals[g.b]
-		var v byte
+		var v uint64
 		switch g.kind {
 		case gAnd:
 			v = a & b
 		case gOr:
 			v = a | b
 		case gNand:
-			v = 1 - a&b
+			v = ^(a & b)
 		case gNor:
-			v = 1 - a | b
+			v = ^a | b // the scalar model's (¬a) ∨ b, see the gate kinds
 		case gXor:
 			v = a ^ b
 		case gNot:
-			v = 1 - a
+			v = ^a
 		}
-		if i == faultGate {
-			v = stuckAt
-		}
-		vals[c.cfg.Inputs+i] = v
+		vals[in+i] = v
 	}
+}
+
+// signature hashes try l's primary outputs (the last Outputs gate signals).
+func (c *Circuit) signature(vals []uint64, l int) uint64 {
+	n := len(vals)
 	var sig uint64
 	for i := n - c.Outputs(); i < n; i++ {
-		sig = sig<<1 | uint64(vals[i])
+		sig = sig<<1 | vals[i]>>l&1
 		if i%53 == 0 {
 			sig *= 0x9e3779b97f4a7c15 // fold long output vectors
 		}
@@ -169,19 +172,50 @@ func (c *Circuit) eval(s *Scratch, pattern uint64, faultGate int, stuckAt byte) 
 
 // TestFault searches for a pattern detecting f, trying cfg.Tries
 // deterministic pseudo-random patterns, with s's buffers. It returns the
-// pattern, whether one was found, and the number of gate evaluations spent.
+// pattern, whether one was found, and the number of gate evaluations spent:
+// two circuit simulations per try up to and including the detecting one.
+//
+// The tries run 64 to a word. Per chunk the good circuit is evaluated once;
+// the faulty one copies the signals before the faulted gate and evaluates
+// only from it onward. A try detects f iff its output signatures differ, so
+// only tries whose outputs differ are hashed, in try order.
 func (c *Circuit) TestFault(s *Scratch, f Fault) (pattern uint64, found bool, evals int64) {
 	s.r.Seed(c.cfg.Seed ^ rng.Hash64(uint64(f.Gate)*2+uint64(f.StuckAt)))
-	for t := 0; t < c.cfg.Tries; t++ {
-		pat := s.r.Uint64()
-		good := c.eval(s, pat, -1, 0)
-		bad := c.eval(s, pat, f.Gate, f.StuckAt)
-		evals += int64(2 * len(c.gates))
-		if good != bad {
-			return pat, true, evals
+	in, outs := c.cfg.Inputs, len(s.good)-c.Outputs()
+	stuck := -uint64(f.StuckAt) // all ones for stuck-at-1
+	var chunk [64]uint64
+	for base := 0; base < c.cfg.Tries; base += 64 {
+		k := min(64, c.cfg.Tries-base)
+		pats := chunk[:k]
+		for l := range pats {
+			pats[l] = s.r.Uint64()
+		}
+		for i := 0; i < in; i++ {
+			var w uint64
+			for l, p := range pats {
+				w |= (p >> i & 1) << l
+			}
+			s.good[i] = w
+		}
+		c.evalWords(s.good, 0)
+		copy(s.bad[:in+f.Gate], s.good)
+		s.bad[in+f.Gate] = stuck
+		c.evalWords(s.bad, f.Gate+1)
+		var diff uint64
+		for i := outs; i < len(s.good); i++ {
+			diff |= s.good[i] ^ s.bad[i]
+		}
+		if k < 64 {
+			diff &= 1<<k - 1
+		}
+		for ; diff != 0; diff &= diff - 1 {
+			l := bits.TrailingZeros64(diff)
+			if c.signature(s.good, l) != c.signature(s.bad, l) {
+				return pats[l], true, int64(2 * len(c.gates) * (base + l + 1))
+			}
 		}
 	}
-	return 0, false, evals
+	return 0, false, int64(2 * len(c.gates) * c.cfg.Tries)
 }
 
 // Result is the statistic the program reports.
@@ -219,14 +253,21 @@ type faultTest struct {
 // worker's test of a fault is a table read plus the virtual time it charges.
 var testsFor = memo.Of(tests)
 
-// tests runs every fault's pattern search, each with its own scratch.
+// tests runs every fault's pattern search, in blocks of 64 faults that share
+// one scratch: a fresh scratch per fault costs more than the search.
 func tests(cfg Config) []faultTest {
 	c := circuitFor(cfg)
 	faults := c.Faults()
-	return memo.Each(len(faults), func(i int) faultTest {
-		_, found, evals := c.TestFault(c.NewScratch(), faults[i])
-		return faultTest{found, evals}
+	const block = 64
+	blocks := memo.Each((len(faults)+block-1)/block, func(b int) []faultTest {
+		s := c.NewScratch()
+		out := make([]faultTest, min(block, len(faults)-b*block))
+		for i := range out {
+			_, out[i].found, out[i].evals = c.TestFault(s, faults[b*block+i])
+		}
+		return out
 	})
+	return slices.Concat(blocks...)
 }
 
 // statsState is the shared statistics object.

@@ -1,6 +1,8 @@
 package atpg
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"albatross/internal/cluster"
 	"albatross/internal/core"
+	"albatross/internal/rng"
 )
 
 func testCfg() Config {
@@ -31,12 +34,98 @@ func run(t *testing.T, clusters, npc int, optimized bool, cfg Config) core.Metri
 	return m
 }
 
+// eval is the scalar oracle for the word kernel: it simulates the circuit on
+// one input pattern, a byte per signal in vals, with gate faultGate's output
+// (if >= 0) stuck at stuckAt, and hashes the primary outputs.
+func (c *Circuit) eval(vals []byte, pattern uint64, faultGate int, stuckAt byte) uint64 {
+	n := c.cfg.Inputs + len(c.gates)
+	for i := 0; i < c.cfg.Inputs; i++ {
+		vals[i] = byte((pattern >> i) & 1)
+	}
+	for i, g := range c.gates {
+		a, b := vals[g.a], vals[g.b]
+		var v byte
+		switch g.kind {
+		case gAnd:
+			v = a & b
+		case gOr:
+			v = a | b
+		case gNand:
+			v = 1 - a&b
+		case gNor:
+			v = 1 - a | b // (1-a) | b: the model's quirk, see the gate kinds
+		case gXor:
+			v = a ^ b
+		case gNot:
+			v = 1 - a
+		}
+		if i == faultGate {
+			v = stuckAt
+		}
+		vals[c.cfg.Inputs+i] = v
+	}
+	var sig uint64
+	for i := n - c.Outputs(); i < n; i++ {
+		sig = sig<<1 | uint64(vals[i])
+		if i%53 == 0 {
+			sig *= 0x9e3779b97f4a7c15 // fold long output vectors
+		}
+	}
+	return sig
+}
+
+// scalarStats counts what the scalar oracle met on a circuit's faults.
+type scalarStats struct {
+	late      int // faults detected past the first 64-try chunk
+	collision int // tries whose outputs differ under equal signatures
+}
+
+// testFaultScalar is the oracle for TestFault: one try at a time, the good
+// and the faulty circuit simulated in full per try.
+func (c *Circuit) testFaultScalar(f Fault, st *scalarStats) (pattern uint64, found bool, evals int64) {
+	n := c.cfg.Inputs + len(c.gates)
+	gv, bv := make([]byte, n), make([]byte, n)
+	r := rng.New(c.cfg.Seed ^ rng.Hash64(uint64(f.Gate)*2+uint64(f.StuckAt)))
+	for t := 0; t < c.cfg.Tries; t++ {
+		pat := r.Uint64()
+		good := c.eval(gv, pat, -1, 0)
+		bad := c.eval(bv, pat, f.Gate, f.StuckAt)
+		evals += int64(2 * len(c.gates))
+		if good != bad {
+			if t >= 64 {
+				st.late++
+			}
+			return pat, true, evals
+		}
+		if !bytes.Equal(gv[n-c.Outputs():], bv[n-c.Outputs():]) {
+			st.collision++
+		}
+	}
+	return 0, false, evals
+}
+
+// faultWordsMatchScalar reports the first fault of cfg's circuit on which
+// TestFault and the scalar oracle disagree, and what the oracle met.
+func faultWordsMatchScalar(cfg Config) (mismatch string, st scalarStats) {
+	c := NewCircuit(cfg)
+	s := c.NewScratch()
+	for _, f := range c.Faults() {
+		pw, fw, ew := c.TestFault(s, f)
+		ps, fs, es := c.testFaultScalar(f, &st)
+		if pw != ps || fw != fs || ew != es {
+			return fmt.Sprintf("%+v fault %+v: words (%x, %v, %d), scalar (%x, %v, %d)",
+				cfg, f, pw, fw, ew, ps, fs, es), st
+		}
+	}
+	return "", st
+}
+
 func TestCircuitDeterministic(t *testing.T) {
 	cfg := testCfg()
 	a, b := NewCircuit(cfg), NewCircuit(cfg)
-	sa, sb := a.NewScratch(), b.NewScratch()
+	va, vb := make([]byte, cfg.Inputs+cfg.Gates), make([]byte, cfg.Inputs+cfg.Gates)
 	for pat := uint64(0); pat < 64; pat += 7 {
-		if a.eval(sa, pat, -1, 0) != b.eval(sb, pat, -1, 0) {
+		if a.eval(va, pat, -1, 0) != b.eval(vb, pat, -1, 0) {
 			t.Fatal("circuit generation not deterministic")
 		}
 	}
@@ -46,6 +135,7 @@ func TestFaultDetectionMeansOutputsDiffer(t *testing.T) {
 	cfg := testCfg()
 	c := NewCircuit(cfg)
 	s := c.NewScratch()
+	vals := make([]byte, cfg.Inputs+cfg.Gates)
 	found := 0
 	for _, f := range c.Faults() {
 		pat, ok, _ := c.TestFault(s, f)
@@ -53,12 +143,65 @@ func TestFaultDetectionMeansOutputsDiffer(t *testing.T) {
 			continue
 		}
 		found++
-		if c.eval(s, pat, -1, 0) == c.eval(s, pat, f.Gate, f.StuckAt) {
+		if c.eval(vals, pat, -1, 0) == c.eval(vals, pat, f.Gate, f.StuckAt) {
 			t.Fatalf("pattern %x does not actually detect fault %+v", pat, f)
 		}
 	}
 	if found == 0 {
 		t.Fatal("no fault detected at all; circuit degenerate")
+	}
+}
+
+// TestFaultWordsMatchScalar: for every fault of the benchmark circuit, the
+// test circuit, a 100-try circuit (some faults detected in the second 64-try
+// chunk) and an 800-gate one (80 outputs, so a difference confined to the
+// first 16 is shifted out of the signature), the word kernel returns the
+// scalar oracle's pattern, found flag and evaluation count.
+func TestFaultWordsMatchScalar(t *testing.T) {
+	late := Config{Inputs: 16, Gates: 200, Tries: 100, Seed: 7}
+	wide := Config{Inputs: 16, Gates: 800, Tries: 8, Seed: 7}
+	for _, cfg := range []Config{Default(), testCfg(), late, wide} {
+		bad, st := faultWordsMatchScalar(cfg)
+		if bad != "" {
+			t.Fatal(bad)
+		}
+		if cfg == late && st.late == 0 {
+			t.Errorf("%+v: no fault is detected past the first chunk", cfg)
+		}
+		if cfg == wide && st.collision == 0 {
+			t.Errorf("%+v: no try's outputs differ under equal signatures", cfg)
+		}
+	}
+}
+
+// randomWordsConfig decodes a small circuit: 1-70 inputs (past one word's
+// width), 1-150 gates and 0-200 tries (up to four chunks).
+func randomWordsConfig(inputs, gates, tries uint8, seed uint64) Config {
+	return Config{Inputs: 1 + int(inputs)%70, Gates: 1 + int(gates)%150, Tries: int(tries) % 201, Seed: seed}
+}
+
+// FuzzFaultWords: on a random small circuit the word kernel equals the
+// scalar oracle on every fault. TestFaultWordsRandomCircuits is its twin.
+func FuzzFaultWords(f *testing.F) {
+	f.Add(uint8(11), uint8(79), uint8(100), uint64(7))
+	f.Add(uint8(69), uint8(3), uint8(64), uint64(1))
+	f.Add(uint8(0), uint8(0), uint8(0), uint64(0))
+	f.Fuzz(func(t *testing.T, inputs, gates, tries uint8, seed uint64) {
+		if bad, _ := faultWordsMatchScalar(randomWordsConfig(inputs, gates, tries, seed)); bad != "" {
+			t.Fatal(bad)
+		}
+	})
+}
+
+// TestFaultWordsRandomCircuits runs FuzzFaultWords's property on 100
+// generated circuits.
+func TestFaultWordsRandomCircuits(t *testing.T) {
+	r := rng.New(41)
+	for i := 0; i < 100; i++ {
+		cfg := randomWordsConfig(uint8(r.Uint64()), uint8(r.Uint64()), uint8(r.Uint64()), r.Uint64())
+		if bad, _ := faultWordsMatchScalar(cfg); bad != "" {
+			t.Fatal(bad)
+		}
 	}
 }
 

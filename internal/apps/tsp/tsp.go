@@ -99,28 +99,44 @@ const inf int32 = 1 << 30
 // instance is fixed to — solved once per Config.
 var Optimal = memo.Of(optimal)
 
-// optimal computes the optimal tour length by unbounded branch-and-bound.
+// optimal computes the optimal tour length by the Held-Karp dynamic
+// program: c[S][j] is the shortest path from city 0 through exactly the
+// cities of S, a subset of 1..n-1, ending at j in S. Subsets are visited in
+// increasing mask order, so S without j is always filled before S. The
+// int32 table holds 2^(n-1)·(n-1) entries, 2^(n-1)·(n-1)·4 bytes: 0.4 MB at
+// 14 cities, 4 MB at the paper's 17.
 func optimal(cfg Config) int32 {
 	d, n := Generate(cfg), cfg.NCities
-	best := inf
-	var solve func(last int, used uint32, plen int32, depth int)
-	solve = func(last int, used uint32, plen int32, depth int) {
-		if plen >= best {
-			return
-		}
-		if depth == n {
-			if t := plen + d[last*n]; t < best {
-				best = t
+	if n == 1 {
+		return 0
+	}
+	m := n - 1 // city k+1 is bit k of a subset and column k of its row
+	c := make([]int32, (1<<m)*m)
+	for s := 1; s < 1<<m; s++ {
+		row := c[s*m : s*m+m]
+		for js := s; js != 0; js &= js - 1 {
+			j := bits.TrailingZeros(uint(js))
+			rest := s &^ (1 << j)
+			if rest == 0 {
+				row[j] = d[j+1]
+				continue
 			}
-			return
-		}
-		for next := 1; next < n; next++ {
-			if used&(1<<next) == 0 {
-				solve(next, used|1<<next, plen+d[last*n+next], depth+1)
+			prev, best := c[rest*m:rest*m+m], inf
+			for ks := rest; ks != 0; ks &= ks - 1 {
+				k := bits.TrailingZeros(uint(ks))
+				if l := prev[k] + d[(k+1)*n+j+1]; l < best {
+					best = l
+				}
 			}
+			row[j] = best
 		}
 	}
-	solve(0, 1, 0, 1)
+	best, full := inf, c[(1<<m-1)*m:]
+	for j := 0; j < m; j++ {
+		if t := full[j] + d[(j+1)*n]; t < best {
+			best = t
+		}
+	}
 	return best
 }
 

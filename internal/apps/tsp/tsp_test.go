@@ -62,6 +62,67 @@ func TestOptimalBruteForceSmall(t *testing.T) {
 	}
 }
 
+// branchAndBound is the oracle for Optimal: an unbounded depth-first
+// branch-and-bound over every tour from city 0, pruning a path once it is no
+// shorter than the best complete tour found.
+func branchAndBound(cfg Config) int32 {
+	d, n := Generate(cfg), cfg.NCities
+	best := inf
+	var solve func(last int, used uint32, plen int32, depth int)
+	solve = func(last int, used uint32, plen int32, depth int) {
+		if plen >= best {
+			return
+		}
+		if depth == n {
+			if t := plen + d[last*n]; t < best {
+				best = t
+			}
+			return
+		}
+		for next := 1; next < n; next++ {
+			if used&(1<<next) == 0 {
+				solve(next, used|1<<next, plen+d[last*n+next], depth+1)
+			}
+		}
+	}
+	solve(0, 1, 0, 1)
+	return best
+}
+
+// TestOptimalCertificate: on sizes 1 to 14 at three seeds each, and on every
+// instance the repository runs, Optimal equals the branch-and-bound oracle,
+// the fixed-bound search under it finds a tour of exactly that length, and
+// under one less finds no tour at all.
+func TestOptimalCertificate(t *testing.T) {
+	cfgs := []Config{
+		Default(), testCfg(),
+		{NCities: 8, Seed: 9},   // TestOptimalBruteForceSmall
+		{NCities: 11, Seed: 5},  // TestOptimizedCutsInterclusterRPCs and others
+		{NCities: 11, Seed: 31}, // TestRunLeavesNoGoroutine
+		{NCities: 11, Seed: 37}, // TestBuildWithoutRunLeavesNoGoroutine
+		{NCities: 12, Seed: 17}, // examples/quickstart
+	}
+	for n := 1; n <= 14; n++ {
+		for _, seed := range []uint64{1, 2, 3} {
+			cfgs = append(cfgs, Config{NCities: n, Seed: seed})
+		}
+	}
+	for _, cfg := range cfgs {
+		opt := Optimal(cfg)
+		if want := branchAndBound(cfg); opt != want {
+			t.Errorf("%d cities, seed %d: Optimal %d, branch-and-bound %d", cfg.NCities, cfg.Seed, opt, want)
+			continue
+		}
+		d, n := Generate(cfg), cfg.NCities
+		if _, best := dfs(d, n, 0, 1, 0, 1, opt); best != opt {
+			t.Errorf("%d cities, seed %d: search under %d finds best %d", n, cfg.Seed, opt, best)
+		}
+		if _, best := dfs(d, n, 0, 1, 0, 1, opt-1); best != inf {
+			t.Errorf("%d cities, seed %d: search under %d finds a tour of %d", n, cfg.Seed, opt-1, best)
+		}
+	}
+}
+
 func TestSequentialFindsOptimal(t *testing.T) {
 	cfg := testCfg()
 	r := Sequential(cfg)
