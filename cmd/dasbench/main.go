@@ -34,8 +34,6 @@ import (
 	"time"
 
 	"albatross/internal/cluster"
-	"albatross/internal/core"
-	"albatross/internal/faults"
 	"albatross/internal/harness"
 	"albatross/internal/plot"
 	"albatross/internal/trace"
@@ -314,13 +312,10 @@ func showTimeline(s *harness.Session, appName string) error {
 	if err != nil {
 		return err
 	}
-	// A traced run is the one place readable mailbox names are worth
-	// their formatting cost.
-	debugNames := func(sys *core.System, _ *faults.Injector) { sys.RTS.SetDebugNames(true) }
 	for _, optimized := range []bool{false, true} {
 		spec := s.Spec(app, cluster.DAS(4, 15), optimized)
 		tl := trace.New(time.Millisecond)
-		m, err := harness.Exec(spec, debugNames, harness.TimelineHook(tl))
+		m, err := harness.Exec(spec, harness.TimelineHook(tl))
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -387,12 +388,12 @@ func TestStealOrderLocalFirstProperty(t *testing.T) {
 
 func TestIdleMap(t *testing.T) {
 	m := NewIdleMap(4)
-	if m.AllIdle() || m.CountIdle() != 0 {
+	if m.AllIdle() || slices.Contains(m.idle, true) {
 		t.Fatal("fresh map not all-busy")
 	}
 	m.Set(1, true)
 	m.Set(3, true)
-	if !m.Idle(1) || m.Idle(0) || m.CountIdle() != 2 {
+	if !m.Idle(1) || m.Idle(0) || !slices.Equal(m.idle, []bool{false, true, false, true}) {
 		t.Fatal("Set/Idle broken")
 	}
 	c := m.Clone()

@@ -68,17 +68,6 @@ func (m *IdleMap) AllIdle() bool {
 	return true
 }
 
-// CountIdle reports how many workers are known to be idle.
-func (m *IdleMap) CountIdle() int {
-	n := 0
-	for _, b := range m.idle {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // Clone returns a copy (each node's replica of the idle map is distinct).
 func (m *IdleMap) Clone() *IdleMap {
 	c := &IdleMap{idle: make([]bool, len(m.idle))}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"albatross/internal/cluster"
@@ -34,9 +33,6 @@ import (
 // ChaosSpec describes one fault scenario of the chaos sweeps; Plan derives
 // the fault plan it means on a given topology.
 type ChaosSpec struct {
-	// Seed selects the injector's decision stream. Zero picks a fixed
-	// default so unseeded runs stay reproducible.
-	Seed uint64
 	// Loss is the per-message WAN drop probability (applied to every
 	// directed cluster pair).
 	Loss float64
@@ -51,7 +47,7 @@ type ChaosSpec struct {
 	PartitionDur   time.Duration
 }
 
-// chaosSeed is the default fault seed of the chaos experiments.
+// chaosSeed is the fault seed of every chaos experiment.
 const chaosSeed = 0xda5
 
 // chaosOutageStart places the gateway crash early enough to hit every
@@ -68,10 +64,7 @@ const chaosDeadline = 2 * time.Minute
 // partition window cuts g's backbone segment 0 (on the DAS mesh, the pair 0-1)
 // in both directions.
 func (c ChaosSpec) Plan(g *cluster.Graph) faults.Plan {
-	pl := faults.Plan{Seed: c.Seed, Default: faults.PairProbs{Drop: c.Loss}}
-	if pl.Seed == 0 {
-		pl.Seed = chaosSeed
-	}
+	pl := faults.Plan{Seed: chaosSeed, Default: faults.PairProbs{Drop: c.Loss}}
 	if c.Outage > 0 {
 		pl.Crashes = append(pl.Crashes, faults.GatewayCrash{
 			Cluster: 1, Start: chaosOutageStart, Duration: c.Outage,
@@ -119,8 +112,8 @@ func chaosRelConfig(g *cluster.Graph, nclusters int) orca.RelConfig {
 // chaosRun describes one application variant under a fault scenario: the
 // scenario's plan for the platform, the reliability layer sized to it, and
 // the chaos deadline. Senders retry without bound; a scenario the protocol
-// cannot survive is caught by the virtual-time deadline, and the failure
-// carries the reliability layer's stalled-channel diagnosis.
+// cannot survive is caught by the virtual-time deadline, whose DeadlineError
+// names the parked processes.
 func (s *Session) chaosRun(app AppSpec, topo cluster.Topology, optimized bool, c ChaosSpec) RunSpec {
 	spec := s.Spec(app, topo, optimized)
 	g, err := topo.Graph(spec.Params)
@@ -240,18 +233,10 @@ func ChaosReport(s *Session, quick bool) (*Report, error) {
 				uint64(chaosSeed), chaosOutageStart),
 			fmt.Sprintf("harshest scenario (SOR orig, %s): %d WAN messages lost, %d envelope retransmissions",
 				scenarios[len(scenarios)-1].name, worst.Faults.Drops+worst.Faults.CrashDrops, worst.Rel.Retransmits),
-			fmt.Sprintf("reliability layer there: %d wrapped, %d acks, %d dup-dropped, %d reordered, %d give-ups; stalled channels: %s",
-				worst.Rel.Wrapped, worst.Rel.Acks, worst.Rel.DupDropped, worst.Rel.OutOfOrder, worst.Rel.GiveUps, stalledOrNone(worst.Stalled)),
+			fmt.Sprintf("reliability layer there: %d wrapped, %d acks, %d dup-dropped, %d reordered",
+				worst.Rel.Wrapped, worst.Rel.Acks, worst.Rel.DupDropped, worst.Rel.OutOfOrder),
 		},
 	}, nil
-}
-
-// stalledOrNone renders a stalled-channel list for report notes.
-func stalledOrNone(stalled []string) string {
-	if len(stalled) == 0 {
-		return "none"
-	}
-	return strings.Join(stalled, ", ")
 }
 
 // gridScenarios is the loss x outage x partition sweep. The partition
@@ -292,7 +277,7 @@ func unavailable(err error) (string, bool) {
 // renders three tables: an SLO-style availability/completion table (elapsed
 // time per app, or the structured reason it became unavailable), the
 // recovery-machinery tallies per scenario (reroutes, held and dropped
-// messages, retransmissions, duplicate suppressions, stalled channels), and
+// messages, retransmissions, duplicate suppressions), and
 // SOR's per-link-class degradation across scenarios.
 func GridChaosReport(s *Session, name string, topo cluster.Topology, quick bool) (*Report, error) {
 	if err := topo.Validate(); err != nil {
@@ -313,7 +298,7 @@ func GridChaosReport(s *Session, name string, topo cluster.Topology, quick bool)
 		ID:    "grid-recovery",
 		Title: "recovery machinery engaged (summed over applications)",
 		Headers: []string{"scenario", "reroutes", "held", "hold-drops",
-			"retransmits", "dup-dropped", "give-ups", "stalled"},
+			"retransmits", "dup-dropped"},
 	}
 	classes := &Table{
 		ID:      "grid-classes",
@@ -326,8 +311,7 @@ func GridChaosReport(s *Session, name string, topo cluster.Topology, quick bool)
 		row := []string{sc.name}
 		up := 0
 		var reroutes, held, holdDrops int64
-		var retransmits, dupDropped, giveUps uint64
-		stalled := 0
+		var retransmits, dupDropped uint64
 		for j, app := range Apps {
 			// A run that missed the deadline or deadlocked counts against
 			// availability; its Result still tallies the recovery work done.
@@ -347,8 +331,6 @@ func GridChaosReport(s *Session, name string, topo cluster.Topology, quick bool)
 			holdDrops += res.Net.HoldDrops()
 			retransmits += res.Rel.Retransmits
 			dupDropped += res.Rel.DupDropped
-			giveUps += res.Rel.GiveUps
-			stalled += len(res.Stalled)
 			if app.Name == "SOR" && err == nil {
 				for _, cr := range res.Classes {
 					classes.Rows = append(classes.Rows, []string{
@@ -370,8 +352,6 @@ func GridChaosReport(s *Session, name string, topo cluster.Topology, quick bool)
 			fmt.Sprintf("%d", holdDrops),
 			fmt.Sprintf("%d", retransmits),
 			fmt.Sprintf("%d", dupDropped),
-			fmt.Sprintf("%d", giveUps),
-			fmt.Sprintf("%d", stalled),
 		})
 	}
 

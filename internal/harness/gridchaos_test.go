@@ -61,7 +61,7 @@ func TestGridPartitionHealAllApps(t *testing.T) {
 // partition: with both ring segments around cluster 0 cut forever, its
 // traffic is held, aged out with counted drops, retransmitted without end —
 // and the run terminates with a structured DeadlineError instead of
-// hanging.
+// hanging, naming the parked processes.
 func TestGridPartitionNeverHeals(t *testing.T) {
 	topo := ring9(t)
 	plan := faults.Plan{LinkDowns: append(
@@ -78,6 +78,9 @@ func TestGridPartitionNeverHeals(t *testing.T) {
 	var dl *sim.DeadlineError
 	if !errors.As(err, &dl) {
 		t.Fatalf("run returned %v, want DeadlineError (isolated cluster must not hang)", err)
+	}
+	if len(dl.Parked) == 0 {
+		t.Fatal("DeadlineError names no parked process")
 	}
 	if res.Net.HeldMsgs() == 0 || res.Net.HoldDrops() == 0 {
 		t.Fatalf("held=%d drops=%d; unroutable traffic should be held then dropped with a verdict",

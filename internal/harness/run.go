@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"albatross/internal/cluster"
@@ -102,9 +101,6 @@ type Result struct {
 	Resumes    uint64     // switches into process coroutines
 	Rel        orca.RelStats
 	Faults     faults.Counters
-	// Stalled lists the reliable channels whose senders gave up, for
-	// post-mortem diagnosis of unavailable runs (empty on success).
-	Stalled []string
 	// Wall is the wall-clock time the run took: it describes the simulator,
 	// not the simulation, and is not part of the byte-identity surface.
 	Wall time.Duration
@@ -161,7 +157,6 @@ func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 		Census:     sys.Engine.Census(),
 		Resumes:    sys.Engine.Resumes(),
 		Rel:        sys.RTS.RelStats(),
-		Stalled:    sys.RTS.StalledChannels(),
 		Wall:       wall,
 	}
 	if in != nil {
@@ -171,9 +166,6 @@ func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 		err = verify()
 	}
 	if err != nil {
-		if len(res.Stalled) > 0 {
-			return res, fmt.Errorf("%s: %w; stalled channels: %s", spec, err, strings.Join(res.Stalled, ", "))
-		}
 		return res, fmt.Errorf("%s: %w", spec, err)
 	}
 	return res, nil

@@ -222,7 +222,7 @@ func TestTieredTransport(t *testing.T) {
 	par.MaxFrameBytes = 4096
 	par.CoalesceWindow = 100 * time.Microsecond
 	e, n := tieredTestNet(t, par, 2)
-	if !n.TransportActive() {
+	if n.xp == nil {
 		t.Fatal("transport off")
 	}
 	var got []int

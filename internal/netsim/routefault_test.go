@@ -325,7 +325,7 @@ func TestRerouteBackThroughSourceGateway(t *testing.T) {
 				t.Fatalf("route did not return through the source gateway: %+v", n.PipeReports())
 			}
 			want := 1
-			if !n.TransportActive() {
+			if n.xp == nil {
 				want = 2
 			}
 			if inspections != want {

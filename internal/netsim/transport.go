@@ -413,10 +413,6 @@ func newXport(n *Network) *xport {
 	}
 }
 
-// TransportActive reports whether the gateway transport optimization layer
-// (frame coalescing / striping) is running in this network.
-func (n *Network) TransportActive() bool { return n.xp != nil }
-
 // egressFor returns cluster cs's coalescing queue toward cd, creating it on
 // first use (on cs's LP).
 func (n *Network) egressFor(cs, cd int) *egressQ {

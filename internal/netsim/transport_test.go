@@ -34,7 +34,7 @@ func TestCoalescedSingleMessageDelivery(t *testing.T) {
 	par := testParams()
 	par.CoalesceWindow = 200 * time.Microsecond
 	e, n := buildWith(2, 2, par)
-	if !n.TransportActive() {
+	if n.xp == nil {
 		t.Fatal("transport layer not active")
 	}
 	// FE: 100us ser + 50us lat + 1us ovh = 151us to the local gateway.

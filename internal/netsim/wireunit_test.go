@@ -94,8 +94,8 @@ func TestPlainEqualsOneMessageFrames(t *testing.T) {
 					var runs [2][]foldDelivery
 					for i, framed := range []bool{false, true} {
 						e, n := pf.build(t, foldParams(framed))
-						if n.TransportActive() != framed {
-							t.Fatalf("transport active = %v, want %v", n.TransportActive(), framed)
+						if (n.xp != nil) != framed {
+							t.Fatalf("transport active = %v, want %v", n.xp != nil, framed)
 						}
 						endpoints := n.Topology().Compute()
 						if withGW {

@@ -1,7 +1,6 @@
 package orca
 
 import (
-	"fmt"
 	"time"
 
 	"albatross/internal/cluster"
@@ -24,36 +23,30 @@ type Tag struct {
 type TagID int32
 
 // InternTag returns the dense ID for tag, assigning the next one on first
-// use. The ID is valid for the lifetime of the runtime. The tables are the
-// only runtime maps shared across clusters, so interning takes a lock; on a
+// use. The ID is valid for the lifetime of the runtime. The table is the
+// only runtime map shared across clusters, so interning takes a lock; on a
 // sharded engine apps should intern at setup anyway, both to keep TagID
 // assignment deterministic and to keep the lock off the steady-state path.
 func (r *RTS) InternTag(t Tag) TagID {
 	r.tagMu.Lock()
 	id, ok := r.tagIDs[t]
 	if !ok {
-		id = TagID(len(r.tags))
+		id = TagID(len(r.tagIDs))
 		r.tagIDs[t] = id
-		r.tags = append(r.tags, t)
 	}
 	r.tagMu.Unlock()
 	return id
 }
 
 // dataMailbox returns (creating on demand) the queue for an interned tag at
-// a node. Mailboxes share the static name "data" unless SetDebugNames
-// enabled per-tag naming.
+// a node. Every data mailbox is named "data".
 func (r *RTS) dataMailbox(nd *nodeRTS, id TagID) *sim.Mailbox {
 	if int(id) >= len(nd.data) {
 		nd.data = append(nd.data, make([]*sim.Mailbox, int(id)+1-len(nd.data))...)
 	}
 	mb := nd.data[id]
 	if mb == nil {
-		name := "data"
-		if r.debugNames {
-			name = fmt.Sprintf("data %v@%d", r.tags[id], nd.id)
-		}
-		mb = sim.NewMailbox(nd.sh.e, name)
+		mb = sim.NewMailbox(nd.sh.e, "data")
 		nd.data[id] = mb
 	}
 	return mb

@@ -57,17 +57,12 @@ type RTS struct {
 	// Tag interning: every distinct Tag gets a dense TagID; per-node
 	// mailbox lookup is then a slice index instead of a map probe.
 	tagIDs map[Tag]TagID
-	tags   []Tag // TagID → Tag, for debug naming
-
-	// debugNames controls whether data mailboxes get per-tag names (useful
-	// in deadlock reports and traces, costly to format on every miss).
-	debugNames bool
 
 	// sh maps each cluster to its engine's instance of the hot mutable
 	// state, each lists the distinct instances (netsim.PerEngine).
 	sh, each []*rtsShard
 
-	// tagMu guards the tag-interning tables: the only RTS maps a sharded
+	// tagMu guards the tag-interning table: the only RTS map a sharded
 	// run may touch mid-run (sharded apps should still intern at setup so
 	// TagIDs stay deterministic; the lock makes a stray mid-run intern a
 	// race-free nondeterminism bug instead of memory corruption).
@@ -235,12 +230,6 @@ func (r *RTS) Ops() OpStats {
 
 // Sequencer returns the totally-ordered broadcast protocol in use.
 func (r *RTS) Sequencer() Sequencer { return r.seqr }
-
-// SetDebugNames enables per-tag data-mailbox naming ("data {sor 0 3}@5"
-// instead of "data"), for readable deadlock reports and traces. Off by
-// default: the name is formatted on every mailbox miss, which is pure
-// overhead when nothing reads it. Enable before the run starts.
-func (r *RTS) SetDebugNames(on bool) { r.debugNames = on }
 
 // message payloads (internal protocol)
 

@@ -1,8 +1,6 @@
 package orca
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"albatross/internal/cluster"
@@ -31,8 +29,11 @@ import (
 //     non-idempotent operations execute exactly once.
 //   - Sequencer token-loss recovery: token and migration-request control
 //     messages cross the WAN through the same channels, so a lost token is
-//     detected by its sender's timer and retransmitted (bounded by
-//     MaxAttempts when set).
+//     detected by its sender's timer and retransmitted.
+//
+// Senders retry forever, the backoff capped at 32×RTO. A run that cannot
+// recover ends at its deadline with a DeadlineError naming the parked
+// processes.
 //
 // Record pooling stays sound under retransmission because recycling happens
 // only when a record is dispatched, and the channel dispatches each
@@ -68,21 +69,11 @@ type RelConfig struct {
 	// RTO is the initial retransmit timeout. Zero means 10ms of virtual
 	// time (several WAN round trips on the paper's platform).
 	RTO time.Duration
-	// MaxRTO caps the exponential backoff. Zero means 32×RTO.
-	MaxRTO time.Duration
-	// MaxAttempts bounds transmissions per envelope (first send plus
-	// retransmits). Zero means retry forever. When a sender exhausts its
-	// attempts it gives up: the run then stalls and the engine's watchdog
-	// reports the parked processes.
-	MaxAttempts int
 }
 
 func (c RelConfig) withDefaults() RelConfig {
 	if c.RTO <= 0 {
 		c.RTO = 10 * time.Millisecond
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 32 * c.RTO
 	}
 	return c
 }
@@ -94,7 +85,6 @@ type RelStats struct {
 	DupDropped  uint64 // received envelopes suppressed as duplicates
 	OutOfOrder  uint64 // received envelopes buffered to restore send order
 	Acks        uint64 // acknowledgements received
-	GiveUps     uint64 // senders that exhausted MaxAttempts
 }
 
 // add folds another engine's tallies into s.
@@ -104,7 +94,6 @@ func (s *RelStats) add(o *RelStats) {
 	s.DupDropped += o.DupDropped
 	s.OutOfOrder += o.OutOfOrder
 	s.Acks += o.Acks
-	s.GiveUps += o.GiveUps
 }
 
 // pairKey identifies one directed reliable channel.
@@ -222,8 +211,7 @@ type relSender struct {
 	deadline time.Duration // virtual instant the current wait expires
 	pending  bool          // a timer event is scheduled
 	attempts int           // retransmit rounds since the last ack progress
-	gaveUp   bool
-	timerFn  func() // bound once to onTimer
+	timerFn  func()        // bound once to onTimer
 }
 
 func (l *relLayer) sender(sh *relShard, key pairKey) *relSender {
@@ -248,10 +236,6 @@ func (l *relLayer) sendReliable(m netsim.Msg) {
 	s.nextSeq++
 	sh.stats.Wrapped++
 	s.queue.Push(env)
-	if s.gaveUp {
-		// The channel is dead; queue for the post-mortem but send nothing.
-		return
-	}
 	if s.queue.Len() <= relWindow {
 		l.transmit(env)
 	}
@@ -283,7 +267,7 @@ func (s *relSender) arm() {
 
 func (s *relSender) onTimer() {
 	s.pending = false
-	if s.queue.Len() == 0 || s.gaveUp {
+	if s.queue.Len() == 0 {
 		// Nothing outstanding: do not rearm, so an idle channel's timer
 		// lapses and inflates the run's virtual end time by at most one
 		// backoff interval past the last traffic.
@@ -302,13 +286,7 @@ func (s *relSender) onTimer() {
 	// the head alone restores the whole window (the cumulative ack jumps).
 	// A repeat timeout means the damage is wider — an outage swallowed the
 	// window — so resend all of it.
-	cfg := s.l.cfg
 	s.attempts++
-	if cfg.MaxAttempts > 0 && s.attempts >= cfg.MaxAttempts {
-		s.gaveUp = true
-		s.sh.stats.GiveUps++
-		return
-	}
 	n := 1
 	if s.attempts > 1 {
 		n = min(s.queue.Len(), relWindow)
@@ -317,9 +295,7 @@ func (s *relSender) onTimer() {
 		s.sh.stats.Retransmits++
 		s.l.transmit(s.queue.At(i))
 	}
-	if s.rto *= 2; s.rto > cfg.MaxRTO {
-		s.rto = cfg.MaxRTO
-	}
+	s.rto = min(2*s.rto, 32*s.l.cfg.RTO)
 	s.arm()
 }
 
@@ -436,23 +412,4 @@ func (l *relLayer) deliverInner(env *relEnvelope) {
 		return
 	}
 	r.dispatchPayload(env.to, r.nodes[env.to], m)
-}
-
-// StalledChannels describes the channels whose senders have given up, for
-// post-mortem diagnosis after a DeadlockError or DeadlineError. Sorted, so
-// the rendering is deterministic in both engine modes.
-func (r *RTS) StalledChannels() []string {
-	if r.rel == nil {
-		return nil
-	}
-	var out []string
-	for _, sh := range r.rel.each {
-		for key, s := range sh.send {
-			if s.gaveUp {
-				out = append(out, fmt.Sprintf("%d->%d (%d unacked)", key.from, key.to, s.queue.Len()))
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -128,30 +128,48 @@ func TestReplicatedWritesSurviveTokenLoss(t *testing.T) {
 	}
 }
 
-func TestGiveUpStallsWithDiagnosis(t *testing.T) {
-	// A channel that exhausts MaxAttempts on a fully dead link stops
-	// retransmitting; the run stalls and the engine names the parked proc,
-	// while StalledChannels identifies the dead channel.
-	plan := faults.Plan{Default: faults.PairProbs{Drop: 1}}
-	e, _, rts, _ := buildFaulty(t, 2, 2, nil, plan, RelConfig{MaxAttempts: 3})
+// stallsUntilDeadline pins the retry-forever contract on a link that never
+// delivers: the sender keeps retransmitting and the run ends at its deadline
+// with a DeadlineError (reachable via errors.As) naming the parked caller.
+func stallsUntilDeadline(t *testing.T, plan faults.Plan) *netsim.Network {
+	t.Helper()
+	e, net, rts, _ := buildFaulty(t, 2, 2, nil, plan, RelConfig{})
 	obj := rts.NewObject("c", 0, &counter{})
 	e.Go("caller", func(p *sim.Proc) {
 		obj.Invoke(p, 2, incOp(1))
 	})
+	e.SetDeadline(time.Second)
 	err := e.Run()
-	var dl *sim.DeadlockError
+	var dl *sim.DeadlineError
 	if !errors.As(err, &dl) {
-		t.Fatalf("run returned %v, want DeadlockError", err)
+		t.Fatalf("run returned %v, want DeadlineError", err)
 	}
 	if len(dl.Parked) != 1 || !strings.Contains(dl.Parked[0], "caller") {
-		t.Fatalf("deadlock report %q does not name the stuck caller", dl.Parked)
+		t.Fatalf("deadline report %q does not name the stuck caller", dl.Parked)
 	}
-	if s := rts.RelStats(); s.GiveUps == 0 {
-		t.Fatalf("no give-up recorded: %+v", s)
+	if s := rts.RelStats(); s.Retransmits == 0 {
+		t.Fatalf("sender stopped retransmitting: %+v", s)
 	}
-	stalled := rts.StalledChannels()
-	if len(stalled) != 1 || !strings.Contains(stalled[0], "2->0") {
-		t.Fatalf("stalled channels %v, want the 2->0 request channel", stalled)
+	return net
+}
+
+// TestGiveUpStallsWithDiagnosis: a channel on a link that drops every WAN
+// message never gives up; the run stalls and the deadline names the caller.
+func TestGiveUpStallsWithDiagnosis(t *testing.T) {
+	stallsUntilDeadline(t, faults.Plan{Default: faults.PairProbs{Drop: 1}})
+}
+
+// TestDeadlineNamesStalledChannelUnderPartition: across a permanent cut the
+// deadline names the stalled caller, and the retransmissions are parked at
+// the cut gateway (the 2s hold timeout lies beyond this run's deadline, so
+// they are held, not yet dropped — ageing-out is pinned by the netsim suite).
+func TestDeadlineNamesStalledChannelUnderPartition(t *testing.T) {
+	net := stallsUntilDeadline(t, faults.Plan{LinkDowns: []faults.LinkDown{
+		{From: 0, To: 1, Duration: time.Hour},
+		{From: 1, To: 0, Duration: time.Hour},
+	}})
+	if net.Stats().HeldMsgs() == 0 {
+		t.Fatal("no traffic was held at the partitioned gateway")
 	}
 }
 
@@ -244,9 +262,9 @@ func TestEnableReliabilityGuards(t *testing.T) {
 	if s := rts.RelStats(); s != (RelStats{}) {
 		t.Fatalf("fresh layer has non-zero stats %+v", s)
 	}
-	// A disabled runtime reports zero stats and no stalled channels.
+	// A disabled runtime reports zero stats.
 	_, _, bare := build(2, 2, nil)
-	if bare.RelStats() != (RelStats{}) || bare.StalledChannels() != nil {
+	if bare.RelStats() != (RelStats{}) {
 		t.Fatal("disabled reliability reports state")
 	}
 }
@@ -327,14 +345,14 @@ func TestObjectMisusePanics(t *testing.T) {
 
 // TestBackoffPlateauUnderPermanentPartition pins the ARQ backoff contract on
 // a link that never heals: retransmit intervals double from RTO and then
-// plateau at MaxRTO — the sender keeps probing at a bounded rate instead of
+// plateau at 32×RTO — the sender keeps probing at a bounded rate instead of
 // backing off forever or spinning.
 func TestBackoffPlateauUnderPermanentPartition(t *testing.T) {
 	plan := faults.Plan{LinkDowns: []faults.LinkDown{
 		{From: 0, To: 1, Duration: time.Hour},
 		{From: 1, To: 0, Duration: time.Hour},
 	}}
-	cfg := RelConfig{} // defaults: RTO 10ms, MaxRTO 320ms, retry forever
+	cfg := RelConfig{} // defaults: RTO 10ms, backoff capped at 320ms
 	e, net, rts, _ := buildFaulty(t, 2, 2, nil, plan, cfg)
 	var sends []time.Duration
 	net.SetTap(func(at time.Duration, m netsim.Msg, inter bool) {
@@ -372,43 +390,5 @@ func TestBackoffPlateauUnderPermanentPartition(t *testing.T) {
 	}
 	if rts.RelStats().Retransmits == 0 {
 		t.Fatal("no retransmits counted")
-	}
-}
-
-// TestDeadlineNamesStalledChannelUnderPartition is the structured-diagnosis
-// half of the partition contract: when the sender exhausts MaxAttempts
-// across a permanent cut, SetDeadline aborts the run with a DeadlineError
-// (reachable via errors.As) and StalledChannels names the dead channel.
-func TestDeadlineNamesStalledChannelUnderPartition(t *testing.T) {
-	plan := faults.Plan{LinkDowns: []faults.LinkDown{
-		{From: 0, To: 1, Duration: time.Hour},
-		{From: 1, To: 0, Duration: time.Hour},
-	}}
-	e, net, rts, _ := buildFaulty(t, 2, 2, nil, plan, RelConfig{MaxAttempts: 3})
-	obj := rts.NewObject("c", 0, &counter{})
-	e.Go("caller", func(p *sim.Proc) {
-		obj.Invoke(p, 2, incOp(1))
-	})
-	e.SetDeadline(time.Second)
-	err := e.Run()
-	var dl *sim.DeadlineError
-	if !errors.As(err, &dl) {
-		t.Fatalf("run returned %v, want DeadlineError", err)
-	}
-	if len(dl.Parked) != 1 || !strings.Contains(dl.Parked[0], "caller") {
-		t.Fatalf("deadline report %q does not name the stuck caller", dl.Parked)
-	}
-	if s := rts.RelStats(); s.GiveUps == 0 {
-		t.Fatalf("no give-up recorded: %+v", s)
-	}
-	stalled := rts.StalledChannels()
-	if len(stalled) != 1 || !strings.Contains(stalled[0], "2->0") {
-		t.Fatalf("stalled channels %v, want the 2->0 request channel", stalled)
-	}
-	// Network-side evidence: the attempts parked at the cut gateway (the
-	// 2s hold timeout lies beyond this run's deadline, so they are held,
-	// not yet dropped — ageing-out is pinned by the netsim suite).
-	if net.Stats().HeldMsgs() == 0 {
-		t.Fatal("no traffic was held at the partitioned gateway")
 	}
 }

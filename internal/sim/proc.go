@@ -315,9 +315,6 @@ func NewMailbox(e *Engine, name string) *Mailbox {
 // Len reports the number of queued values.
 func (m *Mailbox) Len() int { return m.q.Len() }
 
-// Waiting reports the number of processes blocked in Get or Poll.
-func (m *Mailbox) Waiting() int { return m.waiters.Len() }
-
 // Put enqueues v and resumes the longest-waiting receiver if any: a Get
 // caller now, a Poll caller at the first instant of its grid not before now.
 // It never blocks and may be called from event callbacks or process context.

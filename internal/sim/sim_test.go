@@ -479,8 +479,8 @@ func TestProcIntrospection(t *testing.T) {
 		if got := p.String(); got != "worker(#0,parked)" {
 			t.Errorf("String() = %q", got)
 		}
-		if m.Waiting() != 1 {
-			t.Errorf("Waiting() = %d", m.Waiting())
+		if n := m.waiters.Len(); n != 1 {
+			t.Errorf("%d waiters, want 1", n)
 		}
 		m.Put("go")
 	})

@@ -55,11 +55,6 @@ func (t *Timeline) Series() []string {
 	return names
 }
 
-// Counts returns a copy of one series' buckets.
-func (t *Timeline) Counts(series string) []int64 {
-	return append([]int64(nil), t.series[series]...)
-}
-
 // Total returns the sum over one series.
 func (t *Timeline) Total(series string) int64 {
 	var sum int64

@@ -18,7 +18,7 @@ func TestBucketing(t *testing.T) {
 	tl.Add(999*time.Microsecond, "a", 2)
 	tl.Add(time.Millisecond, "a", 5)
 	tl.Add(10*time.Millisecond, "b", 7)
-	if got := tl.Counts("a"); len(got) != 2 || got[0] != 3 || got[1] != 5 {
+	if got := tl.series["a"]; len(got) != 2 || got[0] != 3 || got[1] != 5 {
 		t.Fatalf("a buckets %v", got)
 	}
 	if tl.Total("a") != 8 || tl.Total("b") != 7 {
@@ -77,7 +77,7 @@ func TestAddBeforeTimeZeroClampsToFirstBucket(t *testing.T) {
 	tl.Add(-5*time.Millisecond, "x", 2) // must not panic
 	tl.Add(-1, "x", 1)
 	tl.Add(0, "x", 4)
-	if got := tl.Counts("x"); len(got) != 1 || got[0] != 7 {
+	if got := tl.series["x"]; len(got) != 1 || got[0] != 7 {
 		t.Fatalf("x buckets %v, want [7]", got)
 	}
 }
