@@ -24,6 +24,10 @@ func TestWireUnitLayout(t *testing.T) {
 	if got := unsafe.Sizeof(wireUnit{}); got > 128 {
 		t.Errorf("wireUnit is %d bytes, want at most 128 (one size class)", got)
 	}
+	// Msg.Seq sits in the padding after Kind: a header word costs no bytes.
+	if got := unsafe.Sizeof(Msg{}); got != 48 {
+		t.Errorf("Msg is %d bytes, want 48", got)
+	}
 	// A lane's ring slot is the hop plus its event's at and seq.
 	if got := unsafe.Sizeof(hop{}) + 16; got > 32 {
 		t.Errorf("a hop's lane slot is %d bytes, want at most 32", got)

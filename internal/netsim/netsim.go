@@ -63,10 +63,14 @@ func (k Kind) String() string {
 }
 
 // Msg is a simulated network message. Size is the application-level payload
-// size in bytes; Payload carries the simulated content by reference.
+// size in bytes; Payload carries the simulated content by reference. Seq is a
+// header word for the layer above: netsim carries it by value through every
+// copy it makes — wire units, frames, fault duplicates, hold queues — and
+// never reads it. It fills the padding after Kind, so a Msg stays 48 bytes.
 type Msg struct {
 	From, To cluster.NodeID
 	Kind     Kind
+	Seq      uint32
 	Size     int
 	Payload  any
 }

@@ -74,6 +74,31 @@ func TestAllocSendRecvData(t *testing.T) {
 	allocBudget(t, "SendDataID/RecvDataID", step, 0)
 }
 
+// TestAllocReliableRoundTrip pins a reliable cross-cluster data message —
+// envelope, in-order delivery, cumulative ack, window slide and the lapsing
+// retransmit timer — at zero: the sequence number rides in the Msg header,
+// the sender's window holds its slots by value and every ack shares one
+// payload.
+func TestAllocReliableRoundTrip(t *testing.T) {
+	e, _, rts := build(2, 2, nil)
+	rts.EnableReliability(RelConfig{})
+	id := rts.InternTag(Tag{Op: "alloc-rel"})
+	var payload any = "payload"
+	rx := drive(e, "alloc-rx", func(p *sim.Proc) {
+		if got := rts.RecvDataID(p, 2, id); got != payload {
+			t.Fatal("wrong payload")
+		}
+	})
+	step := func() {
+		rts.SendDataID(0, 2, id, 64, payload)
+		rx()
+	}
+	allocBudget(t, "reliable SendDataID/RecvDataID", step, 0)
+	if s := rts.RelStats(); s.Wrapped == 0 || s.Acks != s.Wrapped {
+		t.Fatalf("messages did not travel the reliable channel: %+v", s)
+	}
+}
+
 // TestAllocRPCRoundTrip pins a full remote invocation — request, dispatch,
 // reply, caller wake — at zero steady-state allocations.
 func TestAllocRPCRoundTrip(t *testing.T) {

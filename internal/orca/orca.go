@@ -187,7 +187,7 @@ func New(net *netsim.Network, seqr Sequencer) *RTS {
 	if topo.Clusters > 1 {
 		for c := 0; c < topo.Clusters; c++ {
 			gw := topo.Gateway(c)
-			net.SetHandler(gw, r.gatewayDispatch)
+			net.SetHandler(gw, r.gatewayHandler)
 		}
 	}
 	if seqr == nil {
@@ -272,7 +272,18 @@ func (sh *rtsShard) getFuture(name string) *sim.Future {
 // dispatchFor returns the network delivery handler of a compute node.
 func (r *RTS) dispatchFor(id cluster.NodeID) netsim.Handler {
 	nd := r.nodes[id]
-	return func(m netsim.Msg) { r.dispatchPayload(id, nd, m) }
+	return func(m netsim.Msg) {
+		if !r.intercepted(m) {
+			r.dispatchPayload(id, nd, m)
+		}
+	}
+}
+
+// gatewayHandler is the network delivery handler of every gateway.
+func (r *RTS) gatewayHandler(m netsim.Msg) {
+	if !r.intercepted(m) {
+		r.gatewayDispatch(m)
+	}
 }
 
 // dispatchPayload consumes one delivered message at a compute node. It is
@@ -324,10 +335,6 @@ func (r *RTS) dispatchPayload(id cluster.NodeID, nd *nodeRTS, m netsim.Msg) {
 		pl.payload = nil
 		nd.sh.dataPool.Put(pl)
 		r.dataMailbox(nd, tid).Put(payload)
-	case *relEnvelope:
-		r.rel.onEnvelope(pl)
-	case *relAck:
-		r.rel.onAck(pl)
 	case seqProtoMsg:
 		pl.deliver(r)
 	default:
@@ -343,10 +350,6 @@ func (r *RTS) gatewayDispatch(m netsim.Msg) {
 	switch pl := m.Payload.(type) {
 	case *pendingBcast:
 		r.net.BcastLocal(m.To, netsim.KindBcast, m.Size, pl)
-	case *relEnvelope:
-		r.rel.onEnvelope(pl)
-	case *relAck:
-		r.rel.onAck(pl)
 	case seqProtoMsg:
 		pl.deliver(r)
 	default:

@@ -1,6 +1,8 @@
 package orca
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"albatross/internal/cluster"
@@ -35,11 +37,15 @@ import (
 // recover ends at its deadline with a DeadlineError naming the parked
 // processes.
 //
-// Record pooling stays sound under retransmission because recycling happens
-// only when a record is dispatched, and the channel dispatches each
-// envelope's inner record at most once: a retransmitted copy whose original
-// was delivered is dropped by sequence number before its (possibly recycled
-// and reused) inner record is ever touched.
+// The channel adds a header word, not a record: an envelope is the wrapped
+// message itself with its sequence number in netsim.Msg.Seq, and an ack is a
+// control message carrying its cumulative number there. Every copy on the
+// wire — a retransmission, a fault duplicate, a reordered straggler — holds
+// its number by value, so the receiver drops a duplicate by that number
+// before it reads the payload. That is what keeps record pooling sound under
+// retransmission: a copy whose original was delivered may point at an inner
+// record that has since been recycled and reused, and it is never
+// dispatched.
 //
 // Intracluster traffic is never faulted and bypasses the layer entirely.
 // With reliability off (the default), every send costs one extra nil check.
@@ -101,26 +107,13 @@ type pairKey struct {
 	from, to cluster.NodeID
 }
 
-// relEnvelope is the wire wrapper of one reliable message. Envelopes are
-// never pooled: a fault-duplicated copy may surface long after delivery, and
-// it must still carry its original sequence number to be recognized and
-// dropped.
-type relEnvelope struct {
-	from, to cluster.NodeID
-	seq      uint64
-	kind     netsim.Kind
-	size     int // inner wire size, without the envelope header
-	inner    any
-}
+// relAckMark is the payload of every acknowledgement; the cumulative number
+// (every envelope of the acknowledged channel numbered below it has been
+// received) travels in Msg.Seq. Acks travel raw (not reliable themselves): a
+// lost ack is recovered when the retransmitted envelope provokes a fresh one.
+type relAckMark struct{}
 
-// relAck is a cumulative acknowledgement: every envelope of channel
-// (from, to) with seq < upTo has been received. Acks travel raw (not
-// reliable themselves): a lost ack is recovered when the retransmitted
-// envelope provokes a fresh one.
-type relAck struct {
-	from, to cluster.NodeID // the data direction being acknowledged
-	upTo     uint64
-}
+var relAck any = relAckMark{}
 
 // relShard is one engine's instance of the reliability layer's mutable
 // state (DESIGN.md §5c): the engine plus the channel maps and tallies its
@@ -197,21 +190,48 @@ func (r *RTS) send(m netsim.Msg) {
 	r.net.Send(m)
 }
 
+// intercepted hands a delivered intercluster message to the reliability
+// layer when it is enabled — every such message is an envelope or an ack —
+// and reports whether it did. The nodes' network handlers call it before
+// their payload switch; the layer calls the switch directly with what it
+// delivers, so an unwrapped message is never intercepted twice.
+func (r *RTS) intercepted(m netsim.Msg) bool {
+	return r.rel != nil && r.rel.intercept(m)
+}
+
+func (l *relLayer) intercept(m netsim.Msg) bool {
+	if l.r.net.ClusterOf(m.From) == l.r.net.ClusterOf(m.To) {
+		return false
+	}
+	l.receive(m)
+	return true
+}
+
 // relSender is the sending end of one directed channel. It lives in the
 // sending cluster's shard: creation, ack handling and the retransmit timer
 // all execute on that cluster's LP.
 type relSender struct {
-	l       *relLayer
-	sh      *relShard // owning (sending cluster's) shard
-	key     pairKey
-	nextSeq uint64
-	queue   sim.FIFO[*relEnvelope] // sent but unacknowledged, in sequence order
+	l   *relLayer
+	sh  *relShard // owning (sending cluster's) shard
+	key pairKey
+	// queue holds the unacknowledged envelopes in sequence order, by value:
+	// the first relWindow are on the wire, the rest wait. The head is
+	// numbered nextSeq − queue.Len().
+	queue   sim.FIFO[relSlot]
+	nextSeq uint32
 
 	rto      time.Duration // current backoff value
 	deadline time.Duration // virtual instant the current wait expires
 	pending  bool          // a timer event is scheduled
 	attempts int           // retransmit rounds since the last ack progress
 	timerFn  func()        // bound once to onTimer
+}
+
+// relSlot is one unacknowledged envelope: what transmit needs to rebuild it.
+type relSlot struct {
+	payload any
+	size    int // inner wire size, without the envelope header
+	kind    netsim.Kind
 }
 
 func (l *relLayer) sender(sh *relShard, key pairKey) *relSender {
@@ -227,29 +247,28 @@ func (l *relLayer) sender(sh *relShard, key pairKey) *relSender {
 func (l *relLayer) sendReliable(m netsim.Msg) {
 	sh := l.shardOf(m.From)
 	s := l.sender(sh, pairKey{m.From, m.To})
-	env := &relEnvelope{
-		from: m.From, to: m.To,
-		seq:  s.nextSeq,
-		kind: m.Kind, size: m.Size,
-		inner: m.Payload,
+	if s.nextSeq == math.MaxUint32 {
+		panic(fmt.Sprintf("orca: reliable channel %d>%d ran out of 32-bit sequence numbers", m.From, m.To))
 	}
 	s.nextSeq++
 	sh.stats.Wrapped++
-	s.queue.Push(env)
-	if s.queue.Len() <= relWindow {
-		l.transmit(env)
+	s.queue.Push(relSlot{payload: m.Payload, size: m.Size, kind: m.Kind})
+	if n := s.queue.Len(); n <= relWindow {
+		s.transmit(n - 1)
 	}
 	if s.queue.Len() == 1 {
 		s.arm()
 	}
 }
 
-// transmit puts one envelope on the wire.
-func (l *relLayer) transmit(env *relEnvelope) {
-	l.r.net.Send(netsim.Msg{
-		From: env.from, To: env.to, Kind: env.kind,
-		Size:    env.size + relHeaderBytes,
-		Payload: env,
+// transmit puts the queue's i-th oldest envelope on the wire.
+func (s *relSender) transmit(i int) {
+	e := s.queue.At(i)
+	s.l.r.net.Send(netsim.Msg{
+		From: s.key.from, To: s.key.to, Kind: e.kind,
+		Seq:     s.nextSeq - uint32(s.queue.Len()-i),
+		Size:    e.size + relHeaderBytes,
+		Payload: e.payload,
 	})
 }
 
@@ -293,35 +312,37 @@ func (s *relSender) onTimer() {
 	}
 	for i := 0; i < n; i++ {
 		s.sh.stats.Retransmits++
-		s.l.transmit(s.queue.At(i))
+		s.transmit(i)
 	}
 	s.rto = min(2*s.rto, 32*s.l.cfg.RTO)
 	s.arm()
 }
 
 // onAck handles a cumulative acknowledgement at the sending node (the
-// sending cluster's LP, where the channel's shard lives).
-func (l *relLayer) onAck(a *relAck) {
-	sh := l.shardOf(a.from)
+// sending cluster's LP, where the channel's shard lives); m travels from the
+// data receiver back to the data sender.
+func (l *relLayer) onAck(sh *relShard, m netsim.Msg) {
 	sh.stats.Acks++
-	s := sh.send[pairKey{a.from, a.to}]
+	s := sh.send[pairKey{m.To, m.From}]
 	if s == nil {
 		return // ack for a channel we never opened (cannot happen in practice)
 	}
-	drop := 0
-	for s.queue.Len() > 0 && s.queue.Peek().seq < a.upTo {
-		s.queue.Pop()
-		drop++
-	}
-	if drop == 0 {
+	// The receiver acks only numbers it has received, so upTo ≤ nextSeq, and the
+	// acknowledged part of the queue is its first upTo − head slots.
+	head := s.nextSeq - uint32(s.queue.Len())
+	if m.Seq <= head {
 		return // stale duplicate ack, no progress
+	}
+	drop := int(m.Seq - head)
+	for i := 0; i < drop; i++ {
+		s.queue.Pop()
 	}
 	// Ack-clocked transmission: the ack slid the window forward by drop
 	// positions, so the envelopes newly inside it go on the wire now (their
 	// first transmission — everything at an index below relWindow has
 	// already been sent).
 	for i := max(relWindow-drop, 0); i < min(s.queue.Len(), relWindow); i++ {
-		l.transmit(s.queue.At(i))
+		s.transmit(i)
 	}
 	// Progress halves the backoff rather than resetting it: under heavy
 	// load the gap between progress acks is queueing delay, not loss, and
@@ -342,39 +363,48 @@ func (l *relLayer) onAck(a *relAck) {
 // receiving cluster's shard: envelopes are delivered on that cluster's LP.
 type relReceiver struct {
 	l   *relLayer
-	sh  *relShard // owning (receiving cluster's) shard
 	key pairKey
-	win sim.Reorder[*relEnvelope] // Next() is the lowest seq not yet delivered
+	win sim.Reorder[netsim.Msg] // Next() is the lowest seq not yet delivered
 }
 
 func (l *relLayer) receiver(sh *relShard, key pairKey) *relReceiver {
 	rc := sh.recv[key]
 	if rc == nil {
-		rc = &relReceiver{l: l, sh: sh, key: key}
+		rc = &relReceiver{l: l, key: key}
 		sh.recv[key] = rc
 	}
 	return rc
 }
 
-// onEnvelope handles one arriving envelope at the receiving node.
-func (l *relLayer) onEnvelope(env *relEnvelope) {
-	rc := l.receiver(l.shardOf(env.to), pairKey{env.from, env.to})
-	next := rc.win.Next()
-	if !rc.win.Put(env.seq, env) {
-		rc.sh.stats.DupDropped++
-		if env.seq < next {
-			// Duplicate (retransmit or fault duplication) of a delivered
-			// envelope. Re-ack so the sender stops retransmitting even when
-			// the original ack was lost.
-			rc.sendAck()
-		}
-		return // else a duplicate of an already-held envelope
+// receive handles one intercluster message at its destination node, on the
+// destination cluster's LP: an ack for a channel sending from here, or an
+// envelope of a channel receiving here.
+func (l *relLayer) receive(m netsim.Msg) {
+	sh := l.shardOf(m.To)
+	if m.Payload == relAck {
+		l.onAck(sh, m)
+		return
 	}
-	if env.seq > next {
+	rc := l.receiver(sh, pairKey{m.From, m.To})
+	seq, next := uint64(m.Seq), rc.win.Next()
+	if seq < next {
+		// Duplicate (retransmit or fault duplication) of a delivered
+		// envelope, dropped before its payload — possibly a recycled
+		// record — is read. Re-ack so the sender stops retransmitting even
+		// when the original ack was lost.
+		sh.stats.DupDropped++
+		rc.sendAck()
+		return
+	}
+	if !rc.win.Put(seq, m) {
+		sh.stats.DupDropped++
+		return // a duplicate of an already-held envelope
+	}
+	if seq > next {
 		// Early arrival: held to restore send order. FIFO channels only
 		// reach here under fault reordering or a retransmit racing a held
 		// predecessor, so the window stays tiny.
-		rc.sh.stats.OutOfOrder++
+		sh.stats.OutOfOrder++
 		rc.sendAck()
 		return
 	}
@@ -392,24 +422,24 @@ func (l *relLayer) onEnvelope(env *relEnvelope) {
 // sendAck reports cumulative progress back to the sender, raw (unreliable):
 // a lost ack is recovered by the retransmit → re-ack cycle.
 func (rc *relReceiver) sendAck() {
-	a := &relAck{from: rc.key.from, to: rc.key.to, upTo: rc.win.Next()}
 	rc.l.r.net.Send(netsim.Msg{
 		From: rc.key.to, To: rc.key.from, Kind: netsim.KindControl,
+		Seq:     uint32(rc.win.Next()),
 		Size:    relAckBytes,
-		Payload: a,
+		Payload: relAck,
 	})
 }
 
 // deliverInner dispatches a delivered envelope's wrapped message exactly as
 // the network would have delivered the unwrapped original.
-func (l *relLayer) deliverInner(env *relEnvelope) {
+func (l *relLayer) deliverInner(m netsim.Msg) {
 	r := l.r
-	m := netsim.Msg{From: env.from, To: env.to, Kind: env.kind, Size: env.size, Payload: env.inner}
-	if int(env.to) >= len(r.nodes) {
+	m.Seq, m.Size = 0, m.Size-relHeaderBytes
+	if int(m.To) >= len(r.nodes) {
 		// Gateways sit above the compute-node range; their traffic routes
 		// through the relay dispatcher.
 		r.gatewayDispatch(m)
 		return
 	}
-	r.dispatchPayload(env.to, r.nodes[env.to], m)
+	r.dispatchPayload(m.To, r.nodes[m.To], m)
 }

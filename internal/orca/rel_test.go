@@ -2,6 +2,7 @@ package orca
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -391,4 +392,36 @@ func TestBackoffPlateauUnderPermanentPartition(t *testing.T) {
 	if rts.RelStats().Retransmits == 0 {
 		t.Fatal("no retransmits counted")
 	}
+}
+
+// TestSendReliableSequenceCeiling: a channel numbers its envelopes in the
+// 32-bit Msg.Seq header word. It sends number MaxUint32−1, the last one whose
+// cumulative ack still fits the word, and panics naming the channel when the
+// next send would pass the ceiling.
+func TestSendReliableSequenceCeiling(t *testing.T) {
+	_, net, rts := build(2, 2, nil)
+	rts.EnableReliability(RelConfig{})
+	s := rts.rel.sender(rts.rel.shardOf(0), pairKey{0, 2})
+	s.nextSeq = math.MaxUint32 - 1
+	var seqs []uint32
+	net.SetTap(func(_ time.Duration, m netsim.Msg, inter bool) {
+		if inter {
+			seqs = append(seqs, m.Seq)
+		}
+	})
+	send := func() {
+		rts.send(netsim.Msg{From: 0, To: 2, Kind: netsim.KindData, Size: 8, Payload: "x"})
+	}
+	send()
+	if len(seqs) != 1 || seqs[0] != math.MaxUint32-1 {
+		t.Fatalf("sent numbers %v, want [%d]", seqs, uint32(math.MaxUint32-1))
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "channel 0>2") {
+			t.Fatalf("panic %q does not name the channel", msg)
+		}
+	}()
+	send()
+	t.Fatal("send past the sequence ceiling did not panic")
 }
