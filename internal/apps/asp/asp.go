@@ -136,17 +136,6 @@ type pivotState struct {
 	futPool sim.Free[sim.Future]
 }
 
-// rowRange returns the row block [lo, hi) owned by rank r of p.
-func rowRange(n, p, r int) (lo, hi int) {
-	base, rem := n/p, n%p
-	lo = r*base + min(r, rem)
-	hi = lo + base
-	if r < rem {
-		hi++
-	}
-	return lo, hi
-}
-
 // Build sets up the parallel ASP run on the system and returns a verifier
 // that compares the parallel result against the sequential reference.
 // The original and optimized programs differ only in the system's sequencer
@@ -228,7 +217,7 @@ func Build(sys *core.System, cfg Config) func() error {
 	}
 
 	sys.SpawnWorkers("asp", func(w *core.Worker) {
-		lo, hi := rowRange(n, p, w.Rank())
+		lo, hi := core.Block(n, p, w.Rank())
 		own := hi - lo
 		st := pivot.Replica(w.Node).(*pivotState)
 		for k := 0; k < n; k++ {

@@ -52,7 +52,7 @@ func TestRowRangeCoversAllRows(t *testing.T) {
 			covered := 0
 			prevHi := 0
 			for r := 0; r < p; r++ {
-				lo, hi := rowRange(n, p, r)
+				lo, hi := core.Block(n, p, r)
 				if lo != prevHi {
 					t.Fatalf("gap at rank %d (n=%d p=%d)", r, n, p)
 				}

@@ -145,16 +145,6 @@ func maxCombine(acc, v any) any {
 	return m
 }
 
-func rowRange(n, p, r int) (lo, hi int) {
-	base, rem := n/p, n%p
-	lo = r*base + min(r, rem) + 1 // interior rows are 1-based
-	hi = lo + base - 1
-	if r < rem {
-		hi++
-	}
-	return lo, hi
-}
-
 // Build sets up the parallel SOR run. optimized enables chaotic relaxation
 // and split-phase overlap. The verifier checks convergence and agreement
 // with the sequential solution (bitwise for the original variant).
@@ -201,7 +191,8 @@ func BuildWithStats(sys *core.System, cfg Config, optimized bool) (verify func()
 
 	sys.SpawnWorkers("sor", func(w *core.Worker) {
 		r := w.Rank()
-		lo, hi := rowRange(cfg.NX, p, r)
+		lo, hi := core.Block(cfg.NX, p, r)
+		lo++ // interior rows are 1-based: this rank owns rows lo..hi
 		ownRows := hi - lo + 1
 		// Ghost copies of the neighbours' boundary rows, starting at the
 		// initial-grid value. Interior rows start all-zero and the nonzero

@@ -111,9 +111,9 @@ func TestRowRangePartition(t *testing.T) {
 		for _, p := range []int{1, 3, 8} {
 			prev := 0
 			for r := 0; r < p; r++ {
-				lo, hi := rowRange(n, p, r)
-				if lo != prev+1 {
-					t.Fatalf("rank %d lo=%d, want %d (n=%d p=%d)", r, lo, prev+1, n, p)
+				lo, hi := core.Block(n, p, r)
+				if lo != prev { // SOR's rows are 1-based: rank r owns lo+1..hi
+					t.Fatalf("rank %d first row %d, want %d (n=%d p=%d)", r, lo+1, prev+1, n, p)
 				}
 				prev = hi
 			}

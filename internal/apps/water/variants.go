@@ -62,7 +62,7 @@ func buildOriginal(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]in
 		i := w.Rank()
 		ps := states[i]
 		vp := vps[w.Cluster()]
-		lo, hi := blockRange(cfg.N, p, i)
+		lo, hi := core.Block(cfg.N, p, i)
 		var mine [2][]Vec
 		for k := range mine {
 			mine[k] = make([]Vec, hi-lo)
@@ -264,7 +264,7 @@ func buildOptimized(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]i
 	sys.SpawnWorkers("water", func(w *core.Worker) {
 		i := w.Rank()
 		vp := vps[w.Cluster()]
-		lo, hi := blockRange(cfg.N, p, i)
+		lo, hi := core.Block(cfg.N, p, i)
 		got := make([][]Vec, len(tgt[i]))
 		fOwn := make([]Vec, hi-lo)
 		for t := 0; t < cfg.Iters; t++ {

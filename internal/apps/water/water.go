@@ -76,17 +76,6 @@ func force(a, b Vec) Vec {
 	return d
 }
 
-// blockRange returns molecule block [lo, hi) of rank r out of p.
-func blockRange(n, p, r int) (lo, hi int) {
-	base, rem := n/p, n%p
-	lo = r*base + min(r, rem)
-	hi = lo + base
-	if r < rem {
-		hi++
-	}
-	return lo, hi
-}
-
 // targets returns the ranks whose blocks rank i interacts with (the paper's
 // "next p/2 processors" half-shell rule; for even p the diameter pair is
 // computed by the lower rank only).
@@ -266,7 +255,7 @@ func BuildVariant(sys *core.System, cfg Config, opts Options) func() error {
 		tgt[i] = targets(p, i)
 		snd[i] = senders(p, i)
 	}
-	blockLen := func(r int) int { lo, hi := blockRange(cfg.N, p, r); return hi - lo }
+	blockLen := func(r int) int { lo, hi := core.Block(cfg.N, p, r); return hi - lo }
 
 	if opts.Cache || opts.Reduce {
 		buildOptimized(sys, cfg, pos, vel, tgt, snd, blockLen, opts)

@@ -154,9 +154,6 @@ func (c *Comm) intern() {
 	}
 }
 
-// Strategy returns the communicator's strategy.
-func (c *Comm) Strategy() Strategy { return c.strategy }
-
 // tag returns the interned tag of (phase, aux): collectives neither format
 // names nor probe maps.
 func (c *Comm) tag(ph phase, aux int) orca.TagID { return c.tids[ph][aux] }

@@ -396,11 +396,6 @@ func TestIdleMap(t *testing.T) {
 	if !m.Idle(1) || m.Idle(0) || !slices.Equal(m.idle, []bool{false, true, false, true}) {
 		t.Fatal("Set/Idle broken")
 	}
-	c := m.Clone()
-	c.Set(0, true)
-	if m.Idle(0) {
-		t.Fatal("Clone shares storage")
-	}
 	m.Set(0, true)
 	m.Set(2, true)
 	if !m.AllIdle() {

@@ -67,10 +67,3 @@ func (m *IdleMap) AllIdle() bool {
 	}
 	return true
 }
-
-// Clone returns a copy (each node's replica of the idle map is distinct).
-func (m *IdleMap) Clone() *IdleMap {
-	c := &IdleMap{idle: make([]bool, len(m.idle))}
-	copy(c.idle, m.idle)
-	return c
-}

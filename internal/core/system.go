@@ -199,3 +199,16 @@ type Metrics struct {
 
 // Seconds reports the elapsed virtual time in seconds.
 func (m Metrics) Seconds() float64 { return m.Elapsed.Seconds() }
+
+// Block returns the block [lo, hi) of n items that rank r of p owns: the
+// first n%p ranks take one item more than the rest, and the blocks tile
+// [0, n) in rank order.
+func Block(n, p, r int) (lo, hi int) {
+	base, rem := n/p, n%p
+	lo = r*base + min(r, rem)
+	hi = lo + base
+	if r < rem {
+		hi++
+	}
+	return lo, hi
+}

@@ -1,8 +1,9 @@
 // Package faults builds deterministic wide-area fault injectors for the
-// simulated network. A Plan declares what can go wrong — per-directed-pair
-// drop/duplicate/reorder probabilities, gateway crash windows and link-down
-// windows — and an Injector executes the plan as a netsim.FaultPolicy. WAN
-// quality is not a fault: it is netsim.Network.SetWANProfile's alone.
+// simulated network. A Plan declares what can go wrong — a per-message drop
+// probability, gateway crash windows and link-down windows: the failures a
+// TCP-based WAN library exposes to an application — and an Injector executes
+// the plan as a netsim.FaultPolicy. WAN quality is not a fault: it is
+// netsim.Network.SetWANProfile's alone.
 //
 // Determinism is the point: the injector draws every probabilistic verdict
 // from a splitmix64 stream derived from (Plan.Seed, source cluster,
@@ -27,16 +28,12 @@ import (
 	"albatross/internal/rng"
 )
 
-// PairProbs are per-message fault probabilities for one directed cluster
-// pair. Each message entering the WAN draws one uniform variate; the three
-// probabilities partition [0,1), so their sum must not exceed 1.
+// PairProbs are the per-message fault probabilities of every directed
+// cluster pair. While Drop is positive, each message entering the WAN draws
+// one uniform variate from its pair's stream.
 type PairProbs struct {
-	Drop      float64 // message silently lost at the sending gateway
-	Duplicate float64 // message transmitted twice
-	Reorder   float64 // message delayed by Plan.ReorderDelay (overtaken by later traffic)
+	Drop float64 // message silently lost at the sending gateway
 }
-
-func (p PairProbs) sum() float64 { return p.Drop + p.Duplicate + p.Reorder }
 
 // LinkDown is a scheduled hard failure of one directed WAN link: for
 // [Start, Start+Duration) the link From→To carries nothing. A down link is
@@ -66,17 +63,8 @@ type Plan struct {
 	// plans and workloads observe identical fault sequences.
 	Seed uint64
 
-	// Default applies to every directed cluster pair without an explicit
-	// entry in Pairs.
+	// Default applies to every directed cluster pair.
 	Default PairProbs
-
-	// Pairs overrides Default for specific directed pairs, keyed
-	// [from cluster, to cluster].
-	Pairs map[[2]int]PairProbs
-
-	// ReorderDelay is the extra arrival delay a reordered message suffers.
-	// Required (positive) when any Reorder probability is set.
-	ReorderDelay time.Duration
 
 	Crashes []GatewayCrash
 
@@ -87,36 +75,11 @@ type Plan struct {
 }
 
 // Validate rejects plans whose execution would be meaningless or corrupting:
-// probabilities outside [0,1] or summing past 1, negative windows, windows
-// ending past the last representable instant, or reordering without a delay.
+// a drop probability outside [0,1], negative windows, or windows ending past
+// the last representable instant.
 func (pl Plan) Validate() error {
-	check := func(what string, p PairProbs) error {
-		for _, v := range []struct {
-			name string
-			p    float64
-		}{{"drop", p.Drop}, {"duplicate", p.Duplicate}, {"reorder", p.Reorder}} {
-			if !(v.p >= 0 && v.p <= 1) {
-				return fmt.Errorf("faults: %s %s probability %g outside [0, 1]", what, v.name, v.p)
-			}
-		}
-		if p.sum() > 1 {
-			return fmt.Errorf("faults: %s probabilities sum to %g > 1", what, p.sum())
-		}
-		if p.Reorder > 0 && pl.ReorderDelay <= 0 {
-			return fmt.Errorf("faults: %s has reorder probability %g but plan's ReorderDelay is %v", what, p.Reorder, pl.ReorderDelay)
-		}
-		return nil
-	}
-	if err := check("default", pl.Default); err != nil {
-		return err
-	}
-	for pair, p := range pl.Pairs {
-		if err := check(fmt.Sprintf("pair %d->%d", pair[0], pair[1]), p); err != nil {
-			return err
-		}
-		if pair[0] < 0 || pair[1] < 0 {
-			return fmt.Errorf("faults: pair %d->%d has a negative cluster index", pair[0], pair[1])
-		}
+	if p := pl.Default.Drop; !(p >= 0 && p <= 1) {
+		return fmt.Errorf("faults: default drop probability %g outside [0, 1]", p)
 	}
 	for _, c := range pl.Crashes {
 		if err := checkWindow(fmt.Sprintf("gateway crash of cluster %d", c.Cluster), c.Start, c.Duration); err != nil {
@@ -156,11 +119,6 @@ func checkWindow(what string, start, dur time.Duration) error {
 // policy about real gateways and hops only, so such an entry would be
 // silently inert.
 func (pl Plan) ValidateOn(g *cluster.Graph, nclusters int) error {
-	for pair := range pl.Pairs {
-		if pair[0] >= nclusters || pair[1] >= nclusters {
-			return fmt.Errorf("faults: pair %d->%d names a cluster beyond the platform's %d", pair[0], pair[1], nclusters)
-		}
-	}
 	for _, c := range pl.Crashes {
 		if c.Cluster >= nclusters {
 			return fmt.Errorf("faults: gateway crash names cluster %d beyond the platform's %d", c.Cluster, nclusters)
@@ -243,16 +201,12 @@ type EventKind uint8
 const (
 	// EventDrop is a probabilistic message loss.
 	EventDrop EventKind = iota
-	// EventDuplicate is a probabilistic message duplication.
-	EventDuplicate
-	// EventReorder is a probabilistic reorder delay.
-	EventReorder
 	// EventCrash is a loss to a crashed gateway.
 	EventCrash
 	numEventKinds
 )
 
-var eventKindNames = [numEventKinds]string{"drop", "duplicate", "reorder", "crash"}
+var eventKindNames = [numEventKinds]string{"drop", "crash"}
 
 func (k EventKind) String() string {
 	if int(k) < len(eventKindNames) {
@@ -273,8 +227,6 @@ type Event struct {
 type Counters struct {
 	Inspected  uint64 // WAN messages ruled on
 	Drops      uint64 // probabilistic losses
-	Duplicates uint64
-	Reorders   uint64
 	CrashDrops uint64 // losses to crashed gateways (either side)
 }
 
@@ -282,8 +234,6 @@ type Counters struct {
 func (c *Counters) Add(o Counters) {
 	c.Inspected += o.Inspected
 	c.Drops += o.Drops
-	c.Duplicates += o.Duplicates
-	c.Reorders += o.Reorders
 	c.CrashDrops += o.CrashDrops
 }
 
@@ -387,34 +337,18 @@ func inWindow(at, start, dur time.Duration) bool {
 	return at >= start && at < start+dur
 }
 
-// WANTransit implements netsim.FaultPolicy: one variate partitions into
-// drop / duplicate / reorder / deliver.
-func (in *Injector) WANTransit(at time.Duration, cs, cd int, m netsim.Msg) (netsim.FaultAction, time.Duration) {
+// WANTransit implements netsim.FaultPolicy: while the drop probability is
+// positive, one variate from the pair's stream decides drop or deliver.
+func (in *Injector) WANTransit(at time.Duration, cs, cd int, m netsim.Msg) (drop bool) {
 	ctr := &in.ctr[cs]
 	ctr.Inspected++
-	p, ok := in.plan.Pairs[[2]int{cs, cd}]
-	if !ok {
-		p = in.plan.Default
+	p := in.plan.Default.Drop
+	if p == 0 || roll(in.stream(cs, cd)) >= p {
+		return false
 	}
-	if p.sum() == 0 {
-		return netsim.FaultDeliver, 0
-	}
-	u := roll(in.stream(cs, cd))
-	switch {
-	case u < p.Drop:
-		ctr.Drops++
-		in.emit(at, EventDrop, cs, cd)
-		return netsim.FaultDrop, 0
-	case u < p.Drop+p.Duplicate:
-		ctr.Duplicates++
-		in.emit(at, EventDuplicate, cs, cd)
-		return netsim.FaultDuplicate, 0
-	case u < p.Drop+p.Duplicate+p.Reorder:
-		ctr.Reorders++
-		in.emit(at, EventReorder, cs, cd)
-		return netsim.FaultDeliver, in.plan.ReorderDelay
-	}
-	return netsim.FaultDeliver, 0
+	ctr.Drops++
+	in.emit(at, EventDrop, cs, cd)
+	return true
 }
 
 // GatewayDown implements netsim.FaultPolicy. Each true answer is one lost

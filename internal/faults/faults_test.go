@@ -20,13 +20,11 @@ func TestPlanValidate(t *testing.T) {
 		want string // substring of the error, "" for valid
 	}{
 		{"empty", Plan{}, ""},
-		{"good probs", Plan{Default: PairProbs{Drop: 0.1, Duplicate: 0.2, Reorder: 0.3}, ReorderDelay: time.Millisecond}, ""},
+		{"good probs", Plan{Default: PairProbs{Drop: 0.1}}, ""},
+		{"certain loss", Plan{Default: PairProbs{Drop: 1}}, ""},
 		{"negative prob", Plan{Default: PairProbs{Drop: -0.1}}, "outside [0, 1]"},
-		{"prob over one", Plan{Default: PairProbs{Duplicate: 1.5}}, "outside [0, 1]"},
-		{"sum over one", Plan{Default: PairProbs{Drop: 0.6, Duplicate: 0.6}}, "sum to"},
-		{"reorder without delay", Plan{Default: PairProbs{Reorder: 0.1}}, "ReorderDelay"},
-		{"bad pair", Plan{Pairs: map[[2]int]PairProbs{{0, 1}: {Drop: 2}}}, "pair 0->1"},
-		{"negative pair index", Plan{Pairs: map[[2]int]PairProbs{{-2, 1}: {}}}, "negative cluster index"},
+		{"prob over one", Plan{Default: PairProbs{Drop: 1.5}}, "outside [0, 1]"},
+		{"NaN prob", Plan{Default: PairProbs{Drop: math.NaN()}}, "outside [0, 1]"},
 		{"negative crash", Plan{Crashes: []GatewayCrash{{Cluster: 1, Duration: -time.Second}}}, "negative window"},
 		// A window whose end overflows would wrap and never be live.
 		{"crash window overflow", Plan{Crashes: []GatewayCrash{{Cluster: 1, Start: time.Millisecond, Duration: math.MaxInt64}}}, "past the last representable instant"},
@@ -38,7 +36,6 @@ func TestPlanValidate(t *testing.T) {
 		{"self link-down", Plan{LinkDowns: []LinkDown{{From: 2, To: 2, Duration: time.Second}}}, "not a directed cluster pair"},
 		{"negative link-down index", Plan{LinkDowns: []LinkDown{{From: -1, To: 1, Duration: time.Second}}}, "not a directed cluster pair"},
 		// ValidateOn, against a four-cluster ring (links 0-1, 1-2, 2-3, 3-0).
-		{"pair beyond platform", Plan{Pairs: map[[2]int]PairProbs{{0, 4}: {Drop: 0.5}}}, "beyond the platform"},
 		{"crash beyond platform", Plan{Crashes: []GatewayCrash{{Cluster: 4, Duration: time.Second}}}, "beyond the platform"},
 		{"link-down beyond platform", Plan{LinkDowns: []LinkDown{{From: 3, To: 4, Duration: time.Second}}}, "not a physical link"},
 		{"link-down across the ring", Plan{LinkDowns: []LinkDown{{From: 0, To: 2, Duration: time.Second}}}, "not a physical link"},
@@ -70,35 +67,24 @@ func TestPlanValidate(t *testing.T) {
 }
 
 func TestVerdictStreamDeterminism(t *testing.T) {
-	plan := Plan{
-		Seed:         42,
-		Default:      PairProbs{Drop: 0.2, Duplicate: 0.1, Reorder: 0.1},
-		ReorderDelay: time.Millisecond,
-	}
-	sequence := func() []netsim.FaultAction {
+	plan := Plan{Seed: 42, Default: PairProbs{Drop: 0.2}}
+	sequence := func() []bool {
 		in := MustInjector(plan)
 		in.Bind(2)
-		var out []netsim.FaultAction
+		var out []bool
 		for i := 0; i < 500; i++ {
-			a, _ := in.WANTransit(time.Duration(i)*time.Millisecond, 0, 1, netsim.Msg{})
-			out = append(out, a)
+			out = append(out, in.WANTransit(time.Duration(i)*time.Millisecond, 0, 1, netsim.Msg{}))
 		}
 		return out
 	}
 	a, b := sequence(), sequence()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("verdict %d differs across identical injectors: %v vs %v", i, a[i], b[i])
-		}
+	if !slices.Equal(a, b) {
+		t.Fatal("verdicts differ across identical injectors")
 	}
 }
 
 func TestProbabilisticRates(t *testing.T) {
-	in := MustInjector(Plan{
-		Seed:         7,
-		Default:      PairProbs{Drop: 0.3, Duplicate: 0.1, Reorder: 0.05},
-		ReorderDelay: time.Millisecond,
-	})
+	in := MustInjector(Plan{Seed: 7, Default: PairProbs{Drop: 0.3}})
 	in.Bind(2)
 	const n = 20000
 	for i := 0; i < n; i++ {
@@ -116,22 +102,6 @@ func TestProbabilisticRates(t *testing.T) {
 		}
 	}
 	within("drop", c.Drops, 0.3)
-	within("duplicate", c.Duplicates, 0.1)
-	within("reorder", c.Reorders, 0.05)
-}
-
-func TestPairOverrides(t *testing.T) {
-	in := MustInjector(Plan{
-		Default: PairProbs{Drop: 1},
-		Pairs:   map[[2]int]PairProbs{{1, 0}: {}}, // reverse direction perfect
-	})
-	in.Bind(2)
-	if a, _ := in.WANTransit(0, 0, 1, netsim.Msg{}); a != netsim.FaultDrop {
-		t.Fatalf("default pair verdict %v, want drop", a)
-	}
-	if a, _ := in.WANTransit(0, 1, 0, netsim.Msg{}); a != netsim.FaultDeliver {
-		t.Fatalf("override pair verdict %v, want deliver", a)
-	}
 }
 
 func TestGatewayCrashWindow(t *testing.T) {
@@ -188,10 +158,9 @@ func TestNetworkRunDeterminism(t *testing.T) {
 		e := sim.NewEngine()
 		n := netsim.New(e, cluster.Topology{Clusters: 3, NodesPerCluster: 3}, cluster.DASParams())
 		in := MustInjector(Plan{
-			Seed:         99,
-			Default:      PairProbs{Drop: 0.1, Duplicate: 0.05, Reorder: 0.05},
-			ReorderDelay: 5 * time.Millisecond,
-			Crashes:      []GatewayCrash{{Cluster: 1, Start: 10 * time.Millisecond, Duration: 10 * time.Millisecond}},
+			Seed:    99,
+			Default: PairProbs{Drop: 0.1},
+			Crashes: []GatewayCrash{{Cluster: 1, Start: 10 * time.Millisecond, Duration: 10 * time.Millisecond}},
 		})
 		n.SetFaultPolicy(in)
 		for id := 0; id < 12; id++ { // nine compute nodes and three gateways
@@ -216,7 +185,7 @@ func TestNetworkRunDeterminism(t *testing.T) {
 			t.Fatalf("run %d diverged: (%v, %d, %+v) vs (%v, %d, %+v)", i+2, e1, d1, c1, e2, d2, c2)
 		}
 	}
-	if c1.Drops == 0 || c1.Duplicates == 0 || c1.CrashDrops == 0 {
+	if c1.Drops == 0 || c1.CrashDrops == 0 {
 		t.Fatalf("plan injected nothing interesting: %+v", c1)
 	}
 }

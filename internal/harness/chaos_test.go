@@ -72,8 +72,7 @@ func TestChaosBaselineIsFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := mustExec(t, (&Session{}).chaosRun(app, cluster.DAS(2, 2), false, ChaosSpec{}))
-	if res.Faults.Drops != 0 || res.Faults.Duplicates != 0 || res.Faults.Reorders != 0 ||
-		res.Faults.CrashDrops != 0 {
+	if res.Faults.Drops != 0 || res.Faults.CrashDrops != 0 {
 		t.Fatalf("fault-free baseline injected faults: %+v", res.Faults)
 	}
 	if res.Rel.Wrapped == 0 {

@@ -42,8 +42,8 @@ func (in *planInput) next() byte {
 	return b
 }
 
-// prob decodes a probability: mostly small, sometimes large enough for three
-// to sum past 1, and sometimes out of range or NaN.
+// prob decodes a probability: mostly small, sometimes large, and sometimes
+// out of range or NaN.
 func (in *planInput) prob() float64 {
 	switch v := in.next(); {
 	case v == 255:
@@ -57,10 +57,6 @@ func (in *planInput) prob() float64 {
 	default:
 		return float64(v) / 2000
 	}
-}
-
-func (in *planInput) probs() faults.PairProbs {
-	return faults.PairProbs{Drop: in.prob(), Duplicate: in.prob(), Reorder: in.prob()}
 }
 
 // cluster decodes a cluster index, now and then negative or one the
@@ -99,25 +95,14 @@ func (in *planInput) window() (start, dur time.Duration) {
 }
 
 // decodePlan turns a fuzz input into a platform (DAS 2x2 or ring9) and a
-// fault plan on it: seed, default and per-pair probabilities, a reorder
-// delay, gateway crashes, and link-downs on physical links or arbitrary pairs.
+// fault plan on it: seed, drop probability, gateway crashes, and link-downs
+// on physical links or arbitrary pairs.
 func decodePlan(data []byte, platforms [2]cluster.Topology, graphs [2]*cluster.Graph) (cluster.Topology, *cluster.Graph, faults.Plan) {
 	in := planInput(data)
 	k := in.next() & 1
 	topo, g := platforms[k], graphs[k]
 	nc := topo.Clusters
-	plan := faults.Plan{Seed: uint64(in.next())<<8 | uint64(in.next()), Default: in.probs()}
-	for n := in.next() % 4; n > 0; n-- {
-		if plan.Pairs == nil {
-			plan.Pairs = map[[2]int]faults.PairProbs{}
-		}
-		plan.Pairs[[2]int{in.cluster(nc), in.cluster(nc)}] = in.probs()
-	}
-	if v := in.next(); v == 255 {
-		plan.ReorderDelay = -time.Millisecond
-	} else {
-		plan.ReorderDelay = time.Duration(v) * 200 * time.Microsecond
-	}
+	plan := faults.Plan{Seed: uint64(in.next())<<8 | uint64(in.next()), Default: faults.PairProbs{Drop: in.prob()}}
 	for n := in.next() % 3; n > 0; n-- {
 		c := faults.GatewayCrash{Cluster: in.cluster(nc)}
 		c.Start, c.Duration = in.window()
@@ -206,25 +191,25 @@ func checkPlan(t testing.TB, data []byte, platforms [2]cluster.Topology, graphs 
 }
 
 // planSeeds are hand-written inputs for the corners: the empty plan on each
-// platform, lossy and duplicating defaults, a reorder without its delay, a
-// NaN probability, per-pair overrides, a crash, a link cut, and the windows
-// that reach or overflow the last representable instant.
+// platform, lossy defaults, drop probabilities out of range and NaN, a
+// crash, a link cut, and the windows that reach or overflow the last
+// representable instant.
 var planSeeds = [][]byte{
 	{0},
 	{1},
-	{0, 0, 7, 100, 40, 0, 0, 0, 0}, // DAS: 5% drop, 2% duplicate
-	{1, 0, 9, 60, 0, 60, 0, 5, 0},  // ring9: drop and reorder, 1ms delay
-	{0, 0, 1, 0, 0, 60, 0, 0, 0},   // reorder without a delay
-	{1, 0, 1, 255, 0, 0},           // NaN drop probability
-	{0, 0, 2, 0, 0, 0, 2, 0, 1, 20, 0, 0, 1, 0, 230, 0, 0, 0}, // pair overrides: 1% and 75% drop
-	{0, 0, 2, 0, 0, 0, 1, 1, 0, 230, 230, 0, 0},               // a pair's probabilities sum past 1
-	{0, 0, 3, 0, 0, 0, 0, 0, 1, 1, 10, 100},                   // crash cluster 1 at 20ms for 200ms
-	{1, 0, 4, 0, 0, 0, 0, 0, 0, 1, 0, 5, 250},                 // ring9: cut link 0 at 10ms for 500ms
-	{0, 0, 5, 0, 0, 0, 0, 0, 1, 1, 0, 255},                    // crash from 0 to the end of time
-	{0, 0, 5, 0, 0, 0, 0, 0, 1, 1, 1, 255},                    // crash whose end overflows
-	{1, 0, 6, 0, 0, 0, 0, 0, 1, 4, 30, 254},                   // crash to the last instant
-	{1, 0, 7, 0, 0, 0, 0, 0, 0, 1, 3, 1, 255},                 // link-down whose end overflows
-	{1, 0, 8, 0, 0, 0, 0, 0, 0, 1, 250, 0, 4, 0, 10},          // link-down between non-adjacent clusters
+	{0, 0, 7, 100},                       // DAS: 5% drop
+	{1, 0, 9, 60},                        // ring9: 3% drop
+	{0, 0, 1, 240},                       // drop probability past 1
+	{1, 0, 1, 255},                       // NaN drop probability
+	{0, 0, 2, 248},                       // negative drop probability
+	{0, 0, 2, 230},                       // 75% drop
+	{0, 0, 3, 0, 1, 1, 10, 100},          // crash cluster 1 at 20ms for 200ms
+	{1, 0, 4, 0, 0, 1, 0, 5, 250},        // ring9: cut link 0 at 10ms for 500ms
+	{0, 0, 5, 0, 1, 1, 0, 255},           // crash from 0 to the end of time
+	{0, 0, 5, 0, 1, 1, 1, 255},           // crash whose end overflows
+	{1, 0, 6, 0, 1, 4, 30, 254},          // crash to the last instant
+	{1, 0, 7, 0, 0, 1, 3, 1, 255},        // link-down whose end overflows
+	{1, 0, 8, 0, 0, 1, 250, 0, 4, 0, 10}, // link-down between non-adjacent clusters
 }
 
 func FuzzPlan(f *testing.F) {

@@ -127,8 +127,8 @@ func (s *Session) chaosRun(app AppSpec, topo cluster.Topology, optimized bool, c
 
 // ChaosTimeline runs one application on 4x4 under the fault scenario with
 // TimelineHook attached and returns the rendered timeline: traffic series
-// in the standard glyph ramp, fault series (drops, outage/crash losses,
-// duplicates) in the distinct fault ramp, so injected chaos is visually
+// in the standard glyph ramp, fault series (drops and outage/crash losses)
+// in the distinct fault ramp, so injected chaos is visually
 // separable from the traffic it perturbs.
 func ChaosTimeline(s *Session, appName string, optimized bool, c ChaosSpec, width int) (string, error) {
 	app, err := AppByName(appName)

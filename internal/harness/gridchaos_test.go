@@ -113,7 +113,6 @@ func TestExecRejectsPlanOffThePlatform(t *testing.T) {
 		{"mesh crash beyond", cluster.DAS(4, 2), faults.Plan{Crashes: []faults.GatewayCrash{{Cluster: 4, Duration: time.Hour}}}, "beyond the platform"},
 		{"ring link-down across", ring9(t), faults.Plan{LinkDowns: hour(0, 2)}, "not a physical link"},
 		{"ring crash beyond", ring9(t), faults.Plan{Crashes: []faults.GatewayCrash{{Cluster: 9, Duration: time.Hour}}}, "beyond the platform"},
-		{"ring pair beyond", ring9(t), faults.Plan{Pairs: map[[2]int]faults.PairProbs{{9, 0}: {Drop: 1}}}, "beyond the platform"},
 	}
 	for _, tc := range cases {
 		spec := (&Session{}).Spec(app, tc.topo, false)

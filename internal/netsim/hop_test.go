@@ -199,24 +199,6 @@ func TestHopPosition(t *testing.T) {
 				t.Errorf("deliveries %v, want %v", r.Got, want)
 			}
 		},
-	}, {
-		// A 3 ms reorder delay on message 0 is added once, to its last hop's
-		// arrival (3,705 + 3,000 µs). Message 1, 100 µs behind it on every
-		// pipe, is then earlier than the last pipe's tail, leaves the lane's
-		// ring and overtakes.
-		name: "reorder delay on a three-hop route",
-		policy: &testPolicy{transit: func(_ time.Duration, _, _ int, m Msg) (FaultAction, time.Duration) {
-			if m.Payload.(int) == 0 {
-				return FaultDeliver, 3 * time.Millisecond
-			}
-			return FaultDeliver, 0
-		}},
-		sends: []time.Duration{0, 0},
-		check: func(t *testing.T, r hopRun) {
-			if want := []hopDelivery{{1, 4705 * us}, {0, 6705 * us}}; !reflect.DeepEqual(r.Got, want) {
-				t.Errorf("deliveries %v, want %v", r.Got, want)
-			}
-		},
 	}}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

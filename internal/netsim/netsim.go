@@ -12,6 +12,12 @@
 // All traffic is metered by a Stats collector, split intracluster vs
 // intercluster and by message kind — the raw material for the paper's
 // Tables 2, 4 and 5.
+//
+// The paper's wide-area links never fail. An installed FaultPolicy makes
+// them lose messages, and only lose them: a drop verdict where a message
+// enters the WAN, a crashed gateway on its route, or a cut link it cannot
+// route around in time. No fault copies a message or delays it on purpose,
+// so the layers above recover by retransmission alone.
 package netsim
 
 import (
@@ -65,8 +71,8 @@ func (k Kind) String() string {
 // Msg is a simulated network message. Size is the application-level payload
 // size in bytes; Payload carries the simulated content by reference. Seq is a
 // header word for the layer above: netsim carries it by value through every
-// copy it makes — wire units, frames, fault duplicates, hold queues — and
-// never reads it. It fills the padding after Kind, so a Msg stays 48 bytes.
+// copy it makes — wire units, frames, hold queues — and never reads it. It
+// fills the padding after Kind, so a Msg stays 48 bytes.
 type Msg struct {
 	From, To cluster.NodeID
 	Kind     Kind
@@ -108,15 +114,18 @@ type pipe struct {
 	arrive time.Duration // last scheduled arrival: the pipe is a physical FIFO
 	// link, so a latency drop between two transmissions (a WANProfile wave
 	// edge) must not let later traffic overtake earlier traffic. Arrivals are
-	// clamped to be non-decreasing per pipe; the fault injector's deliberate
-	// reorder delay is applied after the clamp so chaos reordering still works.
+	// clamped to be non-decreasing per pipe.
 	lane *sim.Lane[hop] // scheduled arrivals, oldest first; nil until the pipe carries a unit
 
+	// The pipe's one meter, updated on every transmission: PipeReports reads
+	// it per pipe and ClassReports sums it per link class.
 	busy    time.Duration // cumulative transmission time
 	bytes   int64
 	msgs    int64         // application messages carried
 	frames  int64         // coalesced frames transmitted (0 when transport is off)
-	maxWait time.Duration // worst queueing delay behind earlier traffic
+	sumWait time.Duration // queueing delay behind earlier traffic
+	minWait time.Duration
+	maxWait time.Duration
 }
 
 // delivery is a recyclable deliver-callback record. The closure is bound
@@ -171,14 +180,14 @@ type Network struct {
 	nodes []node
 
 	// Wide-area state, linear in physical links. adj[c] lists cluster c's
-	// outgoing links sorted by destination, all built by New; agg[c][k]
-	// accumulates cluster c's transmissions on class k as O(1) streaming
-	// aggregates. Both are per-source-cluster state: under a sharded engine
-	// each top-level slot is touched only by its owner LP.
+	// outgoing links sorted by destination, all built by New; p99[c][k]
+	// estimates the queueing-delay tail of cluster c's transmissions on class
+	// k. Both are per-source-cluster state: under a sharded engine each
+	// top-level slot is touched only by its owner LP.
 	graph     *cluster.Graph // topo.Graph(par): routes, link classes, physical links
 	classes   []linkClass
 	adj       [][]adjLink
-	agg       [][]classAgg
+	p99       [][]p2Quantile
 	nclusters int
 	xp        *xport        // gateway transport layer (nil = off: every message is its own wire unit)
 	sharded   bool          // LPs run concurrently
@@ -226,25 +235,11 @@ type Network struct {
 	// its argument so runs stay deterministic.
 	wanProfile WANProfile
 
-	// fault, if set, injects wide-area faults (drops, duplicates, reorder
-	// delays, gateway crashes, link failures). The hooks cost one nil check
+	// fault, if set, injects wide-area faults (drops, gateway crashes, link
+	// failures). The hooks cost one nil check
 	// when no policy is installed.
 	fault FaultPolicy
 }
-
-// FaultAction is a FaultPolicy's verdict on one WAN transmission.
-type FaultAction uint8
-
-const (
-	// FaultDeliver lets the message pass unharmed.
-	FaultDeliver FaultAction = iota
-	// FaultDrop loses the message at the sending gateway.
-	FaultDrop
-	// FaultDuplicate transmits the message twice. Both copies pay for pipe
-	// bandwidth; the duplicate copy is exempt from further verdicts (so
-	// duplication cannot cascade) but still subject to gateway crashes.
-	FaultDuplicate
-)
 
 // FaultPolicy injects deterministic wide-area faults into the network. The
 // network consults it only on the intercluster path; intracluster (LAN)
@@ -255,11 +250,9 @@ const (
 // same fault sequence on every run. WAN quality is not a fault: it comes
 // from SetWANProfile alone.
 type FaultPolicy interface {
-	// WANTransit rules on one message entering the WAN pipe cs→cd at
-	// virtual time at. delay (used only when the verdict delivers) is
-	// added to the message's arrival at the remote gateway, modelling
-	// reordering against traffic that departs later.
-	WANTransit(at time.Duration, cs, cd int, m Msg) (a FaultAction, delay time.Duration)
+	// WANTransit rules on one message entering the WAN toward cluster cd at
+	// its source cluster cs's gateway, at virtual time at: true loses it there.
+	WANTransit(at time.Duration, cs, cd int, m Msg) (drop bool)
 	// GatewayDown reports whether cluster c's gateway is crashed at time
 	// at. m is the message about to traverse the gateway, so the policy
 	// can account for the drop it induces by answering true.
@@ -407,10 +400,10 @@ func New(e *sim.Engine, topo cluster.Topology, par cluster.Params) *Network {
 		n.addLink(l.A, l.B, l.Class)
 		n.addLink(l.B, l.A, l.Class)
 	}
-	// agg and route rows materialize on a cluster's first WAN transmission
-	// (aggFor, route): clusters that never source wide-area traffic cost one
+	// p99 and route rows materialize on a cluster's first WAN transmission
+	// (p99For, route): clusters that never source wide-area traffic cost one
 	// empty slot each.
-	n.agg = make([][]classAgg, topo.Clusters)
+	n.p99 = make([][]p2Quantile, topo.Clusters)
 	n.routes = make([]routeRow, topo.Clusters)
 	n.clusterOf = make([]int, topo.Total())
 	n.isGW = make([]bool, topo.Total())
@@ -542,13 +535,14 @@ func (n *Network) linkIndex(cur, next int) int {
 	panic(fmt.Sprintf("netsim: route hop %d->%d has no physical link", cur, next))
 }
 
-// aggFor returns cluster c's streaming aggregate for one link class, lazily
-// materializing the cluster's row (per-source-cluster state owned by c's LP).
-func (n *Network) aggFor(c, class int) *classAgg {
-	a := n.agg[c]
+// p99For returns cluster c's queueing-delay tail estimator for one link
+// class, lazily materializing the cluster's row (per-source-cluster state
+// owned by c's LP).
+func (n *Network) p99For(c, class int) *p2Quantile {
+	a := n.p99[c]
 	if a == nil {
-		a = make([]classAgg, len(n.classes))
-		n.agg[c] = a
+		a = make([]p2Quantile, len(n.classes))
+		n.p99[c] = a
 	}
 	return &a[class]
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -258,31 +259,36 @@ func TestUplinkCutHoldsSubtreeTraffic(t *testing.T) {
 	}
 }
 
-// TestDuplicateNotReinspectedOnMultiHopRoute is the regression test for the
-// duplicate contract on store-and-forward routes: the duplicated copy must
-// be exempt from further WANTransit verdicts at every intermediate gateway,
-// not just at the source (the single-hop mesh test cannot see the
-// difference). An always-duplicate policy on a 4-hop tiered route must
-// yield exactly two delivered copies and exactly one WANTransit
-// consultation — any re-inspection would cascade duplicates 2^hops.
-func TestDuplicateNotReinspectedOnMultiHopRoute(t *testing.T) {
+// TestRuledOnceOnMultiHopRoute: the drop verdict applies once, where a unit
+// enters the WAN at its source gateway. The intermediate gateways of a 4-hop
+// tiered route consult only gateway liveness, so a policy that never drops is
+// asked about the message exactly once, at cluster 1, and every gateway on
+// the route is asked whether it is up.
+func TestRuledOnceOnMultiHopRoute(t *testing.T) {
 	e, n := tieredTestNet(t, testParams(), 0)
-	inspections := 0
+	var ruledAt, upAt []int
 	n.SetFaultPolicy(&testPolicy{
-		transit: func(time.Duration, int, int, Msg) (FaultAction, time.Duration) {
-			inspections++
-			return FaultDuplicate, 0
+		transit: func(_ time.Duration, cs, _ int, _ Msg) bool {
+			ruledAt = append(ruledAt, cs)
+			return false
+		},
+		gwDown: func(_ time.Duration, c int, _ Msg) bool {
+			upAt = append(upAt, c)
+			return false
 		},
 	})
 	n.Send(Msg{From: 2, To: 6, Kind: KindData, Size: 1000}) // route 1→0→2→3
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if inspections != 1 {
-		t.Fatalf("WANTransit consulted %d times on a multi-hop route, want 1 (source only)", inspections)
+	if want := []int{1}; !slices.Equal(ruledAt, want) {
+		t.Fatalf("WANTransit ruled at clusters %v, want %v (source only)", ruledAt, want)
 	}
-	if got := n.Inbox(6).Len(); got != 2 {
-		t.Fatalf("delivered %d copies, want exactly 2", got)
+	if want := []int{1, 0, 2, 3}; !slices.Equal(upAt, want) {
+		t.Fatalf("GatewayDown asked at clusters %v, want every gateway of the route %v", upAt, want)
+	}
+	if got := n.Inbox(6).Len(); got != 1 {
+		t.Fatalf("delivered %d copies, want 1", got)
 	}
 }
 
@@ -303,9 +309,9 @@ func TestRerouteBackThroughSourceGateway(t *testing.T) {
 			inspections := 0
 			n.SetFaultPolicy(&testPolicy{
 				downs: downPair(1, 2, time.Millisecond, time.Hour),
-				transit: func(time.Duration, int, int, Msg) (FaultAction, time.Duration) {
+				transit: func(time.Duration, int, int, Msg) bool {
 					inspections++
-					return FaultDeliver, 0
+					return false
 				},
 			})
 			n.Send(Msg{From: 0, To: 4, Kind: KindData, Size: 600})

@@ -281,44 +281,6 @@ func (s *p2Quantile) estimate() float64 {
 	return s.q[2]
 }
 
-// classAgg accumulates one cluster's transmissions on one link class as
-// streaming O(1) aggregates — nothing is kept per pair or per sample, so
-// grid-scale platforms pay constant stats memory per (cluster, class). Each
-// instance is per-source-cluster state: under a sharded engine it is touched
-// only by the owning cluster's LP, and because every LP executes its
-// cluster's transmissions in the same relative order as the sequential
-// engine, even the order-sensitive P² estimator converges to bit-identical
-// state in both modes.
-type classAgg struct {
-	xmits   int64 // wire transmissions (a coalesced frame counts once)
-	msgs    int64 // application messages carried
-	frames  int64 // coalesced frames among the transmissions
-	bytes   int64
-	busy    time.Duration // cumulative transmission (serialization) time
-	sumWait time.Duration // queueing delay behind earlier traffic
-	minWait time.Duration
-	maxWait time.Duration
-	p99     p2Quantile // streaming tail estimate of the queueing delay
-}
-
-func (a *classAgg) observe(wait, xmit time.Duration, bytes, msgs int64, isFrame bool) {
-	if a.xmits == 0 || wait < a.minWait {
-		a.minWait = wait
-	}
-	if wait > a.maxWait {
-		a.maxWait = wait
-	}
-	a.xmits++
-	a.msgs += msgs
-	if isFrame {
-		a.frames++
-	}
-	a.bytes += bytes
-	a.busy += xmit
-	a.sumWait += wait
-	a.p99.observe(0.99, float64(wait))
-}
-
 // ClassReport aggregates a run's wide-area traffic over one link class:
 // wire-level (per-hop) transmission counts, volumes, link occupancy and the
 // distribution of the queueing delay transmissions spent waiting behind
@@ -336,50 +298,49 @@ type ClassReport struct {
 	P99Wait  time.Duration // P² streaming estimate
 }
 
-// Packing reports the class's average messages per frame (0 when no frames).
-func (r ClassReport) Packing() float64 {
-	if r.Frames == 0 {
-		return 0
-	}
-	return float64(r.Msgs) / float64(r.Frames)
-}
-
-// ClassReports merges the per-cluster streaming aggregates into one report
-// per link class, ordered by class, omitting classes that carried nothing.
-// Counts, volumes and min/max merge exactly; the p99 is the count-weighted
-// mean of the per-cluster P² estimates. The merge is a pure function of the
-// per-cluster states folded in fixed cluster order, so sequential and
-// sharded runs of the same workload render identical reports.
+// ClassReports sums the pipes of each link class into one report per class,
+// ordered by class, omitting classes that carried nothing. Counts, volumes
+// and min/max merge exactly; the p99 is the mean of the per-cluster P²
+// estimates weighted by each cluster's transmissions, folded in cluster
+// order. The merge is a pure function of per-cluster state, so sequential
+// and sharded runs of the same workload render identical reports.
 func (n *Network) ClassReports() []ClassReport {
 	var out []ClassReport
 	for ci := range n.classes {
 		r := ClassReport{Class: n.classes[ci].name}
 		var sumWait time.Duration
 		var wp99 float64
-		first := true
-		for c := range n.agg {
-			row := n.agg[c]
-			if row == nil {
-				continue
+		for c, links := range n.adj {
+			var xmits int64
+			for i := range links {
+				if int(links[i].class) != ci {
+					continue
+				}
+				for k := range links[i].pipes {
+					p := &links[i].pipes[k]
+					if p.msgs == 0 {
+						continue
+					}
+					if r.Msgs == 0 || p.minWait < r.MinWait {
+						r.MinWait = p.minWait
+					}
+					r.MaxWait = max(r.MaxWait, p.maxWait)
+					r.Msgs += p.msgs
+					r.Frames += p.frames
+					r.Bytes += p.bytes
+					r.Busy += p.busy
+					sumWait += p.sumWait
+					if n.xp != nil {
+						xmits += p.frames // every transmission is a frame
+					} else {
+						xmits += p.msgs
+					}
+				}
 			}
-			a := &row[ci]
-			if a.xmits == 0 {
-				continue
+			if xmits > 0 {
+				r.Xmits += xmits
+				wp99 += float64(xmits) * n.p99[c][ci].estimate()
 			}
-			if first || a.minWait < r.MinWait {
-				r.MinWait = a.minWait
-			}
-			if a.maxWait > r.MaxWait {
-				r.MaxWait = a.maxWait
-			}
-			first = false
-			r.Xmits += a.xmits
-			r.Msgs += a.msgs
-			r.Frames += a.frames
-			r.Bytes += a.bytes
-			r.Busy += a.busy
-			sumWait += a.sumWait
-			wp99 += float64(a.xmits) * a.p99.estimate()
 		}
 		if r.Xmits == 0 {
 			continue

@@ -17,9 +17,9 @@
 // unit's position as a parameter: land from the pipe, forward, lose and the
 // hold queues from their caller. Every other entry is the unit's one event
 // closure, step, which picks the stage from where the unit stands, so the
-// record's cur is read by step alone and written by every path that
-// schedules it: sendWAN, admit's duplicate and the lane's spill. While a unit
-// waits in a lane, its cur is stale.
+// record's cur is read by step alone and written by both paths that schedule
+// it: sendWAN and the lane's spill. While a unit waits in a lane, its cur is
+// stale.
 //
 // The transport layer (MPWide-style frame coalescing and multipath striping)
 // changes only how units are built and consumed. When enabled (any of
@@ -54,18 +54,16 @@ const noSeq = -1
 // so steady intercluster traffic — framed or not — schedules its gateway hops
 // without allocating. A frame's format is the concatenation of its messages'
 // payloads: header cost is modelled by the per-unit software overhead, not
-// extra bytes. Cluster indices are int32 and the stream an int16, packed with
-// dup, so the record fills the 128-byte size class exactly.
+// extra bytes. Cluster indices are int32 and the stream an int16, so the
+// record fits the 128-byte size class.
 type wireUnit struct {
 	n      *Network
 	cs, cd int32
-	cur    int32         // the cluster step runs at (stale while in a lane)
-	stream int16         // striping stream, reduced modulo each link's pipe count
-	dup    bool          // an injected duplicate copy: exempt from further verdicts
-	seq    int64         // reassembly sequence number; noSeq when unsequenced
-	bytes  int           // summed message sizes: what the wire serializes
-	extra  time.Duration // fault-injected reorder delay, added to the final arrival
-	msgs   []Msg         // starts out backed by one, so a single message never allocates
+	cur    int32 // the cluster step runs at (stale while in a lane)
+	stream int16 // striping stream, reduced modulo each link's pipe count
+	seq    int64 // reassembly sequence number; noSeq when unsequenced
+	bytes  int   // summed message sizes: what the wire serializes
+	msgs   []Msg // starts out backed by one, so a single message never allocates
 	one    [1]Msg
 	fn     func() // bound to (*wireUnit).step once
 }
@@ -97,8 +95,8 @@ func (n *Network) getUnit(sh *netShard) *wireUnit {
 	return u
 }
 
-// step is the unit's event closure — the entry of sendWAN's first leg, of a
-// duplicate and of a hop spilled from a lane — on the LP of cluster cur;
+// step is the unit's event closure — the entry of sendWAN's first leg and of
+// a hop spilled from a lane — on the LP of cluster cur;
 // which stage runs follows from where the unit stands.
 func (u *wireUnit) step() {
 	switch {
@@ -117,7 +115,7 @@ func (u *wireUnit) step() {
 func (u *wireUnit) release(sh *netShard) {
 	clear(u.msgs)
 	u.msgs = u.msgs[:0]
-	u.seq, u.stream, u.bytes, u.extra, u.dup = noSeq, 0, 0, 0, false
+	u.seq, u.stream, u.bytes = noSeq, 0, 0
 	sh.wirePool.Put(u)
 }
 
@@ -138,32 +136,15 @@ func (u *wireUnit) faultMsg() Msg {
 }
 
 // admit applies the fault policy where a unit enters the WAN, at its source
-// gateway. ok is false when the unit was consumed (crashed gateway or drop
-// verdict) and has been released. A duplicate verdict returns the second
-// copy, marked dup so no later stage consults the policy's verdicts for it
-// again (duplication cannot cascade along a route); the caller decides how
-// the copy follows the original onto the wire.
-func (n *Network) admit(sh *netShard, now time.Duration, u *wireUnit) (dup *wireUnit, ok bool) {
+// gateway. It reports false when the unit was consumed (crashed gateway or
+// drop verdict) and has been released.
+func (n *Network) admit(sh *netShard, now time.Duration, u *wireUnit) bool {
 	wire := u.faultMsg()
-	if n.fault.GatewayDown(now, int(u.cs), wire) {
-		// The local gateway is crashed: the unit never reaches the WAN.
+	if n.fault.GatewayDown(now, int(u.cs), wire) || n.fault.WANTransit(now, int(u.cs), int(u.cd), wire) {
 		u.release(sh)
-		return nil, false
+		return false
 	}
-	act, delay := n.fault.WANTransit(now, int(u.cs), int(u.cd), wire)
-	switch act {
-	case FaultDrop:
-		u.release(sh)
-		return nil, false
-	case FaultDuplicate:
-		dup = n.getUnit(sh)
-		dup.cs, dup.cd, dup.cur, dup.dup = u.cs, u.cd, u.cs, true
-		dup.seq, dup.stream = u.seq, u.stream
-		dup.msgs = append(dup.msgs, u.msgs...)
-		dup.bytes = u.bytes
-	}
-	u.extra = delay
-	return dup, true
+	return true
 }
 
 // forward is cluster cur's gateway forwarding stage, on its LP. An unframed
@@ -176,25 +157,18 @@ func (n *Network) forward(cur int, h hop) {
 	now := sh.e.Now()
 	if n.fault != nil {
 		u := h.u
-		if cur == int(u.cs) && u.seq == noSeq && !u.dup {
+		if cur == int(u.cs) && u.seq == noSeq {
 			// An unframed unit at its source gateway is entering the WAN.
 			// (So is one that a reversed reroute carries back through it:
 			// chaos-run results depend on its being ruled on again. A frame
 			// was admitted in flush and is never ruled on twice — a second
 			// drop would lose its sequence number without a tombstone.)
-			dup, ok := n.admit(sh, now, u)
-			if !ok {
+			if !n.admit(sh, now, u) {
 				return
 			}
-			if dup != nil {
-				// An unframed duplicate re-enters this stage as its own event
-				// at the same instant, behind everything already scheduled.
-				sh.e.At(now, dup.fn)
-			}
 		} else if n.fault.GatewayDown(now, cur, u.faultMsg()) {
-			// Intermediate gateways (and duplicate copies at the source)
-			// consult only gateway liveness: drop/duplicate verdicts apply
-			// once, where the unit enters the WAN.
+			// Intermediate gateways consult only gateway liveness: the drop
+			// verdict applies once, where the unit enters the WAN.
 			n.lose(sh, now, cur, u)
 			return
 		}
@@ -249,9 +223,9 @@ func (n *Network) gatewaySlot(c int, now time.Duration) time.Duration {
 // transmitOn runs cluster cur's gateway forwarding slot and puts the unit on
 // link l (the caller's routing choice), then queues the hop in the pipe's
 // lane toward the next gateway. Stats' frame counters are charged once, at
-// the source hop; the per-pipe and per-class aggregates meter every hop
-// (wire-level accounting), and their frame columns count sequenced units
-// only. With the transport layer on every transmitted unit is a frame.
+// the source hop; the pipe's meter and its cluster's P² estimator for the
+// link class record every hop (wire-level accounting). With the transport
+// layer on every transmitted unit is a frame.
 func (n *Network) transmitOn(sh *netShard, cur int, h hop, now time.Duration, l *adjLink) {
 	now = n.gatewaySlot(cur, now)
 	// Unsequenced units carry stream 0, so plain messages never stripe:
@@ -263,13 +237,12 @@ func (n *Network) transmitOn(sh *netShard, cur int, h hop, now time.Duration, l 
 		u := h.u
 		p, bytes, msgs = &l.pipes[int(u.stream)%len(l.pipes)], u.bytes, len(u.msgs)
 	}
-	wait := p.free - now
-	if wait < 0 {
-		wait = 0
+	wait := max(p.free-now, 0)
+	if p.msgs == 0 || wait < p.minWait {
+		p.minWait = wait
 	}
-	if wait > p.maxWait {
-		p.maxWait = wait
-	}
+	p.maxWait = max(p.maxWait, wait)
+	p.sumWait += wait
 	start := now + wait
 	// Sample WAN quality at the instant transmission actually begins: a unit
 	// queued behind earlier traffic departs at p.free, and a time-varying
@@ -289,7 +262,7 @@ func (n *Network) transmitOn(sh *netShard, cur int, h hop, now time.Duration, l 
 			sh.stats.framedMsgs += int64(msgs)
 		}
 	}
-	n.aggFor(cur, int(l.class)).observe(wait, xmit, int64(bytes), int64(msgs), framed)
+	n.p99For(cur, int(l.class)).observe(0.99, float64(wait))
 	// The cross-LP hop: arrival is depart+lat+wanDelay with depart >= now and
 	// lat at least the link's class latency (a sharded WANProfile may only
 	// stretch it — latency scales below 1 are rejected per sample),
@@ -297,19 +270,12 @@ func (n *Network) transmitOn(sh *netShard, cur int, h hop, now time.Duration, l 
 	// delays when a frame departs, never how far ahead its arrival is
 	// scheduled. The pipe's lane spills to AtShard on a sharded engine; on a
 	// plain one it keeps the clamped arrivals out of the event queue until
-	// each is the pipe's next (a reorder delay that breaks the order spills).
-	at := depart + lat + n.wanDelay
+	// each is the pipe's next.
 	// FIFO clamp: a latency drop between two transmissions must not let this
-	// unit overtake earlier traffic on the same pipe (the fault reorder delay
-	// stays outside the clamp).
-	if at < p.arrive {
-		at = p.arrive
-	}
+	// unit overtake earlier traffic on the same pipe.
+	at := max(depart+lat+n.wanDelay, p.arrive)
 	p.arrive = at
 	next := int(l.to)
-	if next == int(h.cd) && n.fault != nil {
-		at += h.u.extra // admit, extra's one writer, runs only under a fault policy
-	}
 	if p.lane == nil {
 		p.lane = sim.NewLane(sh.e, n.sh[next].e,
 			func(h hop) { n.land(next, h) },
@@ -322,14 +288,14 @@ func (n *Network) transmitOn(sh *netShard, cur int, h hop, now time.Duration, l 
 // last WAN link. An unsequenced unit unpacks at once. Sequenced units are
 // consumed strictly in order: the next expected frame is unpacked immediately
 // (plus any consecutive frames held behind it), an early frame is held, and a
-// stale sequence number is a duplicate copy to discard.
+// sequence number already taken is discarded.
 func (u *wireUnit) arrive() {
 	n := u.n
 	sh := n.sh[u.cd]
 	now := sh.e.Now()
 	if n.fault != nil && n.fault.GatewayDown(now, int(u.cd), u.faultMsg()) {
 		// The remote gateway is crashed: the unit crossed the WAN but is lost
-		// at the receiving side. Duplicates are subject to this too.
+		// at the receiving side.
 		n.lose(sh, now, int(u.cd), u)
 		return
 	}
@@ -340,7 +306,7 @@ func (u *wireUnit) arrive() {
 	}
 	iq := n.ingressFor(int(u.cs), int(u.cd))
 	if !iq.Put(uint64(u.seq), u) {
-		u.release(sh) // duplicate of a frame already consumed or waiting in the gap
+		u.release(sh) // its number was already consumed or is waiting in the gap
 		return
 	}
 	unpackInOrder(iq, now)
@@ -521,26 +487,16 @@ func (eg *egressQ) flush(now time.Duration) {
 	n := eg.n
 	u := eg.u
 	eg.u = nil
-	var dup *wireUnit
-	if n.fault != nil {
-		var ok bool
-		if dup, ok = n.admit(n.sh[eg.cs], now, u); !ok {
-			return
-		}
+	sh := n.sh[eg.cs]
+	if n.fault != nil && !n.admit(sh, now, u) {
+		return
 	}
 	eg.seq++
 	eg.stream++
 	if eg.stream >= eg.mod {
 		eg.stream = 0
 	}
-	sh := n.sh[eg.cs]
 	n.transmit(sh, eg.cs, u.hop(), now)
-	if dup != nil {
-		// A frame's duplicate (same sequence number, same stream) enters the
-		// pipe right behind the original, in the same event; reassembly later
-		// discards whichever copy arrives second.
-		n.transmit(sh, eg.cs, dup.hop(), now)
-	}
 }
 
 // consumeLost files the tombstone of a frame whose payload was lost (remote

@@ -276,9 +276,9 @@ func TestFrameFaultsRuleOnWireUnits(t *testing.T) {
 	e, n := buildWith(2, 2, par)
 	var wire []Msg
 	n.SetFaultPolicy(&testPolicy{
-		transit: func(_ time.Duration, _, _ int, m Msg) (FaultAction, time.Duration) {
+		transit: func(_ time.Duration, _, _ int, m Msg) bool {
 			wire = append(wire, m)
-			return FaultDeliver, 0
+			return false
 		},
 	})
 	n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 300})
@@ -305,12 +305,10 @@ func TestFrameDropLosesWholeFrameWithoutWedging(t *testing.T) {
 	e, n := buildWith(2, 2, par)
 	first := true
 	n.SetFaultPolicy(&testPolicy{
-		transit: func(time.Duration, int, int, Msg) (FaultAction, time.Duration) {
-			if first {
-				first = false
-				return FaultDrop, 0
-			}
-			return FaultDeliver, 0
+		transit: func(time.Duration, int, int, Msg) bool {
+			drop := first
+			first = false
+			return drop
 		},
 	})
 	n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 100, Payload: "lost"})
@@ -322,32 +320,6 @@ func TestFrameDropLosesWholeFrameWithoutWedging(t *testing.T) {
 	}
 	if got := n.Inbox(2).Len(); got != 1 {
 		t.Fatalf("%d messages delivered, want only the post-drop one", got)
-	}
-}
-
-// TestFrameDuplicateDeliversOnce: both frame copies pay for bandwidth, but
-// reassembly discards the second by sequence number — framing gives the
-// duplicate-suppression the per-message path lacks.
-func TestFrameDuplicateDeliversOnce(t *testing.T) {
-	par := testParams()
-	par.CoalesceWindow = 100 * time.Microsecond
-	e, n := buildWith(2, 2, par)
-	n.SetFaultPolicy(&testPolicy{
-		transit: func(time.Duration, int, int, Msg) (FaultAction, time.Duration) {
-			return FaultDuplicate, 0
-		},
-	})
-	n.Send(Msg{From: 0, To: 2, Kind: KindData, Size: 300})
-	n.Send(Msg{From: 1, To: 2, Kind: KindData, Size: 300})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Inbox(2).Len(); got != 2 {
-		t.Fatalf("%d deliveries, want 2 (one per app message)", got)
-	}
-	s := n.Stats()
-	if s.WANFrames().Msgs != 2 || s.WANFrames().Bytes != 1200 {
-		t.Fatalf("frame stats %+v, want both copies metered", s.WANFrames())
 	}
 }
 

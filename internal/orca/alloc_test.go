@@ -189,7 +189,7 @@ func shardedWrites(t *testing.T, seqr Sequencer, body func(p *sim.Proc, obj *Obj
 	rts := New(net, seqr)
 	obj := rts.NewReplicated("c", func(n cluster.NodeID) any { return &counter{} })
 	for c := 0; c < 2; c++ {
-		from := rts.Topology().Node(c, 1)
+		from := rts.topo.Node(c, 1)
 		net.EngineFor(c).Go("writer", func(p *sim.Proc) {
 			for i := 0; i < n; i++ {
 				body(p, obj, from)

@@ -127,17 +127,6 @@ func (o *Object) OnApplied(fn func(at cluster.NodeID, op Op, result any)) {
 	o.applied = fn
 }
 
-// Name returns the object's name.
-func (o *Object) Name() string { return o.name }
-
-// Owner returns the owner node of a non-replicated object.
-func (o *Object) Owner() cluster.NodeID {
-	if o.replicated {
-		o.misuse("Owner", "")
-	}
-	return o.owner
-}
-
 // State returns a non-replicated object's state, for post-run inspection
 // and owner-local reads the application accounts for itself.
 func (o *Object) State() any {

@@ -208,15 +208,6 @@ func DefaultSequencer(topo cluster.Topology) Sequencer {
 	return NewCentralSequencer(0)
 }
 
-// Engine returns the underlying simulation engine.
-func (r *RTS) Engine() *sim.Engine { return r.e }
-
-// Network returns the underlying network.
-func (r *RTS) Network() *netsim.Network { return r.net }
-
-// Topology returns the platform topology.
-func (r *RTS) Topology() cluster.Topology { return r.topo }
-
 // Ops returns the logical operation counters accumulated so far, summed
 // over the engines' instances; integer sums are order-independent, so the
 // fold is deterministic.
@@ -227,9 +218,6 @@ func (r *RTS) Ops() OpStats {
 	}
 	return t
 }
-
-// Sequencer returns the totally-ordered broadcast protocol in use.
-func (r *RTS) Sequencer() Sequencer { return r.seqr }
 
 // message payloads (internal protocol)
 

@@ -12,11 +12,12 @@ import (
 
 // Reliability layer: sequenced, retransmitting channels over the lossy WAN.
 //
-// With a fault policy installed the network may drop, duplicate or reorder
-// intercluster messages. EnableReliability interposes a per-directed-node-pair
+// With a fault policy installed the network may lose intercluster messages:
+// a drop verdict, a crashed gateway, a hold queue that gives up.
+// EnableReliability interposes a per-directed-node-pair
 // reliable channel on every intercluster protocol send: messages travel in
-// sequence-numbered envelopes, the receiver suppresses duplicates and restores
-// send order, and the sender keeps a bounded window on the wire — new
+// sequence-numbered envelopes, the receiver suppresses the duplicates that
+// retransmission makes and restores the send order that losses break, and the sender keeps a bounded window on the wire — new
 // envelopes transmit ack-clocked as cumulative acknowledgements slide the
 // window, and a virtual-time timer with exponential backoff retransmits the
 // window when acknowledgements stop.
@@ -40,9 +41,9 @@ import (
 // The channel adds a header word, not a record: an envelope is the wrapped
 // message itself with its sequence number in netsim.Msg.Seq, and an ack is a
 // control message carrying its cumulative number there. Every copy on the
-// wire — a retransmission, a fault duplicate, a reordered straggler — holds
-// its number by value, so the receiver drops a duplicate by that number
-// before it reads the payload. That is what keeps record pooling sound under
+// wire — an original, a retransmission, an early arrival behind a gap —
+// holds its number by value, so the receiver drops a duplicate by that
+// number before it reads the payload. That is what keeps record pooling sound under
 // retransmission: a copy whose original was delivered may point at an inner
 // record that has since been recycled and reused, and it is never
 // dispatched.
@@ -388,9 +389,8 @@ func (l *relLayer) receive(m netsim.Msg) {
 	rc := l.receiver(sh, pairKey{m.From, m.To})
 	seq, next := uint64(m.Seq), rc.win.Next()
 	if seq < next {
-		// Duplicate (retransmit or fault duplication) of a delivered
-		// envelope, dropped before its payload — possibly a recycled
-		// record — is read. Re-ack so the sender stops retransmitting even
+		// Retransmitted duplicate of a delivered envelope, dropped before
+		// its payload — possibly a recycled record — is read. Re-ack so the sender stops retransmitting even
 		// when the original ack was lost.
 		sh.stats.DupDropped++
 		rc.sendAck()
@@ -402,8 +402,8 @@ func (l *relLayer) receive(m netsim.Msg) {
 	}
 	if seq > next {
 		// Early arrival: held to restore send order. FIFO channels only
-		// reach here under fault reordering or a retransmit racing a held
-		// predecessor, so the window stays tiny.
+		// reach here behind a lost predecessor (a gap its retransmission
+		// fills), so the window stays tiny.
 		sh.stats.OutOfOrder++
 		rc.sendAck()
 		return

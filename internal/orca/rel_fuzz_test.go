@@ -13,16 +13,17 @@ import (
 )
 
 // The reliable channel's contract under a scripted WAN: every channel
-// delivers each message exactly once, in send order, whatever the wire does
-// to its envelopes and acks, and a run repeats exactly. FuzzRelChannel
+// delivers each message exactly once, in send order, whichever of its
+// envelopes, retransmissions and acks the wire loses, and a run repeats
+// exactly. FuzzRelChannel
 // searches program space; TestRelChannelRandomPrograms is its deterministic
 // twin in the default suite.
 
 // relProgram is a decoded fuzz program on a two-cluster platform.
 type relProgram struct {
-	npc      int          // nodes per cluster
-	channels []relFuzzCh  // distinct directed intercluster pairs
-	verdicts []relVerdict // consumed one per WAN transmission, then deliver
+	npc      int         // nodes per cluster
+	channels []relFuzzCh // distinct directed intercluster pairs
+	drops    []bool      // one per WAN transmission (envelope, retransmission or ack), in order; then deliver
 }
 
 // relFuzzCh is one channel's traffic: n messages, gap apart.
@@ -32,16 +33,7 @@ type relFuzzCh struct {
 	gap      time.Duration
 }
 
-// relVerdict is the scripted fate of one WAN transmission (an envelope, a
-// retransmission or an ack).
-type relVerdict struct {
-	act   netsim.FaultAction
-	delay time.Duration // reorder delay of a delivered copy
-}
-
-// relFuzzRTO is the channels' retransmit timeout. Reorder delays reach 8 of
-// them, so a delayed copy can surface after its window slot and the next
-// relWindow ones have been acknowledged and reused.
+// relFuzzRTO is the channels' retransmit timeout.
 const relFuzzRTO = 2 * time.Millisecond
 
 // decodeRelProgram maps any byte string to a valid program.
@@ -75,36 +67,25 @@ func decodeRelProgram(b []byte) relProgram {
 			gap: time.Duration(next()%4) * relFuzzRTO / 4,
 		})
 	}
-	for len(b) > 0 && len(p.verdicts) < 256 {
-		v := next()
-		switch v % 8 {
-		case 4:
-			p.verdicts = append(p.verdicts, relVerdict{act: netsim.FaultDrop})
-		case 5:
-			p.verdicts = append(p.verdicts, relVerdict{act: netsim.FaultDuplicate})
-		case 6, 7:
-			p.verdicts = append(p.verdicts, relVerdict{delay: time.Duration(v>>3) * relFuzzRTO / 4})
-		default:
-			p.verdicts = append(p.verdicts, relVerdict{})
-		}
+	for len(b) > 0 && len(p.drops) < 256 {
+		p.drops = append(p.drops, next()%8 >= 5)
 	}
 	return p
 }
 
 // scriptPolicy rules on WAN transmissions in the order the engine makes
-// them, from the program's verdict list; nothing crashes or goes down.
+// them, from the program's drop list; nothing crashes or goes down.
 type scriptPolicy struct {
-	verdicts []relVerdict
-	next     int
+	drops []bool
+	next  int
 }
 
-func (s *scriptPolicy) WANTransit(time.Duration, int, int, netsim.Msg) (netsim.FaultAction, time.Duration) {
-	if s.next == len(s.verdicts) {
-		return netsim.FaultDeliver, 0
+func (s *scriptPolicy) WANTransit(time.Duration, int, int, netsim.Msg) bool {
+	if s.next == len(s.drops) {
+		return false
 	}
-	v := s.verdicts[s.next]
 	s.next++
-	return v.act, v.delay
+	return s.drops[s.next-1]
 }
 
 func (*scriptPolicy) GatewayDown(time.Duration, int, netsim.Msg) bool { return false }
@@ -128,7 +109,7 @@ type relOutcome struct {
 func runRelProgram(t *testing.T, p relProgram) relOutcome {
 	t.Helper()
 	e, net, rts := build(2, p.npc, nil)
-	net.SetFaultPolicy(&scriptPolicy{verdicts: p.verdicts})
+	net.SetFaultPolicy(&scriptPolicy{drops: p.drops})
 	rts.EnableReliability(RelConfig{RTO: relFuzzRTO})
 	var out relOutcome
 	// Count envelopes that surface ≥ relWindow numbers behind the receiver,
@@ -198,8 +179,9 @@ func FuzzRelChannel(f *testing.F) {
 }
 
 // TestRelChannelRandomPrograms is FuzzRelChannel's deterministic twin. Over
-// its programs the wire must have dropped, duplicated and delayed copies,
-// and some copies must have surfaced ≥ relWindow numbers late, or the
+// its programs losses must have forced retransmissions, duplicates and
+// out-of-order arrivals, and some copies (retransmissions of envelopes whose
+// acks were lost) must have surfaced ≥ relWindow numbers late, or the
 // contract was never exercised where the window's slots are reused.
 func TestRelChannelRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 1))

@@ -66,13 +66,11 @@ func TestRPCAtMostOnceUnderDrop(t *testing.T) {
 }
 
 func TestDataInOrderUnderReorderAndDuplication(t *testing.T) {
-	// Tagged data across the WAN under reordering and duplication: the
-	// receiver must see exactly the sent stream, in send order.
-	plan := faults.Plan{
-		Seed:         5,
-		Default:      faults.PairProbs{Duplicate: 0.15, Reorder: 0.15},
-		ReorderDelay: 20 * time.Millisecond,
-	}
+	// Tagged data across the WAN under loss: the gaps losses leave make
+	// later envelopes arrive out of order, and retransmissions whose acks
+	// were lost arrive twice. The receiver must see exactly the sent
+	// stream, in send order.
+	plan := faults.Plan{Seed: 5, Default: faults.PairProbs{Drop: 0.2}}
 	e, _, rts, in := buildFaulty(t, 2, 2, nil, plan, RelConfig{})
 	tag := rts.InternTag(Tag{Op: "stream"})
 	const k = 80
@@ -93,12 +91,11 @@ func TestDataInOrderUnderReorderAndDuplication(t *testing.T) {
 			t.Fatalf("message %d carried payload %d: order or integrity lost", i, v)
 		}
 	}
-	c := in.Counters()
-	if c.Duplicates == 0 || c.Reorders == 0 {
+	if c := in.Counters(); c.Drops == 0 {
 		t.Fatalf("plan injected nothing: %+v", c)
 	}
-	if s := rts.RelStats(); s.DupDropped == 0 {
-		t.Fatalf("no duplicates suppressed: %+v", s)
+	if s := rts.RelStats(); s.DupDropped == 0 || s.OutOfOrder == 0 {
+		t.Fatalf("no duplicates suppressed or gaps held: %+v", s)
 	}
 }
 
@@ -199,7 +196,7 @@ func TestFutureReuseUnderRetry(t *testing.T) {
 	// Sequential blocking calls force the pool to recycle one future while
 	// retransmits of earlier (already-answered) requests are still in
 	// flight.
-	plan := faults.Plan{Seed: 31, Default: faults.PairProbs{Drop: 0.3, Duplicate: 0.1}}
+	plan := faults.Plan{Seed: 31, Default: faults.PairProbs{Drop: 0.3}}
 	e, _, rts, _ := buildFaulty(t, 2, 2, nil, plan, RelConfig{RTO: 5 * time.Millisecond})
 	rts.HandleService(0, "echo", func(q *Request) {
 		q.Reply(8, q.Payload)
@@ -221,11 +218,7 @@ func TestChannelDeterminism(t *testing.T) {
 	// Same plan, same seed, same workload: three runs must agree exactly on
 	// virtual elapsed time, dispatched events and reliability tallies.
 	run := func() (time.Duration, uint64, RelStats) {
-		plan := faults.Plan{
-			Seed:         77,
-			Default:      faults.PairProbs{Drop: 0.15, Duplicate: 0.05, Reorder: 0.05},
-			ReorderDelay: 10 * time.Millisecond,
-		}
+		plan := faults.Plan{Seed: 77, Default: faults.PairProbs{Drop: 0.15}}
 		e, _, rts, _ := buildFaulty(t, 2, 2, nil, plan, RelConfig{})
 		obj := rts.NewObject("c", 0, &counter{})
 		e.Go("caller", func(p *sim.Proc) {
@@ -271,8 +264,8 @@ func TestEnableReliabilityGuards(t *testing.T) {
 }
 
 // TestStopShutdownDuringFaultedDelivery stops engines mid-run while
-// fault-injected deliveries, retransmit timers and reorder delays are still
-// in flight, with several such systems running on concurrent goroutines the
+// fault-injected losses, retransmit timers and retransmitted copies are
+// still in flight, with several such systems running on concurrent goroutines the
 // way the harness scheduler runs them. Under -race this checks the teardown
 // path against the reliability layer's timer events; without it, that every
 // proc is released and no goroutine leaks.
@@ -283,11 +276,7 @@ func TestStopShutdownDuringFaultedDelivery(t *testing.T) {
 		go func(seed uint64) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				plan := faults.Plan{
-					Seed:         seed + uint64(i),
-					Default:      faults.PairProbs{Drop: 0.3, Duplicate: 0.1, Reorder: 0.1},
-					ReorderDelay: 50 * time.Millisecond,
-				}
+				plan := faults.Plan{Seed: seed + uint64(i), Default: faults.PairProbs{Drop: 0.3}}
 				e, _, rts, _ := buildFaulty(t, 2, 2, nil, plan, RelConfig{RTO: 5 * time.Millisecond})
 				obj := rts.NewObject("c", 0, &counter{})
 				e.Go("caller", func(p *sim.Proc) {
@@ -295,8 +284,8 @@ func TestStopShutdownDuringFaultedDelivery(t *testing.T) {
 						obj.Invoke(p, 2, incOp(1))
 					}
 				})
-				// Stop mid-run: unacked envelopes, armed timers and delayed
-				// duplicates are all still pending at this instant.
+				// Stop mid-run: unacked envelopes, armed timers and
+				// retransmitted copies are all still pending at this instant.
 				e.After(30*time.Millisecond, func() { e.Stop() })
 				if err := e.Run(); err != nil {
 					t.Error(err)
@@ -323,7 +312,6 @@ func TestObjectMisusePanics(t *testing.T) {
 		want string
 	}{
 		{"OnApplied", func() { plain.OnApplied(nil) }, `orca: OnApplied on non-replicated object "plain"`},
-		{"Owner", func() { repl.Owner() }, `orca: Owner on replicated object "repl"`},
 		{"State", func() { repl.State() }, `orca: State on replicated object "repl"; use Replica`},
 		{"Replica", func() { plain.Replica(0) }, `orca: Replica on non-replicated object "plain"; use State`},
 		{"AsyncUpdate", func() { plain.AsyncUpdate(0, incOp(1)) }, `orca: AsyncUpdate on non-replicated object "plain"`},
