@@ -95,7 +95,7 @@ func TestDeterministicReplayAcrossApps(t *testing.T) {
 				t.Fatalf("elapsed differs across replays: %v vs %v", a.Elapsed, b.Elapsed)
 			}
 			if a.Net != b.Net {
-				t.Fatalf("traffic differs across replays:\n%v\n%v", a.Net.String(), b.Net.String())
+				t.Fatalf("traffic differs across replays:\n%+v\n%+v", a.Net, b.Net)
 			}
 		})
 	}

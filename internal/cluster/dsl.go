@@ -222,9 +222,6 @@ func (g *Graph) ringUp(i, nsteps, dir int, down func(from, to int) bool) bool {
 // Roots returns the root-tier clusters in interconnect order.
 func (g *Graph) Roots() []int32 { return g.roots }
 
-// Parent returns u's parent cluster, or -1 for a root-tier cluster.
-func (g *Graph) Parent(u int) int { return int(g.parent[u]) }
-
 // tierSpec is one tier of the Builder's platform tree.
 type tierSpec struct {
 	parent int   // parent tier index; -1 for the root tier

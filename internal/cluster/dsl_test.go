@@ -34,7 +34,7 @@ func TestBuilderDFSLayout(t *testing.T) {
 		}
 	}
 	g := topo.WAN
-	if g.Parent(1) != 0 || g.Parent(4) != 3 || g.Parent(0) != -1 {
+	if g.parent[1] != 0 || g.parent[4] != 3 || g.parent[0] != -1 {
 		t.Fatal("parent table wrong")
 	}
 	// 4 leaf uplinks + 1 root-root link.

@@ -41,7 +41,7 @@ type PairProbs struct {
 // an alternate path (ring second direction, mesh detour) and holds traffic at
 // the gateway until the link heals where it does not.
 // Cut both directions to fail a physical link entirely; cut every link
-// around a cluster (see CutRingSegment/CutUplink) to partition it.
+// around a cluster to partition it (see CutRingSegment).
 type LinkDown struct {
 	From, To int
 	Start    time.Duration
@@ -69,8 +69,8 @@ type Plan struct {
 	Crashes []GatewayCrash
 
 	// LinkDowns are hard link-failure windows the network routes around
-	// (or holds traffic through). See CutRingSegment, CutUplink and
-	// CutClass for deriving partition scenarios from a topology graph.
+	// (or holds traffic through). See CutRingSegment for deriving a
+	// partition scenario from a topology graph.
 	LinkDowns []LinkDown
 }
 
@@ -153,46 +153,6 @@ func CutRingSegment(g *cluster.Graph, seg int, start, dur time.Duration) []LinkD
 		{From: a, To: b, Start: start, Duration: dur},
 		{From: b, To: a, Start: start, Duration: dur},
 	}
-}
-
-// CutUplink derives the LinkDown windows that sever cluster c's uplink to
-// its parent in both directions for [start, start+dur), partitioning c's
-// whole subtree from the rest of the grid. c must not be a root cluster.
-func CutUplink(g *cluster.Graph, c int, start, dur time.Duration) []LinkDown {
-	p := g.Parent(c)
-	if p < 0 {
-		panic(fmt.Sprintf("faults: CutUplink(%d): cluster is root-tier, it has no uplink", c))
-	}
-	return []LinkDown{
-		{From: c, To: p, Start: start, Duration: dur},
-		{From: p, To: c, Start: start, Duration: dur},
-	}
-}
-
-// CutClass derives the LinkDown windows that sever every physical link of
-// the named link class, in both directions, for [start, start+dur). It
-// panics if the topology declares no class with that name.
-func CutClass(g *cluster.Graph, class string, start, dur time.Duration) []LinkDown {
-	ci := -1
-	for i, lc := range g.Classes {
-		if lc.Name == class {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
-		panic(fmt.Sprintf("faults: CutClass(%q): topology has no such link class", class))
-	}
-	var downs []LinkDown
-	for _, l := range g.Links {
-		if l.Class != ci {
-			continue
-		}
-		downs = append(downs,
-			LinkDown{From: l.A, To: l.B, Start: start, Duration: dur},
-			LinkDown{From: l.B, To: l.A, Start: start, Duration: dur})
-	}
-	return downs
 }
 
 // EventKind classifies an injected fault occurrence.

@@ -314,60 +314,6 @@ func TestCutRingSegment(t *testing.T) {
 	}
 }
 
-func TestCutUplink(t *testing.T) {
-	b := cluster.NewBuilder()
-	trunk := b.Class("trunk", 20*time.Millisecond, cluster.Mbit(155), 0)
-	leafc := b.Class("leaf", 5*time.Millisecond, cluster.Mbit(45), 0)
-	roots := b.Roots(2, cluster.Mesh, trunk, 2)
-	b.Tier(roots, 2, leafc, 2)
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := topo.WAN
-	// Cluster 1 is root 0's first leaf.
-	downs := CutUplink(g, 1, 0, time.Second)
-	if len(downs) != 2 || downs[0].From != 1 || downs[0].To != 0 || downs[1].From != 0 || downs[1].To != 1 {
-		t.Fatalf("uplink cut = %+v, want both directions of 1-0", downs)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CutUplink on a root cluster did not panic")
-		}
-	}()
-	CutUplink(g, 0, 0, time.Second)
-}
-
-func TestCutClass(t *testing.T) {
-	b := cluster.NewBuilder()
-	trunk := b.Class("trunk", 20*time.Millisecond, cluster.Mbit(155), 0)
-	leafc := b.Class("leaf", 5*time.Millisecond, cluster.Mbit(45), 0)
-	roots := b.Roots(3, cluster.Ring, trunk, 2)
-	b.Tier(roots, 1, leafc, 2)
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := topo.WAN
-	downs := CutClass(g, "trunk", 0, time.Second)
-	// 3 ring links, both directions each.
-	if len(downs) != 6 {
-		t.Fatalf("trunk cut produced %d windows, want 6", len(downs))
-	}
-	for _, d := range downs {
-		// Every cut endpoint must be a root (trunk links only).
-		if g.Parent(d.From) >= 0 || g.Parent(d.To) >= 0 {
-			t.Fatalf("trunk class cut touched non-root link %d->%d", d.From, d.To)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CutClass with unknown name did not panic")
-		}
-	}()
-	CutClass(g, "no-such-class", 0, time.Second)
-}
-
 // TestLinkDownRoutesAroundInNetwork is the faults-package end-to-end check:
 // a plan-scheduled ring cut reroutes traffic the other way round without
 // losing anything, and the Stats counters record the reroute.

@@ -168,12 +168,12 @@ func TestShardedSequencerIdentity(t *testing.T) {
 				spec := identitySpec(app, cluster.DAS(4, 2), opt, nil)
 				seq, sh := mustExecOn(t, spec, 0), mustExecOn(t, spec, 4)
 				if sh.Elapsed != seq.Elapsed || sh.Dispatched != seq.Dispatched {
-					t.Errorf("%s seqr=%s opt=%v: sharded (%v, %d events) != sequential (%v, %d events)",
-						name, mk().Name(), opt, sh.Elapsed, sh.Dispatched, seq.Elapsed, seq.Dispatched)
+					t.Errorf("%s seqr=%T opt=%v: sharded (%v, %d events) != sequential (%v, %d events)",
+						name, mk(), opt, sh.Elapsed, sh.Dispatched, seq.Elapsed, seq.Dispatched)
 				}
 				if got, want := fmt.Sprintf("%+v", sh.Metrics), fmt.Sprintf("%+v", seq.Metrics); got != want {
-					t.Errorf("%s seqr=%s opt=%v: metrics differ from sequential\n got: %s\nwant: %s",
-						name, mk().Name(), opt, got, want)
+					t.Errorf("%s seqr=%T opt=%v: metrics differ from sequential\n got: %s\nwant: %s",
+						name, mk(), opt, got, want)
 				}
 			}
 		}

@@ -92,7 +92,7 @@ type hopRun struct {
 	Parked     [][]int       // per cluster: units parked there at each probe
 	Next       []uint64      // framed: cluster 3's reassembly point for cluster 1's frames at each probe
 	Held       int64
-	Stats      string
+	Stats      Stats
 	Pipes      []PipeReport
 	Elapsed    time.Duration
 	Dispatched uint64
@@ -143,7 +143,7 @@ func runHopPlan(t *testing.T, shards int, framed bool, policy *testPolicy, sends
 	if err := root.Run(); err != nil {
 		t.Fatal(err)
 	}
-	r.Held, r.Stats, r.Pipes, r.Elapsed, r.Dispatched = n.Stats().HeldMsgs(), n.Stats().String(), n.PipeReports(), root.Now(), root.Dispatched()
+	r.Held, r.Stats, r.Pipes, r.Elapsed, r.Dispatched = n.Stats().HeldMsgs(), *n.Stats(), n.PipeReports(), root.Now(), root.Dispatched()
 	root.Shutdown()
 	return r
 }

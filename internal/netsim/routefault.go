@@ -20,7 +20,7 @@
 // counted (HoldDrops): end-to-end recovery is ARQ's job, the network only
 // bridges transient outages.
 //
-// Rows and hold queues are per-source-cluster state, like agg: sized in New
+// Rows and hold queues are per-source-cluster state, like p99: sized in New
 // (hold in SetFaultPolicy), materialized on the cluster's first use and
 // touched only on the owning cluster's LP, whose clock moves a row's epoch
 // forward monotonically (amortized one comparison per hop). Every answer is

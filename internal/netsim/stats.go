@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
+import "time"
 
 // Counter accumulates message count and byte volume.
 type Counter struct {
@@ -144,31 +140,6 @@ func (s *Stats) InterBcast() Counter { return s.counts[scopeInter][KindBcast] }
 
 // InterData reports intercluster bulk-data traffic.
 func (s *Stats) InterData() Counter { return s.counts[scopeInter][KindData] }
-
-func (s *Stats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "intra: ")
-	for k := 0; k < NumKinds; k++ {
-		if c := s.counts[scopeIntra][k]; c.Msgs > 0 {
-			fmt.Fprintf(&b, "%s=%d/%.0fkB ", Kind(k), c.Msgs, c.KBytes())
-		}
-	}
-	fmt.Fprintf(&b, "| inter: ")
-	for k := 0; k < NumKinds; k++ {
-		if c := s.counts[scopeInter][k]; c.Msgs > 0 {
-			fmt.Fprintf(&b, "%s=%d/%.0fkB ", Kind(k), c.Msgs, c.KBytes())
-		}
-	}
-	if s.frames.Msgs > 0 {
-		fmt.Fprintf(&b, "| frames: %d/%.0fkB packing=%.1f ",
-			s.frames.Msgs, s.frames.KBytes(), s.PackingRatio())
-	}
-	if s.reroutes > 0 || s.heldMsgs > 0 || s.holdDrops > 0 {
-		fmt.Fprintf(&b, "| routes: reroutes=%d held=%d holddrops=%d ",
-			s.reroutes, s.heldMsgs, s.holdDrops)
-	}
-	return strings.TrimSpace(b.String())
-}
 
 // p2Quantile is the P² streaming quantile estimator (Jain & Chlamtac, CACM
 // 1985): five markers track the running min, p/2, p, (1+p)/2 quantiles and

@@ -40,6 +40,7 @@
 package netsim
 
 import (
+	"fmt"
 	"time"
 
 	"albatross/internal/sim"
@@ -287,8 +288,7 @@ func (n *Network) transmitOn(sh *netShard, cur int, h hop, now time.Duration, l 
 // arrive runs on the destination cluster's LP when a unit has crossed its
 // last WAN link. An unsequenced unit unpacks at once. Sequenced units are
 // consumed strictly in order: the next expected frame is unpacked immediately
-// (plus any consecutive frames held behind it), an early frame is held, and a
-// sequence number already taken is discarded.
+// (plus any consecutive frames held behind it) and an early frame is held.
 func (u *wireUnit) arrive() {
 	n := u.n
 	sh := n.sh[u.cd]
@@ -304,12 +304,7 @@ func (u *wireUnit) arrive() {
 		u.release(sh)
 		return
 	}
-	iq := n.ingressFor(int(u.cs), int(u.cd))
-	if !iq.Put(uint64(u.seq), u) {
-		u.release(sh) // its number was already consumed or is waiting in the gap
-		return
-	}
-	unpackInOrder(iq, now)
+	n.fileFrame(int(u.cs), int(u.cd), u.seq, u, now)
 }
 
 // unpack forwards the unit's messages onward from the destination gateway:
@@ -352,11 +347,11 @@ func (n *Network) lose(sh *netShard, now time.Duration, at int, u *wireUnit) {
 	switch {
 	case seq == noSeq: // no reassembler waits on it
 	case at == cd:
-		consumeLost(n.ingressFor(cs, cd), now, seq)
+		n.fileFrame(cs, cd, seq, nil, now)
 	default:
 		dst := n.sh[cd]
 		sh.e.AtShard(dst.e, now+n.routeFloor[at][cd], func() {
-			consumeLost(n.ingressFor(cs, cd), dst.e.Now(), seq)
+			n.fileFrame(cs, cd, seq, nil, dst.e.Now())
 		})
 	}
 	u.release(sh)
@@ -499,14 +494,19 @@ func (eg *egressQ) flush(now time.Duration) {
 	n.transmit(sh, eg.cs, u.hop(), now)
 }
 
-// consumeLost files the tombstone of a frame whose payload was lost (remote
-// gateway crash, mid-route loss, hold-queue drop), so later frames are not
-// held forever behind the loss. now is the resync instant: frames held behind
-// the gap unpack then. A duplicate tombstone changes nothing.
-func consumeLost(iq *sim.Reorder[*wireUnit], now time.Duration, seq int64) {
-	if iq.Put(uint64(seq), nil) {
-		unpackInOrder(iq, now)
+// fileFrame files frame seq of pair cs→cd at the pair's reassembler and
+// unpacks at now every frame that is then next in sequence. u is the frame,
+// or nil for the tombstone of a frame whose payload was lost (remote gateway
+// crash, mid-route loss, hold-queue drop), so later frames are not held
+// forever behind the loss. A frame reaches its reassembler at most once or is
+// lost at most once, never both: a number filed twice is an invariant
+// violation.
+func (n *Network) fileFrame(cs, cd int, seq int64, u *wireUnit, now time.Duration) {
+	iq := n.ingressFor(cs, cd)
+	if !iq.Put(uint64(seq), u) {
+		panic(fmt.Sprintf("netsim: frame %d of pair %d->%d filed twice at its reassembler", seq, cs, cd))
 	}
+	unpackInOrder(iq, now)
 }
 
 // unpackInOrder consumes the frames that are next in sequence. Held frames

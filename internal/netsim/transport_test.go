@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -86,8 +87,25 @@ func TestCoalescingPacksBurst(t *testing.T) {
 	if p := reps[0].Packing(); p != 8 {
 		t.Fatalf("pipe packing %v, want 8", p)
 	}
-	if !strings.Contains(s.String(), "frames: 1/") {
-		t.Fatalf("Stats.String does not report frames: %q", s.String())
+}
+
+// TestFrameFiledTwicePanics: a frame reaches its reassembler at most once
+// or is lost at most once, so a second filing of one number, whether the
+// first was taken in order or is held behind a gap, is an invariant
+// violation that names the pair and the number.
+func TestFrameFiledTwicePanics(t *testing.T) {
+	for _, seq := range []int64{0, 2} { // 0 is taken at once, 2 waits for 1
+		_, n := buildWith(2, 2, transportParams())
+		n.fileFrame(1, 0, seq, nil, 0)
+		func() {
+			defer func() {
+				want := fmt.Sprintf("netsim: frame %d of pair 1->0 filed twice at its reassembler", seq)
+				if r := recover(); r != want {
+					t.Errorf("frame %d filed twice: panic %v, want %q", seq, r, want)
+				}
+			}()
+			n.fileFrame(1, 0, seq, nil, 0)
+		}()
 	}
 }
 
@@ -190,7 +208,7 @@ func TestStripingRoundRobin(t *testing.T) {
 
 // transportWorkload drives a deterministic mixed burst through a network and
 // returns everything observable: elapsed, dispatched, stats and pipe loads.
-func transportWorkload(t *testing.T, shards int) (time.Duration, uint64, string, []PipeReport) {
+func transportWorkload(t *testing.T, shards int) (time.Duration, uint64, Stats, []PipeReport) {
 	t.Helper()
 	root := sim.NewEngine()
 	if shards > 0 {
@@ -215,7 +233,7 @@ func transportWorkload(t *testing.T, shards int) (time.Duration, uint64, string,
 		t.Fatal(err)
 	}
 	elapsed, dispatched := root.Now(), root.Dispatched()
-	stats := n.Stats().String()
+	stats := *n.Stats()
 	reps := n.PipeReports()
 	root.Shutdown()
 	return elapsed, dispatched, stats, reps
@@ -228,7 +246,7 @@ func TestTransportDeterminism(t *testing.T) {
 	for rep := 0; rep < 2; rep++ {
 		e2, d2, s2, r2 := transportWorkload(t, 0)
 		if e1 != e2 || d1 != d2 || s1 != s2 || !reflect.DeepEqual(r1, r2) {
-			t.Fatalf("rep %d differs: %v/%d/%q vs %v/%d/%q", rep, e1, d1, s1, e2, d2, s2)
+			t.Fatalf("rep %d differs: %v/%d/%+v vs %v/%d/%+v", rep, e1, d1, s1, e2, d2, s2)
 		}
 	}
 }
@@ -240,7 +258,7 @@ func TestTransportShardedMatchesSequential(t *testing.T) {
 	e1, d1, s1, r1 := transportWorkload(t, 0)
 	e2, d2, s2, r2 := transportWorkload(t, 2)
 	if e1 != e2 || d1 != d2 || s1 != s2 || !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("sharded transport diverges:\nsequential %v/%d/%q %+v\nsharded    %v/%d/%q %+v",
+		t.Fatalf("sharded transport diverges:\nsequential %v/%d/%+v %+v\nsharded    %v/%d/%+v %+v",
 			e1, d1, s1, r1, e2, d2, s2, r2)
 	}
 }

@@ -35,10 +35,6 @@ type Object struct {
 	owner      cluster.NodeID
 	state      any   // non-replicated state
 	replicas   []any // per-compute-node state when replicated
-
-	// applied, if non-nil, observes every ordered update as it is applied
-	// at a node (used by applications that react to replicated writes).
-	applied func(at cluster.NodeID, op Op, result any)
 }
 
 // pendingBcast is a replicated write in flight. It is the wire record for
@@ -116,15 +112,6 @@ func (o *Object) misuse(op, hint string) {
 		msg += "; use " + hint
 	}
 	panic(msg)
-}
-
-// OnApplied registers a callback observing every ordered update applied at
-// any node. Replicated objects only.
-func (o *Object) OnApplied(fn func(at cluster.NodeID, op Op, result any)) {
-	if !o.replicated {
-		o.misuse("OnApplied", "")
-	}
-	o.applied = fn
 }
 
 // State returns a non-replicated object's state, for post-run inspection

@@ -409,9 +409,6 @@ func (r *RTS) applyOrdered(id cluster.NodeID, b *pendingBcast) {
 // apply applies an update at a node and drops the node's reference to it.
 func (r *RTS) apply(id cluster.NodeID, nd *nodeRTS, nb *pendingBcast) {
 	res := nb.op.Apply(nb.obj.replicas[id])
-	if nb.obj.applied != nil {
-		nb.obj.applied(id, nb.op, res)
-	}
 	if nb.done != nil && nb.from == id {
 		// Writer semantics: the invocation returns (and unblocks)
 		// when the writer's own copy has been updated.

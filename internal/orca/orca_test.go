@@ -2,6 +2,7 @@ package orca
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -30,6 +31,18 @@ func incOp(by int) Op {
 
 var readOp = Op{Name: "read", ArgBytes: 4, ResBytes: 8, ReadOnly: true,
 	Apply: func(s any) any { return s.(*counter).n }}
+
+// opLog is a replica state that records, in order, the ids of the updates
+// applied to it.
+type opLog []int
+
+func newOpLog(cluster.NodeID) any { return &opLog{} }
+
+// logOp appends id to the replica's log. Its size is id bytes, so updates
+// differ in transfer time.
+func logOp(id int) Op {
+	return Op{Name: "w", ArgBytes: id, Apply: func(s any) any { l := s.(*opLog); *l = append(*l, id); return nil }}
+}
 
 func TestLocalInvoke(t *testing.T) {
 	e, _, rts := build(1, 4, nil)
@@ -199,11 +212,11 @@ func TestReplicatedWriteUpdatesAllReplicas(t *testing.T) {
 			obj.Invoke(p, 4, incOp(3))
 		})
 		if err := e.Run(); err != nil {
-			t.Fatalf("%s: %v", seqr.Name(), err)
+			t.Fatalf("%T: %v", seqr, err)
 		}
 		for i := 0; i < 6; i++ {
 			if obj.Replica(cluster.NodeID(i)).(*counter).n != 3 {
-				t.Fatalf("%s: replica %d not updated", seqr.Name(), i)
+				t.Fatalf("%T: replica %d not updated", seqr, i)
 			}
 		}
 	}
@@ -246,13 +259,9 @@ func TestTotalOrderProperty(t *testing.T) {
 		npc := int(npc8%4) + 1
 		seqr := protocols[int(pidx)%len(protocols)]()
 		e, _, rts := build(clusters, npc, seqr)
-		obj := rts.NewReplicated("c", func(cluster.NodeID) any { return &counter{} })
+		obj := rts.NewReplicated("c", newOpLog)
 
 		n := clusters * npc
-		applied := make([][]int, n) // per node: sequence of op IDs
-		obj.OnApplied(func(at cluster.NodeID, op Op, result any) {
-			applied[at] = append(applied[at], op.ArgBytes) // op ID smuggled in ArgBytes
-		})
 		r := rng.New(seed)
 		writers := 1 + r.Intn(n)
 		totalWrites := 0
@@ -265,25 +274,16 @@ func TestTotalOrderProperty(t *testing.T) {
 			e.Go("writer", func(p *sim.Proc) {
 				for j := 0; j < k; j++ {
 					p.Compute(time.Duration(wr.Intn(2000)) * time.Microsecond)
-					id := base + j
-					obj.Invoke(p, node, Op{Name: "w", ArgBytes: id,
-						Apply: func(s any) any { s.(*counter).n++; return nil }})
+					obj.Invoke(p, node, logOp(base+j))
 				}
 			})
 		}
 		if err := e.Run(); err != nil {
 			return false
 		}
+		first := *obj.Replica(0).(*opLog)
 		for i := 0; i < n; i++ {
-			if len(applied[i]) != totalWrites {
-				return false
-			}
-			for j := range applied[i] {
-				if applied[i][j] != applied[0][j] {
-					return false
-				}
-			}
-			if obj.Replica(cluster.NodeID(i)).(*counter).n != totalWrites {
+			if !slices.Equal(*obj.Replica(cluster.NodeID(i)).(*opLog), first) || len(first) != totalWrites {
 				return false
 			}
 		}
@@ -421,15 +421,11 @@ func TestAsyncFIFOPerSender(t *testing.T) {
 	prop := func(seed uint64) bool {
 		r := rng.New(seed)
 		e, _, rts := build(2, 2, nil)
-		obj := rts.NewReplicated("log", func(cluster.NodeID) any { return &[]int{} })
-		logs := make([][]int, 4)
-		obj.OnApplied(func(at cluster.NodeID, op Op, _ any) {
-			logs[at] = append(logs[at], op.ArgBytes)
-		})
+		obj := rts.NewReplicated("log", newOpLog)
 		const k = 15
 		e.Go("w", func(p *sim.Proc) {
 			for i := 0; i < k; i++ {
-				obj.AsyncUpdate(0, Op{Name: "w", ArgBytes: i, Apply: func(s any) any { return nil }})
+				obj.AsyncUpdate(0, logOp(i))
 				p.Compute(time.Duration(r.Intn(300)) * time.Microsecond)
 			}
 		})
@@ -437,11 +433,12 @@ func TestAsyncFIFOPerSender(t *testing.T) {
 			return false
 		}
 		for n := 0; n < 4; n++ {
-			if len(logs[n]) != k {
+			log := *obj.Replica(cluster.NodeID(n)).(*opLog)
+			if len(log) != k {
 				return false
 			}
 			for i := 0; i < k; i++ {
-				if logs[n][i] != i {
+				if log[i] != i {
 					return false
 				}
 			}
@@ -511,33 +508,28 @@ func TestTotalOrderOnIrregularTopology(t *testing.T) {
 		topo := cluster.Irregular(5, 2, 3)
 		net := netsim.New(e, topo, cluster.DASParams())
 		rts := New(net, mk())
-		obj := rts.NewReplicated("c", func(cluster.NodeID) any { return &counter{} })
+		obj := rts.NewReplicated("c", newOpLog)
 		n := topo.Compute()
-		applied := make([][]int, n)
-		obj.OnApplied(func(at cluster.NodeID, op Op, _ any) {
-			applied[at] = append(applied[at], op.ArgBytes)
-		})
 		const writers = 6
 		for wi := 0; wi < writers; wi++ {
 			node := cluster.NodeID(wi % n)
 			id := wi
 			e.Go("writer", func(p *sim.Proc) {
 				p.Compute(time.Duration(id*150) * time.Microsecond)
-				obj.Invoke(p, node, Op{Name: "w", ArgBytes: id,
-					Apply: func(s any) any { s.(*counter).n++; return nil }})
+				obj.Invoke(p, node, logOp(id))
 			})
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
+		first := *obj.Replica(0).(*opLog)
 		for i := 0; i < n; i++ {
-			if len(applied[i]) != writers {
-				t.Fatalf("node %d applied %d of %d", i, len(applied[i]), writers)
+			applied := *obj.Replica(cluster.NodeID(i)).(*opLog)
+			if len(applied) != writers {
+				t.Fatalf("node %d applied %d of %d", i, len(applied), writers)
 			}
-			for j := range applied[i] {
-				if applied[i][j] != applied[0][j] {
-					t.Fatalf("order differs at node %d: %v vs %v", i, applied[i], applied[0])
-				}
+			if !slices.Equal(applied, first) {
+				t.Fatalf("order differs at node %d: %v vs %v", i, applied, first)
 			}
 		}
 	}

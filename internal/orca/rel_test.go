@@ -263,7 +263,7 @@ func TestEnableReliabilityGuards(t *testing.T) {
 	}
 }
 
-// TestStopShutdownDuringFaultedDelivery stops engines mid-run while
+// TestStopShutdownDuringFaultedDelivery stops runs at a deadline while
 // fault-injected losses, retransmit timers and retransmitted copies are
 // still in flight, with several such systems running on concurrent goroutines the
 // way the harness scheduler runs them. Under -race this checks the teardown
@@ -284,11 +284,11 @@ func TestStopShutdownDuringFaultedDelivery(t *testing.T) {
 						obj.Invoke(p, 2, incOp(1))
 					}
 				})
-				// Stop mid-run: unacked envelopes, armed timers and
-				// retransmitted copies are all still pending at this instant.
-				e.After(30*time.Millisecond, func() { e.Stop() })
-				if err := e.Run(); err != nil {
-					t.Error(err)
+				// Unacked envelopes, armed timers and retransmitted copies
+				// are all still pending at the deadline.
+				e.SetDeadline(30 * time.Millisecond)
+				if err := e.Run(); !errors.As(err, new(*sim.DeadlineError)) {
+					t.Errorf("Run() = %v, want a DeadlineError", err)
 					return
 				}
 				e.Shutdown()
@@ -311,7 +311,6 @@ func TestObjectMisusePanics(t *testing.T) {
 		fn   func()
 		want string
 	}{
-		{"OnApplied", func() { plain.OnApplied(nil) }, `orca: OnApplied on non-replicated object "plain"`},
 		{"State", func() { repl.State() }, `orca: State on replicated object "repl"; use Replica`},
 		{"Replica", func() { plain.Replica(0) }, `orca: Replica on non-replicated object "plain"; use State`},
 		{"AsyncUpdate", func() { plain.AsyncUpdate(0, incOp(1)) }, `orca: AsyncUpdate on non-replicated object "plain"`},

@@ -20,8 +20,6 @@ import (
 //     that is sending, pipelining bursts from one sender (the ASP
 //     optimization of Section 4.3).
 type Sequencer interface {
-	// Name identifies the protocol in reports.
-	Name() string
 	// Submit hands an update to the protocol at the writer's node.
 	Submit(r *RTS, from cluster.NodeID, b *pendingBcast)
 	// arrive handles a submission that has reached cluster c's sequencer
@@ -98,7 +96,6 @@ func NewCentralSequencer(node cluster.NodeID) *CentralSequencer {
 	return &CentralSequencer{node: node}
 }
 
-func (s *CentralSequencer) Name() string  { return "central" }
 func (s *CentralSequencer) attach(r *RTS) {}
 
 // Submit routes the update to the sequencer node, which assigns the next
@@ -160,8 +157,6 @@ type RotatingSequencer struct {
 
 // NewRotatingSequencer creates the distributed per-cluster sequencer.
 func NewRotatingSequencer() *RotatingSequencer { return &RotatingSequencer{} }
-
-func (s *RotatingSequencer) Name() string { return "rotating" }
 
 func (s *RotatingSequencer) attach(r *RTS) {
 	s.queues = make([][]*pendingBcast, r.topo.Clusters)
@@ -304,8 +299,6 @@ type MigratingSequencer struct {
 // NewMigratingSequencer creates a migrating sequencer, initially hosted by
 // cluster 0.
 func NewMigratingSequencer() *MigratingSequencer { return &MigratingSequencer{} }
-
-func (s *MigratingSequencer) Name() string { return "migrating" }
 
 func (s *MigratingSequencer) attach(r *RTS) {
 	k := r.topo.Clusters

@@ -23,7 +23,7 @@ func TestAllocProcSwitch(t *testing.T) {
 	}{
 		{"park-wake", func(*Proc) {}},
 		{"sleep", func(p *Proc) { p.Sleep(time.Microsecond) }},
-		{"yield", func(p *Proc) { p.Yield() }},
+		{"yield", func(p *Proc) { p.Sleep(0) }},
 		{"ahead", func(p *Proc) {
 			for i := 0; i < 40; i++ {
 				p.Ahead(time.Microsecond, func(any) {}, nil)

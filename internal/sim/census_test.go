@@ -19,7 +19,7 @@ func TestCensusSumsToDispatched(t *testing.T) {
 		w.engs[1].Go("sleeper", func(p *Proc) {
 			for k := 0; k < 5; k++ {
 				p.Sleep(time.Millisecond)
-				p.Yield()
+				p.Sleep(0)
 			}
 		})
 		if res := w.run(); res.err != nil {

@@ -29,7 +29,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -52,18 +51,16 @@ type Engine struct {
 	live  int // spawned but not yet exited
 
 	running bool
-	stopped bool
 	killing bool // Shutdown in progress or complete; primitives go inert
 
 	// Sharded-mode links (all nil/zero on a plain sequential engine).
 	// See shard.go for the conservative parallel execution they support.
-	root    *Engine     // on an LP: the sharded root that owns it
-	shards  []*Engine   // on the root: the LP engines
-	lpIdx   int         // on an LP: its index among the root's shards
-	win     *winState   // on an LP: scheduling log, non-nil only during a sharded Run
-	winBuf  winState    // backing store for win, reused across windows
-	crew    *shardCrew  // on the root: runner goroutines, live during Run
-	winStop atomic.Bool // on the root: Stop() flag readable from LP runners
+	root   *Engine    // on an LP: the sharded root that owns it
+	shards []*Engine  // on the root: the LP engines
+	lpIdx  int        // on an LP: its index among the root's shards
+	win    *winState  // on an LP: scheduling log, non-nil only during a sharded Run
+	winBuf winState   // backing store for win, reused across windows
+	crew   *shardCrew // on the root: runner goroutines, live during Run
 
 	// Per-directed-LP-pair lookahead (see SetLookaheadMatrix). laD is the
 	// relay-closed distance matrix, row-major k*k; bounce is each LP's
@@ -135,12 +132,12 @@ func (e *Engine) Resumes() uint64 {
 
 // Census counts the events an engine has scheduled by what scheduled them.
 // Every scheduled event is dispatched exactly once, so on a drained run the
-// six counts sum to Dispatched(); a run cut short by Stop or a deadline
-// leaves the difference in the queues. Like Dispatched it repeats exactly
+// six counts sum to Dispatched(); a run cut short by its deadline leaves
+// the difference in the queues. Like Dispatched it repeats exactly
 // between runs of one configuration, on either engine.
 type Census struct {
 	Start    uint64 // process start events (Go)
-	Sleep    uint64 // Proc.Sleep and Yield
+	Sleep    uint64 // Proc.Sleep
 	Compute  uint64 // Proc.Compute
 	Wake     uint64 // resumes of a parked process (Future, Mailbox)
 	Lane     uint64 // Lane.At
@@ -318,7 +315,7 @@ func (e *Engine) Run() error {
 	if e.deadline > 0 {
 		last = e.deadline
 	}
-	for !e.stopped {
+	for {
 		ev, ok := e.q.popThrough(last)
 		if !ok {
 			break
@@ -331,17 +328,10 @@ func (e *Engine) Run() error {
 	return e.finish(next, pending)
 }
 
-// finish ends a run on either engine: a stopped engine is released, a run
-// with an event pending beyond the deadline (at next) is a DeadlineError, and
-// one that drained with processes parked a DeadlockError.
+// finish ends a run on either engine: a run with an event pending beyond the
+// deadline (at next) is a DeadlineError, and one that drained with processes
+// parked a DeadlockError.
 func (e *Engine) finish(next time.Duration, pending bool) error {
-	if e.stopped {
-		// A stopped engine is dead: release every process coroutine so
-		// sweep loops that create (and stop) many engines do not leak.
-		e.running = false
-		e.Shutdown()
-		return nil
-	}
 	parked := e.parkedReport()
 	if pending {
 		return &DeadlineError{Deadline: e.deadline, Next: next, Parked: parked, Dispatched: e.Dispatched(), Live: e.Live()}
@@ -372,25 +362,6 @@ func (e *Engine) parkedReport() []string {
 	return parked
 }
 
-// Stop makes Run return after the current event completes. Useful for
-// open-ended simulations driven by recurring timers. A stopped engine is
-// finished: Run releases all remaining process coroutines before returning.
-// On a sharded run (Stop on the root or any LP reaches the root) the run
-// stops at the next window fence — still deterministic across repeated runs,
-// but the dispatched-event count differs from a sequential engine stopped at
-// the same virtual instant.
-func (e *Engine) Stop() {
-	if e.root != nil {
-		e.root.Stop()
-		return
-	}
-	if e.shards != nil {
-		e.winStop.Store(true)
-		return
-	}
-	e.stopped = true
-}
-
 // Shutdown releases every process the engine still owns: parked processes
 // (daemons included), processes woken but not yet resumed, and processes
 // spawned but never started. Suspended coroutines unwind via an internal
@@ -398,8 +369,8 @@ func (e *Engine) Stop() {
 // or waking during the unwind is inert. Shutdown is idempotent, may be
 // called from any goroutine once Run has returned (or panicked) but not from
 // inside Run, and leaves the engine unusable for further simulation (state
-// remains readable). Run invokes it automatically after Stop; owners of
-// engines with daemon processes call it to reclaim their goroutines.
+// remains readable). Owners of engines whose run left processes behind
+// (daemons, a deadline, a deadlock) call it to reclaim their goroutines.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Engine.Shutdown called during Run")

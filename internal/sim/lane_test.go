@@ -25,7 +25,7 @@ import (
 //	      bits 2-3  time: 0 = now + d, 1 = the target's newest time (a tie, or
 //	                the past once the clock has moved on), 2 = newest − d (out
 //	                of order), 3 = newest + d (FIFO growth: deep lanes)
-//	      bits 4-7  all set = the event calls Stop
+//	      bits 4-7  unused
 //	d     delay in µs
 //	kids  bits 0-1  events it schedules when it runs, decoded from the bytes
 //	                that follow
@@ -85,9 +85,6 @@ func laneProgram(t testing.TB, data []byte, lanes bool) laneTrace {
 		id++
 		fn := func() {
 			tr.Order = append(tr.Order, [2]int64{int64(me), int64(e.Now())})
-			if op>>4 == 0xF {
-				e.Stop()
-			}
 			for k := 0; k < kids; k++ {
 				emit()
 			}
@@ -122,7 +119,7 @@ func laneProgram(t testing.TB, data []byte, lanes bool) laneTrace {
 			tr.Next = dl.Next
 		}
 	}
-	if err == nil && !e.stopped {
+	if err == nil {
 		// Drained: every slot a lane ever used must have let go of its closure.
 		for i, l := range ls {
 			if l.q.Len() != 0 {
@@ -162,7 +159,7 @@ func checkLaneProgram(t testing.TB, data []byte) {
 // laneSeeds are hand-written programs for the corners: a deep FIFO lane under
 // plain traffic, same-instant ties across lanes and At, out-of-order and
 // past-time lane inserts, events that refill their own lane, a deadline that
-// lands inside a lane, and a Stop with lanes still full.
+// lands inside a lane, and an event whose op has bits 4-7 set.
 var laneSeeds = [][]byte{
 	{},
 	{0, 1, 0x01, 5, 0},
@@ -179,7 +176,7 @@ var laneSeeds = [][]byte{
 		0x01, 0, 1, 0x05, 0, 1, 0x09, 3, 1, 0x0D, 1, 2, 0x02, 0, 2, 0x06, 9, 2, 0x0A, 0, 1, 0x0E, 2, 1, 0x03, 1, 0},
 	// Deadline 40 µs with a lane reaching to 80 µs.
 	{5, 8, 0x0D, 10, 0, 0x0D, 10, 0, 0x0D, 10, 0, 0x0D, 10, 0, 0x0D, 10, 0, 0x0D, 10, 0, 0x0D, 10, 0, 0x0D, 10, 0},
-	// The third arrival stops the engine with the lanes non-empty.
+	// The third arrival's op has bits 4-7 set: an ordinary FIFO arrival.
 	{0, 6, 0x0D, 10, 0, 0x0E, 11, 0, 0xFD, 10, 0, 0x0D, 10, 0, 0x0E, 10, 0, 0x00, 90, 0},
 }
 
@@ -207,11 +204,8 @@ func TestLaneOrderRandomPrograms(t *testing.T) {
 		if i%2 == 0 {
 			data[0] = 0 // half without a deadline, so long programs run out
 		}
-		for j := 2; j < len(data); j += 3 {
-			if i%4 != 3 && data[j]>>4 == 0xF {
-				data[j] &= 0x7F // and most without a Stop
-			}
-			if i%3 == 0 {
+		if i%3 == 0 {
+			for j := 2; j < len(data); j += 3 {
 				data[j] |= 0x0C // a third FIFO-heavy: deep lanes
 			}
 		}
@@ -244,29 +238,28 @@ func TestLaneDeadline(t *testing.T) {
 	}
 }
 
-// TestLaneStopAndShutdown: Stop with lanes still full ends the run after the
-// current event like any other, Run's Shutdown releases the parked process,
-// and the slots of the events that did run no longer hold their closures.
+// TestLaneStopAndShutdown: a deadline with lanes still full stops the run at
+// the deadline like any other, Shutdown releases the parked process, and the
+// slots of the events that did run no longer hold their closures.
 func TestLaneStopAndShutdown(t *testing.T) {
 	e := NewEngine()
 	l := newCallLane(e, e)
 	e.Go("parked", func(p *Proc) { NewMailbox(e, "never").Get(p) })
 	ran := 0
 	for k := 1; k <= 10; k++ {
-		l.At(time.Duration(k)*time.Millisecond, func() {
-			if ran++; ran == 3 {
-				e.Stop()
-			}
-		})
+		l.At(time.Duration(k)*time.Millisecond, func() { ran++ })
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	e.SetDeadline(3 * time.Millisecond)
+	var dl *DeadlineError
+	if err := e.Run(); !errors.As(err, &dl) || dl.Next != 4*time.Millisecond {
+		t.Fatalf("Run() = %v, want a DeadlineError with the next event at 4ms", err)
 	}
 	if ran != 3 || e.Dispatched() != 4 || e.Now() != 3*time.Millisecond {
 		t.Errorf("ran %d, dispatched %d, clock %v; want 3, 4 (with the process start), 3ms", ran, e.Dispatched(), e.Now())
 	}
+	e.Shutdown()
 	if e.Live() != 0 {
-		t.Errorf("%d processes live after a stopped run", e.Live())
+		t.Errorf("%d processes live after Shutdown", e.Live())
 	}
 	if l.q.Len() != 7 {
 		t.Errorf("lane holds %d, want 7", l.q.Len())
@@ -325,10 +318,10 @@ func BenchmarkEngineDeepQueue(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			e := NewEngine()
 			defer e.Shutdown()
+			done := false
 			for i := 0; i < pollers; i++ {
 				e.Go("poller", func(p *Proc) {
-					p.SetDaemon(true)
-					for {
+					for !done {
 						p.Sleep(200 * time.Microsecond)
 					}
 				})
@@ -347,8 +340,8 @@ func BenchmarkEngineDeepQueue(b *testing.B) {
 			for k := range arrive {
 				ls[k] = newCallLane(e, e)
 				arrive[k] = func() {
-					if left--; left == 0 {
-						e.Stop()
+					if left--; left <= 0 {
+						done = true
 						return
 					}
 					tail[k] += pipes * gap
@@ -373,29 +366,27 @@ func BenchmarkEngineDeepQueue(b *testing.B) {
 func BenchmarkEngineFanout(b *testing.B) {
 	const pollers, period, gap = 60, 200 * time.Microsecond, 100 * time.Nanosecond
 	e := NewEngine()
-	defer e.Shutdown()
+	done := false
 	for i := 0; i < pollers; i++ {
 		e.Go("poller", func(p *Proc) {
-			p.SetDaemon(true)
-			for {
+			for !done {
 				p.Sleep(period)
 			}
 		})
 	}
 	r := rng.New(7)
-	left := b.N
-	unpack := func() {
-		if left--; left == 0 {
-			e.Stop()
-		}
-	}
+	left := b.N // callbacks still to schedule
+	unpack := func() {}
 	var frame func()
 	frame = func() {
-		n := 500 + r.Intn(1501)
+		n := min(500+r.Intn(1501), left)
+		left -= n
 		for i := 1; i <= n; i++ {
 			e.At(e.Now()+time.Duration(i)*gap, unpack)
 		}
-		e.After(period, frame)
+		if done = left == 0; !done {
+			e.After(period, frame)
+		}
 	}
 	e.At(0, frame)
 	b.ResetTimer()

@@ -85,12 +85,6 @@ const maxLinks = 32
 // event queue drains are not reported as deadlocks.
 func (p *Proc) SetDaemon(on bool) { p.daemon = on }
 
-// ID reports the spawn-order index of the process.
-func (p *Proc) ID() int { return p.id }
-
-// Name reports the process name given to Engine.Go.
-func (p *Proc) Name() string { return p.name }
-
 // Engine returns the owning engine.
 func (p *Proc) Engine() *Engine { return p.e }
 
@@ -226,10 +220,6 @@ func (p *Proc) misuse() {
 // into a wait that lasts at least d, such as Mailbox.Poll with first ≥ now+d.
 func (p *Proc) Charge(d time.Duration) { p.busy += d }
 
-// Yield reschedules the process at the current time, letting every other
-// event and process due now run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Future is a one-shot synchronization cell: many processes may Await it,
 // one Set resolves it and wakes them all. A Future may be Set at most once.
 // The zero value is ready to use once bound to an engine via NewFuture.
@@ -249,9 +239,6 @@ func NewFuture(e *Engine, name string) *Future {
 
 // Done reports whether the future has been resolved.
 func (f *Future) Done() bool { return f.done }
-
-// Value returns the resolved value, or nil if not yet resolved.
-func (f *Future) Value() any { return f.val }
 
 // Set resolves the future and wakes all waiters at the current virtual time.
 // It may be called from event callbacks or process context.

@@ -443,7 +443,7 @@ func (e *Engine) runSharded() error {
 		}
 	}()
 
-	for !e.winStop.Load() {
+	for {
 		// P_j: the earliest instant LP j could still act at of its own
 		// accord. The peek leaves the LP's queue base where it is: a merge
 		// below may still queue an event earlier than the peeked time.
@@ -583,7 +583,6 @@ func (e *Engine) runSharded() error {
 		}
 		e.mergeWindow(B)
 	}
-	e.stopped = e.winStop.Load()
 	return e.finish(0, false)
 }
 

@@ -227,19 +227,18 @@ func TestShardedLookaheadViolation(t *testing.T) {
 	_ = root.Run()
 }
 
-// TestShardedStopAndShutdownLeak mirrors the sequential leak tests: stopping
-// or abandoning a sharded run must release every goroutine (procs and runner
-// threads).
+// TestShardedStopAndShutdownLeak mirrors the sequential leak tests: a sharded
+// run stopped by its deadline, or abandoned at a deadlock, must release every
+// goroutine (procs and runner threads) at Shutdown.
 func TestShardedStopAndShutdownLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	w := buildWorld(t, 3, 2, 1000, true)
-	stopAt := NewMailbox(w.engs[0], "stop-driver")
-	_ = stopAt
-	w.engs[0].At(2*time.Millisecond, func() { w.root.Stop() })
-	if err := w.root.Run(); err != nil {
-		t.Fatalf("stopped run returned %v", err)
+	w.root.SetDeadline(2 * time.Millisecond)
+	if err := w.root.Run(); !errors.As(err, new(*DeadlineError)) {
+		t.Fatalf("Run() = %v, want a DeadlineError", err)
 	}
-	w.root.Shutdown() // idempotent; Run's stop path already shut down
+	w.root.Shutdown()
+	w.root.Shutdown() // idempotent
 	deadlineW := deadlockWorld(t, true)
 	_ = deadlineW.run() // deadlock path + Shutdown inside run()
 	for i := 0; i < 100; i++ {

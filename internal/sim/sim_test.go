@@ -218,20 +218,21 @@ func TestDaemonExemptFromDeadlock(t *testing.T) {
 	}
 }
 
+// TestStop ends an open-ended run, a timer that re-arms itself forever, at
+// its deadline: the tick due at the deadline runs, the next one is reported.
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	n := 0
 	var tick func()
 	tick = func() {
 		n++
-		if n == 5 {
-			e.Stop()
-		}
 		e.After(time.Millisecond, tick)
 	}
 	e.After(time.Millisecond, tick)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	e.SetDeadline(5 * time.Millisecond)
+	var de *DeadlineError
+	if err := e.Run(); !errors.As(err, &de) || de.Next != 6*time.Millisecond {
+		t.Fatalf("Run() = %v, want a DeadlineError with the next tick at 6ms", err)
 	}
 	if n != 5 {
 		t.Fatalf("ticks %d", n)
@@ -260,8 +261,9 @@ func TestStopReleasesParkedProcs(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		e := NewEngine()
 		m := NewMailbox(e, "never")
-		// A parked process, a woken-but-not-resumed process, a daemon, and
-		// a spawned-but-never-started process: all must be released.
+		// A run stopped by its deadline leaves a parked process, a daemon, a
+		// sleeper whose wake lies past the deadline, and a process spawned
+		// after Run returned: Shutdown must release all four.
 		e.Go("parked", func(p *Proc) { m.Get(p) })
 		e.Go("daemon", func(p *Proc) {
 			p.SetDaemon(true)
@@ -271,17 +273,17 @@ func TestStopReleasesParkedProcs(t *testing.T) {
 		})
 		e.Go("ticker", func(p *Proc) {
 			p.Sleep(time.Millisecond)
-			e.Stop()
 			p.Sleep(time.Millisecond)
 		})
-		e.After(2*time.Millisecond, func() {
-			e.Go("never-started", func(p *Proc) {})
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
+		e.SetDeadline(time.Millisecond)
+		var de *DeadlineError
+		if err := e.Run(); !errors.As(err, &de) || de.Live != 3 {
+			t.Fatalf("Run() = %v, want a DeadlineError with 3 processes live", err)
 		}
+		e.Go("never-started", func(p *Proc) {})
+		e.Shutdown()
 		if e.Live() != 0 {
-			t.Fatalf("Live() = %d after stopped run", e.Live())
+			t.Fatalf("Live() = %d after Shutdown", e.Live())
 		}
 	}
 	goroutinesSettleTo(t, baseline)
@@ -319,10 +321,10 @@ func TestShutdownRunsProcDefers(t *testing.T) {
 		defer func() { deferred = true }()
 		m.Get(p)
 	})
-	e.After(time.Millisecond, func() { e.Stop() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	if err := e.Run(); !errors.As(err, new(*DeadlockError)) {
+		t.Fatalf("Run() = %v, want a DeadlockError", err)
 	}
+	e.Shutdown()
 	if !deferred {
 		t.Fatal("deferred function of killed proc did not run")
 	}
@@ -333,7 +335,7 @@ func TestYieldLetsOthersRun(t *testing.T) {
 	var order []string
 	e.Go("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	e.Go("b", func(p *Proc) {
@@ -467,8 +469,8 @@ func TestProcIntrospection(t *testing.T) {
 	e := NewEngine()
 	m := NewMailbox(e, "box")
 	p := e.Go("worker", func(p *Proc) {
-		if p.Name() != "worker" || p.ID() != 0 {
-			t.Errorf("name/id wrong: %s %d", p.Name(), p.ID())
+		if p.name != "worker" || p.id != 0 {
+			t.Errorf("name/id wrong: %s %d", p.name, p.id)
 		}
 		if p.Engine() != e {
 			t.Error("Engine() mismatch")
@@ -520,11 +522,11 @@ func TestFutureDoubleSetPanics(t *testing.T) {
 func TestFutureDoneAndValue(t *testing.T) {
 	e := NewEngine()
 	f := NewFuture(e, "v")
-	if f.Done() || f.Value() != nil {
+	if f.Done() || f.val != nil {
 		t.Fatal("fresh future claims resolution")
 	}
 	f.Set(42)
-	if !f.Done() || f.Value() != 42 {
+	if !f.Done() || f.val != 42 {
 		t.Fatal("resolved future wrong")
 	}
 }

@@ -8,7 +8,8 @@
 # scripts/product-reach.allow ("<file>:<name> <reason>", file relative to the
 # module root): an error method, a test helper, API reached only by bench/.
 # An allow line that names a function the runs do reach, or one that no
-# longer exists, fails too, so the list only shrinks with the code.
+# longer exists, fails too, so the list only shrinks with the code; so does
+# a line that gives no reason after the name.
 # Unexported dead code is staticcheck's job.
 #
 # Usage: scripts/product-reach.sh   (about a minute on two cores)
@@ -48,9 +49,14 @@ go tool covdata func -i "$work/cov" |
 go tool covdata func -i "$work/cov" |
 	awk '{ split($1, f, ":"); sub(/^albatross\//, "", f[1]); print f[1] ":" $2 }' |
 	sort -u > "$work/all"
-sed -e 's/#.*//' -e '/^[[:space:]]*$/d' "$ALLOW" | awk '{ print $1 }' | sort > "$work/allowed"
+sed -e 's/#.*//' -e '/^[[:space:]]*$/d' "$ALLOW" > "$work/lines"
+awk '{ print $1 }' "$work/lines" | sort > "$work/allowed"
 
 status=0
+for f in $(awk 'NF < 2 { print $1 }' "$work/lines"); do
+	echo "no reason: $f is allowed in $ALLOW without a reason; give one after the name" >&2
+	status=1
+done
 for f in $(comm -23 "$work/zero" "$work/allowed"); do
 	echo "unreached: $f is exported, and no product run calls it: delete it, or allow it in $ALLOW with a reason" >&2
 	status=1
