@@ -23,7 +23,6 @@ func TestParseFlagsModes(t *testing.T) {
 		{[]string{"-topo", "4x16", "-apps", "all", "-census", "-parallel", "1"}, ""},
 		{[]string{"-timeline", "SOR", "-transport"}, ""},
 		{[]string{"-list"}, ""},
-		{[]string{"-exp", "fig9", "-cpuprofile", "p", "-memprofile", "m"}, ""},
 
 		{[]string{"-apps", "RA"}, "-apps cannot be combined with -exp; it is read only with -topo"},
 		{[]string{"-exp", "table1", "-quick"}, "-quick cannot be combined with -exp; it is read only with -chaos"},

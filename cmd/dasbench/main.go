@@ -6,7 +6,7 @@
 //	dasbench -exp all            # every experiment, paper order
 //	dasbench -exp fig5,fig6      # selected experiments
 //	dasbench -list               # show what is available
-//	dasbench -exp fig1 -plot     # additionally draw ASCII speedup charts
+//	dasbench -exp fig1 -plot=false # without the ASCII speedup charts
 //	dasbench -exp fig9 -census   # additionally list each run's event census
 //	dasbench -exp fig9 -transport # ... on the coalescing/striping runtime
 //	dasbench -topo 4x16 -apps all # WAN traffic by kind and per-link load of
@@ -14,36 +14,37 @@
 //	dasbench -topo examples/topologies/tiered64.json -apps SOR,RA
 //	                             # ... on a declarative tiered topology, with
 //	                             # per-link-class WAN statistics
+//	dasbench -chaos -quick       # the fault-injection sweep (-topo: on a grid)
+//	dasbench -timeline SOR       # one app's message activity over time
 //
 // Runs execute -parallel at a time, each on its own sequential engine;
-// output is byte-identical at any -parallel. A flag the selected mode does
-// not read (-quick without -chaos, -apps without -topo, ...) is an error,
-// exit status 2.
+// output is byte-identical at any -parallel. A command line the program
+// cannot run exits with status 2: an unknown flag or experiment id, a
+// negative -parallel, or a flag the selected mode does not read (-quick
+// without -chaos, -apps without -topo, ...). A run that fails exits 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
 
 	"albatross/internal/cluster"
 	"albatross/internal/harness"
-	"albatross/internal/plot"
 	"albatross/internal/trace"
 )
 
 // options are the parsed command line.
 type options struct {
-	exp, timeline, csv, cpuProfile, memProfile, topo, apps string
-	list, plot, chaos, quick, transport, census            bool
-	parallel                                               int
+	exp, timeline, csv, topo, apps              string
+	list, plot, chaos, quick, transport, census bool
+	parallel                                    int
 }
 
 // readBy names, for every flag that not all modes read, the modes that do.
@@ -77,8 +78,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&o.quick, "quick", false, "with -chaos: trim the sweep to the smoke-test scenarios")
 	fs.StringVar(&o.csv, "csv", "", "also write each experiment's data as CSV into this directory")
 	fs.IntVar(&o.parallel, "parallel", 0, "simulation runs to execute concurrently (0 = GOMAXPROCS); output is identical at any setting")
-	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the experiment runs to this file")
-	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile (taken after all runs drain) to this file")
 	fs.BoolVar(&o.transport, "transport", false, "run on the gateway transport layer: 32 kB coalesced WAN frames, a 500us window, 4 WAN streams")
 	fs.StringVar(&o.topo, "topo", "", "run on a uniform CxN DAS shape (e.g. 4x16) or a declarative topology configuration (JSON file, see examples/topologies) instead of the paper experiments")
 	fs.StringVar(&o.apps, "apps", "ASP", "with -topo: comma-separated application names, or 'all'")
@@ -86,7 +85,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	// The mode, named by the flag that selects it, in main's precedence.
+	// The mode, named by the flag that selects it, in run's precedence.
 	mode := "exp"
 	switch {
 	case o.list:
@@ -114,98 +113,73 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 }
 
 func main() {
-	opts, err := parseFlags(os.Args[1:], os.Stderr)
+	os.Exit(exitStatus(run(os.Args[1:], os.Stdout, os.Stderr)))
+}
+
+// usageError is a command line the program cannot run: exit status 2, where
+// a run that fails exits 1.
+type usageError struct{ error }
+
+// exitStatus is the process's exit status after run returns err.
+func exitStatus(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, new(usageError)):
+		return 2
+	}
+	return 1
+}
+
+// run executes the command line args, writing reports to stdout and every
+// error to stderr, once.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	opts, err := parseFlags(args, stderr)
 	if err == flag.ErrHelp {
-		return
+		return nil
 	}
 	if err != nil {
-		os.Exit(2)
+		return usageError{err} // parseFlags has reported it
 	}
+	defer func() {
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+		}
+	}()
 	// -transport runs every experiment on the coalescing/striping runtime
 	// (the "transport" experiment sweeps it explicitly either way).
 	s := &harness.Session{Workers: opts.parallel, Transport: opts.transport}
 	if err := s.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "dasbench:", err)
-		os.Exit(2)
+		return usageError{fmt.Errorf("dasbench: %w", err)}
 	}
 
-	// What follows the reports of every mode: with -census, the simulator's
-	// own event counters.
-	epilogue := func() {
-		if !opts.census {
-			return
-		}
-		rep := s.CensusReport()
-		fmt.Print(rep.Render())
-		if err := writeCSV(os.Stdout, opts.csv, rep.ID, rep); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
-	if opts.cpuProfile != "" {
-		f, err := os.Create(opts.cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if opts.memProfile != "" {
-		// The heap snapshot is taken after the scheduler has drained every
-		// run, so it reflects steady-state retention, not in-flight churn.
-		path := opts.memProfile
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
-
-	if opts.list {
+	switch {
+	case opts.list:
 		for _, e := range harness.Experiments() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
 		}
-		return
+		return nil
+	case opts.timeline != "":
+		return showTimeline(stdout, s, opts.timeline)
+	case opts.chaos:
+		err = runChaos(stdout, s, opts.quick, opts.csv, opts.topo)
+	case opts.topo != "":
+		err = runTopo(stdout, s, opts.topo, opts.apps, opts.csv)
+	default:
+		err = runExperiments(stdout, s, opts)
 	}
-	if opts.timeline != "" {
-		if err := showTimeline(s, opts.timeline); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	if err != nil || !opts.census {
+		return err
 	}
-	if opts.chaos {
-		if err := runChaos(s, opts.quick, opts.csv, opts.topo); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		epilogue()
-		return
-	}
-	if opts.topo != "" {
-		if err := runTopo(os.Stdout, s, opts.topo, opts.apps, opts.csv); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		epilogue()
-		return
-	}
+	// With -census, the simulator's own event counters follow the reports.
+	rep := s.CensusReport()
+	fmt.Fprint(stdout, rep.Render())
+	return writeCSV(stdout, opts.csv, rep.ID, rep)
+}
 
+// runExperiments runs the -exp selection in order, each report followed by
+// its chart (unless -plot=false) and its CSV file.
+func runExperiments(out io.Writer, s *harness.Session, opts *options) error {
 	var selected []harness.Experiment
 	if opts.exp == "all" {
 		selected = harness.Experiments()
@@ -213,32 +187,28 @@ func main() {
 		for _, id := range strings.Split(opts.exp, ",") {
 			e, err := harness.ExperimentByID(strings.TrimSpace(id))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				return usageError{err}
 			}
 			selected = append(selected, e)
 		}
 	}
-
 	for _, e := range selected {
 		start := time.Now()
 		rep, err := e.Run(s)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
-			os.Exit(1)
+			return fmt.Errorf("%s failed: %w", e.ID, err)
 		}
-		fmt.Print(rep.Render())
+		fmt.Fprint(out, rep.Render())
 		if opts.plot && rep.Figure != nil {
-			fmt.Print(plot.Render(rep.Figure, 64, 24))
+			fmt.Fprint(out, renderPlot(rep.Figure))
 		}
-		if err := writeCSV(os.Stdout, opts.csv, e.ID, rep); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := writeCSV(out, opts.csv, e.ID, rep); err != nil {
+			return err
 		}
-		fmt.Printf("(%s took %.1fs wall clock; all results verified against sequential references)\n\n",
+		fmt.Fprintf(out, "(%s took %.1fs wall clock; all results verified against sequential references)\n\n",
 			e.ID, time.Since(start).Seconds())
 	}
-	epilogue()
+	return nil
 }
 
 // writeCSV writes the report's data as <dir>/<id>.csv and says so on out; an
@@ -264,7 +234,7 @@ func writeCSV(out io.Writer, dir, id string, rep *harness.Report) error {
 // instead runs the grid-scale sweep — loss x outage x backbone
 // partition over all eight applications — and skips the timeline (the
 // availability and recovery tables carry the story there).
-func runChaos(s *harness.Session, quick bool, csvDir, topoArg string) error {
+func runChaos(out io.Writer, s *harness.Session, quick bool, csvDir, topoArg string) error {
 	start := time.Now()
 	if topoArg != "" {
 		topo, name, err := loadTopology(topoArg)
@@ -275,11 +245,11 @@ func runChaos(s *harness.Session, quick bool, csvDir, topoArg string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(rep.Render())
-		if err := writeCSV(os.Stdout, csvDir, "chaos", rep); err != nil {
+		fmt.Fprint(out, rep.Render())
+		if err := writeCSV(out, csvDir, "chaos", rep); err != nil {
 			return err
 		}
-		fmt.Printf("(grid chaos took %.1fs wall clock; all completed runs verified against sequential references)\n",
+		fmt.Fprintf(out, "(grid chaos took %.1fs wall clock; all completed runs verified against sequential references)\n",
 			time.Since(start).Seconds())
 		return nil
 	}
@@ -287,8 +257,8 @@ func runChaos(s *harness.Session, quick bool, csvDir, topoArg string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(rep.Render())
-	if err := writeCSV(os.Stdout, csvDir, "chaos", rep); err != nil {
+	fmt.Fprint(out, rep.Render())
+	if err := writeCSV(out, csvDir, "chaos", rep); err != nil {
 		return err
 	}
 	tl, err := harness.ChaosTimeline(s, "SOR", false, harness.ChaosSpec{
@@ -297,9 +267,9 @@ func runChaos(s *harness.Session, quick bool, csvDir, topoArg string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println()
-	fmt.Print(tl)
-	fmt.Printf("(chaos took %.1fs wall clock; all runs verified against sequential references)\n",
+	fmt.Fprintln(out)
+	fmt.Fprint(out, tl)
+	fmt.Fprintf(out, "(chaos took %.1fs wall clock; all runs verified against sequential references)\n",
 		time.Since(start).Seconds())
 	return nil
 }
@@ -307,7 +277,7 @@ func runChaos(s *harness.Session, quick bool, csvDir, topoArg string) error {
 // showTimeline runs one application on the 4x15 platform in both variants,
 // tapping every message into a time-bucketed timeline, and prints the
 // communication shape of the run (bursts, phases, saturation plateaus).
-func showTimeline(s *harness.Session, appName string) error {
+func showTimeline(out io.Writer, s *harness.Session, appName string) error {
 	app, err := harness.AppByName(appName)
 	if err != nil {
 		return err
@@ -323,9 +293,9 @@ func showTimeline(s *harness.Session, appName string) error {
 		if optimized {
 			variant = "optimized"
 		}
-		fmt.Printf("== %s %s on 4x15 (%.3fs virtual) ==\n", appName, variant, m.Seconds())
-		fmt.Print(tl.Render(72))
-		fmt.Println()
+		fmt.Fprintf(out, "== %s %s on 4x15 (%.3fs virtual) ==\n", appName, variant, m.Seconds())
+		fmt.Fprint(out, tl.Render(72))
+		fmt.Fprintln(out)
 	}
 	return nil
 }

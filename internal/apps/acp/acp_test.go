@@ -155,6 +155,17 @@ func TestReviseMatchesReference(t *testing.T) {
 	}
 }
 
+func TestWideDomainPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "acp: domain must fit a 32-bit mask" {
+			t.Fatalf("panic %v", r)
+		}
+	}()
+	cfg := testCfg()
+	cfg.Domain = 33
+	NewProblem(cfg)
+}
+
 // BenchmarkRevise is the app-kernel rung for ACP: one variable of the
 // default instance revised against all its neighbours, every domain full
 // (the first sweep of a run, where the scan is longest).

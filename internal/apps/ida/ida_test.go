@@ -147,6 +147,22 @@ func TestCorrectAcrossShapes(t *testing.T) {
 	}
 }
 
+// TestSolvedInstance: a walk of length zero leaves the puzzle solved, so the
+// frontier cannot grow past the goal itself and every variant reports the
+// optimum 0.
+func TestSolvedInstance(t *testing.T) {
+	cfg := Config{Walk: 0, Seed: 4, Jobs: 8, ExpandCost: time.Microsecond}
+	if f := expandFrontier(cfg); len(f) != 1 || !f[0].b.IsGoal() {
+		t.Fatalf("frontier of a solved instance: %d jobs", len(f))
+	}
+	if r := Sequential(cfg); r.Optimal != 0 || r.Solutions != 1 {
+		t.Fatalf("sequential: %+v", r)
+	}
+	for _, opt := range []bool{false, true} {
+		run(t, 2, 2, opt, cfg)
+	}
+}
+
 func TestOptimizedReducesInterclusterSteals(t *testing.T) {
 	cfg := Config{Walk: 26, Seed: 4, Jobs: 64, ExpandCost: time.Microsecond}
 	orig := run(t, 4, 3, false, cfg)

@@ -136,6 +136,27 @@ func TestTooManyProcsIsError(t *testing.T) {
 	}
 }
 
+// TestIterationCapIsError: a run that reaches MaxIters before the precision
+// stops at the cap, sequentially and in parallel, and its verifier reports
+// the missing convergence.
+func TestIterationCapIsError(t *testing.T) {
+	cfg := testCfg()
+	cfg.MaxIters = 3
+	if r := Sequential(cfg); r.Iters != 3 {
+		t.Fatalf("sequential stopped after %d iterations, want the cap 3", r.Iters)
+	}
+	for _, optimized := range []bool{false, true} {
+		sys := core.NewDAS(2, 2)
+		verify := Build(sys, cfg, optimized)
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := verify(); err == nil || err.Error() != "sor: no convergence in 3 iterations" {
+			t.Errorf("optimized=%v: verify = %v, want the missing convergence", optimized, err)
+		}
+	}
+}
+
 func TestSkipModSweepConverges(t *testing.T) {
 	for _, skipMod := range []int{1, 2, 4, 8} {
 		cfg := testCfg()

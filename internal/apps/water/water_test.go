@@ -31,6 +31,17 @@ func run(t *testing.T, clusters, npc int, optimized bool, cfg Config) core.Metri
 	return m
 }
 
+func TestTooManyProcsPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "water: 8 processors need at least one molecule each (N=4)" {
+			t.Fatalf("panic %v", r)
+		}
+	}()
+	cfg := testCfg()
+	cfg.N = 4
+	Build(core.NewDAS(2, 4), cfg, false)
+}
+
 func TestHalfShellCoversEveryPairOnce(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 5, 8, 9, 16} {
 		seen := make(map[[2]int]int)

@@ -44,6 +44,29 @@ func TestSingleClusterHasNoGateways(t *testing.T) {
 	topo.Gateway(0)
 }
 
+// TestNodeMisusePanics: asking for a node the topology does not have panics
+// with a message naming it.
+func TestNodeMisusePanics(t *testing.T) {
+	topo := Topology{Clusters: 2, NodesPerCluster: 3}
+	for _, tc := range []struct {
+		fn   func()
+		want string
+	}{
+		{func() { topo.Gateway(2) }, "cluster: gateway of invalid cluster 2"},
+		{func() { topo.Node(0, 3) }, "cluster: invalid node (0,3) in 2x3"},
+		{func() { topo.IndexInCluster(topo.Gateway(1)) }, "cluster: IndexInCluster of gateway"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != tc.want {
+					t.Errorf("panic %v, want %q", r, tc.want)
+				}
+			}()
+			tc.fn()
+		}()
+	}
+}
+
 func TestValidate(t *testing.T) {
 	if err := (Topology{Clusters: 0, NodesPerCluster: 4}).Validate(); err == nil {
 		t.Fatal("zero clusters accepted")

@@ -119,6 +119,11 @@ func TestBuilderErrors(t *testing.T) {
 	check("bad class params", func(b *Builder) {
 		b.Roots(2, Mesh, b.Class("c", 0, 1e6, 0), 4)
 	})
+	check("unnamed class", func(b *Builder) { b.Roots(2, Mesh, b.Class("", time.Millisecond, 1e6, 0), 4) })
+	check("tier without nodes", func(b *Builder) {
+		c := b.Class("c", time.Millisecond, 1e6, 0)
+		b.Tier(b.Roots(2, Mesh, c, 4), 2, c)
+	})
 }
 
 func TestParseTopology(t *testing.T) {
@@ -339,5 +344,27 @@ func TestValidateRejectsDuplicateLink(t *testing.T) {
 	topo.WAN.Links = append(topo.WAN.Links, Link{A: l.B, B: l.A, Class: l.Class})
 	if err := topo.Validate(); err == nil || !strings.Contains(err.Error(), "duplicates") {
 		t.Fatalf("duplicate link: err = %v", err)
+	}
+}
+
+// TestValidateRejectsMalformedGraph: a hand-made or corrupted link graph is
+// an error naming what is wrong with it.
+func TestValidateRejectsMalformedGraph(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(topo *Topology)
+		want    string
+	}{
+		{"no classes", func(topo *Topology) { topo.WAN.Classes = nil }, "no link classes"},
+		{"cluster count", func(topo *Topology) { topo.Clusters--; topo.Sizes = topo.Sizes[1:] }, "routing tables sized for"},
+		{"no roots", func(topo *Topology) { topo.WAN.roots = nil }, "no root tier"},
+		{"self link", func(topo *Topology) { topo.WAN.Links[0].B = topo.WAN.Links[0].A }, "connects invalid clusters"},
+		{"class", func(topo *Topology) { topo.WAN.Links[0].Class = len(topo.WAN.Classes) }, "uses invalid class"},
+	} {
+		topo := twoTier(t)
+		tc.corrupt(&topo)
+		if err := topo.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

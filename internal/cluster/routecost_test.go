@@ -66,3 +66,13 @@ func TestAllPairsCost(t *testing.T) {
 		}
 	}
 }
+
+func TestAllPairsCostRejectsFreeHops(t *testing.T) {
+	topo := twoTier(t)
+	defer func() {
+		if r, want := recover(), `cluster: AllPairsCost needs a positive per-hop cost, class "trunk" got 0s`; r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+	}()
+	topo.WAN.AllPairsCost(topo.Clusters, func(int) time.Duration { return 0 })
+}

@@ -351,3 +351,31 @@ func TestShardedMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestTreeRejectsForeignRanks: a broadcast tree over a rank group that lacks
+// the calling rank or the root is a bug in the collective that built it.
+func TestTreeRejectsForeignRanks(t *testing.T) {
+	sys := core.NewDAS(1, 2)
+	comm := New(sys, "c", Flat)
+	var got []any
+	sys.SpawnWorkers("w", func(w *core.Worker) {
+		if w.Rank() != 0 {
+			return
+		}
+		for _, tc := range []struct {
+			root  int
+			group []int
+		}{{1, []int{1}}, {5, []int{0, 1}}} {
+			func() {
+				defer func() { got = append(got, recover()) }()
+				comm.bcastTree(w, tc.root, 8, nil, tc.group, phB)
+			}()
+		}
+	})
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []any{"coll: rank 0 not in group", "coll: root 5 not in group"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("panics %v, want %v", got, want)
+	}
+}

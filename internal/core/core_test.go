@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -129,6 +131,9 @@ func TestClusterReducerCombinesRemoteContributions(t *testing.T) {
 	// Contributors: nodes 1,2 (local to target) and 3,4,5 (remote cluster).
 	contributors := []cluster.NodeID{1, 2, 3, 4, 5}
 	expectMsgs := cr.ExpectedMessages(target, contributors)
+	if n := cr.ExpectedMessages(target, append(contributors, target)); n != expectMsgs {
+		t.Fatalf("listing the target as a contributor changed the count: %d, want %d", n, expectMsgs)
+	}
 	sys.SpawnWorkers("w", func(w *Worker) {
 		switch {
 		case w.Node == target:
@@ -472,4 +477,13 @@ func internTags(sys *System, n int) []orca.TagID {
 		tags[i] = sys.RTS.InternTag(orca.Tag{Op: "m", A: i})
 	}
 	return tags
+}
+
+func TestNewSystemRejectsInvalidTopology(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Clusters must be positive") {
+			t.Fatalf("panic %v, want the topology's error", r)
+		}
+	}()
+	NewSystem(Config{Topology: cluster.DAS(0, 4), Params: cluster.DASParams()})
 }

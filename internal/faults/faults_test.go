@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -341,4 +342,13 @@ func TestLinkDownRoutesAroundInNetwork(t *testing.T) {
 	if n.Stats().Reroutes() == 0 {
 		t.Fatal("ring cut produced no reroutes")
 	}
+}
+
+func TestMustInjectorPanicsOnBadPlan(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "outside [0, 1]") {
+			t.Fatalf("panic %v, want the plan's error", r)
+		}
+	}()
+	MustInjector(Plan{Default: PairProbs{Drop: 2}})
 }

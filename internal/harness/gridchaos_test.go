@@ -3,11 +3,13 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"albatross/internal/cluster"
+	"albatross/internal/core"
 	"albatross/internal/faults"
 	"albatross/internal/orca"
 	"albatross/internal/sim"
@@ -124,6 +126,56 @@ func TestExecRejectsPlanOffThePlatform(t *testing.T) {
 	bad := (&Session{}).chaosRun(app, cluster.DAS(0, 2), false, ChaosSpec{Loss: 0.01})
 	if _, err := Exec(bad); err == nil || !strings.Contains(err.Error(), "Clusters must be positive") {
 		t.Errorf("invalid platform: err = %v", err)
+	}
+}
+
+// TestReportsRejectInvalidPlatform: a report over a platform that is not
+// one, or a speedup whose run fails, is an error naming the shape.
+func TestReportsRejectInvalidPlatform(t *testing.T) {
+	s := &Session{}
+	noop := AppSpec{Name: "noop", Build: func(*core.System, bool) func() error { return func() error { return nil } }}
+	if _, err := TopoReport(s, cluster.DAS(0, 2), []AppSpec{noop}); err == nil {
+		t.Error("topology report on 0 clusters")
+	}
+	if _, err := GridChaosReport(s, "none", cluster.DAS(0, 2), true); err == nil {
+		t.Error("grid chaos report on 0 clusters")
+	}
+	if _, err := s.Speedups(s.Spec(noop, cluster.DAS(2, 0), false)); err == nil || !strings.Contains(err.Error(), "NodesPerCluster") {
+		t.Errorf("speedup of a run on 2x0: err = %v", err)
+	}
+}
+
+// TestUnavailableClassifiesRunErrors: a run cut at its deadline or stalled
+// in a deadlock counts against availability; any other error is a failure.
+func TestUnavailableClassifiesRunErrors(t *testing.T) {
+	for _, tc := range []struct {
+		err    error
+		reason string
+		down   bool
+	}{
+		{fmt.Errorf("run: %w", &sim.DeadlineError{}), "deadline", true},
+		{&sim.DeadlockError{}, "deadlock", true},
+		{errors.New("verification mismatch"), "", false},
+	} {
+		if reason, down := unavailable(tc.err); reason != tc.reason || down != tc.down {
+			t.Errorf("%v: (%q, %v), want (%q, %v)", tc.err, reason, down, tc.reason, tc.down)
+		}
+	}
+}
+
+// TestGridScenariosQuickIsASubset: the quick grid sweep keeps the baseline,
+// 1 % loss and the partition of the full sweep, in its order.
+func TestGridScenariosQuickIsASubset(t *testing.T) {
+	var full []string
+	for _, sc := range gridScenarios(false) {
+		full = append(full, sc.name)
+	}
+	var quick []string
+	for _, sc := range gridScenarios(true) {
+		quick = append(quick, sc.name)
+	}
+	if len(full) != 5 || !slices.Equal(quick, []string{full[0], full[1], full[3]}) {
+		t.Fatalf("full sweep %q, quick %q", full, quick)
 	}
 }
 

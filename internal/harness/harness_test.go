@@ -213,6 +213,12 @@ func TestUnknownFigureAppIsAnError(t *testing.T) {
 	if _, err := SpeedupFigure(&Session{}, "figX", "Quake", false); err == nil {
 		t.Fatal("unknown application accepted")
 	}
+	if _, err := wanSweep(&Session{}, &Table{}, "Quake", nil); err == nil {
+		t.Fatal("unknown application accepted by a WAN sweep")
+	}
+	if _, err := ChaosTimeline(&Session{}, "Quake", false, ChaosSpec{}, 72); err == nil {
+		t.Fatal("unknown application accepted by the chaos timeline")
+	}
 }
 
 func TestRunMemoization(t *testing.T) {

@@ -22,8 +22,6 @@ type Series struct {
 type Figure struct {
 	ID     string
 	Title  string
-	MaxX   int
-	MaxY   float64
 	Series []Series
 }
 

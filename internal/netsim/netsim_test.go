@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -446,5 +449,55 @@ func TestWANProfileSampledAtTransmissionStart(t *testing.T) {
 	wantB := 5253 * time.Microsecond
 	if len(arrivals) != 2 || arrivals[0] != wantA || arrivals[1] != wantB {
 		t.Fatalf("arrivals %v, want [%v %v]", arrivals, wantA, wantB)
+	}
+}
+
+// TestTapSeesLoopbackAndLocalBroadcast: the tap observes every send as it
+// leaves, a loopback and a local broadcast included, as intracluster traffic.
+func TestTapSeesLoopbackAndLocalBroadcast(t *testing.T) {
+	e, n := build(1, 4)
+	n.SetFaultPolicy(nil) // no policy: the fault hooks stay off
+	var seen []string
+	n.SetTap(func(at time.Duration, m Msg, inter bool) {
+		seen = append(seen, fmt.Sprintf("%v %v inter=%v", at, m, inter))
+	})
+	n.Send(Msg{From: 1, To: 1, Kind: KindData, Size: 8})
+	n.BcastLocal(2, KindBcast, 16, nil)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"0s data 1>1 8B inter=false", "0s bcast 2>2 16B inter=false"}
+	if !slices.Equal(seen, want) {
+		t.Fatalf("tap saw %q, want %q", seen, want)
+	}
+}
+
+// TestNewRejectsUnbuildablePlatform: New panics on a platform its callers
+// should have validated, and on more WAN streams than a wire unit can name.
+func TestNewRejectsUnbuildablePlatform(t *testing.T) {
+	streams := testParams()
+	streams.WANStreams = math.MaxInt16 + 1
+	for _, tc := range []struct {
+		topo cluster.Topology
+		par  cluster.Params
+		want string
+	}{
+		{cluster.Topology{NodesPerCluster: 2}, testParams(), "cluster: Clusters must be positive, got 0"},
+		{cluster.Topology{Clusters: 2, NodesPerCluster: 2}, streams, "netsim: WANStreams 32768 exceeds 32767"},
+	} {
+		func() {
+			defer func() {
+				if r := fmt.Sprint(recover()); r != tc.want {
+					t.Errorf("panic %q, want %q", r, tc.want)
+				}
+			}()
+			New(sim.NewEngine(), tc.topo, tc.par)
+		}()
+	}
+	if s := Kind(255).String(); s != "invalid" {
+		t.Errorf("Kind(255) is %q", s)
+	}
+	if u := (PipeReport{Busy: time.Second}).Utilization(0); u != 0 {
+		t.Errorf("utilization over no elapsed time: %v", u)
 	}
 }

@@ -200,6 +200,10 @@ func TestP2Quantile(t *testing.T) {
 	if got < 9700 || got > 9999 {
 		t.Fatalf("p99 estimate %v of 0..9999", got)
 	}
+	q.observe(0.99, -1) // a new minimum moves only the lowest marker
+	if q.q[0] != -1 || q.estimate() != got {
+		t.Fatalf("after a new minimum: markers %v, estimate %v, want %v", q.q, q.estimate(), got)
+	}
 	// Small samples are exact nearest-rank.
 	var s p2Quantile
 	for _, x := range []float64{5, 1, 3} {
@@ -207,6 +211,11 @@ func TestP2Quantile(t *testing.T) {
 	}
 	if got := s.estimate(); got != 3 {
 		t.Fatalf("small-sample median %v", got)
+	}
+	var lo p2Quantile // a rank below the first sample is the first sample
+	lo.observe(0.1, 7)
+	if got := lo.estimate(); got != 7 {
+		t.Fatalf("one-sample p10 %v", got)
 	}
 	var z p2Quantile
 	if got := z.estimate(); got != 0 {

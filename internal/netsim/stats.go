@@ -240,14 +240,8 @@ func (s *p2Quantile) estimate() float64 {
 				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 			}
 		}
-		rank := int(s.p*float64(s.n)+0.5) - 1
-		if rank < 0 {
-			rank = 0
-		}
-		if rank >= int(s.n) {
-			rank = int(s.n) - 1
-		}
-		return sorted[rank]
+		// Nearest rank; p ≤ 1 keeps it below n.
+		return sorted[max(int(s.p*float64(s.n)+0.5)-1, 0)]
 	}
 	return s.q[2]
 }

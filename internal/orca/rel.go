@@ -326,7 +326,7 @@ func (l *relLayer) onAck(sh *relShard, m netsim.Msg) {
 	sh.stats.Acks++
 	s := sh.send[pairKey{m.To, m.From}]
 	if s == nil {
-		return // ack for a channel we never opened (cannot happen in practice)
+		panic(fmt.Sprintf("orca: ack %v for channel %d->%d, which never sent", m, m.To, m.From))
 	}
 	// The receiver acks only numbers it has received, so upTo ≤ nextSeq, and the
 	// acknowledged part of the queue is its first upTo − head slots.

@@ -302,6 +302,9 @@ func TestStopShutdownDuringFaultedDelivery(t *testing.T) {
 	wg.Wait()
 }
 
+// TestObjectMisusePanics: misuse of objects and services, and a runtime
+// message that breaks the protocols' invariants, panic with a message that
+// names the object, service, node or payload.
 func TestObjectMisusePanics(t *testing.T) {
 	_, _, rts := build(1, 2, nil)
 	plain := rts.NewObject("plain", 0, &counter{})
@@ -314,6 +317,34 @@ func TestObjectMisusePanics(t *testing.T) {
 		{"State", func() { repl.State() }, `orca: State on replicated object "repl"; use Replica`},
 		{"Replica", func() { plain.Replica(0) }, `orca: Replica on non-replicated object "plain"; use State`},
 		{"AsyncUpdate", func() { plain.AsyncUpdate(0, incOp(1)) }, `orca: AsyncUpdate on non-replicated object "plain"`},
+		{"Reply", func() { (&Request{ID: noReply}).Reply(8, nil) }, "orca: Reply to a Cast request"},
+		{"RegisterService", func() {
+			rts.HandleService(1, "h", func(*Request) {})
+			rts.RegisterService(1, "h")
+		}, `orca: service "h" at node 1 already has a handler`},
+		{"HandleService", func() {
+			rts.RegisterService(1, "mb")
+			rts.HandleService(1, "mb", func(*Request) {})
+		}, `orca: service "mb" at node 1 already has a mailbox`},
+		{"HandleServiceTwice", func() {
+			rts.HandleService(1, "twice", func(*Request) {})
+			rts.HandleService(1, "twice", func(*Request) {})
+		}, `orca: service "twice" at node 1 registered twice`},
+		{"CastNoService", func() {
+			e, _, rts := build(1, 2, nil)
+			rts.Cast(0, 1, "none", 8, nil)
+			_ = e.Run()
+		}, `orca: no service "none" at node 1`},
+		{"EnableReliabilityLate", func() {
+			e, _, rts := build(2, 2, nil)
+			e.At(time.Millisecond, func() {})
+			_ = e.Run()
+			rts.EnableReliability(RelConfig{})
+		}, "orca: EnableReliability after the run started"},
+		// Invariants of the runtime's own messages.
+		{"StrayReply", func() { rts.nodes[0].takeCall(7) }, "orca: stray reply 7 at node 0"},
+		{"UnknownPayload", func() { rts.dispatchPayload(0, rts.nodes[0], netsim.Msg{Payload: 1}) }, "orca: unknown payload int at node 0"},
+		{"UnknownGatewayPayload", func() { rts.gatewayDispatch(netsim.Msg{Payload: 1}) }, "orca: unknown gateway payload int"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -329,6 +360,20 @@ func TestObjectMisusePanics(t *testing.T) {
 			tc.fn()
 		})
 	}
+}
+
+// TestAckForUnopenedChannelPanics: an ack travels back only on a channel
+// whose sender sent an envelope, so one for a channel that never sent is an
+// invariant violation that names the channel.
+func TestAckForUnopenedChannelPanics(t *testing.T) {
+	_, _, rts, _ := buildFaulty(t, 2, 2, nil, faults.Plan{}, RelConfig{})
+	defer func() {
+		want := "orca: ack control 2>0 40B for channel 0->2, which never sent"
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+	}()
+	rts.intercepted(netsim.Msg{From: 2, To: 0, Kind: netsim.KindControl, Seq: 1, Size: relAckBytes, Payload: relAck})
 }
 
 // TestBackoffPlateauUnderPermanentPartition pins the ARQ backoff contract on

@@ -102,10 +102,8 @@ func (p *Proc) BusyTime() time.Duration { return p.busy }
 
 func (p *Proc) String() string { return fmt.Sprintf("%s(#%d,%v)", p.name, p.id, p.state) }
 
+// waitReport names a parked process and what it waits on.
 func (p *Proc) waitReport() string {
-	if p.waitKind == "" {
-		return p.name
-	}
 	return p.name + " on " + p.waitKind + p.waitName
 }
 

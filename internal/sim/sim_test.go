@@ -465,6 +465,50 @@ func TestNegativeSleepPanics(t *testing.T) {
 	}
 }
 
+// TestMisusePanics: negative CPU work, a non-positive poll period, the reuse
+// of a future that is unresolved or still waited on, a wake of a process
+// that is not parked and a Shutdown from inside Run are rejected with a
+// panic that says which.
+func TestMisusePanics(t *testing.T) {
+	inProc := func(fn func(p *Proc, m *Mailbox)) func() {
+		return func() {
+			e := NewEngine()
+			m := NewMailbox(e, "box")
+			var r any
+			e.Go("w", func(p *Proc) { r = recovered(func() { fn(p, m) }) })
+			_ = e.Run()
+			panic(r)
+		}
+	}
+	waited := NewFuture(NewEngine(), "waited")
+	waited.done, waited.waiters = true, []*Proc{nil}
+	for _, tc := range []struct {
+		name, want string
+		fn         func()
+	}{
+		{"Compute", "sim: negative Compute", inProc(func(p *Proc, _ *Mailbox) { p.Compute(-1) })},
+		{"Ahead", "sim: negative Compute", inProc(func(p *Proc, _ *Mailbox) { p.Ahead(-1, func(any) {}, nil) })},
+		{"Poll", "sim: non-positive Poll period", inProc(func(p *Proc, m *Mailbox) { m.Poll(p, 0, 0) })},
+		{"ResetUnresolved", "sim: Future.Reset of unresolved f", func() { NewFuture(NewEngine(), "f").Reset("g") }},
+		{"ResetWaited", "sim: Future.Reset with waiters on waited", func() { waited.Reset("g") }},
+		{"WakeDone", "sim: wake of w which is done", func() {
+			e := NewEngine()
+			p := e.Go("w", func(*Proc) {})
+			_ = e.Run()
+			e.wake(p)
+		}},
+		{"ShutdownInRun", "sim: Engine.Shutdown called during Run", func() {
+			e := NewEngine()
+			e.At(0, e.Shutdown)
+			_ = e.Run()
+		}},
+	} {
+		if r := recovered(tc.fn); r != tc.want {
+			t.Errorf("%s: panic %v, want %q", tc.name, r, tc.want)
+		}
+	}
+}
+
 func TestProcIntrospection(t *testing.T) {
 	e := NewEngine()
 	m := NewMailbox(e, "box")
@@ -494,6 +538,11 @@ func TestProcIntrospection(t *testing.T) {
 	}
 	if p.String() != "worker(#0,done)" {
 		t.Fatalf("final String() = %q", p.String())
+	}
+	for st, want := range map[procState]string{procReady: "ready", procRunning: "running", procDone + 1: "invalid"} {
+		if st.String() != want {
+			t.Errorf("state %d is %q, want %q", st, st.String(), want)
+		}
 	}
 }
 

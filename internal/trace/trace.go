@@ -96,11 +96,7 @@ func (t *Timeline) Sparkline(series string, width int) string {
 	cells := make([]int64, width)
 	span := t.maxLen
 	for i, v := range s {
-		c := i * width / span
-		if c >= width {
-			c = width - 1
-		}
-		cells[c] += v
+		cells[i*width/span] += v // i < len(s) <= span
 	}
 	var peak int64 = 1
 	for _, v := range cells {

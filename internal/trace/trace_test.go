@@ -45,6 +45,21 @@ func TestSparklineWidthAndScale(t *testing.T) {
 	if runes[0] == '@' {
 		t.Fatalf("low cell rendered as peak: %q", s)
 	}
+	if s := tl.Sparkline("absent", 4); s != "    " {
+		t.Fatalf("series with no events: %q, want 4 blanks", s)
+	}
+	if s := tl.Sparkline("x", -1); s != "" {
+		t.Fatalf("negative width: %q, want empty", s)
+	}
+}
+
+func TestNewRejectsNonPositiveBucket(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "trace: bucket must be positive" {
+			t.Fatalf("panic %v", r)
+		}
+	}()
+	New(0)
 }
 
 func TestTotalPreservedByBucketing(t *testing.T) {
