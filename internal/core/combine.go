@@ -129,7 +129,9 @@ func (cb *Combiner) install(c int) {
 }
 
 // flush ships cluster c's pending items for destination cluster dc as one
-// combined intercluster message.
+// combined intercluster message. There is always at least one: both callers
+// flush right after an append, and a timer whose generation is still current
+// saw no flush since.
 func (cb *Combiner) flush(c, dc int) {
 	buf := &cb.bufs[c][dc]
 	items := buf.items
@@ -138,12 +140,6 @@ func (cb *Combiner) flush(c, dc int) {
 	buf.bytes = 0
 	buf.timer = false
 	buf.gen++
-	if len(items) == 0 {
-		if items != nil {
-			cb.pools[c].slicePool.Put(items)
-		}
-		return
-	}
 	cb.sys.RTS.Cast(cb.agent(c), cb.agent(dc), "scat:"+cb.name, bytes, items)
 }
 

@@ -24,7 +24,8 @@ func TestWireUnitLayout(t *testing.T) {
 	if got := unsafe.Sizeof(wireUnit{}); got > 128 {
 		t.Errorf("wireUnit is %d bytes, want at most 128 (one size class)", got)
 	}
-	// Msg.Seq sits in the padding after Kind: a header word costs no bytes.
+	// Msg.Tag and Msg.Seq sit in the padding after Kind: header words cost no
+	// bytes.
 	if got := unsafe.Sizeof(Msg{}); got != 48 {
 		t.Errorf("Msg is %d bytes, want 48", got)
 	}

@@ -69,13 +69,14 @@ func (k Kind) String() string {
 }
 
 // Msg is a simulated network message. Size is the application-level payload
-// size in bytes; Payload carries the simulated content by reference. Seq is a
-// header word for the layer above: netsim carries it by value through every
-// copy it makes — wire units, frames, hold queues — and never reads it. It
-// fills the padding after Kind, so a Msg stays 48 bytes.
+// size in bytes; Payload carries the simulated content by reference. Tag and
+// Seq are header words for the layer above: netsim carries them by value
+// through every copy it makes — wire units, frames, hold queues — and never
+// reads them. They fill the padding after Kind, so a Msg stays 48 bytes.
 type Msg struct {
 	From, To cluster.NodeID
 	Kind     Kind
+	Tag      uint16
 	Seq      uint32
 	Size     int
 	Payload  any

@@ -56,8 +56,8 @@ func allocBudget(t *testing.T, name string, step func(), budget float64) {
 }
 
 // TestAllocSendRecvData pins the tagged point-to-point path at zero: an
-// interned tag, a pooled message record recycled at delivery, and a
-// pre-boxed payload make SendDataID/RecvDataID allocation-free.
+// interned tag carried in the Msg header and a pre-boxed payload make
+// SendDataID/RecvDataID allocation-free.
 func TestAllocSendRecvData(t *testing.T) {
 	e, _, rts := build(1, 2, nil)
 	id := rts.InternTag(Tag{Op: "alloc-p2p"})

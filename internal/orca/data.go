@@ -1,6 +1,8 @@
 package orca
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"albatross/internal/cluster"
@@ -22,19 +24,27 @@ type Tag struct {
 // message.
 type TagID int32
 
+// maxTags is how many tags a runtime can intern: a data message carries its
+// TagID plus one in the 16-bit netsim.Msg.Tag word, where 0 means "no tag".
+const maxTags = math.MaxUint16
+
 // InternTag returns the dense ID for tag, assigning the next one on first
-// use. The ID is valid for the lifetime of the runtime. The table is the
-// only runtime map shared across clusters, so interning takes a lock; on a
-// sharded engine apps should intern at setup anyway, both to keep TagID
-// assignment deterministic and to keep the lock off the steady-state path.
+// use; it panics rather than assign more than maxTags. The ID is valid for
+// the lifetime of the runtime. The table is the only runtime map shared
+// across clusters, so interning takes a lock; on a sharded engine apps
+// should intern at setup anyway, both to keep TagID assignment deterministic
+// and to keep the lock off the steady-state path.
 func (r *RTS) InternTag(t Tag) TagID {
 	r.tagMu.Lock()
+	defer r.tagMu.Unlock()
 	id, ok := r.tagIDs[t]
 	if !ok {
+		if len(r.tagIDs) == maxTags {
+			panic(fmt.Sprintf("orca: tag %v past the %d a runtime can intern", t, maxTags))
+		}
 		id = TagID(len(r.tagIDs))
 		r.tagIDs[t] = id
 	}
-	r.tagMu.Unlock()
 	return id
 }
 
@@ -60,12 +70,10 @@ func (r *RTS) SendDataID(from, to cluster.NodeID, id TagID, size int, payload an
 	sh := r.nodes[from].sh
 	sh.ops.DataMsgs++
 	sh.ops.DataBytes += int64(size)
-	d := sh.dataPool.Get()
-	d.id, d.payload = id, payload
 	r.send(netsim.Msg{
-		From: from, To: to, Kind: netsim.KindData,
+		From: from, To: to, Kind: netsim.KindData, Tag: uint16(id + 1),
 		Size:    size + HeaderBytes,
-		Payload: d,
+		Payload: payload,
 	})
 }
 

@@ -14,11 +14,12 @@
 // services.
 //
 // The data path is flattened for steady-state zero allocation: tags are
-// interned to dense IDs, every protocol record (dataMsg, the pendingBcast of
-// ordered and unordered updates, submit, RPC request/reply, service request)
-// lives on a free list and is recycled at delivery, and reply futures are
-// pooled. See DESIGN.md §5b for why recycling at delivery is safe on both
-// engines.
+// interned to dense IDs that ride in the netsim.Msg.Tag header word, so a
+// data message carries its payload with no record; every protocol record
+// (the pendingBcast of ordered and unordered updates, submit, RPC
+// request/reply, service request) lives on a free list and is recycled at
+// delivery, and reply futures are pooled. See DESIGN.md §5b for why
+// recycling at delivery is safe on both engines.
 package orca
 
 import (
@@ -83,7 +84,6 @@ type rtsShard struct {
 	// Free lists for the protocol records of the steady-state data path.
 	// Records are recycled at delivery, so sustained messaging allocates
 	// nothing.
-	dataPool   sim.Free[dataMsg]
 	reqPool    sim.Free[rpcReq]
 	repPool    sim.Free[rpcRep]
 	svcPool    sim.Free[serviceReq]
@@ -239,11 +239,6 @@ type serviceReq struct {
 	payload any
 }
 
-type dataMsg struct {
-	id      TagID
-	payload any
-}
-
 // getFuture pools the one-shot reply futures of RPCs and blocking calls:
 // the caller must Put the future back on futPool once Await has consumed
 // the value.
@@ -276,8 +271,13 @@ func (r *RTS) gatewayHandler(m netsim.Msg) {
 
 // dispatchPayload consumes one delivered message at a compute node. It is
 // called by the node's network handler and, for messages that travelled in a
-// reliable envelope, by the reliability layer after unwrapping.
+// reliable envelope, by the reliability layer after unwrapping. A data
+// message is the one kind with a tag (Cast requests are KindData too).
 func (r *RTS) dispatchPayload(id cluster.NodeID, nd *nodeRTS, m netsim.Msg) {
+	if m.Tag != 0 {
+		r.dataMailbox(nd, TagID(m.Tag-1)).Put(m.Payload)
+		return
+	}
 	switch pl := m.Payload.(type) {
 	case *rpcReq:
 		obj := r.objects[pl.objID]
@@ -318,11 +318,6 @@ func (r *RTS) dispatchPayload(id cluster.NodeID, nd *nodeRTS, m netsim.Msg) {
 		} else {
 			panic(fmt.Sprintf("orca: no service %q at node %d", svc, id))
 		}
-	case *dataMsg:
-		tid, payload := pl.id, pl.payload
-		pl.payload = nil
-		nd.sh.dataPool.Put(pl)
-		r.dataMailbox(nd, tid).Put(payload)
 	case seqProtoMsg:
 		pl.deliver(r)
 	default:
@@ -330,16 +325,14 @@ func (r *RTS) dispatchPayload(id cluster.NodeID, nd *nodeRTS, m netsim.Msg) {
 	}
 }
 
-// gatewayDispatch handles protocol traffic addressed to gateways: broadcast
-// relays and sequencer control messages. Updates travel as their own records
-// (no relay wrapper): the gateway re-broadcasts the very record it received
-// into its cluster using hardware multicast.
+// gatewayDispatch handles the one protocol message addressed to gateways, a
+// broadcast relay (sequencer control messages go to compute nodes). Updates
+// travel as their own records (no relay wrapper): the gateway re-broadcasts
+// the very record it received into its cluster using hardware multicast.
 func (r *RTS) gatewayDispatch(m netsim.Msg) {
 	switch pl := m.Payload.(type) {
 	case *pendingBcast:
 		r.net.BcastLocal(m.To, netsim.KindBcast, m.Size, pl)
-	case seqProtoMsg:
-		pl.deliver(r)
 	default:
 		panic(fmt.Sprintf("orca: unknown gateway payload %T", m.Payload))
 	}

@@ -3,6 +3,7 @@ package orca
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -414,6 +415,77 @@ func TestDataTagsIsolateStreams(t *testing.T) {
 	}
 	if gotA != "A" || gotB != "B" {
 		t.Fatalf("got %v %v", gotA, gotB)
+	}
+}
+
+// TestInternTagCeiling: a tag rides in the 16-bit Msg.Tag word as its ID
+// plus one, so the last ID a runtime assigns is maxTags−1 (word 0xFFFF), a
+// message with it reaches its own mailbox, and interning one more tag panics
+// naming it instead of wrapping onto word 0 ("no tag").
+func TestInternTagCeiling(t *testing.T) {
+	e, _, rts := build(1, 2, nil)
+	first := rts.InternTag(Tag{Op: "ceil"})
+	var last TagID
+	for i := 1; i < maxTags; i++ {
+		last = rts.InternTag(Tag{Op: "ceil", A: i})
+	}
+	if last != maxTags-1 {
+		t.Fatalf("last ID %d, want %d", last, maxTags-1)
+	}
+	rts.SendDataID(0, 1, last, 8, "last")
+	rts.SendDataID(0, 1, first, 8, "first")
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range map[TagID]string{first: "first", last: "last"} {
+		if got, ok := rts.TryRecvDataID(1, id); !ok || got != want {
+			t.Errorf("tag %d: got %v, %v; want %q", id, got, ok, want)
+		}
+	}
+	if got := rts.InternTag(Tag{Op: "ceil", A: 7}); got != 7 {
+		t.Errorf("re-interning a known tag at the ceiling gave %d, want 7", got)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "{over 0 0}") {
+			t.Fatalf("panic %q does not name the tag", msg)
+		}
+	}()
+	rts.InternTag(Tag{Op: "over"})
+	t.Fatal("interning past maxTags did not panic")
+}
+
+// BenchmarkDataPath is the data-path rung: one op is one cross-cluster
+// SendDataID taken out by TryRecvDataID on a 2×8 DAS platform. Messages go
+// out in batches of up to 32 k, every node of each cluster sending to the
+// other cluster in turn, and the batch is delivered before it is drained, so
+// each message's first touch at delivery and at receipt is a cold one, as
+// in RA's flood.
+func BenchmarkDataPath(b *testing.B) {
+	const npc, depth = 8, 32 << 10
+	e, _, rts := build(2, npc, nil)
+	id := rts.InternTag(Tag{Op: "bench-data"})
+	var payload any = "payload"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		n := min(depth, b.N-done)
+		for i := 0; i < n; i++ {
+			from := cluster.NodeID(i % (2 * npc))
+			rts.SendDataID(from, (from+npc)%(2*npc), id, 8, payload)
+		}
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+		got := 0
+		for to := cluster.NodeID(0); to < 2*npc; to++ {
+			for _, ok := rts.TryRecvDataID(to, id); ok; _, ok = rts.TryRecvDataID(to, id) {
+				got++
+			}
+		}
+		if got != n {
+			b.Fatalf("drained %d of %d messages", got, n)
+		}
+		done += n
 	}
 }
 

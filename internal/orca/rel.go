@@ -233,6 +233,7 @@ type relSlot struct {
 	payload any
 	size    int // inner wire size, without the envelope header
 	kind    netsim.Kind
+	tag     uint16 // the inner message's Msg.Tag word
 }
 
 func (l *relLayer) sender(sh *relShard, key pairKey) *relSender {
@@ -253,7 +254,7 @@ func (l *relLayer) sendReliable(m netsim.Msg) {
 	}
 	s.nextSeq++
 	sh.stats.Wrapped++
-	s.queue.Push(relSlot{payload: m.Payload, size: m.Size, kind: m.Kind})
+	s.queue.Push(relSlot{payload: m.Payload, size: m.Size, kind: m.Kind, tag: m.Tag})
 	if n := s.queue.Len(); n <= relWindow {
 		s.transmit(n - 1)
 	}
@@ -266,7 +267,7 @@ func (l *relLayer) sendReliable(m netsim.Msg) {
 func (s *relSender) transmit(i int) {
 	e := s.queue.At(i)
 	s.l.r.net.Send(netsim.Msg{
-		From: s.key.from, To: s.key.to, Kind: e.kind,
+		From: s.key.from, To: s.key.to, Kind: e.kind, Tag: e.tag,
 		Seq:     s.nextSeq - uint32(s.queue.Len()-i),
 		Size:    e.size + relHeaderBytes,
 		Payload: e.payload,

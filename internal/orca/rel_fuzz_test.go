@@ -13,9 +13,9 @@ import (
 )
 
 // The reliable channel's contract under a scripted WAN: every channel
-// delivers each message exactly once, in send order, whichever of its
-// envelopes, retransmissions and acks the wire loses, and a run repeats
-// exactly. FuzzRelChannel
+// delivers each message exactly once, in send order, to its own tag's
+// mailbox, whichever of its envelopes, retransmissions and acks the wire
+// loses, and a run repeats exactly. FuzzRelChannel
 // searches program space; TestRelChannelRandomPrograms is its deterministic
 // twin in the default suite.
 
@@ -31,6 +31,22 @@ type relFuzzCh struct {
 	from, to cluster.NodeID
 	n        int
 	gap      time.Duration
+}
+
+// relFuzzMsg is a channel's i-th payload.
+type relFuzzMsg struct{ c, i int }
+
+// sharedDest reports whether two of p's channels end at one node, so their
+// different tags alone keep their messages apart.
+func (p relProgram) sharedDest() bool {
+	for a, ca := range p.channels {
+		for _, cb := range p.channels[a+1:] {
+			if ca.to == cb.to {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // relFuzzRTO is the channels' retransmit timeout.
@@ -104,8 +120,9 @@ type relOutcome struct {
 }
 
 // runRelProgram runs p and checks the contract: each channel's receiver
-// takes exactly the n messages sent, in send order, and the run ends on its
-// own (every window drains) well before its deadline.
+// takes exactly the n messages sent, in send order, from the channel's own
+// tag's mailbox, and the run ends on its own (every window drains) well
+// before its deadline.
 func runRelProgram(t *testing.T, p relProgram) relOutcome {
 	t.Helper()
 	e, net, rts := build(2, p.npc, nil)
@@ -131,15 +148,15 @@ func runRelProgram(t *testing.T, p relProgram) relOutcome {
 		tags[c] = rts.InternTag(Tag{Op: "relfuzz", A: c})
 		e.Go("send", func(sp *sim.Proc) {
 			for i := 0; i < ch.n; i++ {
-				rts.SendDataID(ch.from, ch.to, tags[c], 64, i)
+				rts.SendDataID(ch.from, ch.to, tags[c], 64, relFuzzMsg{c, i})
 				sp.Sleep(ch.gap)
 			}
 		})
 		e.Go("recv", func(rp *sim.Proc) {
 			for i := 0; i < ch.n; i++ {
-				got := rts.RecvDataID(rp, ch.to, tags[c]).(int)
-				if got != i {
-					t.Errorf("channel %d>%d: message %d carried payload %d", ch.from, ch.to, i, got)
+				got := rts.RecvDataID(rp, ch.to, tags[c]).(relFuzzMsg)
+				if got != (relFuzzMsg{c, i}) {
+					t.Errorf("channel %d %d>%d: message %d surfaced as %+v", c, ch.from, ch.to, i, got)
 				}
 				out.log = append(out.log, fmt.Sprint(rp.Now(), c, got))
 			}
@@ -180,27 +197,34 @@ func FuzzRelChannel(f *testing.F) {
 
 // TestRelChannelRandomPrograms is FuzzRelChannel's deterministic twin. Over
 // its programs losses must have forced retransmissions, duplicates and
-// out-of-order arrivals, and some copies (retransmissions of envelopes whose
-// acks were lost) must have surfaced ≥ relWindow numbers late, or the
-// contract was never exercised where the window's slots are reused.
+// out-of-order arrivals, some copies (retransmissions of envelopes whose
+// acks were lost) must have surfaced ≥ relWindow numbers late, and some
+// programs must have retransmitted into a node that two channels with
+// different tags share, or the contract was never exercised where the
+// window's slots are reused and where only the Msg.Tag word tells streams
+// apart.
 func TestRelChannelRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 1))
 	var sum RelStats
-	late := 0
+	late, shared := 0, 0
 	for i := 0; i < 500; i++ {
 		b := make([]byte, 8+rng.IntN(120))
 		for j := range b {
 			b[j] = byte(rng.Uint32())
 		}
-		out := checkRelProgram(t, decodeRelProgram(b))
+		p := decodeRelProgram(b)
+		out := checkRelProgram(t, p)
 		if t.Failed() {
 			t.Fatalf("program %x failed", b)
 		}
 		sum.add(&out.stats)
 		late += out.late
+		if p.sharedDest() && out.stats.Retransmits > 0 {
+			shared++
+		}
 	}
-	if sum.Retransmits == 0 || sum.DupDropped == 0 || sum.OutOfOrder == 0 || late == 0 {
-		t.Fatalf("programs never exercised the channel: %+v, %d late copies", sum, late)
+	if sum.Retransmits == 0 || sum.DupDropped == 0 || sum.OutOfOrder == 0 || late == 0 || shared == 0 {
+		t.Fatalf("programs never exercised the channel: %+v, %d late copies, %d retransmitting into a shared destination", sum, late, shared)
 	}
-	t.Logf("%+v, %d late copies", sum, late)
+	t.Logf("%+v, %d late copies, %d programs retransmitting into a shared destination", sum, late, shared)
 }
