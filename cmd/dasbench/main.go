@@ -37,7 +37,6 @@ import (
 
 	"albatross/internal/cluster"
 	"albatross/internal/harness"
-	"albatross/internal/trace"
 )
 
 // options are the parsed command line.
@@ -263,7 +262,7 @@ func runChaos(out io.Writer, s *harness.Session, quick bool, csvDir, topoArg str
 	}
 	tl, err := harness.ChaosTimeline(s, "SOR", false, harness.ChaosSpec{
 		Loss: 0.01, Outage: 2 * time.Second,
-	}, 72)
+	})
 	if err != nil {
 		return err
 	}
@@ -283,9 +282,7 @@ func showTimeline(out io.Writer, s *harness.Session, appName string) error {
 		return err
 	}
 	for _, optimized := range []bool{false, true} {
-		spec := s.Spec(app, cluster.DAS(4, 15), optimized)
-		tl := trace.New(time.Millisecond)
-		m, err := harness.Exec(spec, harness.TimelineHook(tl))
+		m, tl, err := s.Timeline(s.Spec(app, cluster.DAS(4, 15), optimized))
 		if err != nil {
 			return err
 		}
@@ -294,7 +291,7 @@ func showTimeline(out io.Writer, s *harness.Session, appName string) error {
 			variant = "optimized"
 		}
 		fmt.Fprintf(out, "== %s %s on 4x15 (%.3fs virtual) ==\n", appName, variant, m.Seconds())
-		fmt.Fprint(out, tl.Render(72))
+		fmt.Fprint(out, tl)
 		fmt.Fprintln(out)
 	}
 	return nil

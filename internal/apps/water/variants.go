@@ -174,6 +174,7 @@ func buildOptimized(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]i
 	vps := forcePools(sys, blockLen(0))
 
 	stores := make([]*posStore, p)
+	posSvc := rts.InternTag(orca.Tag{Op: "water-pos"})
 	for r := 0; r < p; r++ {
 		st := &posStore{
 			pubT:  [2]int{-1, -1},
@@ -184,7 +185,7 @@ func buildOptimized(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]i
 			st.bufs[k] = make([]Vec, blockLen(r))
 		}
 		stores[r] = st
-		rts.HandleService(cluster.NodeID(r), "water-pos", func(req *orca.Request) {
+		rts.HandleService(cluster.NodeID(r), posSvc, func(req *orca.Request) {
 			t := req.Payload.(int)
 			if k := t & 1; st.pubT[k] == t {
 				req.Reply(st.bytes, st.published[k])
@@ -198,7 +199,7 @@ func buildOptimized(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]i
 	var cache *core.ClusterCache
 	if opts.Cache {
 		cache = core.NewClusterCache(sys, "water", func(pp *sim.Proc, at, source cluster.NodeID, key any) (any, int) {
-			v := rts.Call(pp, at, source, "water-pos", 8, key)
+			v := rts.Call(pp, at, source, posSvc, 8, key)
 			return v, stores[int(source)].bytes
 		})
 	}
@@ -283,7 +284,7 @@ func buildOptimized(sys *core.System, cfg Config, pos, vel []Vec, tgt, snd [][]i
 				if cache != nil {
 					got[idx] = cache.Get(w, cluster.NodeID(q), t).([]Vec)
 				} else {
-					got[idx] = rts.Call(w.P, w.Node, cluster.NodeID(q), "water-pos", 8, t).([]Vec)
+					got[idx] = rts.Call(w.P, w.Node, cluster.NodeID(q), posSvc, 8, t).([]Vec)
 				}
 			}
 			for k := range fOwn {

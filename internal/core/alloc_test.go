@@ -4,25 +4,27 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"albatross/internal/cluster"
 	"albatross/internal/orca"
 	"albatross/internal/sim"
 )
 
-// TestAllocServiceName: the coordinator service names are formatted once at
+// TestAllocServiceName: the coordinator services are tags interned once at
 // construction, so a warm ClusterCache.Get hit through a remote source's
 // coordinator and a ClusterReducer.Put to a remote target — the two calls of
 // every Water-opt request — allocate nothing for the name. What is left is
-// the runtime's one Request record per service request (orca's
-// dispatchPayload), two here; formatting the name per operation made it six.
+// the one Request record the sender builds per service request, two here;
+// formatting the name per operation made it six.
 // (Excluded under the race detector like the other alloc budgets.)
 func TestAllocServiceName(t *testing.T) {
 	sys := NewDAS(2, 2)
+	data := sys.RTS.InternTag(orca.Tag{Op: "data"})
 	cc := NewClusterCache(sys, "t", func(p *sim.Proc, at, source cluster.NodeID, key any) (any, int) {
-		return sys.RTS.Call(p, at, source, "data", 16, key), 1024
+		return sys.RTS.Call(p, at, source, data, 16, key), 1024
 	})
-	mb := sys.RTS.RegisterService(2, "data")
+	mb := sys.RTS.RegisterService(2, data)
 	sys.spawnDaemon(2, "data-server", func(w *Worker) {
 		for {
 			orca.NextRequest(w.P, mb).Reply(1024, "payload")
@@ -62,6 +64,43 @@ func TestAllocServiceName(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, step); got > 2 {
 		t.Errorf("warm Get + Put: %.1f allocs/op, budget 2 (one Request each)", got)
+	}
+	sys.Engine.Shutdown()
+}
+
+// TestAllocCombinerSendID: a warm Combiner.SendID to a remote cluster costs
+// one allocation per message, the Request that carries the item to its
+// cluster's combining agent. The agents' services are tags interned at
+// construction, so no name is built per message or per flush. A flush's own
+// allocations (the combined message's Request and its timer) spread over
+// the burst of messages it carries, and AllocsPerRun counts whole
+// allocations per run.
+func TestAllocCombinerSendID(t *testing.T) {
+	sys := NewDAS(2, 2)
+	cb := NewCombiner(sys, "t", 8192, 500*time.Microsecond)
+	tag := sys.RTS.InternTag(orca.Tag{Op: "alloc-comb"})
+	const from, to, burst = 0, 3, 64
+	sys.spawnDaemon(to, "rx", func(w *Worker) {
+		for {
+			w.RecvID(tag)
+		}
+	})
+	w := &Worker{Sys: sys, Node: from}
+	var payload any = "payload"
+	sent := 0
+	step := func() {
+		cb.SendID(w, to, tag, 16, payload)
+		if sent++; sent%burst == 0 { // deliver, flush and scatter the burst
+			if err := sys.Engine.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 4*burst; i++ {
+		step() // warm pools, mailbox rings and the event queue
+	}
+	if got := testing.AllocsPerRun(10*burst, step); got > 1 {
+		t.Errorf("warm SendID: %.1f allocs/message, budget 1 (the Request)", got)
 	}
 	sys.Engine.Shutdown()
 }

@@ -29,7 +29,7 @@ type ClusterCache struct {
 	sys    *System
 	fetch  FetchFunc
 	stores map[storeKey]*cacheStore
-	svc    []string // svc[source] names source's coordinator service, formatted once
+	svc    []orca.TagID // svc[source] is source's coordinator service, interned once
 }
 
 type storeKey struct {
@@ -74,9 +74,9 @@ func (st *cacheStore) get(cc *ClusterCache, p *sim.Proc, at, source cluster.Node
 func NewClusterCache(sys *System, name string, fetch FetchFunc) *ClusterCache {
 	cc := &ClusterCache{sys: sys, fetch: fetch, stores: make(map[storeKey]*cacheStore)}
 	topo := sys.Topo
-	cc.svc = make([]string, topo.Compute())
+	cc.svc = make([]orca.TagID, topo.Compute())
 	for src := range cc.svc {
-		cc.svc[src] = fmt.Sprintf("cache:%s:%d", name, src)
+		cc.svc[src] = sys.RTS.InternTag(orca.Tag{Op: "cache:" + name, A: src})
 	}
 	for c := 0; c < topo.Clusters; c++ {
 		for src := 0; src < topo.Compute(); src++ {
@@ -87,9 +87,8 @@ func NewClusterCache(sys *System, name string, fetch FetchFunc) *ClusterCache {
 			st := &cacheStore{cached: make(map[any]cacheEntry), inflight: make(map[any]*sim.Future)}
 			cc.stores[storeKey{c, source}] = st
 			coord := cc.coordinator(c, source)
-			svc := cc.svc[source]
-			mb := sys.RTS.RegisterService(coord, svc)
-			sys.spawnDaemon(coord, fmt.Sprintf("cache %s/%s@%d", name, svc, coord),
+			mb := sys.RTS.RegisterService(coord, cc.svc[source])
+			sys.spawnDaemon(coord, fmt.Sprintf("cache %s/cache:%s:%d@%d", name, name, src, coord),
 				func(w *Worker) { cc.serve(w, mb, st, source) })
 		}
 	}

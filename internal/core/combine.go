@@ -25,7 +25,7 @@ import (
 // it, which may differ from where it was allocated (DESIGN.md §5c).
 type Combiner struct {
 	sys        *System
-	name       string
+	comb, scat orca.TagID // the agents' services: accumulate and scatter
 	FlushBytes int
 	FlushAfter time.Duration
 
@@ -63,7 +63,9 @@ const itemHeaderBytes = 8
 // NewCombiner installs the per-cluster combining agents. Call before Run.
 func NewCombiner(sys *System, name string, flushBytes int, flushAfter time.Duration) *Combiner {
 	cb := &Combiner{
-		sys: sys, name: name,
+		sys:        sys,
+		comb:       sys.RTS.InternTag(orca.Tag{Op: "comb:" + name}),
+		scat:       sys.RTS.InternTag(orca.Tag{Op: "scat:" + name}),
 		FlushBytes: flushBytes, FlushAfter: flushAfter,
 	}
 	topo := sys.Topo
@@ -92,7 +94,7 @@ func (cb *Combiner) install(c int) {
 	pl := cb.pools[c]
 	e := cb.sys.EngineFor(agent)
 	// Outgoing side: accumulate and flush.
-	rts.HandleService(agent, "comb:"+cb.name, func(req *orca.Request) {
+	rts.HandleService(agent, cb.comb, func(req *orca.Request) {
 		it := req.Payload.(*combineItem)
 		dc := cb.sys.Net.ClusterOf(it.to)
 		buf := &cb.bufs[c][dc]
@@ -117,7 +119,7 @@ func (cb *Combiner) install(c int) {
 	})
 	// Incoming side: scatter a combined message locally, then recycle the
 	// item records and the carrier slice.
-	rts.HandleService(agent, "scat:"+cb.name, func(req *orca.Request) {
+	rts.HandleService(agent, cb.scat, func(req *orca.Request) {
 		items := req.Payload.([]*combineItem)
 		for _, it := range items {
 			rts.SendDataID(agent, it.to, it.tag, it.size, it.payload)
@@ -140,7 +142,7 @@ func (cb *Combiner) flush(c, dc int) {
 	buf.bytes = 0
 	buf.timer = false
 	buf.gen++
-	cb.sys.RTS.Cast(cb.agent(c), cb.agent(dc), "scat:"+cb.name, bytes, items)
+	cb.sys.RTS.Cast(cb.agent(c), cb.agent(dc), cb.scat, bytes, items)
 }
 
 // SendID transmits an asynchronous message with an interned tag, combining
@@ -155,5 +157,5 @@ func (cb *Combiner) SendID(w *Worker, to cluster.NodeID, tag orca.TagID, size in
 	}
 	it := cb.pools[c].itemPool.Get()
 	it.to, it.tag, it.size, it.payload = to, tag, size, payload
-	cb.sys.RTS.Cast(w.Node, cb.agent(c), "comb:"+cb.name, size, it)
+	cb.sys.RTS.Cast(w.Node, cb.agent(c), cb.comb, size, it)
 }

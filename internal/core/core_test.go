@@ -36,9 +36,10 @@ func TestSystemSmoke(t *testing.T) {
 // fetchCounter builds a FetchFunc that counts how many fetches reach each
 // source and charges a WAN-like RPC through a service at the source.
 func fetchCounter(sys *System, fetches map[cluster.NodeID]int) FetchFunc {
+	svc := sys.RTS.InternTag(orca.Tag{Op: "data"})
 	for i := 0; i < sys.Topo.Compute(); i++ {
 		src := cluster.NodeID(i)
-		mb := sys.RTS.RegisterService(src, "data")
+		mb := sys.RTS.RegisterService(src, svc)
 		sys.spawnDaemon(src, "data-server", func(w *Worker) {
 			for {
 				req := orca.NextRequest(w.P, mb)
@@ -48,7 +49,7 @@ func fetchCounter(sys *System, fetches map[cluster.NodeID]int) FetchFunc {
 		})
 	}
 	return func(p *sim.Proc, at, source cluster.NodeID, key any) (any, int) {
-		v := sys.RTS.Call(p, at, source, "data", 16, key)
+		v := sys.RTS.Call(p, at, source, svc, 16, key)
 		return v, 1024
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"albatross/internal/cluster"
 	"albatross/internal/netsim"
 	"albatross/internal/orca"
@@ -36,7 +34,7 @@ type CombineFunc func(acc, value any) any
 type ClusterReducer struct {
 	sys   *System
 	pools []*reducePools // by cluster (netsim.PerEngine)
-	svc   []string       // svc[target] names target's coordinator service, formatted once
+	svc   []orca.TagID   // svc[target] is target's coordinator service, interned once
 }
 
 // reducePools is one engine's free lists (plus that engine's combine
@@ -76,9 +74,9 @@ func NewClusterReducer(sys *System, name string, combine CombineFunc) *ClusterRe
 func NewClusterReducerPer(sys *System, name string, mk func(c int) CombineFunc) *ClusterReducer {
 	cr := &ClusterReducer{sys: sys}
 	topo := sys.Topo
-	cr.svc = make([]string, topo.Compute())
+	cr.svc = make([]orca.TagID, topo.Compute())
 	for t := range cr.svc {
-		cr.svc[t] = fmt.Sprintf("reduce:%s:%d", name, t)
+		cr.svc[t] = sys.RTS.InternTag(orca.Tag{Op: "reduce:" + name, A: t})
 	}
 	cr.pools, _ = netsim.PerEngine(sys.Net, func(c int) *reducePools { return &reducePools{combine: mk(c)} })
 	for c := 0; c < topo.Clusters; c++ {
@@ -102,7 +100,7 @@ func (cr *ClusterReducer) coordinator(c int, target cluster.NodeID) cluster.Node
 // install registers the accumulate-and-forward handler at the coordinator.
 // The handler runs at the coordinator's node, so it uses the coordinator's
 // cluster pools — the same pools its (always same-cluster) contributors use.
-func (cr *ClusterReducer) install(coord cluster.NodeID, svc string) {
+func (cr *ClusterReducer) install(coord cluster.NodeID, svc orca.TagID) {
 	rounds := make(map[orca.TagID]*roundState)
 	rts := cr.sys.RTS
 	pl := cr.pools[cr.sys.Net.ClusterOf(coord)]

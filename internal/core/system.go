@@ -106,9 +106,10 @@ func (w *Worker) Compute(d time.Duration) { w.P.Compute(d) }
 // Invoke executes a shared-object operation on behalf of this worker.
 func (w *Worker) Invoke(o *orca.Object, op orca.Op) any { return o.Invoke(w.P, w.Node, op) }
 
-// Call performs a blocking request to a service at another node.
-func (w *Worker) Call(to cluster.NodeID, service string, argBytes int, payload any) any {
-	return w.Sys.RTS.Call(w.P, w.Node, to, service, argBytes, payload)
+// Call performs a blocking request to the service with interned tag svc at
+// another node.
+func (w *Worker) Call(to cluster.NodeID, svc orca.TagID, argBytes int, payload any) any {
+	return w.Sys.RTS.Call(w.P, w.Node, to, svc, argBytes, payload)
 }
 
 // SendID transmits an asynchronous tagged message to another node. Tags are

@@ -104,15 +104,26 @@ func TestChaosReportQuick(t *testing.T) {
 	}
 }
 
-// TestChaosTimelineIsASessionRun: the timeline's hooked run goes through the
-// session, so -chaos -census lists it.
+// TestChaosTimelineIsASessionRun: both timelines — -chaos's and -timeline's
+// — run through Session.Timeline, so the session's census lists them.
 func TestChaosTimelineIsASessionRun(t *testing.T) {
 	s := &Session{}
-	if _, err := ChaosTimeline(s, "SOR", false, ChaosSpec{Loss: 0.01, Outage: 2 * time.Second}, 72); err != nil {
+	if _, err := ChaosTimeline(s, "SOR", false, ChaosSpec{Loss: 0.01, Outage: 2 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	rows := s.CensusReport().Tables[0].Rows
 	if len(rows) != 1 || !strings.HasPrefix(rows[0][0], "SOR on 4x4 opt=false faults=") {
 		t.Fatalf("census rows %q, want the timeline's one SOR run", rows)
+	}
+	app, err := AppByName("SOR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Timeline(s.Spec(app, cluster.DAS(2, 2), true)); err != nil {
+		t.Fatal(err)
+	}
+	rows = s.CensusReport().Tables[0].Rows
+	if len(rows) != 2 || rows[0][0] != "SOR on 2x2 opt=true" { // rows sort by spec
+		t.Fatalf("census rows %q, want the chaos timeline's run and the plain one", rows)
 	}
 }

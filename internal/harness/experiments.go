@@ -201,8 +201,8 @@ func bcastLatency(sys *core.System, out *time.Duration) {
 // roundTrip times one request/reply exchange with size-byte payloads each
 // way, from node 0 to an echo service on farNode.
 func roundTrip(sys *core.System, size int, out *time.Duration) {
-	peer := farNode(sys)
-	mb := sys.RTS.RegisterService(peer, "echo")
+	peer, echo := farNode(sys), sys.RTS.InternTag(orca.Tag{Op: "echo"})
+	mb := sys.RTS.RegisterService(peer, echo)
 	sys.SpawnAt(peer, "server", func(w *core.Worker) {
 		w.P.SetDaemon(true)
 		for {
@@ -212,7 +212,7 @@ func roundTrip(sys *core.System, size int, out *time.Duration) {
 	})
 	sys.SpawnAt(0, "client", func(w *core.Worker) {
 		start := w.P.Now()
-		w.Call(peer, "echo", size, "ping")
+		w.Call(peer, echo, size, "ping")
 		*out = w.P.Now() - start
 	})
 }

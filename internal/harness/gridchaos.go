@@ -10,7 +10,6 @@ import (
 	"albatross/internal/faults"
 	"albatross/internal/orca"
 	"albatross/internal/sim"
-	"albatross/internal/trace"
 )
 
 // The chaos experiments exercise the whole fault stack end-to-end: a seeded
@@ -125,24 +124,22 @@ func (s *Session) chaosRun(app AppSpec, topo cluster.Topology, optimized bool, c
 	return spec
 }
 
-// ChaosTimeline runs one application on 4x4 under the fault scenario with
-// TimelineHook attached and returns the rendered timeline: traffic series
-// in the standard glyph ramp, fault series (drops and outage/crash losses)
-// in the distinct fault ramp, so injected chaos is visually
-// separable from the traffic it perturbs.
-func ChaosTimeline(s *Session, appName string, optimized bool, c ChaosSpec, width int) (string, error) {
+// ChaosTimeline runs one application on 4x4 under the fault scenario as a
+// Session.Timeline and returns the rendered timeline: traffic series in the
+// standard glyph ramp, fault series (drops and outage/crash losses) in the
+// distinct fault ramp, so injected chaos is visually separable from the
+// traffic it perturbs.
+func ChaosTimeline(s *Session, appName string, optimized bool, c ChaosSpec) (string, error) {
 	app, err := AppByName(appName)
 	if err != nil {
 		return "", err
 	}
-	spec := s.chaosRun(app, cluster.DAS(4, 4), optimized, c)
-	tl := trace.New(time.Millisecond)
-	m, err := s.Exec(spec, TimelineHook(tl))
+	m, tl, err := s.Timeline(s.chaosRun(app, cluster.DAS(4, 4), optimized, c))
 	if err != nil {
 		return "", err
 	}
 	return fmt.Sprintf("%s %s on 4x4, loss %.1f%%, %v outage (%.3fs virtual)\n%s",
-		appName, variantName(optimized), c.Loss*100, c.Outage, m.Seconds(), tl.Render(width)), nil
+		appName, variantName(optimized), c.Loss*100, c.Outage, m.Seconds(), tl), nil
 }
 
 // chaosGrid runs a whole sweep — one row per scenario, one column per

@@ -216,7 +216,7 @@ func TestUnknownFigureAppIsAnError(t *testing.T) {
 	if _, err := wanSweep(&Session{}, &Table{}, "Quake", nil); err == nil {
 		t.Fatal("unknown application accepted by a WAN sweep")
 	}
-	if _, err := ChaosTimeline(&Session{}, "Quake", false, ChaosSpec{}, 72); err == nil {
+	if _, err := ChaosTimeline(&Session{}, "Quake", false, ChaosSpec{}); err == nil {
 		t.Fatal("unknown application accepted by the chaos timeline")
 	}
 }

@@ -7,10 +7,8 @@ import (
 	"albatross/internal/cluster"
 	"albatross/internal/core"
 	"albatross/internal/faults"
-	"albatross/internal/netsim"
 	"albatross/internal/orca"
 	"albatross/internal/sim"
-	"albatross/internal/trace"
 )
 
 // RunSpec fully determines one run's bytes: which application variant, on
@@ -169,23 +167,4 @@ func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 		return res, fmt.Errorf("%s: %w", spec, err)
 	}
 	return res, nil
-}
-
-// TimelineHook taps every message — and, under a fault plan, every injected
-// fault, in the distinct fault-series ramp — into a time-bucketed timeline.
-func TimelineHook(tl *trace.Timeline) Hook {
-	return func(sys *core.System, in *faults.Injector) {
-		sys.Net.SetTap(func(at time.Duration, m netsim.Msg, inter bool) {
-			scope := "intra"
-			if inter {
-				scope = "inter"
-			}
-			tl.Add(at, scope+"/"+m.Kind.String(), 1)
-		})
-		if in != nil {
-			in.OnEvent(func(ev faults.Event) {
-				tl.Add(ev.At, trace.FaultSeriesPrefix+ev.Kind.String(), 1)
-			})
-		}
-	}
 }

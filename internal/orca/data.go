@@ -19,9 +19,9 @@ type Tag struct {
 }
 
 // TagID is the dense interned identifier of a Tag. Applications intern each
-// tag once (InternTag) and every send and receive takes the ID: per-node
-// mailbox lookup is a slice index, with no map probe or name formatting per
-// message.
+// tag once (InternTag) and every send, receive and service request takes
+// the ID: per-node data mailbox lookup is a slice index, with no name
+// formatting per message.
 type TagID int32
 
 // maxTags is how many tags a runtime can intern: a data message carries its

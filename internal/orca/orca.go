@@ -15,11 +15,12 @@
 //
 // The data path is flattened for steady-state zero allocation: tags are
 // interned to dense IDs that ride in the netsim.Msg.Tag header word, so a
-// data message carries its payload with no record; every protocol record
-// (the pendingBcast of ordered and unordered updates, submit, RPC
-// request/reply, service request) lives on a free list and is recycled at
-// delivery, and reply futures are pooled. See DESIGN.md §5b for why
-// recycling at delivery is safe on both engines.
+// data message carries its payload with no record. A service is addressed
+// by an interned tag too, and a service request travels as the Request its
+// server reads. Every other protocol record (the pendingBcast of ordered
+// and unordered updates, submit, RPC request/reply) lives on a free list
+// and is recycled at delivery, and reply futures are pooled. See DESIGN.md
+// §5b for why recycling at delivery is safe on both engines.
 package orca
 
 import (
@@ -71,22 +72,17 @@ type RTS struct {
 }
 
 // rtsShard is one engine's instance of the runtime's mutable hot state
-// (DESIGN.md §5c): the protocol-record free lists, pooled reply futures,
-// cached call names and the logical-operation counters. A record acquired on
-// one LP and recycled on another migrates between free lists.
+// (DESIGN.md §5c): the protocol-record free lists, pooled reply futures and
+// the logical-operation counters. A record acquired on one LP and recycled
+// on another migrates between free lists.
 type rtsShard struct {
 	e *sim.Engine
-
-	// callNames caches the "call <service>" future names so the blocking
-	// Call path formats nothing per request.
-	callNames map[string]string
 
 	// Free lists for the protocol records of the steady-state data path.
 	// Records are recycled at delivery, so sustained messaging allocates
 	// nothing.
 	reqPool    sim.Free[rpcReq]
 	repPool    sim.Free[rpcRep]
-	svcPool    sim.Free[serviceReq]
 	bcastPool  sim.Free[pendingBcast]
 	submitPool sim.Free[submitMsg]
 	futPool    sim.Free[sim.Future]
@@ -97,12 +93,11 @@ type rtsShard struct {
 // nodeRTS is the per-compute-node runtime state.
 type nodeRTS struct {
 	id        cluster.NodeID
-	sh        *rtsShard                 // the cluster's slice of the hot runtime state
-	calls     []*sim.Future             // outstanding RPC/request replies, by slot
-	freeCalls []uint64                  // recycled call slots (call IDs are slot indices)
-	services  map[string]*sim.Mailbox   // registered application services
-	handlers  map[string]func(*Request) // event-context service handlers
-	data      []*sim.Mailbox            // raw tagged message queues, by TagID
+	sh        *rtsShard         // the cluster's slice of the hot runtime state
+	calls     []*sim.Future     // outstanding RPC/request replies, by slot
+	freeCalls []uint32          // recycled call slots (call IDs are slot indices)
+	services  map[TagID]service // registered application services, made on first use
+	data      []*sim.Mailbox    // raw tagged message queues, by TagID
 
 	// Totally-ordered delivery state: updates apply in global sequence
 	// order (one order across all replicated objects, as in Orca's single
@@ -112,7 +107,7 @@ type nodeRTS struct {
 
 // newCall allocates a call slot for an outstanding reply, recycling slot
 // indices so the table stays dense however many calls a run makes.
-func (nd *nodeRTS) newCall(f *sim.Future) uint64 {
+func (nd *nodeRTS) newCall(f *sim.Future) uint32 {
 	if k := len(nd.freeCalls); k > 0 {
 		id := nd.freeCalls[k-1]
 		nd.freeCalls = nd.freeCalls[:k-1]
@@ -120,12 +115,12 @@ func (nd *nodeRTS) newCall(f *sim.Future) uint64 {
 		return id
 	}
 	nd.calls = append(nd.calls, f)
-	return uint64(len(nd.calls) - 1)
+	return uint32(len(nd.calls) - 1)
 }
 
 // takeCall resolves a call slot back to its future and frees the slot.
-func (nd *nodeRTS) takeCall(id uint64) *sim.Future {
-	if id >= uint64(len(nd.calls)) || nd.calls[id] == nil {
+func (nd *nodeRTS) takeCall(id uint32) *sim.Future {
+	if int(id) >= len(nd.calls) || nd.calls[id] == nil {
 		panic(fmt.Sprintf("orca: stray reply %d at node %d", id, nd.id))
 	}
 	f := nd.calls[id]
@@ -171,17 +166,12 @@ func New(net *netsim.Network, seqr Sequencer) *RTS {
 		tagIDs:  make(map[Tag]TagID),
 	}
 	r.sh, r.each = netsim.PerEngine(net, func(c int) *rtsShard {
-		return &rtsShard{e: net.EngineFor(c), callNames: make(map[string]string)}
+		return &rtsShard{e: net.EngineFor(c)}
 	})
 	r.nodes = make([]*nodeRTS, topo.Compute())
 	for i := range r.nodes {
 		id := cluster.NodeID(i)
-		r.nodes[i] = &nodeRTS{
-			id:       id,
-			sh:       r.sh[topo.ClusterOf(id)],
-			services: make(map[string]*sim.Mailbox),
-			handlers: make(map[string]func(*Request)),
-		}
+		r.nodes[i] = &nodeRTS{id: id, sh: r.sh[topo.ClusterOf(id)]}
 		net.SetHandler(id, r.dispatchFor(id))
 	}
 	if topo.Clusters > 1 {
@@ -222,21 +212,14 @@ func (r *RTS) Ops() OpStats {
 // message payloads (internal protocol)
 
 type rpcReq struct {
-	callID uint64
+	callID uint32
 	objID  int
 	op     Op
 }
 
 type rpcRep struct {
-	callID uint64
+	callID uint32
 	result any
-}
-
-type serviceReq struct {
-	callID  uint64
-	from    cluster.NodeID
-	service string
-	payload any
 }
 
 // getFuture pools the one-shot reply futures of RPCs and blocking calls:
@@ -305,19 +288,8 @@ func (r *RTS) dispatchPayload(id cluster.NodeID, nd *nodeRTS, m netsim.Msg) {
 		} else {
 			r.applyOrdered(id, pl)
 		}
-	case *serviceReq:
-		req := &Request{rts: r, ID: pl.callID, From: pl.from, To: id, Payload: pl.payload}
-		svc := pl.service
-		pl.payload = nil
-		pl.service = ""
-		nd.sh.svcPool.Put(pl)
-		if fn, ok := nd.handlers[svc]; ok {
-			fn(req)
-		} else if mb, ok := nd.services[svc]; ok {
-			mb.Put(req)
-		} else {
-			panic(fmt.Sprintf("orca: no service %q at node %d", svc, id))
-		}
+	case *Request:
+		r.serve(nd, pl)
 	case seqProtoMsg:
 		pl.deliver(r)
 	default:

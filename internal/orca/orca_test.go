@@ -359,7 +359,8 @@ func TestAsyncUpdateEventuallyEverywhere(t *testing.T) {
 
 func TestServiceRequestReply(t *testing.T) {
 	e, _, rts := build(2, 2, nil)
-	mb := rts.RegisterService(3, "adder")
+	adder := rts.InternTag(Tag{Op: "adder"})
+	mb := rts.RegisterService(3, adder)
 	e.Go("server", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		for {
@@ -369,7 +370,7 @@ func TestServiceRequestReply(t *testing.T) {
 	})
 	var got any
 	e.Go("client", func(p *sim.Proc) {
-		got = rts.Call(p, 0, 3, "adder", 8, 41)
+		got = rts.Call(p, 0, 3, adder, 8, 41)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -382,10 +383,11 @@ func TestServiceRequestReply(t *testing.T) {
 func TestCastAndHandleService(t *testing.T) {
 	e, _, rts := build(1, 2, nil)
 	sum := 0
-	rts.HandleService(1, "acc", func(req *Request) { sum += req.Payload.(int) })
+	acc := rts.InternTag(Tag{Op: "acc"})
+	rts.HandleService(1, acc, func(req *Request) { sum += req.Payload.(int) })
 	e.Go("client", func(p *sim.Proc) {
-		rts.Cast(0, 1, "acc", 8, 4)
-		rts.Cast(0, 1, "acc", 8, 38)
+		rts.Cast(0, 1, acc, 8, 4)
+		rts.Cast(0, 1, acc, 8, 38)
 		if p.Now() != 0 {
 			t.Error("Cast blocked the sender")
 		}
@@ -623,10 +625,11 @@ func TestChaosMix(t *testing.T) {
 		repObj := rts.NewReplicated("rep", func(cluster.NodeID) any { return &counter{} })
 		echoes := 0
 		dataTags := make([]TagID, n) // raw data messages go by destination
+		echo := rts.InternTag(Tag{Op: "echo"})
 		for i := 0; i < n; i++ {
 			id := cluster.NodeID(i)
 			dataTags[i] = rts.InternTag(Tag{Op: "chaos", A: i})
-			rts.HandleService(id, "echo", func(req *Request) {
+			rts.HandleService(id, echo, func(req *Request) {
 				echoes++
 				if req.NeedsReply() {
 					req.Reply(8, req.Payload)
@@ -655,7 +658,7 @@ func TestChaosMix(t *testing.T) {
 						wantAsync++
 					case 3:
 						dst := cluster.NodeID(pr.Intn(n))
-						if rts.Call(p, node, dst, "echo", 8, s) != s {
+						if rts.Call(p, node, dst, echo, 8, s) != s {
 							panic("echo mismatch")
 						}
 						wantCalls++

@@ -198,13 +198,14 @@ func TestFutureReuseUnderRetry(t *testing.T) {
 	// flight.
 	plan := faults.Plan{Seed: 31, Default: faults.PairProbs{Drop: 0.3}}
 	e, _, rts, _ := buildFaulty(t, 2, 2, nil, plan, RelConfig{RTO: 5 * time.Millisecond})
-	rts.HandleService(0, "echo", func(q *Request) {
+	echo := rts.InternTag(Tag{Op: "echo"})
+	rts.HandleService(0, echo, func(q *Request) {
 		q.Reply(8, q.Payload)
 	})
 	const calls = 50
 	e.Go("caller", func(p *sim.Proc) {
 		for i := 0; i < calls; i++ {
-			if got := rts.Call(p, 2, 0, "echo", 8, i); got.(int) != i {
+			if got := rts.Call(p, 2, 0, echo, 8, i); got.(int) != i {
 				t.Errorf("call %d echoed %v", i, got)
 			}
 		}
@@ -317,24 +318,27 @@ func TestObjectMisusePanics(t *testing.T) {
 		{"State", func() { repl.State() }, `orca: State on replicated object "repl"; use Replica`},
 		{"Replica", func() { plain.Replica(0) }, `orca: Replica on non-replicated object "plain"; use State`},
 		{"AsyncUpdate", func() { plain.AsyncUpdate(0, incOp(1)) }, `orca: AsyncUpdate on non-replicated object "plain"`},
-		{"Reply", func() { (&Request{ID: noReply}).Reply(8, nil) }, "orca: Reply to a Cast request"},
+		{"Reply", func() { (&Request{call: noReply}).Reply(8, nil) }, "orca: Reply to a Cast request"},
 		{"RegisterService", func() {
-			rts.HandleService(1, "h", func(*Request) {})
-			rts.RegisterService(1, "h")
-		}, `orca: service "h" at node 1 already has a handler`},
+			h := rts.InternTag(Tag{Op: "h"})
+			rts.HandleService(1, h, func(*Request) {})
+			rts.RegisterService(1, h)
+		}, `orca: service {h 0 0} at node 1 has both a handler and a mailbox`},
 		{"HandleService", func() {
-			rts.RegisterService(1, "mb")
-			rts.HandleService(1, "mb", func(*Request) {})
-		}, `orca: service "mb" at node 1 already has a mailbox`},
+			mb := rts.InternTag(Tag{Op: "mb", A: 2})
+			rts.RegisterService(1, mb)
+			rts.HandleService(1, mb, func(*Request) {})
+		}, `orca: service {mb 2 0} at node 1 has both a handler and a mailbox`},
 		{"HandleServiceTwice", func() {
-			rts.HandleService(1, "twice", func(*Request) {})
-			rts.HandleService(1, "twice", func(*Request) {})
-		}, `orca: service "twice" at node 1 registered twice`},
+			twice := rts.InternTag(Tag{Op: "twice"})
+			rts.HandleService(1, twice, func(*Request) {})
+			rts.HandleService(1, twice, func(*Request) {})
+		}, `orca: service {twice 0 0} at node 1 registered twice`},
 		{"CastNoService", func() {
 			e, _, rts := build(1, 2, nil)
-			rts.Cast(0, 1, "none", 8, nil)
+			rts.Cast(0, 1, rts.InternTag(Tag{Op: "none"}), 8, nil)
 			_ = e.Run()
-		}, `orca: no service "none" at node 1`},
+		}, `orca: no service {none 0 0} at node 1`},
 		{"EnableReliabilityLate", func() {
 			e, _, rts := build(2, 2, nil)
 			e.At(time.Millisecond, func() {})
