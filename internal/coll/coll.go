@@ -169,10 +169,7 @@ func (c *Comm) Bcast(w *core.Worker, root int, size int, data any) any {
 		return c.bcastTree(w, root, size, data, c.all, phB)
 	}
 	topo := c.sys.Topo
-	rootCluster := c.sys.Net.ClusterOf(cluster.NodeID(root))
-	myCluster := w.Cluster()
-	local := c.byCluster[myCluster]
-	clusterRoot := local[0]
+	rootCluster, myCluster, local, lr := c.localRoot(w, root)
 	var v any
 	switch {
 	case w.Rank() == root:
@@ -186,22 +183,25 @@ func (c *Comm) Bcast(w *core.Worker, root int, size int, data any) any {
 			w.SendID(cluster.NodeID(c.byCluster[cl][0]), c.tag(phB, root), size, data)
 		}
 		v = data
-	case w.Rank() == clusterRoot && myCluster != rootCluster:
+	case w.Rank() == lr && myCluster != rootCluster:
 		v = w.RecvID(c.tag(phB, root))
 	}
 	// Distribute within the cluster, rooted at the cluster root (or the
-	// global root for its own cluster).
-	lr := clusterRoot
+	// global root for its own cluster); v is nil everywhere but at lr.
+	return c.bcastTree(w, lr, size, v, local, phBL)
+}
+
+// localRoot places w in a two-level collective rooted at root: root's
+// cluster, w's cluster and its ranks, and w's cluster-local root, which is
+// root itself in root's cluster and the cluster's first rank elsewhere.
+func (c *Comm) localRoot(w *core.Worker, root int) (rootCluster, myCluster int, local []int, lr int) {
+	rootCluster, myCluster = c.sys.Net.ClusterOf(cluster.NodeID(root)), w.Cluster()
+	local = c.byCluster[myCluster]
+	lr = local[0]
 	if myCluster == rootCluster {
 		lr = root
 	}
-	if w.Rank() == lr {
-		if v == nil {
-			v = data
-		}
-		return c.bcastTree(w, lr, size, v, local, phBL)
-	}
-	return c.bcastTree(w, lr, size, nil, local, phBL)
+	return rootCluster, myCluster, local, lr
 }
 
 // bcastTree runs the standard binomial broadcast over the given rank group:
@@ -244,13 +244,7 @@ func (c *Comm) Reduce(w *core.Worker, root int, size int, value any, combine Com
 		return c.reduceTree(w, root, size, value, combine, c.all, phR)
 	}
 	topo := c.sys.Topo
-	rootCluster := c.sys.Net.ClusterOf(cluster.NodeID(root))
-	myCluster := w.Cluster()
-	local := c.byCluster[myCluster]
-	lr := local[0]
-	if myCluster == rootCluster {
-		lr = root
-	}
+	rootCluster, myCluster, local, lr := c.localRoot(w, root)
 	partial := c.reduceTree(w, lr, size, value, combine, local, phRL)
 	if w.Rank() != lr {
 		return nil
@@ -331,13 +325,7 @@ func (c *Comm) Gather(w *core.Worker, root int, size int, value any) []any {
 		return out
 	}
 	topo := c.sys.Topo
-	rootCluster := c.sys.Net.ClusterOf(cluster.NodeID(root))
-	myCluster := w.Cluster()
-	local := c.byCluster[myCluster]
-	lr := local[0]
-	if myCluster == rootCluster {
-		lr = root
-	}
+	rootCluster, myCluster, local, lr := c.localRoot(w, root)
 	if w.Rank() != lr {
 		w.SendID(cluster.NodeID(lr), c.tag(phGL, w.Rank()), size, value)
 		return nil
@@ -412,13 +400,7 @@ func (c *Comm) Scatter(w *core.Worker, root int, size int, values []any) any {
 		return w.RecvID(c.tag(phS, root))
 	}
 	topo := c.sys.Topo
-	rootCluster := c.sys.Net.ClusterOf(cluster.NodeID(root))
-	myCluster := w.Cluster()
-	local := c.byCluster[myCluster]
-	lr := local[0]
-	if myCluster == rootCluster {
-		lr = root
-	}
+	rootCluster, myCluster, local, lr := c.localRoot(w, root)
 	pl := c.pools[myCluster]
 	switch {
 	case w.Rank() == root:

@@ -27,24 +27,32 @@ func shapes() []cluster.Topology {
 	}
 }
 
+// TestBcastCorrectAllShapesStrategiesRoots: every rank returns the root's
+// value, a nil one included, never the data argument it passed itself.
 func TestBcastCorrectAllShapesStrategiesRoots(t *testing.T) {
 	for _, topo := range shapes() {
 		for _, strat := range []Strategy{Flat, WideArea} {
 			p := topo.Compute()
 			for _, root := range []int{0, p / 2, p - 1} {
-				var comm *Comm
-				got := make([]any, p)
-				sys := core.NewSystem(core.Config{Topology: topo, Params: cluster.DASParams()})
-				comm = New(sys, "c", strat)
-				sys.SpawnWorkers("w", func(w *core.Worker) {
-					got[w.Rank()] = comm.Bcast(w, root, 64, "payload")
-				})
-				if _, err := sys.Run(); err != nil {
-					t.Fatalf("%v %v root=%d: %v", topo, strat, root, err)
-				}
-				for r, v := range got {
-					if v != "payload" {
-						t.Fatalf("%v %v root=%d: rank %d got %v", topo, strat, root, r, v)
+				for _, want := range []any{"payload", nil} {
+					var comm *Comm
+					got := make([]any, p)
+					sys := core.NewSystem(core.Config{Topology: topo, Params: cluster.DASParams()})
+					comm = New(sys, "c", strat)
+					sys.SpawnWorkers("w", func(w *core.Worker) {
+						var data any = w.Rank()
+						if w.Rank() == root {
+							data = want
+						}
+						got[w.Rank()] = comm.Bcast(w, root, 64, data)
+					})
+					if _, err := sys.Run(); err != nil {
+						t.Fatalf("%v %v root=%d: %v", topo, strat, root, err)
+					}
+					for r, v := range got {
+						if v != want {
+							t.Fatalf("%v %v root=%d: rank %d got %v, want %v", topo, strat, root, r, v, want)
+						}
 					}
 				}
 			}

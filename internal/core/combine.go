@@ -16,7 +16,7 @@ import (
 // destination cluster as one large intercluster message; the receiving
 // cluster's designated machine then scatters them locally.
 //
-// A buffer is flushed when it reaches FlushBytes or when FlushAfter elapses
+// A buffer is flushed when it reaches flushBytes or when flushAfter elapses
 // since its first pending message, whichever comes first.
 //
 // Item records and item slices are pooled: the receiving agent recycles
@@ -26,8 +26,8 @@ import (
 type Combiner struct {
 	sys        *System
 	comb, scat orca.TagID // the agents' services: accumulate and scatter
-	FlushBytes int
-	FlushAfter time.Duration
+	flushBytes int
+	flushAfter time.Duration
 
 	// per (source cluster, destination cluster) buffers, at the source's
 	// designated combiner node
@@ -66,7 +66,7 @@ func NewCombiner(sys *System, name string, flushBytes int, flushAfter time.Durat
 		sys:        sys,
 		comb:       sys.RTS.InternTag(orca.Tag{Op: "comb:" + name}),
 		scat:       sys.RTS.InternTag(orca.Tag{Op: "scat:" + name}),
-		FlushBytes: flushBytes, FlushAfter: flushAfter,
+		flushBytes: flushBytes, flushAfter: flushAfter,
 	}
 	topo := sys.Topo
 	cb.bufs = make([][]combineBuf, topo.Clusters)
@@ -103,14 +103,14 @@ func (cb *Combiner) install(c int) {
 		}
 		buf.items = append(buf.items, it)
 		buf.bytes += it.size + itemHeaderBytes
-		if buf.bytes >= cb.FlushBytes {
+		if buf.bytes >= cb.flushBytes {
 			cb.flush(c, dc)
 			return
 		}
 		if !buf.timer {
 			buf.timer = true
 			gen := buf.gen
-			e.After(cb.FlushAfter, func() {
+			e.After(cb.flushAfter, func() {
 				if cb.bufs[c][dc].gen == gen { // not already flushed by size
 					cb.flush(c, dc)
 				}
@@ -145,16 +145,12 @@ func (cb *Combiner) flush(c, dc int) {
 	cb.sys.RTS.Cast(cb.agent(c), cb.agent(dc), cb.scat, bytes, items)
 }
 
-// SendID transmits an asynchronous message with an interned tag, combining
-// it with other intercluster traffic when the destination is in a remote
-// cluster. Same-cluster messages bypass the combiner.
+// SendID transmits an asynchronous message with an interned tag through the
+// sender's cluster agent, combined with the other traffic for the
+// destination's cluster. Callers send same-cluster messages directly: RA's
+// optimized program combines only intercluster batches.
 func (cb *Combiner) SendID(w *Worker, to cluster.NodeID, tag orca.TagID, size int, payload any) {
-	net := cb.sys.Net
-	c := net.ClusterOf(w.Node)
-	if c == net.ClusterOf(to) {
-		w.SendID(to, tag, size, payload)
-		return
-	}
+	c := cb.sys.Net.ClusterOf(w.Node)
 	it := cb.pools[c].itemPool.Get()
 	it.to, it.tag, it.size, it.payload = to, tag, size, payload
 	cb.sys.RTS.Cast(w.Node, cb.agent(c), cb.comb, size, it)

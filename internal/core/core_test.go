@@ -161,6 +161,9 @@ func TestClusterReducerCombinesRemoteContributions(t *testing.T) {
 	}
 }
 
+// TestCombinerDeliversAllOnce: every message arrives exactly once, also at
+// nodes 1 and 2, which share the sender's cluster and so combine through
+// cluster 0's own agent.
 func TestCombinerDeliversAllOnce(t *testing.T) {
 	prop := func(seed uint64) bool {
 		r := rng.New(seed)

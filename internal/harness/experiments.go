@@ -33,7 +33,7 @@ func SpeedupFigure(s *Session, id, appName string, optimized bool) (*Report, err
 			}
 		}
 	}
-	sp, err := s.Speedups(specs...)
+	sp, _, err := s.Speedups(specs...)
 	if err != nil {
 		return nil, err
 	}
@@ -168,11 +168,10 @@ func probe(name string, out *time.Duration, measure func(*core.System, *time.Dur
 	}}
 }
 
-// rpcLatency times a null remote invocation on an object owned by node 0;
-// on two clusters the call crosses the WAN twice.
-func rpcLatency(sys *core.System, out *time.Duration) {
-	obj := sys.RTS.NewObject("null", 0, struct{}{})
-	sys.SpawnAt(farNode(sys), "caller", func(w *core.Worker) {
+// nullLatency has a process named name on farNode invoke a null operation
+// on obj ten times and records the mean time per invocation.
+func nullLatency(sys *core.System, name string, obj *orca.Object, out *time.Duration) {
+	sys.SpawnAt(farNode(sys), name, func(w *core.Worker) {
 		const reps = 10
 		start := w.P.Now()
 		for i := 0; i < reps; i++ {
@@ -182,20 +181,18 @@ func rpcLatency(sys *core.System, out *time.Duration) {
 	})
 }
 
+// rpcLatency times a null remote invocation on an object owned by node 0;
+// on two clusters the call crosses the WAN twice.
+func rpcLatency(sys *core.System, out *time.Duration) {
+	nullLatency(sys, "caller", sys.RTS.NewObject("null", 0, struct{}{}), out)
+}
+
 // bcastLatency times a null replicated update on an object replicated on
 // every node (paper Table 1's 60-replica benchmark). The writer is farNode:
 // the rotating sequencer parks its token in cluster 0 while idle, so a writer
 // there would order its updates at LAN speed even on two clusters.
 func bcastLatency(sys *core.System, out *time.Duration) {
-	obj := sys.RTS.NewReplicated("null", func(cluster.NodeID) any { return struct{}{} })
-	sys.SpawnAt(farNode(sys), "writer", func(w *core.Worker) {
-		const reps = 10
-		start := w.P.Now()
-		for i := 0; i < reps; i++ {
-			w.Invoke(obj, orca.Op{Name: "null", Apply: func(s any) any { return nil }})
-		}
-		*out = (w.P.Now() - start) / reps
-	})
+	nullLatency(sys, "writer", sys.RTS.NewReplicated("null", func(cluster.NodeID) any { return struct{}{} }), out)
 }
 
 // roundTrip times one request/reply exchange with size-byte payloads each
@@ -259,11 +256,10 @@ func Table2(s *Session) (*Report, error) {
 	for _, app := range Apps {
 		specs = append(specs, s.Spec(app, cluster.DAS(1, 64), false))
 	}
-	sp, err := s.Speedups(specs...)
+	sp, res, err := s.Speedups(specs...)
 	if err != nil {
 		return nil, err
 	}
-	res, _ := s.All(specs...) // the cached runs Speedups took without error
 	for i, m := range res {
 		secs := m.Elapsed.Seconds()
 		rpcs := m.Ops.RPCs + m.Ops.Requests + m.Ops.DataMsgs
@@ -343,7 +339,7 @@ func barTable(s *Session, id string, shapes []barShape) (*Report, error) {
 			specs = append(specs, s.Spec(app, cluster.DAS(sh.clusters, sh.perCluster), sh.optimized))
 		}
 	}
-	sp, err := s.Speedups(specs...)
+	sp, _, err := s.Speedups(specs...)
 	if err != nil {
 		return nil, err
 	}

@@ -151,7 +151,7 @@ func checkPlan(t testing.TB, data []byte, platforms [2]cluster.Topology, graphs 
 	t.Helper()
 	topo, g, plan := decodePlan(data, platforms, graphs)
 	spec := (&Session{}).Spec(planApp, topo, false)
-	spec.Faults, spec.Rel, spec.Deadline = &plan, chaosRelConfig(g, topo.Clusters), planDeadline
+	spec.Faults, spec.Deadline = &plan, planDeadline
 	verr := plan.Validate()
 	if verr == nil {
 		verr = plan.ValidateOn(g, topo.Clusters)

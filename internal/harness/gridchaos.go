@@ -8,7 +8,6 @@ import (
 
 	"albatross/internal/cluster"
 	"albatross/internal/faults"
-	"albatross/internal/orca"
 	"albatross/internal/sim"
 )
 
@@ -75,44 +74,10 @@ func (c ChaosSpec) Plan(g *cluster.Graph) faults.Plan {
 	return pl
 }
 
-// chaosRelConfig sizes the ARQ retransmit timeout to the platform. 10ms is
-// several WAN round trips on the DAS mesh, but a multi-hop backbone's round
-// trip can exceed it many times over — every envelope would then time out
-// before its ack returned, and the sweep would measure a spurious
-// retransmission storm instead of fault recovery. So the RTO is also at least
-// twice the worst-case routed round trip over g (pure link latency;
-// serialization and queueing ride on the doubling).
-func chaosRelConfig(g *cluster.Graph, nclusters int) orca.RelConfig {
-	classOf := make(map[[2]int]int, 2*len(g.Links))
-	for _, l := range g.Links {
-		classOf[[2]int{l.A, l.B}] = l.Class
-		classOf[[2]int{l.B, l.A}] = l.Class
-	}
-	var worst time.Duration
-	for u := 0; u < nclusters; u++ {
-		for d := 0; d < nclusters; d++ {
-			if u == d {
-				continue
-			}
-			var path time.Duration
-			for cur := u; cur != d; {
-				next := g.Next(cur, d)
-				path += g.Classes[classOf[[2]int{cur, next}]].Latency
-				cur = next
-			}
-			if path > worst {
-				worst = path
-			}
-		}
-	}
-	return orca.RelConfig{RTO: max(10*time.Millisecond, 4*worst)}
-}
-
 // chaosRun describes one application variant under a fault scenario: the
-// scenario's plan for the platform, the reliability layer sized to it, and
-// the chaos deadline. Senders retry without bound; a scenario the protocol
-// cannot survive is caught by the virtual-time deadline, whose DeadlineError
-// names the parked processes.
+// scenario's plan for the platform and the chaos deadline. Senders retry
+// without bound; a scenario the protocol cannot survive is caught by the
+// virtual-time deadline, whose DeadlineError names the parked processes.
 func (s *Session) chaosRun(app AppSpec, topo cluster.Topology, optimized bool, c ChaosSpec) RunSpec {
 	spec := s.Spec(app, topo, optimized)
 	g, err := topo.Graph(spec.Params)
@@ -120,7 +85,7 @@ func (s *Session) chaosRun(app AppSpec, topo cluster.Topology, optimized bool, c
 		return spec // Exec rejects the platform with the same error
 	}
 	plan := c.Plan(g)
-	spec.Faults, spec.Rel, spec.Deadline = &plan, chaosRelConfig(g, topo.Clusters), chaosDeadline
+	spec.Faults, spec.Deadline = &plan, chaosDeadline
 	return spec
 }
 

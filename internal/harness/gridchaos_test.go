@@ -11,7 +11,6 @@ import (
 	"albatross/internal/cluster"
 	"albatross/internal/core"
 	"albatross/internal/faults"
-	"albatross/internal/orca"
 	"albatross/internal/sim"
 )
 
@@ -75,7 +74,7 @@ func TestGridPartitionNeverHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := (&Session{}).Spec(app, topo, false)
-	spec.Faults, spec.Rel, spec.Deadline = &plan, chaosRelConfig(topo.WAN, topo.Clusters), 20*time.Second
+	spec.Faults, spec.Deadline = &plan, 20*time.Second
 	res, err := Exec(spec)
 	var dl *sim.DeadlineError
 	if !errors.As(err, &dl) {
@@ -140,7 +139,7 @@ func TestReportsRejectInvalidPlatform(t *testing.T) {
 	if _, err := GridChaosReport(s, "none", cluster.DAS(0, 2), true); err == nil {
 		t.Error("grid chaos report on 0 clusters")
 	}
-	if _, err := s.Speedups(s.Spec(noop, cluster.DAS(2, 0), false)); err == nil || !strings.Contains(err.Error(), "NodesPerCluster") {
+	if _, _, err := s.Speedups(s.Spec(noop, cluster.DAS(2, 0), false)); err == nil || !strings.Contains(err.Error(), "NodesPerCluster") {
 		t.Errorf("speedup of a run on 2x0: err = %v", err)
 	}
 }
@@ -197,22 +196,5 @@ func TestGridChaosReportQuick(t *testing.T) {
 	}
 	if csv := rep.CSV(); !strings.Contains(csv, "scenario,Water") {
 		t.Fatalf("CSV header malformed:\n%s", csv)
-	}
-}
-
-// TestChaosRelConfigSizesRTO pins the timeout derivation: the worst routed
-// path on ring9 is four 20ms hops each way, so the RTO must be twice that
-// round trip; the DAS mesh's 1.15ms hop leaves the 10ms floor in force.
-func TestChaosRelConfigSizesRTO(t *testing.T) {
-	ring := ring9(t)
-	if got := chaosRelConfig(ring.WAN, ring.Clusters); got.RTO != 320*time.Millisecond {
-		t.Fatalf("ring9 RTO = %v, want 320ms (2x the 4-hop round trip)", got.RTO)
-	}
-	mesh, err := cluster.DAS(4, 2).Graph(Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := chaosRelConfig(mesh, 4); got != (orca.RelConfig{RTO: 10 * time.Millisecond}) {
-		t.Fatalf("mesh config = %+v, want the 10ms floor", got)
 	}
 }

@@ -246,7 +246,7 @@ func TestSpeedupSanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sps, err := s.Speedups(s.Spec(app, cluster.DAS(1, 4), false))
+	sps, _, err := s.Speedups(s.Spec(app, cluster.DAS(1, 4), false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func RealDAS(s *Session) (*Report, error) {
 			specs = append(specs, s.Spec(app, topo, false), s.Spec(app, topo, true))
 		}
 	}
-	sp, err := s.Speedups(specs...)
+	sp, _, err := s.Speedups(specs...)
 	if err != nil {
 		return nil, err
 	}

@@ -24,11 +24,10 @@ type RunSpec struct {
 	// leaves with the sharded engine.
 	shards int
 	// Faults, when non-nil, installs a seeded injector built from the plan
-	// and enables the reliability layer with Rel — also for a plan that
-	// injects nothing, so fault-free baselines of a sweep pay the same
-	// (constant) cost of reliable channels.
+	// and enables the reliability layer, whose retransmit timeout orca sizes
+	// to the platform — also for a plan that injects nothing, so fault-free
+	// baselines of a sweep pay the same (constant) cost of reliable channels.
 	Faults *faults.Plan
-	Rel    orca.RelConfig
 	// Deadline, when positive, aborts the run with a *sim.DeadlineError once
 	// virtual time passes it.
 	Deadline time.Duration
@@ -55,7 +54,6 @@ type runKey struct {
 	params    cluster.Params
 	shards    int // leaves with internal/sim/shard.go
 	faults    string
-	rel       orca.RelConfig
 	deadline  time.Duration
 }
 
@@ -67,7 +65,6 @@ func (sp RunSpec) key() runKey {
 		optimized: sp.Optimized,
 		params:    sp.Params,
 		shards:    sp.shards,
-		rel:       sp.Rel,
 		deadline:  sp.Deadline,
 	}
 	if sp.Faults != nil {
@@ -137,7 +134,7 @@ func Exec(spec RunSpec, hooks ...Hook) (Result, error) {
 	})
 	if in != nil {
 		sys.Net.SetFaultPolicy(in)
-		sys.RTS.EnableReliability(spec.Rel)
+		sys.RTS.EnableReliability(orca.RelConfig{})
 	}
 	if spec.Deadline > 0 {
 		sys.Engine.SetDeadline(spec.Deadline)

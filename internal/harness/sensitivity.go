@@ -70,7 +70,7 @@ func wanSweep(s *Session, t *Table, appName string, scenarios []wanScenario) (*R
 			specs = append(specs, spec)
 		}
 	}
-	sp, err := s.Speedups(specs...)
+	sp, _, err := s.Speedups(specs...)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func SensitivityClusters(s *Session) (*Report, error) {
 			specs = append(specs, s.Spec(app, cluster.DAS(c, 48/c), false))
 		}
 	}
-	sp, err := s.Speedups(specs...)
+	sp, _, err := s.Speedups(specs...)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func SensitivitySize(s *Session) (*Report, error) {
 		}
 		specs = append(specs, s.Spec(app, cluster.DAS(4, 15), false), s.Spec(app, cluster.DAS(4, 15), true))
 	}
-	sp, err := s.Speedups(specs...)
+	sp, _, err := s.Speedups(specs...)
 	if err != nil {
 		return nil, err
 	}

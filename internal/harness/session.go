@@ -139,28 +139,28 @@ func (s *Session) all(specs []RunSpec) ([]Result, []error) {
 	return res, errs
 }
 
-// Speedups returns T(1 CPU)/T(spec) for each spec: the paper computes each
-// variant's speedup against its own single-processor run. The specs and their
-// baselines run together through All. A degenerate zero-elapsed run surfaces
-// as an error, not as a silent +Inf in a report.
-func (s *Session) Speedups(specs ...RunSpec) ([]float64, error) {
+// Speedups returns T(1 CPU)/T(spec) for each spec, and each spec's Result:
+// the paper computes each variant's speedup against its own single-processor
+// run. The specs and their baselines run together through All. A degenerate
+// zero-elapsed run surfaces as an error, not as a silent +Inf in a report.
+func (s *Session) Speedups(specs ...RunSpec) ([]float64, []Result, error) {
 	runs := make([]RunSpec, 0, 2*len(specs))
 	for _, sp := range specs {
 		runs = append(runs, baseline(sp), sp)
 	}
 	res, err := s.All(runs...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make([]float64, len(specs))
+	sps, out := make([]float64, len(specs)), make([]Result, len(specs))
 	for i, sp := range specs {
 		t1, tp := res[2*i], res[2*i+1]
 		if tp.Elapsed <= 0 {
-			return nil, fmt.Errorf("harness: %s: degenerate run with non-positive elapsed time %v", sp, tp.Elapsed)
+			return nil, nil, fmt.Errorf("harness: %s: degenerate run with non-positive elapsed time %v", sp, tp.Elapsed)
 		}
-		out[i] = t1.Elapsed.Seconds() / tp.Elapsed.Seconds()
+		sps[i], out[i] = t1.Elapsed.Seconds()/tp.Elapsed.Seconds(), tp
 	}
-	return out, nil
+	return sps, out, nil
 }
 
 // do runs all tasks through each and returns the earliest-indexed error —

@@ -149,7 +149,6 @@ func TestSessionKeyIsTheSpec(t *testing.T) {
 		{"shards", func(sp *RunSpec) { sp.shards = 2 }},
 		{"Faults (seed 1)", func(sp *RunSpec) { sp.Faults = plan(1) }},
 		{"Faults (seed 2)", func(sp *RunSpec) { sp.Faults = plan(2) }},
-		{"Rel.RTO", func(sp *RunSpec) { sp.Rel.RTO = time.Second }},
 		{"Deadline", func(sp *RunSpec) { sp.Deadline = time.Hour }},
 	}
 	specs := make([]RunSpec, len(rows))
@@ -260,7 +259,7 @@ func TestSpeedupRejectsZeroElapsed(t *testing.T) {
 	spec := s.Spec(AppSpec{Name: "degenerate"}, cluster.DAS(4, 16), false)
 	seed(baseline(spec), core.Metrics{Elapsed: time.Second})
 	seed(spec, core.Metrics{})
-	sp, err := s.Speedups(spec)
+	sp, _, err := s.Speedups(spec)
 	if err == nil {
 		t.Fatalf("zero-elapsed run produced speedup %v, want error", sp)
 	}

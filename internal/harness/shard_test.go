@@ -17,7 +17,7 @@ import (
 func identitySpec(app AppSpec, topo cluster.Topology, optimized bool, plan *faults.Plan) RunSpec {
 	spec := (&Session{}).Spec(app, topo, optimized)
 	if plan != nil {
-		spec.Faults, spec.Rel, spec.Deadline = plan, orca.RelConfig{RTO: 100 * time.Millisecond}, chaosDeadline
+		spec.Faults, spec.Deadline = plan, chaosDeadline
 	}
 	return spec
 }

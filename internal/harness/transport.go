@@ -38,11 +38,10 @@ func transportTable(s *Session, id string, clusters, perCluster int, tr cluster.
 			specs = append(specs, RunSpec{App: app, Topo: cluster.DAS(clusters, perCluster), Optimized: v.optimized, Params: v.params})
 		}
 	}
-	sp, err := s.Speedups(specs...)
+	sp, res, err := s.Speedups(specs...)
 	if err != nil {
 		return nil, err
 	}
-	res, _ := s.All(specs...) // the cached runs Speedups took without error
 	for i, app := range Apps {
 		mt := res[3*i+2].Net
 		t.Rows = append(t.Rows, []string{

@@ -574,6 +574,10 @@ func (n *Network) ClusterOf(id cluster.NodeID) int { return n.clusterOf[id] }
 // Params returns the network's performance parameters.
 func (n *Network) Params() cluster.Params { return n.par }
 
+// Graph returns the network's wide-area link graph: routes, link classes and
+// physical links.
+func (n *Network) Graph() *cluster.Graph { return n.graph }
+
 // Stats returns a snapshot of the traffic statistics collected so far,
 // folded over the engines' counters (sums are order-independent, so the fold
 // is deterministic). Call it again after more traffic rather than holding

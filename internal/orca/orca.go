@@ -252,6 +252,19 @@ func (r *RTS) gatewayHandler(m netsim.Msg) {
 	}
 }
 
+// reply sends the result of call slot call from the serving node to the
+// caller: the one reply of object RPCs and service calls alike, in a record
+// of the serving node's pool (the reply executes at that node's LP).
+func (r *RTS) reply(from, to cluster.NodeID, call uint32, resBytes int, result any) {
+	rep := r.nodes[from].sh.repPool.Get()
+	rep.callID, rep.result = call, result
+	r.send(netsim.Msg{
+		From: from, To: to, Kind: netsim.KindRPCRep,
+		Size:    resBytes + HeaderBytes,
+		Payload: rep,
+	})
+}
+
 // dispatchPayload consumes one delivered message at a compute node. It is
 // called by the node's network handler and, for messages that travelled in a
 // reliable envelope, by the reliability layer after unwrapping. A data
@@ -265,17 +278,10 @@ func (r *RTS) dispatchPayload(id cluster.NodeID, nd *nodeRTS, m netsim.Msg) {
 	case *rpcReq:
 		obj := r.objects[pl.objID]
 		res := pl.op.Apply(obj.state)
-		size := pl.op.ResBytes + HeaderBytes
-		callID := pl.callID
+		resBytes, callID := pl.op.ResBytes, pl.callID
 		pl.op = Op{} // drop the closure reference while pooled
 		nd.sh.reqPool.Put(pl)
-		rep := nd.sh.repPool.Get()
-		rep.callID, rep.result = callID, res
-		r.send(netsim.Msg{
-			From: id, To: m.From, Kind: netsim.KindRPCRep,
-			Size:    size,
-			Payload: rep,
-		})
+		r.reply(id, m.From, callID, resBytes, res)
 	case *rpcRep:
 		f := nd.takeCall(pl.callID)
 		res := pl.result

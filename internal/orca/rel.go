@@ -73,15 +73,41 @@ const relWindow = 16
 
 // RelConfig parameterizes the reliability layer.
 type RelConfig struct {
-	// RTO is the initial retransmit timeout. Zero means 10ms of virtual
-	// time (several WAN round trips on the paper's platform).
+	// RTO is the initial retransmit timeout. Zero sizes it to the platform
+	// (withDefaults): max(10ms, 4× the worst routed pure-latency path).
 	RTO time.Duration
 }
 
-func (c RelConfig) withDefaults() RelConfig {
-	if c.RTO <= 0 {
-		c.RTO = 10 * time.Millisecond
+// withDefaults sizes a zero RTO to net's platform. 10ms is several WAN round
+// trips on the DAS mesh, but a multi-hop backbone's round trip can exceed it
+// many times over: every envelope would then time out before its ack
+// returned, and a run would measure a spurious retransmission storm instead
+// of fault recovery. So the RTO is also at least twice the worst routed round
+// trip over the network's graph (pure link latency along Graph.Next;
+// serialization and queueing ride on the doubling).
+func (c RelConfig) withDefaults(net *netsim.Network) RelConfig {
+	if c.RTO > 0 {
+		return c
 	}
+	g, nclusters := net.Graph(), net.Topology().Clusters
+	classOf := make(map[[2]int]int, 2*len(g.Links))
+	for _, l := range g.Links {
+		classOf[[2]int{l.A, l.B}] = l.Class
+		classOf[[2]int{l.B, l.A}] = l.Class
+	}
+	var worst time.Duration
+	for u := 0; u < nclusters; u++ {
+		for d := 0; d < nclusters; d++ {
+			var path time.Duration
+			for cur := u; cur != d; {
+				next := g.Next(cur, d)
+				path += g.Classes[classOf[[2]int{cur, next}]].Latency
+				cur = next
+			}
+			worst = max(worst, path)
+		}
+	}
+	c.RTO = max(10*time.Millisecond, 4*worst)
 	return c
 }
 
@@ -155,7 +181,7 @@ func (r *RTS) EnableReliability(cfg RelConfig) {
 	if r.e.Now() != 0 {
 		panic("orca: EnableReliability after the run started")
 	}
-	l := &relLayer{r: r, cfg: cfg.withDefaults()}
+	l := &relLayer{r: r, cfg: cfg.withDefaults(r.net)}
 	l.sh, l.each = netsim.PerEngine(r.net, func(c int) *relShard {
 		return &relShard{
 			e:    r.net.EngineFor(c),

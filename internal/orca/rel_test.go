@@ -243,6 +243,36 @@ func TestChannelDeterminism(t *testing.T) {
 	}
 }
 
+// TestRelConfigSizesRTO pins the zero RTO's sizing to the platform. The DAS
+// mesh's 1.15ms hop leaves the 10ms floor in force; ring9's worst routed path
+// is four 20ms hops, and tiered64's is 60ms, so their RTOs are twice the
+// round trip. An explicit RTO is kept as given.
+func TestRelConfigSizesRTO(t *testing.T) {
+	load := func(path string) cluster.Topology {
+		topo, err := cluster.LoadTopology(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	for _, c := range []struct {
+		topo cluster.Topology
+		cfg  RelConfig
+		want time.Duration
+	}{
+		{cluster.DAS(2, 2), RelConfig{}, 10 * time.Millisecond},
+		{cluster.DAS(4, 4), RelConfig{}, 10 * time.Millisecond},
+		{load("../../examples/topologies/ring9.json"), RelConfig{}, 320 * time.Millisecond},
+		{load("../../examples/topologies/tiered64.json"), RelConfig{}, 240 * time.Millisecond},
+		{load("../../examples/topologies/ring9.json"), RelConfig{RTO: 3 * time.Millisecond}, 3 * time.Millisecond},
+	} {
+		net := netsim.New(sim.NewEngine(), c.topo, cluster.DASParams())
+		if got := c.cfg.withDefaults(net).RTO; got != c.want {
+			t.Errorf("%v with %+v: RTO %v, want %v", c.topo, c.cfg, got, c.want)
+		}
+	}
+}
+
 func TestEnableReliabilityGuards(t *testing.T) {
 	_, _, rts := build(2, 2, nil)
 	rts.EnableReliability(RelConfig{})

@@ -53,8 +53,15 @@ func (m *submitMsg) deliver(r *RTS) {
 	s.arrive(r, c, b)
 }
 
-// sendSubmit ships b from the writer's node to cluster c's sequencer node.
-func (r *RTS) sendSubmit(s Sequencer, from, to cluster.NodeID, c int, b *pendingBcast) {
+// submit routes b from the writer's node to a sequencer node: it arrives at
+// once when the writer is that node, and travels in a pooled submit message
+// otherwise. Every protocol's Submit ends here.
+func (r *RTS) submit(s Sequencer, from, to cluster.NodeID, b *pendingBcast) {
+	c := r.net.ClusterOf(to)
+	if from == to {
+		s.arrive(r, c, b)
+		return
+	}
 	m := r.nodes[from].sh.submitPool.Get()
 	m.s, m.c, m.b = s, c, b
 	r.send(netsim.Msg{
@@ -101,11 +108,7 @@ func (s *CentralSequencer) attach(r *RTS) {}
 // Submit routes the update to the sequencer node, which assigns the next
 // sequence number and distributes.
 func (s *CentralSequencer) Submit(r *RTS, from cluster.NodeID, b *pendingBcast) {
-	if from == s.node {
-		s.order(r, b)
-		return
-	}
-	r.sendSubmit(s, from, s.node, r.net.ClusterOf(s.node), b)
+	r.submit(s, from, s.node, b)
 }
 
 func (s *CentralSequencer) arrive(r *RTS, c int, b *pendingBcast) { s.order(r, b) }
@@ -172,13 +175,7 @@ func (s *RotatingSequencer) attach(r *RTS) {
 // Submit sends the update to the sender's cluster sequencer, which queues it
 // until the token arrives.
 func (s *RotatingSequencer) Submit(r *RTS, from cluster.NodeID, b *pendingBcast) {
-	c := r.net.ClusterOf(from)
-	sn := seqNode(r.topo, c)
-	if from == sn {
-		s.arrive(r, c, b)
-		return
-	}
-	r.sendSubmit(s, from, sn, c, b)
+	r.submit(s, from, seqNode(r.topo, r.net.ClusterOf(from)), b)
 }
 
 func (s *RotatingSequencer) arrive(r *RTS, c int, b *pendingBcast) {
@@ -318,13 +315,7 @@ func (s *MigratingSequencer) attach(r *RTS) {
 // sequencer is hosted there it orders immediately, otherwise the cluster
 // requests a migration.
 func (s *MigratingSequencer) Submit(r *RTS, from cluster.NodeID, b *pendingBcast) {
-	c := r.net.ClusterOf(from)
-	sn := seqNode(r.topo, c)
-	if from == sn {
-		s.arrive(r, c, b)
-		return
-	}
-	r.sendSubmit(s, from, sn, c, b)
+	r.submit(s, from, seqNode(r.topo, r.net.ClusterOf(from)), b)
 }
 
 // arrive handles an update that has reached its cluster sequencer node.

@@ -34,14 +34,7 @@ func (q *Request) Reply(resBytes int, result any) {
 	if q.call == noReply {
 		panic("orca: Reply to a Cast request")
 	}
-	r := q.rts
-	rep := r.nodes[q.To].sh.repPool.Get() // executing at the serving node's LP
-	rep.callID, rep.result = q.call, result
-	r.send(netsim.Msg{
-		From: q.To, To: q.From, Kind: netsim.KindRPCRep,
-		Size:    resBytes + HeaderBytes,
-		Payload: rep,
-	})
+	q.rts.reply(q.To, q.From, q.call, resBytes, result)
 }
 
 // service is one service registered at a node: a mailbox that a server
