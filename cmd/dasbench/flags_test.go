@@ -17,15 +17,15 @@ func TestParseFlagsModes(t *testing.T) {
 		{[]string{}, ""},
 		{[]string{"-exp", "fig9", "-census", "-plot=false"}, ""},
 		{[]string{"-exp", "all", "-csv", "out", "-parallel", "8", "-transport"}, ""},
-		{[]string{"-chaos", "-quick", "-csv", "chaos-artifact"}, ""},
-		{[]string{"-chaos", "-topo", "ring9.json", "-quick"}, ""},
+		{[]string{"-chaos", "-csv", "chaos-artifact"}, ""},
+		{[]string{"-chaos", "-topo", "ring9.json", "-transport"}, ""},
 		{[]string{"-topo", "4x16", "-apps", "RA", "-transport", "-csv", "dir"}, ""},
 		{[]string{"-topo", "4x16", "-apps", "all", "-census", "-parallel", "1"}, ""},
 		{[]string{"-timeline", "SOR", "-transport"}, ""},
 		{[]string{"-list"}, ""},
 
 		{[]string{"-apps", "RA"}, "-apps cannot be combined with -exp; it is read only with -topo"},
-		{[]string{"-exp", "table1", "-quick"}, "-quick cannot be combined with -exp; it is read only with -chaos"},
+		{[]string{"-chaos", "-quick"}, "flag provided but not defined: -quick"},
 		{[]string{"-timeline", "SOR", "-topo", "2x4"}, "-topo cannot be combined with -timeline"},
 		{[]string{"-topo", "2x4", "-apps", "ASP", "-exp", "fig9"}, "-exp cannot be combined with -topo"},
 		{[]string{"-timeline", "SOR", "-census"}, "-census cannot be combined with -timeline"},
@@ -35,7 +35,7 @@ func TestParseFlagsModes(t *testing.T) {
 		{[]string{"-list", "-chaos"}, "-chaos cannot be combined with -list"},
 		{[]string{"-timeline", "RA", "-csv", "dir"}, "-csv cannot be combined with -timeline"},
 		{[]string{"-timeline", "RA", "-parallel", "2"}, "-parallel cannot be combined with -timeline"},
-		{[]string{"-chaos=false", "-quick"}, "-chaos cannot be combined with -exp"},
+		{[]string{"-chaos=false", "-csv", "dir"}, "-chaos cannot be combined with -exp"},
 	} {
 		var stderr strings.Builder
 		_, err := parseFlags(tc.args, &stderr)

@@ -14,17 +14,19 @@
 //	dasbench -topo examples/topologies/tiered64.json -apps SOR,RA
 //	                             # ... on a declarative tiered topology, with
 //	                             # per-link-class WAN statistics
-//	dasbench -chaos -quick       # the fault-injection sweep (-topo: on a grid)
+//	dasbench -chaos              # the fault-injection sweep on 4x4 (-topo: on
+//	                             # that platform)
 //	dasbench -timeline SOR       # one app's message activity over time
 //
 // Runs execute -parallel at a time, each on its own sequential engine;
 // output is byte-identical at any -parallel. A command line the program
 // cannot run exits with status 2: an unknown flag or experiment id, a
-// negative -parallel, or a flag the selected mode does not read (-quick
-// without -chaos, -apps without -topo, ...). A run that fails exits 1.
+// negative -parallel, or a flag the selected mode does not read (-apps
+// without -topo, -plot with -chaos, ...). A run that fails exits 1.
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,9 +43,9 @@ import (
 
 // options are the parsed command line.
 type options struct {
-	exp, timeline, csv, topo, apps              string
-	list, plot, chaos, quick, transport, census bool
-	parallel                                    int
+	exp, timeline, csv, topo, apps       string
+	list, plot, chaos, transport, census bool
+	parallel                             int
 }
 
 // readBy names, for every flag that not all modes read, the modes that do.
@@ -55,7 +57,6 @@ var readBy = map[string][]string{
 	"topo":      {"topo", "chaos"},
 	"exp":       {"exp"},
 	"plot":      {"exp"},
-	"quick":     {"chaos"},
 	"apps":      {"topo"},
 	"csv":       {"exp", "chaos", "topo"},
 	"census":    {"exp", "chaos", "topo"},
@@ -73,8 +74,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&o.list, "list", false, "list available experiments")
 	fs.BoolVar(&o.plot, "plot", true, "render ASCII charts for speedup figures")
 	fs.StringVar(&o.timeline, "timeline", "", "show a message-activity timeline for one application on 4x15 instead of running experiments")
-	fs.BoolVar(&o.chaos, "chaos", false, "run the fault-injection chaos sweep (loss rate x outage duration) instead of the paper experiments")
-	fs.BoolVar(&o.quick, "quick", false, "with -chaos: trim the sweep to the smoke-test scenarios")
+	fs.BoolVar(&o.chaos, "chaos", false, "run the fault-injection chaos sweep (loss x gateway outage x backbone partition, all applications) on the -topo platform, or 4x4, instead of the paper experiments")
 	fs.StringVar(&o.csv, "csv", "", "also write each experiment's data as CSV into this directory")
 	fs.IntVar(&o.parallel, "parallel", 0, "simulation runs to execute concurrently (0 = GOMAXPROCS); output is identical at any setting")
 	fs.BoolVar(&o.transport, "transport", false, "run on the gateway transport layer: 32 kB coalesced WAN frames, a 500us window, 4 WAN streams")
@@ -161,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	case opts.timeline != "":
 		return showTimeline(stdout, s, opts.timeline)
 	case opts.chaos:
-		err = runChaos(stdout, s, opts.quick, opts.csv, opts.topo)
+		err = runChaos(stdout, s, opts.csv, opts.topo)
 	case opts.topo != "":
 		err = runTopo(stdout, s, opts.topo, opts.apps, opts.csv)
 	default:
@@ -227,32 +227,17 @@ func writeCSV(out io.Writer, dir, id string, rep *harness.Report) error {
 	return nil
 }
 
-// runChaos renders the fault-injection degradation sweep, then a chaos
-// timeline of one representative run so the injected faults (distinct glyph
-// ramp) can be read against the traffic they perturb. With -topo it
-// instead runs the grid-scale sweep — loss x outage x backbone
-// partition over all eight applications — and skips the timeline (the
-// availability and recovery tables carry the story there).
-func runChaos(out io.Writer, s *harness.Session, quick bool, csvDir, topoArg string) error {
+// runChaos renders the fault-injection sweep on the -topo platform (DAS 4x4
+// without -topo), then a chaos timeline of one representative run so the
+// injected faults (distinct glyph ramp) can be read against the traffic they
+// perturb.
+func runChaos(out io.Writer, s *harness.Session, csvDir, topoArg string) error {
 	start := time.Now()
-	if topoArg != "" {
-		topo, name, err := loadTopology(topoArg)
-		if err != nil {
-			return err
-		}
-		rep, err := harness.GridChaosReport(s, name, topo, quick)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.Render())
-		if err := writeCSV(out, csvDir, "chaos", rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(grid chaos took %.1fs wall clock; all completed runs verified against sequential references)\n",
-			time.Since(start).Seconds())
-		return nil
+	topo, name, err := loadTopology(cmp.Or(topoArg, "4x4"))
+	if err != nil {
+		return err
 	}
-	rep, err := harness.ChaosReport(s, quick)
+	rep, err := harness.ChaosReport(s, name, topo)
 	if err != nil {
 		return err
 	}
@@ -260,16 +245,14 @@ func runChaos(out io.Writer, s *harness.Session, quick bool, csvDir, topoArg str
 	if err := writeCSV(out, csvDir, "chaos", rep); err != nil {
 		return err
 	}
-	tl, err := harness.ChaosTimeline(s, "SOR", false, harness.ChaosSpec{
-		Loss: 0.01, Outage: 2 * time.Second,
-	})
+	tl, err := harness.ChaosTimeline(s, name, topo)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(out)
 	fmt.Fprint(out, tl)
-	fmt.Fprintf(out, "(chaos took %.1fs wall clock; all runs verified against sequential references)\n",
-		time.Since(start).Seconds())
+	fmt.Fprintf(out, "(chaos on %s took %.1fs wall clock; all completed runs verified against sequential references)\n",
+		name, time.Since(start).Seconds())
 	return nil
 }
 

@@ -46,7 +46,8 @@ func TestRun(t *testing.T) {
 		{[]string{"-help"}, 0, "Usage of dasbench:", false},
 		{[]string{"-exp", "table1,nosuch"}, 2, `harness: unknown experiment "nosuch"`, false},
 		{[]string{"-parallel", "-1"}, 2, "dasbench: -parallel must not be negative (got -1)", false},
-		{[]string{"-exp", "table1", "-quick"}, 2, "dasbench: -quick cannot be combined with -exp; it is read only with -chaos", false},
+		{[]string{"-exp", "table1", "-apps", "RA"}, 2, "dasbench: -apps cannot be combined with -exp; it is read only with -topo", false},
+		{[]string{"-chaos", "-quick"}, 2, "flag provided but not defined: -quick", false},
 		{[]string{"-nosuch"}, 2, "flag provided but not defined: -nosuch", false},
 		{[]string{"-topo", absent}, 1, "-topo " + absent + ": ", false},
 		{[]string{"-chaos", "-topo", absent}, 1, "-topo " + absent + ": ", false},
@@ -64,5 +65,36 @@ func TestRun(t *testing.T) {
 			t.Errorf("%v: status %d, stderr %q, stdout %q; want status %d and stderr %q once",
 				tc.args, status, stderr.String(), stdout.String(), tc.status, tc.stderr)
 		}
+	}
+}
+
+// TestRunChaos: -chaos without -topo runs the one sweep on DAS 4x4, every
+// application completing in every row, writes its tables as CSV, then draws
+// SOR original's timeline under the sweep's outage row.
+func TestRunChaos(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos sweep in -short mode")
+	}
+	dir := t.TempDir()
+	var stdout, stderr strings.Builder
+	if err := run([]string{"-chaos", "-csv", dir}, &stdout, &stderr); err != nil {
+		t.Fatalf("-chaos: %v, stderr %q", err, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{
+		"== grid-chaos: grid-scale fault tolerance on 4x4 (4 clusters, 16 compute nodes) ==\n",
+		"\nSOR original on 4x4, loss 1.0%, 2s outage (4.290s virtual)\n",
+		"\nloss 1% + 2s outage ", "\npartition + loss 1% ", "reroutes", "hold-drops",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-chaos output lacks %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, " 8/8 "); n != 5 {
+		t.Errorf("%d of 5 scenarios had all 8 applications available:\n%s", n, out)
+	}
+	csv, err := os.ReadFile(filepath.Join(dir, "chaos.csv"))
+	if err != nil || !strings.Contains(string(csv), "scenario,Water") {
+		t.Errorf("chaos.csv: %v, header malformed:\n%s", err, csv)
 	}
 }

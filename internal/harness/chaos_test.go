@@ -8,11 +8,11 @@ import (
 	"albatross/internal/cluster"
 )
 
-// TestChaosAllAppsComplete is the acceptance run: under 1% WAN message loss
-// plus a 2-second gateway outage, every application completes and verifies
-// correct, with the retry layer doing real work.
+// TestChaosAllAppsComplete is the acceptance run: under the sweep's outage
+// row, 1% WAN message loss plus a 2-second gateway outage, every application
+// completes and verifies correct, with the retry layer doing real work.
 func TestChaosAllAppsComplete(t *testing.T) {
-	spec := ChaosSpec{Loss: 0.01, Outage: 2 * time.Second}
+	spec := outageScenario.spec
 	for _, app := range Apps {
 		for _, opt := range []bool{false, true} {
 			res := mustExec(t, (&Session{}).chaosRun(app, cluster.DAS(4, 4), opt, spec))
@@ -38,7 +38,7 @@ func TestChaosDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := ChaosSpec{Loss: 0.02, Outage: 500 * time.Millisecond}
+	spec := chaosSpec{Loss: 0.02, Outage: 500 * time.Millisecond}
 	var first Result
 	for i := 0; i < 3; i++ {
 		res := mustExec(t, (&Session{}).chaosRun(app, cluster.DAS(3, 3), false, spec))
@@ -71,7 +71,7 @@ func TestChaosBaselineIsFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := mustExec(t, (&Session{}).chaosRun(app, cluster.DAS(2, 2), false, ChaosSpec{}))
+	res := mustExec(t, (&Session{}).chaosRun(app, cluster.DAS(2, 2), false, chaosSpec{}))
 	if res.Faults.Drops != 0 || res.Faults.CrashDrops != 0 {
 		t.Fatalf("fault-free baseline injected faults: %+v", res.Faults)
 	}
@@ -83,32 +83,11 @@ func TestChaosBaselineIsFaultFree(t *testing.T) {
 	}
 }
 
-// TestChaosReportQuick renders the smoke-test sweep end-to-end.
-func TestChaosReportQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos sweep in -short mode")
-	}
-	rep, err := ChaosReport(&Session{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.Render()
-	for _, want := range []string{"SOR orig", "SOR opt", "ASP orig", "ASP opt",
-		"loss 0.0%", "loss 1.0%", "2s outage", "x1.00"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
-	}
-	if csv := rep.CSV(); !strings.Contains(csv, "scenario,SOR orig") {
-		t.Fatalf("CSV header malformed:\n%s", csv)
-	}
-}
-
 // TestChaosTimelineIsASessionRun: both timelines — -chaos's and -timeline's
 // — run through Session.Timeline, so the session's census lists them.
 func TestChaosTimelineIsASessionRun(t *testing.T) {
 	s := &Session{}
-	if _, err := ChaosTimeline(s, "SOR", false, ChaosSpec{Loss: 0.01, Outage: 2 * time.Second}); err != nil {
+	if _, err := ChaosTimeline(s, "4x4", cluster.DAS(4, 4)); err != nil {
 		t.Fatal(err)
 	}
 	rows := s.CensusReport().Tables[0].Rows

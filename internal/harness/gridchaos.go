@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"albatross/internal/cluster"
@@ -11,26 +10,25 @@ import (
 	"albatross/internal/sim"
 )
 
-// The chaos experiments exercise the whole fault stack end-to-end: a seeded
+// The chaos sweep exercises the whole fault stack end-to-end: a seeded
 // faults.Injector flips WAN messages at the netsim layer, the orca
 // reliability layer retries and deduplicates until every application-level
 // exchange completes, and the sim watchdog bounds runs that cannot recover.
 // Every application must finish verified-correct under loss and outages —
 // degradation shows up only as inflated virtual elapsed time.
 //
-// The classic sweep (loss x outage) runs on the 4x4 DAS mesh; the grid sweep
-// extends it to declarative topologies and hard partitions. A partition cuts
-// backbone segment 0 — the physical link between the first two backbone
-// roots — in both directions; on a ring backbone the network reroutes the
-// long way round, on a redundant mesh it detours, and where no alternate
-// exists gateways hold traffic until the cut heals. The reliability layer
-// recovers whatever the hold queues age out, so every application must still
-// complete and verify — availability is lost only when a scenario never
-// heals.
+// One scenario list (loss x outage x partition) runs on every platform, the
+// DAS mesh and declarative topologies alike. A partition cuts backbone
+// segment 0 — the physical link between the first two backbone roots — in
+// both directions; on a ring backbone the network reroutes the long way
+// round, on a redundant mesh it detours, and where no alternate exists
+// gateways hold traffic until the cut heals. The reliability layer recovers
+// whatever the hold queues age out, so every application must still complete
+// and verify — availability is lost only when a scenario never heals.
 
-// ChaosSpec describes one fault scenario of the chaos sweeps; Plan derives
+// chaosSpec describes one fault scenario of the chaos sweep; Plan derives
 // the fault plan it means on a given topology.
-type ChaosSpec struct {
+type chaosSpec struct {
 	// Loss is the per-message WAN drop probability (applied to every
 	// directed cluster pair).
 	Loss float64
@@ -61,7 +59,7 @@ const chaosDeadline = 2 * time.Minute
 // Plan builds the scenario's fault plan for a platform's link graph g. The
 // partition window cuts g's backbone segment 0 (on the DAS mesh, the pair 0-1)
 // in both directions.
-func (c ChaosSpec) Plan(g *cluster.Graph) faults.Plan {
+func (c chaosSpec) Plan(g *cluster.Graph) faults.Plan {
 	pl := faults.Plan{Seed: chaosSeed, Default: faults.PairProbs{Drop: c.Loss}}
 	if c.Outage > 0 {
 		pl.Crashes = append(pl.Crashes, faults.GatewayCrash{
@@ -78,7 +76,7 @@ func (c ChaosSpec) Plan(g *cluster.Graph) faults.Plan {
 // scenario's plan for the platform and the chaos deadline. Senders retry
 // without bound; a scenario the protocol cannot survive is caught by the
 // virtual-time deadline, whose DeadlineError names the parked processes.
-func (s *Session) chaosRun(app AppSpec, topo cluster.Topology, optimized bool, c ChaosSpec) RunSpec {
+func (s *Session) chaosRun(app AppSpec, topo cluster.Topology, optimized bool, c chaosSpec) RunSpec {
 	spec := s.Spec(app, topo, optimized)
 	g, err := topo.Graph(spec.Params)
 	if err != nil {
@@ -89,134 +87,44 @@ func (s *Session) chaosRun(app AppSpec, topo cluster.Topology, optimized bool, c
 	return spec
 }
 
-// ChaosTimeline runs one application on 4x4 under the fault scenario as a
-// Session.Timeline and returns the rendered timeline: traffic series in the
-// standard glyph ramp, fault series (drops and outage/crash losses) in the
-// distinct fault ramp, so injected chaos is visually separable from the
-// traffic it perturbs.
-func ChaosTimeline(s *Session, appName string, optimized bool, c ChaosSpec) (string, error) {
-	app, err := AppByName(appName)
-	if err != nil {
-		return "", err
-	}
-	m, tl, err := s.Timeline(s.chaosRun(app, cluster.DAS(4, 4), optimized, c))
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%s %s on 4x4, loss %.1f%%, %v outage (%.3fs virtual)\n%s",
-		appName, variantName(optimized), c.Loss*100, c.Outage, m.Seconds(), tl), nil
-}
-
-// chaosGrid runs a whole sweep — one row per scenario, one column per
-// (application, variant) — and returns each run's result and error.
-func (s *Session) chaosGrid(topo cluster.Topology, scenarios []chaosScenario, apps []AppSpec, variants ...bool) ([][]Result, [][]error) {
-	var specs []RunSpec
-	for _, sc := range scenarios {
-		for _, app := range apps {
-			for _, optimized := range variants {
-				specs = append(specs, s.chaosRun(app, topo, optimized, sc.spec))
-			}
-		}
-	}
-	res, errs := s.all(specs)
-	cols := len(apps) * len(variants)
-	return slices.Collect(slices.Chunk(res, cols)), slices.Collect(slices.Chunk(errs, cols))
-}
-
-// chaosScenario is one row of a chaos sweep.
+// chaosScenario is one row of the chaos sweep.
 type chaosScenario struct {
 	name string
-	spec ChaosSpec
+	spec chaosSpec
 }
 
-// ChaosReport sweeps loss rate x outage duration for SOR and ASP (original
-// and optimized) on the 4x4 platform and renders the degradation table:
-// each cell is the run's virtual elapsed time and its slowdown over the
-// fault-free baseline of the same column. quick trims the sweep to the
-// smoke-test scenarios.
-func ChaosReport(s *Session, quick bool) (*Report, error) {
-	losses := []float64{0, 0.005, 0.01, 0.02}
-	outages := []time.Duration{0, 2 * time.Second}
-	if quick {
-		losses = []float64{0, 0.01}
-	}
-	var scenarios []chaosScenario
-	for _, out := range outages {
-		for _, loss := range losses {
-			name := fmt.Sprintf("loss %.1f%%", loss*100)
-			if out > 0 {
-				name += fmt.Sprintf(" + %v outage", out)
-			}
-			scenarios = append(scenarios, chaosScenario{name, ChaosSpec{Loss: loss, Outage: out}})
-		}
-	}
-	t := &Table{
-		ID:      "chaos",
-		Title:   "Virtual elapsed time (and slowdown vs fault-free) on 4x4 under WAN faults",
-		Headers: []string{"scenario"},
-	}
-	var apps []AppSpec
-	for _, name := range []string{"SOR", "ASP"} {
-		app, err := AppByName(name)
-		if err != nil {
-			return nil, err
-		}
-		apps = append(apps, app)
-		t.Headers = append(t.Headers, name+" orig", name+" opt")
-	}
-	// Column 0 is SOR original, whose harshest scenario also supplies the
-	// notes' recovery totals.
-	runs, errs := s.chaosGrid(cluster.DAS(4, 4), scenarios, apps, false, true)
-	var worst Result
-	for i, sc := range scenarios {
-		row := []string{sc.name}
-		for j, res := range runs[i] {
-			if err := errs[i][j]; err != nil {
-				return nil, err
-			}
-			base := runs[0][j] // loss 0, no outage: row 0 checked its error
-			cell := fmt.Sprintf("%.3fs", res.Seconds())
-			if base.Elapsed > 0 {
-				cell += fmt.Sprintf(" (x%.2f)", float64(res.Elapsed)/float64(base.Elapsed))
-			}
-			row = append(row, cell)
-			if j == 0 {
-				worst = res
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return &Report{
-		ID:     "chaos",
-		Title:  "Fault injection and recovery: degradation under WAN loss and gateway outages",
-		Tables: []*Table{t},
-		Notes: []string{
-			fmt.Sprintf("fault seed %#x; outage crashes cluster 1's gateway at %v; all runs verified correct",
-				uint64(chaosSeed), chaosOutageStart),
-			fmt.Sprintf("harshest scenario (SOR orig, %s): %d WAN messages lost, %d envelope retransmissions",
-				scenarios[len(scenarios)-1].name, worst.Faults.Drops+worst.Faults.CrashDrops, worst.Rel.Retransmits),
-			fmt.Sprintf("reliability layer there: %d wrapped, %d acks, %d dup-dropped, %d reordered",
-				worst.Rel.Wrapped, worst.Rel.Acks, worst.Rel.DupDropped, worst.Rel.OutOfOrder),
-		},
-	}, nil
-}
+// outageScenario is the sweep's loss + gateway outage row, and the scenario
+// ChaosTimeline draws.
+var outageScenario = chaosScenario{"loss 1% + 2s outage", chaosSpec{Loss: 0.01, Outage: 2 * time.Second}}
 
-// gridScenarios is the loss x outage x partition sweep. The partition
+// chaosScenarios is the loss x outage x partition sweep. The partition
 // window follows the acceptance scenario: backbone cut at t=1s, heal at
 // t=3s.
-func gridScenarios(quick bool) []chaosScenario {
-	partition := ChaosSpec{PartitionStart: time.Second, PartitionDur: 2 * time.Second}
-	all := []chaosScenario{
-		{"baseline", ChaosSpec{}},
-		{"loss 1%", ChaosSpec{Loss: 0.01}},
-		{"loss 1% + 2s outage", ChaosSpec{Loss: 0.01, Outage: 2 * time.Second}},
-		{"partition 1s..3s", partition},
-		{"partition + loss 1%", ChaosSpec{Loss: 0.01, PartitionStart: partition.PartitionStart, PartitionDur: partition.PartitionDur}},
+var chaosScenarios = []chaosScenario{
+	{"baseline", chaosSpec{}},
+	{"loss 1%", chaosSpec{Loss: 0.01}},
+	outageScenario,
+	{"partition 1s..3s", chaosSpec{PartitionStart: time.Second, PartitionDur: 2 * time.Second}},
+	{"partition + loss 1%", chaosSpec{Loss: 0.01, PartitionStart: time.Second, PartitionDur: 2 * time.Second}},
+}
+
+// ChaosTimeline runs SOR original on the platform topo, labelled name, under
+// the sweep's outage scenario as a Session.Timeline and returns the rendered
+// timeline: traffic series in the standard glyph ramp, fault series (drops
+// and outage/crash losses) in the distinct fault ramp, so injected chaos is
+// visually separable from the traffic it perturbs.
+func ChaosTimeline(s *Session, name string, topo cluster.Topology) (string, error) {
+	app, err := AppByName("SOR")
+	if err != nil {
+		return "", err
 	}
-	if quick {
-		return []chaosScenario{all[0], all[1], all[3]}
+	c := outageScenario.spec
+	m, tl, err := s.Timeline(s.chaosRun(app, topo, false, c))
+	if err != nil {
+		return "", err
 	}
-	return all
+	return fmt.Sprintf("%s %s on %s, loss %.1f%%, %v outage (%.3fs virtual)\n%s",
+		app.Name, variantName(false), name, c.Loss*100, c.Outage, m.Seconds(), tl), nil
 }
 
 // unavailable classifies the run errors that count against availability
@@ -234,18 +142,17 @@ func unavailable(err error) (string, bool) {
 	return "", false
 }
 
-// GridChaosReport sweeps loss x outage x backbone-partition scenarios over
-// all eight applications (original variants) on the given topology and
-// renders three tables: an SLO-style availability/completion table (elapsed
-// time per app, or the structured reason it became unavailable), the
-// recovery-machinery tallies per scenario (reroutes, held and dropped
-// messages, retransmissions, duplicate suppressions), and
-// SOR's per-link-class degradation across scenarios.
-func GridChaosReport(s *Session, name string, topo cluster.Topology, quick bool) (*Report, error) {
+// ChaosReport sweeps loss x outage x backbone-partition scenarios over all
+// eight applications (original variants) on the platform topo, labelled
+// name, and renders three tables: an SLO-style availability/completion table
+// (elapsed time per app, or the structured reason it became unavailable),
+// the recovery-machinery tallies per scenario (reroutes, held and dropped
+// messages, retransmissions, duplicate suppressions), and SOR's
+// per-link-class degradation across scenarios.
+func ChaosReport(s *Session, name string, topo cluster.Topology) (*Report, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	scenarios := gridScenarios(quick)
 
 	avail := &Table{
 		ID:      "grid-avail",
@@ -268,8 +175,14 @@ func GridChaosReport(s *Session, name string, topo cluster.Topology, quick bool)
 		Headers: []string{"scenario", "class", "xmits", "busy", "mean-wait", "p99-wait"},
 	}
 
-	runs, errs := s.chaosGrid(topo, scenarios, Apps, false)
-	for i, sc := range scenarios {
+	var specs []RunSpec
+	for _, sc := range chaosScenarios {
+		for _, app := range Apps {
+			specs = append(specs, s.chaosRun(app, topo, false, sc.spec))
+		}
+	}
+	runs, errs := s.all(specs)
+	for i, sc := range chaosScenarios {
 		row := []string{sc.name}
 		up := 0
 		var reroutes, held, holdDrops int64
@@ -277,7 +190,7 @@ func GridChaosReport(s *Session, name string, topo cluster.Topology, quick bool)
 		for j, app := range Apps {
 			// A run that missed the deadline or deadlocked counts against
 			// availability; its Result still tallies the recovery work done.
-			res, err := runs[i][j], errs[i][j]
+			res, err := runs[i*len(Apps)+j], errs[i*len(Apps)+j]
 			reason, down := unavailable(err)
 			switch {
 			case err == nil:

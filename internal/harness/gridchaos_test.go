@@ -35,7 +35,7 @@ func TestGridPartitionHealAllApps(t *testing.T) {
 		t.Skip("grid partition sweep is long in -short mode")
 	}
 	topo := ring9(t)
-	spec := ChaosSpec{PartitionStart: time.Second, PartitionDur: 2 * time.Second}
+	spec := chaosSpec{PartitionStart: time.Second, PartitionDur: 2 * time.Second}
 	var rerouted, held int64
 	for _, app := range Apps {
 		run := (&Session{}).chaosRun(app, topo, false, spec)
@@ -122,22 +122,25 @@ func TestExecRejectsPlanOffThePlatform(t *testing.T) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
-	bad := (&Session{}).chaosRun(app, cluster.DAS(0, 2), false, ChaosSpec{Loss: 0.01})
+	bad := (&Session{}).chaosRun(app, cluster.DAS(0, 2), false, chaosSpec{Loss: 0.01})
 	if _, err := Exec(bad); err == nil || !strings.Contains(err.Error(), "Clusters must be positive") {
 		t.Errorf("invalid platform: err = %v", err)
 	}
 }
 
-// TestReportsRejectInvalidPlatform: a report over a platform that is not
-// one, or a speedup whose run fails, is an error naming the shape.
+// TestReportsRejectInvalidPlatform: a report or timeline over a platform that
+// is not one, or a speedup whose run fails, is an error naming the shape.
 func TestReportsRejectInvalidPlatform(t *testing.T) {
 	s := &Session{}
 	noop := AppSpec{Name: "noop", Build: func(*core.System, bool) func() error { return func() error { return nil } }}
 	if _, err := TopoReport(s, cluster.DAS(0, 2), []AppSpec{noop}); err == nil {
 		t.Error("topology report on 0 clusters")
 	}
-	if _, err := GridChaosReport(s, "none", cluster.DAS(0, 2), true); err == nil {
-		t.Error("grid chaos report on 0 clusters")
+	if _, err := ChaosReport(s, "none", cluster.DAS(0, 2)); err == nil {
+		t.Error("chaos report on 0 clusters")
+	}
+	if _, err := ChaosTimeline(s, "none", cluster.DAS(0, 2)); err == nil {
+		t.Error("chaos timeline on 0 clusters")
 	}
 	if _, _, err := s.Speedups(s.Spec(noop, cluster.DAS(2, 0), false)); err == nil || !strings.Contains(err.Error(), "NodesPerCluster") {
 		t.Errorf("speedup of a run on 2x0: err = %v", err)
@@ -162,39 +165,12 @@ func TestUnavailableClassifiesRunErrors(t *testing.T) {
 	}
 }
 
-// TestGridScenariosQuickIsASubset: the quick grid sweep keeps the baseline,
-// 1 % loss and the partition of the full sweep, in its order.
-func TestGridScenariosQuickIsASubset(t *testing.T) {
-	var full []string
-	for _, sc := range gridScenarios(false) {
-		full = append(full, sc.name)
-	}
-	var quick []string
-	for _, sc := range gridScenarios(true) {
-		quick = append(quick, sc.name)
-	}
-	if len(full) != 5 || !slices.Equal(quick, []string{full[0], full[1], full[3]}) {
-		t.Fatalf("full sweep %q, quick %q", full, quick)
-	}
-}
-
-// TestGridChaosReportQuick renders the grid sweep end-to-end on ring9.
-func TestGridChaosReportQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("grid chaos sweep is long in -short mode")
-	}
-	rep, err := GridChaosReport(&Session{}, "ring9", ring9(t), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.Render()
-	for _, want := range []string{"baseline", "loss 1%", "partition 1s..3s",
-		"8/8", "reroutes", "hold-drops", "backbone"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
-	}
-	if csv := rep.CSV(); !strings.Contains(csv, "scenario,Water") {
-		t.Fatalf("CSV header malformed:\n%s", csv)
+// TestChaosScenariosCoverEveryFault: the one sweep holds a gateway-outage
+// row, which ChaosTimeline draws, and a backbone-partition row; the CLI
+// reaches the crash and reroute paths only through them.
+func TestChaosScenariosCoverEveryFault(t *testing.T) {
+	partition := slices.ContainsFunc(chaosScenarios, func(sc chaosScenario) bool { return sc.spec.PartitionDur > 0 })
+	if !partition || outageScenario.spec.Outage == 0 || !slices.Contains(chaosScenarios, outageScenario) {
+		t.Fatalf("sweep %+v: want a partition row and the outage row %+v", chaosScenarios, outageScenario)
 	}
 }

@@ -216,9 +216,6 @@ func TestUnknownFigureAppIsAnError(t *testing.T) {
 	if _, err := wanSweep(&Session{}, &Table{}, "Quake", nil); err == nil {
 		t.Fatal("unknown application accepted by a WAN sweep")
 	}
-	if _, err := ChaosTimeline(&Session{}, "Quake", false, ChaosSpec{}); err == nil {
-		t.Fatal("unknown application accepted by the chaos timeline")
-	}
 }
 
 func TestRunMemoization(t *testing.T) {

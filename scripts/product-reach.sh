@@ -4,8 +4,9 @@
 # records. It builds cmd/dasbench and every examples/* program with coverage
 # over ./internal/... and the program's own package, runs each CLI mode (the
 # experiment list, every experiment with the event census and CSV export, two
-# experiments by id, the chaos sweeps plain, framed, on ring9 and on a 2x8
-# mesh, a framed and a CxN topology report, a timeline) and every example.
+# experiments by id, the chaos sweep on 4x4 plain and framed, on ring9 and on
+# a 2x8 mesh, a framed and a CxN topology report, a timeline) and every
+# example.
 #
 # Functions: it lists the exported functions `go tool covdata func` reports at
 # 0.0 %. Each must have a line in scripts/product-reach.allow ("<file>:<name>
@@ -43,10 +44,10 @@ run() { GOCOVERDIR="$work/cov" "$@" > /dev/null || { echo "product-reach: $* fai
 run "$work/dasbench" -list
 run "$work/dasbench" -exp all -census -csv "$work/csv"
 run "$work/dasbench" -exp table1,coll -parallel 1
-run "$work/dasbench" -chaos -quick
-run "$work/dasbench" -chaos -quick -transport
-run "$work/dasbench" -chaos -topo examples/topologies/ring9.json -quick
-run "$work/dasbench" -chaos -topo 2x8 -quick
+run "$work/dasbench" -chaos
+run "$work/dasbench" -chaos -transport
+run "$work/dasbench" -chaos -topo examples/topologies/ring9.json
+run "$work/dasbench" -chaos -topo 2x8
 run "$work/dasbench" -topo examples/topologies/tiered64.json -apps ASP -transport
 run "$work/dasbench" -topo 4x16 -apps all
 run "$work/dasbench" -timeline SOR
