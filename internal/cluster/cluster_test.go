@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -64,6 +65,26 @@ func TestNodeMisusePanics(t *testing.T) {
 			}()
 			tc.fn()
 		}()
+	}
+}
+
+// TestClusterOfOutOfRange: on an irregular topology a node below 0 or past
+// the last gateway panics naming it, instead of mapping to a cluster.
+func TestClusterOfOutOfRange(t *testing.T) {
+	topo := Irregular(4, 2, 3) // 9 compute nodes, gateways 9..11
+	for _, n := range []NodeID{-1, 12, 100} {
+		func() {
+			want := fmt.Sprintf("cluster: node %d out of range", n)
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("ClusterOf(%d) panic %v, want %q", n, r, want)
+				}
+			}()
+			topo.ClusterOf(n)
+		}()
+	}
+	if got := topo.ClusterOf(11); got != 2 {
+		t.Fatalf("ClusterOf(11)=%d, want the last gateway's cluster 2", got)
 	}
 }
 

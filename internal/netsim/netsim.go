@@ -571,9 +571,6 @@ func (n *Network) Topology() cluster.Topology { return n.topo }
 // scans the per-cluster sizes of a declared platform. Run-time paths use this.
 func (n *Network) ClusterOf(id cluster.NodeID) int { return n.clusterOf[id] }
 
-// Params returns the network's performance parameters.
-func (n *Network) Params() cluster.Params { return n.par }
-
 // Graph returns the network's wide-area link graph: routes, link classes and
 // physical links.
 func (n *Network) Graph() *cluster.Graph { return n.graph }

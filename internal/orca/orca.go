@@ -26,7 +26,6 @@ package orca
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"albatross/internal/cluster"
 	"albatross/internal/netsim"
@@ -51,10 +50,6 @@ type RTS struct {
 	// intercluster sends (see rel.go). Nil in the default perfect-network
 	// configuration: the data path then pays one nil check per send.
 	rel *relLayer
-
-	// seqBusy is each sequencer node's ordering-work horizon, indexed by
-	// node ID (only compute nodes ever order, but Total() is small).
-	seqBusy []time.Duration
 
 	// Tag interning: every distinct Tag gets a dense TagID; per-node
 	// mailbox lookup is then a slice index instead of a map probe.
@@ -159,11 +154,10 @@ func (s *OpStats) add(o *OpStats) {
 func New(net *netsim.Network, seqr Sequencer) *RTS {
 	topo := net.Topology()
 	r := &RTS{
-		e:       net.Engine(),
-		net:     net,
-		topo:    topo,
-		seqBusy: make([]time.Duration, topo.Total()),
-		tagIDs:  make(map[Tag]TagID),
+		e:      net.Engine(),
+		net:    net,
+		topo:   topo,
+		tagIDs: make(map[Tag]TagID),
 	}
 	r.sh, r.each = netsim.PerEngine(net, func(c int) *rtsShard {
 		return &rtsShard{e: net.EngineFor(c)}
@@ -323,25 +317,22 @@ type seqProtoMsg interface{ deliver(r *RTS) }
 // multicast in the orderer's cluster, one WAN message per remote cluster
 // relayed through its gateway. orderer must be a compute node.
 //
-// Ordering work serializes on the orderer (Params.OrderCost per message), so
-// a single central sequencer caps broadcast throughput system-wide; the
-// per-cluster distributed sequencer spreads that work over the clusters.
+// Ordering costs no time. The fan-out is still deferred to its own event at
+// the current instant, not run inline: the rotating sequencer drains its
+// queue and then passes the token in one handler, so the token leaves the
+// holder's network interface and crosses the FIFO WAN pipe ahead of that
+// batch's copies, as when a sequencer forwards the token before it
+// multicasts (TestFanOutFollowsToken).
 func (r *RTS) distribute(orderer cluster.NodeID, seq uint64, b *pendingBcast) {
 	// Every call site executes at the orderer's own node (the sequencer
 	// protocols route each submission there first), so on a sharded engine
-	// this is the LP-pinned sequencer mode of DESIGN.md §5d: the ordering
-	// horizon (seqBusy[orderer]) and the delivery schedule are state of the
-	// orderer's LP, touched only from its thread, and the fan-out in b.fn
-	// rides hardware multicast locally plus ≥lookahead WAN hops remotely.
+	// this is the LP-pinned sequencer mode of DESIGN.md §5d: the delivery
+	// schedule is state of the orderer's LP, touched only from its thread,
+	// and the fan-out in b.fn rides hardware multicast locally plus
+	// ≥lookahead WAN hops remotely.
 	e := r.sh[r.net.ClusterOf(orderer)].e
-	start := e.Now()
-	if busy := r.seqBusy[orderer]; busy > start {
-		start = busy
-	}
-	start += r.net.Params().OrderCost
-	r.seqBusy[orderer] = start
 	b.orderer, b.seq = orderer, seq
-	e.At(start, b.fn)
+	e.At(e.Now(), b.fn)
 }
 
 func (r *RTS) distributeNow(b *pendingBcast) {
