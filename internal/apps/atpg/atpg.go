@@ -68,11 +68,6 @@ type Circuit struct {
 	gates []gate
 }
 
-// circuitFor is the circuit for cfg, generated once per Config. A Circuit is
-// read-only after generation — all evaluation state lives in a Scratch — so
-// every run and the reference share one.
-var circuitFor = memo.Of(NewCircuit)
-
 // NewCircuit generates the deterministic random circuit for cfg.
 func NewCircuit(cfg Config) *Circuit {
 	r := rng.New(cfg.Seed)
@@ -224,24 +219,6 @@ type Result struct {
 	Covered  int // faults covered by them
 }
 
-// Sequential is the reference result the verifier compares against, solved
-// once per Config.
-var Sequential = memo.Of(sequential)
-
-// sequential runs the reference computation.
-func sequential(cfg Config) Result {
-	c := circuitFor(cfg)
-	s := c.NewScratch()
-	var res Result
-	for _, f := range c.Faults() {
-		if _, ok, _ := c.TestFault(s, f); ok {
-			res.Patterns++
-			res.Covered++
-		}
-	}
-	return res
-}
-
 // faultTest is what a worker learns from one fault's pattern search.
 type faultTest struct {
 	found bool
@@ -254,9 +231,11 @@ type faultTest struct {
 var testsFor = memo.Of(tests)
 
 // tests runs every fault's pattern search, in blocks of 64 faults that share
-// one scratch: a fresh scratch per fault costs more than the search.
+// one scratch: a fresh scratch per fault costs more than the search. The
+// blocks share the circuit, which is read-only after generation: all
+// evaluation state lives in a Scratch.
 func tests(cfg Config) []faultTest {
-	c := circuitFor(cfg)
+	c := NewCircuit(cfg)
 	faults := c.Faults()
 	const block = 64
 	blocks := memo.Each((len(faults)+block-1)/block, func(b int) []faultTest {
@@ -268,6 +247,21 @@ func tests(cfg Config) []faultTest {
 		return out
 	})
 	return slices.Concat(blocks...)
+}
+
+// Sequential is the reference result the verifier compares against: the
+// fold of the search table, one pattern and one covered fault per fault a
+// search detects. The loop over Faults that it equals is
+// TestSearchTableMatchesOracle's oracle.
+func Sequential(cfg Config) Result {
+	var res Result
+	for _, t := range testsFor(cfg) {
+		if t.found {
+			res.Patterns++
+			res.Covered++
+		}
+	}
+	return res
 }
 
 // statsState is the shared statistics object.

@@ -205,6 +205,38 @@ func TestFaultWordsRandomCircuits(t *testing.T) {
 	}
 }
 
+// faultLoop is the oracle for Sequential: every fault's pattern search in a
+// plain loop with one scratch.
+func faultLoop(cfg Config) Result {
+	c := NewCircuit(cfg)
+	s := c.NewScratch()
+	var res Result
+	for _, f := range c.Faults() {
+		if _, ok, _ := c.TestFault(s, f); ok {
+			res.Patterns++
+			res.Covered++
+		}
+	}
+	return res
+}
+
+// TestSearchTableMatchesOracle: the fault loop finds 556 patterns covering
+// 556 faults on the default circuit, and equals the fold of the search table
+// on it and on the circuits TestFaultWordsMatchScalar checks.
+func TestSearchTableMatchesOracle(t *testing.T) {
+	golden := Result{Patterns: 556, Covered: 556}
+	if got := faultLoop(Default()); got != golden {
+		t.Fatalf("faultLoop(Default()) = %+v, want %+v", got, golden)
+	}
+	late := Config{Inputs: 16, Gates: 200, Tries: 100, Seed: 7}
+	wide := Config{Inputs: 16, Gates: 800, Tries: 8, Seed: 7}
+	for _, cfg := range []Config{Default(), testCfg(), late, wide} {
+		if fold, want := Sequential(cfg), faultLoop(cfg); fold != want {
+			t.Errorf("%+v: the fold %+v, the fault loop %+v", cfg, fold, want)
+		}
+	}
+}
+
 func TestSequentialCoversSomeNotAll(t *testing.T) {
 	res := Sequential(testCfg())
 	total := 2 * testCfg().Gates

@@ -50,7 +50,7 @@ func (j job) search(threshold int) searchResult {
 }
 
 // frontier is the instance's fixed job set, expanded once per Config and
-// shared read-only by every run and the reference search.
+// shared read-only by every run and the search table.
 var frontier = memo.Of(expandFrontier)
 
 // expandFrontier expands the instance root breadth-first (without undoing
@@ -100,36 +100,27 @@ type Result struct {
 	Expansions int64 // total bounded-DFS expansions over all iterations
 }
 
-// Sequential is the reference result the verifier compares against, solved
-// once per Config.
-var Sequential = memo.Of(sequential)
-
-// sequential runs the reference computation: the same frontier and the same
-// per-job bounded searches, iterating thresholds, on one processor.
-func sequential(cfg Config) Result {
-	jobs := frontier(cfg)
+// Sequential is the reference result the verifier compares against: the
+// fold of the search table, every row's expansions and the last row's
+// solutions, found at that row's threshold (-1 when the last row exhausts the
+// instance instead). The threshold loop over the frontier that it equals is
+// TestSearchTableMatchesOracle's oracle.
+func Sequential(cfg Config) Result {
 	root := Scramble(cfg.Walk, cfg.Seed)
-	threshold := manhattan(&root)
-	var total int64
-	for {
-		var sols int64
+	res, threshold := Result{Optimal: -1}, manhattan(&root)
+	for _, row := range searchesFor(cfg) {
 		next := infThreshold
-		for _, j := range jobs {
-			res := j.search(threshold)
-			total += res.expansions
-			sols += res.solutions
-			if res.next < next {
-				next = res.next
-			}
+		for _, r := range row {
+			res.Expansions += r.expansions
+			res.Solutions += r.solutions
+			next = min(next, r.next)
 		}
-		if sols > 0 {
-			return Result{Optimal: threshold, Solutions: sols, Expansions: total}
-		}
-		if next >= infThreshold {
-			return Result{Optimal: -1, Expansions: total}
+		if res.Solutions > 0 {
+			res.Optimal = threshold
 		}
 		threshold = next
 	}
+	return res
 }
 
 // searchesFor holds, per iteration, every frontier job's bounded search, in

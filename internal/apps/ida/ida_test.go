@@ -98,12 +98,61 @@ func TestMoveTabMatchesCanMove(t *testing.T) {
 	}
 }
 
-// TestSequentialGolden pins what the search counts on the default instance:
-// a cheaper step must expand the same nodes in the same iterations.
+// defaultGolden is what the search counts on the default instance: a
+// cheaper step must expand the same nodes in the same iterations.
+var defaultGolden = Result{Optimal: 42, Solutions: 11, Expansions: 21273274}
+
+// TestSequentialGolden: on the default instance the verifier's reference,
+// the fold of the search table, is the golden.
 func TestSequentialGolden(t *testing.T) {
-	want := Result{Optimal: 42, Solutions: 11, Expansions: 21273274}
-	if got := sequential(Default()); got != want {
-		t.Fatalf("sequential(Default()) = %+v, want %+v", got, want)
+	if got := Sequential(Default()); got != defaultGolden {
+		t.Fatalf("Sequential(Default()) = %+v, want %+v", got, defaultGolden)
+	}
+}
+
+// thresholdLoop is the oracle for Sequential: the same frontier and the
+// same per-job bounded searches, iterating thresholds, on one processor.
+func thresholdLoop(cfg Config) Result {
+	jobs := frontier(cfg)
+	root := Scramble(cfg.Walk, cfg.Seed)
+	threshold := manhattan(&root)
+	var total int64
+	for {
+		var sols int64
+		next := infThreshold
+		for _, j := range jobs {
+			res := j.search(threshold)
+			total += res.expansions
+			sols += res.solutions
+			if res.next < next {
+				next = res.next
+			}
+		}
+		if sols > 0 {
+			return Result{Optimal: threshold, Solutions: sols, Expansions: total}
+		}
+		if next >= infThreshold {
+			return Result{Optimal: -1, Expansions: total}
+		}
+		threshold = next
+	}
+}
+
+// TestSearchTableMatchesOracle: the threshold loop equals the golden on the
+// default instance, and the fold of the search table on it and on smaller
+// instances, the solved one included.
+func TestSearchTableMatchesOracle(t *testing.T) {
+	if got := thresholdLoop(Default()); got != defaultGolden {
+		t.Fatalf("thresholdLoop(Default()) = %+v, want %+v", got, defaultGolden)
+	}
+	cfgs := []Config{Default(), testCfg(), {Walk: 26, Seed: 4, Jobs: 64}, {Walk: 0, Seed: 4, Jobs: 8}}
+	for seed := uint64(1); seed <= 5; seed++ {
+		cfgs = append(cfgs, Config{Walk: 14, Seed: seed, Jobs: 16})
+	}
+	for _, cfg := range cfgs {
+		if fold, want := Sequential(cfg), thresholdLoop(cfg); fold != want {
+			t.Errorf("%+v: the fold %+v, the threshold loop %+v", cfg, fold, want)
+		}
 	}
 }
 

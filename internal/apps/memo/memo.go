@@ -5,7 +5,10 @@
 // that Config, so it is computed once per distinct Config for the life of
 // the process and handed to every run of that instance, on any platform
 // shape and from any number of harness workers. A table's entries are
-// independent, so Each fills it on every core.
+// independent, so Each fills it on every core. TSP, ATPG and IDA* hold no
+// reference of their own: theirs is a fold of the table the runs read, so
+// each search runs once per process, and the serial searches the folds
+// equal are their packages' test oracles.
 //
 // Held values are shared and read-only: a Build that needs to write takes a
 // copy (ASP copies its matrix). Entries are never evicted; the table grows

@@ -31,7 +31,7 @@ import (
 type Config struct {
 	NCities  int           // cities; city 0 is the fixed start
 	Seed     uint64        // workload seed
-	JobDepth int           // master generates jobs of this prefix length
+	JobDepth int           // master generates jobs of this prefix length, 1..NCities
 	NodeCost time.Duration // virtual CPU time per search-tree node expansion
 }
 
@@ -140,18 +140,6 @@ func optimal(cfg Config) int32 {
 	return best
 }
 
-// Sequential is the reference result the verifier compares against, solved
-// once per Config.
-var Sequential = memo.Of(sequential)
-
-// sequential runs the fixed-bound search on one processor.
-func sequential(cfg Config) Result {
-	d := Generate(cfg)
-	bound := Optimal(cfg)
-	exp, best := dfs(d, cfg.NCities, 0, 1, 0, 1, bound)
-	return Result{Best: best, Expansions: exp}
-}
-
 // job is one unit of work: a path prefix, named by its index in the
 // instance's job list, which both variants enumerate in the same order.
 type job struct{ idx int }
@@ -224,6 +212,19 @@ func searches(cfg Config) []Result {
 	})
 }
 
+// Sequential is the reference result the verifier compares against: the
+// fold of the search table, the masters' expansions generating the jobs plus
+// every job's search, and the best tour any job finds. The search from the
+// root that it equals is TestSearchTableFoldDecomposes's oracle.
+func Sequential(cfg Config) Result {
+	res := Result{Best: inf, Expansions: jobsFor(cfg).exp}
+	for _, r := range searchesFor(cfg) {
+		res.Expansions += r.Expansions
+		res.Best = min(res.Best, r.Best)
+	}
+	return res
+}
+
 // minState is each node's replica of the "current best tour" object.
 type minState struct{ best int32 }
 
@@ -231,6 +232,14 @@ type minState struct{ best int32 }
 // static queues instead of the central queue. The returned verifier checks
 // the tour length and the exact expansion-count invariant.
 func Build(sys *core.System, cfg Config, optimized bool) func() error {
+	if cfg.JobDepth < 1 || cfg.JobDepth > cfg.NCities {
+		// No prefix has such a length, so there would be no job and no tour:
+		// spawn nothing, so the run ends at once, and let the verifier carry
+		// the error.
+		return func() error {
+			return fmt.Errorf("tsp: JobDepth %d outside [1, NCities=%d]", cfg.JobDepth, cfg.NCities)
+		}
+	}
 	topo := sys.Topo
 
 	minObj := sys.RTS.NewReplicated("global-min", func(cluster.NodeID) any {
@@ -325,11 +334,8 @@ func Build(sys *core.System, cfg Config, optimized bool) func() error {
 			}
 		}
 		exp += jobs.exp // the expansions generating the jobs, counted once
-		if best != want.Best {
-			return fmt.Errorf("tsp: best %d, want %d", best, want.Best)
-		}
-		if exp != want.Expansions {
-			return fmt.Errorf("tsp: expansions %d, want %d", exp, want.Expansions)
+		if best != want.Best || exp != want.Expansions {
+			return fmt.Errorf("tsp: best %d and %d expansions, want %d and %d", best, exp, want.Best, want.Expansions)
 		}
 		for i := 0; i < topo.Compute(); i++ {
 			if got := minObj.Replica(cluster.NodeID(i)).(*minState).best; got != want.Best {

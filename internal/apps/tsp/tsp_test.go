@@ -3,6 +3,7 @@ package tsp
 import (
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,12 +135,58 @@ func TestSequentialFindsOptimal(t *testing.T) {
 	}
 }
 
-// TestSequentialGolden pins the default instance's bound and search size:
-// a cheaper dfs must count the same nodes.
+// defaultGolden is the default instance's bound and search size: a cheaper
+// dfs must count the same nodes.
+var defaultGolden = Result{Best: 237, Expansions: 13037406}
+
+// TestSequentialGolden: on the default instance the verifier's reference,
+// the fold of the search table, is the golden.
 func TestSequentialGolden(t *testing.T) {
-	want := Result{Best: 237, Expansions: 13037406}
-	if got := sequential(Default()); got != want {
-		t.Fatalf("sequential(Default()) = %+v, want %+v", got, want)
+	if got := Sequential(Default()); got != defaultGolden {
+		t.Fatalf("Sequential(Default()) = %+v, want %+v", got, defaultGolden)
+	}
+}
+
+// rootSearch is the oracle for Sequential: the fixed-bound search from the
+// root on one processor, with no job list in between.
+func rootSearch(cfg Config) Result {
+	exp, best := dfs(Generate(cfg), cfg.NCities, 0, 1, 0, 1, Optimal(cfg))
+	return Result{Best: best, Expansions: exp}
+}
+
+// TestSearchTableFoldDecomposes: the search from the root equals the golden
+// on the default instance, and the fold of the job list and the search table
+// on every instance of 3 to 10 cities, at every job depth and three seeds.
+func TestSearchTableFoldDecomposes(t *testing.T) {
+	if got := rootSearch(Default()); got != defaultGolden {
+		t.Fatalf("rootSearch(Default()) = %+v, want %+v", got, defaultGolden)
+	}
+	for n := 3; n <= 10; n++ {
+		for depth := 1; depth <= n; depth++ {
+			for _, seed := range []uint64{1, 2, 3} {
+				cfg := Config{NCities: n, Seed: seed, JobDepth: depth}
+				if fold, want := Sequential(cfg), rootSearch(cfg); fold != want {
+					t.Errorf("%+v: the fold %+v, the search from the root %+v", cfg, fold, want)
+				}
+			}
+		}
+	}
+}
+
+// TestJobDepthOutOfRange: a job depth outside [1, NCities] yields no job, so
+// the fold would find no tour where the search from the root finds one.
+// Build refuses it: the run spawns nothing and the verifier names the field.
+func TestJobDepthOutOfRange(t *testing.T) {
+	for _, depth := range []int{-1, 0, 4} {
+		cfg := Config{NCities: 3, Seed: 3, JobDepth: depth, NodeCost: time.Microsecond}
+		sys := core.NewSystem(core.Config{Topology: cluster.DAS(1, 2), Params: cluster.DASParams()})
+		verify := Build(sys, cfg, false)
+		if _, err := sys.Run(); err != nil {
+			t.Fatalf("JobDepth %d: run: %v", depth, err)
+		}
+		if err := verify(); err == nil || !strings.Contains(err.Error(), "JobDepth") {
+			t.Errorf("JobDepth %d: verifier error %v, want one naming JobDepth", depth, err)
+		}
 	}
 }
 

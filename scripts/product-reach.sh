@@ -23,6 +23,10 @@
 # RACY). Either total above its line in scripts/product-reach.stmts fails; a
 # total below it is printed, for the change that lowered it to record.
 #
+# Both profiles come from one snapshot of the tree, every tracked or
+# unignored file copied once at the start: a file edited during the run would
+# otherwise shift line numbers between them and count a statement twice.
+#
 # Usage: scripts/product-reach.sh   (about four minutes on two cores)
 set -eu
 cd "$(dirname "$0")/.."
@@ -30,7 +34,11 @@ ALLOW=scripts/product-reach.allow
 STMTS=scripts/product-reach.stmts
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-mkdir "$work/cov" "$work/tcov" "$work/csv"
+mkdir "$work/cov" "$work/tcov" "$work/csv" "$work/src"
+git ls-files -z --cached --others --exclude-standard |
+	xargs -0 sh -c 'for f; do [ -f "$f" ] && printf "%s\0" "$f"; done' sh |
+	tar --null -T - -cf - | tar -xf - -C "$work/src"
+cd "$work/src"
 
 build() { # build <name> <main package>
 	go build -cover -coverpkg="./internal/...,$2" -o "$work/$1" "$2"
